@@ -96,79 +96,31 @@ pub fn impair_setup() {
     }
 }
 
-/// Arm the sweep service layer (result cache + worker sharding) for a
-/// figure binary.
+/// Arm the sweep result cache for a figure binary.
 ///
 /// `--cache <dir>` (or `BACKFI_CACHE=<dir>`) opens/creates a persistent
 /// content-addressed result cache there, so a rerun only computes grid
-/// cells it has not seen — stdout is byte-identical to a cold run.
-/// `--workers host:p1,host:p2` (or `BACKFI_WORKERS=...`) shards grid cells
-/// across `sweep_worker` processes over TCP, bit-identical to in-process
-/// execution for any worker count. `--sweep-timeout <ms>` (or
-/// `BACKFI_SWEEP_TIMEOUT_MS`) bounds every shard attempt — connect, HELLO
-/// and result wait — so no worker failure mode can hang a figure.
-/// `--chaos <spec>` (or `BACKFI_CHAOS=<spec>`, e.g. `drop:0.25`,
-/// `all:0.1,seed:7`) arms the deterministic fault-injection transport that
-/// exercises the retry/re-dispatch/fallback machinery; output stays
-/// byte-identical under any spec. With none of these, the sweep layer is
-/// untouched and default runs stay byte-identical to a build without it.
+/// cells it has not seen — stdout is byte-identical to a cold run. Without
+/// either, the sweep layer is untouched and default runs stay byte-identical
+/// to a build without it.
 ///
-/// A malformed worker list, timeout or chaos spec is a usage error (exit 2),
-/// matching [`impair_setup`]. An *unusable cache directory* is deliberately
-/// not: the cache degrades to pass-through with a warning and a
+/// A missing directory argument is a usage error (exit 2), matching
+/// [`impair_setup`]. An *unusable cache directory* is deliberately not: the
+/// cache degrades to pass-through with a warning and a
 /// `sweep.cache.disabled` counter, because a full disk must cost recompute
-/// time, never the run. Active layers are echoed to stderr.
+/// time, never the run. An active cache is echoed to stderr.
 pub fn sweep_setup() {
     let mut cache_dir: Option<String> = std::env::var("BACKFI_CACHE").ok();
-    let mut workers: Option<String> = std::env::var("BACKFI_WORKERS").ok();
-    let mut timeout_ms: Option<String> = std::env::var("BACKFI_SWEEP_TIMEOUT_MS").ok();
-    let mut chaos: Option<String> = std::env::var("BACKFI_CHAOS").ok();
     let mut args = std::env::args();
     while let Some(a) = args.next() {
-        let mut take = |what: &str| match args.next() {
-            Some(v) if !v.is_empty() && !v.starts_with("--") => v,
-            _ => {
-                eprintln!("error: {a} requires {what}");
-                std::process::exit(2);
-            }
-        };
         if a == "--cache" {
-            cache_dir = Some(take("a directory argument"));
-        } else if a == "--workers" {
-            workers = Some(take("host:port[,host:port...]"));
-        } else if a == "--sweep-timeout" {
-            timeout_ms = Some(take("a per-shard deadline in milliseconds"));
-        } else if a == "--chaos" {
-            chaos = Some(take("a chaos spec (e.g. drop:0.25 or all:0.1)"));
-        }
-    }
-    if let Some(ms) = timeout_ms {
-        match ms.trim().parse::<u64>() {
-            Ok(v) if v > 0 => {
-                // `ServiceConfig::from_env` reads this when the pool is
-                // built below (and in any in-process worker), so the flag
-                // and the env variable share one code path.
-                std::env::set_var("BACKFI_SWEEP_TIMEOUT_MS", v.to_string());
-                eprintln!("# sweep shard deadline: {v} ms");
-            }
-            _ => {
-                eprintln!("error: --sweep-timeout {ms:?}: not a positive integer (milliseconds)");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(spec) = chaos {
-        match backfi_core::sweep::service::chaos::ChaosSpec::parse(&spec) {
-            Ok(parsed) => {
-                if !parsed.is_off() {
-                    eprintln!("# sweep chaos active: {parsed:?}");
+            cache_dir = match args.next() {
+                Some(v) if !v.is_empty() && !v.starts_with("--") => Some(v),
+                _ => {
+                    eprintln!("error: --cache requires a directory argument");
+                    std::process::exit(2);
                 }
-                backfi_core::sweep::service::chaos::set_global(Some(parsed));
-            }
-            Err(e) => {
-                eprintln!("error: --chaos {spec:?}: {e}");
-                std::process::exit(2);
-            }
+            };
         }
     }
     if let Some(dir) = cache_dir {
@@ -180,18 +132,6 @@ pub fn sweep_setup() {
             );
         } else {
             eprintln!("# sweep result cache: {dir}");
-        }
-    }
-    if let Some(spec) = workers {
-        match backfi_core::sweep::service::pool_from_spec(&spec) {
-            Ok(pool) => {
-                eprintln!("# sweep worker pool: {} worker(s) ({spec})", pool.len());
-                backfi_core::sweep::service::set_global(Some(pool));
-            }
-            Err(e) => {
-                eprintln!("error: --workers {spec:?}: {e}");
-                std::process::exit(2);
-            }
         }
     }
 }

@@ -13,7 +13,6 @@
 
 pub mod cache;
 pub mod codec;
-pub mod service;
 
 use crate::link::{LinkConfig, LinkReport, LinkSimulator};
 use backfi_dsp::rng::SplitMix64;
@@ -348,38 +347,10 @@ pub fn run_grid_indexed(
 
 /// [`run_grid_indexed`] on a caller-supplied executor.
 ///
-/// This is the dispatch point for the sweep service: if a worker pool is
-/// installed ([`service::set_global`]) the grid is sharded over TCP, and if
-/// a result cache is installed ([`cache::set_global`]) cells it already
-/// holds are not recomputed. Both layers are opt-in, and both are
-/// bit-identical to the plain in-process path, so default runs are
-/// untouched.
+/// If a result cache is installed ([`cache::set_global`]) cells it already
+/// holds are not recomputed; the cache is opt-in and bit-identical to the
+/// plain in-process path, so default runs are untouched.
 pub fn run_grid_indexed_on(
-    exec: &Executor,
-    cells: &[LinkConfig],
-    trials: usize,
-    seed0: u64,
-    bases: &[u64],
-) -> Vec<TrialStats> {
-    assert_eq!(cells.len(), bases.len(), "one job-index base per cell");
-    if let Some(pool) = service::global() {
-        match service::run_sharded(&pool, cells, trials, seed0, bases) {
-            Ok(stats) => return stats,
-            Err(e) => {
-                // Results are bit-identical either way, so a dead or stale
-                // worker degrades to local compute instead of failing the run.
-                backfi_obs::counter_add("sweep.service.fallback", 1);
-                eprintln!("[backfi sweep] worker pool unavailable ({e}); computing locally");
-            }
-        }
-    }
-    run_grid_indexed_local(exec, cells, trials, seed0, bases)
-}
-
-/// Cache-aware but service-free grid runner: what a sharded worker answers
-/// jobs with (a worker must never recursively re-shard), and what the
-/// coordinator falls back to.
-pub(crate) fn run_grid_indexed_local(
     exec: &Executor,
     cells: &[LinkConfig],
     trials: usize,
@@ -502,19 +473,25 @@ pub fn run_trials_on(exec: &Executor, cfg: &LinkConfig, trials: usize, seed0: u6
 }
 
 /// Cycle through candidate tag configurations at one distance, most
-/// aggressive first, and report per-config stats. With `early_exit`, stops
-/// evaluating slower configurations once one decodes *and* every remaining
-/// candidate has lower throughput (the Fig. 8 frontier only needs the max);
-/// without it, the whole candidate grid is evaluated in one parallel pass.
+/// aggressive first, and report per-config stats: the whole candidate grid
+/// is evaluated in one parallel pass.
 pub fn cycle_configs(
     base: &LinkConfig,
     candidates: &[TagConfig],
     trials: usize,
     seed0: u64,
-    early_exit: bool,
 ) -> Vec<TrialStats> {
-    // Sort by throughput descending; NaN throughput sorts last instead of
-    // panicking the comparator (same order as `partial_cmp` on real values).
+    run_grid(
+        &grid_cells(base, &by_throughput_desc(candidates)),
+        trials,
+        seed0,
+    )
+}
+
+/// `candidates` sorted by throughput, descending; NaN throughput sorts last
+/// instead of panicking the comparator (same order as `partial_cmp` on real
+/// values).
+fn by_throughput_desc(candidates: &[TagConfig]) -> Vec<TagConfig> {
     let mut sorted = candidates.to_vec();
     let desc_key = |c: &TagConfig| {
         let t = c.throughput_bps();
@@ -525,28 +502,7 @@ pub fn cycle_configs(
         }
     };
     sorted.sort_by(|a, b| desc_key(b).total_cmp(&desc_key(a)));
-
-    if !early_exit {
-        return run_grid(&grid_cells(base, &sorted), trials, seed0);
-    }
-
-    let mut out = Vec::new();
-    let mut best_decoded: Option<f64> = None;
-    for tag in sorted {
-        if let Some(t) = best_decoded {
-            if tag.throughput_bps() < t {
-                break;
-            }
-        }
-        let mut cfg = base.clone();
-        cfg.tag = tag;
-        let stats = run_trials(&cfg, trials, seed0);
-        if stats.decoded() && best_decoded.is_none() {
-            best_decoded = Some(tag.throughput_bps());
-        }
-        out.push(stats);
-    }
-    out
+    sorted
 }
 
 /// Max decodable throughput at a distance (bit/s), or 0 when nothing decodes.
@@ -579,29 +535,6 @@ mod tests {
         assert!(stats.decoded());
         assert!(stats.mean_goodput_bps > 0.0);
         assert!(stats.outcome().decoded);
-    }
-
-    #[test]
-    fn cycle_early_exit_stops_after_first_decodable_tier() {
-        let candidates = vec![
-            TagConfig {
-                modulation: TagModulation::Qpsk,
-                code_rate: CodeRate::Half,
-                symbol_rate_hz: 1e6,
-                preamble_us: 32.0,
-            },
-            TagConfig {
-                modulation: TagModulation::Bpsk,
-                code_rate: CodeRate::Half,
-                symbol_rate_hz: 100e3,
-                preamble_us: 32.0,
-            },
-        ];
-        let stats = cycle_configs(&base(0.5), &candidates, 2, 7, true);
-        // The QPSK config decodes at 0.5 m, so the slower BPSK one is skipped.
-        assert_eq!(stats.len(), 1);
-        assert!(stats[0].decoded());
-        assert!(max_throughput_bps(&stats) > 9e5);
     }
 
     #[test]
@@ -715,21 +648,20 @@ mod tests {
     }
 
     #[test]
-    fn nan_throughput_candidate_does_not_panic_cycle() {
-        let candidates = vec![
-            TagConfig::default(),
-            TagConfig {
-                modulation: TagModulation::Bpsk,
-                code_rate: CodeRate::Half,
-                symbol_rate_hz: f64::NAN,
-                preamble_us: 32.0,
-            },
-        ];
-        // NaN sorts last; with early exit the decodable QPSK tier wins and
-        // the NaN config is never simulated.
-        let stats = cycle_configs(&base(0.5), &candidates, 2, 7, true);
-        assert!(!stats.is_empty());
-        assert!(stats[0].config.symbol_rate_hz.is_finite());
+    fn cycle_candidates_sort_by_throughput_with_nan_last() {
+        let tag = |modulation, symbol_rate_hz| TagConfig {
+            modulation,
+            code_rate: CodeRate::Half,
+            symbol_rate_hz,
+            preamble_us: 32.0,
+        };
+        let nan = tag(TagModulation::Bpsk, f64::NAN);
+        let slow = tag(TagModulation::Bpsk, 100e3);
+        let fast = tag(TagModulation::Qpsk, 1e6);
+        let mid = tag(TagModulation::Bpsk, 500e3);
+        let sorted = by_throughput_desc(&[nan, slow, fast, mid]);
+        assert_eq!(&sorted[..3], &[fast, mid, slow]);
+        assert!(sorted[3].symbol_rate_hz.is_nan(), "NaN-rate candidate last");
     }
 
     #[test]

@@ -1,20 +1,15 @@
 //! Fixed-width binary codec for sweep configurations and results.
 //!
-//! One encoder serves two consumers that must agree byte-for-byte:
-//!
-//! * the **result cache** ([`super::cache`]) hashes the encoded
-//!   [`LinkConfig`] bytes into its content address, so two processes that
-//!   build the same cell always derive the same key;
-//! * the **worker protocol** ([`super::service`]) ships the same bytes over
-//!   TCP so a remote worker reconstructs the exact cell the coordinator
-//!   sharded out.
+//! The **result cache** ([`super::cache`]) hashes the encoded [`LinkConfig`]
+//! bytes into its content address, so two processes that build the same
+//! cell always derive the same key, and stores each cell's [`TrialStats`] as
+//! a fixed-width record it decodes again on a hit.
 //!
 //! The format is deliberately dumb: little-endian fixed-width fields in
 //! declaration order, `f64` as IEEE-754 bit patterns (`to_bits`), enums as
 //! one tag byte. No varints, no compression, no external crates. Field
-//! additions bump [`FORMAT_VERSION`], which is folded into the cache salt
-//! and the wire handshake, so the two sides can never silently disagree on
-//! layout.
+//! additions bump [`FORMAT_VERSION`], which is folded into the cache salt,
+//! so a store written under another layout is never read.
 
 use crate::excitation::ExcitationConfig;
 use crate::link::LinkConfig;
@@ -29,8 +24,7 @@ use backfi_tag::config::{TagConfig, TagModulation};
 use backfi_wifi::Mcs;
 
 /// Version of the serialized layout. Bumped whenever a field is added,
-/// removed or reordered; folded into [`super::cache::code_salt`] and checked
-/// by the [`super::service`] handshake.
+/// removed or reordered; folded into [`super::cache::code_salt`].
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Serialized size of one [`TrialStats`] payload, bytes (2 tag bytes,
@@ -111,12 +105,6 @@ impl Writer {
     pub fn bool(&mut self, v: bool) {
         self.u8(v as u8);
     }
-
-    /// Append raw bytes verbatim (the wire protocol nests length-prefixed
-    /// blobs this way).
-    pub fn raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
 }
 
 // ---------------------------------------------------------------- reader ---
@@ -152,16 +140,6 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Read a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    /// Read a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
     /// Read a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
@@ -170,16 +148,6 @@ impl<'a> Cursor<'a> {
     /// Read an `f64` from its bit pattern.
     pub fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Read a `bool` (any non-zero byte is `true`).
-    pub fn bool(&mut self) -> Result<bool, CodecError> {
-        Ok(self.u8()? != 0)
-    }
-
-    /// Read `n` raw bytes (inverse of [`Writer::raw`]).
-    pub fn slice(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        self.take(n)
     }
 }
 
@@ -226,13 +194,6 @@ fn mcs_tag(m: Mcs) -> u8 {
         .expect("Mcs::ALL covers every variant") as u8
 }
 
-fn mcs_from(tag: u8) -> Result<Mcs, CodecError> {
-    Mcs::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or(CodecError::BadTag("Mcs", tag))
-}
-
 // ------------------------------------------------------------ link config ---
 
 fn encode_budget(w: &mut Writer, b: &LinkBudget) {
@@ -251,38 +212,11 @@ fn encode_budget(w: &mut Writer, b: &LinkBudget) {
     w.f64(b.tx_noise_dbc);
 }
 
-fn decode_budget(c: &mut Cursor) -> Result<LinkBudget, CodecError> {
-    Ok(LinkBudget {
-        tx_power_dbm: c.f64()?,
-        noise_floor_dbm: c.f64()?,
-        bs_pathloss_1m_db: c.f64()?,
-        bs_exponent_near: c.f64()?,
-        bs_exponent_far: c.f64()?,
-        knee_m: c.f64()?,
-        knee2_m: c.f64()?,
-        bs_exponent_beyond: c.f64()?,
-        wifi_pathloss_1m_db: c.f64()?,
-        wifi_exponent: c.f64()?,
-        leakage_db: c.f64()?,
-        reflections_db: c.f64()?,
-        tx_noise_dbc: c.f64()?,
-    })
-}
-
 fn encode_tag_config(w: &mut Writer, t: &TagConfig) {
     w.u8(modulation_tag(t.modulation));
     w.u8(code_rate_tag(t.code_rate));
     w.f64(t.symbol_rate_hz);
     w.f64(t.preamble_us);
-}
-
-fn decode_tag_config(c: &mut Cursor) -> Result<TagConfig, CodecError> {
-    Ok(TagConfig {
-        modulation: modulation_from(c.u8()?)?,
-        code_rate: code_rate_from(c.u8()?)?,
-        symbol_rate_hz: c.f64()?,
-        preamble_us: c.f64()?,
-    })
 }
 
 fn encode_excitation(w: &mut Writer, e: &ExcitationConfig) {
@@ -291,16 +225,6 @@ fn encode_excitation(w: &mut Writer, e: &ExcitationConfig) {
     w.u64(e.wifi_payload_bytes as u64);
     w.u8(e.scrambler_seed);
     w.u64(e.lead_in as u64);
-}
-
-fn decode_excitation(c: &mut Cursor) -> Result<ExcitationConfig, CodecError> {
-    Ok(ExcitationConfig {
-        tag_id: c.u16()?,
-        mcs: mcs_from(c.u8()?)?,
-        wifi_payload_bytes: c.u64()? as usize,
-        scrambler_seed: c.u8()?,
-        lead_in: c.u64()? as usize,
-    })
 }
 
 fn encode_reader(w: &mut Writer, r: &ReaderConfig) {
@@ -320,29 +244,6 @@ fn encode_reader(w: &mut Writer, r: &ReaderConfig) {
     w.bool(r.use_zero_forcing);
 }
 
-fn decode_reader(c: &mut Cursor) -> Result<ReaderConfig, CodecError> {
-    let analog = AnalogConfig {
-        taps: c.u64()? as usize,
-        control_bits: c.u32()?,
-    };
-    let canceller = CancellerConfig {
-        analog,
-        digital_taps: c.u64()? as usize,
-        ridge: c.f64()?,
-        adc_bits: c.u32()?,
-        agc_headroom_db: c.f64()?,
-        analog_enabled: c.bool()?,
-        digital_enabled: c.bool()?,
-    };
-    Ok(ReaderConfig {
-        canceller,
-        fb_taps: c.u64()? as usize,
-        ridge: c.f64()?,
-        timing_span: c.u64()? as usize,
-        use_zero_forcing: c.bool()?,
-    })
-}
-
 fn encode_impairments(w: &mut Writer, i: &Impairments) {
     w.f64(i.clock_drift_ppm);
     w.f64(i.timing_desync_us);
@@ -359,27 +260,9 @@ fn encode_impairments(w: &mut Writer, i: &Impairments) {
     w.f64(i.nonfinite_prob);
 }
 
-fn decode_impairments(c: &mut Cursor) -> Result<Impairments, CodecError> {
-    Ok(Impairments {
-        clock_drift_ppm: c.f64()?,
-        timing_desync_us: c.f64()?,
-        cfo_hz: c.f64()?,
-        interference_rel: c.f64()?,
-        interference_duty: c.f64()?,
-        interference_burst_us: c.f64()?,
-        saturation_prob: c.f64()?,
-        saturation_us: c.f64()?,
-        saturation_gain: c.f64()?,
-        impulse_per_packet: c.f64()?,
-        impulse_rel: c.f64()?,
-        truncate_prob: c.f64()?,
-        nonfinite_prob: c.f64()?,
-    })
-}
-
 /// Serialize a [`LinkConfig`] into `w`. Every field of every nested struct,
-/// in declaration order — the bytes are the cell's identity for both the
-/// cache key and the wire.
+/// in declaration order — the bytes are the cell's identity in the cache
+/// key.
 pub fn encode_link_config(w: &mut Writer, cfg: &LinkConfig) {
     encode_budget(w, &cfg.budget);
     w.f64(cfg.distance_m);
@@ -394,18 +277,6 @@ pub fn link_config_bytes(cfg: &LinkConfig) -> Vec<u8> {
     let mut w = Writer::with_capacity(320);
     encode_link_config(&mut w, cfg);
     w.into_bytes()
-}
-
-/// Deserialize a [`LinkConfig`] (inverse of [`encode_link_config`]).
-pub fn decode_link_config(c: &mut Cursor) -> Result<LinkConfig, CodecError> {
-    Ok(LinkConfig {
-        budget: decode_budget(c)?,
-        distance_m: c.f64()?,
-        tag: decode_tag_config(c)?,
-        excitation: decode_excitation(c)?,
-        reader: decode_reader(c)?,
-        impair: decode_impairments(c)?,
-    })
 }
 
 // ------------------------------------------------------------ trial stats ---
@@ -487,21 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn link_config_roundtrips_bit_exact() {
-        let cfg = sample_config();
-        let bytes = link_config_bytes(&cfg);
-        let mut c = Cursor::new(&bytes);
-        let back = decode_link_config(&mut c).unwrap();
-        assert_eq!(c.remaining(), 0, "decoder must consume every byte");
-        // Re-encode: identical bytes ⇒ identical cells (covers every field
-        // without writing one assert per field).
-        assert_eq!(bytes, link_config_bytes(&back));
-        assert_eq!(cfg.distance_m.to_bits(), back.distance_m.to_bits());
-        assert_eq!(cfg.tag, back.tag);
-        assert_eq!(cfg.impair, back.impair);
-    }
-
-    #[test]
     fn trial_stats_roundtrip_preserves_nonfinite_bits() {
         let s = TrialStats {
             config: TagConfig::default(),
@@ -517,6 +373,7 @@ mod tests {
         assert_eq!(w.bytes().len(), TRIAL_STATS_LEN);
         let mut c = Cursor::new(w.bytes());
         let back = decode_trial_stats(&mut c).unwrap();
+        assert_eq!(c.remaining(), 0, "decoder must consume every byte");
         assert_eq!(s.success_rate.to_bits(), back.success_rate.to_bits());
         assert_eq!(s.mean_snr_db.to_bits(), back.mean_snr_db.to_bits());
         assert_eq!(s.mean_ber.to_bits(), back.mean_ber.to_bits());
@@ -531,21 +388,45 @@ mod tests {
         assert_eq!(s.panics, back.panics);
     }
 
+    /// The cache key is only as good as the encoding's coverage: changing
+    /// one field of any nested struct must change the bytes. Each nested
+    /// struct is perturbed in its last field, so an encoder that stops short
+    /// of the end of a struct fails here.
     #[test]
     fn distinct_cells_encode_to_distinct_bytes() {
+        type Perturb = fn(&mut LinkConfig);
         let a = link_config_bytes(&sample_config());
-        let mut other = sample_config();
-        other.reader.canceller.ridge *= 1.0000001;
-        assert_ne!(a, link_config_bytes(&other));
+        let perturbations: [(&str, Perturb); 7] = [
+            ("budget", |c| c.budget.tx_noise_dbc += 0.5),
+            ("distance", |c| c.distance_m *= 1.0000001),
+            ("tag", |c| c.tag.preamble_us += 1.0),
+            ("excitation", |c| c.excitation.lead_in += 1),
+            ("reader.canceller", |c| {
+                c.reader.canceller.digital_enabled ^= true
+            }),
+            ("reader", |c| c.reader.use_zero_forcing ^= true),
+            ("impair", |c| c.impair.nonfinite_prob += 0.25),
+        ];
+        for (what, perturb) in perturbations {
+            let mut other = sample_config();
+            perturb(&mut other);
+            assert_ne!(a, link_config_bytes(&other), "{what} field not encoded");
+        }
+    }
+
+    fn sample_stats_bytes() -> Vec<u8> {
+        let mut w = Writer::default();
+        encode_trial_stats(&mut w, &TrialStats::aggregate(sample_config().tag, &[]));
+        w.into_bytes()
     }
 
     #[test]
     fn truncated_buffer_is_an_error_not_a_panic() {
-        let bytes = link_config_bytes(&sample_config());
+        let bytes = sample_stats_bytes();
         for cut in [0, 1, 7, bytes.len() / 2, bytes.len() - 1] {
             let mut c = Cursor::new(&bytes[..cut]);
             assert!(matches!(
-                decode_link_config(&mut c),
+                decode_trial_stats(&mut c),
                 Err(CodecError::Truncated)
             ));
         }
@@ -553,15 +434,16 @@ mod tests {
 
     #[test]
     fn bad_enum_tag_is_rejected() {
-        let mut bytes = link_config_bytes(&sample_config());
-        // The modulation tag sits right after 13 budget f64s + distance.
-        let pos = 14 * 8;
-        bytes[pos] = 250;
-        let mut c = Cursor::new(&bytes);
-        assert!(matches!(
-            decode_link_config(&mut c),
-            Err(CodecError::BadTag("TagModulation", 250))
-        ));
+        // Byte 0 is the modulation tag, byte 1 the code-rate tag.
+        for (pos, field) in [(0, "TagModulation"), (1, "CodeRate")] {
+            let mut bytes = sample_stats_bytes();
+            bytes[pos] = 250;
+            let mut c = Cursor::new(&bytes);
+            assert_eq!(
+                decode_trial_stats(&mut c).unwrap_err(),
+                CodecError::BadTag(field, 250)
+            );
+        }
     }
 
     #[test]

@@ -86,30 +86,6 @@ impl Histogram {
         self.buckets[i].load(Ordering::Relaxed)
     }
 
-    /// The non-zero `(bucket index, count)` pairs — the faithful wire
-    /// representation for cross-process merge (quantiles resolved after an
-    /// [`Histogram::absorb`] are exactly what a shared histogram would give).
-    pub fn nonzero_buckets(&self) -> Vec<(u8, u64)> {
-        (0..BUCKETS)
-            .filter_map(|i| {
-                let c = self.buckets[i].load(Ordering::Relaxed);
-                (c > 0).then_some((i as u8, c))
-            })
-            .collect()
-    }
-
-    /// Merge another histogram's raw state (e.g. shipped from a sweep
-    /// worker) into this one. Out-of-range bucket indices are clamped into
-    /// the last bucket rather than dropped.
-    pub fn absorb(&self, count: u64, sum: u64, max: u64, buckets: &[(u8, u64)]) {
-        for &(i, c) in buckets {
-            self.buckets[(i as usize).min(BUCKETS - 1)].fetch_add(c, Ordering::Relaxed);
-        }
-        self.count.fetch_add(count, Ordering::Relaxed);
-        self.sum.fetch_add(sum, Ordering::Relaxed);
-        self.max.fetch_max(max, Ordering::Relaxed);
-    }
-
     /// Approximate quantile `q ∈ [0, 1]`: the upper bound of the bucket the
     /// `ceil(q·count)`-th smallest sample falls in, capped at the observed
     /// max. Returns 0 when empty.

@@ -253,131 +253,6 @@ pub fn reset() {
     r.meta.lock().expect("obs meta poisoned").clear();
 }
 
-// ---------------------------------------------------- raw telemetry (wire) ---
-
-/// The raw, mergeable state of one span histogram: exact bucket counts
-/// rather than resolved quantiles, so a remote worker's histogram can be
-/// absorbed into the coordinator's without precision loss (DESIGN.md §13).
-#[derive(Clone, Debug)]
-pub struct RawSpanHist {
-    /// Stage name.
-    pub name: String,
-    /// Recorded samples.
-    pub count: u64,
-    /// Summed duration, nanoseconds.
-    pub sum: u64,
-    /// Largest recorded span, nanoseconds.
-    pub max: u64,
-    /// Non-zero `(bucket index, count)` pairs (see [`hist::Histogram`]).
-    pub buckets: Vec<(u8, u64)>,
-}
-
-/// The raw, mergeable state of one probe point.
-#[derive(Clone, Debug)]
-pub struct RawProbe {
-    /// Probe name.
-    pub name: String,
-    /// Finite samples recorded.
-    pub count: u64,
-    /// Sum of the samples.
-    pub sum: f64,
-    /// Smallest sample (+∞ when empty).
-    pub min: f64,
-    /// Largest sample (−∞ when empty).
-    pub max: f64,
-}
-
-/// Dump every span histogram in raw bucket form, sorted by name.
-pub fn span_dump() -> Vec<RawSpanHist> {
-    registry()
-        .spans
-        .read()
-        .expect("obs registry poisoned")
-        .iter()
-        .map(|(name, h)| RawSpanHist {
-            name: name.to_string(),
-            count: h.count(),
-            sum: h.sum(),
-            max: h.max(),
-            buckets: h.nonzero_buckets(),
-        })
-        .collect()
-}
-
-/// Dump every counter as `(name, value)`, sorted by name.
-pub fn counter_dump() -> Vec<(String, u64)> {
-    registry()
-        .counters
-        .read()
-        .expect("obs registry poisoned")
-        .iter()
-        .map(|(n, c)| (n.to_string(), c.load(Ordering::Relaxed)))
-        .collect()
-}
-
-/// Dump every probe point in raw form, sorted by name.
-pub fn probe_dump() -> Vec<RawProbe> {
-    registry()
-        .probes
-        .read()
-        .expect("obs registry poisoned")
-        .iter()
-        .map(|(name, p)| RawProbe {
-            name: name.to_string(),
-            count: p.count(),
-            sum: p.sum(),
-            min: p.min(),
-            max: p.max(),
-        })
-        .collect()
-}
-
-/// Intern a runtime name into the `&'static str` key space the registry
-/// uses. The metric-name set is small and fixed, so the leak is bounded;
-/// repeated names resolve to the same interned pointer.
-fn intern(name: &str) -> &'static str {
-    static INTERNED: OnceLock<Mutex<BTreeMap<String, &'static str>>> = OnceLock::new();
-    let map = INTERNED.get_or_init(|| Mutex::new(BTreeMap::new()));
-    let mut g = map.lock().expect("obs intern table poisoned");
-    if let Some(&s) = g.get(name) {
-        return s;
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    g.insert(name.to_string(), leaked);
-    leaked
-}
-
-/// Merge a remote counter delta into the local registry. Bypasses the
-/// enabled gate — the caller (the sweep coordinator) owns the decision to
-/// request and absorb remote telemetry.
-pub fn absorb_counter(name: &str, delta: u64) {
-    if delta > 0 {
-        with_entry(&registry().counters, intern(name), |c| {
-            c.fetch_add(delta, Ordering::Relaxed);
-        });
-    }
-}
-
-/// Merge a remote span histogram (raw bucket counts) into the local one.
-/// Bypasses the enabled gate, like [`absorb_counter`].
-pub fn absorb_span_hist(name: &str, count: u64, sum: u64, max: u64, buckets: &[(u8, u64)]) {
-    if count > 0 {
-        with_entry(&registry().spans, intern(name), |h| {
-            h.absorb(count, sum, max, buckets)
-        });
-    }
-}
-
-/// Merge a remote probe summary into the local one. Bypasses the enabled
-/// gate, like [`absorb_counter`].
-pub fn absorb_probe(name: &str, count: u64, sum: f64, min: f64, max: f64) {
-    if count > 0 {
-        with_entry(&registry().probes, intern(name), |p| {
-            p.absorb(count, sum, min, max)
-        });
-    }
-}
-
 // ----------------------------------------------------------------- macros ---
 
 /// Time the rest of the enclosing scope as stage `$name`.

@@ -84,59 +84,6 @@ impl ProbeStats {
         }
     }
 
-    /// Merge another probe summary (e.g. shipped from a sweep worker) into
-    /// this one: counts and sums add, min/max bounds widen. Non-finite
-    /// pieces are ignored, mirroring [`ProbeStats::record`].
-    pub fn absorb(&self, count: u64, sum: f64, min: f64, max: f64) {
-        if count == 0 {
-            return;
-        }
-        self.count.fetch_add(count, Ordering::Relaxed);
-        if sum.is_finite() {
-            let mut cur = self.sum_bits.load(Ordering::Relaxed);
-            loop {
-                let next = (f64::from_bits(cur) + sum).to_bits();
-                match self.sum_bits.compare_exchange_weak(
-                    cur,
-                    next,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(x) => cur = x,
-                }
-            }
-        }
-        if min.is_finite() {
-            let mut cur = self.min_bits.load(Ordering::Relaxed);
-            while min < f64::from_bits(cur) {
-                match self.min_bits.compare_exchange_weak(
-                    cur,
-                    min.to_bits(),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(x) => cur = x,
-                }
-            }
-        }
-        if max.is_finite() {
-            let mut cur = self.max_bits.load(Ordering::Relaxed);
-            while max > f64::from_bits(cur) {
-                match self.max_bits.compare_exchange_weak(
-                    cur,
-                    max.to_bits(),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(x) => cur = x,
-                }
-            }
-        }
-    }
-
     /// Finite samples recorded.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)

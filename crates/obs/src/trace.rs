@@ -21,13 +21,10 @@
 //! Events land in per-thread rings (an uncontended mutex over a bounded
 //! `Vec`; overflow drops the event and counts it in [`dropped`]). Thread ids
 //! are small dense integers assigned at first use. The exporter assembles
-//! one JSON document from (a) this process's rings under `pid 0`
-//! ("coordinator") and (b) any worker-shipped event lists merged in via
-//! [`add_remote_events`] under `pid = shard + 1` — sorted by
-//! `(pid, tid, ts, dur, name)` so the output is deterministic for a fixed
-//! event set regardless of drain order.
+//! one JSON document from this process's rings under `pid 0`
+//! ("coordinator"), sorted by `(tid, ts, dur, name)` so the output is
+//! deterministic for a fixed event set regardless of drain order.
 
-use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -100,36 +97,14 @@ impl Phase {
             Phase::Instant => "i",
         }
     }
-
-    /// Wire tag for the worker protocol (stable across builds).
-    pub fn wire_tag(self) -> u8 {
-        match self {
-            Phase::Begin => 1,
-            Phase::End => 2,
-            Phase::Complete => 3,
-            Phase::Instant => 4,
-        }
-    }
-
-    /// Inverse of [`Phase::wire_tag`].
-    pub fn from_wire_tag(tag: u8) -> Option<Phase> {
-        match tag {
-            1 => Some(Phase::Begin),
-            2 => Some(Phase::End),
-            3 => Some(Phase::Complete),
-            4 => Some(Phase::Instant),
-            _ => None,
-        }
-    }
 }
 
-/// One timeline event. Local hot-path events carry `&'static str` names
-/// (zero allocation); events decoded off the worker wire carry owned names —
-/// [`Cow`] covers both.
+/// One timeline event. Names are `&'static str`, so recording allocates
+/// nothing.
 #[derive(Clone, Debug)]
 pub struct Event {
     /// Event name (a span/stage name, by convention dot-separated).
-    pub name: Cow<'static, str>,
+    pub name: &'static str,
     /// Phase tag.
     pub phase: Phase,
     /// Nanoseconds since the process trace epoch.
@@ -139,7 +114,7 @@ pub struct Event {
     /// Dense per-process thread id.
     pub tid: u32,
     /// Optional single numeric argument, rendered into `"args"`.
-    pub arg: Option<(Cow<'static, str>, f64)>,
+    pub arg: Option<(&'static str, f64)>,
 }
 
 // ----------------------------------------------------------- thread rings ---
@@ -155,15 +130,12 @@ struct ThreadRing {
 
 struct TraceState {
     rings: Mutex<Vec<Arc<ThreadRing>>>,
-    /// Events merged in from remote workers: `(pid, event)`.
-    remote: Mutex<Vec<(u32, Event)>>,
 }
 
 fn state() -> &'static TraceState {
     static S: OnceLock<TraceState> = OnceLock::new();
     S.get_or_init(|| TraceState {
         rings: Mutex::new(Vec::new()),
-        remote: Mutex::new(Vec::new()),
     })
 }
 
@@ -222,7 +194,7 @@ pub fn dropped() -> u64 {
 pub fn instant(name: &'static str) {
     if enabled() {
         push(Event {
-            name: Cow::Borrowed(name),
+            name,
             phase: Phase::Instant,
             ts_ns: now_ns(),
             dur_ns: 0,
@@ -237,12 +209,12 @@ pub fn instant(name: &'static str) {
 pub fn instant_arg(name: &'static str, key: &'static str, value: f64) {
     if enabled() {
         push(Event {
-            name: Cow::Borrowed(name),
+            name,
             phase: Phase::Instant,
             ts_ns: now_ns(),
             dur_ns: 0,
             tid: 0,
-            arg: Some((Cow::Borrowed(key), value)),
+            arg: Some((key, value)),
         });
     }
 }
@@ -254,7 +226,7 @@ pub fn instant_arg(name: &'static str, key: &'static str, value: f64) {
 pub fn begin(name: &'static str) {
     if enabled() {
         push(Event {
-            name: Cow::Borrowed(name),
+            name,
             phase: Phase::Begin,
             ts_ns: now_ns(),
             dur_ns: 0,
@@ -269,7 +241,7 @@ pub fn begin(name: &'static str) {
 pub fn end(name: &'static str) {
     if enabled() {
         push(Event {
-            name: Cow::Borrowed(name),
+            name,
             phase: Phase::End,
             ts_ns: now_ns(),
             dur_ns: 0,
@@ -284,7 +256,7 @@ pub fn end(name: &'static str) {
 pub fn complete_from(name: &'static str, start: Instant, dur_ns: u64) {
     let ts_ns = start.duration_since(epoch()).as_nanos() as u64;
     push(Event {
-        name: Cow::Borrowed(name),
+        name,
         phase: Phase::Complete,
         ts_ns,
         dur_ns,
@@ -293,21 +265,9 @@ pub fn complete_from(name: &'static str, start: Instant, dur_ns: u64) {
     });
 }
 
-// ------------------------------------------------------- drain/merge APIs ---
+// --------------------------------------------------------- buffer access ---
 
-/// Drain every local ring, returning all buffered events (remote-merged
-/// events are untouched). A sweep worker calls this around each job to ship
-/// exactly the events that job produced.
-pub fn take_local_events() -> Vec<Event> {
-    let rings = state().rings.lock().expect("trace ring registry poisoned");
-    let mut out = Vec::new();
-    for ring in rings.iter() {
-        out.append(&mut ring.events.lock().expect("trace ring poisoned"));
-    }
-    out
-}
-
-/// Copy (without draining) every buffered local event, for tests.
+/// Copy (without draining) every buffered event.
 pub fn local_events() -> Vec<Event> {
     let rings = state().rings.lock().expect("trace ring registry poisoned");
     let mut out = Vec::new();
@@ -323,26 +283,13 @@ pub fn local_events() -> Vec<Event> {
     out
 }
 
-/// Merge events shipped back by a remote worker under process lane `pid`
-/// (the coordinator is `pid 0`; shard *s* conventionally lands on
-/// `pid = s + 1`). `ts_offset_ns` re-bases the worker's epoch-relative
-/// timestamps onto this process's timeline (pass the shard start time).
-pub fn add_remote_events(pid: u32, ts_offset_ns: u64, events: Vec<Event>) {
-    let mut g = state().remote.lock().expect("trace remote list poisoned");
-    for mut ev in events {
-        ev.ts_ns = ev.ts_ns.saturating_add(ts_offset_ns);
-        g.push((pid, ev));
-    }
-}
-
-/// Clear every buffered local and remote event and the dropped counter
+/// Clear every buffered event and the dropped counter
 /// (test isolation; the enabled state is left alone).
 pub fn reset() {
     let s = state();
     for ring in s.rings.lock().expect("trace ring registry poisoned").iter() {
         ring.events.lock().expect("trace ring poisoned").clear();
     }
-    s.remote.lock().expect("trace remote list poisoned").clear();
     DROPPED.store(0, Ordering::Relaxed);
 }
 
@@ -354,14 +301,13 @@ fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
-fn event_json(out: &mut String, pid: u32, ev: &Event) {
+fn event_json(out: &mut String, ev: &Event) {
     use crate::json::{escape, num};
     out.push_str(&format!(
-        "{{\"name\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
-        escape(&ev.name),
+        "{{\"name\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":0,\"tid\":{}",
+        escape(ev.name),
         ev.phase.as_str(),
         us(ev.ts_ns),
-        pid,
         ev.tid,
     ));
     if ev.phase == Phase::Complete {
@@ -376,58 +322,28 @@ fn event_json(out: &mut String, pid: u32, ev: &Event) {
     out.push('}');
 }
 
-/// Serialize the merged timeline (local + remote events) as a Chrome
-/// `trace_event` JSON document. Deterministic for a fixed event set: lanes
-/// and events are emitted in sorted `(pid, tid, ts, dur, name, phase)`
-/// order, so reruns that buffer the same events produce identical bytes.
+/// Serialize the timeline as a Chrome `trace_event` JSON document.
+/// Deterministic for a fixed event set: events are emitted in sorted
+/// `(tid, ts, dur, name, phase)` order, so reruns that buffer the same
+/// events produce identical bytes.
 pub fn trace_json(run: &str) -> String {
     use crate::json::escape;
-    let mut all: Vec<(u32, Event)> = local_events().into_iter().map(|e| (0u32, e)).collect();
-    all.extend(
-        state()
-            .remote
-            .lock()
-            .expect("trace remote list poisoned")
-            .iter()
-            .cloned(),
-    );
-    all.sort_by(|(pa, a), (pb, b)| {
-        (*pa, a.tid, a.ts_ns, a.dur_ns, a.name.as_ref(), a.phase).cmp(&(
-            *pb,
-            b.tid,
-            b.ts_ns,
-            b.dur_ns,
-            b.name.as_ref(),
-            b.phase,
-        ))
+    let mut all = local_events();
+    all.sort_by(|a, b| {
+        (a.tid, a.ts_ns, a.dur_ns, a.name, a.phase)
+            .cmp(&(b.tid, b.ts_ns, b.dur_ns, b.name, b.phase))
     });
-    let mut pids: Vec<u32> = all.iter().map(|(p, _)| *p).collect();
-    pids.dedup(); // sorted by pid first, so dedup removes all duplicates
     let mut s = String::new();
     s.push_str("{\"traceEvents\":[\n");
-    let mut first = true;
-    for &pid in &pids {
-        let label = if pid == 0 {
-            Cow::Borrowed("coordinator")
-        } else {
-            Cow::Owned(format!("worker {pid}"))
-        };
-        if !first {
-            s.push_str(",\n");
-        }
-        first = false;
-        s.push_str(&format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape(&label)
-        ));
+    if !all.is_empty() {
+        s.push_str(
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
+             \"args\":{\"name\":\"coordinator\"}}",
+        );
     }
-    for (pid, ev) in &all {
-        if !first {
-            s.push_str(",\n");
-        }
-        first = false;
-        event_json(&mut s, *pid, ev);
+    for ev in &all {
+        s.push_str(",\n");
+        event_json(&mut s, ev);
     }
     s.push_str(&format!(
         "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"run\":\"{}\",\"dropped_events\":{}}}}}\n",
@@ -469,45 +385,10 @@ mod tests {
     // lives in tests/trace.rs behind a mutex.
 
     #[test]
-    fn phase_wire_tags_round_trip() {
-        for ph in [Phase::Begin, Phase::End, Phase::Complete, Phase::Instant] {
-            assert_eq!(Phase::from_wire_tag(ph.wire_tag()), Some(ph));
-        }
-        assert_eq!(Phase::from_wire_tag(0), None);
-        assert_eq!(Phase::from_wire_tag(9), None);
-    }
-
-    #[test]
     fn microsecond_formatting_is_exact() {
         assert_eq!(us(0), "0.000");
         assert_eq!(us(999), "0.999");
         assert_eq!(us(1_000), "1.000");
         assert_eq!(us(1_234_567), "1234.567");
-    }
-
-    #[test]
-    fn remote_only_timeline_exports_sorted_lanes() {
-        // Synthetic remote events exercise the exporter without touching the
-        // global gate or this process's rings.
-        let mk = |name: &str, ts: u64, tid: u32| Event {
-            name: Cow::Owned(name.to_string()),
-            phase: Phase::Complete,
-            ts_ns: ts,
-            dur_ns: 10,
-            tid,
-            arg: None,
-        };
-        add_remote_events(7, 0, vec![mk("b", 2000, 1)]);
-        add_remote_events(3, 500, vec![mk("a", 1000, 2), mk("a", 0, 1)]);
-        let doc = trace_json("unit_remote");
-        crate::json::validate(&doc).expect("exporter emits valid JSON");
-        let p3 = doc.find("\"pid\":3").expect("pid 3 lane present");
-        let p7 = doc.find("\"pid\":7").expect("pid 7 lane present");
-        assert!(p3 < p7, "lanes sorted by pid");
-        assert!(doc.contains("worker 3") && doc.contains("worker 7"));
-        // ts offsets re-based: 1000+500 → "1.500"
-        assert!(doc.contains("\"ts\":1.500"), "offset applied:\n{doc}");
-        reset();
-        assert!(state().remote.lock().unwrap().is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! Integration tests for the event tracer: disabled-path inertness, the
 //! span-guard/trace coupling, concurrent recording from scoped-thread
 //! workers (no lost or duplicated events, per-thread timestamp order), and
-//! byte-deterministic coordinator merge of worker event lists.
+//! the on-disk export.
 //!
 //! The tracer (like the recorder) is process-global, and the cargo test
 //! harness runs tests on parallel threads — every test here serializes on
@@ -9,7 +9,6 @@
 
 use backfi_obs as obs;
 use backfi_obs::trace::{self, Event, Phase};
-use std::borrow::Cow;
 use std::sync::Mutex;
 
 static GLOBAL: Mutex<()> = Mutex::new(());
@@ -116,52 +115,6 @@ fn concurrent_workers_lose_and_duplicate_nothing() {
     obs::json::validate(&doc).expect("stress timeline is valid JSON");
     trace::reset();
     trace::disable();
-}
-
-/// Synthetic worker shipment: what `sweep::service` decodes off the wire.
-fn worker_events(tag: u64) -> Vec<Event> {
-    (0..5u64)
-        .map(|i| Event {
-            name: Cow::Owned(format!("wk.job{tag}")),
-            phase: if i % 2 == 0 {
-                Phase::Complete
-            } else {
-                Phase::Instant
-            },
-            ts_ns: 1_000 * i + tag,
-            dur_ns: if i % 2 == 0 { 500 } else { 0 },
-            tid: (i % 2) as u32 + 1,
-            arg: (i == 0).then(|| (Cow::Owned("cell".to_string()), tag as f64)),
-        })
-        .collect()
-}
-
-#[test]
-fn coordinator_merge_is_byte_deterministic() {
-    let _g = fresh();
-    // Same worker payloads, merged in opposite arrival orders (shard threads
-    // finish in any order) — the exported timeline must not care.
-    trace::add_remote_events(1, 10_000, worker_events(1));
-    trace::add_remote_events(2, 20_000, worker_events(2));
-    let doc_a = trace::trace_json("tr_merge");
-    trace::reset();
-    trace::add_remote_events(2, 20_000, worker_events(2));
-    trace::add_remote_events(1, 10_000, worker_events(1));
-    let doc_b = trace::trace_json("tr_merge");
-    trace::reset();
-    assert_eq!(doc_a, doc_b, "merge output must be byte-identical");
-    obs::json::validate(&doc_a).expect("merged timeline is valid JSON");
-    // Worker lanes are sorted and labelled.
-    let p1 = doc_a
-        .find("\"args\":{\"name\":\"worker 1\"}")
-        .expect("worker 1 lane");
-    let p2 = doc_a
-        .find("\"args\":{\"name\":\"worker 2\"}")
-        .expect("worker 2 lane");
-    assert!(p1 < p2, "lanes sorted by pid");
-    // Offsets re-based the worker epochs: 10_000 + 1 ns → ts 10.001 µs.
-    assert!(doc_a.contains("\"ts\":10.001"), "shard 1 offset applied");
-    assert!(doc_a.contains("\"ts\":20.002"), "shard 2 offset applied");
 }
 
 #[test]

@@ -28,7 +28,7 @@ fn main() {
 
         // Cycle candidate configurations like the paper's methodology.
         let candidates = TagConfig::all_combinations(32.0);
-        let stats = cycle_configs(&base, &candidates, 3, 7, false);
+        let stats = cycle_configs(&base, &candidates, 3, 7);
         let outcomes: Vec<_> = stats.iter().map(TrialStats::outcome).collect();
 
         match rate_adapt::min_repb_at_throughput(&outcomes, needed) {

@@ -20,7 +20,7 @@ fn main() {
         let mut base = LinkConfig::at_distance(d);
         base.excitation.wifi_payload_bytes = 1500;
         let candidates = TagConfig::all_combinations(32.0);
-        let stats = cycle_configs(&base, &candidates, 3, 11, false);
+        let stats = cycle_configs(&base, &candidates, 3, 11);
         let outcomes: Vec<_> = stats.iter().map(TrialStats::outcome).collect();
 
         // The paper's policy: among configurations reaching the best
