@@ -126,12 +126,17 @@ fn bench_full_link(rep: &mut BenchReport, short: bool) {
 }
 
 fn bench_sweep_cache_replay(rep: &mut BenchReport, short: bool) {
-    use backfi_core::sweep::{cache::ResultCache, grid_cells, run_grid_indexed_cached, Executor};
+    use backfi_core::sweep::{cache::ResultCache, grid_cells, RunContext};
     use backfi_tag::config::TagConfig;
+    use std::sync::Arc;
 
     let dir = std::env::temp_dir().join(format!("backfi-bench-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cache = ResultCache::open(&dir).expect("open bench cache store");
+    let cache = Arc::new(ResultCache::open(&dir).expect("open bench cache store"));
+    let ctx = RunContext {
+        cache: Some(Arc::clone(&cache)),
+        ..RunContext::default()
+    };
     let mut base = LinkConfig::at_distance(1.0);
     base.excitation.wifi_payload_bytes = 1200;
     let mut cells = grid_cells(&base, &[TagConfig::default()]);
@@ -140,8 +145,6 @@ fn bench_sweep_cache_replay(rep: &mut BenchReport, short: bool) {
         &[TagConfig::default()],
     ));
     let trials = if short { 2 } else { 4 };
-    let bases: Vec<u64> = (0..cells.len() as u64).map(|c| c * trials as u64).collect();
-    let exec = Executor::new();
     let jobs = cells.len() * trials;
 
     // Cold path: re-chill the store inside the closure so every timed
@@ -155,7 +158,7 @@ fn bench_sweep_cache_replay(rep: &mut BenchReport, short: bool) {
         iters(5, short),
         || {
             cache.clear_entries().expect("clear bench cache store");
-            black_box(run_grid_indexed_cached(&exec, &cache, &cells, trials, 1000, &bases).len());
+            black_box(ctx.run_grid(&cells, trials, 1000).len());
         },
     );
     // Warm path: the store is populated (the cold bench's last iteration left
@@ -168,7 +171,7 @@ fn bench_sweep_cache_replay(rep: &mut BenchReport, short: bool) {
         jobs,
         iters(20, short),
         || {
-            black_box(run_grid_indexed_cached(&exec, &cache, &cells, trials, 1000, &bases).len());
+            black_box(ctx.run_grid(&cells, trials, 1000).len());
         },
     );
     let _ = std::fs::remove_dir_all(&dir);

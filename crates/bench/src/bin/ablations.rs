@@ -2,13 +2,15 @@
 //! ingredient buys, including the §7 multi-antenna extension.
 
 use backfi_bench::timing::timed_figure;
-use backfi_bench::{budget_from_args, header, rule};
+use backfi_bench::{header, rule, Cli};
 use backfi_core::link::{LinkConfig, LinkSimulator};
 use backfi_core::mimo::MimoLinkSimulator;
+use backfi_core::sweep::RunContext;
 use backfi_dsp::stats;
 
-fn base(distance: f64, payload: usize) -> LinkConfig {
+fn base(ctx: &RunContext, distance: f64, payload: usize) -> LinkConfig {
     let mut cfg = LinkConfig::at_distance(distance);
+    cfg.impair = ctx.impair;
     cfg.excitation.wifi_payload_bytes = payload;
     cfg
 }
@@ -30,12 +32,9 @@ fn mean_snr(cfg: &LinkConfig, trials: usize, seed0: u64) -> (f64, f64) {
 }
 
 fn main() {
-    let budget = budget_from_args();
-    let _obs = backfi_bench::obs_setup("ablations", &budget);
-    backfi_bench::impair_setup();
-    backfi_bench::sweep_setup();
-    let trials = budget.trials.max(3);
-    let payload = budget.wifi_payload_bytes.min(1500);
+    let cli = Cli::parse("ablations");
+    let trials = cli.budget.trials.max(3);
+    let payload = cli.budget.wifi_payload_bytes.min(1500);
 
     header(
         "Ablations",
@@ -45,7 +44,7 @@ fn main() {
     );
 
     // 1. MRC vs zero-forcing division (§4.3.2).
-    let mut cfg = base(3.0, payload);
+    let mut cfg = base(&cli.ctx, 3.0, payload);
     cfg.tag.symbol_rate_hz = 500e3;
     let ((snr_mrc, ok_mrc), (snr_zf, ok_zf)) = timed_figure("ablations.mrc_vs_zf", || {
         let mrc = mean_snr(&cfg, trials, 100);
@@ -61,11 +60,11 @@ fn main() {
     // 2. Canceller stages.
     let ((snr_full, ok_full), ok_no_analog, ok_no_digital) =
         timed_figure("ablations.canceller_stages", || {
-            let full = mean_snr(&base(1.5, payload), trials, 200);
-            let mut cfg = base(1.5, payload);
+            let full = mean_snr(&base(&cli.ctx, 1.5, payload), trials, 200);
+            let mut cfg = base(&cli.ctx, 1.5, payload);
             cfg.reader.canceller.analog_enabled = false;
             let (_, no_analog) = mean_snr(&cfg, trials, 200);
-            let mut cfg = base(1.5, payload);
+            let mut cfg = base(&cli.ctx, 1.5, payload);
             cfg.reader.canceller.digital_enabled = false;
             let (_, no_digital) = mean_snr(&cfg, trials, 200);
             (full, no_analog, no_digital)
@@ -86,7 +85,7 @@ fn main() {
     rule(60);
 
     // 3. Preamble length at the edge of range.
-    let mut cfg = base(6.0, payload);
+    let mut cfg = base(&cli.ctx, 6.0, payload);
     cfg.tag.symbol_rate_hz = 500e3;
     let ((snr32, ok32), (snr96, ok96)) = timed_figure("ablations.preamble_length", || {
         let short = mean_snr(&cfg, trials, 300);
@@ -103,7 +102,7 @@ fn main() {
     println!("spatial MRC at 2 m (QPSK 1 MSPS):");
     let mimo_rows = timed_figure("ablations.spatial_mrc", || {
         [1usize, 2, 4].map(|n| {
-            let sim = MimoLinkSimulator::new(base(2.0, payload), n);
+            let sim = MimoLinkSimulator::new(base(&cli.ctx, 2.0, payload), n);
             let mut snrs = Vec::new();
             let mut ok = 0usize;
             for s in 0..trials as u64 {

@@ -4,13 +4,15 @@
 //! intensities, plus one deliberately poisoned sweep cell, and verifies the
 //! pipeline *degrades instead of dying*: no job may panic uncaught, clean
 //! cells must keep decoding, and the poisoned cell must be attributed. Exits
-//! non-zero on any violation, so CI can gate on it. `--short` shrinks the
-//! seed count for smoke runs.
+//! non-zero on any violation, so CI can gate on it. `--short` (or `--quick`)
+//! shrinks the seed count for smoke runs. `--impair` and `--cache` are
+//! accepted but have no effect: every cell states its own impairments and
+//! every trial is computed.
 
-use backfi_bench::{header, rule};
+use backfi_bench::{header, rule, Cli};
 use backfi_chan::impair::{ImpairmentMode, Impairments};
 use backfi_core::link::LinkConfig;
-use backfi_core::sweep::{grid_cells, run_grid_on, run_trials_on, Executor};
+use backfi_core::sweep::{grid_cells, run_grid_on};
 use backfi_tag::config::TagConfig;
 
 fn base(distance: f64) -> LinkConfig {
@@ -20,15 +22,14 @@ fn base(distance: f64) -> LinkConfig {
 }
 
 fn main() {
+    let cli = Cli::parse("fault_matrix");
     header(
         "Fault matrix",
         "Graceful degradation under injected impairments + executor panic safety",
         "robustness harness (no paper counterpart): zero uncaught panics",
     );
-    let short = std::env::args().any(|a| a == "--short");
-    let trials = if short { 4 } else { 20 };
-    backfi_bench::sweep_setup();
-    let exec = Executor::new();
+    let trials = if cli.quick { 4 } else { 20 };
+    let exec = cli.ctx.exec;
     backfi_obs::enable(); // counters feed the panic-attribution checks
 
     let mut violations = 0usize;
@@ -44,7 +45,7 @@ fn main() {
         for &intensity in &[0.0, 0.25, 0.5, 1.0] {
             let mut cfg = base(2.0);
             cfg.impair = Impairments::single(mode, intensity);
-            let stats = run_trials_on(&exec, &cfg, trials, 31_000);
+            let stats = &run_grid_on(&exec, &[cfg], trials, 31_000)[0];
             if stats.panics > 0 {
                 violations += 1;
             }
@@ -72,7 +73,7 @@ fn main() {
     // --- everything at once ----------------------------------------------
     let mut cfg = base(2.0);
     cfg.impair = Impairments::all(0.5);
-    let combined = run_trials_on(&exec, &cfg, trials, 32_000);
+    let combined = &run_grid_on(&exec, &[cfg], trials, 32_000)[0];
     println!(
         "{:<14} {:>9} {:>8.0}% {:>12.4} {:>10.0}bps {:>8}",
         "all",

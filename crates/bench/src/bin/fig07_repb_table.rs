@@ -4,7 +4,7 @@
 //! values cell by cell.
 
 use backfi_bench::timing::timed_figure;
-use backfi_bench::{budget_from_args, fmt_bps, header, rule};
+use backfi_bench::{fmt_bps, header, rule, Cli};
 use backfi_core::figures::fig7;
 
 /// The paper's own REPB table (rows: symbol rate; cols: BPSK 1/2, BPSK 2/3,
@@ -19,15 +19,12 @@ const PAPER: [(f64, [f64; 6]); 6] = [
 ];
 
 fn main() {
+    let _cli = Cli::parse("fig07");
     header(
         "Fig. 7",
         "Relative energy-per-bit and throughput per tag configuration",
         "reference EPB (BPSK 1/2 @ 1 MSPS) = 3.15 pJ/bit",
     );
-    let budget = budget_from_args();
-    let _obs = backfi_bench::obs_setup("fig07", &budget);
-    backfi_bench::impair_setup();
-    backfi_bench::sweep_setup();
     let table = timed_figure("fig07", fig7);
     println!(
         "{:>10} | {:^22} | {:^22} | {:^22}",

@@ -5,31 +5,27 @@
 //! combination per §6.1's methodology, for 32 µs and 96 µs tag preambles.
 
 use backfi_bench::timing::timed_figure;
-use backfi_bench::{budget_from_args, fmt_bps, header, rule};
+use backfi_bench::{fmt_bps, header, rule, Cli};
 use backfi_core::figures::{fig8, fig8_pruned};
 
 fn main() {
+    let cli = Cli::parse("fig08");
     header(
         "Fig. 8",
         "Maximum throughput vs range, preamble 32 µs vs 96 µs",
         "≈6.67 Mbps @ 0.5 m, 5 Mbps @ 1 m, 1 Mbps @ 5 m; at 7 m the 96 µs \
          preamble buys ~10x over 32 µs",
     );
-    let budget = budget_from_args();
-    let _obs = backfi_bench::obs_setup("fig08", &budget);
-    backfi_bench::impair_setup();
-    backfi_bench::sweep_setup();
-    // `--prune` skips candidates that already failed nearer in (frontier
-    // monotonicity); seeds stay aligned with the full grid, so the table is
-    // identical whenever the monotonicity assumption holds — just cheaper.
-    let prune = std::env::args().any(|a| a == "--prune");
     let distances = [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
     let preambles = [32.0, 96.0];
     let pts = timed_figure("fig08", || {
-        if prune {
-            fig8_pruned(&distances, &preambles, &budget)
+        // `--prune` skips candidates that already failed nearer in (frontier
+        // monotonicity); seeds stay aligned with the full grid, so the table is
+        // identical whenever the monotonicity assumption holds — just cheaper.
+        if cli.prune {
+            fig8_pruned(&cli.ctx, &distances, &preambles, &cli.budget)
         } else {
-            fig8(&distances, &preambles, &budget)
+            fig8(&cli.ctx, &distances, &preambles, &cli.budget)
         }
     });
 

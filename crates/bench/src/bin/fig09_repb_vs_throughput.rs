@@ -3,22 +3,19 @@
 //! the maximum throughput that is achievable at a given distance."
 
 use backfi_bench::timing::timed_figure;
-use backfi_bench::{budget_from_args, fmt_bps, header, rule};
+use backfi_bench::{fmt_bps, header, rule, Cli};
 use backfi_core::figures::fig9;
 
 fn main() {
+    let cli = Cli::parse("fig09");
     header(
         "Fig. 9",
         "Min REPB vs achieved throughput, one curve per range",
         "REPB between ~0.5 and 3 for most combinations; max-throughput \
          frontier shrinks with range",
     );
-    let budget = budget_from_args();
-    let _obs = backfi_bench::obs_setup("fig09", &budget);
-    backfi_bench::impair_setup();
-    backfi_bench::sweep_setup();
     let ranges = [0.5, 1.0, 2.0, 4.0, 5.0];
-    let curves = timed_figure("fig09", || fig9(&ranges, &budget));
+    let curves = timed_figure("fig09", || fig9(&cli.ctx, &ranges, &cli.budget));
 
     for (d, frontier) in &curves {
         println!("range {d} m:");

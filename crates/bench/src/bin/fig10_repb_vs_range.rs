@@ -4,10 +4,11 @@
 //! reference modulation, coding and switching rate."
 
 use backfi_bench::timing::timed_figure;
-use backfi_bench::{budget_from_args, fmt_bps, header, rule};
+use backfi_bench::{fmt_bps, header, rule, Cli};
 use backfi_core::figures::fig10;
 
 fn main() {
+    let cli = Cli::parse("fig10");
     header(
         "Fig. 10",
         "Min REPB to sustain a fixed throughput vs range",
@@ -15,13 +16,9 @@ fn main() {
          farther ranges need costlier configurations until the target becomes \
          infeasible",
     );
-    let budget = budget_from_args();
-    let _obs = backfi_bench::obs_setup("fig10", &budget);
-    backfi_bench::impair_setup();
-    backfi_bench::sweep_setup();
     let ranges = [0.5, 1.0, 2.0, 3.0, 4.0, 5.0];
     let targets = [1.25e6, 5.0e6];
-    let rows = timed_figure("fig10", || fig10(&ranges, &targets, &budget));
+    let rows = timed_figure("fig10", || fig10(&cli.ctx, &ranges, &targets, &cli.budget));
 
     println!(
         "{:>8} | {:^34} | {:^34}",

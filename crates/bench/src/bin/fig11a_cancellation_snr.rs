@@ -3,22 +3,18 @@
 //! BackFi." (30 locations × 10 runs; VNA ground truth.)
 
 use backfi_bench::timing::timed_figure;
-use backfi_bench::{budget_from_args, header, rule};
+use backfi_bench::{header, rule, Cli};
 use backfi_core::figures::fig11a;
 
 fn main() {
+    let cli = Cli::parse("fig11a");
     header(
         "Fig. 11a",
         "Measured vs expected symbol SNR scatter (cancellation residue)",
         "median degradation < 2.3 dB (prior full-duplex work reports 1.7 dB)",
     );
-    let budget = budget_from_args();
-    let _obs = backfi_bench::obs_setup("fig11a", &budget);
-    backfi_bench::impair_setup();
-    backfi_bench::sweep_setup();
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (locations, runs) = if quick { (8, 2) } else { (30, 10) };
-    let (pts, median) = timed_figure("fig11a", || fig11a(locations, runs, &budget));
+    let (locations, runs) = if cli.quick { (8, 2) } else { (30, 10) };
+    let (pts, median) = timed_figure("fig11a", || fig11a(&cli.ctx, locations, runs, &cli.budget));
 
     println!(
         "{:>14} | {:>14} | {:>12}",

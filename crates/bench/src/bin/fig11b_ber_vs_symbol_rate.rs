@@ -4,25 +4,22 @@
 //! given modulation."
 
 use backfi_bench::timing::timed_figure;
-use backfi_bench::{budget_from_args, header, rule};
+use backfi_bench::{header, rule, Cli};
 use backfi_core::figures::fig11b;
 use backfi_tag::config::TagModulation;
 
 fn main() {
+    let cli = Cli::parse("fig11b");
     header(
         "Fig. 11b",
         "Raw BER vs tag symbol rate (MRC time-diversity waterfall)",
         "BER 1e-2…1e-3 at the highest symbol rate, dropping to 1e-4…1e-5 as \
          the symbol rate decreases",
     );
-    let budget = budget_from_args();
-    let _obs = backfi_bench::obs_setup("fig11b", &budget);
-    backfi_bench::impair_setup();
-    backfi_bench::sweep_setup();
     // A placement where the highest symbol rates are error-prone.
     let distance = 3.5;
     let rates = [2.5e6, 2.0e6, 1.0e6, 500e3, 100e3];
-    let pts = timed_figure("fig11b", || fig11b(distance, &rates, &budget));
+    let pts = timed_figure("fig11b", || fig11b(&cli.ctx, distance, &rates, &cli.budget));
 
     println!("placement: tag at {distance} m, rate-1/2 coding");
     println!(

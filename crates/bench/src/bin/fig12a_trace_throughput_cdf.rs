@@ -4,22 +4,18 @@
 //! 5 Mbps" (tag at 2 m, 20 loaded-AP traces).
 
 use backfi_bench::timing::timed_figure;
-use backfi_bench::{budget_from_args, fmt_bps, header, rule};
+use backfi_bench::{fmt_bps, header, rule, Cli};
 use backfi_core::figures::fig12a;
 
 fn main() {
+    let cli = Cli::parse("fig12a");
     header(
         "Fig. 12a",
         "CDF of BackFi throughput under loaded-AP traces (tag at 2 m)",
         "median ≈ 80 % of the continuous-excitation optimum (4 of 5 Mbps)",
     );
-    let budget = budget_from_args();
-    let _obs = backfi_bench::obs_setup("fig12a", &budget);
-    backfi_bench::impair_setup();
-    backfi_bench::sweep_setup();
-    let quick = std::env::args().any(|a| a == "--quick");
-    let n_traces = if quick { 8 } else { 20 };
-    let (cdf, active) = timed_figure("fig12a", || fig12a(2.0, n_traces, &budget));
+    let n_traces = if cli.quick { 8 } else { 20 };
+    let (cdf, active) = timed_figure("fig12a", || fig12a(&cli.ctx, 2.0, n_traces, &cli.budget));
 
     println!("continuous-excitation optimum at 2 m: {}", fmt_bps(active));
     println!("{:>14} | {:>6}", "throughput", "CDF");

@@ -4,21 +4,18 @@
 //! moves away from AP, we see no degradation."
 
 use backfi_bench::timing::timed_figure;
-use backfi_bench::{budget_from_args, header, rule};
+use backfi_bench::{header, rule, Cli};
 use backfi_core::figures::fig12b;
 
 fn main() {
+    let cli = Cli::parse("fig12b");
     header(
         "Fig. 12b",
         "WiFi network throughput with/without an active tag vs tag–AP distance",
         "≤10 % impact at 0.25–0.5 m, negligible beyond",
     );
-    let budget = budget_from_args();
-    let _obs = backfi_bench::obs_setup("fig12b", &budget);
-    backfi_bench::impair_setup();
-    backfi_bench::sweep_setup();
     let distances = [0.25, 0.5, 1.0, 2.0, 3.0, 4.0];
-    let pts = timed_figure("fig12b", || fig12b(&distances, &budget));
+    let pts = timed_figure("fig12b", || fig12b(&cli.ctx, &distances, &cli.budget));
 
     println!(
         "{:>10} | {:>12} | {:>12} | {:>8}",

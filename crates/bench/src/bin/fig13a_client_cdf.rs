@@ -6,20 +6,17 @@
 //! the tag's actual reflected waveform added at the client.
 
 use backfi_bench::timing::timed_figure;
-use backfi_bench::{budget_from_args, header, rule};
+use backfi_bench::{header, rule, Cli};
 use backfi_core::figures::fig13;
 use backfi_wifi::Mcs;
 
 fn main() {
+    let cli = Cli::parse("fig13a");
     header(
         "Fig. 13a",
         "Per-bitrate client PHY throughput, tag at 0.25 m from the AP",
         "no degradation at 6 Mbps; noticeable only at 54 Mbps",
     );
-    let budget = budget_from_args();
-    let _obs = backfi_bench::obs_setup("fig13a", &budget);
-    backfi_bench::impair_setup();
-    backfi_bench::sweep_setup();
     let rates = [
         Mcs::Mbps6,
         Mcs::Mbps12,
@@ -27,7 +24,7 @@ fn main() {
         Mcs::Mbps36,
         Mcs::Mbps54,
     ];
-    let pts = timed_figure("fig13", || fig13(&rates, &budget));
+    let pts = timed_figure("fig13", || fig13(&cli.ctx, &rates, &cli.budget));
 
     println!(
         "{:>9} | {:>9} | {:>11} | {:>11} | {:>11}",

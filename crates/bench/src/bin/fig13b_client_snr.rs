@@ -2,20 +2,17 @@
 //! point for the plot on the left."
 
 use backfi_bench::timing::timed_figure;
-use backfi_bench::{budget_from_args, header, rule};
+use backfi_bench::{header, rule, Cli};
 use backfi_core::figures::fig13;
 use backfi_wifi::Mcs;
 
 fn main() {
+    let cli = Cli::parse("fig13b");
     header(
         "Fig. 13b",
         "Client SNR with tag on vs off, per bitrate point",
         "small (≈1–2 dB) degradation, largest for the closest/fastest clients",
     );
-    let budget = budget_from_args();
-    let _obs = backfi_bench::obs_setup("fig13b", &budget);
-    backfi_bench::impair_setup();
-    backfi_bench::sweep_setup();
     let rates = [
         Mcs::Mbps6,
         Mcs::Mbps12,
@@ -23,7 +20,7 @@ fn main() {
         Mcs::Mbps36,
         Mcs::Mbps54,
     ];
-    let pts = timed_figure("fig13", || fig13(&rates, &budget));
+    let pts = timed_figure("fig13", || fig13(&cli.ctx, &rates, &cli.budget));
 
     println!(
         "{:>9} | {:>11} | {:>11} | {:>12}",

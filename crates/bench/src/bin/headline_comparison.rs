@@ -3,20 +3,17 @@
 //! WiFi backscatter system [27, 25]."
 
 use backfi_bench::timing::timed_figure;
-use backfi_bench::{budget_from_args, fmt_bps, header, rule};
+use backfi_bench::{fmt_bps, header, rule, Cli};
 use backfi_core::figures::headline;
 
 fn main() {
+    let cli = Cli::parse("headline");
     header(
         "§6 headline",
         "BackFi vs prior WiFi backscatter (Wi-Fi Backscatter [27], [25])",
         "10^3x throughput, ~10x range; prior: ≤1 Kbps at <1 m",
     );
-    let budget = budget_from_args();
-    let _obs = backfi_bench::obs_setup("headline", &budget);
-    backfi_bench::impair_setup();
-    backfi_bench::sweep_setup();
-    let h = timed_figure("headline", || headline(&budget));
+    let h = timed_figure("headline", || headline(&cli.ctx, &cli.budget));
 
     println!("{:>28} | {:>14} | {:>14}", "", "BackFi", "prior [27,25]");
     rule(64);

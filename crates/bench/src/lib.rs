@@ -8,131 +8,140 @@
 //! Run a figure with e.g. `cargo run --release -p backfi-bench --bin
 //! fig08_throughput_vs_range`. Every binary accepts `--quick` for a smoke
 //! run and prints the same rows/series the paper reports, alongside the
-//! paper's own numbers for comparison (recorded in EXPERIMENTS.md).
+//! paper's own numbers for comparison (recorded in EXPERIMENTS.md). [`Cli`]
+//! parses the flags every binary shares.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
+use backfi_chan::impair::Impairments;
 use backfi_core::figures::FigureBudget;
+use backfi_core::sweep::cache::ResultCache;
+use backfi_core::sweep::RunContext;
+use std::sync::Arc;
 
 pub mod timing;
 
-/// Parse the common CLI convention: `--quick` (alias `--short`) selects the
-/// smoke budget, anything else (or nothing) the full reproduction budget.
-pub fn budget_from_args() -> FigureBudget {
-    if std::env::args().any(|a| a == "--quick" || a == "--short") {
-        FigureBudget::quick()
-    } else {
-        FigureBudget::paper()
-    }
+const USAGE: &str =
+    "usage: [--quick|--short] [--prune] [--obs] [--trace] [--impair SPEC] [--cache DIR]";
+
+/// Every run parameter of a figure binary, parsed once from the command
+/// line: `--quick`/`--short` (smoke budget), `--prune` (fig08's
+/// frontier-pruned sweep), `--obs`/`--trace` (as `BACKFI_OBS=1` /
+/// `BACKFI_TRACE=1`), `--impair SPEC` (an impairment set stamped on every link
+/// the figure builds, e.g. `cfo:0.5,interference:1`) and `--cache DIR` (a
+/// persistent result cache).
+///
+/// The last `--impair`/`--cache` wins. A missing or `--`-prefixed value, a
+/// malformed spec or an unknown argument is a usage error: without flags the
+/// full paper budget runs for minutes, so a typo must not silently select it.
+pub struct Cli {
+    /// Trial budget: [`FigureBudget::quick`] under `--quick`, else the paper's.
+    pub budget: FigureBudget,
+    /// `--quick`/`--short` was given.
+    pub quick: bool,
+    /// `--prune` was given.
+    pub prune: bool,
+    /// Executor, result cache and impairments every sweep runs against.
+    pub ctx: RunContext,
+    /// Writes the obs manifest and/or trace timeline when dropped at the end
+    /// of `main`; `None` (free) when both layers are off.
+    pub obs: Option<backfi_obs::RunScope>,
 }
 
-/// Arm the observability layers for a figure binary.
-///
-/// Every figure calls this once at startup: `--obs` on the command line
-/// force-enables recording (equivalent to `BACKFI_OBS=1`) and `--trace`
-/// force-enables the event tracer (equivalent to `BACKFI_TRACE=1`). Run
-/// metadata (figure id, quick/paper mode, trial budget, a config hash) is
-/// stamped into the manifest, and the returned [`backfi_obs::RunScope`]
-/// guard writes `OBS_<figure>.json` (recorder on) and/or `TRACE_<figure>.json`
-/// (tracer on) at the repo root when it drops at the end of `main`.
-///
-/// Returns `None` when both layers are off — the figure then pays one
-/// relaxed atomic load per instrumentation point, and no file is written.
-/// All obs/trace output goes to stderr and the JSON files; stdout stays
-/// byte-identical either way.
-pub fn obs_setup(figure: &str, budget: &FigureBudget) -> Option<backfi_obs::RunScope> {
-    if std::env::args().any(|a| a == "--obs") {
-        backfi_obs::enable();
+impl Cli {
+    /// Parse `std::env::args()` for binary `figure`; on a usage error print
+    /// it and exit with status 2.
+    pub fn parse(figure: &str) -> Cli {
+        Cli::from_iter(figure, std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2)
+        })
     }
-    if std::env::args().any(|a| a == "--trace") {
-        backfi_obs::trace::enable();
-    }
-    if !backfi_obs::enabled() && !backfi_obs::trace::enabled() {
-        return None;
-    }
-    if backfi_obs::enabled() {
-        let quick = std::env::args().any(|a| a == "--quick" || a == "--short");
-        backfi_obs::set_meta("figure", figure);
-        backfi_obs::set_meta("mode", if quick { "quick" } else { "paper" });
-        backfi_obs::set_meta("trials", &budget.trials.to_string());
-        let cfg = format!("{budget:?}");
-        backfi_obs::set_meta(
-            "config_hash",
-            &format!("{:016x}", backfi_obs::fnv1a64(cfg.as_bytes())),
-        );
-    }
-    backfi_obs::run_scope(figure)
-}
 
-/// Arm the fault-injection layer for a figure binary.
-///
-/// `--impair <spec>` (e.g. `--impair cfo:0.5,interference:1`, `--impair
-/// all:0.25`, `--impair off`) installs the parsed impairment set process-wide;
-/// without the flag the `BACKFI_IMPAIR` environment variable applies, and
-/// with neither the layer is off and every figure's stdout is byte-identical
-/// to a build without it. A malformed spec is a usage error: the binary
-/// prints the parse error and exits with status 2 rather than silently
-/// benchmarking the wrong fault model. The active (non-off) set is echoed to
-/// stderr so logs record what was injected.
-pub fn impair_setup() {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--impair" {
-            let spec = args.next().unwrap_or_default();
-            match backfi_chan::impair::Impairments::parse(&spec) {
-                Ok(imp) => backfi_chan::impair::set_global(imp),
-                Err(e) => {
-                    eprintln!("error: --impair {spec:?}: {e}");
-                    std::process::exit(2);
+    /// Parse `args` (without the program name) for binary `figure`.
+    ///
+    /// Arms the obs layers first, so a cache directory that cannot be opened
+    /// is counted (`sweep.cache.disabled`). That case is a warning, not an
+    /// error: the run continues without a cache, because a full disk must
+    /// cost recompute time, never the run. An active impairment set or cache
+    /// is echoed to stderr; stdout is never touched.
+    pub fn from_iter<I: IntoIterator<Item = String>>(figure: &str, args: I) -> Result<Cli, String> {
+        let (mut quick, mut prune, mut obs, mut trace) = (false, false, false, false);
+        let mut impair = Impairments::off();
+        let mut cache_dir = None;
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--quick" | "--short" => quick = true,
+                "--prune" => prune = true,
+                "--obs" => obs = true,
+                "--trace" => trace = true,
+                "--impair" => {
+                    let spec = flag_value(&arg, args.next())?;
+                    impair =
+                        Impairments::parse(&spec).map_err(|e| format!("--impair {spec:?}: {e}"))?;
                 }
+                "--cache" => cache_dir = Some(flag_value(&arg, args.next())?),
+                _ => return Err(format!("unknown argument {arg:?}")),
             }
-            break;
         }
-    }
-    let active = backfi_chan::impair::global();
-    if !active.is_off() {
-        eprintln!("# fault injection active: {active:?}");
+        let budget = if quick {
+            FigureBudget::quick()
+        } else {
+            FigureBudget::paper()
+        };
+        if obs {
+            backfi_obs::enable();
+        }
+        if trace {
+            backfi_obs::trace::enable();
+        }
+        if backfi_obs::enabled() {
+            backfi_obs::set_meta("figure", figure);
+            backfi_obs::set_meta("mode", if quick { "quick" } else { "paper" });
+            backfi_obs::set_meta("trials", &budget.trials.to_string());
+            let cfg = format!("{budget:?}");
+            backfi_obs::set_meta(
+                "config_hash",
+                &format!("{:016x}", backfi_obs::fnv1a64(cfg.as_bytes())),
+            );
+        }
+        if !impair.is_off() {
+            eprintln!("# fault injection active: {impair:?}");
+        }
+        let cache = cache_dir.and_then(|dir| match ResultCache::open(dir.as_ref()) {
+            Ok(c) => {
+                eprintln!("# sweep result cache: {dir}");
+                Some(Arc::new(c))
+            }
+            Err(e) => {
+                backfi_obs::counter_add("sweep.cache.disabled", 1);
+                eprintln!(
+                    "warning: cache dir {dir:?} unusable ({e}); continuing without a result cache"
+                );
+                None
+            }
+        });
+        Ok(Cli {
+            budget,
+            quick,
+            prune,
+            ctx: RunContext {
+                cache,
+                impair,
+                ..RunContext::default()
+            },
+            obs: backfi_obs::run_scope(figure),
+        })
     }
 }
 
-/// Arm the sweep result cache for a figure binary.
-///
-/// `--cache <dir>` (or `BACKFI_CACHE=<dir>`) opens/creates a persistent
-/// content-addressed result cache there, so a rerun only computes grid
-/// cells it has not seen — stdout is byte-identical to a cold run. Without
-/// either, the sweep layer is untouched and default runs stay byte-identical
-/// to a build without it.
-///
-/// A missing directory argument is a usage error (exit 2), matching
-/// [`impair_setup`]. An *unusable cache directory* is deliberately not: the
-/// cache degrades to pass-through with a warning and a
-/// `sweep.cache.disabled` counter, because a full disk must cost recompute
-/// time, never the run. An active cache is echoed to stderr.
-pub fn sweep_setup() {
-    let mut cache_dir: Option<String> = std::env::var("BACKFI_CACHE").ok();
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--cache" {
-            cache_dir = match args.next() {
-                Some(v) if !v.is_empty() && !v.starts_with("--") => Some(v),
-                _ => {
-                    eprintln!("error: --cache requires a directory argument");
-                    std::process::exit(2);
-                }
-            };
-        }
-    }
-    if let Some(dir) = cache_dir {
-        let path = std::path::Path::new(&dir);
-        if let Err(e) = backfi_core::sweep::cache::set_global(Some(path)) {
-            backfi_obs::counter_add("sweep.cache.disabled", 1);
-            eprintln!(
-                "warning: cache dir {dir:?} unusable ({e}); continuing without a result cache"
-            );
-        } else {
-            eprintln!("# sweep result cache: {dir}");
-        }
+/// The value following `flag`, which must exist and not look like a flag.
+fn flag_value(flag: &str, value: Option<String>) -> Result<String, String> {
+    match value {
+        Some(v) if !v.is_empty() && !v.starts_with("--") => Ok(v),
+        _ => Err(format!("{flag} requires a value")),
     }
 }
 
@@ -163,6 +172,71 @@ pub fn header(id: &str, title: &str, paper_claim: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parse a whitespace-separated argument line.
+    fn cli(line: &str) -> Result<Cli, String> {
+        Cli::from_iter("cli-test", line.split_whitespace().map(String::from))
+    }
+
+    /// Everything a parse decided, in comparable form.
+    fn summary(c: &Cli) -> String {
+        let cache = c.ctx.cache.as_ref().map(|c| c.dir().to_path_buf());
+        let (exec, impair) = (c.ctx.exec, c.ctx.impair);
+        let (budget, quick, prune, obs) = (c.budget, c.quick, c.prune, c.obs.is_some());
+        format!("{budget:?} {quick} {prune} {exec:?} {impair:?} {cache:?} {obs}")
+    }
+
+    #[test]
+    fn short_and_quick_are_the_same_cli() {
+        let short = summary(&cli("--short").unwrap());
+        assert_eq!(short, summary(&cli("--quick").unwrap()));
+        assert_ne!(short, summary(&cli("").unwrap()));
+    }
+
+    #[test]
+    fn flags_parse_and_the_last_value_wins() {
+        let (off, all) = (Impairments::off(), Impairments::all);
+        let cases = [
+            ("", false, false, off),
+            ("--prune --quick --impair all:0.5", true, true, all(0.5)),
+            ("--impair all:0.5 --impair off", false, false, off),
+            ("--impair off --impair all:0.25", false, false, all(0.25)),
+        ];
+        for (line, quick, prune, impair) in cases {
+            let c = cli(line).unwrap();
+            assert_eq!((c.quick, c.prune, c.ctx.impair), (quick, prune, impair));
+            let trials = [FigureBudget::paper(), FigureBudget::quick()][quick as usize].trials;
+            assert_eq!(c.budget.trials, trials, "{line}");
+            assert!(c.ctx.cache.is_none() && c.obs.is_none(), "{line}");
+        }
+        let root = std::env::temp_dir().join(format!("backfi-cli-{}", std::process::id()));
+        let (a, b) = (root.join("a"), root.join("b"));
+        let c = cli(&format!("--cache {} --cache {}", a.display(), b.display())).unwrap();
+        assert_eq!(c.ctx.cache.as_ref().unwrap().dir(), b.as_path());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn malformed_arguments_are_usage_errors() {
+        let cases = [
+            ("--impair", "--impair requires a value"),
+            ("--quick --impair", "--impair requires a value"),
+            ("--impair --quick", "--impair requires a value"),
+            ("--impair bogus:xyz", "--impair \"bogus:xyz\""),
+            ("--impair bogus:xyz --impair off", "--impair \"bogus:xyz\""),
+            ("--cache", "--cache requires a value"),
+            ("--cache --quick", "--cache requires a value"),
+            ("--quikc", "unknown argument \"--quikc\""),
+            ("--quick quick", "unknown argument \"quick\""),
+            ("-q", "unknown argument \"-q\""),
+        ];
+        for (line, want) in cases {
+            let err = cli(line).err().unwrap_or_default();
+            assert!(err.contains(want), "{line}: {err:?} lacks {want:?}");
+        }
+        let empty = Cli::from_iter("cli-test", ["--impair".into(), String::new()]);
+        assert!(empty.is_err(), "an empty --impair value must be rejected");
+    }
 
     #[test]
     fn bps_formatting() {

@@ -420,16 +420,16 @@ impl PhaseTimer {
 /// Run one figure computation and print its wall time and link-trial rate
 /// to stderr.
 ///
-/// The trial count comes from the sweep executor's process-wide counters
+/// The trial count comes from the sweep executor's process-wide job counter
 /// ([`backfi_core::sweep::metrics_snapshot`]), so the binary doesn't need to
 /// know how many jobs its figure fanned out. When the obs layer is enabled
 /// the same numbers also land in the run manifest as gauges.
 pub fn timed_figure<T>(label: &str, f: impl FnOnce() -> T) -> T {
-    let (jobs0, _) = backfi_core::sweep::metrics_snapshot();
+    let jobs0 = backfi_core::sweep::metrics_snapshot();
     let t0 = Instant::now();
     let out = f();
     let wall = t0.elapsed().as_secs_f64();
-    let (jobs1, _) = backfi_core::sweep::metrics_snapshot();
+    let jobs1 = backfi_core::sweep::metrics_snapshot();
     let trials = jobs1 - jobs0;
     if trials > 0 {
         eprintln!(

@@ -29,7 +29,6 @@
 use backfi_dsp::noise::cgauss;
 use backfi_dsp::rng::SplitMix64;
 use backfi_dsp::{Complex, SAMPLE_RATE_HZ};
-use std::sync::{OnceLock, RwLock};
 
 /// Salt separating impairment streams from the medium's channel/noise
 /// streams, which consume the raw job seed.
@@ -423,40 +422,6 @@ impl Applied {
     pub fn any(&self) -> bool {
         self != &Applied::default()
     }
-}
-
-// ------------------------------------------------------- process default ---
-
-fn global_cell() -> &'static RwLock<Impairments> {
-    static CELL: OnceLock<RwLock<Impairments>> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let imp = match std::env::var("BACKFI_IMPAIR") {
-            Ok(spec) if !spec.trim().is_empty() => match Impairments::parse(&spec) {
-                Ok(imp) => imp,
-                Err(e) => {
-                    eprintln!("# ignoring bad BACKFI_IMPAIR spec: {e}");
-                    Impairments::off()
-                }
-            },
-            _ => Impairments::off(),
-        };
-        RwLock::new(imp)
-    })
-}
-
-/// The process-wide default impairment configuration, seeded from the
-/// `BACKFI_IMPAIR` env var on first use (`LinkConfig::at_distance` reads it).
-pub fn global() -> Impairments {
-    *global_cell()
-        .read()
-        .expect("impairment lock poisoned: a config writer panicked")
-}
-
-/// Override the process-wide default (the `--impair` CLI path).
-pub fn set_global(imp: Impairments) {
-    *global_cell()
-        .write()
-        .expect("impairment lock poisoned: a config writer panicked") = imp;
 }
 
 #[cfg(test)]

@@ -8,9 +8,7 @@
 use crate::baseline::PriorWifiBackscatter;
 use crate::link::{LinkConfig, LinkSimulator};
 use crate::network::{ClientPhyExperiment, ClientPhyResult, NetworkModel};
-use crate::sweep::{
-    grid_cells, max_throughput_bps, run_grid, run_grid_indexed, Executor, TrialStats,
-};
+use crate::sweep::{grid_cells, max_throughput_bps, RunContext, TrialStats};
 use crate::traces::{ApTrace, TraceModel};
 use backfi_chan::budget::LinkBudget;
 use backfi_coding::CodeRate;
@@ -67,8 +65,9 @@ fn nan_loses(v: f64) -> f64 {
     }
 }
 
-fn base_link(distance: f64, budget: &FigureBudget) -> LinkConfig {
+fn base_link(ctx: &RunContext, distance: f64, budget: &FigureBudget) -> LinkConfig {
     let mut cfg = LinkConfig::at_distance(distance);
+    cfg.impair = ctx.impair;
     cfg.excitation.wifi_payload_bytes = budget.wifi_payload_bytes;
     // Full reproduction runs use the paper's long (≈4 ms) excitations so the
     // low symbol rates get enough symbols per packet; a 3000-byte frame at
@@ -101,42 +100,51 @@ pub struct Fig8Point {
     pub best: Option<TagConfig>,
 }
 
+impl Fig8Point {
+    /// The frontier point of one (preamble, distance) block of grid results.
+    fn from_stats(preamble_us: f64, distance_m: f64, stats: &[TrialStats]) -> Self {
+        let best = stats
+            .iter()
+            .filter(|s| s.decoded())
+            .max_by(|a, b| {
+                nan_loses(a.config.throughput_bps())
+                    .total_cmp(&nan_loses(b.config.throughput_bps()))
+            })
+            .map(|s| s.config);
+        Fig8Point {
+            preamble_us,
+            distance_m,
+            max_throughput_bps: max_throughput_bps(stats),
+            best,
+        }
+    }
+}
+
 /// Fig. 8: max throughput vs range for 32 µs and 96 µs preambles.
 ///
 /// The whole (preamble × distance × config × trial) grid is one flat job
 /// list: every trial of every point runs in parallel rather than one
 /// configuration at a time.
-pub fn fig8(distances: &[f64], preambles: &[f64], budget: &FigureBudget) -> Vec<Fig8Point> {
+pub fn fig8(
+    ctx: &RunContext,
+    distances: &[f64],
+    preambles: &[f64],
+    budget: &FigureBudget,
+) -> Vec<Fig8Point> {
     let mut cells = Vec::new();
     let mut spans = Vec::new();
     for &preamble_us in preambles {
         let candidates = TagConfig::all_combinations(preamble_us);
         for &distance_m in distances {
-            let base = base_link(distance_m, budget);
+            let base = base_link(ctx, distance_m, budget);
             spans.push((preamble_us, distance_m, cells.len(), candidates.len()));
             cells.extend(grid_cells(&base, &candidates));
         }
     }
-    let stats = run_grid(&cells, budget.trials, 1000);
+    let stats = ctx.run_grid(&cells, budget.trials, 1000);
     spans
         .into_iter()
-        .map(|(preamble_us, distance_m, start, len)| {
-            let window = &stats[start..start + len];
-            let best = window
-                .iter()
-                .filter(|s| s.decoded())
-                .max_by(|a, b| {
-                    nan_loses(a.config.throughput_bps())
-                        .total_cmp(&nan_loses(b.config.throughput_bps()))
-                })
-                .map(|s| s.config);
-            Fig8Point {
-                preamble_us,
-                distance_m,
-                max_throughput_bps: max_throughput_bps(window),
-                best,
-            }
-        })
+        .map(|(p, d, start, len)| Fig8Point::from_stats(p, d, &stats[start..start + len]))
         .collect()
 }
 
@@ -150,11 +158,16 @@ pub fn fig8(distances: &[f64], preambles: &[f64], budget: &FigureBudget) -> Vec<
 /// distance always evaluates the full candidate grid.
 ///
 /// Every trial that *does* run reuses the job index it had in the full
-/// [`fig8`] grid (via [`run_grid_indexed`]), so evaluated cells see exactly
-/// the seeds the full sweep would have given them — on grids where the
-/// monotonicity assumption holds, the reported frontier is bit-identical to
-/// the full sweep's, just cheaper.
-pub fn fig8_pruned(distances: &[f64], preambles: &[f64], budget: &FigureBudget) -> Vec<Fig8Point> {
+/// [`fig8`] grid (via [`RunContext::run_grid_indexed`]), so evaluated cells
+/// see exactly the seeds the full sweep would have given them — on grids
+/// where the monotonicity assumption holds, the reported frontier is
+/// bit-identical to the full sweep's, just cheaper.
+pub fn fig8_pruned(
+    ctx: &RunContext,
+    distances: &[f64],
+    preambles: &[f64],
+    budget: &FigureBudget,
+) -> Vec<Fig8Point> {
     let trials = budget.trials.max(1) as u64;
     let mut points = Vec::new();
     // Cell offset of each (preamble, distance) block in the full fig8 grid.
@@ -175,7 +188,7 @@ pub fn fig8_pruned(distances: &[f64], preambles: &[f64], budget: &FigureBudget) 
         let mut per_distance: Vec<Option<Fig8Point>> = vec![None; distances.len()];
         for &di in &order {
             let distance_m = distances[di];
-            let base = base_link(distance_m, budget);
+            let base = base_link(ctx, distance_m, budget);
             let mut cells = Vec::new();
             let mut bases = Vec::new();
             for (ci, cell) in grid_cells(&base, &candidates).into_iter().enumerate() {
@@ -185,23 +198,10 @@ pub fn fig8_pruned(distances: &[f64], preambles: &[f64], budget: &FigureBudget) 
                 cells.push(cell);
                 bases.push((starts[di] + ci as u64) * trials);
             }
-            let stats = run_grid_indexed(&cells, budget.trials, 1000, &bases);
-            let best = stats
-                .iter()
-                .filter(|s| s.decoded())
-                .max_by(|a, b| {
-                    nan_loses(a.config.throughput_bps())
-                        .total_cmp(&nan_loses(b.config.throughput_bps()))
-                })
-                .map(|s| s.config);
-            let max = max_throughput_bps(&stats);
-            frontier = max;
-            per_distance[di] = Some(Fig8Point {
-                preamble_us,
-                distance_m,
-                max_throughput_bps: max,
-                best,
-            });
+            let stats = ctx.run_grid_indexed(&cells, budget.trials, 1000, &bases);
+            let point = Fig8Point::from_stats(preamble_us, distance_m, &stats);
+            frontier = point.max_throughput_bps;
+            per_distance[di] = Some(point);
         }
         points.extend(per_distance.into_iter().flatten());
     }
@@ -210,22 +210,37 @@ pub fn fig8_pruned(distances: &[f64], preambles: &[f64], budget: &FigureBudget) 
 
 // ------------------------------------------------------------- Figs. 9/10 --
 
-/// Fig. 9: the (throughput, min-REPB) frontier per range.
-pub fn fig9(distances: &[f64], budget: &FigureBudget) -> Vec<(f64, Vec<(f64, f64)>)> {
+/// One grid over every 32 µs-preamble configuration at each distance,
+/// returned as one window of rate-adaptation outcomes per distance.
+fn outcomes_by_distance(
+    ctx: &RunContext,
+    distances: &[f64],
+    budget: &FigureBudget,
+    seed0: u64,
+) -> Vec<Vec<rate_adapt::TrialOutcome>> {
     let candidates = TagConfig::all_combinations(32.0);
     let cells: Vec<LinkConfig> = distances
         .iter()
-        .flat_map(|&d| grid_cells(&base_link(d, budget), &candidates))
+        .flat_map(|&d| grid_cells(&base_link(ctx, d, budget), &candidates))
         .collect();
-    let stats = run_grid(&cells, budget.trials, 2000);
+    let stats = ctx.run_grid(&cells, budget.trials, seed0);
+    stats
+        .chunks(candidates.len())
+        .map(|window| window.iter().map(TrialStats::outcome).collect())
+        .collect()
+}
+
+/// Fig. 9: the (throughput, min-REPB) frontier per range.
+pub fn fig9(
+    ctx: &RunContext,
+    distances: &[f64],
+    budget: &FigureBudget,
+) -> Vec<(f64, Vec<(f64, f64)>)> {
+    let outcomes = outcomes_by_distance(ctx, distances, budget, 2000);
     distances
         .iter()
-        .enumerate()
-        .map(|(i, &d)| {
-            let window = &stats[i * candidates.len()..(i + 1) * candidates.len()];
-            let outcomes: Vec<_> = window.iter().map(TrialStats::outcome).collect();
-            (d, rate_adapt::energy_frontier(&outcomes))
-        })
+        .zip(&outcomes)
+        .map(|(&d, o)| (d, rate_adapt::energy_frontier(o)))
         .collect()
 }
 
@@ -235,24 +250,20 @@ pub type Fig10Row = (f64, Vec<Option<(TagConfig, f64)>>);
 
 /// Fig. 10: min REPB achieving a fixed throughput, per range. `None` entries
 /// mean the target is unreachable at that range.
-pub fn fig10(distances: &[f64], targets_bps: &[f64], budget: &FigureBudget) -> Vec<Fig10Row> {
-    let candidates = TagConfig::all_combinations(32.0);
-    let cells: Vec<LinkConfig> = distances
-        .iter()
-        .flat_map(|&d| grid_cells(&base_link(d, budget), &candidates))
-        .collect();
-    let stats = run_grid(&cells, budget.trials, 3000);
+pub fn fig10(
+    ctx: &RunContext,
+    distances: &[f64],
+    targets_bps: &[f64],
+    budget: &FigureBudget,
+) -> Vec<Fig10Row> {
+    let outcomes = outcomes_by_distance(ctx, distances, budget, 3000);
     distances
         .iter()
-        .enumerate()
-        .map(|(i, &d)| {
-            let window = &stats[i * candidates.len()..(i + 1) * candidates.len()];
-            let outcomes: Vec<_> = window.iter().map(TrialStats::outcome).collect();
+        .zip(&outcomes)
+        .map(|(&d, o)| {
             let per_target = targets_bps
                 .iter()
-                .map(|&t| {
-                    rate_adapt::min_repb_at_throughput(&outcomes, t).map(|cfg| (cfg, repb(&cfg)))
-                })
+                .map(|&t| rate_adapt::min_repb_at_throughput(o, t).map(|cfg| (cfg, repb(&cfg))))
                 .collect();
             (d, per_target)
         })
@@ -273,27 +284,28 @@ pub struct Fig11aPoint {
 
 /// Fig. 11a: SNR scatter over `locations × runs`, plus the median
 /// degradation (paper: ≈2.3 dB).
-pub fn fig11a(locations: usize, runs: usize, budget: &FigureBudget) -> (Vec<Fig11aPoint>, f64) {
+pub fn fig11a(
+    ctx: &RunContext,
+    locations: usize,
+    runs: usize,
+    budget: &FigureBudget,
+) -> (Vec<Fig11aPoint>, f64) {
     // Random distances 0.5–3 m across "locations in the testbed".
     let cfgs: Vec<LinkConfig> = (0..locations)
         .map(|loc| {
             let d = 0.5 + 2.5 * (loc as f64 * 0.37).fract();
-            let mut cfg = base_link(d, budget);
+            let mut cfg = base_link(ctx, d, budget);
             cfg.tag.symbol_rate_hz = 1e6;
             cfg
         })
         .collect();
     let sims: Vec<LinkSimulator> = cfgs.iter().map(|c| LinkSimulator::new(c.clone())).collect();
     // One flat (location × run) job list; seeds stay `loc*1000 + run`.
-    let jobs: Vec<(usize, u64)> = (0..locations * runs.max(1))
-        .map(|j| {
-            (
-                j / runs.max(1),
-                ((j / runs.max(1)) * 1000 + j % runs.max(1)) as u64,
-            )
-        })
+    let runs = runs.max(1);
+    let jobs: Vec<(usize, u64)> = (0..locations * runs)
+        .map(|j| (j / runs, ((j / runs) * 1000 + j % runs) as u64))
         .collect();
-    let reports = Executor::new().run(&jobs, |_, &(loc, seed)| sims[loc].run(seed));
+    let reports = ctx.exec.run(&jobs, |_, &(loc, seed)| sims[loc].run(seed));
 
     let mut pts = Vec::new();
     let mut degradations = Vec::new();
@@ -329,12 +341,17 @@ pub struct Fig11bPoint {
 
 /// Fig. 11b: BER vs tag symbol rate for BPSK and QPSK at rate 1/2, fixed
 /// placement — the MRC time-diversity waterfall.
-pub fn fig11b(distance_m: f64, symbol_rates: &[f64], budget: &FigureBudget) -> Vec<Fig11bPoint> {
+pub fn fig11b(
+    ctx: &RunContext,
+    distance_m: f64,
+    symbol_rates: &[f64],
+    budget: &FigureBudget,
+) -> Vec<Fig11bPoint> {
     let mut cells = Vec::new();
     let mut labels = Vec::new();
     for &m in &[TagModulation::Bpsk, TagModulation::Qpsk] {
         for &f in symbol_rates {
-            let mut cfg = base_link(distance_m, budget);
+            let mut cfg = base_link(ctx, distance_m, budget);
             cfg.tag = TagConfig {
                 modulation: m,
                 code_rate: CodeRate::Half,
@@ -345,7 +362,7 @@ pub fn fig11b(distance_m: f64, symbol_rates: &[f64], budget: &FigureBudget) -> V
             labels.push((m, f));
         }
     }
-    let stats = run_grid(&cells, budget.trials, 4000);
+    let stats = ctx.run_grid(&cells, budget.trials, 4000);
     labels
         .into_iter()
         .zip(&stats)
@@ -362,16 +379,17 @@ pub fn fig11b(distance_m: f64, symbol_rates: &[f64], budget: &FigureBudget) -> V
 /// Fig. 12a: the CDF of BackFi throughput under loaded-AP traces. The active
 /// goodput is measured sample-level at `distance_m`, then each of
 /// `n_traces` synthetic APs is replayed.
-pub fn fig12a(distance_m: f64, n_traces: usize, budget: &FigureBudget) -> (Ecdf, f64) {
+pub fn fig12a(
+    ctx: &RunContext,
+    distance_m: f64,
+    n_traces: usize,
+    budget: &FigureBudget,
+) -> (Ecdf, f64) {
     // Measure the steady-state goodput at this range with the best config.
-    let base = base_link(distance_m, budget);
+    let base = base_link(ctx, distance_m, budget);
     let candidates = TagConfig::all_combinations(32.0);
-    let stats = run_grid(&grid_cells(&base, &candidates), budget.trials, 5000);
-    let active = stats
-        .iter()
-        .filter(|s| s.decoded())
-        .map(|s| s.config.throughput_bps())
-        .fold(0.0, f64::max);
+    let stats = ctx.run_grid(&grid_cells(&base, &candidates), budget.trials, 5000);
+    let active = max_throughput_bps(&stats);
 
     let overhead_us = 16.0 + 16.0 + 32.0; // detection + silence + preamble
     let model = TraceModel::default();
@@ -397,14 +415,14 @@ pub struct Fig12bPoint {
 
 /// Fig. 12b: network impact vs tag distance, over random configurations of
 /// ten clients.
-pub fn fig12b(tag_distances: &[f64], budget: &FigureBudget) -> Vec<Fig12bPoint> {
+pub fn fig12b(ctx: &RunContext, tag_distances: &[f64], budget: &FigureBudget) -> Vec<Fig12bPoint> {
     let model = NetworkModel::default();
     let k = budget.network_configs.max(1);
     // Flat (distance × random-configuration) job list, seeds 7000.. as before.
     let jobs: Vec<(usize, u64)> = (0..tag_distances.len() * k)
         .map(|j| (j / k, 7000 + (j % k) as u64))
         .collect();
-    let results = Executor::new().run(&jobs, |_, &(di, seed)| {
+    let results = ctx.exec.run(&jobs, |_, &(di, seed)| {
         let outcomes = model.run_config(10, 10.0, tag_distances[di], seed);
         NetworkModel::average_throughput(&outcomes)
     });
@@ -427,13 +445,13 @@ pub fn fig12b(tag_distances: &[f64], budget: &FigureBudget) -> Vec<Fig12bPoint> 
 // --------------------------------------------------------------- Fig. 13 --
 
 /// Fig. 13: per-bitrate client PHY success and SNR with the tag at 0.25 m.
-pub fn fig13(rates: &[Mcs], budget: &FigureBudget) -> Vec<ClientPhyResult> {
+pub fn fig13(ctx: &RunContext, rates: &[Mcs], budget: &FigureBudget) -> Vec<ClientPhyResult> {
     let exp = ClientPhyExperiment {
         budget: LinkBudget::default(),
         tag_distance_m: 0.25,
         tag_cfg: crate::network::fig13_tag_config(),
     };
-    Executor::new().run(rates, |i, &m| {
+    ctx.exec.run(rates, |i, &m| {
         exp.run(m, budget.client_packets, 400, 9000 + i as u64)
     })
 }
@@ -456,8 +474,8 @@ pub struct HeadlineComparison {
 }
 
 /// Compute the headline comparison.
-pub fn headline(budget: &FigureBudget) -> HeadlineComparison {
-    let pts = fig8(&[1.0, 5.0], &[32.0], budget);
+pub fn headline(ctx: &RunContext, budget: &FigureBudget) -> HeadlineComparison {
+    let pts = fig8(ctx, &[1.0, 5.0], &[32.0], budget);
     let backfi_1m = pts
         .iter()
         .find(|p| p.distance_m == 1.0)
@@ -483,12 +501,25 @@ pub fn headline(budget: &FigureBudget) -> HeadlineComparison {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use backfi_chan::impair::Impairments;
 
     #[test]
     fn fig7_has_36_entries() {
         let t = fig7();
         assert_eq!(t.len(), 6);
         assert!(t.iter().all(|r| r.columns.len() == 6));
+    }
+
+    #[test]
+    fn base_link_carries_the_context_impairments() {
+        let ctx = RunContext {
+            impair: Impairments::all(0.5),
+            ..RunContext::default()
+        };
+        let budget = FigureBudget::quick();
+        assert_eq!(base_link(&ctx, 2.0, &budget).impair, Impairments::all(0.5));
+        let clean = base_link(&RunContext::default(), 2.0, &budget);
+        assert!(clean.impair.is_off());
     }
 
     #[test]
@@ -499,8 +530,9 @@ mod tests {
         let budget = FigureBudget::quick();
         let distances = [0.5, 1.0, 5.0];
         let preambles = [32.0];
-        let full = fig8(&distances, &preambles, &budget);
-        let pruned = fig8_pruned(&distances, &preambles, &budget);
+        let ctx = RunContext::default();
+        let full = fig8(&ctx, &distances, &preambles, &budget);
+        let pruned = fig8_pruned(&ctx, &distances, &preambles, &budget);
         assert_eq!(full.len(), pruned.len());
         for (f, p) in full.iter().zip(&pruned) {
             assert_eq!(f.preamble_us, p.preamble_us);
@@ -523,7 +555,7 @@ mod tests {
 
     #[test]
     fn fig12b_far_tag_harmless() {
-        let pts = fig12b(&[4.0], &FigureBudget::quick());
+        let pts = fig12b(&RunContext::default(), &[4.0], &FigureBudget::quick());
         assert_eq!(pts.len(), 1);
         let drop = (pts[0].off_mbps - pts[0].on_mbps) / pts[0].off_mbps;
         assert!(drop < 0.05, "drop {drop}");
@@ -531,7 +563,7 @@ mod tests {
 
     #[test]
     fn fig12a_trace_cdf_is_sane() {
-        let (cdf, active) = fig12a(2.0, 10, &FigureBudget::quick());
+        let (cdf, active) = fig12a(&RunContext::default(), 2.0, 10, &FigureBudget::quick());
         assert!(active > 0.0, "active goodput {active}");
         assert_eq!(cdf.len(), 10);
         // Throughput under duty cycling is below the optimum.
@@ -541,7 +573,7 @@ mod tests {
 
     #[test]
     fn headline_orders_of_magnitude() {
-        let h = headline(&FigureBudget::quick());
+        let h = headline(&RunContext::default(), &FigureBudget::quick());
         assert!(h.backfi_1m_bps >= 1e6, "BackFi @1m {}", h.backfi_1m_bps);
         assert!(h.prior_bps <= 1e3);
         assert!(h.throughput_gain > 500.0, "gain {}", h.throughput_gain);

@@ -38,10 +38,7 @@ pub struct LinkConfig {
 }
 
 impl LinkConfig {
-    /// A deployment at `distance_m` with all defaults. The impairment set is
-    /// taken from the process-wide configuration ([`backfi_chan::impair::global`],
-    /// seeded from `BACKFI_IMPAIR` / `--impair`), which is off unless
-    /// explicitly enabled.
+    /// A deployment at `distance_m` with all defaults, impairments off.
     pub fn at_distance(distance_m: f64) -> Self {
         LinkConfig {
             budget: LinkBudget::default(),
@@ -49,7 +46,7 @@ impl LinkConfig {
             tag: TagConfig::default(),
             excitation: ExcitationConfig::default(),
             reader: ReaderConfig::default(),
-            impair: backfi_chan::impair::global(),
+            impair: Impairments::off(),
         }
     }
 }

@@ -15,10 +15,12 @@ pub mod cache;
 pub mod codec;
 
 use crate::link::{LinkConfig, LinkReport, LinkSimulator};
+use backfi_chan::impair::Impairments;
 use backfi_dsp::rng::SplitMix64;
 use backfi_reader::rate_adapt::TrialOutcome;
 use backfi_tag::config::TagConfig;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Aggregate outcome of several trials of one configuration.
@@ -80,22 +82,14 @@ impl TrialStats {
 
 // ------------------------------------------------------------- executor ---
 
-/// Process-wide sweep counters, so harness binaries can report trials/sec
+/// Process-wide job counter, so harness binaries can report trials/sec
 /// without threading a metrics handle through every figure function.
 static JOBS_RUN: AtomicU64 = AtomicU64::new(0);
-static BUSY_NANOS: AtomicU64 = AtomicU64::new(0);
 
-/// Snapshot of the process-wide sweep counters: `(jobs, busy_seconds)`.
-///
-/// `jobs` counts link trials executed by [`Executor`] since process start;
-/// `busy_seconds` is the summed wall time of the executor passes that ran
-/// them (not per-worker CPU time). Diff two snapshots around a figure
-/// computation to report its trials/sec.
-pub fn metrics_snapshot() -> (u64, f64) {
-    (
-        JOBS_RUN.load(Ordering::Relaxed),
-        BUSY_NANOS.load(Ordering::Relaxed) as f64 * 1e-9,
-    )
+/// Jobs executed by [`Executor`] since process start. Diff two snapshots
+/// around a figure computation to report its trials/sec.
+pub fn metrics_snapshot() -> u64 {
+    JOBS_RUN.load(Ordering::Relaxed)
 }
 
 /// Rate-limited sweep progress on stderr (never stdout — figure output must
@@ -203,7 +197,6 @@ impl Executor {
         F: Fn(usize, &I) -> T + Sync,
     {
         let n = items.len();
-        let t0 = Instant::now();
         let _t_pass = backfi_obs::span("sweep.pass");
         let threads = self.threads.min(n.max(1));
         let progress = Progress::new(n);
@@ -256,7 +249,6 @@ impl Executor {
                 .collect()
         };
         JOBS_RUN.fetch_add(n as u64, Ordering::Relaxed);
-        BUSY_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         out
     }
 
@@ -305,72 +297,85 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 // ----------------------------------------------------------------- grids ---
 
-/// Evaluate every cell of a sweep grid, `trials` exchanges each, fanning the
-/// **whole** (cell × trial) job list across the executor at once.
+/// Everything a sweep needs beyond its grid: the executor its jobs run on,
+/// an optional persistent result cache, and the impairment set that figure
+/// builders stamp on the cells they make.
 ///
-/// Cell `c`, trial `t` runs with seed `SplitMix64::derive(seed0, c*trials+t)`
-/// — a pure function of grid position, so the returned stats are identical
-/// for any worker count. Returns one [`TrialStats`] per cell, in order.
-pub fn run_grid(cells: &[LinkConfig], trials: usize, seed0: u64) -> Vec<TrialStats> {
-    run_grid_on(&Executor::new(), cells, trials, seed0)
+/// Built once per binary (`backfi_bench::Cli::parse`) and passed explicitly,
+/// so what a run computes never depends on process state. The default is
+/// the host-sized executor, no cache and impairments off.
+#[derive(Clone, Default)]
+pub struct RunContext {
+    /// Executor every (cell × trial) job list fans out on.
+    pub exec: Executor,
+    /// Result cache consulted before computing a cell, if any.
+    pub cache: Option<Arc<cache::ResultCache>>,
+    /// Impairments applied to the link configurations figures build.
+    pub impair: Impairments,
 }
 
-/// [`run_grid`] on a caller-supplied executor (determinism tests pin the
-/// worker count through this).
+impl RunContext {
+    /// Evaluate every cell of a sweep grid, `trials` exchanges each, fanning
+    /// the **whole** (cell × trial) job list across the executor at once.
+    ///
+    /// Cell `c`, trial `t` runs with seed `SplitMix64::derive(seed0,
+    /// c*trials+t)` — a pure function of grid position, so the returned
+    /// stats are identical for any worker count, cached or not. Returns one
+    /// [`TrialStats`] per cell, in order.
+    pub fn run_grid(&self, cells: &[LinkConfig], trials: usize, seed0: u64) -> Vec<TrialStats> {
+        let bases = dense_bases(cells.len(), trials);
+        self.run_grid_indexed(cells, trials, seed0, &bases)
+    }
+
+    /// [`RunContext::run_grid`] where each cell carries its own job-index
+    /// base: cell `i`, trial `t` runs with seed `SplitMix64::derive(seed0,
+    /// bases[i] + t)`.
+    ///
+    /// This is how pruned sweeps stay bit-aligned with their full
+    /// counterparts: evaluate any *subset* of a full grid's cells while
+    /// passing the job-index bases those cells had in the full grid, and
+    /// every evaluated trial sees exactly the seed the full sweep would have
+    /// given it.
+    pub fn run_grid_indexed(
+        &self,
+        cells: &[LinkConfig],
+        trials: usize,
+        seed0: u64,
+        bases: &[u64],
+    ) -> Vec<TrialStats> {
+        match &self.cache {
+            Some(c) => run_cached(&self.exec, c, cells, trials, seed0, bases),
+            None => run_cells(&self.exec, cells, trials, seed0, bases),
+        }
+    }
+}
+
+/// [`RunContext::run_grid`] on a bare executor: no cache, the cells exactly
+/// as given.
 pub fn run_grid_on(
     exec: &Executor,
     cells: &[LinkConfig],
     trials: usize,
     seed0: u64,
 ) -> Vec<TrialStats> {
-    let bases: Vec<u64> = (0..cells.len() as u64)
+    let bases = dense_bases(cells.len(), trials);
+    run_cells(exec, cells, trials, seed0, &bases)
+}
+
+/// Job-index bases of a full grid: cell `c` starts at `c * trials`.
+fn dense_bases(cells: usize, trials: usize) -> Vec<u64> {
+    (0..cells as u64)
         .map(|c| c * trials.max(1) as u64)
-        .collect();
-    run_grid_indexed_on(exec, cells, trials, seed0, &bases)
+        .collect()
 }
 
-/// [`run_grid`] where each cell carries its own job-index base: cell `i`,
-/// trial `t` runs with seed `SplitMix64::derive(seed0, bases[i] + t)`.
-///
-/// This is how pruned sweeps stay bit-aligned with their full counterparts:
-/// evaluate any *subset* of a full grid's cells while passing the job-index
-/// bases those cells had in the full grid, and every evaluated trial sees
-/// exactly the seed the full sweep would have given it.
-pub fn run_grid_indexed(
-    cells: &[LinkConfig],
-    trials: usize,
-    seed0: u64,
-    bases: &[u64],
-) -> Vec<TrialStats> {
-    run_grid_indexed_on(&Executor::new(), cells, trials, seed0, bases)
-}
-
-/// [`run_grid_indexed`] on a caller-supplied executor.
-///
-/// If a result cache is installed ([`cache::set_global`]) cells it already
-/// holds are not recomputed; the cache is opt-in and bit-identical to the
-/// plain in-process path, so default runs are untouched.
-pub fn run_grid_indexed_on(
-    exec: &Executor,
-    cells: &[LinkConfig],
-    trials: usize,
-    seed0: u64,
-    bases: &[u64],
-) -> Vec<TrialStats> {
-    match cache::global() {
-        Some(c) => run_grid_indexed_cached(exec, &c, cells, trials, seed0, bases),
-        None => run_grid_indexed_plain(exec, cells, trials, seed0, bases),
-    }
-}
-
-/// [`run_grid_indexed_on`] against an explicit result cache: cells whose
-/// key is already stored are returned from disk (bit-identical by the codec
-/// round-trip guarantee); only the misses are computed — with the exact
-/// job-index bases they had in the full grid, so their seeds are unchanged
-/// — and then stored for the next run. Cells whose stats recorded a caught
-/// panic are *not* stored: a transient failure must not be frozen into the
-/// cache.
-pub fn run_grid_indexed_cached(
+/// Grid evaluation against a result cache: cells whose key is already
+/// stored are returned from disk (bit-identical by the codec round-trip
+/// guarantee); only the misses are computed — with the exact job-index
+/// bases they had in the full grid, so their seeds are unchanged — and then
+/// stored for the next run. Cells whose stats recorded a caught panic are
+/// *not* stored: a transient failure must not be frozen into the cache.
+fn run_cached(
     exec: &Executor,
     cache: &cache::ResultCache,
     cells: &[LinkConfig],
@@ -389,7 +394,7 @@ pub fn run_grid_indexed_cached(
     if !miss.is_empty() {
         let miss_cells: Vec<LinkConfig> = miss.iter().map(|&i| cells[i].clone()).collect();
         let miss_bases: Vec<u64> = miss.iter().map(|&i| bases[i]).collect();
-        let computed = run_grid_indexed_plain(exec, &miss_cells, trials, seed0, &miss_bases);
+        let computed = run_cells(exec, &miss_cells, trials, seed0, &miss_bases);
         for (&i, s) in miss.iter().zip(computed) {
             if s.panics == 0 {
                 cache.put(keys[i], &s);
@@ -402,8 +407,8 @@ pub fn run_grid_indexed_cached(
         .collect()
 }
 
-/// The original in-process path: every (cell × trial) job computed here.
-fn run_grid_indexed_plain(
+/// The compute body: every (cell × trial) job computed here.
+fn run_cells(
     exec: &Executor,
     cells: &[LinkConfig],
     trials: usize,
@@ -452,26 +457,6 @@ pub fn grid_cells(base: &LinkConfig, candidates: &[TagConfig]) -> Vec<LinkConfig
         .collect()
 }
 
-// ---------------------------------------------------------------- trials ---
-
-/// Run `trials` exchanges of one configuration (seeds `seed0..seed0+trials`),
-/// in parallel across available cores.
-pub fn run_trials(cfg: &LinkConfig, trials: usize, seed0: u64) -> TrialStats {
-    run_trials_on(&Executor::new(), cfg, trials, seed0)
-}
-
-/// [`run_trials`] on a caller-supplied executor.
-pub fn run_trials_on(exec: &Executor, cfg: &LinkConfig, trials: usize, seed0: u64) -> TrialStats {
-    let sim = LinkSimulator::new(cfg.clone());
-    let seeds: Vec<u64> = (0..trials as u64).map(|i| seed0 + i).collect();
-    let reports: Vec<LinkReport> = exec
-        .run_caught(&seeds, |_, &s| sim.run(s))
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|_| LinkReport::job_failed()))
-        .collect();
-    TrialStats::aggregate(cfg.tag, &reports)
-}
-
 /// Cycle through candidate tag configurations at one distance, most
 /// aggressive first, and report per-config stats: the whole candidate grid
 /// is evaluated in one parallel pass.
@@ -481,7 +466,7 @@ pub fn cycle_configs(
     trials: usize,
     seed0: u64,
 ) -> Vec<TrialStats> {
-    run_grid(
+    RunContext::default().run_grid(
         &grid_cells(base, &by_throughput_desc(candidates)),
         trials,
         seed0,
@@ -530,29 +515,11 @@ mod tests {
     fn trials_aggregate() {
         // 20 trials so the success-rate assertion reflects the configuration,
         // not a couple of lucky seeds (ROADMAP statistical-test convention).
-        let stats = run_trials(&base(1.0), 20, 100);
+        let stats = &run_grid_on(&Executor::new(), &[base(1.0)], 20, 100)[0];
         assert!(stats.success_rate > 0.6, "{}", stats.success_rate);
         assert!(stats.decoded());
         assert!(stats.mean_goodput_bps > 0.0);
         assert!(stats.outcome().decoded);
-    }
-
-    #[test]
-    fn run_trials_identical_across_worker_counts() {
-        let cfg = base(1.0);
-        let one = run_trials_on(&Executor::with_threads(1), &cfg, 4, 50);
-        let many = run_trials_on(&Executor::with_threads(8), &cfg, 4, 50);
-        assert_eq!(one.success_rate.to_bits(), many.success_rate.to_bits());
-        assert_eq!(one.mean_snr_db.to_bits(), many.mean_snr_db.to_bits());
-        assert_eq!(one.mean_ber.to_bits(), many.mean_ber.to_bits());
-        assert_eq!(
-            one.mean_pre_fec_ber.to_bits(),
-            many.mean_pre_fec_ber.to_bits()
-        );
-        assert_eq!(
-            one.mean_goodput_bps.to_bits(),
-            many.mean_goodput_bps.to_bits()
-        );
     }
 
     #[test]
@@ -666,10 +633,10 @@ mod tests {
 
     #[test]
     fn metrics_count_jobs() {
-        let (jobs0, _) = metrics_snapshot();
+        let jobs0 = metrics_snapshot();
         let items: Vec<u64> = (0..10).collect();
         Executor::with_threads(2).run(&items, |_, &v| v);
-        let (jobs1, _) = metrics_snapshot();
+        let jobs1 = metrics_snapshot();
         assert!(jobs1 >= jobs0 + 10);
     }
 }

@@ -4,7 +4,7 @@
 //! seed, job-index base, trial count)* to the cell's aggregated
 //! [`TrialStats`], stored as fixed-width binary records on disk (DESIGN.md
 //! §12). A warm cache lets every figure binary skip cells it has already
-//! computed — the incremental mode behind `--cache` / `BACKFI_CACHE`.
+//! computed — the incremental mode behind `--cache`.
 //!
 //! Guarantees:
 //!
@@ -33,7 +33,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Record magic: `b"BFCACHE1"` little-endian.
 pub const MAGIC: u64 = u64::from_le_bytes(*b"BFCACHE1");
@@ -325,29 +324,6 @@ impl ResultCache {
         }
         Ok(n)
     }
-}
-
-// ---------------------------------------------------------------- global ---
-
-static GLOBAL: Mutex<Option<Arc<ResultCache>>> = Mutex::new(None);
-
-/// Install (or with `None`, remove) the process-wide cache used by the
-/// `run_grid*` family. Figure binaries call this from `--cache <dir>` /
-/// `BACKFI_CACHE=<dir>`; nothing is installed by default.
-pub fn set_global(dir: Option<&Path>) -> io::Result<()> {
-    let cache = match dir {
-        Some(d) => Some(Arc::new(ResultCache::open(d)?)),
-        None => None,
-    };
-    // The cache handle is plain config: a panic elsewhere while the lock
-    // was held cannot have corrupted it, so recover rather than cascade.
-    *GLOBAL.lock().unwrap_or_else(|e| e.into_inner()) = cache;
-    Ok(())
-}
-
-/// The installed process-wide cache, if any.
-pub fn global() -> Option<Arc<ResultCache>> {
-    GLOBAL.lock().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
 #[cfg(test)]

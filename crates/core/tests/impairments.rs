@@ -3,7 +3,7 @@
 //! that survives a panicking grid cell.
 
 use backfi_chan::impair::{ImpairmentMode, Impairments};
-use backfi_core::sweep::{grid_cells, run_grid_on, run_trials_on, Executor};
+use backfi_core::sweep::{grid_cells, run_grid_on, Executor};
 use backfi_core::LinkConfig;
 use backfi_tag::config::TagConfig;
 
@@ -17,7 +17,7 @@ fn base(distance: f64) -> LinkConfig {
 /// plus the raw symbol-decision BER. Clean links score near 0; a dead link
 /// scores near 1.5.
 fn degradation(cfg: &LinkConfig, seeds: usize) -> f64 {
-    let stats = run_trials_on(&Executor::new(), cfg, seeds, 9000);
+    let stats = &run_grid_on(&Executor::new(), std::slice::from_ref(cfg), seeds, 9000)[0];
     (1.0 - stats.success_rate) + stats.mean_pre_fec_ber
 }
 

@@ -5,13 +5,13 @@
 
 use backfi_core::sweep::cache::ResultCache;
 use backfi_core::sweep::{
-    grid_cells, metrics_snapshot, run_grid_indexed_cached, run_grid_on, Executor, TrialStats,
+    grid_cells, metrics_snapshot, run_grid_on, Executor, RunContext, TrialStats,
 };
 use backfi_core::LinkConfig;
 use backfi_tag::config::TagConfig;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Obs counters and the executor job counter are process-wide; tests that
 /// assert on their deltas hold this to keep the deltas attributable.
@@ -25,6 +25,14 @@ fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("backfi-sweep-cache-{}-{tag}", std::process::id()));
     let _ = fs::remove_dir_all(&d);
     d
+}
+
+/// A run context on the host executor, serving cells from `cache`.
+fn cached(cache: &Arc<ResultCache>) -> RunContext {
+    RunContext {
+        cache: Some(Arc::clone(cache)),
+        ..RunContext::default()
+    }
 }
 
 fn small_grid() -> (Vec<LinkConfig>, Vec<u64>, usize, u64) {
@@ -90,17 +98,17 @@ fn entry_files(cache: &ResultCache) -> Vec<PathBuf> {
 fn warm_rerun_is_bit_identical_and_recomputes_nothing() {
     let _m = serialize();
     let dir = tmpdir("warm");
-    let cache = ResultCache::open(&dir).unwrap();
+    let cache = Arc::new(ResultCache::open(&dir).unwrap());
     let (cells, bases, trials, seed0) = small_grid();
     let exec = Executor::new();
 
     let plain = run_grid_on(&exec, &cells, trials, seed0);
-    let cold = run_grid_indexed_cached(&exec, &cache, &cells, trials, seed0, &bases);
+    let cold = cached(&cache).run_grid_indexed(&cells, trials, seed0, &bases);
     assert_stats_bits_eq(&plain, &cold, "cold cached vs plain");
 
-    let (jobs_before, _) = metrics_snapshot();
-    let warm = run_grid_indexed_cached(&exec, &cache, &cells, trials, seed0, &bases);
-    let (jobs_after, _) = metrics_snapshot();
+    let jobs_before = metrics_snapshot();
+    let warm = cached(&cache).run_grid_indexed(&cells, trials, seed0, &bases);
+    let jobs_after = metrics_snapshot();
     assert_eq!(
         jobs_after, jobs_before,
         "a fully warm cache must execute zero link trials"
@@ -113,7 +121,7 @@ fn warm_rerun_is_bit_identical_and_recomputes_nothing() {
 fn racing_executors_converge_to_one_valid_entry_per_cell() {
     let _m = serialize();
     let dir = tmpdir("race");
-    let cache = ResultCache::open(&dir).unwrap();
+    let cache = Arc::new(ResultCache::open(&dir).unwrap());
     let (cells, bases, trials, seed0) = small_grid();
     let reference = run_grid_on(&Executor::new(), &cells, trials, seed0);
 
@@ -123,9 +131,7 @@ fn racing_executors_converge_to_one_valid_entry_per_cell() {
         let handles: Vec<_> = (0..2)
             .map(|_| {
                 let (cache, cells, bases) = (&cache, &cells, &bases);
-                s.spawn(move || {
-                    run_grid_indexed_cached(&Executor::new(), cache, cells, trials, seed0, bases)
-                })
+                s.spawn(move || cached(cache).run_grid_indexed(cells, trials, seed0, bases))
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -140,7 +146,7 @@ fn racing_executors_converge_to_one_valid_entry_per_cell() {
     );
     // And each surviving entry is valid: a warm read returns the reference
     // bits without recomputation.
-    let warm = run_grid_indexed_cached(&Executor::new(), &cache, &cells, trials, seed0, &bases);
+    let warm = cached(&cache).run_grid_indexed(&cells, trials, seed0, &bases);
     assert_stats_bits_eq(&reference, &warm, "post-race warm read");
     let _ = fs::remove_dir_all(&dir);
 }
@@ -150,10 +156,9 @@ fn corrupt_entries_are_rejected_and_recomputed() {
     let _m = serialize();
     backfi_obs::enable();
     let dir = tmpdir("corrupt");
-    let cache = ResultCache::open(&dir).unwrap();
+    let cache = Arc::new(ResultCache::open(&dir).unwrap());
     let (cells, bases, trials, seed0) = small_grid();
-    let exec = Executor::new();
-    let cold = run_grid_indexed_cached(&exec, &cache, &cells, trials, seed0, &bases);
+    let cold = cached(&cache).run_grid_indexed(&cells, trials, seed0, &bases);
 
     let files = entry_files(&cache);
     assert_eq!(files.len(), cells.len());
@@ -166,7 +171,7 @@ fn corrupt_entries_are_rejected_and_recomputed() {
     fs::write(&files[1], &bytes).unwrap();
 
     let corrupt_before = backfi_obs::counter_value("sweep.cache.corrupt");
-    let healed = run_grid_indexed_cached(&exec, &cache, &cells, trials, seed0, &bases);
+    let healed = cached(&cache).run_grid_indexed(&cells, trials, seed0, &bases);
     let corrupt_after = backfi_obs::counter_value("sweep.cache.corrupt");
     assert_stats_bits_eq(&cold, &healed, "healed rerun");
     assert_eq!(
@@ -176,9 +181,9 @@ fn corrupt_entries_are_rejected_and_recomputed() {
     );
     // The store healed itself: both entries rewritten, next run is all hits.
     assert_eq!(cache.entry_count().unwrap(), cells.len());
-    let (jobs_before, _) = metrics_snapshot();
-    let warm = run_grid_indexed_cached(&exec, &cache, &cells, trials, seed0, &bases);
-    let (jobs_after, _) = metrics_snapshot();
+    let jobs_before = metrics_snapshot();
+    let warm = cached(&cache).run_grid_indexed(&cells, trials, seed0, &bases);
+    let jobs_after = metrics_snapshot();
     assert_eq!(jobs_after, jobs_before, "healed store must serve from disk");
     assert_stats_bits_eq(&cold, &warm, "post-heal warm read");
     let _ = fs::remove_dir_all(&dir);
@@ -188,22 +193,22 @@ fn corrupt_entries_are_rejected_and_recomputed() {
 fn stale_code_salt_invalidates_the_whole_store() {
     let _m = serialize();
     let dir = tmpdir("salt");
-    let cache = ResultCache::open(&dir).unwrap();
+    let cache = Arc::new(ResultCache::open(&dir).unwrap());
     let (cells, bases, trials, seed0) = small_grid();
-    run_grid_indexed_cached(&Executor::new(), &cache, &cells, trials, seed0, &bases);
+    cached(&cache).run_grid_indexed(&cells, trials, seed0, &bases);
     assert_eq!(cache.entry_count().unwrap(), cells.len());
     drop(cache);
 
     // A build with a different codec/crate/sim revision stamped this store.
     fs::write(dir.join("CACHE_VERSION"), "00000000deadbeef\n").unwrap();
-    let reopened = ResultCache::open(&dir).unwrap();
+    let reopened = Arc::new(ResultCache::open(&dir).unwrap());
     assert_eq!(
         reopened.entry_count().unwrap(),
         0,
         "every entry from a stale salt must be evicted on open"
     );
     // The store is usable again afterwards with the current salt.
-    let again = run_grid_indexed_cached(&Executor::new(), &reopened, &cells, trials, seed0, &bases);
+    let again = cached(&reopened).run_grid_indexed(&cells, trials, seed0, &bases);
     assert_eq!(again.len(), cells.len());
     assert_eq!(reopened.entry_count().unwrap(), cells.len());
     let _ = fs::remove_dir_all(&dir);
@@ -213,7 +218,7 @@ fn stale_code_salt_invalidates_the_whole_store() {
 fn panicked_cells_are_never_frozen_into_the_cache() {
     let _m = serialize();
     let dir = tmpdir("panic");
-    let cache = ResultCache::open(&dir).unwrap();
+    let cache = Arc::new(ResultCache::open(&dir).unwrap());
     // symbol_rate 10 MHz at 20 MS/s leaves 2 samples/symbol — below the tag
     // pipeline's minimum, which panics by contract.
     let poison = TagConfig {
@@ -228,7 +233,7 @@ fn panicked_cells_are_never_frozen_into_the_cache() {
 
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let cold = run_grid_indexed_cached(&Executor::new(), &cache, &cells, trials, 77, &bases);
+    let cold = cached(&cache).run_grid_indexed(&cells, trials, 77, &bases);
     assert_eq!(cold[1].panics, trials, "poisoned cell attributed");
     assert_eq!(
         cache.entry_count().unwrap(),
@@ -236,9 +241,9 @@ fn panicked_cells_are_never_frozen_into_the_cache() {
         "only the healthy cell may be cached"
     );
     // A rerun recomputes exactly the poisoned cell's trials.
-    let (jobs_before, _) = metrics_snapshot();
-    let warm = run_grid_indexed_cached(&Executor::new(), &cache, &cells, trials, 77, &bases);
-    let (jobs_after, _) = metrics_snapshot();
+    let jobs_before = metrics_snapshot();
+    let warm = cached(&cache).run_grid_indexed(&cells, trials, 77, &bases);
+    let jobs_after = metrics_snapshot();
     std::panic::set_hook(hook);
     assert_eq!(
         jobs_after - jobs_before,
