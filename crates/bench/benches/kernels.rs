@@ -16,7 +16,7 @@ use backfi_bench::timing::{bench, BenchReport};
 use backfi_dsp::fastconv;
 use backfi_dsp::fft::FftPlan;
 use backfi_dsp::fir::{self, filter, ConvMode};
-use backfi_dsp::noise::cgauss_vec;
+use backfi_dsp::noise::{add_noise, cgauss_vec};
 use backfi_dsp::rng::SplitMix64;
 use backfi_dsp::Complex;
 use backfi_sic::estimator::{estimate_fir, estimate_fir_direct};
@@ -164,6 +164,23 @@ fn bench_pipeline_kernels(rep: &mut BenchReport, short: bool) {
         iters(50, short),
         || {
             black_box(dec.decode_soft_terminated(black_box(&soft)).len());
+        },
+    );
+
+    // Two normal draws per received sample: the largest per-trial cost of a
+    // link simulation (transmitter noise plus thermal noise in `propagate`).
+    let mut rng = SplitMix64::new(6);
+    let mut buf = vec![Complex::ZERO; 20_000];
+    rep.measure(
+        "add_noise",
+        "ziggurat",
+        20_000,
+        0,
+        20_000,
+        iters(200, short),
+        || {
+            add_noise(&mut rng, black_box(&mut buf), 1e-3);
+            black_box(buf[0]);
         },
     );
 

@@ -31,9 +31,28 @@
 //!
 //! Exit status: 0 clean (or regressions found without `--check`), 1
 //! regressions found under `--check`, 2 usage or input error.
+//!
+//! A second mode diffs two sweep result-cache stores cell by cell — the
+//! gate for a deliberate numerics re-baseline (DESIGN.md §6.1):
+//!
+//! ```text
+//! obs_report --cells <store_a> <store_b> --trials <N> [--check] [--json <path>]
+//! ```
+//!
+//! Both stores are read without being opened for use: records are checked
+//! for magic and checksum but not for the code salt (the baseline store
+//! comes from another build), and nothing is ever wiped or deleted. Records
+//! pair by cache key; differing key sets exit 2. Every cell's Δsuccess,
+//! ΔSNR and Δgoodput is printed, then the cells whose `decoded()` verdict
+//! flips and those whose |Δsuccess| leaves a 3σ two-proportion band at N
+//! trials. `--check` exits 1 when a pooled all-cell quantity (success rate,
+//! mean finite SNR, mean goodput) leaves its 4σ band.
 
+use backfi_core::sweep::cache::{read_store, CacheKey};
+use backfi_core::sweep::TrialStats;
 use backfi_obs::json::{self, Json};
 use std::collections::BTreeMap;
+use std::path::Path;
 use std::process::ExitCode;
 
 /// Parsed CLI options.
@@ -58,7 +77,8 @@ fn usage() -> ! {
         "usage: obs_report <baseline.json> <current.json> [--check] \
          [--span-threshold F] [--bench-threshold F] [--counter-threshold F] \
          [--ignore-spans] [--ignore PREFIX]... [--require-span NAME[:F]]... \
-         [--json PATH]"
+         [--json PATH]\n       obs_report --cells <store_a> <store_b> --trials N \
+         [--check] [--json PATH]"
     );
     std::process::exit(2);
 }
@@ -385,7 +405,342 @@ fn verdict_json(findings: &[Finding], regressions: usize) -> String {
     s
 }
 
+// ------------------------------------------------------------ cell diff ---
+
+/// Per-cell band: a cell has moved when |Δsuccess| exceeds this many
+/// standard errors of a two-proportion difference at N trials per store.
+const CELL_SIGMAS: f64 = 3.0;
+/// Pooled band: `--check` fails when an all-cell mean difference exceeds
+/// this many standard errors. Three pooled tests at 4σ keep the chance of a
+/// false alarm between two equivalent generators below 0.02 %.
+const POOLED_SIGMAS: f64 = 4.0;
+
+/// Parsed `--cells` options.
+struct CellOpts {
+    a: String,
+    b: String,
+    trials: usize,
+    check: bool,
+    json_out: Option<String>,
+}
+
+fn cells_usage() -> ! {
+    eprintln!("usage: obs_report --cells <store_a> <store_b> --trials N [--check] [--json PATH]");
+    std::process::exit(2);
+}
+
+fn parse_cell_opts(mut args: impl Iterator<Item = String>) -> CellOpts {
+    let (mut positional, mut trials, mut check, mut json_out) = (Vec::new(), None, false, None);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--check" => check = true,
+            "--trials" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) if n > 0 => trials = Some(n),
+                _ => {
+                    eprintln!("error: --trials requires a positive integer");
+                    cells_usage();
+                }
+            },
+            "--json" => match args.next() {
+                Some(p) if !p.is_empty() => json_out = Some(p),
+                _ => cells_usage(),
+            },
+            _ if a.starts_with("--") => cells_usage(),
+            _ => positional.push(a),
+        }
+    }
+    let (Some(trials), [a, b]) = (trials, positional.as_slice()) else {
+        cells_usage();
+    };
+    CellOpts {
+        a: a.clone(),
+        b: b.clone(),
+        trials,
+        check,
+        json_out,
+    }
+}
+
+/// One paired cell.
+struct CellDiff<'s> {
+    key: CacheKey,
+    a: &'s TrialStats,
+    b: &'s TrialStats,
+    flipped: bool,
+    outside_band: bool,
+}
+
+/// One pooled all-cell quantity with its band.
+struct Pooled {
+    name: &'static str,
+    a: f64,
+    b: f64,
+    /// `POOLED_SIGMAS` standard errors of the mean difference.
+    band: f64,
+}
+
+impl Pooled {
+    fn pass(&self) -> bool {
+        (self.b - self.a).abs() <= self.band
+    }
+}
+
+/// Pooled mean difference of a per-cell quantity whose per-trial variance
+/// the store does not keep: the standard error comes from the spread of
+/// the paired per-cell differences.
+fn pooled_paired(name: &'static str, pairs: &[(f64, f64)]) -> Pooled {
+    let m = pairs.len().max(1) as f64;
+    let mean = |f: fn(&(f64, f64)) -> f64| pairs.iter().map(f).sum::<f64>() / m;
+    let (a, b) = (mean(|p| p.0), mean(|p| p.1));
+    let var = pairs
+        .iter()
+        .map(|p| (p.1 - p.0 - (b - a)).powi(2))
+        .sum::<f64>()
+        / (m - 1.0).max(1.0);
+    Pooled {
+        name,
+        a,
+        b,
+        band: POOLED_SIGMAS * (var / m).sqrt(),
+    }
+}
+
+fn compare_cells<'s>(
+    a: &'s BTreeMap<CacheKey, TrialStats>,
+    b: &'s BTreeMap<CacheKey, TrialStats>,
+    trials: usize,
+) -> (Vec<CellDiff<'s>>, Vec<Pooled>) {
+    let n = trials as f64;
+    let cells: Vec<CellDiff> = a
+        .iter()
+        .map(|(key, sa)| {
+            let sb = &b[key];
+            let p = (sa.success_rate + sb.success_rate) / 2.0;
+            let sigma = (2.0 * p * (1.0 - p) / n).sqrt();
+            CellDiff {
+                key: *key,
+                a: sa,
+                b: sb,
+                flipped: sa.decoded() != sb.decoded(),
+                outside_band: (sb.success_rate - sa.success_rate).abs() > CELL_SIGMAS * sigma,
+            }
+        })
+        .collect();
+    let m = cells.len().max(1) as f64;
+    // Success is binomial per cell, so its pooled variance is known exactly.
+    let success = Pooled {
+        name: "success_rate",
+        a: cells.iter().map(|c| c.a.success_rate).sum::<f64>() / m,
+        b: cells.iter().map(|c| c.b.success_rate).sum::<f64>() / m,
+        band: POOLED_SIGMAS
+            * cells
+                .iter()
+                .map(|c| {
+                    let p = (c.a.success_rate + c.b.success_rate) / 2.0;
+                    2.0 * p * (1.0 - p) / n
+                })
+                .sum::<f64>()
+                .sqrt()
+            / m,
+    };
+    let snr: Vec<(f64, f64)> = cells
+        .iter()
+        .map(|c| (c.a.mean_snr_db, c.b.mean_snr_db))
+        .filter(|p| p.0.is_finite() && p.1.is_finite())
+        .collect();
+    let goodput: Vec<(f64, f64)> = cells
+        .iter()
+        .map(|c| (c.a.mean_goodput_bps, c.b.mean_goodput_bps))
+        .collect();
+    let pooled = vec![
+        success,
+        pooled_paired("mean_snr_db", &snr),
+        pooled_paired("mean_goodput_bps", &goodput),
+    ];
+    (cells, pooled)
+}
+
+fn cell_label(c: &CellDiff) -> String {
+    format!(
+        "{}  {:<22} {:>3.0}us",
+        c.key,
+        c.a.config.label(),
+        c.a.config.preamble_us
+    )
+}
+
+fn cells_json(
+    opts: &CellOpts,
+    n_cells: usize,
+    lists: [&[&CellDiff]; 2],
+    pooled: &[Pooled],
+    moved: usize,
+) -> String {
+    let [flips, out_band] = lists.map(|hits| {
+        hits.iter()
+            .map(|c| {
+                format!(
+                    "\n    {{\"key\": \"{}\", \"config\": \"{}\", \"success_a\": {}, \
+                     \"success_b\": {}}}",
+                    c.key,
+                    json::escape(&c.a.config.label()),
+                    json::num(c.a.success_rate),
+                    json::num(c.b.success_rate)
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(",")
+    });
+    let pooled_rows = pooled
+        .iter()
+        .map(|p| {
+            format!(
+                "\n    {{\"name\": \"{}\", \"a\": {}, \"b\": {}, \"delta\": {}, \
+                 \"band\": {}, \"pass\": {}}}",
+                p.name,
+                json::num(p.a),
+                json::num(p.b),
+                json::num(p.b - p.a),
+                json::num(p.band),
+                p.pass()
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",");
+    format!(
+        "{{\n  \"store_a\": \"{}\",\n  \"store_b\": \"{}\",\n  \"trials\": {},\n  \
+         \"cells\": {n_cells},\n  \"moved\": {moved},\n  \"flipped\": [{flips}],\n  \
+         \"outside_band\": [{out_band}],\n  \"pooled\": [{pooled_rows}]\n}}\n",
+        json::escape(&opts.a),
+        json::escape(&opts.b),
+        opts.trials,
+    )
+}
+
+/// `obs_report --cells`: see the module docs.
+fn run_cells(opts: &CellOpts) -> ExitCode {
+    let (a, b) = match (
+        read_store(Path::new(&opts.a)),
+        read_store(Path::new(&opts.b)),
+    ) {
+        (Ok(a), Ok(b)) => (a, b),
+        (Err(e), _) => {
+            eprintln!("error: {}: {e}", opts.a);
+            return ExitCode::from(2);
+        }
+        (_, Err(e)) => {
+            eprintln!("error: {}: {e}", opts.b);
+            return ExitCode::from(2);
+        }
+    };
+    let only_a = a.keys().filter(|k| !b.contains_key(k)).count();
+    let only_b = b.keys().filter(|k| !a.contains_key(k)).count();
+    if only_a + only_b > 0 || a.is_empty() {
+        eprintln!(
+            "error: stores do not hold the same cells ({} paired, {only_a} only in A, \
+             {only_b} only in B)",
+            a.len() - only_a
+        );
+        return ExitCode::from(2);
+    }
+    let (cells, pooled) = compare_cells(&a, &b, opts.trials);
+    let moved = cells.iter().filter(|c| c.flipped || c.outside_band).count();
+
+    println!("obs_report --cells: A = {}, B = {}", opts.a, opts.b);
+    println!(
+        "{} paired cells, {} trials per cell; a cell has moved when its decoded() verdict \
+         flips or |Δsuccess| > {CELL_SIGMAS}σ, σ = √(2p̄(1−p̄)/N)",
+        cells.len(),
+        opts.trials
+    );
+    println!();
+    println!(
+        "{:<32}  {:<22} {:>5}  {:>6} {:>6} {:>7}  {:>7} {:>7} {:>7}  {:>8} {:>8} {:>8}  flags",
+        "cell key",
+        "config",
+        "pre",
+        "succ A",
+        "succ B",
+        "Δsucc",
+        "SNR A",
+        "SNR B",
+        "ΔSNR",
+        "Mbps A",
+        "Mbps B",
+        "ΔMbps"
+    );
+    for c in &cells {
+        let flags = match (c.flipped, c.outside_band) {
+            (true, true) => "FLIP BAND",
+            (true, false) => "FLIP",
+            (false, true) => "BAND",
+            (false, false) => "",
+        };
+        let (ga, gb) = (c.a.mean_goodput_bps / 1e6, c.b.mean_goodput_bps / 1e6);
+        println!(
+            "{}  {:>6.2} {:>6.2} {:>+7.2}  {:>7.2} {:>7.2} {:>+7.2}  {:>8.3} {:>8.3} {:>+8.3}  {flags}",
+            cell_label(c),
+            c.a.success_rate,
+            c.b.success_rate,
+            c.b.success_rate - c.a.success_rate,
+            c.a.mean_snr_db,
+            c.b.mean_snr_db,
+            c.b.mean_snr_db - c.a.mean_snr_db,
+            ga,
+            gb,
+            gb - ga,
+        );
+    }
+    let flips: Vec<&CellDiff> = cells.iter().filter(|c| c.flipped).collect();
+    let out_band: Vec<&CellDiff> = cells.iter().filter(|c| c.outside_band).collect();
+    for (title, hits) in [
+        ("decoded() verdict flips", &flips),
+        ("|Δsuccess| outside the 3σ band", &out_band),
+    ] {
+        println!();
+        println!("{title}: {}", hits.len());
+        for c in hits {
+            println!(
+                "  {}  success {:.2} -> {:.2}",
+                cell_label(c),
+                c.a.success_rate,
+                c.b.success_rate
+            );
+        }
+    }
+    println!();
+    println!("pooled over all cells (band = {POOLED_SIGMAS}σ of the mean difference):");
+    for p in &pooled {
+        println!(
+            "  {:<17} A {:>14.4}  B {:>14.4}  Δ {:>+12.4}  band ±{:<12.4} {}",
+            p.name,
+            p.a,
+            p.b,
+            p.b - p.a,
+            p.band,
+            if p.pass() { "ok" } else { "OUT OF BAND" }
+        );
+    }
+    let failed = pooled.iter().filter(|p| !p.pass()).count();
+    println!("moved cells: {moved}; pooled quantities out of band: {failed}");
+    if let Some(path) = &opts.json_out {
+        let doc = cells_json(opts, cells.len(), [&flips, &out_band], &pooled, moved);
+        if let Err(e) = std::fs::write(path, doc) {
+            eprintln!("error: --json {path}: {e}");
+            return ExitCode::from(2);
+        }
+    }
+    if opts.check && failed > 0 {
+        ExitCode::from(1)
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
 fn main() -> ExitCode {
+    if std::env::args().nth(1).as_deref() == Some("--cells") {
+        return run_cells(&parse_cell_opts(std::env::args().skip(2)));
+    }
     let opts = parse_opts();
     let (base, cur) = match (load(&opts.baseline), load(&opts.current)) {
         (Ok(b), Ok(c)) => (b, c),

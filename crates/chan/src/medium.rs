@@ -20,7 +20,7 @@ use crate::budget::LinkBudget;
 use crate::environment::EnvironmentProfile;
 use crate::multipath::{cascade, scaled, MultipathProfile};
 use backfi_dsp::fir::filter;
-use backfi_dsp::noise::{add_noise, cgauss_vec};
+use backfi_dsp::noise::add_noise;
 use backfi_dsp::rng::SplitMix64;
 use backfi_dsp::{stats, Complex};
 
@@ -123,10 +123,7 @@ impl BackscatterMedium {
         let tx_noise_power =
             self.budget.tx_power() * crate::budget::dbm_to_lin(self.budget.tx_noise_dbc);
         let mut tx_sig: Vec<Complex> = x.iter().map(|&v| v * a).collect();
-        let n_tx = cgauss_vec(&mut self.rng, tx_sig.len(), tx_noise_power);
-        for (s, n) in tx_sig.iter_mut().zip(&n_tx) {
-            *s += *n;
-        }
+        add_noise(&mut self.rng, &mut tx_sig, tx_noise_power);
         tx_sig.resize(out_len, Complex::ZERO);
         let mut y = filter(&self.h_env, &tx_sig);
 

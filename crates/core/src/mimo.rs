@@ -16,7 +16,7 @@ use crate::link::LinkConfig;
 use backfi_chan::environment::EnvironmentProfile;
 use backfi_chan::multipath::scaled;
 use backfi_dsp::fir::filter;
-use backfi_dsp::noise::{add_noise, cgauss_vec};
+use backfi_dsp::noise::add_noise;
 use backfi_dsp::rng::SplitMix64;
 use backfi_dsp::Complex;
 use backfi_reader::reader::BackscatterReader;
@@ -93,10 +93,7 @@ impl MimoLinkSimulator {
             );
             // SI path with uncancellable transmitter noise.
             let mut tx_sig: Vec<Complex> = xs.clone();
-            let n_tx = cgauss_vec(&mut rng, tx_sig.len(), tx_noise_power);
-            for (s, n) in tx_sig.iter_mut().zip(&n_tx) {
-                *s += *n;
-            }
+            add_noise(&mut rng, &mut tx_sig, tx_noise_power);
             let mut y = filter(&h_env, &tx_sig);
             let back = filter(&h_b, &modded);
             for (p, q) in y.iter_mut().zip(&back) {

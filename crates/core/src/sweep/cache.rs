@@ -29,6 +29,7 @@
 use crate::link::LinkConfig;
 use crate::sweep::codec::{self, fnv1a64, fnv1a64_seeded, Cursor, Writer, TRIAL_STATS_LEN};
 use crate::sweep::TrialStats;
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -40,7 +41,8 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"BFCACHE1");
 /// Manually bumped whenever simulation *semantics* change in a way that
 /// invalidates previously cached results without changing any serialized
 /// struct (e.g. a reordered RNG draw or a retuned pipeline constant).
-pub const SIM_REV: u64 = 1;
+/// Rev 2: the ziggurat normal generator and empty-frame rejection.
+pub const SIM_REV: u64 = 2;
 
 /// On-disk record size: magic + salt + key (hi, lo) + stats payload +
 /// checksum.
@@ -68,12 +70,19 @@ pub fn code_salt() -> u64 {
 
 /// A 128-bit content address: two independently seeded FNV-1a passes over
 /// the cell's canonical encoding. Also the entry's file name.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CacheKey {
     /// First hash pass (also selects the shard subdirectory).
     pub hi: u64,
     /// Second, independently seeded pass.
     pub lo: u64,
+}
+
+/// Both halves in hex: the entry's file name without its extension.
+impl std::fmt::Display for CacheKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:016x}{:016x}", self.hi, self.lo)
+    }
 }
 
 /// Compute the cache key for one grid cell: hashes the canonical codec
@@ -115,25 +124,80 @@ enum ReadMiss {
     Io,
 }
 
-fn decode_record(bytes: &[u8], salt: u64, key: CacheKey) -> Result<TrialStats, ReadMiss> {
+/// Length, checksum and magic check; returns the record's salt, key and
+/// payload. `None` for any damaged or foreign record.
+fn parse_record(bytes: &[u8]) -> Option<(u64, CacheKey, TrialStats)> {
     if bytes.len() != RECORD_LEN {
-        return Err(ReadMiss::Corrupt);
+        return None;
     }
     let sum = u64::from_le_bytes(bytes[RECORD_LEN - 8..].try_into().unwrap());
     if fnv1a64(&bytes[..RECORD_LEN - 8]) != sum {
-        return Err(ReadMiss::Corrupt);
+        return None;
     }
     let mut c = Cursor::new(&bytes[..RECORD_LEN - 8]);
-    let (magic, rsalt, hi, lo) = (
+    let (magic, salt, hi, lo) = (
         c.u64().unwrap(),
         c.u64().unwrap(),
         c.u64().unwrap(),
         c.u64().unwrap(),
     );
-    if magic != MAGIC || rsalt != salt || hi != key.hi || lo != key.lo {
-        return Err(ReadMiss::Corrupt);
+    if magic != MAGIC {
+        return None;
     }
-    codec::decode_trial_stats(&mut c).map_err(|_| ReadMiss::Corrupt)
+    let stats = codec::decode_trial_stats(&mut c).ok()?;
+    Some((salt, CacheKey { hi, lo }, stats))
+}
+
+fn decode_record(bytes: &[u8], salt: u64, key: CacheKey) -> Result<TrialStats, ReadMiss> {
+    match parse_record(bytes) {
+        Some((s, k, stats)) if s == salt && k == key => Ok(stats),
+        _ => Err(ReadMiss::Corrupt),
+    }
+}
+
+/// Read every record of the store at `dir` without opening it for use.
+///
+/// Checks each record's length, checksum, magic and that its key matches
+/// its file name, but *not* the code salt, so a store written by another
+/// build stays readable for cross-build comparison (`obs_report --cells`).
+/// Never writes, evicts or deletes anything. A damaged record is an
+/// `InvalidData` error naming the file.
+pub fn read_store(dir: &Path) -> io::Result<BTreeMap<CacheKey, TrialStats>> {
+    let mut out = BTreeMap::new();
+    for path in entry_paths(dir)? {
+        let bytes = fs::read(&path)?;
+        let named = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+        match parse_record(&bytes) {
+            Some((_, key, stats)) if named == key.to_string() => {
+                out.insert(key, stats);
+            }
+            _ => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("damaged cache record {}", path.display()),
+                ))
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Paths of every `.bfc` entry under the shard directories of `dir`.
+fn entry_paths(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut out = Vec::new();
+    for shard in fs::read_dir(dir)? {
+        let shard = shard?;
+        if !shard.file_type()?.is_dir() {
+            continue;
+        }
+        for entry in fs::read_dir(shard.path())? {
+            let path = entry?.path();
+            if path.extension().is_some_and(|e| e == "bfc") {
+                out.push(path);
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// Consecutive filesystem errors before the store turns itself off. One-off
@@ -219,7 +283,7 @@ impl ResultCache {
     fn entry_path(&self, key: CacheKey) -> PathBuf {
         self.dir
             .join(format!("{:02x}", (key.hi >> 56) as u8))
-            .join(format!("{:016x}{:016x}.bfc", key.hi, key.lo))
+            .join(format!("{key}.bfc"))
     }
 
     /// Look up a cell result. Returns `None` on absence, corruption (the
@@ -291,38 +355,16 @@ impl ResultCache {
     /// number of entries removed. Used by salt invalidation and by the
     /// cold-path replay bench to re-chill the store between iterations.
     pub fn clear_entries(&self) -> io::Result<usize> {
-        let mut removed = 0;
-        for shard in fs::read_dir(&self.dir)? {
-            let shard = shard?;
-            if !shard.file_type()?.is_dir() {
-                continue;
-            }
-            for entry in fs::read_dir(shard.path())? {
-                let entry = entry?;
-                if entry.path().extension().is_some_and(|e| e == "bfc") {
-                    fs::remove_file(entry.path())?;
-                    removed += 1;
-                }
-            }
+        let paths = entry_paths(&self.dir)?;
+        for path in &paths {
+            fs::remove_file(path)?;
         }
-        Ok(removed)
+        Ok(paths.len())
     }
 
     /// Number of entries currently on disk (test/diagnostic helper).
     pub fn entry_count(&self) -> io::Result<usize> {
-        let mut n = 0;
-        for shard in fs::read_dir(&self.dir)? {
-            let shard = shard?;
-            if !shard.file_type()?.is_dir() {
-                continue;
-            }
-            for entry in fs::read_dir(shard.path())? {
-                if entry?.path().extension().is_some_and(|e| e == "bfc") {
-                    n += 1;
-                }
-            }
-        }
-        Ok(n)
+        Ok(entry_paths(&self.dir)?.len())
     }
 }
 
@@ -387,6 +429,42 @@ mod tests {
     fn record_layout_is_fixed_width() {
         let key = CacheKey { hi: 1, lo: 2 };
         assert_eq!(encode_record(code_salt(), key, &stats()).len(), RECORD_LEN);
+    }
+
+    #[test]
+    fn read_store_ignores_the_salt_and_leaves_the_store_intact() {
+        let dir = tmpdir("readonly");
+        let cache = ResultCache::open(&dir).unwrap();
+        let cfg = LinkConfig::at_distance(2.0);
+        let fresh = cell_key(&cfg, 1000, 0, 5);
+        cache.put(fresh, &stats());
+        // A record written by a build with another salt, under a stale stamp.
+        let stale = cell_key(&cfg, 1000, 5, 5);
+        let path = cache.entry_path(stale);
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(&path, encode_record(0xdead_beef, stale, &stats())).unwrap();
+        fs::write(dir.join(VERSION_FILE), "00000000deadbeef\n").unwrap();
+
+        let read = read_store(&dir).unwrap();
+        assert_eq!(read.len(), 2, "both salts must be readable");
+        assert_eq!(read[&stale].success_rate, 0.75);
+        assert_eq!(cache.entry_count().unwrap(), 2, "nothing evicted");
+        assert_eq!(
+            fs::read_to_string(dir.join(VERSION_FILE)).unwrap(),
+            "00000000deadbeef\n",
+            "stamp untouched"
+        );
+
+        // A damaged record is an error, and it too stays on disk.
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[40] ^= 1;
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(
+            read_store(&dir).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+        assert!(path.exists());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

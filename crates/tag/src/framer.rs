@@ -40,6 +40,10 @@ pub enum FrameError {
     BadHeader,
     /// The announced length exceeds the decoded bits.
     LengthOutOfRange,
+    /// The header announces a zero-length payload. No sender emits one, and
+    /// an all-zero stream passes both CRCs (CRC-8 with init 0 over a zero
+    /// length, CRC-32 of an empty body), so it is always a decoding error.
+    EmptyPayload,
     /// Payload CRC-32 failed.
     BadPayload,
 }
@@ -50,6 +54,7 @@ impl std::fmt::Display for FrameError {
             FrameError::TooShort => "decoded stream too short for a header",
             FrameError::BadHeader => "header CRC-8 mismatch",
             FrameError::LengthOutOfRange => "announced length exceeds decoded bits",
+            FrameError::EmptyPayload => "announced payload length is zero",
             FrameError::BadPayload => "payload CRC-32 mismatch",
         };
         f.write_str(s)
@@ -151,6 +156,9 @@ impl TagFrame {
             return Err(FrameError::BadHeader);
         }
         let len = u16::from_le_bytes([header[0], header[1]]) as usize;
+        if len == 0 {
+            return Err(FrameError::EmptyPayload);
+        }
         let need = 24 + (len + 4) * 8;
         if bits.len() < need {
             return Err(FrameError::LengthOutOfRange);
@@ -199,6 +207,20 @@ mod tests {
         bits2[30] = !bits2[30];
         assert_eq!(TagFrame::parse(&bits2), Err(FrameError::BadPayload));
         assert_eq!(TagFrame::parse(&[true; 10]), Err(FrameError::TooShort));
+    }
+
+    #[test]
+    fn all_zero_stream_is_not_a_valid_frame() {
+        // Both CRCs accept all-zero bits; the zero length must reject it.
+        assert_eq!(
+            TagFrame::parse(&[false; 200]),
+            Err(FrameError::EmptyPayload)
+        );
+        assert_eq!(
+            TagFrame::parse(&TagFrame::info_bits(&[])),
+            Err(FrameError::EmptyPayload)
+        );
+        assert_eq!(TagFrame::parse(&TagFrame::info_bits(&[0])), Ok(vec![0]));
     }
 
     #[test]
