@@ -19,7 +19,7 @@
 use crate::budget::LinkBudget;
 use crate::environment::EnvironmentProfile;
 use crate::multipath::{cascade, scaled, MultipathProfile};
-use backfi_dsp::fir::filter;
+use backfi_dsp::fir::{filter, filter_into};
 use backfi_dsp::noise::add_noise;
 use backfi_dsp::rng::SplitMix64;
 use backfi_dsp::{stats, Complex};
@@ -47,6 +47,16 @@ impl MediumConfig {
             environment: EnvironmentProfile::default(),
         }
     }
+}
+
+/// Reusable buffers for [`BackscatterMedium::propagate_into`]: `signal`
+/// holds the TX-plus-noise wave and then the tag-modulated wave, `back` the
+/// backward leg's output. A caller that propagates many times keeps one so
+/// each propagation reuses their capacity instead of allocating.
+#[derive(Debug, Default)]
+pub struct PropagateScratch {
+    signal: Vec<Complex>,
+    back: Vec<Complex>,
 }
 
 /// One realized deployment: channels are drawn once (they are "time invariant
@@ -105,7 +115,9 @@ impl BackscatterMedium {
     ///
     /// Returns the signal at the reader's receive port (before analog
     /// cancellation and the ADC). Length equals `x.len()` plus the channel
-    /// tails.
+    /// tails. Allocating wrapper over [`Self::propagate_into`]: scales `x`
+    /// to the TX amplitude and convolves it with `h_f` over the full output
+    /// length, so a `gamma` longer than `x` also modulates the `h_f` tail.
     ///
     /// # Panics
     /// Panics if `gamma` is shorter than `x`.
@@ -115,42 +127,89 @@ impl BackscatterMedium {
             "gamma must cover the whole excitation"
         );
         let a = self.budget.tx_power().sqrt();
+        let x_scaled: Vec<Complex> = x.iter().map(|&v| v * a).collect();
+        let mut padded = x_scaled.clone();
+        padded.resize(self.out_len(x.len()), Complex::ZERO);
+        let incident = filter(&self.h_f, &padded);
+        let mut y = Vec::new();
+        self.propagate_into(
+            &x_scaled,
+            &incident,
+            gamma,
+            &mut PropagateScratch::default(),
+            &mut y,
+        );
+        y
+    }
 
-        let tail = self.h_env.len().max(self.h_f.len() + self.h_b.len());
-        let out_len = x.len() + tail;
+    /// Length of the received signal for an `n`-sample excitation: `n` plus
+    /// the longest channel tail.
+    fn out_len(&self, n: usize) -> usize {
+        n + self.h_env.len().max(self.h_f.len() + self.h_b.len())
+    }
+
+    /// [`Self::propagate`] from the wave the tag already saw, into `y`.
+    ///
+    /// * `x_scaled` — the excitation at TX amplitude (`√P_tx · x`),
+    /// * `incident` — `h_f ∗ x_scaled`, the wave at the tag's antenna (at
+    ///   least `x_scaled.len()` samples; a longer one carries the `h_f` tail),
+    /// * `gamma` — the tag's reflection coefficient per sample (at least as
+    ///   long as `x_scaled`).
+    ///
+    /// The backscatter path modulates `incident[i]·gamma[i]` wherever both
+    /// exist, so `h_f` is convolved once per trial (by the caller, for the
+    /// tag) and the scaled excitation is never rebuilt. `y` is cleared and
+    /// refilled with `x_scaled.len()` plus the longest channel tail samples;
+    /// `scratch` holds the intermediate signals. Every buffer is overwritten before it is read,
+    /// so reusing them across trials changes no output bit.
+    ///
+    /// # Panics
+    /// Panics if `gamma` or `incident` is shorter than `x_scaled`.
+    pub fn propagate_into(
+        &mut self,
+        x_scaled: &[Complex],
+        incident: &[Complex],
+        gamma: &[Complex],
+        scratch: &mut PropagateScratch,
+        y: &mut Vec<Complex>,
+    ) {
+        let n = x_scaled.len();
+        assert!(gamma.len() >= n, "gamma must cover the whole excitation");
+        assert!(
+            incident.len() >= n,
+            "incident must cover the whole excitation"
+        );
+        let out_len = self.out_len(n);
+        let PropagateScratch { signal, back } = scratch;
 
         // Self-interference path: (a·x + n_tx) ∗ h_env.
         let tx_noise_power =
             self.budget.tx_power() * crate::budget::dbm_to_lin(self.budget.tx_noise_dbc);
-        let mut tx_sig: Vec<Complex> = x.iter().map(|&v| v * a).collect();
-        add_noise(&mut self.rng, &mut tx_sig, tx_noise_power);
-        tx_sig.resize(out_len, Complex::ZERO);
-        let mut y = filter(&self.h_env, &tx_sig);
+        signal.clear();
+        signal.reserve(out_len);
+        signal.extend_from_slice(x_scaled);
+        add_noise(&mut self.rng, signal, tx_noise_power);
+        signal.resize(out_len, Complex::ZERO);
+        filter_into(&self.h_env, signal, y);
 
-        // Backscatter path: ((a·x) ∗ h_f) · Γ ∗ h_b.
-        let mut x_padded: Vec<Complex> = x.iter().map(|&v| v * a).collect();
-        x_padded.resize(out_len, Complex::ZERO);
-        let z = filter(&self.h_f, &x_padded);
-        let mut modded: Vec<Complex> = z
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                if i < gamma.len() {
-                    v * gamma[i]
-                } else {
-                    Complex::ZERO
-                }
-            })
-            .collect();
-        modded.resize(out_len, Complex::ZERO);
-        let back = filter(&self.h_b, &modded);
-        for (a, b) in y.iter_mut().zip(&back) {
+        // Backscatter path: ((a·x) ∗ h_f) · Γ ∗ h_b, reusing the TX buffer
+        // for the modulated wave.
+        let modulated = incident.len().min(gamma.len()).min(out_len);
+        signal.clear();
+        signal.extend(
+            incident[..modulated]
+                .iter()
+                .zip(&gamma[..modulated])
+                .map(|(&v, &g)| v * g),
+        );
+        signal.resize(out_len, Complex::ZERO);
+        filter_into(&self.h_b, signal, back);
+        for (a, b) in y.iter_mut().zip(back.iter()) {
             *a += *b;
         }
 
         // Thermal noise.
-        add_noise(&mut self.rng, &mut y, self.budget.noise_power());
-        y
+        add_noise(&mut self.rng, y, self.budget.noise_power());
     }
 
     /// Propagate with the tag fully absorbing (all-zero Γ) — the environment
@@ -250,6 +309,36 @@ mod tests {
             stats::db(total) - tag_dbm > 50.0,
             "SI should dominate by >50 dB"
         );
+    }
+
+    #[test]
+    fn propagate_into_matches_propagate_with_reused_buffers() {
+        // The link's form: the tag's incident wave `h_f ∗ (a·x)` over the
+        // excitation only, Γ as long as x. Bit-identical to `propagate`,
+        // also when the scratch and output carry a longer earlier signal.
+        let budget = LinkBudget::default();
+        let a = budget.tx_power().sqrt();
+        let mut scratch = PropagateScratch::default();
+        let mut y = Vec::new();
+        for (seed, n) in [(1u64, 3000usize), (2, 700), (3, 1500)] {
+            let x = unit_tone(n);
+            let gamma: Vec<Complex> = (0..n)
+                .map(|i| Complex::exp_j(i as f64 * 0.37) * ((i / 40) % 2) as f64)
+                .collect();
+            let cfg = MediumConfig::at_distance(1.5);
+            let want = BackscatterMedium::new(budget, cfg, seed).propagate(&x, &gamma);
+            let mut m = BackscatterMedium::new(budget, cfg, seed);
+            let x_scaled: Vec<Complex> = x.iter().map(|&v| v * a).collect();
+            let incident = filter(&m.h_f, &x_scaled);
+            m.propagate_into(&x_scaled, &incident, &gamma, &mut scratch, &mut y);
+            assert_eq!(y.len(), want.len());
+            for (p, q) in y.iter().zip(&want) {
+                assert_eq!(
+                    (p.re.to_bits(), p.im.to_bits()),
+                    (q.re.to_bits(), q.im.to_bits())
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,15 +8,17 @@
 use crate::excitation::{Excitation, ExcitationConfig};
 use backfi_chan::budget::LinkBudget;
 use backfi_chan::impair::Impairments;
-use backfi_chan::medium::{BackscatterMedium, MediumConfig};
+use backfi_chan::medium::{BackscatterMedium, MediumConfig, PropagateScratch};
 use backfi_dsp::Complex;
-use backfi_reader::reader::{BackscatterReader, ReaderConfig, ReaderError};
+use backfi_reader::reader::{BackscatterReader, ReaderConfig, ReaderError, ReaderScratch};
 use backfi_reader::Timeline;
 use backfi_tag::config::TagConfig;
 use backfi_tag::energy::epb_pj;
 use backfi_tag::framer::TagFrame;
+use backfi_tag::psk::{gray_decode, hard_index};
 use backfi_tag::state::TagState;
 use backfi_tag::Tag;
+use std::cell::RefCell;
 
 /// Configuration of one link experiment.
 #[derive(Clone, Debug)]
@@ -103,6 +105,39 @@ impl LinkReport {
     }
 }
 
+/// The excitation-length buffers of one link trial, owned by a thread and
+/// reused by every [`LinkSimulator::run`] on it, so a warm trial allocates
+/// no per-sample buffer and touches no fresh pages.
+///
+/// * **Buffers.** The wave at the tag (`incident = h_f ∗ x`, convolved once
+///   and shared by the tag and the medium), the tag's reflection stream
+///   `gamma`, the received signal `rx`, the medium's two intermediate
+///   signals, and the reader's canceller stages, MRC reference and
+///   sanitized-input copy.
+/// * **Lifetime.** One per thread, built empty on the thread's first trial
+///   and sized by it (never in [`LinkSimulator::new`]). A sweep executor's
+///   scoped workers live for one pass, so their scratch does too; a
+///   long-lived thread keeps its largest trial's buffers until it exits.
+/// * **Reads.** Every buffer is cleared or resized and then fully written
+///   before it is read, so what a previous trial (of any configuration, or
+///   one that panicked half-way) left behind never reaches a result: a run
+///   on a warm scratch is bit-identical to the same seed on a fresh thread.
+/// * **Unwind.** `run` holds the borrow through a `RefCell` guard, which a
+///   panic releases while unwinding; the next trial on that thread borrows
+///   the scratch again.
+#[derive(Default)]
+struct TrialScratch {
+    incident: Vec<Complex>,
+    gamma: Vec<Complex>,
+    rx: Vec<Complex>,
+    medium: PropagateScratch,
+    reader: ReaderScratch,
+}
+
+thread_local! {
+    static TRIAL_SCRATCH: RefCell<TrialScratch> = RefCell::new(TrialScratch::default());
+}
+
 /// The composed simulator.
 ///
 /// Construction is the expensive part: the WiFi excitation (scrambler →
@@ -139,8 +174,13 @@ impl LinkSimulator {
         &self.exc
     }
 
-    /// Run one exchange with the given channel/noise/payload seed.
+    /// Run one exchange with the given channel/noise/payload seed, over this
+    /// thread's reusable trial buffers.
     pub fn run(&self, seed: u64) -> LinkReport {
+        TRIAL_SCRATCH.with(|cell| self.run_with(seed, &mut cell.borrow_mut()))
+    }
+
+    fn run_with(&self, seed: u64, scratch: &mut TrialScratch) -> LinkReport {
         let _t_trial = backfi_obs::span("link.trial");
         backfi_obs::counter_add("link.trials", 1);
         let cfg = &self.cfg;
@@ -177,20 +217,25 @@ impl LinkSimulator {
 
         let mut tag = Tag::new(cfg.excitation.tag_id, cfg.tag);
         tag.load_data(&sent);
+        let TrialScratch {
+            incident,
+            gamma,
+            rx,
+            medium: medium_scratch,
+            reader: reader_scratch,
+        } = scratch;
         let _t_react = backfi_obs::span("link.tag_react");
-        let incident = backfi_dsp::fir::filter(&medium.h_f, x_scaled);
-        let gamma = tag.react(&incident);
+        backfi_dsp::fir::filter_into(&medium.h_f, x_scaled, incident);
+        tag.react_into(incident, gamma);
         drop(_t_react);
         // Tag-timeline impairments (clock drift / desync): warp the
         // reflection-coefficient stream. `None` when both knobs are off —
         // the clean path allocates and draws nothing.
-        let gamma = match cfg.impair.warp_gamma(&gamma, seed) {
-            Some(warped) => {
-                backfi_obs::counter_add("link.impair.timeline", 1);
-                warped
-            }
-            None => gamma,
-        };
+        let warped = cfg.impair.warp_gamma(gamma, seed);
+        if warped.is_some() {
+            backfi_obs::counter_add("link.impair.timeline", 1);
+        }
+        let gamma: &[Complex] = warped.as_deref().unwrap_or(gamma);
 
         let energy_bits = (sent.len() * 8) as f64;
         let tag_energy_pj = epb_pj(&cfg.tag) * energy_bits;
@@ -214,7 +259,8 @@ impl LinkSimulator {
         }
 
         let _t_prop = backfi_obs::span("link.propagate");
-        let mut y_full = medium.propagate(&exc.samples, &gamma);
+        medium.propagate_into(x_scaled, incident, gamma, medium_scratch, rx);
+        let y_full = rx;
         drop(_t_prop);
         // Receiver-side impairments (CFO, interference bursts, saturation,
         // impulses, truncation, non-finite corruption). A no-op returning a
@@ -245,7 +291,14 @@ impl LinkSimulator {
         let timeline = Timeline::nominal(exc.detect_end, exc.samples.len(), &cfg.tag);
         let reader = BackscatterReader::new(cfg.reader);
         let _t_reader = backfi_obs::span("link.reader");
-        let decoded = reader.decode(x_scaled, y, &medium.h_env, &timeline, &cfg.tag);
+        let decoded = reader.decode_with(
+            x_scaled,
+            y,
+            &medium.h_env,
+            &timeline,
+            &cfg.tag,
+            reader_scratch,
+        );
         drop(_t_reader);
         match decoded {
             Ok(res) => {
@@ -270,16 +323,16 @@ impl LinkSimulator {
                 // Pre-FEC BER: hard-decide each received phasor and compare
                 // against the symbols the tag actually modulated.
                 let expect_syms = TagFrame::encode(&sent, &cfg.tag);
-                let bps = cfg.tag.modulation.bits_per_symbol();
+                let m = cfg.tag.modulation;
+                let bps = m.bits_per_symbol();
                 let mut raw_errs = 0usize;
                 let mut raw_bits = 0usize;
                 for (i, &idx) in expect_syms.iter().enumerate() {
                     let Some(est) = res.symbols.get(i) else { break };
-                    let got = backfi_tag::psk::phase_to_bits(cfg.tag.modulation, est.z.arg());
-                    let phase =
-                        std::f64::consts::TAU * idx as f64 / cfg.tag.modulation.order() as f64;
-                    let want = backfi_tag::psk::phase_to_bits(cfg.tag.modulation, phase);
-                    raw_errs += got.iter().zip(&want).filter(|(a, b)| a != b).count();
+                    let got = gray_decode(hard_index(m, est.z.arg()));
+                    let phase = std::f64::consts::TAU * idx as f64 / m.order() as f64;
+                    let want = gray_decode(hard_index(m, phase));
+                    raw_errs += (got ^ want).count_ones() as usize;
                     raw_bits += bps;
                 }
                 let pre_fec_ber = if raw_bits == 0 {

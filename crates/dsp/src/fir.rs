@@ -143,9 +143,10 @@ mod avx2 {
 /// AVX2 scatter-form [`filter_direct`]: identical outer structure (input
 /// scan with the zero skip, truncated tail), inner tap loop vectorized two
 /// complex lanes at a time. Bit-identical to the scalar form.
+/// `y` must be `x.len()` zeros.
 #[cfg(target_arch = "x86_64")]
-fn filter_axpy_avx2(h: &[Complex], x: &[Complex]) -> Vec<Complex> {
-    let mut y = vec![Complex::ZERO; x.len()];
+fn filter_axpy_avx2(h: &[Complex], x: &[Complex], y: &mut [Complex]) {
+    debug_assert_eq!(y.len(), x.len());
     let hs = avx2::swapped(h);
     let hp = h.as_ptr() as *const f64;
     let yp = y.as_mut_ptr() as *mut f64;
@@ -157,7 +158,6 @@ fn filter_axpy_avx2(h: &[Complex], x: &[Complex]) -> Vec<Complex> {
         // Safety: AVX2 checked by the caller; y[i..i+kmax] stays in bounds.
         unsafe { avx2::scatter_axpy(yp.add(2 * i), hp, hs.as_ptr(), kmax, xi) };
     }
-    y
 }
 
 /// Slice a full convolution down to the requested [`ConvMode`].
@@ -233,23 +233,48 @@ pub fn convolve_direct(x: &[Complex], h: &[Complex], mode: ConvMode) -> Vec<Comp
 /// operation — the convolution tail beyond the input length is dropped.
 ///
 /// Dispatches to the overlap-save FFT path for long filter×signal products,
-/// like [`convolve`].
+/// like [`convolve`]. Allocating wrapper over [`filter_into`].
 pub fn filter(h: &[Complex], x: &[Complex]) -> Vec<Complex> {
+    let mut y = Vec::new();
+    filter_into(h, x, &mut y);
+    y
+}
+
+/// [`filter`] into a caller-owned buffer: `y` is cleared and refilled with
+/// `x.len()` outputs, reusing its capacity, so a caller that keeps `y`
+/// across calls allocates nothing on the direct paths. Same dispatch and
+/// bit-identical results as [`filter`]; the FFT and planar paths (long
+/// kernels only, never a link-pipeline channel) replace `y` wholesale.
+pub fn filter_into(h: &[Complex], x: &[Complex], y: &mut Vec<Complex>) {
     assert!(!h.is_empty(), "filter: empty impulse response");
     if use_fft(x.len(), h.len()) {
-        crate::fastconv::filter_fft(h, x)
+        *y = crate::fastconv::filter_fft(h, x);
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    let axpy = crate::simd::backend() == crate::simd::Backend::Avx2 && h.len() >= AXPY_MIN_TAPS;
+    #[cfg(not(target_arch = "x86_64"))]
+    let axpy = false;
+    if !axpy && h.len() >= SOA_MIN_TAPS && x.len().saturating_mul(h.len()) >= SOA_MIN_PRODUCT {
+        // Bit-identical to filter_direct, vectorized planar form.
+        *y = crate::soa::filter_soa(h, x);
+        return;
+    }
+    if y.capacity() < x.len() {
+        // One zero-initialized allocation, which the compiler can lower to
+        // an already-zeroed one; growing an empty buffer and then filling
+        // it would write every page twice.
+        *y = vec![Complex::ZERO; x.len()];
     } else {
+        y.clear();
+        y.resize(x.len(), Complex::ZERO);
+    }
+    if axpy {
+        // Bit-identical to filter_direct, vectorized scatter form.
         #[cfg(target_arch = "x86_64")]
-        if crate::simd::backend() == crate::simd::Backend::Avx2 && h.len() >= AXPY_MIN_TAPS {
-            // Bit-identical to filter_direct, vectorized scatter form.
-            return filter_axpy_avx2(h, x);
-        }
-        if h.len() >= SOA_MIN_TAPS && x.len().saturating_mul(h.len()) >= SOA_MIN_PRODUCT {
-            // Bit-identical to filter_direct, vectorized planar form.
-            crate::soa::filter_soa(h, x)
-        } else {
-            filter_direct(h, x)
-        }
+        filter_axpy_avx2(h, x, y);
+    } else {
+        filter_direct_in(h, x, y);
     }
 }
 
@@ -261,6 +286,13 @@ pub fn filter(h: &[Complex], x: &[Complex]) -> Vec<Complex> {
 pub fn filter_direct(h: &[Complex], x: &[Complex]) -> Vec<Complex> {
     assert!(!h.is_empty(), "filter: empty impulse response");
     let mut y = vec![Complex::ZERO; x.len()];
+    filter_direct_in(h, x, &mut y);
+    y
+}
+
+/// The direct scatter loop behind [`filter_direct`] and [`filter_into`];
+/// `y` must be `x.len()` zeros.
+fn filter_direct_in(h: &[Complex], x: &[Complex], y: &mut [Complex]) {
     for (i, &xi) in x.iter().enumerate() {
         if xi == Complex::ZERO {
             continue;
@@ -270,7 +302,6 @@ pub fn filter_direct(h: &[Complex], x: &[Complex]) -> Vec<Complex> {
             y[i + k] += xi * h[k];
         }
     }
-    y
 }
 
 /// A stateful streaming FIR filter.
@@ -377,6 +408,28 @@ mod tests {
 
     fn c(re: f64) -> Complex {
         Complex::real(re)
+    }
+
+    #[test]
+    fn filter_into_reuses_a_dirty_buffer_bitwise() {
+        // Every dispatch path (direct, scatter, planar, FFT) must overwrite a
+        // reused buffer completely, whether it is longer or shorter.
+        let mut rng = crate::rng::SplitMix64::new(0x51);
+        let mut y = vec![Complex::new(f64::NAN, 7.0); 9000];
+        for (taps, n) in [(2, 5000), (16, 300), (40, 4000), (64, 8192), (3, 10)] {
+            let h = crate::noise::cgauss_vec(&mut rng, taps, 1.0);
+            let mut x = crate::noise::cgauss_vec(&mut rng, n, 1.0);
+            x[n / 2] = Complex::ZERO;
+            filter_into(&h, &x, &mut y);
+            let want = filter(&h, &x);
+            assert_eq!(y.len(), want.len());
+            for (a, b) in y.iter().zip(&want) {
+                assert_eq!(
+                    (a.re.to_bits(), a.im.to_bits()),
+                    (b.re.to_bits(), b.im.to_bits())
+                );
+            }
+        }
     }
 
     #[test]

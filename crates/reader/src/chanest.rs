@@ -10,7 +10,7 @@
 
 use backfi_dsp::us_to_samples;
 use backfi_dsp::Complex;
-use backfi_sic::estimator::{estimate_fir_masked, residual_power};
+use backfi_sic::estimator::{estimate_fir_masked, residual_power_with};
 use backfi_tag::framer::{TagFrame, PREAMBLE_CHIP_US};
 
 /// Result of channel estimation.
@@ -63,6 +63,11 @@ pub fn estimate_h_fb(
     let per_chip = us_to_samples(PREAMBLE_CHIP_US);
     let n = chips.len();
 
+    // Mask: a sample is valid when its whole taps-history sits in one chip.
+    let mask: Vec<bool> = (0..n).map(|i| i % per_chip >= taps - 1).collect();
+    // Per-offset buffers, refilled for every candidate window.
+    let mut u: Vec<Complex> = Vec::new();
+    let mut model = Vec::new();
     let mut best: Option<ChannelEstimate> = None;
     for &off in search {
         let start = nominal_start as isize + off;
@@ -74,14 +79,13 @@ pub fn estimate_h_fb(
             continue;
         }
         // Reference u = x·c over the candidate window.
-        let u: Vec<Complex> = (0..n).map(|i| x[start + i].scale(chips[i])).collect();
+        u.clear();
+        u.extend((0..n).map(|i| x[start + i].scale(chips[i])));
         let yw = &y[start..start + n];
-        // Mask: a sample is valid when its whole taps-history sits in one chip.
-        let mask: Vec<bool> = (0..n).map(|i| i % per_chip >= taps - 1).collect();
         let Some(h) = estimate_fir_masked(&u, yw, taps, ridge, &mask) else {
             continue;
         };
-        let res = residual_power(&u, yw, &h);
+        let res = residual_power_with(&u, yw, &h, &mut model);
         let energy: f64 = h.iter().map(|t| t.norm_sqr()).sum();
         let cand = ChannelEstimate {
             h_fb: h,

@@ -12,7 +12,7 @@ use backfi_coding::{CodeRate, ViterbiDecoder};
 use backfi_dsp::{stats, Complex};
 use backfi_tag::config::TagModulation;
 use backfi_tag::framer::{FrameError, TagFrame};
-use backfi_tag::psk::{bits_to_phase, phase_to_bits, SoftDemapper};
+use backfi_tag::psk::{hard_index, index_phase, SoftDemapper};
 
 /// Decoded link-quality metrics.
 #[derive(Clone, Debug)]
@@ -125,10 +125,7 @@ pub fn link_metrics(estimates: &[SymbolEstimate], modulation: TagModulation) -> 
     let rx: Vec<Complex> = estimates.iter().map(|e| e.z).collect();
     let ideal: Vec<Complex> = rx
         .iter()
-        .map(|z| {
-            let bits = phase_to_bits(modulation, z.arg());
-            Complex::exp_j(bits_to_phase(modulation, &bits))
-        })
+        .map(|z| Complex::exp_j(index_phase(modulation, hard_index(modulation, z.arg()))))
         .collect();
     LinkMetrics {
         symbol_snr_db: stats::snr_from_decisions_db(&rx, &ideal),

@@ -25,5 +25,5 @@ pub mod rate_adapt;
 pub mod reader;
 pub mod timeline;
 
-pub use reader::{BackscatterReader, ReaderConfig, ReaderError, TagDecodeResult};
+pub use reader::{BackscatterReader, ReaderConfig, ReaderError, ReaderScratch, TagDecodeResult};
 pub use timeline::Timeline;

@@ -11,7 +11,7 @@ use crate::decode::{decode_symbols, LinkMetrics};
 use crate::mrc::{mrc_symbol, zf_symbol, SymbolEstimate};
 use crate::timeline::Timeline;
 use backfi_dsp::{stats, Complex};
-use backfi_sic::{CancellerConfig, SelfInterferenceCanceller};
+use backfi_sic::{CancellerConfig, SelfInterferenceCanceller, SicScratch};
 use backfi_tag::config::TagConfig;
 use backfi_tag::framer::FrameError;
 
@@ -148,6 +148,8 @@ impl BackscatterReader {
     ///   environment response,
     /// * `timeline` — nominal protocol timeline,
     /// * `tag_cfg` — the tag's modulation/coding/symbol-rate settings.
+    ///
+    /// Allocating wrapper over [`BackscatterReader::decode_with`].
     pub fn decode(
         &self,
         x_clean: &[Complex],
@@ -156,7 +158,24 @@ impl BackscatterReader {
         timeline: &Timeline,
         tag_cfg: &TagConfig,
     ) -> Result<TagDecodeResult, ReaderError> {
-        let branch = self.demodulate(x_clean, y_rx, h_env_view, timeline, tag_cfg)?;
+        let mut scratch = ReaderScratch::default();
+        self.decode_with(x_clean, y_rx, h_env_view, timeline, tag_cfg, &mut scratch)
+    }
+
+    /// [`BackscatterReader::decode`] over reusable excitation-length buffers
+    /// (canceller stages, MRC reference, sanitized input): a caller that
+    /// decodes many packets keeps one [`ReaderScratch`] and allocates none
+    /// of them after the first packet. Bit-identical to `decode`.
+    pub fn decode_with(
+        &self,
+        x_clean: &[Complex],
+        y_rx: &[Complex],
+        h_env_view: &[Complex],
+        timeline: &Timeline,
+        tag_cfg: &TagConfig,
+        scratch: &mut ReaderScratch,
+    ) -> Result<TagDecodeResult, ReaderError> {
+        let branch = self.demodulate(x_clean, y_rx, h_env_view, timeline, tag_cfg, scratch)?;
         Ok(self.finish(branch, tag_cfg))
     }
 
@@ -182,9 +201,12 @@ impl BackscatterReader {
     ) -> Result<TagDecodeResult, ReaderError> {
         assert!(!antennas.is_empty(), "need at least one antenna");
         let mut branches = Vec::new();
+        let mut scratch = ReaderScratch::default();
         for (y_rx, h_env_view) in antennas {
             // A branch may individually fail (deep fade); keep the others.
-            if let Ok(b) = self.demodulate(x_clean, y_rx, h_env_view, timeline, tag_cfg) {
+            if let Ok(b) =
+                self.demodulate(x_clean, y_rx, h_env_view, timeline, tag_cfg, &mut scratch)
+            {
                 branches.push(b);
             }
         }
@@ -240,8 +262,14 @@ impl BackscatterReader {
         h_env_view: &[Complex],
         timeline: &Timeline,
         tag_cfg: &TagConfig,
+        scratch: &mut ReaderScratch,
     ) -> Result<Branch, ReaderError> {
         assert_eq!(x_clean.len(), y_rx.len(), "length mismatch");
+        let ReaderScratch {
+            sic,
+            reference,
+            sanitized,
+        } = scratch;
 
         // --- Stage 0: input validation / sanitization -------------------
         // The reader's own reference and the analog canceller's view must be
@@ -262,15 +290,17 @@ impl BackscatterReader {
         if bad_rx.len() * 2 > y_rx.len() {
             return Err(count_err(ReaderError::InvalidInput));
         }
-        let sanitized: Option<Vec<Complex>> = (!bad_rx.is_empty()).then(|| {
+        let y_rx: &[Complex] = if bad_rx.is_empty() {
+            y_rx
+        } else {
             backfi_obs::counter_add("reader.nonfinite_rx", bad_rx.len() as u64);
-            let mut y = y_rx.to_vec();
+            sanitized.clear();
+            sanitized.extend_from_slice(y_rx);
             for &i in &bad_rx {
-                y[i] = Complex::ZERO;
+                sanitized[i] = Complex::ZERO;
             }
-            y
-        });
-        let y_rx: &[Complex] = sanitized.as_deref().unwrap_or(y_rx);
+            sanitized
+        };
 
         // --- Stage 1+2: self-interference cancellation -----------------
         // Degradation ladder rung 1: if the residual diverges towards the
@@ -281,21 +311,37 @@ impl BackscatterReader {
         let rep = {
             let _t = backfi_obs::span("reader.sic");
             let canceller = SelfInterferenceCanceller::new(self.cfg.canceller, h_env_view);
-            match canceller.process(x_clean, y_rx, timeline.silent.clone()) {
-                Some(rep) => self
-                    .sic_retrain(&canceller, x_clean, y_rx, timeline, &rep)
-                    .unwrap_or(rep),
+            match canceller.process_with(x_clean, y_rx, timeline.silent.clone(), sic) {
+                Some(rep) => self.sic_retrain(&canceller, x_clean, y_rx, timeline, rep, sic),
                 None => {
                     backfi_obs::counter_add("reader.sic_retrain", 1);
                     let fallback = fallback_window(&timeline.silent);
                     canceller
-                        .process(x_clean, y_rx, fallback)
+                        .process_with(x_clean, y_rx, fallback, sic)
                         .ok_or_else(|| count_err(ReaderError::CancellationFailed))?
                 }
             }
         };
         backfi_obs::probe("reader.cancellation_db", rep.cancellation_db);
         backfi_obs::probe("reader.residual_db", rep.residual_db);
+        let branch =
+            self.estimate_and_combine(x_clean, &rep, &bad_rx, timeline, tag_cfg, reference);
+        sic.recycle(rep.samples);
+        branch
+    }
+
+    /// The front half after cancellation: erasure mask → `h_fb` estimation
+    /// with timing search → per-symbol MRC over `rep.samples`, with the MRC
+    /// reference built in the reusable `reference` buffer.
+    fn estimate_and_combine(
+        &self,
+        x_clean: &[Complex],
+        rep: &backfi_sic::CancellerReport,
+        bad_rx: &[usize],
+        timeline: &Timeline,
+        tag_cfg: &TagConfig,
+        reference: &mut Vec<Complex>,
+    ) -> Result<Branch, ReaderError> {
         let noise_power = stats::undb(rep.residual_db);
 
         // Erasure mask: non-finite input positions plus the ADC's *long*
@@ -312,8 +358,8 @@ impl BackscatterReader {
             if bad_rx.is_empty() && clip.is_empty() {
                 None
             } else {
-                let mut flags = vec![0u32; y_rx.len() + 1];
-                for &i in &bad_rx {
+                let mut flags = vec![0u32; rep.samples.len() + 1];
+                for &i in bad_rx {
                     flags[i] = 1;
                 }
                 for r in clip {
@@ -331,7 +377,7 @@ impl BackscatterReader {
                 Some(flags)
             }
         };
-        let y = rep.samples;
+        let y = &rep.samples;
 
         // --- Stage 3: h_fb estimation with timing search ----------------
         // Degradation ladder rung 2: when no nominal offset yields an
@@ -349,7 +395,7 @@ impl BackscatterReader {
             }
             let nominal = estimate_h_fb(
                 x_clean,
-                &y,
+                y,
                 timeline.preamble.start,
                 tag_cfg.preamble_us,
                 self.cfg.fb_taps,
@@ -370,7 +416,7 @@ impl BackscatterReader {
                     }
                     estimate_h_fb(
                         x_clean,
-                        &y,
+                        y,
                         timeline.preamble.start,
                         tag_cfg.preamble_us,
                         self.cfg.fb_taps,
@@ -388,7 +434,7 @@ impl BackscatterReader {
         // (saturated/non-finite) samples become erasures — zero LLRs into
         // the soft Viterbi — instead of confident wrong decisions.
         let _t_mrc = backfi_obs::span("reader.mrc");
-        let reference = backfi_dsp::fir::filter(&est.h_fb, x_clean);
+        backfi_dsp::fir::filter_into(&est.h_fb, x_clean, reference);
         let sps = tag_cfg.samples_per_symbol();
         let nsym = timeline.payload.len() / sps;
         if nsym == 0 {
@@ -462,14 +508,15 @@ impl BackscatterReader {
         x_clean: &[Complex],
         y_rx: &[Complex],
         timeline: &Timeline,
-        rep: &backfi_sic::CancellerReport,
-    ) -> Option<backfi_sic::CancellerReport> {
+        rep: backfi_sic::CancellerReport,
+        sic: &mut SicScratch,
+    ) -> backfi_sic::CancellerReport {
         const DIVERGENCE_DB: f64 = 6.0;
         let silent = &timeline.silent;
         let q = silent.len() / 4;
         let head_start = silent.start + self.cfg.canceller.digital_taps;
         if q == 0 || head_start + q > silent.end - q {
-            return None;
+            return rep;
         }
         let tail = (silent.end - q)..silent.end;
         // SIMD-routed power scans: `mean_power_auto` folds in order below
@@ -482,14 +529,22 @@ impl BackscatterReader {
             &rep.samples[tail.clone()],
         ));
         if !tail_db.is_finite() || !head_db.is_finite() || tail_db <= head_db + DIVERGENCE_DB {
-            return None;
+            return rep;
         }
         backfi_obs::counter_add("reader.sic_retrain", 1);
         let _t = backfi_obs::span("reader.retrain");
         backfi_obs::trace::instant_arg("reader.retrain", "tail_minus_head_db", tail_db - head_db);
-        let rep2 = canceller.process(x_clean, y_rx, fallback_window(silent))?;
+        let Some(rep2) = canceller.process_with(x_clean, y_rx, fallback_window(silent), sic) else {
+            return rep;
+        };
         let tail2_db = stats::db(backfi_dsp::simd::mean_power_auto(&rep2.samples[tail]));
-        (tail2_db < tail_db).then_some(rep2)
+        let (keep, spare) = if tail2_db < tail_db {
+            (rep2, rep)
+        } else {
+            (rep, rep2)
+        };
+        sic.recycle(spare.samples);
+        keep
     }
 
     /// Shared back half: pilot phase anchor → decision-directed phase
@@ -527,9 +582,8 @@ impl BackscatterReader {
         {
             let mut acc = Complex::ZERO;
             for s in symbols.iter() {
-                let bits = backfi_tag::psk::phase_to_bits(tag_cfg.modulation, s.z.arg());
-                let ideal =
-                    Complex::exp_j(backfi_tag::psk::bits_to_phase(tag_cfg.modulation, &bits));
+                let idx = backfi_tag::psk::hard_index(tag_cfg.modulation, s.z.arg());
+                let ideal = Complex::exp_j(backfi_tag::psk::index_phase(tag_cfg.modulation, idx));
                 // Weight by reference energy so noisy symbols count less.
                 acc += s.z * ideal.conj() * s.ref_energy;
             }
@@ -568,6 +622,18 @@ fn nan_loses_max(a: f64, b: f64) -> std::cmp::Ordering {
 /// (closest to the payload, and past any transient that corrupted the head).
 fn fallback_window(silent: &std::ops::Range<usize>) -> std::ops::Range<usize> {
     (silent.start + silent.len() / 2)..silent.end
+}
+
+/// The reader's reusable excitation-length buffers for
+/// [`BackscatterReader::decode_with`]: the canceller's stages, the MRC
+/// reference `h_fb ∗ x`, and the sanitized copy of a received stream with
+/// non-finite samples. Every buffer is cleared or fully overwritten before
+/// it is read, so a scratch carried across packets never changes a result.
+#[derive(Debug, Default)]
+pub struct ReaderScratch {
+    sic: SicScratch,
+    reference: Vec<Complex>,
+    sanitized: Vec<Complex>,
 }
 
 /// One antenna's demodulated view of the packet.

@@ -75,12 +75,29 @@ impl AnalogCanceller {
 
     /// Subtract the canceller's reconstruction of the self-interference from
     /// the received signal. `x_clean` is the transmitted baseband (the RF
-    /// coupler's copy); both slices must be the same length.
+    /// coupler's copy); both slices must be the same length. Allocating
+    /// wrapper over `cancel_into`.
     pub fn cancel(&self, x_clean: &[Complex], y_rx: &[Complex]) -> Vec<Complex> {
+        let mut out = Vec::new();
+        self.cancel_into(x_clean, y_rx, &mut out);
+        out
+    }
+
+    /// [`AnalogCanceller::cancel`] into a caller-owned buffer: the model is
+    /// filtered into `out`, then subtracted from `y_rx` in place, so no
+    /// second excitation-length buffer exists.
+    pub(crate) fn cancel_into(
+        &self,
+        x_clean: &[Complex],
+        y_rx: &[Complex],
+        out: &mut Vec<Complex>,
+    ) {
         assert_eq!(x_clean.len(), y_rx.len(), "length mismatch");
         let _t = backfi_obs::span("sic.analog.fir");
-        let model = backfi_dsp::fir::filter(&self.taps, x_clean);
-        y_rx.iter().zip(&model).map(|(y, m)| *y - *m).collect()
+        backfi_dsp::fir::filter_into(&self.taps, x_clean, out);
+        for (m, y) in out.iter_mut().zip(y_rx) {
+            *m = *y - *m;
+        }
     }
 }
 

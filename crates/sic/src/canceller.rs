@@ -88,11 +88,28 @@ impl SelfInterferenceCanceller {
     ///   (used to train the digital stage and to report residuals).
     ///
     /// Returns `None` when digital training fails (window too short).
+    /// Allocating wrapper over [`SelfInterferenceCanceller::process_with`].
     pub fn process(
         &self,
         x_clean: &[Complex],
         y_rx: &[Complex],
         silent: std::ops::Range<usize>,
+    ) -> Option<CancellerReport> {
+        self.process_with(x_clean, y_rx, silent, &mut SicScratch::default())
+    }
+
+    /// [`SelfInterferenceCanceller::process`] over reusable buffers: the
+    /// analog stage subtracts its model into `scratch`'s post-analog buffer,
+    /// the ADC quantizes that buffer in place after its clip scan, and the
+    /// digital stage subtracts into the recycled output buffer that the
+    /// report's `samples` then owns. Hand it back with
+    /// [`SicScratch::recycle`] once the report is consumed.
+    pub fn process_with(
+        &self,
+        x_clean: &[Complex],
+        y_rx: &[Complex],
+        silent: std::ops::Range<usize>,
+        scratch: &mut SicScratch,
     ) -> Option<CancellerReport> {
         assert_eq!(x_clean.len(), y_rx.len(), "length mismatch");
         assert!(silent.end <= y_rx.len(), "silent window out of range");
@@ -103,10 +120,11 @@ impl SelfInterferenceCanceller {
         let input_si_db = stats::db(backfi_dsp::simd::mean_power_auto(&y_rx[silent.clone()]));
 
         // Stage 1: analog subtraction.
-        let after_analog = {
+        let after_analog = &mut scratch.analog;
+        {
             let _t = backfi_obs::span("sic.analog");
-            self.analog.cancel(x_clean, y_rx)
-        };
+            self.analog.cancel_into(x_clean, y_rx, after_analog);
+        }
         if backfi_obs::enabled() {
             // Residual power after the analog stage alone — the Fig. 11a
             // attribution probe (how much work is left for the ADC+digital
@@ -121,21 +139,22 @@ impl SelfInterferenceCanceller {
             backfi_obs::probe("sic.input_si_db", input_si_db);
         }
 
-        // AGC + ADC.
-        let digitized = {
+        // AGC + ADC, quantizing the post-analog buffer in place.
+        let (adc_clip_fraction, clip_ranges) = {
             let _t = backfi_obs::span("sic.adc");
             // Whole-packet scan (tens of thousands of samples): deliberately
             // NOT routed through the `_auto` reduction — it would cross the
             // `SIMD_MIN_REDUCE` floor and reassociate the sum, perturbing the
             // AGC full-scale bits that downstream figures depend on.
-            let rms = stats::rms(&after_analog);
+            let rms = stats::rms(after_analog);
             let full_scale = rms * 10f64.powf(self.cfg.agc_headroom_db / 20.0);
             let adc = backfi_chan_adc(self.cfg.adc_bits, full_scale.max(1e-30));
-            let (adc_clip_fraction, clip_ranges) = adc.clip_scan(&after_analog);
+            let (adc_clip_fraction, clip_ranges) = adc.clip_scan(after_analog);
             backfi_obs::probe("sic.adc_clip_fraction", adc_clip_fraction);
-            (adc.convert(&after_analog), adc_clip_fraction, clip_ranges)
+            adc.quantize(after_analog);
+            (adc_clip_fraction, clip_ranges)
         };
-        let (digitized, adc_clip_fraction, clip_ranges) = digitized;
+        let digitized = &scratch.analog;
 
         // Stage 2: digital subtraction, trained on the silent window.
         let samples = if self.cfg.digital_enabled {
@@ -150,9 +169,11 @@ impl SelfInterferenceCanceller {
                 )?
             };
             let _t = backfi_obs::span("sic.digital.apply");
-            dig.cancel(x_clean, &digitized)
+            let mut samples = std::mem::take(&mut scratch.samples);
+            dig.cancel_into(x_clean, digitized, &mut samples);
+            samples
         } else {
-            digitized
+            std::mem::take(&mut scratch.analog)
         };
 
         let residual_db = stats::db(backfi_dsp::simd::mean_power_auto(
@@ -167,6 +188,26 @@ impl SelfInterferenceCanceller {
             clip_ranges,
             samples,
         })
+    }
+}
+
+/// The canceller's excitation-length buffers, kept by a caller that
+/// cancels many packets so each run reuses their capacity: the post-analog
+/// signal (digitized in place) and a recycled output buffer.
+#[derive(Debug, Default)]
+pub struct SicScratch {
+    analog: Vec<Complex>,
+    samples: Vec<Complex>,
+}
+
+impl SicScratch {
+    /// Return a report's `samples` buffer for the next
+    /// [`SelfInterferenceCanceller::process_with`] to overwrite; the larger
+    /// of it and the buffer already held is kept.
+    pub fn recycle(&mut self, samples: Vec<Complex>) {
+        if samples.capacity() > self.samples.capacity() {
+            self.samples = samples;
+        }
     }
 }
 
@@ -194,16 +235,15 @@ impl AdcModel {
     fn step(&self) -> f64 {
         2.0 * self.full_scale / (1u64 << self.bits) as f64
     }
-    fn convert(&self, x: &[Complex]) -> Vec<Complex> {
+    /// Quantize in place: clamp to full scale, round to the step.
+    fn quantize(&self, x: &mut [Complex]) {
         let d = self.step();
-        x.iter()
-            .map(|v| {
-                Complex::new(
-                    (v.re.clamp(-self.full_scale, self.full_scale) / d).round() * d,
-                    (v.im.clamp(-self.full_scale, self.full_scale) / d).round() * d,
-                )
-            })
-            .collect()
+        for v in x {
+            *v = Complex::new(
+                (v.re.clamp(-self.full_scale, self.full_scale) / d).round() * d,
+                (v.im.clamp(-self.full_scale, self.full_scale) / d).round() * d,
+            );
+        }
     }
     /// One pass over the samples: the clipped fraction plus the maximal runs
     /// of consecutive clipped samples.
@@ -368,6 +408,28 @@ mod tests {
             "one maximal run must cover the burst: {:?}",
             rep.clip_ranges
         );
+    }
+
+    #[test]
+    fn process_with_reused_scratch_matches_process_bitwise() {
+        let bits = |v: &[Complex]| -> Vec<(u64, u64)> {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        let mut scratch = SicScratch::default();
+        for (seed, n, analog) in [(7u64, 5000usize, true), (8, 2000, true), (9, 3000, false)] {
+            let (x, y, h_env) = scene(seed, n, 1e-9);
+            let cfg = CancellerConfig {
+                analog_enabled: analog,
+                ..Default::default()
+            };
+            let c = SelfInterferenceCanceller::new(cfg, &h_env);
+            let want = c.process(&x, &y, 0..320).unwrap();
+            let got = c.process_with(&x, &y, 0..320, &mut scratch).unwrap();
+            assert_eq!(bits(&got.samples), bits(&want.samples));
+            assert_eq!(got.residual_db.to_bits(), want.residual_db.to_bits());
+            assert_eq!(got.clip_ranges, want.clip_ranges);
+            scratch.recycle(got.samples);
+        }
     }
 
     #[test]

@@ -38,12 +38,22 @@ impl DigitalCanceller {
     }
 
     /// Subtract the reconstructed interference from `y` over the whole
-    /// packet.
+    /// packet. Allocating wrapper over `cancel_into`.
     pub fn cancel(&self, x_clean: &[Complex], y: &[Complex]) -> Vec<Complex> {
+        let mut out = Vec::new();
+        self.cancel_into(x_clean, y, &mut out);
+        out
+    }
+
+    /// [`DigitalCanceller::cancel`] into a caller-owned buffer: the model is
+    /// filtered into `out`, then subtracted from `y` in place.
+    pub(crate) fn cancel_into(&self, x_clean: &[Complex], y: &[Complex], out: &mut Vec<Complex>) {
         assert_eq!(x_clean.len(), y.len(), "length mismatch");
         let _t = backfi_obs::span("sic.digital.cancel");
-        let model = backfi_dsp::fir::filter(&self.taps, x_clean);
-        y.iter().zip(&model).map(|(a, b)| *a - *b).collect()
+        backfi_dsp::fir::filter_into(&self.taps, x_clean, out);
+        for (m, a) in out.iter_mut().zip(y) {
+            *m = *a - *m;
+        }
     }
 }
 

@@ -321,9 +321,21 @@ pub fn estimate_fir_masked_direct(
 }
 
 /// Residual power after subtracting `x ∗ h` from `y` over the region where
-/// the convolution is fully formed.
+/// the convolution is fully formed. Allocating wrapper over
+/// [`residual_power_with`].
 pub fn residual_power(x: &[Complex], y: &[Complex], h: &[Complex]) -> f64 {
-    let model = backfi_dsp::fir::filter(h, x);
+    residual_power_with(x, y, h, &mut Vec::new())
+}
+
+/// [`residual_power`] with the model `x ∗ h` built in a caller-owned
+/// buffer, so a caller scoring many candidate fits reuses one allocation.
+pub fn residual_power_with(
+    x: &[Complex],
+    y: &[Complex],
+    h: &[Complex],
+    model: &mut Vec<Complex>,
+) -> f64 {
+    backfi_dsp::fir::filter_into(h, x, model);
     let start = h.len().saturating_sub(1);
     let mut acc = 0.0;
     let mut cnt = 0usize;

@@ -27,5 +27,5 @@ pub mod digital;
 pub mod estimator;
 pub mod linalg;
 
-pub use canceller::{CancellerConfig, CancellerReport, SelfInterferenceCanceller};
+pub use canceller::{CancellerConfig, CancellerReport, SelfInterferenceCanceller, SicScratch};
 pub use estimator::{estimate_fir, estimate_fir_masked};

@@ -45,19 +45,24 @@ impl EnergyDetector {
     /// Feed incident samples; returns one bit per completed microsecond.
     /// A `true` bit means "energy above half the held peak".
     pub fn process(&mut self, incident: &[Complex]) -> Vec<bool> {
-        let mut bits = Vec::new();
-        self.pending.extend_from_slice(incident);
-        let full = self.pending.len() / SAMPLES_PER_BIT;
-        for blk in 0..full {
-            let chunk = &self.pending[blk * SAMPLES_PER_BIT..(blk + 1) * SAMPLES_PER_BIT];
-            let p: f64 = chunk.iter().map(|v| v.norm_sqr()).sum::<f64>() / SAMPLES_PER_BIT as f64;
-            // Peak hold with slow decay (~1% per µs).
-            self.peak = (self.peak * 0.99).max(p);
-            let threshold = (self.peak / 2.0).max(self.sensitivity);
-            bits.push(p >= threshold && p >= self.sensitivity);
+        incident.iter().filter_map(|&s| self.push(s)).collect()
+    }
+
+    /// Feed one incident sample; returns the comparator bit when it
+    /// completes a microsecond. The non-allocating core of
+    /// [`EnergyDetector::process`], for sample-by-sample callers.
+    pub(crate) fn push(&mut self, s: Complex) -> Option<bool> {
+        self.pending.push(s);
+        if self.pending.len() < SAMPLES_PER_BIT {
+            return None;
         }
-        self.pending.drain(..full * SAMPLES_PER_BIT);
-        bits
+        let p: f64 =
+            self.pending.iter().map(|v| v.norm_sqr()).sum::<f64>() / SAMPLES_PER_BIT as f64;
+        self.pending.clear();
+        // Peak hold with slow decay (~1% per µs).
+        self.peak = (self.peak * 0.99).max(p);
+        let threshold = (self.peak / 2.0).max(self.sensitivity);
+        Some(p >= threshold && p >= self.sensitivity)
     }
 
     /// Reset all state (new listening session).

@@ -38,22 +38,35 @@ pub fn bits_to_phase(m: TagModulation, bits: &[bool]) -> f64 {
         .iter()
         .enumerate()
         .fold(0usize, |acc, (i, &b)| acc | ((b as usize) << i));
-    let idx = gray_encode(v);
-    2.0 * std::f64::consts::PI * idx as f64 / m.order() as f64
+    index_phase(m, gray_encode(v))
 }
 
 /// Nearest-phase hard decision: returns the bits (LSB-first).
 pub fn phase_to_bits(m: TagModulation, phase: f64) -> Vec<bool> {
+    let v = gray_decode(hard_index(m, phase));
+    (0..m.bits_per_symbol())
+        .map(|i| (v >> i) & 1 == 1)
+        .collect()
+}
+
+/// Nearest-phase hard decision as a constellation (Gray) index: the point
+/// at `2π·idx/order` nearest to `phase`, wrapped into `0..order`.
+/// `gray_decode` of it is the decided bit value; NaN decides index 0.
+/// The non-allocating core of [`phase_to_bits`], for per-symbol loops.
+pub fn hard_index(m: TagModulation, phase: f64) -> usize {
     let order = m.order() as f64;
     let step = 2.0 * std::f64::consts::PI / order;
     let mut idx = (phase / step).round() as i64 % m.order() as i64;
     if idx < 0 {
         idx += m.order() as i64;
     }
-    let v = gray_decode(idx as usize);
-    (0..m.bits_per_symbol())
-        .map(|i| (v >> i) & 1 == 1)
-        .collect()
+    idx as usize
+}
+
+/// The phase of constellation (Gray) index `idx`, `2π·idx/order`: the
+/// ideal point a [`hard_index`] decision refers to.
+pub fn index_phase(m: TagModulation, idx: usize) -> f64 {
+    2.0 * std::f64::consts::PI * idx as f64 / m.order() as f64
 }
 
 /// Per-bit soft metrics (max-log LLR, positive ⇒ bit 1) for a received
@@ -236,6 +249,79 @@ mod tests {
         let m = TagModulation::Qpsk;
         let bits = phase_to_bits(m, -0.1);
         assert_eq!(bits, phase_to_bits(m, 2.0 * std::f64::consts::PI - 0.1));
+    }
+
+    /// The allocating hard decision as it stood before [`hard_index`]
+    /// existed: the oracle the non-allocating helpers are pinned against.
+    fn phase_to_bits_reference(m: TagModulation, phase: f64) -> Vec<bool> {
+        let order = m.order() as f64;
+        let step = 2.0 * std::f64::consts::PI / order;
+        let mut idx = (phase / step).round() as i64 % m.order() as i64;
+        if idx < 0 {
+            idx += m.order() as i64;
+        }
+        let v = gray_decode(idx as usize);
+        (0..m.bits_per_symbol())
+            .map(|i| (v >> i) & 1 == 1)
+            .collect()
+    }
+
+    /// Companion oracle of [`phase_to_bits_reference`].
+    fn bits_to_phase_reference(m: TagModulation, bits: &[bool]) -> f64 {
+        let v = bits
+            .iter()
+            .enumerate()
+            .fold(0usize, |acc, (i, &b)| acc | ((b as usize) << i));
+        let idx = gray_encode(v);
+        2.0 * std::f64::consts::PI * idx as f64 / m.order() as f64
+    }
+
+    #[test]
+    fn hard_index_matches_allocating_decision_bitwise() {
+        use std::f64::consts::PI;
+        let adjacent = |p: f64| {
+            [
+                f64::from_bits(p.to_bits() - 1),
+                p,
+                f64::from_bits(p.to_bits() + 1),
+            ]
+        };
+        for m in TagModulation::ALL {
+            let step = 2.0 * PI / m.order() as f64;
+            let mut phases: Vec<f64> = (0..=4000)
+                .map(|i| -2.5 * PI + 5.0 * PI * i as f64 / 4000.0)
+                .collect();
+            phases.extend([PI, -PI, 0.0, -0.0, f64::NAN, -f64::NAN]);
+            // Every decision boundary (half-steps) and ideal point over two
+            // turns, with both floating-point neighbours.
+            for k in -2 * m.order() as i64..=2 * m.order() as i64 {
+                for p in [(k as f64 + 0.5) * step, k as f64 * step] {
+                    if p != 0.0 {
+                        phases.extend(adjacent(p));
+                    }
+                }
+            }
+            for phase in phases {
+                let want = phase_to_bits_reference(m, phase);
+                let idx = hard_index(m, phase);
+                assert!(idx < m.order(), "{m:?} {phase}: index {idx}");
+                let v = gray_decode(idx);
+                let got: Vec<bool> = (0..m.bits_per_symbol())
+                    .map(|i| (v >> i) & 1 == 1)
+                    .collect();
+                assert_eq!(got, want, "{m:?} phase {phase:e}");
+                assert_eq!(phase_to_bits(m, phase), want, "{m:?} phase {phase:e}");
+                assert_eq!(
+                    index_phase(m, idx).to_bits(),
+                    bits_to_phase_reference(m, &want).to_bits(),
+                    "{m:?} phase {phase:e}"
+                );
+                assert_eq!(
+                    bits_to_phase(m, &want).to_bits(),
+                    bits_to_phase_reference(m, &want).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

@@ -101,8 +101,25 @@ impl Tag {
 
     /// Feed the incident baseband samples the tag's antenna sees; returns the
     /// reflection coefficient Γ the tag applies to each of those samples.
+    /// Allocating wrapper over [`Tag::react_into`].
     pub fn react(&mut self, incident: &[Complex]) -> Vec<Complex> {
-        let mut gamma = Vec::with_capacity(incident.len());
+        let mut gamma = Vec::new();
+        self.react_into(incident, &mut gamma);
+        gamma
+    }
+
+    /// [`Tag::react`] into a caller-owned buffer: `gamma` is cleared and
+    /// refilled with one coefficient per incident sample, reusing its
+    /// capacity.
+    pub fn react_into(&mut self, incident: &[Complex], gamma: &mut Vec<Complex>) {
+        gamma.clear();
+        gamma.reserve(incident.len());
+        self.react_append(incident, gamma);
+    }
+
+    /// The state machine behind [`Tag::react_into`]: appends one
+    /// coefficient per incident sample to `gamma`.
+    fn react_append(&mut self, incident: &[Complex], gamma: &mut Vec<Complex>) {
         for chunk in ChunkIter::new(incident) {
             match self.state {
                 TagState::Sleep | TagState::Done => {
@@ -115,7 +132,7 @@ impl Tag {
                     let mut taken = 0;
                     let mut matched = false;
                     for (i, &s) in chunk.iter().enumerate() {
-                        for b in self.detector.process(std::slice::from_ref(&s)) {
+                        if let Some(b) = self.detector.push(s) {
                             if self.correlator.push(b) {
                                 matched = true;
                             }
@@ -130,7 +147,7 @@ impl Tag {
                         self.state = TagState::Silent;
                         self.cursor = us_to_samples(SILENT_US);
                         if taken < chunk.len() {
-                            gamma.extend(self.react(&chunk[taken..]));
+                            self.react_append(&chunk[taken..], gamma);
                         }
                     }
                 }
@@ -143,7 +160,7 @@ impl Tag {
                     }
                     // Feed any remaining samples of this chunk recursively.
                     if take < chunk.len() {
-                        gamma.extend(self.react(&chunk[take..]));
+                        self.react_append(&chunk[take..], gamma);
                     }
                 }
                 TagState::Preamble => {
@@ -161,7 +178,7 @@ impl Tag {
                         self.cursor = 0;
                     }
                     if taken < chunk.len() {
-                        gamma.extend(self.react(&chunk[taken..]));
+                        self.react_append(&chunk[taken..], gamma);
                     }
                 }
                 TagState::Payload => {
@@ -183,12 +200,11 @@ impl Tag {
                         self.state = TagState::Done;
                     }
                     if taken < chunk.len() {
-                        gamma.extend(self.react(&chunk[taken..]));
+                        self.react_append(&chunk[taken..], gamma);
                     }
                 }
             }
         }
-        gamma
     }
 
     /// Switch toggles so far (for energy accounting).
