@@ -7,6 +7,12 @@
 
 use crate::Complex;
 
+/// Below this signal×template product [`xcorr`] runs the AoS direct loop
+/// (the planar form pays two O(n) layout conversions); at or above it the
+/// planar [`crate::soa::xcorr_soa`]. The two are bit-identical, so this is
+/// purely a performance knob.
+const XCORR_PLANAR_MIN_PRODUCT: usize = 4096;
+
 /// Sliding cross-correlation of `x` against a shorter `template`:
 /// `r[k] = Σ_i x[k+i]·conj(template[i])` for every full-overlap lag
 /// (`x.len() − template.len() + 1` outputs).
@@ -28,7 +34,7 @@ pub fn xcorr(x: &[Complex], template: &[Complex]) -> Vec<Complex> {
         && x.len().saturating_mul(template.len()) >= crate::fir::FFT_MIN_PRODUCT
     {
         crate::fastconv::xcorr_fft(x, template)
-    } else if x.len().saturating_mul(template.len()) >= crate::fir::SOA_MIN_PRODUCT {
+    } else if x.len().saturating_mul(template.len()) >= XCORR_PLANAR_MIN_PRODUCT {
         // Bit-identical to xcorr_direct, vectorized planar form.
         crate::soa::xcorr_soa(x, template)
     } else {

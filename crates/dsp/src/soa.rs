@@ -1,10 +1,10 @@
 //! Structure-of-arrays (planar) complex kernels for the receive hot paths.
 //!
 //! The AoS `[Complex]` layout interleaves re/im in memory, which blocks the
-//! autovectorizer on the inner loops of convolution, correlation, and
-//! demapping. This module holds the same arithmetic over *planar* `&[f64]`
-//! re/im slices, where each output element is an independent elementwise
-//! expression the compiler can vectorize freely.
+//! autovectorizer on the inner loops of correlation and demapping. This
+//! module holds the same arithmetic over *planar* `&[f64]` re/im slices,
+//! where each output element is an independent elementwise expression the
+//! compiler can vectorize freely.
 //!
 //! ## Bit-exactness contract
 //!
@@ -13,7 +13,7 @@
 //! add/sub order — see the per-function docs for the reference it mirrors).
 //! Vectorization only batches independent elements, so results are
 //! bit-identical to the direct forms on every backend, and the routing in
-//! [`crate::fir`] / [`crate::correlate`] cannot perturb figure output.
+//! [`crate::correlate`] cannot perturb figure output.
 //! The `_equiv` test suites pin this with `to_bits` comparisons, including
 //! NaN/Inf/denormal lanes.
 //!
@@ -224,54 +224,6 @@ fn equalize_impl(
 }
 
 #[inline(always)]
-fn convolve_full_impl(
-    xr: &[f64],
-    xi: &[f64],
-    hr: &[f64],
-    hi: &[f64],
-    yr: &mut [f64],
-    yi: &mut [f64],
-) {
-    let m = hr.len();
-    for i in 0..xr.len() {
-        let (cr, ci) = (xr[i], xi[i]);
-        // Same zero-skip as convolve_direct's `xi == Complex::ZERO`.
-        if cr == 0.0 && ci == 0.0 {
-            continue;
-        }
-        axpy_impl(cr, ci, hr, hi, &mut yr[i..i + m], &mut yi[i..i + m]);
-    }
-}
-
-#[inline(always)]
-fn filter_body_impl(
-    hr: &[f64],
-    hi: &[f64],
-    xr: &[f64],
-    xi: &[f64],
-    yr: &mut [f64],
-    yi: &mut [f64],
-) {
-    let n = xr.len();
-    let m = hr.len();
-    for i in 0..n {
-        let (cr, ci) = (xr[i], xi[i]);
-        if cr == 0.0 && ci == 0.0 {
-            continue;
-        }
-        let kmax = m.min(n - i);
-        axpy_impl(
-            cr,
-            ci,
-            &hr[..kmax],
-            &hi[..kmax],
-            &mut yr[i..i + kmax],
-            &mut yi[i..i + kmax],
-        );
-    }
-}
-
-#[inline(always)]
 fn xcorr_body_impl(xr: &[f64], xi: &[f64], tr: &[f64], ti: &[f64], yr: &mut [f64], yi: &mut [f64]) {
     let lags = yr.len();
     for i in 0..tr.len() {
@@ -399,28 +351,6 @@ mod avx2 {
         csi: &mut [f64],
     ) {
         super::equalize_impl(sr, si, hr, hi, dre, dim, or, oi, csi)
-    }
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn convolve_full(
-        xr: &[f64],
-        xi: &[f64],
-        hr: &[f64],
-        hi: &[f64],
-        yr: &mut [f64],
-        yi: &mut [f64],
-    ) {
-        super::convolve_full_impl(xr, xi, hr, hi, yr, yi)
-    }
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn filter_body(
-        hr: &[f64],
-        hi: &[f64],
-        xr: &[f64],
-        xi: &[f64],
-        yr: &mut [f64],
-        yi: &mut [f64],
-    ) {
-        super::filter_body_impl(hr, hi, xr, xi, yr, yi)
     }
     #[target_feature(enable = "avx2")]
     pub unsafe fn xcorr_body(
@@ -764,58 +694,6 @@ pub fn equalize_planar(
     )
 }
 
-/// Planar full linear convolution (`x.len() + h.len() − 1` outputs),
-/// bit-identical to [`crate::fir::convolve_direct`] in `Full` mode.
-///
-/// # Panics
-/// Panics if either input is empty.
-pub fn convolve_full_planar(
-    xr: &[f64],
-    xi: &[f64],
-    hr: &[f64],
-    hi: &[f64],
-) -> (Vec<f64>, Vec<f64>) {
-    assert!(!xr.is_empty() && !hr.is_empty(), "convolve: empty input");
-    assert!(
-        xr.len() == xi.len() && hr.len() == hi.len(),
-        "convolve_full_planar: re/im length mismatch"
-    );
-    let out_len = xr.len() + hr.len() - 1;
-    let mut yr = vec![0.0; out_len];
-    let mut yi = vec![0.0; out_len];
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2 presence established by runtime detection.
-        unsafe { avx2::convolve_full(xr, xi, hr, hi, &mut yr, &mut yi) };
-        return (yr, yi);
-    }
-    convolve_full_impl(xr, xi, hr, hi, &mut yr, &mut yi);
-    (yr, yi)
-}
-
-/// Planar causal FIR (`x.len()` outputs), bit-identical to
-/// [`crate::fir::filter_direct`].
-///
-/// # Panics
-/// Panics if `h` is empty.
-pub fn filter_planar(hr: &[f64], hi: &[f64], xr: &[f64], xi: &[f64]) -> (Vec<f64>, Vec<f64>) {
-    assert!(!hr.is_empty(), "filter: empty impulse response");
-    assert!(
-        xr.len() == xi.len() && hr.len() == hi.len(),
-        "filter_planar: re/im length mismatch"
-    );
-    let mut yr = vec![0.0; xr.len()];
-    let mut yi = vec![0.0; xr.len()];
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2 presence established by runtime detection.
-        unsafe { avx2::filter_body(hr, hi, xr, xi, &mut yr, &mut yi) };
-        return (yr, yi);
-    }
-    filter_body_impl(hr, hi, xr, xi, &mut yr, &mut yi);
-    (yr, yi)
-}
-
 /// Planar sliding cross-correlation (`x.len() − t.len() + 1` lags),
 /// bit-identical to [`crate::correlate::xcorr_direct`]: per lag, the
 /// template sum runs in template order; across lags the update is
@@ -844,31 +722,6 @@ pub fn xcorr_planar(xr: &[f64], xi: &[f64], tr: &[f64], ti: &[f64]) -> (Vec<f64>
 }
 
 // ----------------------------------------------------------- AoS wrappers --
-
-/// AoS-in/AoS-out wrapper over [`convolve_full_planar`] (splits, runs the
-/// planar kernel, merges). Bit-identical to
-/// [`crate::fir::convolve_direct`] in `Full` mode.
-///
-/// # Panics
-/// Panics if either input is empty.
-pub fn convolve_full_soa(x: &[Complex], h: &[Complex]) -> Vec<Complex> {
-    let (xr, xi) = split(x);
-    let (hr, hi) = split(h);
-    let (yr, yi) = convolve_full_planar(&xr, &xi, &hr, &hi);
-    merge(&yr, &yi)
-}
-
-/// AoS-in/AoS-out wrapper over [`filter_planar`]. Bit-identical to
-/// [`crate::fir::filter_direct`].
-///
-/// # Panics
-/// Panics if `h` is empty.
-pub fn filter_soa(h: &[Complex], x: &[Complex]) -> Vec<Complex> {
-    let (hr, hi) = split(h);
-    let (xr, xi) = split(x);
-    let (yr, yi) = filter_planar(&hr, &hi, &xr, &xi);
-    merge(&yr, &yi)
-}
 
 /// AoS-in/AoS-out wrapper over [`xcorr_planar`]. Bit-identical to
 /// [`crate::correlate::xcorr_direct`].
@@ -1076,29 +929,40 @@ mod tests {
 
     #[test]
     fn convolve_filter_xcorr_equiv_direct() {
+        // The `fir` dispatchers run with hostile taps (the scalar fallback)
+        // and finite taps (the gather kernel) next to the planar xcorr.
         use crate::correlate::xcorr_direct;
-        use crate::fir::{convolve_direct, filter_direct, ConvMode};
+        use crate::fir::{convolve, convolve_direct, filter, filter_direct, ConvMode};
         for (n, m) in [(9usize, 3usize), (50, 7), (129, 31), (300, 28)] {
             let x = hostile(100 + n as u64, n);
-            let h = hostile(200 + m as u64, m);
+            let hostile_h = hostile(200 + m as u64, m);
+            let finite_h = cgauss_vec(&mut SplitMix64::new(250 + m as u64), m, 1.0);
+            for h in [&hostile_h, &finite_h] {
+                assert_bits_eq(
+                    &convolve(&x, h, ConvMode::Full),
+                    &convolve_direct(&x, h, ConvMode::Full),
+                    "convolve",
+                );
+                assert_bits_eq(&filter(h, &x), &filter_direct(h, &x), "filter");
+            }
             assert_bits_eq(
-                &convolve_full_soa(&x, &h),
-                &convolve_direct(&x, &h, ConvMode::Full),
-                "convolve",
+                &xcorr_soa(&x, &hostile_h),
+                &xcorr_direct(&x, &hostile_h),
+                "xcorr",
             );
-            assert_bits_eq(&filter_soa(&h, &x), &filter_direct(&h, &x), "filter");
-            assert_bits_eq(&xcorr_soa(&x, &h), &xcorr_direct(&x, &h), "xcorr");
         }
     }
 
     #[test]
     fn forced_scalar_matches_native_bitwise() {
+        use crate::fir::{convolve, ConvMode};
         let x = hostile(300, 257);
         let h = hostile(301, 29);
-        let native = convolve_full_soa(&x, &h);
+        let finite_h = cgauss_vec(&mut SplitMix64::new(302), 29, 1.0);
+        let native = convolve(&x, &finite_h, ConvMode::Full);
         let native_x = xcorr_soa(&x, &h);
         force_scalar(true);
-        let scalar = convolve_full_soa(&x, &h);
+        let scalar = convolve(&x, &finite_h, ConvMode::Full);
         let scalar_x = xcorr_soa(&x, &h);
         force_scalar(false);
         assert_bits_eq(&native, &scalar, "convolve scalar-vs-native");
