@@ -70,17 +70,6 @@ impl EnvironmentProfile {
         }
         h
     }
-
-    /// The fraction of `h_env` energy beyond the first `k` taps — the
-    /// undermodelling floor a `k`-tap canceller cannot remove.
-    pub fn tail_energy_fraction(h_env: &[Complex], k: usize) -> f64 {
-        let total: f64 = h_env.iter().map(|t| t.norm_sqr()).sum();
-        if total == 0.0 || k >= h_env.len() {
-            return 0.0;
-        }
-        let tail: f64 = h_env[k..].iter().map(|t| t.norm_sqr()).sum();
-        tail / total
-    }
 }
 
 #[cfg(test)]
@@ -115,20 +104,6 @@ mod tests {
             (mean / expect - 1.0).abs() < 0.1,
             "mean {mean} expect {expect}"
         );
-    }
-
-    #[test]
-    fn tail_energy_decreases_with_k() {
-        let mut rng = SplitMix64::new(3);
-        let budget = LinkBudget::default();
-        let h = EnvironmentProfile::default().realize(&budget, &mut rng);
-        let mut prev = 1.0;
-        for k in [1usize, 4, 8, 16, 24] {
-            let frac = EnvironmentProfile::tail_energy_fraction(&h, k);
-            assert!(frac <= prev + 1e-12, "k={k}");
-            prev = frac;
-        }
-        assert_eq!(EnvironmentProfile::tail_energy_fraction(&h, 24), 0.0);
     }
 
     #[test]

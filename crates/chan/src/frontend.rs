@@ -4,10 +4,12 @@
 //! the ADC: "Analog cancellation is necessary to ensure that the receiver's
 //! ADC is not saturated by self-interference which would drown out the weak
 //! backscatter signal before being received in baseband." This module models
-//! that constraint — a finite-resolution, finite-full-scale converter — so
-//! the ablation benches can show what happens without the analog stage.
+//! that constraint — a finite-resolution, finite-full-scale converter. The
+//! self-interference canceller digitizes the post-analog signal with it, at
+//! a full scale set by its AGC.
 
 use backfi_dsp::Complex;
+use std::ops::Range;
 
 /// A complex ADC pair (I and Q converters).
 #[derive(Clone, Copy, Debug)]
@@ -41,38 +43,37 @@ impl Adc {
         2.0 * d * d / 12.0
     }
 
-    /// Dynamic range in dB (6.02 dB per bit).
-    pub fn dynamic_range_db(&self) -> f64 {
-        6.02 * self.bits as f64
-    }
-
-    /// Convert one sample: clip to full scale, then round to the grid.
-    pub fn sample(&self, x: Complex) -> Complex {
-        Complex::new(self.axis(x.re), self.axis(x.im))
-    }
-
-    /// Convert a block.
-    pub fn convert(&self, x: &[Complex]) -> Vec<Complex> {
-        x.iter().map(|&v| self.sample(v)).collect()
-    }
-
-    /// Fraction of samples in a block that hit the rails (saturation
-    /// indicator — a real AGC would watch this).
-    pub fn clip_fraction(&self, x: &[Complex]) -> f64 {
-        if x.is_empty() {
-            return 0.0;
-        }
-        let n = x
-            .iter()
-            .filter(|v| v.re.abs() >= self.full_scale || v.im.abs() >= self.full_scale)
-            .count();
-        n as f64 / x.len() as f64
-    }
-
-    fn axis(&self, v: f64) -> f64 {
-        let clipped = v.clamp(-self.full_scale, self.full_scale);
+    /// Convert a block in place: clip each axis to full scale, then round to
+    /// the quantization grid.
+    pub fn quantize(&self, x: &mut [Complex]) {
         let d = self.step();
-        (clipped / d).round() * d
+        for v in x {
+            *v = Complex::new(
+                (v.re.clamp(-self.full_scale, self.full_scale) / d).round() * d,
+                (v.im.clamp(-self.full_scale, self.full_scale) / d).round() * d,
+            );
+        }
+    }
+
+    /// One pass over a block: the fraction of samples that hit the rails
+    /// (the saturation indicator an AGC watches) plus the maximal runs of
+    /// consecutive clipped samples.
+    pub fn clip_scan(&self, x: &[Complex]) -> (f64, Vec<Range<usize>>) {
+        if x.is_empty() {
+            return (0.0, Vec::new());
+        }
+        let mut ranges: Vec<Range<usize>> = Vec::new();
+        let mut clipped = 0usize;
+        for (i, v) in x.iter().enumerate() {
+            if v.re.abs() >= self.full_scale || v.im.abs() >= self.full_scale {
+                clipped += 1;
+                match ranges.last_mut() {
+                    Some(r) if r.end == i => r.end = i + 1,
+                    _ => ranges.push(i..i + 1),
+                }
+            }
+        }
+        (clipped as f64 / x.len() as f64, ranges)
     }
 }
 
@@ -90,8 +91,9 @@ mod tests {
             full_scale: 1.0,
         };
         let x = Complex::new(0.5, -0.25);
-        let y = adc.sample(x);
-        assert!((x - y).abs() < adc.step());
+        let mut y = [x];
+        adc.quantize(&mut y);
+        assert!((x - y[0]).abs() < adc.step());
     }
 
     #[test]
@@ -100,9 +102,10 @@ mod tests {
             bits: 12,
             full_scale: 1.0,
         };
-        let y = adc.sample(Complex::new(5.0, -7.0));
-        assert!((y.re - 1.0).abs() < 1e-9);
-        assert!((y.im + 1.0).abs() < 1e-9);
+        let mut y = [Complex::new(5.0, -7.0)];
+        adc.quantize(&mut y);
+        assert!((y[0].re - 1.0).abs() < 1e-9);
+        assert!((y[0].im + 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -114,7 +117,8 @@ mod tests {
         let mut rng = SplitMix64::new(1);
         // Uniform-ish complex signal well inside full scale.
         let x = cgauss_vec(&mut rng, 100_000, 0.05);
-        let y = adc.convert(&x);
+        let mut y = x.clone();
+        adc.quantize(&mut y);
         let err: Vec<Complex> = x.iter().zip(&y).map(|(a, b)| *a - *b).collect();
         let measured = mean_power(&err);
         let model = adc.quantization_noise_power();
@@ -131,9 +135,15 @@ mod tests {
             full_scale: 0.1,
         };
         let quiet = vec![Complex::new(0.01, 0.0); 100];
-        assert_eq!(adc.clip_fraction(&quiet), 0.0);
+        assert_eq!(adc.clip_scan(&quiet), (0.0, Vec::new()));
         let loud = vec![Complex::new(1.0, 0.0); 100];
-        assert!((adc.clip_fraction(&loud) - 1.0).abs() < 1e-12);
+        let (fraction, ranges) = adc.clip_scan(&loud);
+        assert!((fraction - 1.0).abs() < 1e-12);
+        assert_eq!(ranges, vec![0..100]);
+        let mut bursts = quiet.clone();
+        bursts[3] = Complex::new(0.0, -0.2);
+        bursts[10..13].fill(Complex::new(0.5, 0.0));
+        assert_eq!(adc.clip_scan(&bursts), (0.04, vec![3..4, 10..13]));
     }
 
     #[test]
@@ -142,15 +152,6 @@ mod tests {
         // saturates a converter scaled for microwatt residues.
         let adc = Adc::default();
         let si = vec![Complex::new(0.7, 0.7); 64]; // ~0 dBm leakage
-        assert!(adc.clip_fraction(&si) > 0.99);
-    }
-
-    #[test]
-    fn dynamic_range() {
-        let adc = Adc {
-            bits: 12,
-            full_scale: 1.0,
-        };
-        assert!((adc.dynamic_range_db() - 72.24).abs() < 0.01);
+        assert!(adc.clip_scan(&si).0 > 0.99);
     }
 }

@@ -14,8 +14,8 @@
 //! * [`multipath`] — tapped-delay-line Rayleigh/Rician channel realizations,
 //! * [`environment`] — the self-interference channel `h_env` (circulator
 //!   leakage + environmental reflections with a long tail),
-//! * [`frontend`] — receiver front end: thermal noise, ADC quantization and
-//!   saturation,
+//! * [`frontend`] — the receiver ADC (quantization and saturation) that the
+//!   self-interference canceller digitizes with,
 //! * [`impair`] — deterministic, seeded off-nominal impairment injection
 //!   (clock drift, CFO, interference bursts, saturation transients,
 //!   impulsive noise, truncated/corrupted streams), all off by default,

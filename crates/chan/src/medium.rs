@@ -212,13 +212,6 @@ impl BackscatterMedium {
         add_noise(&mut self.rng, y, self.budget.noise_power());
     }
 
-    /// Propagate with the tag fully absorbing (all-zero Γ) — the environment
-    /// alone. Used by ablation experiments.
-    pub fn propagate_silent(&mut self, x: &[Complex]) -> Vec<Complex> {
-        let gamma = vec![Complex::ZERO; x.len()];
-        self.propagate(x, &gamma)
-    }
-
     /// The link budget this medium was built with.
     pub fn budget(&self) -> &LinkBudget {
         &self.budget
@@ -243,7 +236,8 @@ mod tests {
         let budget = LinkBudget::default();
         let mut m = BackscatterMedium::new(budget, MediumConfig::at_distance(1.0), 7);
         let x = unit_tone(2000);
-        let y = m.propagate_silent(&x);
+        // A fully absorbing tag (all-zero Γ): the environment alone.
+        let y = m.propagate(&x, &vec![Complex::ZERO; x.len()]);
         // Received power ≈ TX power × |h_env|² (leakage dominates).
         let e_env: f64 = m.h_env.iter().map(|t| t.norm_sqr()).sum();
         let expect = budget.tx_power() * e_env;
@@ -266,7 +260,7 @@ mod tests {
             let with_tag = m.propagate(&x, &gamma);
             // Rebuild the same medium to get identical noise, then subtract.
             let mut m2 = BackscatterMedium::new(budget, MediumConfig::at_distance(d), seed);
-            let silent = m2.propagate_silent(&x);
+            let silent = m2.propagate(&x, &vec![Complex::ZERO; x.len()]);
             let tag_only: Vec<Complex> =
                 with_tag.iter().zip(&silent).map(|(a, b)| *a - *b).collect();
             acc += stats::mean_power(&tag_only[..x.len()]);

@@ -32,22 +32,6 @@ pub fn bits_to_bytes_lsb(bits: &[bool]) -> Vec<u8> {
         .collect()
 }
 
-/// Unpack a `u32` into `n` bits, LSB first.
-pub fn u32_to_bits_lsb(v: u32, n: usize) -> Vec<bool> {
-    (0..n).map(|i| (v >> i) & 1 == 1).collect()
-}
-
-/// Pack up to 32 bits (LSB first) into a `u32`.
-///
-/// # Panics
-/// Panics if more than 32 bits are supplied.
-pub fn bits_to_u32_lsb(bits: &[bool]) -> u32 {
-    assert!(bits.len() <= 32, "too many bits for u32");
-    bits.iter()
-        .enumerate()
-        .fold(0u32, |acc, (i, &b)| acc | ((b as u32) << i))
-}
-
 /// Count positions where two bit slices differ (Hamming distance).
 ///
 /// # Panics
@@ -85,14 +69,6 @@ mod tests {
         let bits = bytes_to_bits_lsb(&[0b0000_0001]);
         assert!(bits[0]);
         assert!(bits[1..].iter().all(|b| !b));
-    }
-
-    #[test]
-    fn u32_roundtrip() {
-        for v in [0u32, 1, 0xDEAD, 0xFFFF_FFFF] {
-            assert_eq!(bits_to_u32_lsb(&u32_to_bits_lsb(v, 32)), v);
-        }
-        assert_eq!(bits_to_u32_lsb(&u32_to_bits_lsb(0b101, 3)), 5);
     }
 
     #[test]

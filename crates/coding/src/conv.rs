@@ -51,11 +51,6 @@ impl ConvEncoder {
         }
     }
 
-    /// Constraint length.
-    pub fn constraint_length(&self) -> usize {
-        self.k
-    }
-
     /// Number of memory bits (`k − 1`).
     pub fn memory(&self) -> usize {
         self.k - 1

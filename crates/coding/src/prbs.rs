@@ -95,23 +95,6 @@ pub fn tag_preamble(tag_id: u16) -> Vec<bool> {
     Lfsr::maximal(15, seed.max(1)).bits(16)
 }
 
-/// A ±1 m-sequence of length `2^degree − 1` as `f64` chips, for preambles
-/// needing sharp autocorrelation.
-pub fn msequence_chips(degree: u32, seed: u32) -> Vec<f64> {
-    let mut l = Lfsr::maximal(degree, seed);
-    let period = l.period();
-    l.bits(period)
-        .into_iter()
-        .map(|b| if b { 1.0 } else { -1.0 })
-        .collect()
-}
-
-/// Periodic autocorrelation of a ±1 chip sequence at integer lag.
-pub fn periodic_autocorr(chips: &[f64], lag: usize) -> f64 {
-    let n = chips.len();
-    (0..n).map(|i| chips[i] * chips[(i + lag) % n]).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,14 +128,19 @@ mod tests {
 
     #[test]
     fn two_valued_autocorrelation() {
-        let chips = msequence_chips(6, 1);
-        let n = chips.len() as f64;
-        assert!((periodic_autocorr(&chips, 0) - n).abs() < 1e-12);
-        for lag in 1..chips.len() {
-            assert!(
-                (periodic_autocorr(&chips, lag) + 1.0).abs() < 1e-12,
-                "lag {lag}"
-            );
+        let mut l = Lfsr::maximal(6, 1);
+        let period = l.period();
+        let chips: Vec<i32> = l
+            .bits(period)
+            .iter()
+            .map(|&b| if b { 1 } else { -1 })
+            .collect();
+        let n = chips.len();
+        let autocorr =
+            |lag: usize| -> i32 { (0..n).map(|i| chips[i] * chips[(i + lag) % n]).sum() };
+        assert_eq!(autocorr(0), n as i32);
+        for lag in 1..n {
+            assert_eq!(autocorr(lag), -1, "lag {lag}");
         }
     }
 

@@ -62,13 +62,6 @@ impl CodeRate {
             CodeRate::ThreeQuarters => &[true, true, true, false, false, true],
         }
     }
-
-    /// Number of on-air coded bits produced for `info_bits` information bits
-    /// (excluding any tail).
-    pub fn coded_len(self, info_bits: usize) -> usize {
-        // ceil(info_bits * n / k)
-        (info_bits * self.n()).div_ceil(self.k())
-    }
 }
 
 /// Delete bits from a rate-1/2 coded stream according to the rate's pattern.
@@ -120,26 +113,6 @@ pub fn depuncture_soft(punctured: &[f64], rate: CodeRate, mother_len: usize) -> 
     out
 }
 
-/// Hard-decision counterpart of [`depuncture_soft`]: erasures are returned as
-/// `None`.
-pub fn depuncture_hard(punctured: &[bool], rate: CodeRate, mother_len: usize) -> Vec<Option<bool>> {
-    let pat = rate.pattern();
-    let mut out = Vec::with_capacity(mother_len);
-    let mut src = punctured.iter();
-    for i in 0..mother_len {
-        if pat[i % pat.len()] {
-            out.push(Some(*src.next().expect("punctured stream too short")));
-        } else {
-            out.push(None);
-        }
-    }
-    assert!(
-        src.next().is_none(),
-        "punctured stream too long for mother_len"
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,16 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn coded_len_consistency() {
-        for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
-            // pick info lengths divisible by the period
-            let info = 12;
-            let mother = vec![false; info * 2];
-            assert_eq!(puncture(&mother, rate).len(), rate.coded_len(info));
-        }
-    }
-
-    #[test]
     fn depuncture_restores_positions() {
         let mother: Vec<bool> = (0..24).map(|i| i % 3 == 0).collect();
         for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
@@ -185,19 +148,6 @@ mod tests {
                 } else {
                     assert_eq!(*v, 0.0, "erasure {i}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn depuncture_hard_matches_soft() {
-        let mother: Vec<bool> = (0..12).map(|i| i % 2 == 0).collect();
-        let tx = puncture(&mother, CodeRate::TwoThirds);
-        let hard = depuncture_hard(&tx, CodeRate::TwoThirds, 12);
-        assert_eq!(hard.iter().filter(|v| v.is_none()).count(), 3);
-        for (i, v) in hard.iter().enumerate() {
-            if let Some(b) = v {
-                assert_eq!(*b, mother[i]);
             }
         }
     }

@@ -6,6 +6,8 @@
 //! depuncturing carry zero metric and cost nothing either way.
 
 use crate::puncture::{depuncture_soft, CodeRate};
+#[cfg(target_arch = "x86_64")]
+use backfi_dsp::simd::{backend, Backend};
 
 /// Precomputed trellis for a rate-1/2 code.
 #[derive(Clone, Debug)]
@@ -116,8 +118,6 @@ pub struct ViterbiDecoder {
     k: usize,
     /// Butterfly ACS tables when the code's structure admits them.
     batched: Option<BatchedTrellis>,
-    /// `with_simd(false)`: pin [`Self::run`] to the direct reference path.
-    force_direct: bool,
 }
 
 impl Default for ViterbiDecoder {
@@ -146,18 +146,7 @@ impl ViterbiDecoder {
             trellis,
             k,
             batched,
-            force_direct: false,
         }
-    }
-
-    /// Builder: enable (`true`, the default) or disable the batched
-    /// vectorization-friendly ACS path. With `false`, every decode runs the
-    /// direct reference loop — used by the scalar-fallback tests. The two
-    /// paths produce identical bits for all inputs (including NaN/±∞
-    /// metrics), so this only changes speed.
-    pub fn with_simd(mut self, on: bool) -> Self {
-        self.force_direct = !on;
-        self
     }
 
     /// Soft-decision decode of a **terminated** frame.
@@ -235,15 +224,12 @@ impl ViterbiDecoder {
         self.decode_soft_terminated(&soft)
     }
 
-    /// Dispatch: batched butterfly ACS when the code admits it and SIMD
-    /// hasn't been disabled, else the direct reference loop. Both produce
-    /// identical bits for every input.
+    /// Dispatch: batched butterfly ACS when the code admits it, else the
+    /// direct reference loop. Both produce identical bits for every input.
     fn run(&self, soft: &[f64], steps: usize, terminated: bool) -> Vec<bool> {
         match &self.batched {
-            Some(b) if !self.force_direct && !simd_env_disabled() => {
-                self.run_batched(b, soft, steps, terminated)
-            }
-            _ => self.run_direct(soft, steps, terminated),
+            Some(b) => self.run_batched(b, soft, steps, terminated),
+            None => self.run_direct(soft, steps, terminated),
         }
     }
 
@@ -300,6 +286,10 @@ impl ViterbiDecoder {
     /// For the K=7 code that shrinks survivor memory 32× (one u64 per step),
     /// keeping the whole store L1-resident for full-packet decodes.
     ///
+    /// Each step runs the AVX2 [`acs_step_avx2`] on the AVX2 backend for
+    /// codes of at most 64 states, else the portable [`acs_step`]
+    /// (`BACKFI_SIMD=off` and non-x86 hosts included).
+    ///
     /// Produces bit-identical decisions to [`Self::run_direct`]:
     /// * `s·m` with `s = ±1.0` equals `±m` bitwise, so `v_j` equals the
     ///   direct loop's branch metric, and `pm − v` ≡ `pm + (−v)` in IEEE;
@@ -334,14 +324,15 @@ impl ViterbiDecoder {
         let mut words = vec![0u64; steps * wps];
 
         #[cfg(target_arch = "x86_64")]
-        let avx2 = std::arch::is_x86_feature_detected!("avx2") && ns <= 64;
+        let avx2 = ns <= 64 && backend() == Backend::Avx2;
 
         for t in 0..steps {
             let m0 = soft[2 * t];
             let m1 = soft[2 * t + 1];
             #[cfg(target_arch = "x86_64")]
             if avx2 {
-                // SAFETY: AVX2 presence established by runtime detection.
+                // SAFETY: the AVX2 backend is only reported after runtime
+                // detection.
                 words[t] = unsafe { acs_step_avx2(b, m0, m1, &metric, &mut metric_next) };
                 std::mem::swap(&mut metric, &mut metric_next);
                 continue;
@@ -360,20 +351,6 @@ impl ViterbiDecoder {
 
         traceback_packed(&words, wps, &metric, ns, steps, terminated)
     }
-}
-
-/// `BACKFI_SIMD=off|0|scalar` pins the decoder to the direct reference loop
-/// (same convention as `backfi_dsp::simd`; this crate has no dsp dependency,
-/// so the check is duplicated here).
-fn simd_env_disabled() -> bool {
-    use std::sync::OnceLock;
-    static OFF: OnceLock<bool> = OnceLock::new();
-    *OFF.get_or_init(|| {
-        matches!(
-            std::env::var("BACKFI_SIMD").as_deref(),
-            Ok("off") | Ok("0") | Ok("scalar")
-        )
-    })
 }
 
 /// One trellis step of the butterfly ACS (see
@@ -630,6 +607,7 @@ mod tests {
     use super::*;
     use crate::conv::ConvEncoder;
     use crate::puncture::puncture;
+    use backfi_dsp::rng::SplitMix64;
 
     fn roundtrip(bits: &[bool]) -> Vec<bool> {
         let mut enc = ConvEncoder::ieee80211();
@@ -738,92 +716,83 @@ mod tests {
         assert_eq!(&dec[..70], &bits[..70]);
     }
 
-    /// SplitMix64 step (local copy — this crate deliberately has no
-    /// backfi-dsp dependency).
-    fn next_u64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+    fn rand_llrs(seed: u64, n: usize) -> Vec<f64> {
+        let mut rng = SplitMix64::new(seed);
+        (0..n)
+            .map(|_| (rng.next_u64() as f64 / u64::MAX as f64) * 4.0 - 2.0)
+            .collect()
     }
 
-    fn rand_llrs(seed: u64, n: usize) -> Vec<f64> {
-        let mut s = seed;
-        (0..n)
-            .map(|_| (next_u64(&mut s) as f64 / u64::MAX as f64) * 4.0 - 2.0)
+    /// Random LLR streams of assorted lengths.
+    fn random_sets() -> Vec<Vec<f64>> {
+        (0..8u64)
+            .map(|seed| rand_llrs(seed, 2 * (20 + (seed as usize * 37) % 200)))
             .collect()
+    }
+
+    /// NaN, ±∞, erasures and denormals sprinkled into real LLRs.
+    fn hostile_sets() -> Vec<Vec<f64>> {
+        (0..4u64)
+            .map(|seed| {
+                let mut soft = rand_llrs(100 + seed, 120);
+                soft[3] = f64::NAN;
+                soft[10] = f64::INFINITY;
+                soft[11] = f64::NEG_INFINITY;
+                soft[20] = 0.0;
+                soft[21] = -0.0;
+                soft[30] = 5e-324;
+                soft[31] = f64::NAN;
+                soft
+            })
+            .collect()
+    }
+
+    /// Degenerate whole streams: all-negative, all-zero (every branch ties —
+    /// the tie-break must resolve identically on both paths), and all −∞
+    /// (every path metric saturates). These stress the packed survivor
+    /// words where every bit in a word is equal.
+    fn degenerate_sets() -> Vec<Vec<f64>> {
+        vec![
+            vec![-1.5f64; 96],
+            vec![0.0f64; 96],
+            vec![f64::NEG_INFINITY; 96],
+        ]
+    }
+
+    /// Truncated and terminated decodes of every stream agree with the
+    /// direct oracle (and neither path panics).
+    fn assert_matches_direct(dec: &ViterbiDecoder, sets: &[Vec<f64>], what: &str) {
+        for (i, soft) in sets.iter().enumerate() {
+            assert_eq!(
+                dec.decode_soft_truncated(soft),
+                dec.decode_soft_truncated_direct(soft),
+                "{what} {i} truncated"
+            );
+            assert_eq!(
+                dec.decode_soft_terminated(soft),
+                dec.decode_soft_terminated_direct(soft),
+                "{what} {i} terminated"
+            );
+        }
     }
 
     #[test]
     fn batched_equivalent_to_direct_random_llrs() {
-        let dec = ViterbiDecoder::ieee80211();
-        for seed in 0..8u64 {
-            let n = 2 * (20 + (seed as usize * 37) % 200);
-            let soft = rand_llrs(seed, n);
-            assert_eq!(
-                dec.decode_soft_truncated(&soft),
-                dec.decode_soft_truncated_direct(&soft),
-                "truncated seed {seed}"
-            );
-            if n / 2 >= 6 {
-                assert_eq!(
-                    dec.decode_soft_terminated(&soft),
-                    dec.decode_soft_terminated_direct(&soft),
-                    "terminated seed {seed}"
-                );
-            }
-        }
+        assert_matches_direct(&ViterbiDecoder::ieee80211(), &random_sets(), "random");
     }
 
     #[test]
     fn batched_equivalent_to_direct_hostile_llrs() {
-        // NaN, ±∞, erasures, and denormals sprinkled into real LLRs must
-        // produce the same decisions on both paths (neither panics).
-        let dec = ViterbiDecoder::ieee80211();
-        for seed in 0..4u64 {
-            let mut soft = rand_llrs(100 + seed, 120);
-            soft[3] = f64::NAN;
-            soft[10] = f64::INFINITY;
-            soft[11] = f64::NEG_INFINITY;
-            soft[20] = 0.0;
-            soft[21] = -0.0;
-            soft[30] = 5e-324;
-            soft[31] = f64::NAN;
-            assert_eq!(
-                dec.decode_soft_truncated(&soft),
-                dec.decode_soft_truncated_direct(&soft),
-                "seed {seed}"
-            );
-            assert_eq!(
-                dec.decode_soft_terminated(&soft),
-                dec.decode_soft_terminated_direct(&soft),
-                "terminated seed {seed}"
-            );
-        }
+        assert_matches_direct(&ViterbiDecoder::ieee80211(), &hostile_sets(), "hostile");
     }
 
     #[test]
     fn batched_equivalent_to_direct_degenerate_llrs() {
-        // Degenerate whole-stream cases: all-negative, all-zero (every
-        // branch ties — the tie-break must resolve identically on both
-        // paths), and all −∞ (every path metric saturates). These stress
-        // the packed survivor words where every bit in a word is equal.
-        let dec = ViterbiDecoder::ieee80211();
-        for soft in [
-            vec![-1.5f64; 96],
-            vec![0.0f64; 96],
-            vec![f64::NEG_INFINITY; 96],
-        ] {
-            assert_eq!(
-                dec.decode_soft_truncated(&soft),
-                dec.decode_soft_truncated_direct(&soft)
-            );
-            assert_eq!(
-                dec.decode_soft_terminated(&soft),
-                dec.decode_soft_terminated_direct(&soft)
-            );
-        }
+        assert_matches_direct(
+            &ViterbiDecoder::ieee80211(),
+            &degenerate_sets(),
+            "degenerate",
+        );
     }
 
     #[test]
@@ -849,14 +818,17 @@ mod tests {
     }
 
     #[test]
-    fn with_simd_false_forces_direct_and_matches() {
-        let fast = ViterbiDecoder::ieee80211();
-        let slow = ViterbiDecoder::ieee80211().with_simd(false);
-        let soft = rand_llrs(7, 240);
-        assert_eq!(
-            fast.decode_soft_truncated(&soft),
-            slow.decode_soft_truncated(&soft)
-        );
+    fn forced_scalar_portable_acs_matches_direct() {
+        // Every tested code has at most 64 states, so on an AVX2 host only
+        // the scalar backend reaches the portable `acs_step`.
+        use backfi_dsp::simd::{backend, force_scalar, Backend};
+        let was_scalar = backend() == Backend::Scalar;
+        force_scalar(true);
+        let dec = ViterbiDecoder::ieee80211();
+        assert_matches_direct(&dec, &random_sets(), "random");
+        assert_matches_direct(&dec, &hostile_sets(), "hostile");
+        assert_matches_direct(&dec, &degenerate_sets(), "degenerate");
+        force_scalar(was_scalar);
     }
 
     #[test]

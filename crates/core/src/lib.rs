@@ -16,10 +16,6 @@
 //! * [`baseline`] — the prior WiFi-backscatter system [27, 25] as the
 //!   headline comparator,
 //! * [`mimo`] — the §7 multi-antenna AP extension (spatial MRC),
-//! * [`multitag`] — preamble-addressed polling of several tags and the
-//!   collision failure mode that motivates it,
-//! * [`resilient`] — CRC-failure retry with rate fallback (graceful
-//!   degradation on a lossy or fault-injected link),
 //! * [`figures`] — one data-generating function per paper figure/table.
 
 #![deny(missing_docs)]
@@ -30,9 +26,7 @@ pub mod excitation;
 pub mod figures;
 pub mod link;
 pub mod mimo;
-pub mod multitag;
 pub mod network;
-pub mod resilient;
 pub mod sweep;
 pub mod traces;
 

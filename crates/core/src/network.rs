@@ -16,7 +16,6 @@ use backfi_dsp::noise::{add_noise, gauss};
 use backfi_dsp::rng::SplitMix64;
 use backfi_dsp::{stats, Complex};
 use backfi_tag::config::TagConfig;
-use backfi_tag::framer::TagFrame;
 use backfi_wifi::{Mcs, WifiReceiver, WifiTransmitter};
 // rng trait methods are inherent on SplitMix64
 
@@ -256,11 +255,6 @@ pub fn fig13_tag_config() -> TagConfig {
         symbol_rate_hz: 2.5e6,
         ..TagConfig::default()
     }
-}
-
-/// Check a tag frame fits the interference window (helper for tests).
-pub fn tag_frame_fits(cfg: &TagConfig, airtime_us: f64) -> bool {
-    TagFrame::max_payload_bytes(cfg, airtime_us) > 0
 }
 
 #[cfg(test)]

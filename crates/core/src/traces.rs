@@ -86,12 +86,6 @@ impl ApTrace {
         ApTrace { entries, total_us }
     }
 
-    /// Fraction of time the AP is transmitting.
-    pub fn airtime_share(&self) -> f64 {
-        let busy: f64 = self.entries.iter().map(|e| e.duration_us).sum();
-        busy / self.total_us
-    }
-
     /// Replay the trace for a BackFi link whose steady-state goodput while
     /// the AP transmits is `active_goodput_bps`, accounting for the per-
     /// packet protocol overhead (16 µs detection + 16 µs silence + preamble).
@@ -112,12 +106,18 @@ impl ApTrace {
 mod tests {
     use super::*;
 
+    /// Fraction of time the AP is transmitting.
+    fn airtime_share(t: &ApTrace) -> f64 {
+        let busy: f64 = t.entries.iter().map(|e| e.duration_us).sum();
+        busy / t.total_us
+    }
+
     #[test]
     fn traces_are_loaded() {
         // "The traces are captured … for heavily loaded networks."
         let model = TraceModel::default();
         let shares: Vec<f64> = (0..20)
-            .map(|s| ApTrace::generate(&model, 2_000_000.0, s).airtime_share())
+            .map(|s| airtime_share(&ApTrace::generate(&model, 2_000_000.0, s)))
             .collect();
         let med = backfi_dsp::stats::median(&shares);
         assert!(med > 0.5 && med < 0.98, "median share {med}");
@@ -142,7 +142,7 @@ mod tests {
     fn replay_scales_with_airtime() {
         let t = ApTrace::generate(&TraceModel::default(), 1_000_000.0, 5);
         let thr = t.replay_throughput_bps(5e6, 64.0);
-        let share = t.airtime_share();
+        let share = airtime_share(&t);
         // Throughput ≈ share × 5 Mbps, minus overhead.
         assert!(thr < share * 5e6 + 1.0);
         assert!(thr > share * 5e6 * 0.8, "thr {thr} share {share}");
@@ -153,7 +153,7 @@ mod tests {
         let a = ApTrace::generate(&TraceModel::default(), 100_000.0, 9);
         let b = ApTrace::generate(&TraceModel::default(), 100_000.0, 9);
         assert_eq!(a.entries.len(), b.entries.len());
-        assert!((a.airtime_share() - b.airtime_share()).abs() < 1e-12);
+        assert!((airtime_share(&a) - airtime_share(&b)).abs() < 1e-12);
     }
 
     #[test]

@@ -101,26 +101,10 @@ fn quick_cell() -> LinkConfig {
     cfg
 }
 
-/// `BACKFI_SIMD=off` (also `0`, `scalar`) routes the Viterbi decoder to its
-/// reference ACS loop, which stores one `u32` survivor per state per step:
-/// 5.1 MB at the headline point. That is decoder state, not a per-sample
-/// signal, and the reference path is not the production dispatch, so the
-/// budget below is checked on the default dispatch only.
-fn reference_kernels() -> bool {
-    matches!(
-        std::env::var("BACKFI_SIMD").as_deref(),
-        Ok("off") | Ok("0") | Ok("scalar")
-    )
-}
-
 /// Runs one warm-up trial, then three measured warm trials, and checks the
 /// budget on each. `parent_bytes` is the smallest per-trial total the same
 /// cell allocated (seeds 1–3) when every stage built fresh buffers.
 fn check_budget(cfg: LinkConfig, parent_bytes: u64) {
-    if reference_kernels() {
-        eprintln!("BACKFI_SIMD=off: reference Viterbi survivors exceed this budget; not checked");
-        return;
-    }
     let sim = LinkSimulator::new(cfg);
     let n = sim.excitation().samples.len();
     sim.run(100);

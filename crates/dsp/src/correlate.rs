@@ -140,11 +140,6 @@ pub fn peak(x: &[f64]) -> Option<(usize, f64)> {
     best
 }
 
-/// Index of the first element that is at least `threshold`, or `None`.
-pub fn first_above(x: &[f64], threshold: f64) -> Option<usize> {
-    x.iter().position(|&v| v >= threshold)
-}
-
 /// Binary correlation of a ±1 bit sequence against a received bit window,
 /// as done by the tag's digital preamble matcher: counts agreements minus
 /// disagreements. Output range is `[-len, +len]`.
@@ -216,8 +211,6 @@ mod tests {
     fn peak_and_threshold_helpers() {
         let v = [0.1, 0.5, f64::NAN, 0.9, 0.2];
         assert_eq!(peak(&v), Some((3, 0.9)));
-        assert_eq!(first_above(&v, 0.5), Some(1));
-        assert_eq!(first_above(&v, 2.0), None);
         assert_eq!(peak(&[]), None);
     }
 

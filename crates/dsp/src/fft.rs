@@ -211,29 +211,6 @@ pub fn ifftshift<T: Copy>(x: &[T]) -> Vec<T> {
     out
 }
 
-/// Frequency-domain circular convolution helper: pointwise product of the two
-/// FFTs, inverse-transformed. Both inputs must share a power-of-two length.
-///
-/// # Panics
-/// Panics if lengths differ or are not a power of two.
-pub fn circular_convolve(a: &[Complex], b: &[Complex]) -> Vec<Complex> {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "circular convolution requires equal lengths"
-    );
-    let plan = FftPlan::cached(a.len());
-    let mut fa = a.to_vec();
-    let mut fb = b.to_vec();
-    plan.forward(&mut fa);
-    plan.forward(&mut fb);
-    for (x, y) in fa.iter_mut().zip(&fb) {
-        *x *= *y;
-    }
-    plan.inverse(&mut fa);
-    fa
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,21 +297,6 @@ mod tests {
         assert_eq!(fftshift(&[0, 1, 2, 3]), vec![2, 3, 0, 1]);
         assert_eq!(fftshift(&[0, 1, 2, 3, 4]), vec![3, 4, 0, 1, 2]);
         assert_eq!(ifftshift(&fftshift(&[0, 1, 2, 3, 4])), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn circular_convolution_matches_direct() {
-        let a: Vec<Complex> = (0..8).map(|i| Complex::real(i as f64)).collect();
-        let b: Vec<Complex> = (0..8).map(|i| Complex::real((i % 3) as f64)).collect();
-        let fast = circular_convolve(&a, &b);
-        let n = 8usize;
-        for k in 0..n {
-            let mut acc = Complex::ZERO;
-            for m in 0..n {
-                acc += a[m] * b[(k + n - m) % n];
-            }
-            assert!((fast[k] - acc).abs() < 1e-9);
-        }
     }
 
     #[test]

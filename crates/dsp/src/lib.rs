@@ -18,7 +18,6 @@
 //! * [`stats`] — power/SNR/EVM measurement and dB conversions,
 //! * [`noise`] — deterministic complex Gaussian noise generation,
 //! * [`rng`] — the seedable SplitMix64 generator behind all randomness,
-//! * [`resample`] — integer-factor rate conversion,
 //! * [`spectrum`] — Welch PSD estimation (waveform sanity checks),
 //! * [`simd`] — runtime feature detection and dispatched reductions,
 //! * [`soa`] — structure-of-arrays planar kernels for the receive hot paths.
@@ -36,7 +35,6 @@ pub mod fastconv;
 pub mod fft;
 pub mod fir;
 pub mod noise;
-pub mod resample;
 pub mod rng;
 pub mod simd;
 pub mod soa;

@@ -83,12 +83,6 @@ impl SplitMix64 {
     pub fn derive(seed0: u64, index: u64) -> u64 {
         mix64(mix64(seed0).wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
     }
-
-    /// Fork an independent child generator from this stream.
-    #[inline]
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(Rng::next_u64(self))
-    }
 }
 
 impl Rng for SplitMix64 {
@@ -204,14 +198,5 @@ mod tests {
         use std::collections::HashSet;
         let set: HashSet<u64> = (0..10_000u64).map(mix64).collect();
         assert_eq!(set.len(), 10_000);
-    }
-
-    #[test]
-    fn fork_is_independent() {
-        let mut parent = SplitMix64::new(9);
-        let mut child = parent.fork();
-        let p: Vec<u64> = (0..8).map(|_| parent.next_u64()).collect();
-        let c: Vec<u64> = (0..8).map(|_| child.next_u64()).collect();
-        assert_ne!(p, c);
     }
 }

@@ -45,21 +45,6 @@ pub fn split(x: &[Complex]) -> (Vec<f64>, Vec<f64>) {
     (re, im)
 }
 
-/// Split an AoS complex slice into caller-provided planar slices.
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn split_into(x: &[Complex], re: &mut [f64], im: &mut [f64]) {
-    assert!(
-        x.len() == re.len() && x.len() == im.len(),
-        "split_into: length mismatch"
-    );
-    for (i, v) in x.iter().enumerate() {
-        re[i] = v.re;
-        im[i] = v.im;
-    }
-}
-
 /// Merge planar re/im slices back into a freshly allocated AoS vector.
 ///
 /// # Panics
@@ -72,51 +57,12 @@ pub fn merge(re: &[f64], im: &[f64]) -> Vec<Complex> {
         .collect()
 }
 
-/// Merge planar re/im slices into a caller-provided AoS slice.
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn merge_into(re: &[f64], im: &[f64], out: &mut [Complex]) {
-    assert!(
-        re.len() == im.len() && re.len() == out.len(),
-        "merge_into: length mismatch"
-    );
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = Complex::new(re[i], im[i]);
-    }
-}
-
 // ------------------------------------------------------ elementwise bodies --
 //
-// Each `*_impl` is the single portable body; `#[target_feature]` wrappers
-// below re-instantiate it with AVX2 codegen. `#[inline(always)]` makes the
+// Each `*_impl` is the single portable body; the `#[target_feature]`
+// wrappers below re-instantiate the dispatched ones with AVX2 codegen. `#[inline(always)]` makes the
 // body inline into each instantiation so the feature attribute actually
 // reaches the loops.
-
-#[inline(always)]
-fn magnitude_sqr_impl(re: &[f64], im: &[f64], out: &mut [f64]) {
-    for i in 0..out.len() {
-        // Mirrors `Complex::norm_sqr`: re·re + im·im.
-        out[i] = re[i] * re[i] + im[i] * im[i];
-    }
-}
-
-#[inline(always)]
-fn cmul_impl(ar: &[f64], ai: &[f64], br: &[f64], bi: &[f64], or: &mut [f64], oi: &mut [f64]) {
-    for i in 0..or.len() {
-        // Mirrors `Complex::mul`: (a.re·b.re − a.im·b.im, a.re·b.im + a.im·b.re).
-        or[i] = ar[i] * br[i] - ai[i] * bi[i];
-        oi[i] = ar[i] * bi[i] + ai[i] * br[i];
-    }
-}
-
-#[inline(always)]
-fn cmac_impl(ar: &[f64], ai: &[f64], br: &[f64], bi: &[f64], or: &mut [f64], oi: &mut [f64]) {
-    for i in 0..or.len() {
-        or[i] += ar[i] * br[i] - ai[i] * bi[i];
-        oi[i] += ar[i] * bi[i] + ai[i] * br[i];
-    }
-}
 
 #[inline(always)]
 fn axpy_impl(cre: f64, cim: f64, xr: &[f64], xi: &[f64], yr: &mut [f64], yi: &mut [f64]) {
@@ -127,7 +73,10 @@ fn axpy_impl(cre: f64, cim: f64, xr: &[f64], xi: &[f64], yr: &mut [f64], yi: &mu
     }
 }
 
-#[inline(always)]
+// `dist_sqr_impl` and `masked_min2_impl` are the unfused demapper: the
+// reference the fused `demap_mins` paths are checked against.
+
+#[cfg(test)]
 fn dist_sqr_impl(pre: f64, pim: f64, cre: &[f64], cim: &[f64], out: &mut [f64]) {
     for i in 0..out.len() {
         // Mirrors `(point - c[i]).norm_sqr()`.
@@ -137,7 +86,7 @@ fn dist_sqr_impl(pre: f64, pim: f64, cre: &[f64], cim: &[f64], out: &mut [f64]) 
     }
 }
 
-#[inline(always)]
+#[cfg(test)]
 fn masked_min2_impl(dist: &[f64], labels: &[u8], bit: u32) -> (f64, f64) {
     let mut d0 = f64::INFINITY;
     let mut d1 = f64::INFINITY;
@@ -159,7 +108,7 @@ fn masked_min2_impl(dist: &[f64], labels: &[u8], bit: u32) -> (f64, f64) {
 /// Fused max-log demapper core: one pass over the constellation computing,
 /// for every label bit `b < nbits`, the min squared distance over points with
 /// bit `b` clear (`d0[b]`) and set (`d1[b]`). Same per-accumulator candidate
-/// sequence as [`dist_sqr_planar`] followed by per-bit [`masked_min2`].
+/// sequence as `dist_sqr_impl` followed by per-bit `masked_min2_impl`.
 #[inline(always)]
 fn demap_mins_impl(
     pre: f64,
@@ -238,44 +187,6 @@ fn xcorr_body_impl(xr: &[f64], xi: &[f64], tr: &[f64], ti: &[f64], yr: &mut [f64
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn magnitude_sqr(re: &[f64], im: &[f64], out: &mut [f64]) {
-        super::magnitude_sqr_impl(re, im, out)
-    }
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn cmul(
-        ar: &[f64],
-        ai: &[f64],
-        br: &[f64],
-        bi: &[f64],
-        or: &mut [f64],
-        oi: &mut [f64],
-    ) {
-        super::cmul_impl(ar, ai, br, bi, or, oi)
-    }
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn cmac(
-        ar: &[f64],
-        ai: &[f64],
-        br: &[f64],
-        bi: &[f64],
-        or: &mut [f64],
-        oi: &mut [f64],
-    ) {
-        super::cmac_impl(ar, ai, br, bi, or, oi)
-    }
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy(cre: f64, cim: f64, xr: &[f64], xi: &[f64], yr: &mut [f64], yi: &mut [f64]) {
-        super::axpy_impl(cre, cim, xr, xi, yr, yi)
-    }
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dist_sqr(pre: f64, pim: f64, cre: &[f64], cim: &[f64], out: &mut [f64]) {
-        super::dist_sqr_impl(pre, pim, cre, cim, out)
-    }
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn masked_min2(dist: &[f64], labels: &[u8], bit: u32) -> (f64, f64) {
-        super::masked_min2_impl(dist, labels, bit)
-    }
     /// Hand-vectorized fused demapper: four constellation points per
     /// iteration with lane-split min accumulators. Value-identical to
     /// [`super::demap_mins_impl`] because squared distances are never `-0.0`
@@ -451,118 +362,10 @@ fn use_avx2() -> bool {
 
 // ------------------------------------------------------- public dispatch ---
 
-/// Planar `|x|²`: `out[i] = re[i]² + im[i]²` (mirrors `Complex::norm_sqr`).
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn magnitude_sqr_planar(re: &[f64], im: &[f64], out: &mut [f64]) {
-    assert!(
-        re.len() == im.len() && re.len() == out.len(),
-        "magnitude_sqr_planar: length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2 presence established by runtime detection.
-        return unsafe { avx2::magnitude_sqr(re, im, out) };
-    }
-    magnitude_sqr_impl(re, im, out)
-}
-
-/// Planar elementwise complex multiply `out = a · b`
-/// (mirrors `Complex::mul` per element).
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn cmul_planar(ar: &[f64], ai: &[f64], br: &[f64], bi: &[f64], or: &mut [f64], oi: &mut [f64]) {
-    let n = or.len();
-    assert!(
-        ar.len() == n && ai.len() == n && br.len() == n && bi.len() == n && oi.len() == n,
-        "cmul_planar: length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2 presence established by runtime detection.
-        return unsafe { avx2::cmul(ar, ai, br, bi, or, oi) };
-    }
-    cmul_impl(ar, ai, br, bi, or, oi)
-}
-
-/// Planar elementwise complex multiply-accumulate `out += a · b`.
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn cmac_planar(ar: &[f64], ai: &[f64], br: &[f64], bi: &[f64], or: &mut [f64], oi: &mut [f64]) {
-    let n = or.len();
-    assert!(
-        ar.len() == n && ai.len() == n && br.len() == n && bi.len() == n && oi.len() == n,
-        "cmac_planar: length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2 presence established by runtime detection.
-        return unsafe { avx2::cmac(ar, ai, br, bi, or, oi) };
-    }
-    cmac_impl(ar, ai, br, bi, or, oi)
-}
-
-/// Planar scalar-times-vector accumulate `y += c · x` — the FIR inner loop
-/// (mirrors `full[i+k] += xi * h[k]` with `Complex::mul(self = c)`).
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn axpy_planar(c: Complex, xr: &[f64], xi: &[f64], yr: &mut [f64], yi: &mut [f64]) {
-    let n = yr.len();
-    assert!(
-        xr.len() == n && xi.len() == n && yi.len() == n,
-        "axpy_planar: length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2 presence established by runtime detection.
-        return unsafe { avx2::axpy(c.re, c.im, xr, xi, yr, yi) };
-    }
-    axpy_impl(c.re, c.im, xr, xi, yr, yi)
-}
-
-/// Planar squared distances from one point to a constellation:
-/// `out[i] = |point − c[i]|²` (mirrors `(point - c[i]).norm_sqr()`).
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn dist_sqr_planar(point: Complex, cre: &[f64], cim: &[f64], out: &mut [f64]) {
-    assert!(
-        cre.len() == out.len() && cim.len() == out.len(),
-        "dist_sqr_planar: length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2 presence established by runtime detection.
-        return unsafe { avx2::dist_sqr(point.re, point.im, cre, cim, out) };
-    }
-    dist_sqr_impl(point.re, point.im, cre, cim, out)
-}
-
-/// Split `dist` into two mins by bit `bit` of each label:
-/// `(min over labels with bit clear, min over labels with bit set)` — the
-/// max-log demapper inner loop. NaN distances lose (`f64::min` semantics),
-/// matching the branchy reference.
-///
-/// # Panics
-/// Panics if `dist` and `labels` lengths differ.
-pub fn masked_min2(dist: &[f64], labels: &[u8], bit: u32) -> (f64, f64) {
-    assert_eq!(dist.len(), labels.len(), "masked_min2: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2 presence established by runtime detection.
-        return unsafe { avx2::masked_min2(dist, labels, bit) };
-    }
-    masked_min2_impl(dist, labels, bit)
-}
-
 /// Fused max-log demapper: per label bit `b < nbits`, the minimum squared
 /// distance from `point` to the constellation points with bit `b` clear
 /// (`.0[b]`) and set (`.1[b]`). One pass over the constellation — equivalent
-/// to [`dist_sqr_planar`] followed by per-bit [`masked_min2`], and
+/// to a squared-distance scan followed by a per-bit masked min, and
 /// bit-identical to it: squared distances are non-negative, `+inf`, or NaN
 /// (never `-0.0`), so the min reduction order cannot change the result and
 /// the lane-split AVX2 path (taken for lane-multiple constellations of ≥ 8
@@ -786,57 +589,20 @@ mod tests {
         let x = hostile(10, 13);
         let (re, im) = split(&x);
         assert_bits_eq(&merge(&re, &im), &x, "roundtrip");
-        let mut re2 = vec![0.0; 13];
-        let mut im2 = vec![0.0; 13];
-        split_into(&x, &mut re2, &mut im2);
-        let mut back = vec![Complex::ZERO; 13];
-        merge_into(&re2, &im2, &mut back);
-        assert_bits_eq(&back, &x, "into roundtrip");
     }
 
     #[test]
-    fn magnitude_sqr_equiv() {
-        for n in [1usize, 7, 8, 33, 100] {
-            let x = hostile(20 + n as u64, n);
-            let (re, im) = split(&x);
-            let mut out = vec![0.0; n];
-            magnitude_sqr_planar(&re, &im, &mut out);
-            for i in 0..n {
-                assert_f64_eq(out[i], x[i].norm_sqr(), &format!("n={n} i={i}"));
-            }
-        }
-    }
-
-    #[test]
-    fn cmul_cmac_axpy_equiv() {
+    fn axpy_impl_hostile_scalar_equiv() {
+        // The xcorr body accumulates through `axpy_impl`.
         for n in [1usize, 5, 16, 37] {
             let a = hostile(30 + n as u64, n);
-            let b = hostile(40 + n as u64, n);
-            let (ar, ai) = split(&a);
-            let (br, bi) = split(&b);
-            let mut or = vec![0.0; n];
-            let mut oi = vec![0.0; n];
-            cmul_planar(&ar, &ai, &br, &bi, &mut or, &mut oi);
-            let want: Vec<Complex> = a.iter().zip(&b).map(|(x, y)| *x * *y).collect();
-            assert_bits_eq(&merge(&or, &oi), &want, "cmul");
-
-            // cmac on top of a seeded accumulator
             let acc0 = hostile(50 + n as u64, n);
-            let (mut cr, mut ci) = split(&acc0);
-            cmac_planar(&ar, &ai, &br, &bi, &mut cr, &mut ci);
-            let want2: Vec<Complex> = acc0
-                .iter()
-                .zip(a.iter().zip(&b))
-                .map(|(acc, (x, y))| *acc + *x * *y)
-                .collect();
-            assert_bits_eq(&merge(&cr, &ci), &want2, "cmac");
-
-            // axpy with a hostile scalar
+            let (ar, ai) = split(&a);
             let c = Complex::new(0.75, f64::MIN_POSITIVE);
             let (mut yr, mut yi) = split(&acc0);
-            axpy_planar(c, &ar, &ai, &mut yr, &mut yi);
-            let want3: Vec<Complex> = acc0.iter().zip(&a).map(|(y, x)| *y + c * *x).collect();
-            assert_bits_eq(&merge(&yr, &yi), &want3, "axpy");
+            axpy_impl(c.re, c.im, &ar, &ai, &mut yr, &mut yi);
+            let want: Vec<Complex> = acc0.iter().zip(&a).map(|(y, x)| *y + c * *x).collect();
+            assert_bits_eq(&merge(&yr, &yi), &want, "axpy");
         }
     }
 
@@ -847,12 +613,12 @@ mod tests {
         let labels: Vec<u8> = (0..9u8).collect();
         let point = Complex::new(0.4, -1.2);
         let mut dist = vec![0.0; 9];
-        dist_sqr_planar(point, &cre, &cim, &mut dist);
+        dist_sqr_impl(point.re, point.im, &cre, &cim, &mut dist);
         for (i, d) in dist.iter().enumerate() {
             assert_f64_eq(*d, (point - pts[i]).norm_sqr(), &format!("dist[{i}]"));
         }
         for bit in 0..4u32 {
-            let (d0, d1) = masked_min2(&dist, &labels, bit);
+            let (d0, d1) = masked_min2_impl(&dist, &labels, bit);
             // branchy reference
             let mut r0 = f64::INFINITY;
             let mut r1 = f64::INFINITY;
@@ -885,9 +651,9 @@ mod tests {
                 let (d0, d1) = demap_mins(point, &cre, &cim, &labels, nbits);
                 // Reference: unfused dist scan then per-bit masked min.
                 let mut dist = vec![0.0; n];
-                dist_sqr_planar(point, &cre, &cim, &mut dist);
+                dist_sqr_impl(point.re, point.im, &cre, &cim, &mut dist);
                 for bit in 0..nbits {
-                    let (r0, r1) = masked_min2(&dist, &labels, bit as u32);
+                    let (r0, r1) = masked_min2_impl(&dist, &labels, bit as u32);
                     assert_f64_eq(d0[bit], r0, &format!("n {n} bit {bit} d0"));
                     assert_f64_eq(d1[bit], r1, &format!("n {n} bit {bit} d1"));
                 }

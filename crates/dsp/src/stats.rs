@@ -29,12 +29,6 @@ pub fn mean_power(x: &[Complex]) -> f64 {
     x.iter().map(|v| v.norm_sqr()).sum::<f64>() / x.len() as f64
 }
 
-/// Mean power in dB (relative to unit power, i.e. dBm under the simulator's
-/// 0 dBm == 1.0 convention).
-pub fn mean_power_db(x: &[Complex]) -> f64 {
-    db(mean_power(x))
-}
-
 /// Peak instantaneous power of a block.
 pub fn peak_power(x: &[Complex]) -> f64 {
     x.iter().map(|v| v.norm_sqr()).fold(0.0, f64::max)
@@ -169,15 +163,6 @@ impl Ecdf {
         self.sorted.is_empty()
     }
 
-    /// P(X ≤ x).
-    pub fn eval(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return f64::NAN;
-        }
-        let count = self.sorted.partition_point(|&v| v <= x);
-        count as f64 / self.sorted.len() as f64
-    }
-
     /// Inverse CDF (quantile) with linear interpolation.
     pub fn quantile(&self, q: f64) -> f64 {
         quantile(&self.sorted, q)
@@ -256,9 +241,6 @@ mod tests {
     fn ecdf_basics() {
         let e = Ecdf::new(vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(e.len(), 4);
-        assert!((e.eval(0.5) - 0.0).abs() < 1e-12);
-        assert!((e.eval(2.0) - 0.5).abs() < 1e-12);
-        assert!((e.eval(10.0) - 1.0).abs() < 1e-12);
         assert!((e.quantile(0.5) - 2.5).abs() < 1e-12);
         let pts: Vec<_> = e.points().collect();
         assert_eq!(pts.len(), 4);

@@ -20,13 +20,6 @@ pub fn hamming(n: usize) -> Vec<f64> {
     periodic(n, |x| 0.54 - 0.46 * (2.0 * PI * x).cos())
 }
 
-/// Blackman window.
-pub fn blackman(n: usize) -> Vec<f64> {
-    periodic(n, |x| {
-        0.42 - 0.5 * (2.0 * PI * x).cos() + 0.08 * (4.0 * PI * x).cos()
-    })
-}
-
 fn periodic(n: usize, f: impl Fn(f64) -> f64) -> Vec<f64> {
     if n == 0 {
         return Vec::new();
@@ -44,7 +37,7 @@ mod tests {
     #[test]
     fn lengths_and_edges() {
         for n in [1usize, 2, 16, 64] {
-            for w in [hann(n), hamming(n), blackman(n), rectangular(n)] {
+            for w in [hann(n), hamming(n), rectangular(n)] {
                 assert_eq!(w.len(), n);
                 assert!(w.iter().all(|v| (-1e-12..=1.0 + 1e-12).contains(v)));
             }
@@ -57,7 +50,7 @@ mod tests {
 
     #[test]
     fn symmetry() {
-        for w in [hann(33), hamming(33), blackman(33)] {
+        for w in [hann(33), hamming(33)] {
             for i in 0..w.len() {
                 assert!((w[i] - w[w.len() - 1 - i]).abs() < 1e-12);
             }

@@ -155,20 +155,6 @@ fn mean_power_scales_quadratically() {
 }
 
 #[test]
-fn hold_upsample_decimate_roundtrip() {
-    for case in 0..CASES {
-        let mut rng = SplitMix64::new(0x0A_0000 + case);
-        let n_x = 1 + rng.below(31) as usize;
-        let x = complex_vec(&mut rng, n_x);
-        let f = 1 + rng.below(9) as usize;
-        let up = backfi_dsp::resample::hold_upsample(&x, f);
-        assert_eq!(up.len(), x.len() * f);
-        let down = backfi_dsp::resample::decimate(&up, f, 0);
-        assert_eq!(down, x);
-    }
-}
-
-#[test]
 fn quantile_is_monotone() {
     for case in 0..CASES {
         let mut rng = SplitMix64::new(0x0B_0000 + case);

@@ -81,11 +81,6 @@ impl Histogram {
         self.max.load(Ordering::Relaxed)
     }
 
-    /// Raw count in bucket `i` (for tests and exporters).
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.buckets[i].load(Ordering::Relaxed)
-    }
-
     /// Approximate quantile `q ∈ [0, 1]`: the upper bound of the bucket the
     /// `ceil(q·count)`-th smallest sample falls in, capped at the observed
     /// max. Returns 0 when empty.
@@ -140,8 +135,8 @@ mod tests {
         assert_eq!(h.count(), 6);
         assert_eq!(h.sum(), 1111);
         assert_eq!(h.max(), 1000);
-        assert_eq!(h.bucket_count(0), 1); // the zero
-        assert_eq!(h.bucket_count(3), 2); // the two fives ∈ [4,7]
+        assert_eq!(h.buckets[0].load(Ordering::Relaxed), 1); // the zero
+        assert_eq!(h.buckets[3].load(Ordering::Relaxed), 2); // the two fives ∈ [4,7]
     }
 
     #[test]

@@ -208,17 +208,6 @@ pub fn gauge_set(name: &'static str, value: f64) {
     }
 }
 
-/// Current value of a gauge (0.0 if never written).
-pub fn gauge_value(name: &str) -> f64 {
-    registry()
-        .gauges
-        .read()
-        .expect("obs registry poisoned")
-        .get(name)
-        .map(|g| f64::from_bits(g.load(Ordering::Relaxed)))
-        .unwrap_or(0.0)
-}
-
 /// Record one sample at the named probe point (no-op while disabled;
 /// non-finite samples are dropped by the summary). Guard *expensive* sample
 /// computations with [`enabled`] at the call site — the argument is

@@ -4,24 +4,11 @@
 //! rate and symbol switching rate combination with the lowest REPB since the
 //! most precious resource here is energy." Given the set of configurations
 //! that decode successfully at the current range, this module implements the
-//! paper's two selection policies:
-//!
-//! * max throughput (Fig. 8's frontier),
-//! * min energy-per-bit at a target throughput (Figs. 9/10).
+//! paper's selection policy — min energy-per-bit at a target throughput —
+//! and the (throughput, REPB) frontier it walks (Figs. 9/10).
 
 use backfi_tag::config::TagConfig;
 use backfi_tag::energy::repb;
-
-/// Total order where NaN loses a "bigger is better" comparison (sorts below
-/// `-∞`). Identical to `partial_cmp` on real values but panic-free: one NaN
-/// REPB or throughput must not crash a whole sweep.
-fn nan_last_desc_key(v: f64) -> f64 {
-    if v.is_nan() {
-        f64::NEG_INFINITY
-    } else {
-        v
-    }
-}
 
 /// Total order where NaN loses a "smaller is better" comparison (sorts above
 /// `+∞`).
@@ -44,24 +31,6 @@ pub struct TrialOutcome {
     pub symbol_snr_db: f64,
 }
 
-/// Highest-throughput decodable configuration (ties broken by lower REPB;
-/// NaN throughput or REPB always loses, never panics).
-pub fn max_throughput(outcomes: &[TrialOutcome]) -> Option<TagConfig> {
-    outcomes
-        .iter()
-        .filter(|o| o.decoded)
-        .max_by(|a, b| {
-            let ta = nan_last_desc_key(a.config.throughput_bps());
-            let tb = nan_last_desc_key(b.config.throughput_bps());
-            // For the REPB tie-break, "a wins" means `Greater`: compare b's
-            // REPB against a's so the smaller (and never the NaN) REPB wins.
-            let ea = nan_last_asc_key(repb(&a.config));
-            let eb = nan_last_asc_key(repb(&b.config));
-            ta.total_cmp(&tb).then(eb.total_cmp(&ea))
-        })
-        .map(|o| o.config)
-}
-
 /// Minimum-REPB decodable configuration achieving at least
 /// `target_throughput_bps`. This is the paper's preferred policy.
 pub fn min_repb_at_throughput(
@@ -75,36 +44,6 @@ pub fn min_repb_at_throughput(
             nan_last_asc_key(repb(&a.config)).total_cmp(&nan_last_asc_key(repb(&b.config)))
         })
         .map(|o| o.config)
-}
-
-/// The rate-fallback ladder: candidates sorted by throughput descending
-/// (REPB ascending within a throughput tier). Configurations with non-finite
-/// throughput are dropped — they cannot be ordered and could not carry data.
-pub fn fallback_ladder(candidates: &[TagConfig]) -> Vec<TagConfig> {
-    let mut v: Vec<TagConfig> = candidates
-        .iter()
-        .copied()
-        .filter(|c| c.throughput_bps().is_finite() && c.throughput_bps() > 0.0)
-        .collect();
-    v.sort_by(|a, b| {
-        b.throughput_bps()
-            .total_cmp(&a.throughput_bps())
-            .then(nan_last_asc_key(repb(a)).total_cmp(&nan_last_asc_key(repb(b))))
-    });
-    v
-}
-
-/// The next configuration strictly below `current` in throughput on the
-/// ladder (the CRC-failure retry step), or `None` at the bottom.
-pub fn next_lower(ladder: &[TagConfig], current: &TagConfig) -> Option<TagConfig> {
-    let t = current.throughput_bps();
-    if !t.is_finite() {
-        return ladder.first().copied();
-    }
-    ladder
-        .iter()
-        .copied()
-        .find(|c| c.throughput_bps() < t - 1e-6)
 }
 
 /// The (throughput, min-REPB) frontier over all decodable configurations:
@@ -158,13 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn max_throughput_skips_failures() {
-        let best = max_throughput(&sample_outcomes()).unwrap();
-        assert_eq!(best.modulation, TagModulation::Qpsk);
-        assert_eq!(best.code_rate, CodeRate::TwoThirds);
-    }
-
-    #[test]
     fn min_repb_prefers_cheaper_config() {
         // Both QPSK 1/2 and QPSK 2/3 exceed 1 Mbps... only 2/3 does (1.33 ≥ 1.0
         // and 1.0 ≥ 1.0). Of those, 2/3 has the lower REPB (paper §6.1).
@@ -175,7 +107,7 @@ mod tests {
     #[test]
     fn unreachable_target_gives_none() {
         assert!(min_repb_at_throughput(&sample_outcomes(), 5e6).is_none());
-        assert!(max_throughput(&[]).is_none());
+        assert!(min_repb_at_throughput(&[], 1.0).is_none());
     }
 
     #[test]
@@ -196,9 +128,6 @@ mod tests {
         // Every policy must survive it and never select it.
         let mut o = sample_outcomes();
         o.push(outcome(TagModulation::Qpsk, CodeRate::Half, f64::NAN, true));
-        let best = max_throughput(&o).unwrap();
-        assert!(best.symbol_rate_hz.is_finite());
-        assert_eq!(best.code_rate, CodeRate::TwoThirds);
         let cheap = min_repb_at_throughput(&o, 1.0e6).unwrap();
         assert!(cheap.symbol_rate_hz.is_finite());
         let f = energy_frontier(&o);
@@ -207,28 +136,8 @@ mod tests {
         // All-NaN input: policies return *something* without panicking, and
         // a frontier over it stays well-formed.
         let only_nan = vec![outcome(TagModulation::Bpsk, CodeRate::Half, f64::NAN, true)];
-        let _ = max_throughput(&only_nan);
+        let _ = min_repb_at_throughput(&only_nan, 1.0);
         let _ = energy_frontier(&only_nan);
-    }
-
-    #[test]
-    fn fallback_ladder_descends_and_skips_nan() {
-        let cfgs: Vec<TagConfig> = vec![
-            outcome(TagModulation::Qpsk, CodeRate::Half, 1e6, true).config, // 1.0 Mbps
-            outcome(TagModulation::Bpsk, CodeRate::Half, 1e6, true).config, // 0.5 Mbps
-            outcome(TagModulation::Psk16, CodeRate::Half, 1e6, true).config, // 2.0 Mbps
-            outcome(TagModulation::Qpsk, CodeRate::Half, f64::NAN, true).config,
-        ];
-        let ladder = fallback_ladder(&cfgs);
-        assert_eq!(ladder.len(), 3, "NaN config dropped");
-        for w in ladder.windows(2) {
-            assert!(w[0].throughput_bps() >= w[1].throughput_bps());
-        }
-        let top = ladder[0];
-        let mid = next_lower(&ladder, &top).unwrap();
-        assert!(mid.throughput_bps() < top.throughput_bps());
-        let bottom = next_lower(&ladder, &mid).unwrap();
-        assert!(next_lower(&ladder, &bottom).is_none(), "ladder bottoms out");
     }
 
     #[test]

@@ -46,11 +46,6 @@ impl Timeline {
         }
     }
 
-    /// Number of whole tag symbols that fit in the payload window.
-    pub fn payload_symbols(&self, cfg: &TagConfig) -> usize {
-        self.payload.len() / cfg.samples_per_symbol()
-    }
-
     /// Shift the preamble+payload part of the timeline by `offset` samples
     /// (timing-search correction; the silent window is conservative and is
     /// not shifted).
@@ -79,13 +74,6 @@ mod tests {
         assert_eq!(t.silent, 1000..1320);
         assert_eq!(t.preamble, 1320..1960);
         assert_eq!(t.payload, 1960..50_000);
-    }
-
-    #[test]
-    fn payload_symbol_count() {
-        let cfg = TagConfig::default(); // 1 MSPS → 20 samples/symbol
-        let t = Timeline::nominal(0, 320 + 640 + 1000, &cfg);
-        assert_eq!(t.payload_symbols(&cfg), 50);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use crate::analog::{AnalogCanceller, AnalogConfig};
 use crate::digital::DigitalCanceller;
+use backfi_chan::frontend::Adc;
 use backfi_dsp::{stats, Complex};
 
 /// Full canceller configuration.
@@ -148,7 +149,10 @@ impl SelfInterferenceCanceller {
             // AGC full-scale bits that downstream figures depend on.
             let rms = stats::rms(after_analog);
             let full_scale = rms * 10f64.powf(self.cfg.agc_headroom_db / 20.0);
-            let adc = backfi_chan_adc(self.cfg.adc_bits, full_scale.max(1e-30));
+            let adc = Adc {
+                bits: self.cfg.adc_bits,
+                full_scale: full_scale.max(1e-30),
+            };
             let (adc_clip_fraction, clip_ranges) = adc.clip_scan(after_analog);
             backfi_obs::probe("sic.adc_clip_fraction", adc_clip_fraction);
             adc.quantize(after_analog);
@@ -216,54 +220,6 @@ impl SicScratch {
 fn trim(silent: &std::ops::Range<usize>, taps: usize) -> std::ops::Range<usize> {
     let start = (silent.start + taps).min(silent.end);
     start..silent.end
-}
-
-/// Local ADC constructor (thin wrapper to avoid a circular dependency on
-/// `backfi-chan`; the model is identical).
-fn backfi_chan_adc(bits: u32, full_scale: f64) -> AdcModel {
-    AdcModel { bits, full_scale }
-}
-
-/// Minimal ADC model (mirrors `backfi_chan::frontend::Adc`).
-#[derive(Clone, Copy, Debug)]
-struct AdcModel {
-    bits: u32,
-    full_scale: f64,
-}
-
-impl AdcModel {
-    fn step(&self) -> f64 {
-        2.0 * self.full_scale / (1u64 << self.bits) as f64
-    }
-    /// Quantize in place: clamp to full scale, round to the step.
-    fn quantize(&self, x: &mut [Complex]) {
-        let d = self.step();
-        for v in x {
-            *v = Complex::new(
-                (v.re.clamp(-self.full_scale, self.full_scale) / d).round() * d,
-                (v.im.clamp(-self.full_scale, self.full_scale) / d).round() * d,
-            );
-        }
-    }
-    /// One pass over the samples: the clipped fraction plus the maximal runs
-    /// of consecutive clipped samples.
-    fn clip_scan(&self, x: &[Complex]) -> (f64, Vec<std::ops::Range<usize>>) {
-        if x.is_empty() {
-            return (0.0, Vec::new());
-        }
-        let mut ranges: Vec<std::ops::Range<usize>> = Vec::new();
-        let mut clipped = 0usize;
-        for (i, v) in x.iter().enumerate() {
-            if v.re.abs() >= self.full_scale || v.im.abs() >= self.full_scale {
-                clipped += 1;
-                match ranges.last_mut() {
-                    Some(r) if r.end == i => r.end = i + 1,
-                    _ => ranges.push(i..i + 1),
-                }
-            }
-        }
-        (clipped as f64 / x.len() as f64, ranges)
-    }
 }
 
 #[cfg(test)]

@@ -20,7 +20,6 @@
 
 pub mod config;
 pub mod detector;
-pub mod downlink;
 pub mod energy;
 pub mod framer;
 pub mod modulator;

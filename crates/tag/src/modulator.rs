@@ -91,12 +91,6 @@ impl SwitchTreeModulator {
     pub fn symbols(&self) -> u64 {
         self.symbols
     }
-
-    /// Reset the toggle/symbol counters (e.g. per packet).
-    pub fn reset_counters(&mut self) {
-        self.toggles = 0;
-        self.symbols = 0;
-    }
 }
 
 #[cfg(test)]
@@ -149,8 +143,6 @@ mod tests {
         t.select(2); // 11 -> 10: one line
         assert_eq!(t.toggles(), 3);
         assert_eq!(t.symbols(), 3);
-        t.reset_counters();
-        assert_eq!(t.toggles(), 0);
     }
 
     #[test]

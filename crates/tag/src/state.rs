@@ -206,16 +206,6 @@ impl Tag {
             }
         }
     }
-
-    /// Switch toggles so far (for energy accounting).
-    pub fn switch_toggles(&self) -> u64 {
-        self.modulator.toggles()
-    }
-
-    /// Number of payload symbols in the loaded frame.
-    pub fn frame_symbols(&self) -> usize {
-        self.symbols.len()
-    }
 }
 
 /// Helper that yields the input in µs-aligned chunks so the detector's

@@ -3,10 +3,8 @@
 //! The BackFi AP "transmits a CTS_to_SELF packet to force other WiFi devices
 //! to keep silent" (§4.1) and then sends an ordinary data frame to its client
 //! — that data frame is the backscatter excitation. This module builds and
-//! parses those two frame types (with real FCS), and provides the airtime
-//! arithmetic used by the network/trace simulators.
+//! parses those two frame types (with real FCS).
 
-use crate::params::Mcs;
 use backfi_coding::crc::{crc32_append, crc32_check};
 
 /// A 48-bit MAC address.
@@ -131,24 +129,6 @@ pub fn check_fcs(psdu: &[u8]) -> bool {
     crc32_check(psdu)
 }
 
-/// 802.11 timing constants (OFDM PHY, 20 MHz).
-pub mod timing {
-    /// Short interframe space, µs.
-    pub const SIFS_US: f64 = 16.0;
-    /// DCF interframe space, µs (SIFS + 2 slots).
-    pub const DIFS_US: f64 = 34.0;
-    /// Slot time, µs.
-    pub const SLOT_US: f64 = 9.0;
-}
-
-/// Airtime of a data exchange: CTS-to-self + SIFS + data packet. CTS is sent
-/// at the 6 Mbit/s base rate; the data frame at `mcs`.
-pub fn exchange_airtime_us(mcs: Mcs, payload_bytes: usize) -> f64 {
-    let cts_psdu = 14; // 10-byte body + FCS
-    let data_psdu = 24 + payload_bytes + 4;
-    Mcs::Mbps6.packet_airtime_us(cts_psdu) + timing::SIFS_US + mcs.packet_airtime_us(data_psdu)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,16 +177,6 @@ mod tests {
     fn addresses() {
         assert_ne!(MacAddr::local(1), MacAddr::local(2));
         assert_eq!(MacAddr::local(9), MacAddr::local(9));
-    }
-
-    #[test]
-    fn exchange_airtime_is_dominated_by_data() {
-        let t_small = exchange_airtime_us(Mcs::Mbps54, 100);
-        let t_big = exchange_airtime_us(Mcs::Mbps54, 1400);
-        assert!(t_big > t_small);
-        // A 1500-byte frame at 6 Mbps takes ~2 ms.
-        let slow = exchange_airtime_us(Mcs::Mbps6, 1500);
-        assert!(slow > 2000.0 && slow < 2300.0, "{slow}");
     }
 
     #[test]
