@@ -6,15 +6,14 @@
 //!
 //! Besides the human-readable lines, every point lands in
 //! `BENCH_kernels.json` at the repo root via [`BenchReport`] — the
-//! machine-readable perf trajectory diffed across PRs. The direct-vs-FFT and
-//! old-vs-new pairs double as the empirical record behind the dispatch
-//! crossover constants in `backfi_dsp::fir` (see DESIGN.md §8).
+//! machine-readable perf trajectory diffed across PRs. Where a production
+//! kernel (`auto`) has a reference oracle (`direct`), the two are timed side
+//! by side, and two of those pairs are gated by [`check_speedups`] (see
+//! DESIGN.md §8).
 //!
 //! Pass `--short` for the CI smoke run (fewer iterations, same size grid).
 
 use backfi_bench::timing::{bench, BenchReport};
-use backfi_dsp::fastconv;
-use backfi_dsp::fft::FftPlan;
 use backfi_dsp::fir::{self, filter, ConvMode};
 use backfi_dsp::noise::{add_noise, cgauss_vec};
 use backfi_dsp::rng::SplitMix64;
@@ -31,12 +30,11 @@ fn iters(full: u32, short: bool) -> u32 {
     }
 }
 
-/// Direct-vs-FFT convolution over a size grid straddling the dispatch
-/// crossover. The (8192, 256) point is the acceptance benchmark: the FFT
-/// path must beat the direct form by ≥ 3× there.
+/// Production convolution (`auto`: the AVX2 gather kernel where available)
+/// against the scalar scatter oracle, over kernels longer than any link FIR.
 fn bench_convolve_grid(rep: &mut BenchReport, short: bool) {
     let mut rng = SplitMix64::new(0x11);
-    // (n, l, iters): sizes below, at, and far past the crossover.
+    // (n, l, iters)
     const GRID: &[(usize, usize, u32)] = &[
         (2048, 48, 200),
         (4096, 48, 100),
@@ -51,17 +49,14 @@ fn bench_convolve_grid(rep: &mut BenchReport, short: bool) {
         rep.measure("convolve", "direct", n, l, n, it, || {
             black_box(fir::convolve_direct(black_box(&x), black_box(&h), ConvMode::Full)[0]);
         });
-        rep.measure("convolve", "fft", n, l, n, it, || {
-            black_box(fastconv::convolve_full_fft(black_box(&x), black_box(&h))[0]);
-        });
         rep.measure("convolve", "auto", n, l, n, it, || {
             black_box(fir::convolve(black_box(&x), black_box(&h), ConvMode::Full)[0]);
         });
     }
 }
 
-/// Direct-vs-FFT cross-correlation at the template sizes the receiver uses
-/// (64-tap LTF) and beyond.
+/// Production cross-correlation (`auto`: the planar body) against the AoS
+/// oracle at the template size the receiver uses (64-sample LTF) and beyond.
 fn bench_xcorr_grid(rep: &mut BenchReport, short: bool) {
     let mut rng = SplitMix64::new(0x22);
     const GRID: &[(usize, usize, u32)] = &[(4096, 64, 100), (8192, 128, 40), (16384, 256, 10)];
@@ -71,9 +66,6 @@ fn bench_xcorr_grid(rep: &mut BenchReport, short: bool) {
         let it = iters(it, short);
         rep.measure("xcorr", "direct", n, l, n, it, || {
             black_box(backfi_dsp::correlate::xcorr_direct(black_box(&x), black_box(&t))[0]);
-        });
-        rep.measure("xcorr", "fft", n, l, n, it, || {
-            black_box(fastconv::xcorr_fft(black_box(&x), black_box(&t))[0]);
         });
         rep.measure("xcorr", "auto", n, l, n, it, || {
             black_box(backfi_dsp::correlate::xcorr(black_box(&x), black_box(&t))[0]);
@@ -99,22 +91,6 @@ fn bench_estimator_grid(rep: &mut BenchReport, short: bool) {
             black_box(estimate_fir(&x, &y, taps, 1e-9).map(|v| v.len()));
         });
     }
-}
-
-/// Plan-cache effect: fresh-plan FFT vs cached-plan FFT at the OFDM size.
-fn bench_fft(rep: &mut BenchReport, short: bool) {
-    let mut rng = SplitMix64::new(1);
-    let buf = cgauss_vec(&mut rng, 64, 1.0);
-    let it = iters(2000, short);
-    rep.measure("fft64", "fresh_plan", 64, 0, 64, it, || {
-        let plan = FftPlan::new(64);
-        let mut x = buf.clone();
-        plan.forward(black_box(&mut x));
-        black_box(x[0]);
-    });
-    rep.measure("fft64", "cached_plan", 64, 0, 64, it, || {
-        black_box(backfi_dsp::fft::fft(black_box(&buf))[0]);
-    });
 }
 
 /// The headline trial's six link FIRs at their real shape: n = 82,900
@@ -258,10 +234,10 @@ fn bench_obs_overhead(rep: &mut BenchReport, short: bool) {
 }
 
 /// Assert the acceptance speedups from the recorded trajectory and print the
-/// ratio table: FFT convolution ≥ 3× direct at (8192, 256), Toeplitz
-/// estimator ≥ 3× direct at (4096, 64), and the production FIR ≥ 2.5× the
-/// scalar oracle at the 2-tap link shape (82,900, 2). Skipped in `--short`
-/// mode where the low iteration counts make ratios noisy.
+/// ratio table: the Toeplitz estimator ≥ 3× direct at (4096, 64), and the
+/// production FIR ≥ 2.5× the scalar oracle at the 2-tap link shape
+/// (82,900, 2). Skipped in `--short` mode where the low iteration counts
+/// make ratios noisy.
 fn check_speedups(rep: &BenchReport, short: bool) {
     let find = |name: &str| {
         rep.records()
@@ -271,7 +247,6 @@ fn check_speedups(rep: &BenchReport, short: bool) {
             .ns_per_iter
     };
     let pairs = [
-        ("convolve_direct_n8192_l256", "convolve_fft_n8192_l256", 3.0),
         (
             "estimate_fir_direct_n4096_l64",
             "estimate_fir_toeplitz_n4096_l64",
@@ -296,7 +271,6 @@ fn main() {
     let short = BenchReport::short_mode();
     let mut rep = BenchReport::new("kernels", if short { "short" } else { "full" });
 
-    bench_fft(&mut rep, short);
     bench_convolve_grid(&mut rep, short);
     bench_xcorr_grid(&mut rep, short);
     bench_estimator_grid(&mut rep, short);

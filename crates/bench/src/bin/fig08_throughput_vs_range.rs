@@ -6,7 +6,7 @@
 
 use backfi_bench::timing::timed_figure;
 use backfi_bench::{fmt_bps, header, rule, Cli};
-use backfi_core::figures::{fig8, fig8_pruned};
+use backfi_core::figures::fig8;
 
 fn main() {
     let cli = Cli::parse("fig08");
@@ -19,14 +19,7 @@ fn main() {
     let distances = [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
     let preambles = [32.0, 96.0];
     let pts = timed_figure("fig08", || {
-        // `--prune` skips candidates that already failed nearer in (frontier
-        // monotonicity); seeds stay aligned with the full grid, so the table is
-        // identical whenever the monotonicity assumption holds — just cheaper.
-        if cli.prune {
-            fig8_pruned(&cli.ctx, &distances, &preambles, &cli.budget)
-        } else {
-            fig8(&cli.ctx, &distances, &preambles, &cli.budget)
-        }
+        fig8(&cli.ctx, &distances, &preambles, &cli.budget)
     });
 
     println!(

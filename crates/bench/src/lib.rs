@@ -22,15 +22,13 @@ use std::sync::Arc;
 
 pub mod timing;
 
-const USAGE: &str =
-    "usage: [--quick|--short] [--prune] [--obs] [--trace] [--impair SPEC] [--cache DIR]";
+const USAGE: &str = "usage: [--quick|--short] [--obs] [--trace] [--impair SPEC] [--cache DIR]";
 
 /// Every run parameter of a figure binary, parsed once from the command
-/// line: `--quick`/`--short` (smoke budget), `--prune` (fig08's
-/// frontier-pruned sweep), `--obs`/`--trace` (as `BACKFI_OBS=1` /
-/// `BACKFI_TRACE=1`), `--impair SPEC` (an impairment set stamped on every link
-/// the figure builds, e.g. `cfo:0.5,interference:1`) and `--cache DIR` (a
-/// persistent result cache).
+/// line: `--quick`/`--short` (smoke budget), `--obs`/`--trace` (as
+/// `BACKFI_OBS=1` / `BACKFI_TRACE=1`), `--impair SPEC` (an impairment set
+/// stamped on every link the figure builds, e.g. `cfo:0.5,interference:1`)
+/// and `--cache DIR` (a persistent result cache).
 ///
 /// The last `--impair`/`--cache` wins. A missing or `--`-prefixed value, a
 /// malformed spec or an unknown argument is a usage error: without flags the
@@ -40,8 +38,6 @@ pub struct Cli {
     pub budget: FigureBudget,
     /// `--quick`/`--short` was given.
     pub quick: bool,
-    /// `--prune` was given.
-    pub prune: bool,
     /// Executor, result cache and impairments every sweep runs against.
     pub ctx: RunContext,
     /// Writes the obs manifest and/or trace timeline when dropped at the end
@@ -67,14 +63,13 @@ impl Cli {
     /// cost recompute time, never the run. An active impairment set or cache
     /// is echoed to stderr; stdout is never touched.
     pub fn from_iter<I: IntoIterator<Item = String>>(figure: &str, args: I) -> Result<Cli, String> {
-        let (mut quick, mut prune, mut obs, mut trace) = (false, false, false, false);
+        let (mut quick, mut obs, mut trace) = (false, false, false);
         let mut impair = Impairments::off();
         let mut cache_dir = None;
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--quick" | "--short" => quick = true,
-                "--prune" => prune = true,
                 "--obs" => obs = true,
                 "--trace" => trace = true,
                 "--impair" => {
@@ -126,7 +121,6 @@ impl Cli {
         Ok(Cli {
             budget,
             quick,
-            prune,
             ctx: RunContext {
                 cache,
                 impair,
@@ -182,8 +176,8 @@ mod tests {
     fn summary(c: &Cli) -> String {
         let cache = c.ctx.cache.as_ref().map(|c| c.dir().to_path_buf());
         let (exec, impair) = (c.ctx.exec, c.ctx.impair);
-        let (budget, quick, prune, obs) = (c.budget, c.quick, c.prune, c.obs.is_some());
-        format!("{budget:?} {quick} {prune} {exec:?} {impair:?} {cache:?} {obs}")
+        let (budget, quick, obs) = (c.budget, c.quick, c.obs.is_some());
+        format!("{budget:?} {quick} {exec:?} {impair:?} {cache:?} {obs}")
     }
 
     #[test]
@@ -197,14 +191,14 @@ mod tests {
     fn flags_parse_and_the_last_value_wins() {
         let (off, all) = (Impairments::off(), Impairments::all);
         let cases = [
-            ("", false, false, off),
-            ("--prune --quick --impair all:0.5", true, true, all(0.5)),
-            ("--impair all:0.5 --impair off", false, false, off),
-            ("--impair off --impair all:0.25", false, false, all(0.25)),
+            ("", false, off),
+            ("--quick --impair all:0.5", true, all(0.5)),
+            ("--impair all:0.5 --impair off", false, off),
+            ("--impair off --impair all:0.25", false, all(0.25)),
         ];
-        for (line, quick, prune, impair) in cases {
+        for (line, quick, impair) in cases {
             let c = cli(line).unwrap();
-            assert_eq!((c.quick, c.prune, c.ctx.impair), (quick, prune, impair));
+            assert_eq!((c.quick, c.ctx.impair), (quick, impair));
             let trials = [FigureBudget::paper(), FigureBudget::quick()][quick as usize].trials;
             assert_eq!(c.budget.trials, trials, "{line}");
             assert!(c.ctx.cache.is_none() && c.obs.is_none(), "{line}");

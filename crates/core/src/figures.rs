@@ -148,66 +148,6 @@ pub fn fig8(
         .collect()
 }
 
-/// Frontier-pruned [`fig8`]: same figure, fewer link trials.
-///
-/// Exploits the monotonicity of the throughput-vs-range frontier: a
-/// configuration that failed to decode at a *nearer* distance only loses SNR
-/// farther out, so any candidate whose throughput exceeds the previous
-/// (nearer) distance's frontier value cannot join the frontier and is
-/// skipped. Distances are processed nearest-first per preamble; the first
-/// distance always evaluates the full candidate grid.
-///
-/// Every trial that *does* run reuses the job index it had in the full
-/// [`fig8`] grid (via [`RunContext::run_grid_indexed`]), so evaluated cells
-/// see exactly the seeds the full sweep would have given them — on grids
-/// where the monotonicity assumption holds, the reported frontier is
-/// bit-identical to the full sweep's, just cheaper.
-pub fn fig8_pruned(
-    ctx: &RunContext,
-    distances: &[f64],
-    preambles: &[f64],
-    budget: &FigureBudget,
-) -> Vec<Fig8Point> {
-    let trials = budget.trials.max(1) as u64;
-    let mut points = Vec::new();
-    // Cell offset of each (preamble, distance) block in the full fig8 grid.
-    let mut block_start = 0u64;
-    for &preamble_us in preambles {
-        let candidates = TagConfig::all_combinations(preamble_us);
-        let starts: Vec<u64> = (0..distances.len() as u64)
-            .map(|i| block_start + i * candidates.len() as u64)
-            .collect();
-        block_start += (distances.len() * candidates.len()) as u64;
-
-        // Nearest-first order; the caller's distance order is restored below
-        // by pushing points in evaluation order and sorting at the end.
-        let mut order: Vec<usize> = (0..distances.len()).collect();
-        order.sort_by(|&a, &b| distances[a].total_cmp(&distances[b]));
-
-        let mut frontier = f64::INFINITY;
-        let mut per_distance: Vec<Option<Fig8Point>> = vec![None; distances.len()];
-        for &di in &order {
-            let distance_m = distances[di];
-            let base = base_link(ctx, distance_m, budget);
-            let mut cells = Vec::new();
-            let mut bases = Vec::new();
-            for (ci, cell) in grid_cells(&base, &candidates).into_iter().enumerate() {
-                if cell.tag.throughput_bps() > frontier {
-                    continue; // couldn't decode nearer in — can't out here
-                }
-                cells.push(cell);
-                bases.push((starts[di] + ci as u64) * trials);
-            }
-            let stats = ctx.run_grid_indexed(&cells, budget.trials, 1000, &bases);
-            let point = Fig8Point::from_stats(preamble_us, distance_m, &stats);
-            frontier = point.max_throughput_bps;
-            per_distance[di] = Some(point);
-        }
-        points.extend(per_distance.into_iter().flatten());
-    }
-    points
-}
-
 // ------------------------------------------------------------- Figs. 9/10 --
 
 /// One grid over every 32 µs-preamble configuration at each distance,
@@ -520,37 +460,6 @@ mod tests {
         assert_eq!(base_link(&ctx, 2.0, &budget).impair, Impairments::all(0.5));
         let clean = base_link(&RunContext::default(), 2.0, &budget);
         assert!(clean.impair.is_off());
-    }
-
-    #[test]
-    fn fig8_pruned_matches_full_sweep() {
-        // Small grid spanning decodable (0.5 m, 1 m) and marginal (5 m)
-        // ranges: the pruned sweep must report the same frontier — same max
-        // throughput bits, same winning configuration — as the full grid.
-        let budget = FigureBudget::quick();
-        let distances = [0.5, 1.0, 5.0];
-        let preambles = [32.0];
-        let ctx = RunContext::default();
-        let full = fig8(&ctx, &distances, &preambles, &budget);
-        let pruned = fig8_pruned(&ctx, &distances, &preambles, &budget);
-        assert_eq!(full.len(), pruned.len());
-        for (f, p) in full.iter().zip(&pruned) {
-            assert_eq!(f.preamble_us, p.preamble_us);
-            assert_eq!(f.distance_m, p.distance_m);
-            assert_eq!(
-                f.max_throughput_bps.to_bits(),
-                p.max_throughput_bps.to_bits(),
-                "frontier mismatch at {} m: full {} vs pruned {}",
-                f.distance_m,
-                f.max_throughput_bps,
-                p.max_throughput_bps
-            );
-            assert_eq!(
-                f.best, p.best,
-                "winning config mismatch at {} m",
-                f.distance_m
-            );
-        }
     }
 
     #[test]

@@ -331,11 +331,9 @@ impl RunContext {
     /// base: cell `i`, trial `t` runs with seed `SplitMix64::derive(seed0,
     /// bases[i] + t)`.
     ///
-    /// This is how pruned sweeps stay bit-aligned with their full
-    /// counterparts: evaluate any *subset* of a full grid's cells while
-    /// passing the job-index bases those cells had in the full grid, and
-    /// every evaluated trial sees exactly the seed the full sweep would have
-    /// given it.
+    /// Evaluating any *subset* of a full grid's cells with the job-index
+    /// bases those cells had in the full grid gives every evaluated trial
+    /// exactly the seed the full sweep would have given it.
     pub fn run_grid_indexed(
         &self,
         cells: &[LinkConfig],

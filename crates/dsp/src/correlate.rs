@@ -7,43 +7,25 @@
 
 use crate::Complex;
 
-/// Below this signal×template product [`xcorr`] runs the AoS direct loop
-/// (the planar form pays two O(n) layout conversions); at or above it the
-/// planar [`crate::soa::xcorr_soa`]. The two are bit-identical, so this is
-/// purely a performance knob.
-const XCORR_PLANAR_MIN_PRODUCT: usize = 4096;
-
 /// Sliding cross-correlation of `x` against a shorter `template`:
 /// `r[k] = Σ_i x[k+i]·conj(template[i])` for every full-overlap lag
 /// (`x.len() − template.len() + 1` outputs).
 ///
-/// Long templates (the reader's 640-sample tag-preamble search is the hot
-/// case) dispatch to the overlap-save FFT path in [`crate::fastconv`] under
-/// the same size crossover as [`crate::fir::convolve`]; short ones use the
-/// direct form.
+/// Runs the planar [`crate::soa::xcorr_planar`] body, bit-identical to
+/// [`xcorr_direct`]. Its one production caller is the WiFi client's LTF
+/// search (a 64-sample template over at most a few hundred lags).
 ///
 /// # Panics
 /// Panics if `template` is empty or longer than `x`.
 pub fn xcorr(x: &[Complex], template: &[Complex]) -> Vec<Complex> {
-    assert!(!template.is_empty(), "xcorr: empty template");
-    assert!(
-        template.len() <= x.len(),
-        "xcorr: template longer than signal"
-    );
-    if template.len() >= crate::fir::FFT_MIN_KERNEL
-        && x.len().saturating_mul(template.len()) >= crate::fir::FFT_MIN_PRODUCT
-    {
-        crate::fastconv::xcorr_fft(x, template)
-    } else if x.len().saturating_mul(template.len()) >= XCORR_PLANAR_MIN_PRODUCT {
-        // Bit-identical to xcorr_direct, vectorized planar form.
-        crate::soa::xcorr_soa(x, template)
-    } else {
-        xcorr_direct(x, template)
-    }
+    let (xr, xi) = crate::soa::split(x);
+    let (tr, ti) = crate::soa::split(template);
+    let (yr, yi) = crate::soa::xcorr_planar(&xr, &xi, &tr, &ti);
+    crate::soa::merge(&yr, &yi)
 }
 
-/// The direct O(n·m) form of [`xcorr`], bypassing the size dispatch.
-/// Reference implementation for the equivalence tests and benches.
+/// The AoS loop of [`xcorr`]: the reference implementation for the
+/// equivalence tests and benches.
 ///
 /// # Panics
 /// Panics if `template` is empty or longer than `x`.

@@ -9,8 +9,6 @@
 //! customary `1/N` normalization so `ifft(fft(x)) == x`.
 
 use crate::Complex;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// A planned FFT of a fixed power-of-two size.
 ///
@@ -47,36 +45,6 @@ impl FftPlan {
             twiddles,
             bitrev,
         }
-    }
-
-    /// Fetch (or build and cache) a shared plan for size `n`.
-    ///
-    /// Planning costs O(n) trigonometry, which dwarfs the butterflies for the
-    /// small transforms the convenience wrappers are called with, so plans are
-    /// shared process-wide — same pattern as the excitation cache in
-    /// `backfi-core`. Callers that transform one size in a tight loop can
-    /// still hold a [`FftPlan`] (or this `Arc`) directly and skip the lock.
-    ///
-    /// # Panics
-    /// Panics if `n` is zero or not a power of two.
-    pub fn cached(n: usize) -> Arc<FftPlan> {
-        /// Distinct sizes alive at once stay tiny (OFDM 64, a few
-        /// overlap-save block sizes, Welch segments); the cap only guards
-        /// against a pathological caller sweeping sizes forever.
-        const CACHE_CAP: usize = 32;
-        static CACHE: OnceLock<Mutex<HashMap<usize, Arc<FftPlan>>>> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Some(hit) = cache.lock().expect("fft plan cache poisoned").get(&n) {
-            return hit.clone();
-        }
-        // Build outside the lock: concurrent first-builds of one size both
-        // compute identical tables, which is deterministic and rare.
-        let built = Arc::new(FftPlan::new(n));
-        let mut map = cache.lock().expect("fft plan cache poisoned");
-        if map.len() >= CACHE_CAP {
-            map.clear();
-        }
-        map.entry(n).or_insert_with(|| built.clone()).clone()
     }
 
     /// Transform size.
@@ -167,12 +135,14 @@ impl FftPlan {
     }
 }
 
-/// Out-of-place forward FFT convenience wrapper.
+/// Out-of-place forward FFT convenience wrapper. Plans afresh on every call;
+/// callers that transform one size repeatedly hold an [`FftPlan`] (the OFDM
+/// transmitter and receiver do).
 ///
 /// # Panics
 /// Panics if `x.len()` is not a power of two.
 pub fn fft(x: &[Complex]) -> Vec<Complex> {
-    let plan = FftPlan::cached(x.len());
+    let plan = FftPlan::new(x.len());
     let mut buf = x.to_vec();
     plan.forward(&mut buf);
     buf
@@ -183,7 +153,7 @@ pub fn fft(x: &[Complex]) -> Vec<Complex> {
 /// # Panics
 /// Panics if `x.len()` is not a power of two.
 pub fn ifft(x: &[Complex]) -> Vec<Complex> {
-    let plan = FftPlan::cached(x.len());
+    let plan = FftPlan::new(x.len());
     let mut buf = x.to_vec();
     plan.inverse(&mut buf);
     buf
@@ -303,22 +273,5 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two() {
         FftPlan::new(12);
-    }
-
-    #[test]
-    fn cached_plans_are_shared_and_identical_to_fresh() {
-        let a = FftPlan::cached(256);
-        let b = FftPlan::cached(256);
-        assert!(Arc::ptr_eq(&a, &b), "same size must share one plan");
-        let x: Vec<Complex> = (0..256)
-            .map(|i| Complex::new((i as f64 * 0.11).sin(), (i as f64 * 0.07).cos()))
-            .collect();
-        let mut via_cache = x.clone();
-        a.forward(&mut via_cache);
-        let mut fresh = x;
-        FftPlan::new(256).forward(&mut fresh);
-        for (u, v) in via_cache.iter().zip(&fresh) {
-            assert_eq!(u, v, "cached plan must be bit-identical to a fresh one");
-        }
     }
 }

@@ -5,13 +5,14 @@
 //! filters) are all modelled as complex FIR impulse responses, so linear
 //! convolution is the single most-used kernel in the simulator.
 //!
-//! [`filter`] and [`convolve`] dispatch on operand size to one of three
-//! bodies (DESIGN.md §8): the overlap-save FFT path for long products, else
-//! the AVX2 gather kernel, else the scalar scatter loop of [`filter_direct`]
-//! and [`convolve_direct`]. The gather kernel keeps eight outputs in
-//! registers across the taps and is bit-identical to the scatter loop (see
-//! the proof on `gather`); the scatter loop is both the reference oracle and
-//! the portable fallback.
+//! Every impulse response the link runs is short (≤ 32 taps: the channels'
+//! delay spread is a few samples at 20 MS/s), so [`filter`] and [`convolve`]
+//! have one direct O(n·m) form with two bodies (DESIGN.md §8): the AVX2
+//! gather kernel, and the scalar scatter loop of [`filter_direct`] and
+//! [`convolve_direct`]. The gather kernel keeps eight outputs in registers
+//! across the taps and is bit-identical to the scatter loop (see the proof
+//! on `gather`); the scatter loop is both the reference oracle and the
+//! portable fallback.
 
 use crate::Complex;
 use core::mem::MaybeUninit;
@@ -25,35 +26,6 @@ pub enum ConvMode {
     Same,
     /// Only samples where the signals fully overlap, length `max(n,m) − min(n,m) + 1`.
     Valid,
-}
-
-/// Size crossover for the FFT convolution path: both operands must have at
-/// least this many samples. Below it the direct form's lower constant wins,
-/// and — just as importantly — every short-channel operation in the link
-/// pipeline (all impulse responses are ≲ 32 taps) keeps its exact
-/// bit-for-bit direct-form arithmetic, so sweep outputs are unchanged.
-///
-/// Tuned on the fig-grid host (measurements in DESIGN.md §8): with a
-/// ≥48-tap kernel the FFT path already wins ~2–3× at the product floor and
-/// the gap widens with length (8.3× at 8192×256, ~15× at 16384×512).
-pub const FFT_MIN_KERNEL: usize = 48;
-
-/// Size crossover for the FFT convolution path: the signal×kernel product
-/// must reach this many multiply-accumulates before the overlap-save
-/// machinery (plan lookup, padded blocks, three transforms per block) pays
-/// for itself. Measured break-even is near 2¹⁶; the floor sits one power of
-/// two above it so everything the link pipeline convolves stays on the
-/// bit-exact direct path. `64 taps × 2048 samples` sits right at this
-/// boundary.
-pub const FFT_MIN_PRODUCT: usize = 1 << 17;
-
-/// True when an (n-sample × m-tap) product should take the FFT path: both
-/// operands reach [`FFT_MIN_KERNEL`] **and** the product reaches
-/// [`FFT_MIN_PRODUCT`]. Public so the crossover boundary is testable
-/// exactly at ±1 around both thresholds.
-#[inline]
-pub fn use_fft(n: usize, m: usize) -> bool {
-    n.min(m) >= FFT_MIN_KERNEL && n.saturating_mul(m) >= FFT_MIN_PRODUCT
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -201,31 +173,22 @@ fn apply_mode(full: Vec<Complex>, n: usize, m: usize, mode: ConvMode) -> Vec<Com
     }
 }
 
-/// Linear convolution of `x` with `h`.
-///
-/// Dispatches on operand sizes: short products (channel impulse responses
-/// here are ≲ 32 taps) use the direct O(n·m) form — the AVX2 gather kernel,
-/// bit-identical to [`convolve_direct`] — and long ones the overlap-save FFT
-/// path in [`crate::fastconv`] (O(n·log m), identical within float
-/// rounding). The crossover is [`FFT_MIN_KERNEL`] taps and
-/// [`FFT_MIN_PRODUCT`] multiply-accumulates.
+/// Linear convolution of `x` with `h`: the direct O(n·m) form, bit-identical
+/// to [`convolve_direct`] (the AVX2 gather kernel on the AVX2 backend with
+/// finite taps, the scalar scatter loop otherwise).
 ///
 /// # Panics
 /// Panics if either input is empty.
 pub fn convolve(x: &[Complex], h: &[Complex], mode: ConvMode) -> Vec<Complex> {
     assert!(!x.is_empty() && !h.is_empty(), "convolve: empty input");
     let (n, m) = (x.len(), h.len());
-    if use_fft(n, m) {
-        return apply_mode(crate::fastconv::convolve_full_fft(x, h), n, m, mode);
-    }
     let mut full = Vec::new();
     direct_into(h, x, n + m - 1, &mut full);
     apply_mode(full, n, m, mode)
 }
 
-/// The direct O(n·m) convolution form, bypassing the size dispatch of
-/// [`convolve`]: the scalar scatter loop. Reference implementation for the
-/// equivalence tests and the before/after kernel benches.
+/// The scalar scatter loop of [`convolve`]: the reference implementation for
+/// the equivalence tests and the kernel benches.
 ///
 /// # Panics
 /// Panics if either input is empty.
@@ -241,8 +204,7 @@ pub fn convolve_direct(x: &[Complex], h: &[Complex], mode: ConvMode) -> Vec<Comp
 /// output the same length as `x`. This is the "signal goes through a channel"
 /// operation — the convolution tail beyond the input length is dropped.
 ///
-/// Dispatches to the overlap-save FFT path for long filter×signal products,
-/// like [`convolve`]. Allocating wrapper over [`filter_into`].
+/// Allocating wrapper over [`filter_into`].
 pub fn filter(h: &[Complex], x: &[Complex]) -> Vec<Complex> {
     let mut y = Vec::new();
     filter_into(h, x, &mut y);
@@ -251,25 +213,19 @@ pub fn filter(h: &[Complex], x: &[Complex]) -> Vec<Complex> {
 
 /// [`filter`] into a caller-owned buffer: `y` is cleared and refilled with
 /// `x.len()` outputs, reusing its capacity, so a caller that keeps `y`
-/// across calls allocates nothing on the direct path.
+/// across calls allocates nothing.
 ///
-/// Below the FFT crossover the output comes from one of two bodies, both
-/// bit-identical to [`filter_direct`]: the AVX2 gather kernel, or the scalar
-/// scatter loop itself on the `Scalar` backend (`BACKFI_SIMD=off`), off
-/// x86-64, and whenever a tap is NaN or ∞. The FFT path (long kernels only,
-/// never a link-pipeline channel) replaces `y` wholesale.
+/// The output comes from one of two bodies, both bit-identical to
+/// [`filter_direct`]: the AVX2 gather kernel, or the scalar scatter loop
+/// itself on the `Scalar` backend (`BACKFI_SIMD=off`), off x86-64, and
+/// whenever a tap is NaN or ∞.
 pub fn filter_into(h: &[Complex], x: &[Complex], y: &mut Vec<Complex>) {
     assert!(!h.is_empty(), "filter: empty impulse response");
-    if use_fft(x.len(), h.len()) {
-        *y = crate::fastconv::filter_fft(h, x);
-        return;
-    }
     direct_into(h, x, x.len(), y);
 }
 
-/// The direct O(n·m) form of [`filter`], bypassing the size dispatch: the
-/// scalar scatter loop. Reference implementation for the equivalence tests
-/// and benches.
+/// The scalar scatter loop of [`filter`]: the reference implementation for
+/// the equivalence tests and benches.
 ///
 /// # Panics
 /// Panics if `h` is empty.
@@ -404,8 +360,8 @@ mod tests {
 
     #[test]
     fn filter_into_reuses_a_dirty_buffer_bitwise() {
-        // Every dispatch path (gather, scalar fallback, FFT) must overwrite a
-        // reused buffer completely, whether it is longer or shorter.
+        // Both bodies (gather, scalar fallback) must overwrite a reused
+        // buffer completely, whether it is longer or shorter.
         let mut rng = crate::rng::SplitMix64::new(0x51);
         let mut y = vec![Complex::new(f64::NAN, 7.0); 9000];
         for (taps, n) in [
@@ -524,51 +480,6 @@ mod tests {
         f.push(c(5.0));
         f.reset();
         assert!((f.push(c(1.0)) - c(1.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fft_crossover_boundary_exact() {
-        // Documented rule (DESIGN.md §8): FFT path ⇔ min(n,m) ≥ FFT_MIN_KERNEL
-        // ∧ n·m ≥ FFT_MIN_PRODUCT. Probe every boundary at ±1.
-        assert_eq!(2048 * 64, FFT_MIN_PRODUCT); // the boundary pair below
-        assert!(use_fft(2048, 64), "exactly at the product floor");
-        assert!(!use_fft(2047, 64), "one sample below the product floor");
-        assert!(use_fft(64, 2048), "symmetric in the operands");
-        assert!(!use_fft(64, 2047));
-        assert!(
-            !use_fft(4096, FFT_MIN_KERNEL - 1),
-            "kernel one tap short overrides a huge product"
-        );
-        assert!(use_fft(4096, FFT_MIN_KERNEL));
-        assert!(
-            !use_fft(FFT_MIN_KERNEL, FFT_MIN_KERNEL),
-            "kernel floor alone is not enough"
-        );
-    }
-
-    #[test]
-    fn dispatch_selects_documented_path_bitwise_at_boundary() {
-        use crate::noise::cgauss_vec;
-        use crate::rng::SplitMix64;
-        // At crossover±1 the output must be bit-identical to the path the
-        // documented rule names (the gather kernel equals convolve_direct
-        // bitwise, so the direct-side comparison stays exact).
-        for (n, m) in [(2048usize, 64usize), (2047, 64), (4096, 47), (4096, 48)] {
-            let mut rng = SplitMix64::new((n * 1000 + m) as u64);
-            let x = cgauss_vec(&mut rng, n, 1.0);
-            let h = cgauss_vec(&mut rng, m, 1.0);
-            let got = convolve(&x, &h, ConvMode::Full);
-            let want = if use_fft(n, m) {
-                crate::fastconv::convolve_full_fft(&x, &h)
-            } else {
-                convolve_direct(&x, &h, ConvMode::Full)
-            };
-            assert_eq!(got.len(), want.len());
-            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(a.re.to_bits(), b.re.to_bits(), "({n},{m}) re[{i}]");
-                assert_eq!(a.im.to_bits(), b.im.to_bits(), "({n},{m}) im[{i}]");
-            }
-        }
     }
 
     #[test]

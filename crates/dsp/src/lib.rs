@@ -8,18 +8,16 @@
 //!
 //! * [`Complex`] — complex arithmetic (the `num-complex` crate is not on the
 //!   offline allowlist, so we implement it ourselves),
-//! * [`fft`] — an iterative radix-2 FFT/IFFT for OFDM modulation, with a
-//!   process-wide plan cache,
-//! * [`fir`] — FIR filtering and convolution (channels, cancellers), with
-//!   automatic FFT dispatch for long products,
-//! * [`fastconv`] — the overlap-save kernels behind that dispatch,
+//! * [`fft`] — an iterative radix-2 FFT/IFFT for OFDM modulation,
+//! * [`fir`] — direct-form FIR filtering and convolution (channels,
+//!   cancellers; every link impulse response is ≤ 32 taps),
 //! * [`correlate`] — cross/auto-correlation and peak search (synchronization),
 //! * [`window`] — window functions,
 //! * [`stats`] — power/SNR/EVM measurement and dB conversions,
 //! * [`noise`] — deterministic complex Gaussian noise generation,
 //! * [`rng`] — the seedable SplitMix64 generator behind all randomness,
 //! * [`spectrum`] — Welch PSD estimation (waveform sanity checks),
-//! * [`simd`] — runtime feature detection and dispatched reductions,
+//! * [`simd`] — runtime backend detection for the dispatched kernels,
 //! * [`soa`] — structure-of-arrays planar kernels for the receive hot paths.
 //!
 //! Everything is `f64`: the simulation favours numerical fidelity over
@@ -31,7 +29,6 @@
 
 pub mod complex;
 pub mod correlate;
-pub mod fastconv;
 pub mod fft;
 pub mod fir;
 pub mod noise;

@@ -1,33 +1,22 @@
-//! Portable SIMD layer: runtime feature detection and dispatched reduction
-//! kernels.
+//! Portable SIMD layer: runtime backend detection for the dispatched kernels.
 //!
-//! Zero external crates: on x86_64 the fast paths are ordinary Rust loops
-//! compiled inside `#[target_feature(enable = "avx2")]` functions, selected at
-//! runtime with `is_x86_feature_detected!`. On aarch64 NEON is part of the
-//! baseline target, so the portable loops already vectorize and the dispatch
-//! collapses to the scalar backend. Everything else falls back to the same
-//! portable code compiled for the baseline target.
+//! Zero external crates: on x86_64 the fast paths are ordinary Rust loops or
+//! intrinsics compiled inside `#[target_feature(enable = "avx2")]`
+//! functions, selected at runtime with `is_x86_feature_detected!`. On
+//! aarch64 NEON is part of the baseline target, so the portable loops
+//! already vectorize and the dispatch collapses to the scalar backend.
+//! Everything else falls back to the same portable code compiled for the
+//! baseline target.
 //!
-//! ## Bit-exactness rules (DESIGN.md §11)
+//! ## Bit-exactness (DESIGN.md §11)
 //!
-//! * Element-wise kernels (see [`crate::soa`]) are bit-exact in every backend:
-//!   each output element is computed by the same f64 expression in the same
-//!   order, so vectorizing across elements cannot change results. They
-//!   dispatch unconditionally.
-//! * **Reductions are different.** A lane-split sum reassociates floating
-//!   point addition and is *not* bit-exact against the sequential fold the
-//!   scalar pipeline uses. Figure outputs must stay byte-identical
-//!   (ROADMAP standing constraint), so every reduction here exists in two
-//!   forms: `*_ordered` (sequential fold, the reference) and the lane-split
-//!   fast form. The `*_auto` entry points keep any window shorter than
-//!   [`SIMD_MIN_REDUCE`] on the ordered path — every window the link pipeline
-//!   reduces (silent windows, symbol windows, LTF spans are all ≲ a few
-//!   hundred samples) sits far below the floor, mirroring how the
-//!   [`crate::fir`] crossover keeps pipeline-sized convolutions on the
-//!   bit-exact direct path.
-//! * The lane-split forms use the **same fixed 4-way split in every backend**,
-//!   so scalar and AVX2 runs of the *same* function are bit-identical to each
-//!   other; only the fast-vs-ordered pairing differs (within rounding).
+//! Every dispatched kernel (the [`crate::fir`] gather kernel, the
+//! [`crate::soa`] planar bodies, the Viterbi ACS step) computes each output
+//! element with the same f64 expression in the same order on every backend,
+//! so the backend never changes a result. Reductions are not dispatched:
+//! the power and inner-product sums the pipeline takes
+//! ([`crate::stats::mean_power`], [`crate::stats::dot_conj_energy`]) fold in
+//! index order, because a lane-split sum would reassociate the additions.
 //!
 //! ## Disabling SIMD
 //!
@@ -59,11 +48,6 @@ impl Backend {
         }
     }
 }
-
-/// Reductions shorter than this stay on the sequential `*_ordered` path in
-/// the `*_auto` entry points, keeping every pipeline-sized window bit-exact
-/// with the pre-SIMD code (figure outputs are diffed byte-for-byte).
-pub const SIMD_MIN_REDUCE: usize = 4096;
 
 /// 0 = uninitialized, 1 = native backend, 2 = forced scalar.
 static FORCE: AtomicU8 = AtomicU8::new(0);
@@ -111,238 +95,20 @@ pub fn backend() -> Backend {
     Backend::Scalar
 }
 
-// ------------------------------------------------------------- reductions ---
-
-/// Sequential-order energy `Σ|x[i]|²` — bit-identical to the fold the scalar
-/// pipeline has always used ([`crate::stats::mean_power`] × len). Reference
-/// form for [`energy`].
-pub fn energy_ordered(x: &[Complex]) -> f64 {
-    let mut acc = 0.0;
-    for v in x {
-        acc += v.norm_sqr();
-    }
-    acc
-}
-
-#[inline(always)]
-fn energy_impl(x: &[Complex]) -> f64 {
-    // Fixed 4-way split regardless of backend, so scalar and AVX2 runs agree
-    // bit-for-bit with each other (NOT with the ordered fold).
-    let mut acc = [0.0f64; 4];
-    let chunks = x.chunks_exact(4);
-    let tail = chunks.remainder();
-    for c in chunks {
-        acc[0] += c[0].norm_sqr();
-        acc[1] += c[1].norm_sqr();
-        acc[2] += c[2].norm_sqr();
-        acc[3] += c[3].norm_sqr();
-    }
-    let mut total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for v in tail {
-        total += v.norm_sqr();
-    }
-    total
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn energy_avx2(x: &[Complex]) -> f64 {
-    energy_impl(x)
-}
-
-/// Lane-split energy `Σ|x[i]|²`. Fast, but the 4-way accumulator split
-/// reassociates the sum — use [`energy_ordered`] (or [`energy_auto`]) where
-/// byte-identical figure output matters.
-pub fn energy(x: &[Complex]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if backend() == Backend::Avx2 {
-        // SAFETY: backend() returns Avx2 only after runtime detection.
-        return unsafe { energy_avx2(x) };
-    }
-    energy_impl(x)
-}
-
-/// Size-dispatched energy: ordered below [`SIMD_MIN_REDUCE`] (bit-exact with
-/// the scalar pipeline), lane-split above it.
-pub fn energy_auto(x: &[Complex]) -> f64 {
-    if x.len() < SIMD_MIN_REDUCE {
-        energy_ordered(x)
-    } else {
-        energy(x)
-    }
-}
-
-/// Size-dispatched mean power, bit-exact with
-/// [`crate::stats::mean_power`] below [`SIMD_MIN_REDUCE`]. Returns 0 for an
-/// empty block, like `mean_power`.
+/// [`crate::stats::mean_power`] under its former name, kept only because the
+/// repository benchmark (`benchmark/src/link.rs`) still calls it. New code
+/// calls `stats::mean_power`.
 pub fn mean_power_auto(x: &[Complex]) -> f64 {
-    if x.is_empty() {
-        return 0.0;
-    }
-    energy_auto(x) / x.len() as f64
-}
-
-/// Sequential-order MRC inner products: `(Σ y[i]·conj(r[i]), Σ |r[i]|²)` in
-/// one pass, bit-identical to the accumulation loop `mrc_symbol` has always
-/// used. Reference form for [`dot_conj_energy`].
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn dot_conj_energy_ordered(y: &[Complex], r: &[Complex]) -> (Complex, f64) {
-    assert_eq!(y.len(), r.len(), "dot_conj_energy: length mismatch");
-    let mut num = Complex::ZERO;
-    let mut den = 0.0;
-    for (a, b) in y.iter().zip(r) {
-        num += *a * b.conj();
-        den += b.norm_sqr();
-    }
-    (num, den)
-}
-
-#[inline(always)]
-fn dot_conj_energy_impl(y: &[Complex], r: &[Complex]) -> (Complex, f64) {
-    assert_eq!(y.len(), r.len(), "dot_conj_energy: length mismatch");
-    let mut nre = [0.0f64; 4];
-    let mut nim = [0.0f64; 4];
-    let mut den = [0.0f64; 4];
-    let yc = y.chunks_exact(4);
-    let rc = r.chunks_exact(4);
-    let ytail = yc.remainder();
-    let rtail = rc.remainder();
-    for (a, b) in yc.zip(rc) {
-        for l in 0..4 {
-            let p = a[l] * b[l].conj();
-            nre[l] += p.re;
-            nim[l] += p.im;
-            den[l] += b[l].norm_sqr();
-        }
-    }
-    let mut num = Complex::new(
-        (nre[0] + nre[1]) + (nre[2] + nre[3]),
-        (nim[0] + nim[1]) + (nim[2] + nim[3]),
-    );
-    let mut d = (den[0] + den[1]) + (den[2] + den[3]);
-    for (a, b) in ytail.iter().zip(rtail) {
-        num += *a * b.conj();
-        d += b.norm_sqr();
-    }
-    (num, d)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_conj_energy_avx2(y: &[Complex], r: &[Complex]) -> (Complex, f64) {
-    dot_conj_energy_impl(y, r)
-}
-
-/// Lane-split MRC inner products (see [`dot_conj_energy_ordered`] for the
-/// exact-order reference).
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn dot_conj_energy(y: &[Complex], r: &[Complex]) -> (Complex, f64) {
-    #[cfg(target_arch = "x86_64")]
-    if backend() == Backend::Avx2 {
-        // SAFETY: backend() returns Avx2 only after runtime detection.
-        return unsafe { dot_conj_energy_avx2(y, r) };
-    }
-    dot_conj_energy_impl(y, r)
-}
-
-/// Size-dispatched MRC inner products: ordered below [`SIMD_MIN_REDUCE`]
-/// (bit-exact with the scalar pipeline — every figure-path symbol window is),
-/// lane-split above it.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn dot_conj_energy_auto(y: &[Complex], r: &[Complex]) -> (Complex, f64) {
-    if y.len() < SIMD_MIN_REDUCE {
-        dot_conj_energy_ordered(y, r)
-    } else {
-        dot_conj_energy(y, r)
-    }
+    crate::stats::mean_power(x)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::noise::cgauss_vec;
-    use crate::rng::SplitMix64;
-    use crate::stats;
 
     #[test]
     fn backend_reports_something() {
         let b = backend();
         assert!(!b.label().is_empty());
-    }
-
-    #[test]
-    fn ordered_energy_matches_mean_power() {
-        let mut rng = SplitMix64::new(1);
-        for n in [0usize, 1, 3, 100, 4097] {
-            let x = cgauss_vec(&mut rng, n, 1.3);
-            let e = energy_ordered(&x);
-            if n > 0 {
-                assert_eq!(e / n as f64, stats::mean_power(&x), "n={n}");
-            } else {
-                assert_eq!(e, 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn lane_split_energy_close_to_ordered() {
-        let mut rng = SplitMix64::new(2);
-        for n in [1usize, 4, 5, 31, 1000, 8192] {
-            let x = cgauss_vec(&mut rng, n, 2.0);
-            let a = energy(&x);
-            let b = energy_ordered(&x);
-            assert!(
-                (a - b).abs() <= 1e-12 * b.abs().max(1.0),
-                "n={n}: {a} vs {b}"
-            );
-        }
-    }
-
-    #[test]
-    fn auto_is_ordered_below_floor() {
-        let mut rng = SplitMix64::new(3);
-        let x = cgauss_vec(&mut rng, SIMD_MIN_REDUCE - 1, 1.0);
-        assert_eq!(energy_auto(&x).to_bits(), energy_ordered(&x).to_bits());
-        let (na, da) = dot_conj_energy_auto(&x, &x);
-        let (no, d0) = dot_conj_energy_ordered(&x, &x);
-        assert_eq!(na.re.to_bits(), no.re.to_bits());
-        assert_eq!(na.im.to_bits(), no.im.to_bits());
-        assert_eq!(da.to_bits(), d0.to_bits());
-    }
-
-    #[test]
-    fn forced_scalar_is_bit_identical_to_native() {
-        let mut rng = SplitMix64::new(4);
-        let x = cgauss_vec(&mut rng, 4099, 1.0);
-        let y = cgauss_vec(&mut rng, 4099, 1.0);
-        let native_e = energy(&x);
-        let (native_n, native_d) = dot_conj_energy(&y, &x);
-        force_scalar(true);
-        let scalar_e = energy(&x);
-        let (scalar_n, scalar_d) = dot_conj_energy(&y, &x);
-        force_scalar(false);
-        assert_eq!(native_e.to_bits(), scalar_e.to_bits());
-        assert_eq!(native_n.re.to_bits(), scalar_n.re.to_bits());
-        assert_eq!(native_n.im.to_bits(), scalar_n.im.to_bits());
-        assert_eq!(native_d.to_bits(), scalar_d.to_bits());
-    }
-
-    #[test]
-    fn dot_conj_energy_nan_inf_propagate_like_ordered() {
-        // NaN/Inf lanes must flow through both forms without panicking.
-        let mut y = vec![Complex::new(1.0, -2.0); 9];
-        let mut r = vec![Complex::new(0.5, 0.25); 9];
-        y[3] = Complex::new(f64::NAN, 0.0);
-        r[7] = Complex::new(f64::INFINITY, 1.0);
-        let (n_fast, d_fast) = dot_conj_energy(&y, &r);
-        let (n_ord, d_ord) = dot_conj_energy_ordered(&y, &r);
-        assert!(n_fast.re.is_nan() && n_ord.re.is_nan());
-        assert!(d_fast.is_infinite() && d_ord.is_infinite());
     }
 }

@@ -12,8 +12,9 @@
 //! of f64 operations as its AoS `_direct` counterpart (same products, same
 //! add/sub order — see the per-function docs for the reference it mirrors).
 //! Vectorization only batches independent elements, so results are
-//! bit-identical to the direct forms on every backend, and the routing in
-//! [`crate::correlate`] cannot perturb figure output.
+//! bit-identical to the direct forms on every backend, and
+//! [`crate::correlate::xcorr`], which runs the planar body, cannot perturb
+//! figure output.
 //! The `_equiv` test suites pin this with `to_bits` comparisons, including
 //! NaN/Inf/denormal lanes.
 //!
@@ -524,20 +525,6 @@ pub fn xcorr_planar(xr: &[f64], xi: &[f64], tr: &[f64], ti: &[f64]) -> (Vec<f64>
     (yr, yi)
 }
 
-// ----------------------------------------------------------- AoS wrappers --
-
-/// AoS-in/AoS-out wrapper over [`xcorr_planar`]. Bit-identical to
-/// [`crate::correlate::xcorr_direct`].
-///
-/// # Panics
-/// Panics if the template is empty or longer than the signal.
-pub fn xcorr_soa(x: &[Complex], template: &[Complex]) -> Vec<Complex> {
-    let (xr, xi) = split(x);
-    let (tr, ti) = split(template);
-    let (yr, yi) = xcorr_planar(&xr, &xi, &tr, &ti);
-    merge(&yr, &yi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -697,7 +684,7 @@ mod tests {
     fn convolve_filter_xcorr_equiv_direct() {
         // The `fir` dispatchers run with hostile taps (the scalar fallback)
         // and finite taps (the gather kernel) next to the planar xcorr.
-        use crate::correlate::xcorr_direct;
+        use crate::correlate::{xcorr, xcorr_direct};
         use crate::fir::{convolve, convolve_direct, filter, filter_direct, ConvMode};
         for (n, m) in [(9usize, 3usize), (50, 7), (129, 31), (300, 28)] {
             let x = hostile(100 + n as u64, n);
@@ -712,7 +699,7 @@ mod tests {
                 assert_bits_eq(&filter(h, &x), &filter_direct(h, &x), "filter");
             }
             assert_bits_eq(
-                &xcorr_soa(&x, &hostile_h),
+                &xcorr(&x, &hostile_h),
                 &xcorr_direct(&x, &hostile_h),
                 "xcorr",
             );
@@ -721,15 +708,16 @@ mod tests {
 
     #[test]
     fn forced_scalar_matches_native_bitwise() {
+        use crate::correlate::xcorr;
         use crate::fir::{convolve, ConvMode};
         let x = hostile(300, 257);
         let h = hostile(301, 29);
         let finite_h = cgauss_vec(&mut SplitMix64::new(302), 29, 1.0);
         let native = convolve(&x, &finite_h, ConvMode::Full);
-        let native_x = xcorr_soa(&x, &h);
+        let native_x = xcorr(&x, &h);
         force_scalar(true);
         let scalar = convolve(&x, &finite_h, ConvMode::Full);
-        let scalar_x = xcorr_soa(&x, &h);
+        let scalar_x = xcorr(&x, &h);
         force_scalar(false);
         assert_bits_eq(&native, &scalar, "convolve scalar-vs-native");
         assert_bits_eq(&native_x, &scalar_x, "xcorr scalar-vs-native");

@@ -26,7 +26,7 @@ pub fn welch_psd(x: &[Complex], nfft: usize, overlap: f64) -> Vec<f64> {
     assert!(x.len() >= nfft, "signal shorter than one segment");
     let overlap = overlap.clamp(0.0, 0.9);
     let hop = ((nfft as f64) * (1.0 - overlap)).max(1.0) as usize;
-    let plan = FftPlan::cached(nfft);
+    let plan = FftPlan::new(nfft);
     let win = hann(nfft);
     let win_power: f64 = win.iter().map(|w| w * w).sum::<f64>() / nfft as f64;
 

@@ -29,6 +29,23 @@ pub fn mean_power(x: &[Complex]) -> f64 {
     x.iter().map(|v| v.norm_sqr()).sum::<f64>() / x.len() as f64
 }
 
+/// MRC inner products `(Σ y[i]·conj(r[i]), Σ |r[i]|²)` in one pass, each sum
+/// folded in index order: the combiner's numerator and reference energy,
+/// and the canceller estimator's cross-correlation vector.
+///
+/// # Panics
+/// Panics if the slices differ in length.
+pub fn dot_conj_energy(y: &[Complex], r: &[Complex]) -> (Complex, f64) {
+    assert_eq!(y.len(), r.len(), "dot_conj_energy: length mismatch");
+    let mut num = Complex::ZERO;
+    let mut den = 0.0;
+    for (a, b) in y.iter().zip(r) {
+        num += *a * b.conj();
+        den += b.norm_sqr();
+    }
+    (num, den)
+}
+
 /// Peak instantaneous power of a block.
 pub fn peak_power(x: &[Complex]) -> f64 {
     x.iter().map(|v| v.norm_sqr()).fold(0.0, f64::max)
@@ -251,5 +268,22 @@ mod tests {
     fn ecdf_drops_nan() {
         let e = Ecdf::new(vec![f64::NAN, 1.0]);
         assert_eq!(e.len(), 1);
+    }
+
+    #[test]
+    fn dot_conj_energy_folds_in_order_and_propagates_nan_inf() {
+        let y = [Complex::new(1.0, -2.0), Complex::new(0.5, 0.25)];
+        let r = [Complex::new(0.5, 0.25), Complex::new(-1.0, 3.0)];
+        let (num, den) = dot_conj_energy(&y, &r);
+        assert_eq!(num, y[0] * r[0].conj() + y[1] * r[1].conj());
+        assert_eq!(den, r[0].norm_sqr() + r[1].norm_sqr());
+        assert_eq!(dot_conj_energy(&[], &[]), (Complex::ZERO, 0.0));
+        // NaN/Inf lanes flow through without panicking.
+        let mut y = vec![Complex::new(1.0, -2.0); 9];
+        let mut r = vec![Complex::new(0.5, 0.25); 9];
+        y[3] = Complex::new(f64::NAN, 0.0);
+        r[7] = Complex::new(f64::INFINITY, 1.0);
+        let (num, den) = dot_conj_energy(&y, &r);
+        assert!(num.re.is_nan() && den.is_infinite());
     }
 }

@@ -1,16 +1,12 @@
-//! Direct-vs-FFT equivalence suite for the dispatching kernels.
+//! Bitwise equivalence suite for the direct-form kernels.
 //!
 //! The public entry points `fir::convolve`, `fir::filter` and
-//! `correlate::xcorr` switch between the direct O(N·L) forms and the
-//! overlap-save FFT path on operand sizes. This suite sweeps a size grid
-//! that straddles the crossover from both sides and pins the two forms to
-//! each other within 1e-9 **relative** error (relative to the RMS of the
-//! direct output, so near-zero samples of an otherwise large output don't
-//! demand absolute 1e-9).
-//!
-//! Below the crossover the dispatchers must be *bit*-identical to the
-//! direct oracles: the bitwise sweep at the end pins the AVX2 gather kernel
-//! and the scalar fallback against `filter_direct`/`convolve_direct`.
+//! `correlate::xcorr` each have one direct form, with an AVX2 body and a
+//! scalar body. Over a grid of signal and kernel lengths, and over every
+//! kernel length with hostile inputs, both must equal the scalar oracles
+//! (`convolve_direct`, `filter_direct`, `xcorr_direct`) bit for bit, NaN sign
+//! and payload excepted (see [`same_bits`]). Equality with a deterministic
+//! oracle also pins each kernel's determinism.
 
 use backfi_dsp::correlate::{xcorr, xcorr_direct};
 use backfi_dsp::fir::{convolve, convolve_direct, filter, filter_direct, filter_into, ConvMode};
@@ -20,31 +16,19 @@ use backfi_dsp::simd::force_scalar;
 use backfi_dsp::Complex;
 use std::sync::Mutex;
 
-/// Signal/kernel length grid spanning the dispatch crossover
-/// (`FFT_MIN_KERNEL` = 48 taps, `FFT_MIN_PRODUCT` = 2¹⁷).
+/// Signal/kernel length grid: link-sized and long kernels, power-of-two and
+/// odd lengths, equal lengths, and a kernel nearly as long as the signal.
 const SIZES: &[(usize, usize)] = &[
-    (256, 8),     // short kernel: always direct
-    (512, 47),    // one tap below the kernel crossover
-    (2048, 48),   // at the kernel crossover, below the product floor
-    (4096, 48),   // both thresholds crossed: FFT
-    (3000, 64),   // non-power-of-two signal, FFT
-    (8192, 256),  // deep FFT territory (the benched point)
-    (300, 300),   // equal lengths, single-block path
-    (1024, 1000), // kernel nearly as long as the signal
+    (256, 8),
+    (512, 47),
+    (2048, 48),
+    (4096, 48),
+    (3000, 64),
+    (8192, 256),
+    (300, 300),
+    (1024, 1000),
+    (20_000, 32), // a headline-length signal through the longest link FIR
 ];
-
-fn rms(v: &[Complex]) -> f64 {
-    (v.iter().map(|z| z.norm_sqr()).sum::<f64>() / v.len().max(1) as f64).sqrt()
-}
-
-fn assert_equiv(fast: &[Complex], direct: &[Complex], what: &str) {
-    assert_eq!(fast.len(), direct.len(), "{what}: length mismatch");
-    let scale = rms(direct).max(1e-300);
-    for (i, (a, b)) in fast.iter().zip(direct).enumerate() {
-        let err = (*a - *b).abs() / scale;
-        assert!(err < 1e-9, "{what}: index {i} relative error {err:e}");
-    }
-}
 
 #[test]
 fn convolve_matches_direct_in_all_modes() {
@@ -53,9 +37,11 @@ fn convolve_matches_direct_in_all_modes() {
         let x = cgauss_vec(&mut rng, n, 1.0);
         let h = cgauss_vec(&mut rng, m, 1.0);
         for mode in [ConvMode::Full, ConvMode::Same, ConvMode::Valid] {
-            let fast = convolve(&x, &h, mode);
-            let direct = convolve_direct(&x, &h, mode);
-            assert_equiv(&fast, &direct, &format!("convolve {n}x{m} {mode:?}"));
+            assert_bits(
+                &convolve(&x, &h, mode),
+                &convolve_direct(&x, &h, mode),
+                &|| format!("convolve {n}x{m} {mode:?}"),
+            );
         }
     }
 }
@@ -66,9 +52,9 @@ fn filter_matches_direct() {
     for &(n, m) in SIZES {
         let x = cgauss_vec(&mut rng, n, 1.0);
         let h = cgauss_vec(&mut rng, m, 1.0);
-        let fast = filter(&h, &x);
-        let direct = filter_direct(&h, &x);
-        assert_equiv(&fast, &direct, &format!("filter {n}x{m}"));
+        assert_bits(&filter(&h, &x), &filter_direct(&h, &x), &|| {
+            format!("filter {n}x{m}")
+        });
     }
 }
 
@@ -81,27 +67,10 @@ fn xcorr_matches_direct() {
         }
         let x = cgauss_vec(&mut rng, n, 1.0);
         let t = cgauss_vec(&mut rng, m, 1.0);
-        let fast = xcorr(&x, &t);
-        let direct = xcorr_direct(&x, &t);
-        assert_equiv(&fast, &direct, &format!("xcorr {n}x{m}"));
+        assert_bits(&xcorr(&x, &t), &xcorr_direct(&x, &t), &|| {
+            format!("xcorr {n}x{m}")
+        });
     }
-}
-
-#[test]
-fn short_kernels_stay_bit_identical() {
-    // Below the crossover the dispatcher must match the direct code bit for
-    // bit: every channel operation in the link pipeline (≲ 32 taps) depends
-    // on this for bit-reproducible sweep output.
-    let mut rng = SplitMix64::new(0xB1);
-    let x = cgauss_vec(&mut rng, 20_000, 1.0);
-    let h = cgauss_vec(&mut rng, 32, 1.0);
-    assert_eq!(
-        convolve(&x, &h, ConvMode::Full),
-        convolve_direct(&x, &h, ConvMode::Full)
-    );
-    assert_eq!(filter(&h, &x), filter_direct(&h, &x));
-    let t = cgauss_vec(&mut rng, 47, 1.0);
-    assert_eq!(xcorr(&x, &t), xcorr_direct(&x, &t));
 }
 
 /// Serializes the two backend passes of the bitwise sweep: the scalar pass
@@ -182,7 +151,7 @@ const LINK_TAPS: [usize; 5] = [2, 3, 16, 24, 28];
 /// The headline trial's sample count.
 const LONG: usize = 82_900;
 
-/// Every kernel length below the FFT crossover against the signal lengths
+/// Every kernel length up to 47 taps against the signal lengths
 /// around the gather kernel's head, body and tail boundaries, with taps that
 /// take the gather kernel (finite, with exact `0` and `-0.0` taps) and taps
 /// that must fall back to the scalar loop (one NaN tap, one ∞ tap).
@@ -261,16 +230,4 @@ fn direct_forms_are_bit_identical_to_oracles_under_forced_scalar() {
     let _restore = Restore;
     force_scalar(true);
     direct_forms_match_oracles_bitwise();
-}
-
-#[test]
-fn dispatch_is_deterministic() {
-    // Same inputs twice → bit-identical output, whichever path runs.
-    let mut rng = SplitMix64::new(0xD5);
-    let x = cgauss_vec(&mut rng, 8192, 1.0);
-    let h = cgauss_vec(&mut rng, 256, 1.0);
-    assert_eq!(
-        convolve(&x, &h, ConvMode::Full),
-        convolve(&x, &h, ConvMode::Full)
-    );
 }

@@ -68,13 +68,19 @@ pub fn enabled() -> bool {
     }
 }
 
+/// Resolves `BACKFI_OBS` only while the gate is still unset: an
+/// [`enable`]/[`disable`] that lands between the caller's load and here
+/// wins, and the state that won is returned.
 #[cold]
 fn init_from_env() -> bool {
     let on = std::env::var("BACKFI_OBS")
         .map(|v| !v.is_empty() && v != "0")
         .unwrap_or(false);
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-    on
+    let want = if on { STATE_ON } else { STATE_OFF };
+    match STATE.compare_exchange(STATE_UNINIT, want, Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => on,
+        Err(won) => won == STATE_ON,
+    }
 }
 
 /// Turn the recorder on programmatically (e.g. for a `--obs` CLI flag).
@@ -602,8 +608,9 @@ mod tests {
     use super::*;
 
     // Unit tests here only touch uniquely named entries so they stay
-    // independent of the integration tests and of each other; global
-    // enable/disable sequencing lives in tests/obs.rs behind a mutex.
+    // independent of the integration tests and of each other; apart from the
+    // one gate race test, global enable/disable sequencing lives in
+    // tests/obs.rs behind a mutex.
 
     #[test]
     fn fnv_is_stable() {
@@ -616,6 +623,22 @@ mod tests {
     fn sanitized_run_names_are_path_safe() {
         assert_eq!(sanitize_run_name("fig11a"), "fig11a");
         assert_eq!(sanitize_run_name("a/b c!"), "a_b_c_");
+    }
+
+    #[test]
+    fn env_init_does_not_undo_enable() {
+        // A thread that saw the gate unset, then lost the race to enable():
+        // its env resolution must not overwrite ON with OFF. No other unit
+        // test in this binary reads the gate.
+        STATE.store(STATE_UNINIT, Ordering::Relaxed);
+        enable();
+        let seen = init_from_env();
+        let after = enabled();
+        STATE.store(STATE_UNINIT, Ordering::Relaxed);
+        assert!(
+            seen && after,
+            "init_from_env returned {seen}, gate on: {after}"
+        );
     }
 
     #[test]

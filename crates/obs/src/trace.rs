@@ -49,6 +49,9 @@ pub fn enabled() -> bool {
     }
 }
 
+/// Resolves `BACKFI_TRACE` only while the gate is still unset: an
+/// [`enable`]/[`disable`] that lands between the caller's load and here
+/// wins, and the state that won is returned.
 #[cold]
 fn init_from_env() -> bool {
     let on = std::env::var("BACKFI_TRACE")
@@ -57,8 +60,11 @@ fn init_from_env() -> bool {
     if on {
         epoch(); // pin the timeline origin before the first event
     }
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-    on
+    let want = if on { STATE_ON } else { STATE_OFF };
+    match STATE.compare_exchange(STATE_UNINIT, want, Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => on,
+        Err(won) => won == STATE_ON,
+    }
 }
 
 /// Turn the tracer on programmatically (e.g. for a `--trace` CLI flag).
@@ -380,9 +386,25 @@ pub fn write_trace(run: &str) -> Option<PathBuf> {
 mod tests {
     use super::*;
 
-    // The enabled gate is process-global; these unit tests only exercise
-    // gate-independent pieces. End-to-end enable/record/export sequencing
-    // lives in tests/trace.rs behind a mutex.
+    // The enabled gate is process-global; apart from the one gate race
+    // test, these unit tests only exercise gate-independent pieces.
+    // End-to-end enable/record/export sequencing lives in tests/trace.rs
+    // behind a mutex.
+
+    #[test]
+    fn env_init_does_not_undo_enable() {
+        // A thread that saw the gate unset, then lost the race to enable():
+        // its env resolution must not overwrite ON with OFF.
+        STATE.store(STATE_UNINIT, Ordering::Relaxed);
+        enable();
+        let seen = init_from_env();
+        let after = enabled();
+        STATE.store(STATE_UNINIT, Ordering::Relaxed);
+        assert!(
+            seen && after,
+            "init_from_env returned {seen}, gate on: {after}"
+        );
+    }
 
     #[test]
     fn microsecond_formatting_is_exact() {

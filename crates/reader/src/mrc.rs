@@ -15,7 +15,7 @@
 //! it will also divide the noise term … and in many scenarios amplify it"),
 //! used by the ablation bench.
 
-use backfi_dsp::Complex;
+use backfi_dsp::{stats, Complex};
 
 /// Per-symbol estimate produced by the combiner.
 #[derive(Clone, Copy, Debug)]
@@ -68,10 +68,9 @@ pub fn mrc_symbol(
     if guard >= y.len() {
         return None;
     }
-    // Symbol windows are ≲ 80 samples — far below `SIMD_MIN_REDUCE` — so the
-    // `_auto` reduction always takes the ordered path and this is bit-exact
-    // with [`mrc_symbol_direct`]'s accumulation loop.
-    let (num, den) = backfi_dsp::simd::dot_conj_energy_auto(&y[guard..], &reference[guard..]);
+    // The in-order fold is bit-exact with [`mrc_symbol_direct`]'s
+    // accumulation loop.
+    let (num, den) = stats::dot_conj_energy(&y[guard..], &reference[guard..]);
     if den <= 0.0 {
         return None;
     }
@@ -137,7 +136,6 @@ mod tests {
     use super::*;
     use backfi_dsp::noise::{cgauss, cgauss_vec};
     use backfi_dsp::rng::SplitMix64;
-    use backfi_dsp::stats;
 
     #[test]
     fn mrc_equiv_direct() {

@@ -519,15 +519,8 @@ impl BackscatterReader {
             return rep;
         }
         let tail = (silent.end - q)..silent.end;
-        // SIMD-routed power scans: `mean_power_auto` folds in order below
-        // `SIMD_MIN_REDUCE`, so quarter-window scans (≲ a few hundred
-        // samples) are bitwise identical to `stats::mean_power`.
-        let head_db = stats::db(backfi_dsp::simd::mean_power_auto(
-            &rep.samples[head_start..head_start + q],
-        ));
-        let tail_db = stats::db(backfi_dsp::simd::mean_power_auto(
-            &rep.samples[tail.clone()],
-        ));
+        let head_db = stats::db(stats::mean_power(&rep.samples[head_start..head_start + q]));
+        let tail_db = stats::db(stats::mean_power(&rep.samples[tail.clone()]));
         if !tail_db.is_finite() || !head_db.is_finite() || tail_db <= head_db + DIVERGENCE_DB {
             return rep;
         }
@@ -537,7 +530,7 @@ impl BackscatterReader {
         let Some(rep2) = canceller.process_with(x_clean, y_rx, fallback_window(silent), sic) else {
             return rep;
         };
-        let tail2_db = stats::db(backfi_dsp::simd::mean_power_auto(&rep2.samples[tail]));
+        let tail2_db = stats::db(stats::mean_power(&rep2.samples[tail]));
         let (keep, spare) = if tail2_db < tail_db {
             (rep2, rep)
         } else {

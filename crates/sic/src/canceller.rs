@@ -114,11 +114,7 @@ impl SelfInterferenceCanceller {
     ) -> Option<CancellerReport> {
         assert_eq!(x_clean.len(), y_rx.len(), "length mismatch");
         assert!(silent.end <= y_rx.len(), "silent window out of range");
-        // Silent windows are ~320 samples — far below `SIMD_MIN_REDUCE` — so
-        // the `_auto` reduction stays on the ordered, bit-exact path while
-        // still letting oversized windows (fault-injection sweeps) use the
-        // wide backend.
-        let input_si_db = stats::db(backfi_dsp::simd::mean_power_auto(&y_rx[silent.clone()]));
+        let input_si_db = stats::db(stats::mean_power(&y_rx[silent.clone()]));
 
         // Stage 1: analog subtraction.
         let after_analog = &mut scratch.analog;
@@ -133,9 +129,7 @@ impl SelfInterferenceCanceller {
             // is an extra pass the pipeline itself never needs.
             backfi_obs::probe(
                 "sic.after_analog_db",
-                stats::db(backfi_dsp::simd::mean_power_auto(
-                    &after_analog[silent.clone()],
-                )),
+                stats::db(stats::mean_power(&after_analog[silent.clone()])),
             );
             backfi_obs::probe("sic.input_si_db", input_si_db);
         }
@@ -143,10 +137,6 @@ impl SelfInterferenceCanceller {
         // AGC + ADC, quantizing the post-analog buffer in place.
         let (adc_clip_fraction, clip_ranges) = {
             let _t = backfi_obs::span("sic.adc");
-            // Whole-packet scan (tens of thousands of samples): deliberately
-            // NOT routed through the `_auto` reduction — it would cross the
-            // `SIMD_MIN_REDUCE` floor and reassociate the sum, perturbing the
-            // AGC full-scale bits that downstream figures depend on.
             let rms = stats::rms(after_analog);
             let full_scale = rms * 10f64.powf(self.cfg.agc_headroom_db / 20.0);
             let adc = Adc {
@@ -180,7 +170,7 @@ impl SelfInterferenceCanceller {
             std::mem::take(&mut scratch.analog)
         };
 
-        let residual_db = stats::db(backfi_dsp::simd::mean_power_auto(
+        let residual_db = stats::db(stats::mean_power(
             &samples[trim(&silent, self.cfg.digital_taps)],
         ));
         backfi_obs::probe("sic.residual_db", residual_db);

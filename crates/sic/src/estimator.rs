@@ -108,17 +108,16 @@ fn normal_equations(
     // Cross-correlation vector, O(obs·taps) — already the lower bound.
     //
     // Single-run case (unmasked estimation, e.g. the canceller's silent
-    // window): each b[j] is one contiguous conjugate dot product, so route
-    // it through the SIMD reduction kernel. Bitwise identity with the
-    // scalar loop holds because complex multiplication commutes bitwise
+    // window): each b[j] is one contiguous conjugate dot product,
+    // `stats::dot_conj_energy`. Bitwise identity with the nested loop holds
+    // because complex multiplication commutes bitwise
     // (`y·conj(x) == conj(x)·y`) and the kernel folds in observation order
-    // below `SIMD_MIN_REDUCE` — pipeline-sized windows never leave the
-    // bit-exact path (pinned by the `_equiv` tests). Multi-run masked
+    // (pinned by the `_equiv` tests). Multi-run masked
     // estimation keeps the per-run nested fold: splitting each b[j] into
     // per-run kernel calls would regroup the FP additions across runs.
     if let [(lo, hi)] = *runs {
         for (j, bj) in b.iter_mut().enumerate() {
-            *bj = backfi_dsp::simd::dot_conj_energy_auto(&y[lo..hi], &x[lo - j..hi - j]).0;
+            *bj = backfi_dsp::stats::dot_conj_energy(&y[lo..hi], &x[lo - j..hi - j]).0;
         }
     } else {
         for (j, bj) in b.iter_mut().enumerate() {

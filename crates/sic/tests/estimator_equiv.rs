@@ -90,20 +90,19 @@ fn fast_and_direct_agree_on_none_cases() {
 }
 
 #[test]
-fn b_vector_kernel_is_bitwise_the_scalar_loop_below_floor() {
-    // The single-run cross-correlation vector now routes through
-    // `dot_conj_energy_auto`. Below `SIMD_MIN_REDUCE` that kernel folds in
-    // observation order, and complex multiplication commutes bitwise, so
-    // `Σ y[i]·conj(x[i])` must equal the historical `Σ conj(x[i])·y[i]`
-    // loop bit-for-bit — the pipeline's 320-sample silent window sits on
-    // this path.
+fn b_vector_kernel_is_bitwise_the_scalar_loop() {
+    // The single-run cross-correlation vector is `stats::dot_conj_energy`,
+    // which folds in observation order; complex multiplication commutes
+    // bitwise, so `Σ y[i]·conj(x[i])` must equal the historical
+    // `Σ conj(x[i])·y[i]` loop bit-for-bit — the pipeline's 320-sample
+    // silent window takes this path.
     for seed in 1..=20u64 {
         let (x, y) = scenario(seed, 300, 3);
         for j in 0..8usize {
             let lo = 7; // taps − 1 for an 8-tap estimate
             let window_y = &y[lo..];
             let window_x = &x[lo - j..x.len() - j];
-            let kernel = backfi_dsp::simd::dot_conj_energy_auto(window_y, window_x).0;
+            let kernel = backfi_dsp::stats::dot_conj_energy(window_y, window_x).0;
             let mut scalar = Complex::ZERO;
             for i in lo..x.len() {
                 scalar += x[i - j].conj() * y[i];
@@ -119,22 +118,6 @@ fn b_vector_kernel_is_bitwise_the_scalar_loop_below_floor() {
                 "seed {seed} lag {j}: im differs"
             );
         }
-    }
-}
-
-#[test]
-fn estimate_fir_is_backend_invariant_above_floor() {
-    // Above `SIMD_MIN_REDUCE` the routed b-vector uses the 4-way lane
-    // split, which is defined to produce identical bits on the scalar and
-    // AVX2 backends — estimate_fir's taps must not depend on the machine.
-    let (x, y) = scenario(42, 8192, 4);
-    backfi_dsp::simd::force_scalar(true);
-    let scalar = estimate_fir(&x, &y, 12, 1e-8).expect("scalar estimate failed");
-    backfi_dsp::simd::force_scalar(false);
-    let native = estimate_fir(&x, &y, 12, 1e-8).expect("native estimate failed");
-    for (i, (a, b)) in scalar.iter().zip(&native).enumerate() {
-        assert_eq!(a.re.to_bits(), b.re.to_bits(), "tap {i}: re differs");
-        assert_eq!(a.im.to_bits(), b.im.to_bits(), "tap {i}: im differs");
     }
 }
 

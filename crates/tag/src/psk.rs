@@ -69,23 +69,6 @@ pub fn index_phase(m: TagModulation, idx: usize) -> f64 {
     2.0 * std::f64::consts::PI * idx as f64 / m.order() as f64
 }
 
-/// Per-bit soft metrics (max-log LLR, positive ⇒ bit 1) for a received
-/// phasor `z` whose expected magnitude is `amp` and whose noise variance is
-/// `noise_var`.
-///
-/// Thin wrapper over [`SoftDemapper`]; callers demapping many symbols with
-/// the same `(modulation, amp)` should build the demapper once instead (the
-/// construction is what pays the `sin`/`cos` per constellation point).
-pub fn soft_bits(
-    m: TagModulation,
-    z: backfi_dsp::Complex,
-    amp: f64,
-    noise_var: f64,
-    out: &mut Vec<f64>,
-) {
-    SoftDemapper::new(m, amp).soft_bits(z, noise_var, out);
-}
-
 /// Reference per-bit soft demapper: recomputes every constellation point
 /// (`from_polar` per point per bit) on each call. Kept as the bit-exact
 /// oracle the cached [`SoftDemapper`] is pinned against in the `_equiv`
@@ -157,7 +140,8 @@ impl SoftDemapper {
         d
     }
 
-    /// Append the per-bit LLRs for phasor `z` to `out`; bit-identical to
+    /// Append the per-bit max-log LLRs (positive ⇒ bit 1) for phasor `z`
+    /// with noise variance `noise_var` to `out`; bit-identical to
     /// [`soft_bits_direct`] with the same `(m, amp)`.
     pub fn soft_bits(&self, z: backfi_dsp::Complex, noise_var: f64, out: &mut Vec<f64>) {
         let scale = 1.0 / noise_var.max(1e-18);
@@ -371,7 +355,7 @@ mod tests {
                 let phase = bits_to_phase(m, &bits);
                 let z = Complex::from_polar(1.0, phase);
                 let mut llr = Vec::new();
-                soft_bits(m, z, 1.0, 0.01, &mut llr);
+                SoftDemapper::new(m, 1.0).soft_bits(z, 0.01, &mut llr);
                 for (i, &b) in bits.iter().enumerate() {
                     assert_eq!(llr[i] > 0.0, b, "{m:?} v={v} bit {i}");
                 }
