@@ -14,8 +14,8 @@
 //! Pass `--short` for the CI smoke run (fewer iterations, same size grid).
 
 use backfi_bench::timing::{bench, BenchReport};
-use backfi_dsp::fir::{self, filter, ConvMode};
-use backfi_dsp::noise::{add_noise, cgauss_vec};
+use backfi_dsp::fir::{self, filter};
+use backfi_dsp::noise::{cgauss_vec, NoiseStream};
 use backfi_dsp::rng::SplitMix64;
 use backfi_dsp::Complex;
 use backfi_sic::estimator::{estimate_fir, estimate_fir_direct};
@@ -27,49 +27,6 @@ fn iters(full: u32, short: bool) -> u32 {
         (full / 10).max(2)
     } else {
         full
-    }
-}
-
-/// Production convolution (`auto`: the AVX2 gather kernel where available)
-/// against the scalar scatter oracle, over kernels longer than any link FIR.
-fn bench_convolve_grid(rep: &mut BenchReport, short: bool) {
-    let mut rng = SplitMix64::new(0x11);
-    // (n, l, iters)
-    const GRID: &[(usize, usize, u32)] = &[
-        (2048, 48, 200),
-        (4096, 48, 100),
-        (4096, 128, 60),
-        (8192, 256, 30),
-        (16384, 512, 10),
-    ];
-    for &(n, l, it) in GRID {
-        let x = cgauss_vec(&mut rng, n, 1.0);
-        let h = cgauss_vec(&mut rng, l, 1.0);
-        let it = iters(it, short);
-        rep.measure("convolve", "direct", n, l, n, it, || {
-            black_box(fir::convolve_direct(black_box(&x), black_box(&h), ConvMode::Full)[0]);
-        });
-        rep.measure("convolve", "auto", n, l, n, it, || {
-            black_box(fir::convolve(black_box(&x), black_box(&h), ConvMode::Full)[0]);
-        });
-    }
-}
-
-/// Production cross-correlation (`auto`: the planar body) against the AoS
-/// oracle at the template size the receiver uses (64-sample LTF) and beyond.
-fn bench_xcorr_grid(rep: &mut BenchReport, short: bool) {
-    let mut rng = SplitMix64::new(0x22);
-    const GRID: &[(usize, usize, u32)] = &[(4096, 64, 100), (8192, 128, 40), (16384, 256, 10)];
-    for &(n, l, it) in GRID {
-        let x = cgauss_vec(&mut rng, n, 1.0);
-        let t = cgauss_vec(&mut rng, l, 1.0);
-        let it = iters(it, short);
-        rep.measure("xcorr", "direct", n, l, n, it, || {
-            black_box(backfi_dsp::correlate::xcorr_direct(black_box(&x), black_box(&t))[0]);
-        });
-        rep.measure("xcorr", "auto", n, l, n, it, || {
-            black_box(backfi_dsp::correlate::xcorr(black_box(&x), black_box(&t))[0]);
-        });
     }
 }
 
@@ -166,8 +123,9 @@ fn bench_pipeline_kernels(rep: &mut BenchReport, short: bool) {
     );
 
     // Two normal draws per received sample: the largest per-trial cost of a
-    // link simulation (transmitter noise plus thermal noise in `propagate`).
-    let mut rng = SplitMix64::new(6);
+    // link simulation (transmitter noise plus thermal noise in `propagate`,
+    // each drawn from its own 4-lane `NoiseStream`).
+    let mut stream = NoiseStream::new(6);
     let mut buf = vec![Complex::ZERO; 20_000];
     rep.measure(
         "add_noise",
@@ -177,7 +135,7 @@ fn bench_pipeline_kernels(rep: &mut BenchReport, short: bool) {
         20_000,
         iters(200, short),
         || {
-            add_noise(&mut rng, black_box(&mut buf), 1e-3);
+            stream.add_noise(black_box(&mut buf), 1e-3);
             black_box(buf[0]);
         },
     );
@@ -271,8 +229,6 @@ fn main() {
     let short = BenchReport::short_mode();
     let mut rep = BenchReport::new("kernels", if short { "short" } else { "full" });
 
-    bench_convolve_grid(&mut rep, short);
-    bench_xcorr_grid(&mut rep, short);
     bench_estimator_grid(&mut rep, short);
     bench_fir_link_shapes(&mut rep);
     bench_pipeline_kernels(&mut rep, short);

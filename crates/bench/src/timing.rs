@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 /// Time `iters` calls of `f` after one warm-up call; returns ns/iter.
 ///
-/// The measurement core behind [`bench`] and the JSON-emitting
+/// The measurement core behind [`bench()`] and the JSON-emitting
 /// [`BenchReport::measure`].
 ///
 /// # Panics
@@ -51,8 +51,9 @@ fn min_batch_wall() -> Duration {
 const CALIBRATION_REPEATS: u32 = 5;
 
 /// Robust ns/iter with min-wall-time calibration: grow the iteration count
-/// until one timed batch spans [`min_batch_wall`], then time
-/// [`CALIBRATION_REPEATS`] such batches and report the **fastest** batch.
+/// until one timed batch spans the minimum batch wall time (20 ms unless
+/// `BACKFI_BENCH_MIN_WALL_MS` says otherwise), then time
+/// `CALIBRATION_REPEATS` (5) such batches and report the **fastest** batch.
 /// On a shared machine, preemption and frequency excursions only ever make a
 /// batch slower, never faster, so the minimum is the noise-rejecting
 /// estimator — a fixed `iters: 10` reading of a multi-millisecond pipeline
@@ -202,10 +203,10 @@ impl BenchReport {
 
     /// Like [`BenchReport::measure`], but with min-wall-time iteration
     /// calibration ([`time_ns_min_wall`]): the point runs for at least
-    /// `CALIBRATION_REPEATS ×` [`min_batch_wall`] and records the fastest
-    /// batch. The recorded `iters` is the total number of timed iterations,
-    /// so the JSON schema is unchanged and zero-iteration records remain
-    /// impossible.
+    /// `CALIBRATION_REPEATS ×` the minimum batch wall time and records the
+    /// fastest batch. The recorded `iters` is the total number of timed
+    /// iterations, so the JSON schema is unchanged and zero-iteration records
+    /// remain impossible.
     pub fn measure_calibrated<F: FnMut()>(
         &mut self,
         kernel: &str,
@@ -238,7 +239,7 @@ impl BenchReport {
     /// Like [`BenchReport::measure_calibrated`], but for points with an
     /// asserted perf gate: `gate_ns` is the slowest acceptable ns/iter.
     /// When a reading misses the gate the point is re-measured (up to
-    /// [`GATE_ATTEMPTS`] times, with a short sleep between attempts) and the
+    /// `GATE_ATTEMPTS` (5) times, with a short sleep between attempts) and the
     /// fastest reading is recorded.
     ///
     /// On a shared one-core host the interference is strictly one-sided —

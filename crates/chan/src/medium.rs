@@ -12,6 +12,8 @@
 //! tag absorbs (silent mode) and `e^{jθ(t)}` while modulating. `n_tx` is
 //! broadband transmitter noise, present on the self-interference path but not
 //! in the canceller's clean reference — the factor that bounds cancellation.
+//! `n_tx` and `n` each draw from their own [`NoiseStream`], derived from the
+//! deployment seed, so neither source's draws move the other's.
 //!
 //! The medium also exposes its ground-truth channels, playing the role of the
 //! vector network analyzer the paper uses for the Fig. 11a comparison.
@@ -20,7 +22,7 @@ use crate::budget::LinkBudget;
 use crate::environment::EnvironmentProfile;
 use crate::multipath::{cascade, scaled, MultipathProfile};
 use backfi_dsp::fir::{filter, filter_into};
-use backfi_dsp::noise::add_noise;
+use backfi_dsp::noise::NoiseStream;
 use backfi_dsp::rng::SplitMix64;
 use backfi_dsp::{stats, Complex};
 
@@ -71,12 +73,21 @@ pub struct BackscatterMedium {
     pub h_f: Vec<Complex>,
     /// True backward channel, link-budget-scaled.
     pub h_b: Vec<Complex>,
-    rng: SplitMix64,
+    /// Transmitter noise `n_tx`.
+    tx_noise: NoiseStream,
+    /// Thermal noise `n` at the receive port.
+    thermal: NoiseStream,
 }
+
+/// Salt of the noise sub-stream seeds, apart from the channel draws on
+/// `seed` itself and the impairment streams.
+const NOISE_SALT: u64 = 0x6e6f_6973_6553_706c; // b"noiseSpl"
 
 impl BackscatterMedium {
     /// Draw a deployment. The same `seed` reproduces the same channels and
-    /// noise sequence.
+    /// noise sequences: the channels draw from `SplitMix64::new(seed)`, the
+    /// transmitter and thermal noise from the sub-streams
+    /// `derive(seed ^ NOISE_SALT, 0)` and `derive(seed ^ NOISE_SALT, 1)`.
     pub fn new(budget: LinkBudget, cfg: MediumConfig, seed: u64) -> Self {
         let mut rng = SplitMix64::new(seed);
         let h_env = cfg.environment.realize(&budget, &mut rng);
@@ -84,12 +95,14 @@ impl BackscatterMedium {
         let leg_amp = budget.backscatter_amplitude(cfg.distance_m).sqrt();
         let h_f = scaled(&cfg.forward.realize(&mut rng), leg_amp);
         let h_b = scaled(&cfg.backward.realize(&mut rng), leg_amp);
+        let noise = |k| NoiseStream::new(SplitMix64::derive(seed ^ NOISE_SALT, k));
         BackscatterMedium {
             budget,
             h_env,
             h_f,
             h_b,
-            rng,
+            tx_noise: noise(0),
+            thermal: noise(1),
         }
     }
 
@@ -188,7 +201,7 @@ impl BackscatterMedium {
         signal.clear();
         signal.reserve(out_len);
         signal.extend_from_slice(x_scaled);
-        add_noise(&mut self.rng, signal, tx_noise_power);
+        self.tx_noise.add_noise(signal, tx_noise_power);
         signal.resize(out_len, Complex::ZERO);
         filter_into(&self.h_env, signal, y);
 
@@ -209,7 +222,7 @@ impl BackscatterMedium {
         }
 
         // Thermal noise.
-        add_noise(&mut self.rng, y, self.budget.noise_power());
+        self.thermal.add_noise(y, self.budget.noise_power());
     }
 
     /// The link budget this medium was built with.
@@ -333,6 +346,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn tx_and_thermal_noise_draw_their_own_sub_streams() {
+        // With a silent excitation the received wave is n_tx ∗ h_env + n,
+        // and each term is rebuilt from its own sub-stream alone.
+        let budget = LinkBudget::default();
+        let seed = 21;
+        let n = 777;
+        let mut m = BackscatterMedium::new(budget, MediumConfig::at_distance(1.0), seed);
+        let y = m.propagate(&vec![Complex::ZERO; n], &vec![Complex::ONE; n]);
+        let stream = |k| NoiseStream::new(SplitMix64::derive(seed ^ NOISE_SALT, k));
+        let mut tx = vec![Complex::ZERO; n];
+        let tx_power = budget.tx_power() * crate::budget::dbm_to_lin(budget.tx_noise_dbc);
+        stream(0).add_noise(&mut tx, tx_power);
+        tx.resize(y.len(), Complex::ZERO);
+        let mut want = filter(&m.h_env, &tx);
+        stream(1).add_noise(&mut want, budget.noise_power());
+        assert_eq!(y, want);
     }
 
     #[test]

@@ -75,6 +75,13 @@ pub fn puncture(coded: &[bool], rate: CodeRate) -> Vec<bool> {
         .collect()
 }
 
+/// Number of bits [`puncture`] keeps of a `mother_len`-bit stream.
+pub fn punctured_len(mother_len: usize, rate: CodeRate) -> usize {
+    let pat = rate.pattern();
+    let kept = |p: &[bool]| p.iter().filter(|&&t| t).count();
+    mother_len / pat.len() * kept(pat) + kept(&pat[..mother_len % pat.len()])
+}
+
 /// Re-insert erasures into a punctured **soft** stream so the Viterbi decoder
 /// sees one metric per mother-code bit. Soft values follow the convention
 /// `>0 ⇒ bit 1 likely`, `<0 ⇒ bit 0 likely`; erasures become exactly `0.0`
@@ -131,6 +138,15 @@ mod tests {
         assert_eq!(puncture(&coded, CodeRate::Half).len(), 12);
         assert_eq!(puncture(&coded, CodeRate::TwoThirds).len(), 9);
         assert_eq!(puncture(&coded, CodeRate::ThreeQuarters).len(), 8);
+    }
+
+    #[test]
+    fn punctured_len_counts_what_puncture_keeps() {
+        for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
+            for n in 0..40 {
+                assert_eq!(punctured_len(n, rate), puncture(&vec![true; n], rate).len());
+            }
+        }
     }
 
     #[test]

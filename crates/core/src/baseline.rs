@@ -17,7 +17,7 @@
 #[derive(Clone, Copy, Debug)]
 pub struct PriorWifiBackscatter {
     /// WiFi packets per second usable as symbols (limited by the helper's
-    /// packet rate; [27] reports a few hundred per second).
+    /// packet rate; \[27\] reports a few hundred per second).
     pub packets_per_second: f64,
     /// Minimum detectable RSSI perturbation at the helper, dB.
     pub detection_threshold_db: f64,
@@ -68,7 +68,7 @@ impl PriorWifiBackscatter {
     }
 
     /// Uplink throughput in bit/s: one bit per packet when decodable
-    /// ([27] reports ≤1 kbit/s), zero beyond range.
+    /// (\[27\] reports ≤1 kbit/s), zero beyond range.
     pub fn throughput_bps(
         &self,
         budget: &backfi_chan::budget::LinkBudget,

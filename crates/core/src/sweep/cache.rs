@@ -42,7 +42,9 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"BFCACHE1");
 /// invalidates previously cached results without changing any serialized
 /// struct (e.g. a reordered RNG draw or a retuned pipeline constant).
 /// Rev 2: the ziggurat normal generator and empty-frame rejection.
-pub const SIM_REV: u64 = 2;
+/// Rev 3: per-source 4-lane noise sub-streams and the frame-bounded reader
+/// back half (no pilot derotation).
+pub const SIM_REV: u64 = 3;
 
 /// On-disk record size: magic + salt + key (hi, lo) + stats payload +
 /// checksum.

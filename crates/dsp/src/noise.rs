@@ -14,8 +14,12 @@
 //! otherwise an exact wedge test or Marsaglia's exponential tail sampler
 //! decides, consuming more uniforms. The number of `next_u64` calls per
 //! sample is therefore variable. DESIGN.md §6.1 has the derivation.
+//!
+//! A [`NoiseStream`] splits one noise source over [`NOISE_LANES`]
+//! interleaved generators, so that each lane's draw count depends only on
+//! its own values.
 
-use crate::rng::Rng;
+use crate::rng::{Rng, SplitMix64};
 use crate::Complex;
 use std::sync::OnceLock;
 
@@ -157,10 +161,45 @@ pub fn add_noise<R: Rng + ?Sized>(rng: &mut R, x: &mut [Complex], noise_power: f
     }
 }
 
+/// Number of interleaved generator lanes in a [`NoiseStream`].
+pub const NOISE_LANES: usize = 4;
+
+/// One noise source's own sub-stream: [`NOISE_LANES`] interleaved
+/// [`SplitMix64`] lanes, where sample `i` of a call draws both of its
+/// components, rejections included, from lane `i mod 4`. A lane's position
+/// never depends on another lane's values, so a 4-wide vector generator can
+/// reproduce the stream bit for bit.
+#[derive(Clone, Debug)]
+pub struct NoiseStream {
+    lanes: [SplitMix64; NOISE_LANES],
+}
+
+impl NoiseStream {
+    /// The sub-stream rooted at `seed`; lane `k` is seeded with
+    /// `SplitMix64::derive(seed, k)`.
+    pub fn new(seed: u64) -> Self {
+        NoiseStream {
+            lanes: std::array::from_fn(|k| SplitMix64::new(SplitMix64::derive(seed, k as u64))),
+        }
+    }
+
+    /// [`add_noise`] over the lanes. Draws nothing when `noise_power <= 0`.
+    pub fn add_noise(&mut self, x: &mut [Complex], noise_power: f64) {
+        if noise_power <= 0.0 {
+            return;
+        }
+        let (z, s) = (Ziggurat::get(), (noise_power / 2.0).sqrt());
+        for quad in x.chunks_mut(NOISE_LANES) {
+            for (v, lane) in quad.iter_mut().zip(&mut self.lanes) {
+                *v += z.complex(lane, s);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::SplitMix64;
     use crate::stats::mean_power;
 
     #[test]
@@ -199,6 +238,36 @@ mod tests {
         let one: Vec<Complex> = (0..1000).map(|_| cgauss(&mut c, 0.3)).collect();
         assert_eq!(v, x);
         assert_eq!(v, one);
+    }
+
+    #[test]
+    fn noise_stream_lane_i_mod_4_draws_sample_i() {
+        // Each lane alone, drawing every fourth sample, rebuilds the stream;
+        // a call boundary restarts the lane index at sample 0.
+        let seed = 0xB0F1;
+        let var = 0.8;
+        let mut stream = NoiseStream::new(seed);
+        let mut x = vec![Complex::ZERO; 1001];
+        stream.add_noise(&mut x, var);
+        let mut lanes: Vec<SplitMix64> = (0..NOISE_LANES as u64)
+            .map(|k| SplitMix64::new(SplitMix64::derive(seed, k)))
+            .collect();
+        for (i, v) in x.iter().enumerate() {
+            assert_eq!(*v, cgauss(&mut lanes[i % NOISE_LANES], var), "sample {i}");
+        }
+        let mut y = vec![Complex::ZERO; 6];
+        stream.add_noise(&mut y, var);
+        for (i, v) in y.iter().enumerate() {
+            assert_eq!(
+                *v,
+                cgauss(&mut lanes[i % NOISE_LANES], var),
+                "next call, sample {i}"
+            );
+        }
+        let mut z = vec![Complex::ZERO; 200_000];
+        NoiseStream::new(3).add_noise(&mut z, var);
+        let p = mean_power(&z);
+        assert!((p - var).abs() < 0.02, "measured power {p}");
     }
 
     #[test]

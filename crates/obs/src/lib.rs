@@ -2,7 +2,7 @@
 //!
 //! Zero-dependency structured observability for the BackFi pipeline: scoped
 //! [`Span`] timers aggregated into log-bucketed latency histograms, named
-//! counter/gauge registries, per-trial [`probe`] points for stage-level
+//! counter/gauge registries, per-trial [`probe()`] points for stage-level
 //! physics, and machine-readable `OBS_<run>.json` run manifests.
 //!
 //! ## The disabled-by-default contract
@@ -10,7 +10,7 @@
 //! The global recorder is **off** unless `BACKFI_OBS=1` is set in the
 //! environment (or a harness calls [`enable`], e.g. for a `--obs` flag).
 //! While disabled, every instrumentation call — [`span`], [`counter_add`],
-//! [`probe`], [`gauge_set`] and the `obs_*!` macros — compiles down to a
+//! [`probe()`], [`gauge_set`] and the `obs_*!` macros — compiles down to a
 //! single relaxed atomic load plus a branch: no clock reads, no locks, no
 //! allocation. Figure stdout is never touched in either mode; all obs output
 //! goes to stderr and to the JSON manifest.

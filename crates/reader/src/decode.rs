@@ -1,18 +1,30 @@
 //! Soft bits → Viterbi → tag frame.
 //!
 //! Takes the per-symbol phasors from the MRC stage, produces Gray-PSK soft
-//! metrics, strips the puncturing, runs the Viterbi decoder (truncated: the
-//! tag pads its coded stream to a whole symbol, so the trellis does not end
-//! at a known state at the very end — only the in-frame tail is zero), and
-//! parses the tag frame.
+//! metrics, strips the puncturing, runs the Viterbi decoder and parses the
+//! tag frame. The reader's back half uses three entry points:
+//!
+//! * [`announced_len`] decodes a short prefix (the header plus a traceback
+//!   margin, truncated) and returns the payload length its CRC-8-checked
+//!   header announces;
+//! * [`decode_frame`] decodes exactly that frame, depunctured to its mother
+//!   length, with the terminated trellis the tag sends;
+//! * [`decode_symbols`] decodes every symbol it is given, truncated (the
+//!   trellis ends at no known state), for when the header fails or the frame
+//!   runs past the excitation.
 
 use crate::mrc::SymbolEstimate;
-use backfi_coding::puncture::depuncture_soft;
-use backfi_coding::{CodeRate, ViterbiDecoder};
+use backfi_coding::puncture::{depuncture_soft, puncture, punctured_len};
+use backfi_coding::{CodeRate, ConvEncoder, ViterbiDecoder};
 use backfi_dsp::{stats, Complex};
 use backfi_tag::config::TagModulation;
-use backfi_tag::framer::{FrameError, TagFrame};
+use backfi_tag::framer::{FrameError, TagFrame, HEADER_BITS};
 use backfi_tag::psk::{hard_index, index_phase, SoftDemapper};
+
+/// Information bits [`announced_len`] decodes: the header plus a traceback
+/// margin of 48 bits (about seven constraint lengths), so the truncated
+/// decoder's unreliable last decisions fall past the header.
+const HEADER_PREFIX_BITS: usize = HEADER_BITS + 48;
 
 /// Decoded link-quality metrics.
 #[derive(Clone, Debug)]
@@ -25,7 +37,88 @@ pub struct LinkMetrics {
     pub symbols: usize,
 }
 
-/// Decode MRC symbol estimates into a tag frame.
+/// Soft bits of every estimate, in order: one cached planar constellation
+/// for the whole burst, so `from_polar` runs once per point instead of once
+/// per point·bit·symbol.
+fn soft_bits(estimates: &[SymbolEstimate], modulation: TagModulation) -> Vec<f64> {
+    let _t = backfi_obs::span("decode.soft_bits");
+    let demap = SoftDemapper::new(modulation, 1.0);
+    let mut llrs = Vec::with_capacity(estimates.len() * modulation.bits_per_symbol());
+    for est in estimates {
+        demap.soft_bits(est.z, est.noise_var, &mut llrs);
+    }
+    llrs
+}
+
+/// Truncated decode of `llrs` cut to a whole puncturing period (so that
+/// depuncturing is consistent). Returns the transmitted bits used and the
+/// decoded bits, empty when fewer than 16 mother bits remain.
+fn decode_truncated(llrs: &[f64], code_rate: CodeRate) -> (usize, Vec<bool>) {
+    let period_mother = code_rate.pattern().len();
+    let period_tx = punctured_len(period_mother, code_rate);
+    let usable = llrs.len() - llrs.len() % period_tx;
+    let mother_len = usable / period_tx * period_mother;
+    if mother_len < 16 {
+        return (usable, Vec::new());
+    }
+    let _t = backfi_obs::span("decode.viterbi");
+    let soft = depuncture_soft(&llrs[..usable], code_rate, mother_len);
+    (
+        usable,
+        ViterbiDecoder::ieee80211().decode_soft_truncated(&soft),
+    )
+}
+
+/// The payload length announced by the frame header, read from a fixed
+/// prefix of the data symbols (those after the pilot): `None` when the
+/// prefix is too short, the header fails its CRC-8 or announces zero bytes.
+pub fn announced_len(
+    estimates: &[SymbolEstimate],
+    modulation: TagModulation,
+    code_rate: CodeRate,
+) -> Option<usize> {
+    let _t = backfi_obs::span("decode.header");
+    let coded = punctured_len(2 * HEADER_PREFIX_BITS, code_rate);
+    let n = coded
+        .div_ceil(modulation.bits_per_symbol())
+        .min(estimates.len());
+    let llrs = soft_bits(&estimates[..n], modulation);
+    let (_, bits) = decode_truncated(&llrs[..coded.min(llrs.len())], code_rate);
+    TagFrame::header_len(&bits).ok()
+}
+
+/// Decode the data symbols of a frame whose header announced `payload_len`
+/// bytes: the first [`TagFrame::mother_len`]-worth of punctured soft bits,
+/// depunctured to exactly that length and decoded with the terminated
+/// trellis. `estimates` must cover the frame (the symbols after the pilot).
+///
+/// # Panics
+/// Panics if `estimates` holds fewer soft bits than the frame's coded length.
+pub fn decode_frame(
+    estimates: &[SymbolEstimate],
+    modulation: TagModulation,
+    code_rate: CodeRate,
+    payload_len: usize,
+) -> (Result<Vec<u8>, FrameError>, Vec<bool>, LinkMetrics) {
+    let llrs = soft_bits(estimates, modulation);
+    let mother_len = TagFrame::mother_len(payload_len);
+    let coded = punctured_len(mother_len, code_rate);
+    assert!(llrs.len() >= coded, "estimates do not cover the frame");
+    let decoded = {
+        let _t = backfi_obs::span("decode.viterbi");
+        let soft = depuncture_soft(&llrs[..coded], code_rate, mother_len);
+        ViterbiDecoder::ieee80211().decode_soft_terminated(&soft)
+    };
+    if backfi_obs::enabled() {
+        let reenc = ConvEncoder::ieee80211().encode_terminated(&decoded);
+        probe_corrections(&llrs[..coded], &reenc, code_rate);
+    }
+    conclude(estimates, modulation, code_rate, decoded)
+}
+
+/// Decode MRC symbol estimates into a tag frame, decoding every symbol
+/// (truncated trellis: the tag pads its coded stream to a whole symbol, and
+/// slots past the frame hold noise, so the stream ends at no known state).
 ///
 /// Returns the frame parse result, the raw decoded information bits (for BER
 /// experiments against known payloads) and the link metrics.
@@ -34,56 +127,41 @@ pub fn decode_symbols(
     modulation: TagModulation,
     code_rate: CodeRate,
 ) -> (Result<Vec<u8>, FrameError>, Vec<bool>, LinkMetrics) {
-    let bps = modulation.bits_per_symbol();
-
-    // Soft bits from each phasor.
-    let mut llrs = Vec::with_capacity(estimates.len() * bps);
-    {
-        let _t = backfi_obs::span("decode.soft_bits");
-        // One cached planar constellation for the whole burst: `from_polar`
-        // runs once per point here instead of once per point·bit·symbol.
-        let demap = SoftDemapper::new(modulation, 1.0);
-        for est in estimates {
-            demap.soft_bits(est.z, est.noise_var, &mut llrs);
-        }
-    }
-
-    // Trim to a whole puncturing period so depuncturing is consistent.
-    let (period_tx, period_mother) = match code_rate {
-        CodeRate::Half => (2usize, 2usize),
-        CodeRate::TwoThirds => (3, 4),
-        CodeRate::ThreeQuarters => (4, 6),
-    };
-    let usable = llrs.len() - llrs.len() % period_tx;
-    let mother_len = usable / period_tx * period_mother;
-    let decoded = if mother_len >= 16 {
-        let _t = backfi_obs::span("decode.viterbi");
-        let soft = depuncture_soft(&llrs[..usable], code_rate, mother_len);
-        ViterbiDecoder::ieee80211().decode_soft_truncated(&soft)
-    } else {
-        Vec::new()
-    };
-
+    let llrs = soft_bits(estimates, modulation);
+    let (usable, decoded) = decode_truncated(&llrs, code_rate);
     if backfi_obs::enabled() && !decoded.is_empty() {
-        // Viterbi work metric: re-encode the decoded sequence, puncture it
-        // back to the transmitted rate, and count where it disagrees with the
-        // hard decisions of the received soft bits. Each disagreement is a
-        // channel bit the decoder corrected (or, past the FEC's limit,
-        // miscorrected) — the pre-FEC error count attribution probe.
-        let reenc = backfi_coding::ConvEncoder::ieee80211().encode(&decoded);
-        let punct = backfi_coding::puncture::puncture(&reenc, code_rate);
-        let corrected = llrs[..usable]
-            .iter()
-            .zip(&punct)
-            .filter(|(l, b)| (**l > 0.0) != **b)
-            .count();
-        backfi_obs::probe("decode.viterbi_corrected_bits", corrected as f64);
-        backfi_obs::probe(
-            "decode.pre_fec_ber",
-            corrected as f64 / usable.min(punct.len()).max(1) as f64,
-        );
+        let reenc = ConvEncoder::ieee80211().encode(&decoded);
+        probe_corrections(&llrs[..usable], &reenc, code_rate);
     }
+    conclude(estimates, modulation, code_rate, decoded)
+}
 
+/// Viterbi work metric: puncture the re-encoded decision sequence `mother`
+/// back to the transmitted rate and count where it disagrees with the hard
+/// decisions of the received soft bits `llrs`. Each disagreement is a
+/// channel bit the decoder corrected (or, past the FEC's limit,
+/// miscorrected) — the pre-FEC error count attribution probe.
+fn probe_corrections(llrs: &[f64], mother: &[bool], code_rate: CodeRate) {
+    let punct = puncture(mother, code_rate);
+    let corrected = llrs
+        .iter()
+        .zip(&punct)
+        .filter(|(l, b)| (**l > 0.0) != **b)
+        .count();
+    backfi_obs::probe("decode.viterbi_corrected_bits", corrected as f64);
+    backfi_obs::probe(
+        "decode.pre_fec_ber",
+        corrected as f64 / llrs.len().min(punct.len()).max(1) as f64,
+    );
+}
+
+/// Frame parse and link metrics shared by both decoders.
+fn conclude(
+    estimates: &[SymbolEstimate],
+    modulation: TagModulation,
+    code_rate: CodeRate,
+    decoded: Vec<bool>,
+) -> (Result<Vec<u8>, FrameError>, Vec<bool>, LinkMetrics) {
     let frame = {
         let _t = backfi_obs::span("decode.crc");
         TagFrame::parse(&decoded)
@@ -98,13 +176,10 @@ pub fn decode_symbols(
     // excitation hold only noise and must not pollute the link statistics.
     let span = match &frame {
         Ok(payload) => {
-            let info = (3 + payload.len() + 4) * 8 + 6;
-            let coded = match code_rate {
-                CodeRate::Half => info * 2,
-                CodeRate::TwoThirds => info * 2 * 3 / 4,
-                CodeRate::ThreeQuarters => info * 2 * 2 / 3,
-            };
-            coded.div_ceil(bps).min(estimates.len())
+            let coded = punctured_len(TagFrame::mother_len(payload.len()), code_rate);
+            coded
+                .div_ceil(modulation.bits_per_symbol())
+                .min(estimates.len())
         }
         Err(_) => estimates.len(),
     };

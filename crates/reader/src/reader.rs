@@ -4,16 +4,18 @@
 //! and the protocol timeline, then runs: two-stage self-interference
 //! cancellation (digital stage trained on the silent window) → `h_fb`
 //! estimation from the PN preamble (with timing search) → per-symbol MRC →
-//! soft-decision Viterbi → frame parse.
+//! header prefix decode → soft-decision Viterbi over the announced frame
+//! (every slot when the header fails) → frame parse.
 
 use crate::chanest::estimate_h_fb;
-use crate::decode::{decode_symbols, LinkMetrics};
+use crate::decode::{announced_len, decode_frame, decode_symbols, LinkMetrics};
 use crate::mrc::{mrc_symbol, zf_symbol, SymbolEstimate};
 use crate::timeline::Timeline;
 use backfi_dsp::{stats, Complex};
 use backfi_sic::{CancellerConfig, SelfInterferenceCanceller, SicScratch};
-use backfi_tag::config::TagConfig;
-use backfi_tag::framer::FrameError;
+use backfi_tag::config::{TagConfig, TagModulation};
+use backfi_tag::framer::{FrameError, TagFrame, PILOT_SYMBOLS};
+use backfi_tag::psk::{hard_index, index_phase};
 
 /// Reader-side settings.
 #[derive(Clone, Copy, Debug)]
@@ -104,7 +106,9 @@ pub struct TagDecodeResult {
     pub decoded_bits: Vec<bool>,
     /// Link quality metrics.
     pub metrics: LinkMetrics,
-    /// Per-symbol phasors (constellation view).
+    /// Per-symbol phasors (constellation view), pilot first: the announced
+    /// frame's symbols when its header decoded and the frame fits, else
+    /// every symbol slot of the payload window.
     pub symbols: Vec<SymbolEstimate>,
     /// Total cancellation achieved, dB.
     pub cancellation_db: f64,
@@ -479,7 +483,7 @@ impl BackscatterReader {
         if erased > 0 {
             backfi_obs::counter_add("reader.erasures", erased);
         }
-        if symbols.len() <= backfi_tag::framer::PILOT_SYMBOLS {
+        if symbols.len() <= PILOT_SYMBOLS {
             return Err(count_err(ReaderError::NoSymbols));
         }
         Ok(Branch {
@@ -540,56 +544,35 @@ impl BackscatterReader {
         keep
     }
 
-    /// Shared back half: pilot phase anchor → decision-directed phase
-    /// refinement → soft decode → frame parse.
+    /// Shared back half, bounded by the frame (DESIGN.md §17): read the
+    /// header from a short prefix of the data symbols; when its CRC-8 holds
+    /// and the announced frame fits in the slots, cut the symbols to exactly
+    /// that frame and decode it with the terminated trellis. Otherwise (bad
+    /// header, length out of range, or a frame that streams past the
+    /// excitation) decode every slot, truncated. Either way the common phase
+    /// is first refined decision-directed over the symbols kept.
     fn finish(&self, branch: Branch, tag_cfg: &TagConfig) -> TagDecodeResult {
         let _t = backfi_obs::span("reader.decode");
         let Branch {
-            symbols,
+            mut symbols,
             cancellation_db,
             residual_db,
             h_fb,
             timing_offset,
         } = branch;
-        // The first payload symbol is a known index-0 pilot; derotating by
-        // its phase removes any constant phase error the channel estimate
-        // picked up (which would otherwise rotate the whole constellation by
-        // a step and flip every bit consistently).
-        let pilot: Complex = symbols[..backfi_tag::framer::PILOT_SYMBOLS]
-            .iter()
-            .map(|s| s.z)
-            .sum();
-        let derot = if pilot.abs() > 0.0 {
-            Complex::exp_j(-pilot.arg())
-        } else {
-            Complex::ONE
+        let (m, r) = (tag_cfg.modulation, tag_cfg.code_rate);
+        let frame = announced_len(&symbols[PILOT_SYMBOLS..], m, r)
+            .filter(|&len| TagFrame::symbol_count(len, tag_cfg) <= symbols.len());
+        match frame {
+            Some(len) => symbols.truncate(TagFrame::symbol_count(len, tag_cfg)),
+            None => backfi_obs::counter_add("reader.all_slots", 1),
+        }
+        refine_phase(&mut symbols, m);
+        let data = &symbols[PILOT_SYMBOLS..];
+        let (payload, decoded_bits, metrics) = match frame {
+            Some(len) => decode_frame(data, m, r, len),
+            None => decode_symbols(data, m, r),
         };
-        let mut symbols = symbols;
-        for s in symbols.iter_mut() {
-            s.z *= derot;
-        }
-        // Second pass: the single pilot is itself noisy, and its phase error
-        // rotates every symbol. Refine the common phase decision-directed:
-        // slice each symbol, accumulate z·conj(ideal), and derotate by the
-        // residual — averaging the phase reference over the whole frame.
-        {
-            let mut acc = Complex::ZERO;
-            for s in symbols.iter() {
-                let idx = backfi_tag::psk::hard_index(tag_cfg.modulation, s.z.arg());
-                let ideal = Complex::exp_j(backfi_tag::psk::index_phase(tag_cfg.modulation, idx));
-                // Weight by reference energy so noisy symbols count less.
-                acc += s.z * ideal.conj() * s.ref_energy;
-            }
-            if acc.abs() > 0.0 {
-                let refine = Complex::exp_j(-acc.arg());
-                for s in symbols.iter_mut() {
-                    s.z *= refine;
-                }
-            }
-        }
-        let data_symbols = &symbols[backfi_tag::framer::PILOT_SYMBOLS..];
-        let (payload, decoded_bits, metrics) =
-            decode_symbols(data_symbols, tag_cfg.modulation, tag_cfg.code_rate);
 
         TagDecodeResult {
             payload,
@@ -600,6 +583,26 @@ impl BackscatterReader {
             residual_db,
             h_fb,
             timing_offset,
+        }
+    }
+}
+
+/// Decision-directed common-phase refinement: slice each symbol, accumulate
+/// `z·conj(ideal)` weighted by reference energy (noisy symbols count less),
+/// and derotate every symbol by the residual phase. The `h_fb` estimate
+/// already carries the absolute phase from the PN preamble's known chips;
+/// this averages out what common error it has over the whole frame.
+fn refine_phase(symbols: &mut [SymbolEstimate], modulation: TagModulation) {
+    let mut acc = Complex::ZERO;
+    for s in symbols.iter() {
+        let idx = hard_index(modulation, s.z.arg());
+        let ideal = Complex::exp_j(index_phase(modulation, idx));
+        acc += s.z * ideal.conj() * s.ref_energy;
+    }
+    if acc.abs() > 0.0 {
+        let refine = Complex::exp_j(-acc.arg());
+        for s in symbols.iter_mut() {
+            s.z *= refine;
         }
     }
 }
@@ -674,49 +677,192 @@ mod tests {
         seed: u64,
         corrupt: impl Fn(&mut [Complex]),
     ) -> (Result<TagDecodeResult, ReaderError>, Vec<u8>) {
-        use backfi_tag::detector::SAMPLES_PER_BIT;
-
-        // Excitation: idle, wake-up pulses for tag 1, then wideband "data".
-        let mut rng = SplitMix64::new(seed);
-        let mut x = vec![Complex::ZERO; 200];
-        for &b in &backfi_coding::prbs::tag_preamble(1) {
-            if b {
-                x.extend(cgauss_vec(&mut rng, SAMPLES_PER_BIT, 1.0));
-            } else {
-                x.extend(std::iter::repeat_n(Complex::ZERO, SAMPLES_PER_BIT));
-            }
-        }
-        let detect_end = x.len();
-        let data_samples = backfi_dsp::us_to_samples(1500.0);
-        x.extend(cgauss_vec(&mut rng, data_samples, 1.0));
-        let excitation_end = x.len();
-
-        // Tag reacts to the forward signal.
-        let budget = LinkBudget::default();
-        let mut medium = BackscatterMedium::new(budget, MediumConfig::at_distance(distance), seed);
-        let a = budget.tx_power().sqrt();
-        let incident: Vec<Complex> =
-            backfi_dsp::fir::filter(&medium.h_f, &x.iter().map(|&v| v * a).collect::<Vec<_>>());
-        let mut tag = Tag::new(1, tag_cfg);
-        // Size the payload to fit the excitation at this configuration.
-        let airtime_us = backfi_dsp::samples_to_us(excitation_end - detect_end);
-        let max = backfi_tag::framer::TagFrame::max_payload_bytes(&tag_cfg, airtime_us);
-        let len = max.clamp(4, 48);
-        let data: Vec<u8> = (0..len).map(|i| (i * 11 + 3) as u8).collect();
-        tag.load_data(&data);
-        let gamma = tag.react(&incident);
-
-        // Propagate and decode.
-        let mut y_full = medium.propagate(&x, &gamma);
-        let x_scaled: Vec<Complex> = x.iter().map(|&v| v * a).collect();
-        corrupt(&mut y_full[..x.len()]);
-        let y = &y_full[..x.len()];
-        let timeline = Timeline::nominal(detect_end, excitation_end, &tag_cfg);
+        let link = Link::new(distance, tag_cfg, seed, corrupt);
         let reader = BackscatterReader::default();
         (
-            reader.decode(&x_scaled, y, &medium.h_env, &timeline, &tag_cfg),
-            data,
+            reader.decode(&link.x, &link.y, &link.h_env, &link.timeline, &tag_cfg),
+            link.data,
         )
+    }
+
+    /// The reader's inputs for one packet of [`run_link_mut`].
+    struct Link {
+        x: Vec<Complex>,
+        y: Vec<Complex>,
+        h_env: Vec<Complex>,
+        timeline: Timeline,
+        data: Vec<u8>,
+    }
+
+    impl Link {
+        fn new(
+            distance: f64,
+            tag_cfg: TagConfig,
+            seed: u64,
+            corrupt: impl Fn(&mut [Complex]),
+        ) -> Self {
+            use backfi_tag::detector::SAMPLES_PER_BIT;
+
+            // Excitation: idle, wake-up pulses for tag 1, then wideband "data".
+            let mut rng = SplitMix64::new(seed);
+            let mut x = vec![Complex::ZERO; 200];
+            for &b in &backfi_coding::prbs::tag_preamble(1) {
+                if b {
+                    x.extend(cgauss_vec(&mut rng, SAMPLES_PER_BIT, 1.0));
+                } else {
+                    x.extend(std::iter::repeat_n(Complex::ZERO, SAMPLES_PER_BIT));
+                }
+            }
+            let detect_end = x.len();
+            let data_samples = backfi_dsp::us_to_samples(1500.0);
+            x.extend(cgauss_vec(&mut rng, data_samples, 1.0));
+            let excitation_end = x.len();
+
+            // Tag reacts to the forward signal.
+            let budget = LinkBudget::default();
+            let mut medium =
+                BackscatterMedium::new(budget, MediumConfig::at_distance(distance), seed);
+            let a = budget.tx_power().sqrt();
+            let x_scaled: Vec<Complex> = x.iter().map(|&v| v * a).collect();
+            let incident: Vec<Complex> = backfi_dsp::fir::filter(&medium.h_f, &x_scaled);
+            let mut tag = Tag::new(1, tag_cfg);
+            // Size the payload to fit the excitation at this configuration.
+            let airtime_us = backfi_dsp::samples_to_us(excitation_end - detect_end);
+            let max = backfi_tag::framer::TagFrame::max_payload_bytes(&tag_cfg, airtime_us);
+            let len = max.clamp(4, 48);
+            let data: Vec<u8> = (0..len).map(|i| (i * 11 + 3) as u8).collect();
+            tag.load_data(&data);
+            let gamma = tag.react(&incident);
+
+            // Propagate.
+            let mut y = medium.propagate(&x, &gamma);
+            y.truncate(x.len());
+            corrupt(&mut y);
+            Link {
+                x: x_scaled,
+                y,
+                h_env: medium.h_env,
+                timeline: Timeline::nominal(detect_end, excitation_end, &tag_cfg),
+                data,
+            }
+        }
+    }
+
+    /// Noise-free estimates of constellation indices, then `noise_slots`
+    /// slots of unit-power noise (the tag has stopped reflecting).
+    fn estimates(indices: &[usize], m: TagModulation, noise_slots: usize) -> Vec<SymbolEstimate> {
+        let mut rng = SplitMix64::new(5);
+        let order = m.order() as f64;
+        let clean = indices
+            .iter()
+            .map(|&i| Complex::exp_j(std::f64::consts::TAU * i as f64 / order));
+        let noise = (0..noise_slots).map(|_| backfi_dsp::noise::cgauss(&mut rng, 1.0));
+        clean
+            .chain(noise)
+            .map(|z| SymbolEstimate {
+                z,
+                ref_energy: 1.0,
+                noise_var: 1e-2,
+            })
+            .collect()
+    }
+
+    /// The reader's back half on `symbols`, with dummy front-half bookkeeping.
+    fn finish(symbols: Vec<SymbolEstimate>, tag_cfg: &TagConfig) -> TagDecodeResult {
+        let branch = Branch {
+            symbols,
+            cancellation_db: 0.0,
+            residual_db: 0.0,
+            h_fb: Vec::new(),
+            timing_offset: 0,
+        };
+        BackscatterReader::default().finish(branch, tag_cfg)
+    }
+
+    #[test]
+    fn decodes_exactly_the_announced_frame_for_every_modulation_and_rate() {
+        for m in TagModulation::ALL {
+            for r in backfi_tag::config::TAG_CODE_RATES {
+                let cfg = TagConfig {
+                    modulation: m,
+                    code_rate: r,
+                    symbol_rate_hz: 500e3,
+                    preamble_us: 32.0,
+                };
+                let (res, data) = run_link(0.5, cfg, 3);
+                let res = res.expect("decode");
+                let label = format!("{} {}", m.label(), r.label());
+                assert_eq!(res.payload.as_ref().expect(&label), &data, "{label}");
+                assert_eq!(
+                    res.symbols.len(),
+                    TagFrame::symbol_count(data.len(), &cfg),
+                    "{label}"
+                );
+                assert_eq!(res.metrics.symbols, res.symbols.len() - PILOT_SYMBOLS);
+            }
+        }
+    }
+
+    #[test]
+    fn bad_header_decodes_every_slot() {
+        // A frame whose header CRC-8 fails, encoded like `TagFrame::encode`.
+        let cfg = TagConfig::default();
+        let m = cfg.modulation;
+        let mut bits = TagFrame::info_bits(&[0x5A; 20]);
+        bits[3] = !bits[3];
+        let mother = backfi_coding::ConvEncoder::ieee80211().encode_terminated(&bits);
+        let mut coded = backfi_coding::puncture::puncture(&mother, cfg.code_rate);
+        coded.resize(coded.len().next_multiple_of(m.bits_per_symbol()), false);
+        let mut indices = vec![0; PILOT_SYMBOLS];
+        for c in coded.chunks_exact(m.bits_per_symbol()) {
+            let phase = backfi_tag::psk::bits_to_phase(m, c);
+            indices.push(hard_index(m, phase));
+        }
+        let slots = indices.len() + 300;
+        let res = finish(estimates(&indices, m, 300), &cfg);
+        assert_eq!(res.payload, Err(FrameError::BadHeader));
+        assert_eq!(res.symbols.len(), slots);
+    }
+
+    #[test]
+    fn frame_longer_than_the_excitation_decodes_every_slot() {
+        let cfg = TagConfig::default();
+        let indices = TagFrame::encode(&[0xC3; 40], &cfg);
+        let slots = indices.len() / 2;
+        let res = finish(estimates(&indices[..slots], cfg.modulation, 0), &cfg);
+        assert_eq!(res.payload, Err(FrameError::LengthOutOfRange));
+        assert_eq!(res.symbols.len(), slots);
+    }
+
+    #[test]
+    fn frame_bounded_decode_with_matches_decode() {
+        // One scratch carried across two packets, against fresh decodes.
+        let cfg = TagConfig::default();
+        let reader = BackscatterReader::default();
+        let mut scratch = ReaderScratch::default();
+        for (distance, seed) in [(1.0, 42), (0.5, 43)] {
+            let l = Link::new(distance, cfg, seed, |_| {});
+            let a = reader
+                .decode(&l.x, &l.y, &l.h_env, &l.timeline, &cfg)
+                .expect("decode");
+            let b = reader
+                .decode_with(&l.x, &l.y, &l.h_env, &l.timeline, &cfg, &mut scratch)
+                .expect("decode_with");
+            assert_eq!(a.payload.as_ref().expect("frame"), &l.data);
+            assert_eq!(a.symbols.len(), TagFrame::symbol_count(l.data.len(), &cfg));
+            assert_eq!(a.payload, b.payload);
+            assert_eq!(a.decoded_bits, b.decoded_bits);
+            assert_eq!(a.symbols.len(), b.symbols.len());
+            for (p, q) in a.symbols.iter().zip(&b.symbols) {
+                assert_eq!(p.z.re.to_bits(), q.z.re.to_bits());
+                assert_eq!(p.z.im.to_bits(), q.z.im.to_bits());
+                assert_eq!(p.noise_var.to_bits(), q.noise_var.to_bits());
+            }
+            assert_eq!(
+                a.metrics.symbol_snr_db.to_bits(),
+                b.metrics.symbol_snr_db.to_bits()
+            );
+        }
     }
 
     #[test]

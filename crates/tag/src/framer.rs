@@ -9,27 +9,33 @@
 //! The byte stream inside the payload section is
 //! `len(2) ‖ crc8(header) ‖ payload ‖ crc32(payload)`, convolutionally
 //! encoded (terminated), optionally punctured to rate 2/3, then Gray-mapped
-//! to n-PSK symbols. The tag backscatters for as long as the excitation
-//! lasts, so the *frame length is implicit* — the reader decodes every symbol
-//! that fits and uses the in-band header to find the payload boundary.
+//! to n-PSK symbols. The tag stops reflecting once its frame ends, and the
+//! *frame length is in-band*: the reader decodes a short prefix, reads
+//! `len` from the CRC-8-checked header, and decodes exactly the
+//! [`TagFrame::symbol_count`] symbols it announces. Only when the header
+//! fails its CRC, or the frame runs past the excitation, does the reader
+//! decode every symbol slot that fits.
 
 use crate::config::TagConfig;
 use crate::psk::bits_to_phase;
 use backfi_coding::bits::{bits_to_bytes_lsb, bytes_to_bits_lsb};
 use backfi_coding::crc::{crc32_append, crc32_check, crc8, crc8_append};
 use backfi_coding::prbs::Lfsr;
-use backfi_coding::puncture::puncture;
+use backfi_coding::puncture::{puncture, punctured_len};
 use backfi_coding::ConvEncoder;
 
 /// Silent period duration (µs) during which the reader estimates `h_env`.
 pub const SILENT_US: f64 = 16.0;
 /// Chip duration of the tag PN preamble (µs).
 pub const PREAMBLE_CHIP_US: f64 = 1.0;
-/// Known pilot symbols (constellation index 0) prepended to the payload so
-/// the reader can anchor the absolute constellation phase — without it a
-/// channel-estimate phase error of one constellation step at low SNR flips
-/// every symbol consistently.
+/// Known pilot symbols (constellation index 0) that open the payload. The
+/// reader does not derotate by them: the PN preamble's known ±1 chips
+/// already give the `h_fb` estimate the absolute phase, and one noisy pilot
+/// symbol would only add a common phase error to every symbol. They stay on
+/// air as part of the frame format.
 pub const PILOT_SYMBOLS: usize = 1;
+/// Information bits of the frame header `len(2) ‖ crc8`.
+pub const HEADER_BITS: usize = 24;
 
 /// Why parsing a decoded tag frame failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -114,14 +120,15 @@ impl TagFrame {
     /// Number of payload symbols [`TagFrame::encode`] will produce
     /// (including the phase pilot).
     pub fn symbol_count(payload_len: usize, cfg: &TagConfig) -> usize {
-        let info = (3 + payload_len + 4) * 8; // header + payload + crc32
-        let mother = (info + 6) * 2;
-        let coded = match cfg.code_rate {
-            backfi_coding::CodeRate::Half => mother,
-            backfi_coding::CodeRate::TwoThirds => mother * 3 / 4,
-            backfi_coding::CodeRate::ThreeQuarters => mother * 2 / 3,
-        };
+        let coded = punctured_len(Self::mother_len(payload_len), cfg.code_rate);
         PILOT_SYMBOLS + coded.div_ceil(cfg.modulation.bits_per_symbol())
+    }
+
+    /// Length of the terminated mother-code stream of a `payload_len`-byte
+    /// frame: header, payload and CRC-32, plus the 6 tail bits, at rate 1/2.
+    pub fn mother_len(payload_len: usize) -> usize {
+        let info = (HEADER_BITS / 8 + payload_len + 4) * 8;
+        (info + 6) * 2
     }
 
     /// Largest payload (bytes) whose frame fits in `airtime_us` of excitation
@@ -145,25 +152,32 @@ impl TagFrame {
         bytes.saturating_sub(3 + 4) // header + crc32
     }
 
-    /// Parse decoded (possibly over-long) information bits back into the
-    /// payload. Extra trailing pad bits are ignored.
-    pub fn parse(bits: &[bool]) -> Result<Vec<u8>, FrameError> {
-        if bits.len() < 24 {
+    /// The payload length announced by the header at the start of `bits`:
+    /// the first [`HEADER_BITS`] bits are `len(2) ‖ crc8(len)`. A length of
+    /// zero is [`FrameError::EmptyPayload`].
+    pub fn header_len(bits: &[bool]) -> Result<usize, FrameError> {
+        if bits.len() < HEADER_BITS {
             return Err(FrameError::TooShort);
         }
-        let header = bits_to_bytes_lsb(&bits[..24]);
+        let header = bits_to_bytes_lsb(&bits[..HEADER_BITS]);
         if crc8(&header[..2]) != header[2] {
             return Err(FrameError::BadHeader);
         }
-        let len = u16::from_le_bytes([header[0], header[1]]) as usize;
-        if len == 0 {
-            return Err(FrameError::EmptyPayload);
+        match u16::from_le_bytes([header[0], header[1]]) as usize {
+            0 => Err(FrameError::EmptyPayload),
+            len => Ok(len),
         }
-        let need = 24 + (len + 4) * 8;
+    }
+
+    /// Parse decoded (possibly over-long) information bits back into the
+    /// payload. Extra trailing pad bits are ignored.
+    pub fn parse(bits: &[bool]) -> Result<Vec<u8>, FrameError> {
+        let len = Self::header_len(bits)?;
+        let need = HEADER_BITS + (len + 4) * 8;
         if bits.len() < need {
             return Err(FrameError::LengthOutOfRange);
         }
-        let body = bits_to_bytes_lsb(&bits[24..need]);
+        let body = bits_to_bytes_lsb(&bits[HEADER_BITS..need]);
         if !crc32_check(&body) {
             return Err(FrameError::BadPayload);
         }
@@ -182,6 +196,11 @@ mod tests {
         let payload = vec![0x10, 0x32, 0x54, 0xAB];
         let bits = TagFrame::info_bits(&payload);
         assert_eq!(TagFrame::parse(&bits).unwrap(), payload);
+        assert_eq!(TagFrame::header_len(&bits[..HEADER_BITS]), Ok(4));
+        assert_eq!(
+            TagFrame::mother_len(payload.len()),
+            ConvEncoder::ieee80211().encode_terminated(&bits).len()
+        );
     }
 
     #[test]
