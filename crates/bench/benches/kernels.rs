@@ -14,6 +14,7 @@
 //! Pass `--short` for the CI smoke run (fewer iterations, same size grid).
 
 use backfi_bench::timing::{bench, BenchReport};
+use backfi_chan::frontend::Adc;
 use backfi_dsp::fir::{self, filter};
 use backfi_dsp::noise::{cgauss_vec, NoiseStream};
 use backfi_dsp::rng::SplitMix64;
@@ -70,6 +71,24 @@ fn bench_fir_link_shapes(rep: &mut BenchReport) {
             black_box(fir::filter_direct(black_box(&h), black_box(&x))[0]);
         });
     }
+}
+
+/// The canceller's ADC over a headline-length packet: clip each component
+/// to full scale and round it to the 12-bit grid (`Adc::quantize`, the AVX2
+/// build where available). Quantizing a quantized buffer again costs the
+/// same, so the buffer is reused in place.
+fn bench_adc(rep: &mut BenchReport) {
+    const N: usize = 82_900;
+    let mut rng = SplitMix64::new(8);
+    let mut x = cgauss_vec(&mut rng, N, 0.1);
+    let adc = Adc {
+        bits: 12,
+        full_scale: 1.0,
+    };
+    rep.measure_calibrated("adc", "quantize", N, 0, N, || {
+        adc.quantize(black_box(&mut x));
+        black_box(x[0]);
+    });
 }
 
 /// The pipeline-shaped kernels kept from the original bench set; short
@@ -231,6 +250,7 @@ fn main() {
 
     bench_estimator_grid(&mut rep, short);
     bench_fir_link_shapes(&mut rep);
+    bench_adc(&mut rep);
     bench_pipeline_kernels(&mut rep, short);
     bench_obs_overhead(&mut rep, short);
 

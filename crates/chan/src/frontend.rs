@@ -44,8 +44,35 @@ impl Adc {
     }
 
     /// Convert a block in place: clip each axis to full scale, then round to
-    /// the quantization grid.
+    /// the quantization grid (half away from zero).
+    ///
+    /// One body, compiled twice: for the AVX2 backend, where LLVM lowers
+    /// `f64::round` to `vroundpd` plus a half-away fixup instead of a libm
+    /// call per component, and for the baseline target (`BACKFI_SIMD=off`,
+    /// off x86-64). Both round every input, NaN, ±∞ and the sign of zero
+    /// included, to the same bits.
     pub fn quantize(&self, x: &mut [Complex]) {
+        #[cfg(target_arch = "x86_64")]
+        if backfi_dsp::simd::backend() == backfi_dsp::simd::Backend::Avx2 {
+            // SAFETY: AVX2 presence established by runtime detection.
+            unsafe { self.quantize_avx2(x) };
+            return;
+        }
+        self.quantize_body(x);
+    }
+
+    /// [`Adc::quantize`]'s body compiled with AVX2 enabled.
+    ///
+    /// # Safety
+    /// AVX2 must be available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn quantize_avx2(&self, x: &mut [Complex]) {
+        self.quantize_body(x);
+    }
+
+    #[inline(always)]
+    fn quantize_body(&self, x: &mut [Complex]) {
         let d = self.step();
         for v in x {
             *v = Complex::new(
@@ -126,6 +153,76 @@ mod tests {
             (measured / model - 1.0).abs() < 0.15,
             "measured {measured:e} model {model:e}"
         );
+    }
+
+    /// The AVX2 and the baseline build of `quantize` agree bit for bit on
+    /// the rounding edge cases: signed zeros (an input in (−½Δ, 0) rounds to
+    /// `−0`), exact half-steps either side of zero, both rails and beyond,
+    /// ±∞, NaN (which stays NaN), subnormals, and a Gaussian block long
+    /// enough for the vector body and its tail.
+    #[test]
+    fn quantize_is_bit_identical_on_every_backend() {
+        use backfi_dsp::simd::{backend, force_scalar, Backend};
+        let adc = Adc {
+            bits: 12,
+            full_scale: 1.0,
+        };
+        let d = adc.step();
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            0.25 * d,
+            -0.25 * d,
+            0.5 * d,
+            -0.5 * d,
+            1.5 * d,
+            -1.5 * d,
+            2.5 * d,
+            -2.5 * d,
+            0.5 * d - f64::EPSILON * d,
+            -(0.5 * d - f64::EPSILON * d),
+            1.0,
+            -1.0,
+            1.0 - 0.5 * d,
+            -1.0 + 0.5 * d,
+            3.0,
+            -3.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            5e-324,
+            -5e-324,
+        ];
+        let mut rng = SplitMix64::new(0xADC);
+        edges.extend(
+            cgauss_vec(&mut rng, 1000, 0.3)
+                .iter()
+                .flat_map(|c| [c.re, c.im]),
+        );
+        let mut x: Vec<Complex> = edges
+            .iter()
+            .flat_map(|&a| edges.iter().take(24).map(move |&b| Complex::new(a, b)))
+            .collect();
+        x.push(Complex::new(-0.3 * d, 0.3 * d));
+        let was_scalar = backend() == Backend::Scalar;
+        let mut fast = x.clone();
+        adc.quantize(&mut fast);
+        force_scalar(true);
+        let mut scalar = x.clone();
+        adc.quantize(&mut scalar);
+        force_scalar(was_scalar);
+        for ((a, b), v) in fast.iter().zip(&scalar).zip(&x) {
+            for (p, q, i) in [(a.re, b.re, v.re), (a.im, b.im, v.im)] {
+                assert!(
+                    p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()),
+                    "input {i:e}: {p:e} vs {q:e}"
+                );
+                assert_eq!(p.is_nan(), i.is_nan(), "input {i:e}");
+            }
+        }
+        let z = scalar.last().unwrap();
+        assert!(z.re.to_bits() == (-0.0f64).to_bits() && z.im.to_bits() == 0);
     }
 
     #[test]

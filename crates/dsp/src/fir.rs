@@ -66,24 +66,25 @@ mod gather {
         acc
     }
 
-    /// Writes `y[j] = Σ_k x[j−k]·h[k]`, inputs outside `x` absent, for every
-    /// `j < y.len()`; `y.len()` is `x.len()` for the causal filter and
-    /// `x.len() + h.len() − 1` for the full convolution. `h` must be
-    /// non-empty.
+    /// Writes `y[j − first] = Σ_k x[j−k]·h[k]`, inputs outside `x` absent,
+    /// for every `j` in `first..first + y.len()`; the end is `x.len()` for
+    /// the causal filter and `x.len() + h.len() − 1` for the full
+    /// convolution. `h` must be non-empty.
     ///
     /// # Safety
     /// AVX2 must be available.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn fir(h: &[Complex], x: &[Complex], y: &mut [MaybeUninit<Complex>]) {
+    pub unsafe fn fir(h: &[Complex], x: &[Complex], first: usize, y: &mut [MaybeUninit<Complex>]) {
         let (m, n) = (h.len(), x.len());
-        // The vector body reads x[j−k..j+8] and writes y[j..j+8].
-        let body_end = n.min(y.len());
+        let end = first + y.len();
+        // The vector body reads x[j−k..j+8] and writes y[j−first..j−first+8].
+        let body_end = n.min(end);
         let xp = x.as_ptr() as *const f64;
         let yp = y.as_mut_ptr() as *mut f64;
         // Head: outputs whose longest-delay taps reach before x[0].
-        let mut j = 0;
-        while j < y.len().min(m - 1) {
-            y[j].write(one(h, x, j));
+        let mut j = first;
+        while j < end.min(m - 1) {
+            y[j - first].write(one(h, x, j));
             j += 1;
         }
         // Body: eight outputs whose every tap has its input in `x`.
@@ -107,29 +108,30 @@ mod gather {
                 }
             }
             for (v, a) in acc.iter().enumerate() {
-                _mm256_storeu_pd(yp.add(2 * j + 4 * v), *a);
+                _mm256_storeu_pd(yp.add(2 * (j - first) + 4 * v), *a);
             }
             j += 8;
         }
         // Tail: the last outputs, and the convolution's ramp-down.
-        while j < y.len() {
-            y[j].write(one(h, x, j));
+        while j < end {
+            y[j - first].write(one(h, x, j));
             j += 1;
         }
     }
 }
 
-/// Runs the AVX2 gather kernel into `y`, writing every element, and returns
-/// true — or returns false with `y` untouched when the scalar loop must run:
-/// on the `Scalar` backend, off x86-64, or when a tap is not finite.
+/// Runs the AVX2 gather kernel for outputs `first..first + y.len()` into
+/// `y`, writing every element, and returns true — or returns false with `y`
+/// untouched when the scalar loop must run: on the `Scalar` backend, off
+/// x86-64, or when a tap is not finite.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn try_gather(h: &[Complex], x: &[Complex], y: &mut [MaybeUninit<Complex>]) -> bool {
+fn try_gather(h: &[Complex], x: &[Complex], first: usize, y: &mut [MaybeUninit<Complex>]) -> bool {
     #[cfg(target_arch = "x86_64")]
     if crate::simd::backend() == crate::simd::Backend::Avx2
         && h.iter().all(|t| t.re.is_finite() && t.im.is_finite())
     {
         // SAFETY: AVX2 presence established by runtime detection.
-        unsafe { gather::fir(h, x, y) };
+        unsafe { gather::fir(h, x, first, y) };
         return true;
     }
     false
@@ -137,20 +139,29 @@ fn try_gather(h: &[Complex], x: &[Complex], y: &mut [MaybeUninit<Complex>]) -> b
 
 /// The direct form into a caller-owned buffer: `y` is cleared and refilled
 /// with `len` outputs (`x.len()` for [`filter`], `x.len() + h.len() − 1`
-/// for a full [`convolve`]), reusing its capacity. Takes the gather kernel
-/// where [`try_gather`] allows and the scalar scatter loop otherwise.
+/// for a full [`convolve`]), reusing its capacity.
 fn direct_into(h: &[Complex], x: &[Complex], len: usize, y: &mut Vec<Complex>) {
     if y.capacity() < len {
         // A fresh buffer: growing the old one would copy its contents.
         *y = Vec::with_capacity(len);
     }
     y.clear();
-    if try_gather(h, x, &mut y.spare_capacity_mut()[..len]) {
-        // SAFETY: the gather kernel initialized all `len` elements.
+    direct_append(h, x, len, y);
+}
+
+/// Appends outputs `y.len()..len` of the direct form to `y`, leaving the
+/// elements `y` already holds untouched. Takes the gather kernel where
+/// [`try_gather`] allows and the scalar scatter loop otherwise.
+fn direct_append(h: &[Complex], x: &[Complex], len: usize, y: &mut Vec<Complex>) {
+    let first = y.len();
+    y.reserve(len - first);
+    if try_gather(h, x, first, &mut y.spare_capacity_mut()[..len - first]) {
+        // SAFETY: the gather kernel initialized the `len − first` elements
+        // past the old length.
         unsafe { y.set_len(len) };
     } else {
         y.resize(len, Complex::ZERO);
-        scatter(h, x, y);
+        scatter(h, x, first, &mut y[first..]);
     }
 }
 
@@ -196,7 +207,7 @@ pub fn convolve_direct(x: &[Complex], h: &[Complex], mode: ConvMode) -> Vec<Comp
     assert!(!x.is_empty() && !h.is_empty(), "convolve: empty input");
     let (n, m) = (x.len(), h.len());
     let mut full = vec![Complex::ZERO; n + m - 1];
-    scatter(h, x, &mut full);
+    scatter(h, x, 0, &mut full);
     apply_mode(full, n, m, mode)
 }
 
@@ -224,6 +235,22 @@ pub fn filter_into(h: &[Complex], x: &[Complex], y: &mut Vec<Complex>) {
     direct_into(h, x, x.len(), y);
 }
 
+/// Appends outputs `y.len()..end` of [`filter`]`(h, x)` to `y`, leaving the
+/// elements `y` already holds untouched: a causal filter computed in
+/// extending prefixes. Each output reads only its own `h.len()` inputs, so
+/// the call touches `x[y.len() + 1 − h.len()..end]` and every appended
+/// output is bit-identical to the same output of the whole filter, on
+/// either body (see [`filter_into`]). A no-op when `end <= y.len()`.
+///
+/// # Panics
+/// Panics if `h` is empty or `end > x.len()`.
+pub fn filter_extend(h: &[Complex], x: &[Complex], end: usize, y: &mut Vec<Complex>) {
+    assert!(!h.is_empty(), "filter: empty impulse response");
+    if end > y.len() {
+        direct_append(h, &x[..end], end, y);
+    }
+}
+
 /// The scalar scatter loop of [`filter`]: the reference implementation for
 /// the equivalence tests and benches.
 ///
@@ -232,22 +259,27 @@ pub fn filter_into(h: &[Complex], x: &[Complex], y: &mut Vec<Complex>) {
 pub fn filter_direct(h: &[Complex], x: &[Complex]) -> Vec<Complex> {
     assert!(!h.is_empty(), "filter: empty impulse response");
     let mut y = vec![Complex::ZERO; x.len()];
-    scatter(h, x, &mut y);
+    scatter(h, x, 0, &mut y);
     y
 }
 
 /// The scalar scatter loop behind [`filter_direct`] and [`convolve_direct`]:
-/// `y[i + k] += x[i]·h[k]` for every nonzero input, truncated at `y.len()`.
-/// `y` must be zeros, `x.len()` long for the causal filter or
-/// `x.len() + h.len() − 1` for the full convolution.
-fn scatter(h: &[Complex], x: &[Complex], y: &mut [Complex]) {
-    for (i, &xi) in x.iter().enumerate() {
+/// `y[i + k − first] += x[i]·h[k]` for every nonzero input and every output
+/// index `i + k` in `first..first + y.len()`. `y` must be zeros; its end is
+/// `x.len()` for the causal filter or `x.len() + h.len() − 1` for the full
+/// convolution. Each output receives its terms in ascending `i` whatever
+/// `first` is, so a window of outputs is bit-identical to the same outputs
+/// of the whole.
+fn scatter(h: &[Complex], x: &[Complex], first: usize, y: &mut [Complex]) {
+    let end = first + y.len();
+    for i in first.saturating_sub(h.len() - 1)..x.len().min(end) {
+        let xi = x[i];
         if xi == Complex::ZERO {
             continue;
         }
-        let kmax = h.len().min(y.len() - i);
-        for k in 0..kmax {
-            y[i + k] += xi * h[k];
+        let kmax = h.len().min(end - i);
+        for k in first.saturating_sub(i)..kmax {
+            y[i + k - first] += xi * h[k];
         }
     }
 }

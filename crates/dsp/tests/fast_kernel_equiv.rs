@@ -1,15 +1,18 @@
 //! Bitwise equivalence suite for the direct-form kernels.
 //!
-//! The public entry points `fir::convolve`, `fir::filter` and
-//! `correlate::xcorr` each have one direct form, with an AVX2 body and a
-//! scalar body. Over a grid of signal and kernel lengths, and over every
-//! kernel length with hostile inputs, both must equal the scalar oracles
-//! (`convolve_direct`, `filter_direct`, `xcorr_direct`) bit for bit, NaN sign
-//! and payload excepted (see [`same_bits`]). Equality with a deterministic
-//! oracle also pins each kernel's determinism.
+//! The public entry points `fir::convolve`, `fir::filter` (with
+//! `filter_into` and `filter_extend`) and `correlate::xcorr` each have one
+//! direct form, with an AVX2 body and a scalar body. Over a grid of signal
+//! and kernel lengths, and over every kernel length with hostile inputs,
+//! both must equal the scalar oracles (`convolve_direct`, `filter_direct`,
+//! `xcorr_direct`) bit for bit, NaN sign and payload excepted (see
+//! [`same_bits`]). Equality with a deterministic oracle also pins each
+//! kernel's determinism.
 
 use backfi_dsp::correlate::{xcorr, xcorr_direct};
-use backfi_dsp::fir::{convolve, convolve_direct, filter, filter_direct, filter_into, ConvMode};
+use backfi_dsp::fir::{
+    convolve, convolve_direct, filter, filter_direct, filter_extend, filter_into, ConvMode,
+};
 use backfi_dsp::noise::cgauss_vec;
 use backfi_dsp::rng::SplitMix64;
 use backfi_dsp::simd::force_scalar;
@@ -155,8 +158,9 @@ const LONG: usize = 82_900;
 /// around the gather kernel's head, body and tail boundaries, with taps that
 /// take the gather kernel (finite, with exact `0` and `-0.0` taps) and taps
 /// that must fall back to the scalar loop (one NaN tap, one ∞ tap).
-/// `filter`, `filter_into` on a dirty reused buffer, and `convolve` in all
-/// three modes must equal the scalar oracles bit for bit. At the headline
+/// `filter`, `filter_into` on a dirty reused buffer, `filter_extend` over
+/// extending prefixes, and `convolve` in all three modes must equal the
+/// scalar oracles bit for bit. At the headline
 /// length, where the debug-build gather kernel is slow, kernel lengths
 /// outside [`LINK_TAPS`] check `filter_into` with finite taps only; the
 /// kernel is shift-invariant, so the shorter shapes cover the rest.
@@ -197,6 +201,13 @@ fn direct_forms_match_oracles_bitwise() {
                 assert_bits(&filter(h, &x), &want, &|| what("filter", kind));
                 filter_into(h, &x, &mut reused);
                 assert_bits(&reused, &want, &|| what("filter_into", kind));
+                // Extending prefixes, cut inside the head, at its end, in
+                // the body and at the end.
+                let mut grown = Vec::new();
+                for cut in [m / 2, m - 1, m + 4, n / 2 + 1, n] {
+                    filter_extend(h, &x, cut.min(n), &mut grown);
+                }
+                assert_bits(&grown, &want, &|| what("filter_extend", kind));
                 if n == 0 {
                     continue;
                 }

@@ -37,6 +37,15 @@ pub fn chips_per_sample(preamble_us: f64) -> Vec<f64> {
     out
 }
 
+/// One past the last sample [`estimate_h_fb`] reads for any timing offset
+/// within `±span` of `nominal_start`: the end of the latest candidate
+/// preamble window.
+pub(crate) fn window_end(nominal_start: usize, preamble_us: f64, span: usize) -> usize {
+    nominal_start
+        + span
+        + TagFrame::preamble_chips(preamble_us).len() * us_to_samples(PREAMBLE_CHIP_US)
+}
+
 /// Estimate `h_fb` from the preamble window.
 ///
 /// * `x` — clean transmitted baseband (with TX scaling), full packet,

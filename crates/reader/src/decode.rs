@@ -69,6 +69,12 @@ fn decode_truncated(llrs: &[f64], code_rate: CodeRate) -> (usize, Vec<bool>) {
     )
 }
 
+/// The data symbols [`announced_len`] reads: those that carry the header
+/// prefix's coded bits.
+pub(crate) fn header_symbols(modulation: TagModulation, code_rate: CodeRate) -> usize {
+    punctured_len(2 * HEADER_PREFIX_BITS, code_rate).div_ceil(modulation.bits_per_symbol())
+}
+
 /// The payload length announced by the frame header, read from a fixed
 /// prefix of the data symbols (those after the pilot): `None` when the
 /// prefix is too short, the header fails its CRC-8 or announces zero bytes.
@@ -79,9 +85,7 @@ pub fn announced_len(
 ) -> Option<usize> {
     let _t = backfi_obs::span("decode.header");
     let coded = punctured_len(2 * HEADER_PREFIX_BITS, code_rate);
-    let n = coded
-        .div_ceil(modulation.bits_per_symbol())
-        .min(estimates.len());
+    let n = header_symbols(modulation, code_rate).min(estimates.len());
     let llrs = soft_bits(&estimates[..n], modulation);
     let (_, bits) = decode_truncated(&llrs[..coded.min(llrs.len())], code_rate);
     TagFrame::header_len(&bits).ok()

@@ -6,13 +6,20 @@
 //! estimation from the PN preamble (with timing search) → per-symbol MRC →
 //! header prefix decode → soft-decision Viterbi over the announced frame
 //! (every slot when the header fails) → frame parse.
+//!
+//! Both halves are bounded by the frame (DESIGN.md §17). The analog stage,
+//! the AGC and the ADC's clip scan run over every sample; the ADC quantize,
+//! the digital-cancel apply and MRC run first through the header prefix,
+//! then through the announced frame, or through every slot when the header
+//! fails. The results are bit-identical to cancelling and combining the
+//! whole excitation.
 
-use crate::chanest::estimate_h_fb;
-use crate::decode::{announced_len, decode_frame, decode_symbols, LinkMetrics};
+use crate::chanest::{estimate_h_fb, window_end};
+use crate::decode::{announced_len, decode_frame, decode_symbols, header_symbols, LinkMetrics};
 use crate::mrc::{mrc_symbol, zf_symbol, SymbolEstimate};
 use crate::timeline::Timeline;
 use backfi_dsp::{stats, Complex};
-use backfi_sic::{CancellerConfig, SelfInterferenceCanceller, SicScratch};
+use backfi_sic::{CancellerConfig, CancellerReport, SelfInterferenceCanceller, SicScratch};
 use backfi_tag::config::{TagConfig, TagModulation};
 use backfi_tag::framer::{FrameError, TagFrame, PILOT_SYMBOLS};
 use backfi_tag::psk::{hard_index, index_phase};
@@ -170,6 +177,10 @@ impl BackscatterReader {
     /// (canceller stages, MRC reference, sanitized input): a caller that
     /// decodes many packets keeps one [`ReaderScratch`] and allocates none
     /// of them after the first packet. Bit-identical to `decode`.
+    ///
+    /// The front half is frame-bounded (DESIGN.md §17): it cancels and
+    /// combines through the header prefix, reads the header, and extends to
+    /// the announced frame, or to every slot when the header fails.
     pub fn decode_with(
         &self,
         x_clean: &[Complex],
@@ -179,8 +190,9 @@ impl BackscatterReader {
         tag_cfg: &TagConfig,
         scratch: &mut ReaderScratch,
     ) -> Result<TagDecodeResult, ReaderError> {
-        let branch = self.demodulate(x_clean, y_rx, h_env_view, timeline, tag_cfg, scratch)?;
-        Ok(self.finish(branch, tag_cfg))
+        let mut branch = self.demodulate(x_clean, y_rx, h_env_view, timeline, tag_cfg, scratch)?;
+        let frame = self.read_frame(&mut branch, tag_cfg, x_clean, scratch);
+        Ok(self.finish(branch, frame, tag_cfg))
     }
 
     /// Decode one tag transmission received on several antennas
@@ -190,9 +202,9 @@ impl BackscatterReader {
     ///
     /// Each antenna gets its own `(y_rx, h_env_view)` pair; per-antenna
     /// demodulation runs independently (own canceller, own h_f∗h_b estimate,
-    /// own timing) and the per-symbol estimates are then maximal-ratio
-    /// combined across space, weighted by each branch's reference energy
-    /// over its noise floor.
+    /// own timing, every symbol slot combined) and the per-symbol estimates
+    /// are then maximal-ratio combined across space, weighted by each
+    /// branch's reference energy over its noise floor.
     ///
     /// # Panics
     /// Panics if `antennas` is empty.
@@ -208,9 +220,10 @@ impl BackscatterReader {
         let mut scratch = ReaderScratch::default();
         for (y_rx, h_env_view) in antennas {
             // A branch may individually fail (deep fade); keep the others.
-            if let Ok(b) =
+            if let Ok(mut b) =
                 self.demodulate(x_clean, y_rx, h_env_view, timeline, tag_cfg, &mut scratch)
             {
+                self.combine(&mut b, usize::MAX, x_clean, &mut scratch);
                 branches.push(b);
             }
         }
@@ -255,10 +268,15 @@ impl BackscatterReader {
             .max_by(|a, b| nan_loses_max(a.snr_proxy(), b.snr_proxy()))
             .ok_or(ReaderError::ChannelEstimationFailed)?;
         best.symbols = combined;
-        Ok(self.finish(best, tag_cfg))
+        let frame = self.read_frame(&mut best, tag_cfg, x_clean, &mut scratch);
+        Ok(self.finish(best, frame, tag_cfg))
     }
 
-    /// Per-antenna front half: cancellation → channel estimation → MRC.
+    /// Per-antenna front half: cancellation → channel estimation → MRC
+    /// through the header prefix. The canceller runs over every sample
+    /// where its outputs depend on every sample (analog stage, AGC, clip
+    /// scan) and otherwise only as far as channel estimation reads; the
+    /// branch combines further slots with [`BackscatterReader::combine`].
     fn demodulate(
         &self,
         x_clean: &[Complex],
@@ -269,11 +287,7 @@ impl BackscatterReader {
         scratch: &mut ReaderScratch,
     ) -> Result<Branch, ReaderError> {
         assert_eq!(x_clean.len(), y_rx.len(), "length mismatch");
-        let ReaderScratch {
-            sic,
-            reference,
-            sanitized,
-        } = scratch;
+        let ReaderScratch { sic, sanitized, .. } = scratch;
 
         // --- Stage 0: input validation / sanitization -------------------
         // The reader's own reference and the analog canceller's view must be
@@ -307,44 +321,49 @@ impl BackscatterReader {
         };
 
         // --- Stage 1+2: self-interference cancellation -----------------
-        // Degradation ladder rung 1: if the residual diverges towards the
-        // end of the silent window (a time-varying effect like residual CFO
-        // that the LTI digital filter cannot track, or a transient that
-        // corrupted the head of the window), retrain on the trailing half
-        // and keep whichever training leaves the cleaner tail.
+        // Cancelled through the last sample the timing search (re-acquire
+        // included) can read. Degradation ladder rung 1: if the residual
+        // diverges towards the end of the silent window (a time-varying
+        // effect like residual CFO that the LTI digital filter cannot track,
+        // or a transient that corrupted the head of the window), retrain on
+        // the trailing half and keep whichever training leaves the cleaner
+        // tail.
+        let end = window_end(
+            timeline.preamble.start,
+            tag_cfg.preamble_us,
+            self.reacquire_span(),
+        )
+        .min(y_rx.len());
         let rep = {
             let _t = backfi_obs::span("reader.sic");
             let canceller = SelfInterferenceCanceller::new(self.cfg.canceller, h_env_view);
-            match canceller.process_with(x_clean, y_rx, timeline.silent.clone(), sic) {
+            match canceller.process_with(x_clean, y_rx, timeline.silent.clone(), end, sic) {
                 Some(rep) => self.sic_retrain(&canceller, x_clean, y_rx, timeline, rep, sic),
                 None => {
                     backfi_obs::counter_add("reader.sic_retrain", 1);
                     let fallback = fallback_window(&timeline.silent);
                     canceller
-                        .process_with(x_clean, y_rx, fallback, sic)
+                        .process_with(x_clean, y_rx, fallback, end, sic)
                         .ok_or_else(|| count_err(ReaderError::CancellationFailed))?
                 }
             }
         };
         backfi_obs::probe("reader.cancellation_db", rep.cancellation_db);
         backfi_obs::probe("reader.residual_db", rep.residual_db);
-        let branch =
-            self.estimate_and_combine(x_clean, &rep, &bad_rx, timeline, tag_cfg, reference);
-        sic.recycle(rep.samples);
-        branch
+        self.estimate_and_combine(x_clean, rep, &bad_rx, timeline, tag_cfg, scratch)
     }
 
     /// The front half after cancellation: erasure mask → `h_fb` estimation
-    /// with timing search → per-symbol MRC over `rep.samples`, with the MRC
-    /// reference built in the reusable `reference` buffer.
+    /// with timing search → per-symbol MRC through the header prefix. On
+    /// failure the report's buffer goes back to the scratch.
     fn estimate_and_combine(
         &self,
         x_clean: &[Complex],
-        rep: &backfi_sic::CancellerReport,
+        rep: CancellerReport,
         bad_rx: &[usize],
         timeline: &Timeline,
         tag_cfg: &TagConfig,
-        reference: &mut Vec<Complex>,
+        scratch: &mut ReaderScratch,
     ) -> Result<Branch, ReaderError> {
         let noise_power = stats::undb(rep.residual_db);
 
@@ -353,7 +372,7 @@ impl BackscatterReader {
         // full scale) keep the seed behavior — only transient-scale runs,
         // which ordinary operation essentially never produces, mark spans.
         const CLIP_RUN_MIN: usize = 16;
-        let flag_prefix = {
+        let flags = {
             let clip: Vec<&std::ops::Range<usize>> = rep
                 .clip_ranges
                 .iter()
@@ -362,7 +381,7 @@ impl BackscatterReader {
             if bad_rx.is_empty() && clip.is_empty() {
                 None
             } else {
-                let mut flags = vec![0u32; rep.samples.len() + 1];
+                let mut flags = vec![0u32; x_clean.len() + 1];
                 for &i in bad_rx {
                     flags[i] = 1;
                 }
@@ -381,15 +400,27 @@ impl BackscatterReader {
                 Some(flags)
             }
         };
-        let y = &rep.samples;
 
         // --- Stage 3: h_fb estimation with timing search ----------------
         // Degradation ladder rung 2: when no nominal offset yields an
         // estimate, re-acquire with a 3× wider, finer search before giving
         // up. The clean path never gets here (the nominal search only fails
-        // when every candidate window escapes the buffer).
+        // when every candidate window escapes the buffer). `rep.samples`
+        // ends at the packet end or past every window either search reads,
+        // so a window escapes it exactly when it escapes the packet.
         let est = {
             let _t = backfi_obs::span("reader.chanest");
+            let estimate = |search: &[isize]| {
+                estimate_h_fb(
+                    x_clean,
+                    &rep.samples,
+                    timeline.preamble.start,
+                    tag_cfg.preamble_us,
+                    self.cfg.fb_taps,
+                    search,
+                    self.cfg.ridge,
+                )
+            };
             let mut search: Vec<isize> = vec![0];
             let mut off = 20isize;
             while off <= self.cfg.timing_span as isize {
@@ -397,102 +428,148 @@ impl BackscatterReader {
                 search.push(-off);
                 off += 20;
             }
-            let nominal = estimate_h_fb(
-                x_clean,
-                y,
-                timeline.preamble.start,
-                tag_cfg.preamble_us,
-                self.cfg.fb_taps,
-                &search,
-                self.cfg.ridge,
-            );
-            nominal
-                .or_else(|| {
-                    backfi_obs::counter_add("reader.timing_reacquire", 1);
-                    let _t = backfi_obs::span("reader.acquire");
-                    let span = (self.cfg.timing_span as isize).max(20) * 3;
-                    let mut wide: Vec<isize> = vec![0];
-                    let mut off = 10isize;
-                    while off <= span {
-                        wide.push(off);
-                        wide.push(-off);
-                        off += 10;
-                    }
-                    estimate_h_fb(
-                        x_clean,
-                        y,
-                        timeline.preamble.start,
-                        tag_cfg.preamble_us,
-                        self.cfg.fb_taps,
-                        &wide,
-                        self.cfg.ridge,
-                    )
-                })
-                .ok_or_else(|| count_err(ReaderError::ChannelEstimationFailed))?
+            estimate(&search).or_else(|| {
+                backfi_obs::counter_add("reader.timing_reacquire", 1);
+                let _t = backfi_obs::span("reader.acquire");
+                let span = self.reacquire_span() as isize;
+                let mut wide: Vec<isize> = vec![0];
+                let mut off = 10isize;
+                while off <= span {
+                    wide.push(off);
+                    wide.push(-off);
+                    off += 10;
+                }
+                estimate(&wide)
+            })
+        };
+        let Some(est) = est else {
+            scratch.sic.recycle(rep.samples);
+            return Err(count_err(ReaderError::ChannelEstimationFailed));
         };
         backfi_obs::probe("reader.timing_offset_samples", est.offset as f64);
         let timeline = timeline.shifted(est.offset);
 
-        // --- Stage 4: MRC over every payload symbol ---------------------
-        // Degradation ladder rung 3: symbol windows dominated by flagged
-        // (saturated/non-finite) samples become erasures — zero LLRs into
-        // the soft Viterbi — instead of confident wrong decisions.
-        let _t_mrc = backfi_obs::span("reader.mrc");
-        backfi_dsp::fir::filter_into(&est.h_fb, x_clean, reference);
+        // --- Stage 4: MRC through the header prefix ---------------------
         let sps = tag_cfg.samples_per_symbol();
-        let nsym = timeline.payload.len() / sps;
-        if nsym == 0 {
+        let slots = timeline.payload.len() / sps;
+        if slots == 0 {
+            scratch.sic.recycle(rep.samples);
             return Err(count_err(ReaderError::NoSymbols));
         }
-        let guard = self.cfg.fb_taps; // §4.3.2's boundary guard
-        let mut symbols = Vec::with_capacity(nsym);
-        let mut erased = 0u64;
-        for i in 0..nsym {
-            let s = timeline.payload.start + i * sps;
-            let e = (s + sps).min(y.len());
-            if e <= s + guard {
-                break;
-            }
-            if let Some(p) = &flag_prefix {
-                let usable = e - (s + guard);
-                let flagged = (p[e] - p[s + guard]) as usize;
-                if flagged * 4 >= usable {
-                    symbols.push(SymbolEstimate::erasure());
-                    erased += 1;
-                    continue;
-                }
-            }
-            let estimate = if self.cfg.use_zero_forcing {
-                zf_symbol(&y[s..e], &reference[s..e], guard).map(|z| SymbolEstimate {
-                    z,
-                    ref_energy: 1.0,
-                    noise_var: noise_power,
-                })
-            } else {
-                mrc_symbol(&y[s..e], &reference[s..e], guard, noise_power)
-            };
-            match estimate {
-                Some(v) if v.z.is_finite() => symbols.push(v),
-                Some(_) => {
-                    symbols.push(SymbolEstimate::erasure());
-                    erased += 1;
-                }
-                None => break,
-            }
+        let rest = Rest {
+            rep,
+            flags,
+            payload_start: timeline.payload.start,
+            slots,
+            sps,
+            len: x_clean.len(),
+            guard: self.cfg.fb_taps, // §4.3.2's boundary guard
+            noise_power,
+        };
+        if backfi_obs::enabled() && rest.flags.is_some() {
+            // The mask's erasures over every slot of the payload window,
+            // combined or not, so the count is the fault's footprint on the
+            // window whatever frame the header announces.
+            let masked = (0..slots)
+                .map_while(|i| rest.window(i))
+                .filter(|&w| rest.masked(w))
+                .count();
+            backfi_obs::counter_add("reader.erasures", masked as u64);
         }
-        if erased > 0 {
-            backfi_obs::counter_add("reader.erasures", erased);
-        }
-        if symbols.len() <= PILOT_SYMBOLS {
-            return Err(count_err(ReaderError::NoSymbols));
-        }
-        Ok(Branch {
-            symbols,
-            cancellation_db: rep.cancellation_db,
-            residual_db: rep.residual_db,
+        scratch.reference.clear();
+        let mut branch = Branch {
+            symbols: Vec::new(),
+            cancellation_db: rest.rep.cancellation_db,
+            residual_db: rest.rep.residual_db,
             h_fb: est.h_fb,
             timing_offset: est.offset,
-        })
+            rest: Some(rest),
+        };
+        let header = PILOT_SYMBOLS + header_symbols(tag_cfg.modulation, tag_cfg.code_rate);
+        self.combine(&mut branch, header, x_clean, scratch);
+        // The header prefix holds more than the pilot, so the list only
+        // ends at or before the pilot when every slot's list does.
+        if branch.symbols.len() <= PILOT_SYMBOLS {
+            branch.release(&mut scratch.sic);
+            return Err(count_err(ReaderError::NoSymbols));
+        }
+        Ok(branch)
+    }
+
+    /// MRC-combine the branch's slots through slot `upto` (clamped to the
+    /// payload window), cancelling and filtering the reference `h_fb ∗ x`
+    /// only as far as those slots reach. The slots are combined in order
+    /// exactly as one pass over every slot would: the first degenerate
+    /// window ends the list, so the symbols are always a prefix of the
+    /// all-slots list. Once no slot is left the branch releases its
+    /// canceller report.
+    ///
+    /// Degradation ladder rung 3: symbol windows dominated by flagged
+    /// (saturated/non-finite) samples become erasures — zero LLRs into the
+    /// soft Viterbi — instead of confident wrong decisions. (The
+    /// `reader.erasures` counter took the mask's erasures over the whole
+    /// window when the branch was set up; here it counts non-finite
+    /// estimates.)
+    fn combine(
+        &self,
+        branch: &mut Branch,
+        upto: usize,
+        x_clean: &[Complex],
+        scratch: &mut ReaderScratch,
+    ) {
+        let Some(rest) = &mut branch.rest else {
+            return;
+        };
+        let upto = upto.min(rest.slots);
+        let mut ended = false;
+        if upto > branch.symbols.len() {
+            let end = (rest.payload_start + upto * rest.sps).min(rest.len);
+            {
+                let _t = backfi_obs::span("reader.sic");
+                rest.rep.extend(x_clean, end, &mut scratch.sic);
+            }
+            let _t = backfi_obs::span("reader.mrc");
+            let reference = &mut scratch.reference;
+            backfi_dsp::fir::filter_extend(&branch.h_fb, x_clean, end, reference);
+            let (y, guard) = (&rest.rep.samples, rest.guard);
+            let mut erased = 0u64;
+            for i in branch.symbols.len()..upto {
+                let Some((s, e)) = rest.window(i) else {
+                    ended = true;
+                    break;
+                };
+                if rest.masked((s, e)) {
+                    branch.symbols.push(SymbolEstimate::erasure());
+                    continue;
+                }
+                let estimate = if self.cfg.use_zero_forcing {
+                    zf_symbol(&y[s..e], &reference[s..e], guard).map(|z| SymbolEstimate {
+                        z,
+                        ref_energy: 1.0,
+                        noise_var: rest.noise_power,
+                    })
+                } else {
+                    mrc_symbol(&y[s..e], &reference[s..e], guard, rest.noise_power)
+                };
+                match estimate {
+                    Some(v) if v.z.is_finite() => branch.symbols.push(v),
+                    Some(_) => {
+                        branch.symbols.push(SymbolEstimate::erasure());
+                        erased += 1;
+                    }
+                    None => {
+                        ended = true;
+                        break;
+                    }
+                }
+            }
+            if erased > 0 {
+                backfi_obs::counter_add("reader.erasures", erased);
+            }
+        }
+        if ended || branch.symbols.len() == rest.slots {
+            branch.release(&mut scratch.sic);
+        }
     }
 
     /// SIC divergence check + retrain (degradation ladder rung 1).
@@ -512,9 +589,9 @@ impl BackscatterReader {
         x_clean: &[Complex],
         y_rx: &[Complex],
         timeline: &Timeline,
-        rep: backfi_sic::CancellerReport,
+        rep: CancellerReport,
         sic: &mut SicScratch,
-    ) -> backfi_sic::CancellerReport {
+    ) -> CancellerReport {
         const DIVERGENCE_DB: f64 = 6.0;
         let silent = &timeline.silent;
         let q = silent.len() / 4;
@@ -531,7 +608,9 @@ impl BackscatterReader {
         backfi_obs::counter_add("reader.sic_retrain", 1);
         let _t = backfi_obs::span("reader.retrain");
         backfi_obs::trace::instant_arg("reader.retrain", "tail_minus_head_db", tail_db - head_db);
-        let Some(rep2) = canceller.process_with(x_clean, y_rx, fallback_window(silent), sic) else {
+        let end = rep.samples.len();
+        let Some(rep2) = canceller.process_with(x_clean, y_rx, fallback_window(silent), end, sic)
+        else {
             return rep;
         };
         let tail2_db = stats::db(stats::mean_power(&rep2.samples[tail]));
@@ -544,14 +623,41 @@ impl BackscatterReader {
         keep
     }
 
-    /// Shared back half, bounded by the frame (DESIGN.md §17): read the
-    /// header from a short prefix of the data symbols; when its CRC-8 holds
-    /// and the announced frame fits in the slots, cut the symbols to exactly
-    /// that frame and decode it with the terminated trellis. Otherwise (bad
-    /// header, length out of range, or a frame that streams past the
-    /// excitation) decode every slot, truncated. Either way the common phase
-    /// is first refined decision-directed over the symbols kept.
-    fn finish(&self, branch: Branch, tag_cfg: &TagConfig) -> TagDecodeResult {
+    /// Read the frame header from the branch's data symbols and combine
+    /// exactly the slots the rest of the decode needs: through the
+    /// announced frame when its CRC-8 holds and the frame fits in the slots
+    /// (returning its payload length), else through every slot (`None`:
+    /// bad header, length out of range, or a frame that streams past the
+    /// excitation). A frame fits exactly when combining through it yields
+    /// all of its slots, so the verdict is the one the all-slots list
+    /// gives.
+    fn read_frame(
+        &self,
+        branch: &mut Branch,
+        tag_cfg: &TagConfig,
+        x_clean: &[Complex],
+        scratch: &mut ReaderScratch,
+    ) -> Option<usize> {
+        let (m, r) = (tag_cfg.modulation, tag_cfg.code_rate);
+        let frame = announced_len(&branch.symbols[PILOT_SYMBOLS..], m, r).filter(|&len| {
+            let count = TagFrame::symbol_count(len, tag_cfg);
+            self.combine(branch, count, x_clean, scratch);
+            count <= branch.symbols.len()
+        });
+        if frame.is_none() {
+            self.combine(branch, usize::MAX, x_clean, scratch);
+        }
+        branch.release(&mut scratch.sic);
+        frame
+    }
+
+    /// Shared back half, bounded by the frame (DESIGN.md §17): with the
+    /// `frame` length [`BackscatterReader::read_frame`] found, cut the
+    /// symbols to exactly that frame and decode it with the terminated
+    /// trellis; without one, decode every slot, truncated. Either way the
+    /// common phase is first refined decision-directed over the symbols
+    /// kept.
+    fn finish(&self, branch: Branch, frame: Option<usize>, tag_cfg: &TagConfig) -> TagDecodeResult {
         let _t = backfi_obs::span("reader.decode");
         let Branch {
             mut symbols,
@@ -559,10 +665,9 @@ impl BackscatterReader {
             residual_db,
             h_fb,
             timing_offset,
+            ..
         } = branch;
         let (m, r) = (tag_cfg.modulation, tag_cfg.code_rate);
-        let frame = announced_len(&symbols[PILOT_SYMBOLS..], m, r)
-            .filter(|&len| TagFrame::symbol_count(len, tag_cfg) <= symbols.len());
         match frame {
             Some(len) => symbols.truncate(TagFrame::symbol_count(len, tag_cfg)),
             None => backfi_obs::counter_add("reader.all_slots", 1),
@@ -584,6 +689,12 @@ impl BackscatterReader {
             h_fb,
             timing_offset,
         }
+    }
+
+    /// Span of the wide timing re-acquisition: 3× the nominal span, at
+    /// least ±60 samples.
+    fn reacquire_span(&self) -> usize {
+        self.cfg.timing_span.max(20) * 3
     }
 }
 
@@ -623,22 +734,64 @@ fn fallback_window(silent: &std::ops::Range<usize>) -> std::ops::Range<usize> {
 /// The reader's reusable excitation-length buffers for
 /// [`BackscatterReader::decode_with`]: the canceller's stages, the MRC
 /// reference `h_fb ∗ x`, and the sanitized copy of a received stream with
-/// non-finite samples. Every buffer is cleared or fully overwritten before
-/// it is read, so a scratch carried across packets never changes a result.
+/// non-finite samples. Every buffer is cleared or overwritten before it is
+/// read, so a scratch carried across packets never changes a result.
 #[derive(Debug, Default)]
 pub struct ReaderScratch {
     sic: SicScratch,
+    /// `h_fb ∗ x` through the last slot combined so far.
     reference: Vec<Complex>,
     sanitized: Vec<Complex>,
 }
 
-/// One antenna's demodulated view of the packet.
+/// One antenna's demodulated view of the packet: the symbols combined so
+/// far and, while slots are left, what combining them needs.
 struct Branch {
     symbols: Vec<SymbolEstimate>,
     cancellation_db: f64,
     residual_db: f64,
     h_fb: Vec<Complex>,
     timing_offset: isize,
+    /// `None` once no slot is left to combine.
+    rest: Option<Rest>,
+}
+
+/// What a [`Branch`] needs to combine further slots. The canceller's report
+/// is cancelled as far as the slots combined so far reach, and the MRC
+/// reference grows alongside in [`ReaderScratch`].
+struct Rest {
+    rep: CancellerReport,
+    /// Prefix sums of the erasure mask over the whole packet: `flags[i]` is
+    /// the number of flagged samples in `[0, i)`.
+    flags: Option<Vec<u32>>,
+    payload_start: usize,
+    /// Symbol slots in the payload window.
+    slots: usize,
+    sps: usize,
+    /// Packet length in samples.
+    len: usize,
+    /// Samples skipped at each window's start.
+    guard: usize,
+    noise_power: f64,
+}
+
+impl Rest {
+    /// Slot `i`'s sample window `(s, e)`, or `None` when it holds no sample
+    /// past the guard, which ends the list.
+    fn window(&self, i: usize) -> Option<(usize, usize)> {
+        let s = self.payload_start + i * self.sps;
+        let e = (s + self.sps).min(self.len);
+        (e > s + self.guard).then_some((s, e))
+    }
+
+    /// Whether the erasure mask erases window `(s, e)`: flagged samples
+    /// make up at least a quarter of those past the guard.
+    fn masked(&self, (s, e): (usize, usize)) -> bool {
+        let start = s + self.guard;
+        self.flags
+            .as_ref()
+            .is_some_and(|p| (p[e] - p[start]) as usize * 4 >= e - start)
+    }
 }
 
 impl Branch {
@@ -646,6 +799,16 @@ impl Branch {
     fn snr_proxy(&self) -> f64 {
         let e: f64 = self.symbols.iter().map(|s| s.ref_energy).sum();
         e / stats::undb(self.residual_db).max(1e-300)
+    }
+
+    /// Stop combining: count the samples the branch's report cancelled
+    /// (`reader.front.samples`) and hand its buffer back.
+    fn release(&mut self, sic: &mut SicScratch) {
+        if let Some(rest) = self.rest.take() {
+            let samples = rest.rep.samples;
+            backfi_obs::counter_add("reader.front.samples", samples.len() as u64);
+            sic.recycle(samples);
+        }
     }
 }
 
@@ -769,14 +932,17 @@ mod tests {
 
     /// The reader's back half on `symbols`, with dummy front-half bookkeeping.
     fn finish(symbols: Vec<SymbolEstimate>, tag_cfg: &TagConfig) -> TagDecodeResult {
-        let branch = Branch {
+        let mut branch = Branch {
             symbols,
             cancellation_db: 0.0,
             residual_db: 0.0,
             h_fb: Vec::new(),
             timing_offset: 0,
+            rest: None,
         };
-        BackscatterReader::default().finish(branch, tag_cfg)
+        let reader = BackscatterReader::default();
+        let frame = reader.read_frame(&mut branch, tag_cfg, &[], &mut ReaderScratch::default());
+        reader.finish(branch, frame, tag_cfg)
     }
 
     #[test]
@@ -863,6 +1029,246 @@ mod tests {
                 b.metrics.symbol_snr_db.to_bits()
             );
         }
+    }
+
+    /// Test-only full-length oracle for [`BackscatterReader::decode_with`]:
+    /// [`SelfInterferenceCanceller::process`] over every sample (with the
+    /// same retrain ladder), the channel estimate and the MRC reference over
+    /// the whole packet, MRC over every slot, then the back half.
+    fn oracle_decode(
+        reader: &BackscatterReader,
+        x: &[Complex],
+        y: &[Complex],
+        h_env: &[Complex],
+        timeline: &Timeline,
+        tag_cfg: &TagConfig,
+    ) -> Option<TagDecodeResult> {
+        let cfg = reader.cfg;
+        let n = y.len();
+        let bad: Vec<usize> = (0..n).filter(|&i| !y[i].is_finite()).collect();
+        let mut y = y.to_vec();
+        for &i in &bad {
+            y[i] = Complex::ZERO;
+        }
+        let canceller = SelfInterferenceCanceller::new(cfg.canceller, h_env);
+        let rep = match canceller.process(x, &y, timeline.silent.clone()) {
+            Some(rep) => {
+                let mut sic = SicScratch::default();
+                reader.sic_retrain(&canceller, x, &y, timeline, rep, &mut sic)
+            }
+            None => canceller.process(x, &y, fallback_window(&timeline.silent))?,
+        };
+        assert_eq!(rep.samples.len(), n);
+        let mut flagged = vec![false; n];
+        for &i in &bad {
+            flagged[i] = true;
+        }
+        for r in rep.clip_ranges.iter().filter(|r| r.len() >= 16) {
+            flagged[r.clone()].fill(true);
+        }
+        let offsets = |step: isize, span: isize| {
+            let mut v = vec![0];
+            for off in (step..=span).step_by(step as usize) {
+                v.extend([off, -off]);
+            }
+            v
+        };
+        let est = |search: &[isize]| {
+            estimate_h_fb(
+                x,
+                &rep.samples,
+                timeline.preamble.start,
+                tag_cfg.preamble_us,
+                cfg.fb_taps,
+                search,
+                cfg.ridge,
+            )
+        };
+        let span = cfg.timing_span as isize;
+        let est = est(&offsets(20, span)).or_else(|| est(&offsets(10, span.max(20) * 3)))?;
+        let reference = backfi_dsp::fir::filter(&est.h_fb, x);
+        let shifted = timeline.shifted(est.offset);
+        let sps = tag_cfg.samples_per_symbol();
+        let guard = cfg.fb_taps;
+        let noise_power = stats::undb(rep.residual_db);
+        let mut symbols = Vec::new();
+        for i in 0..shifted.payload.len() / sps {
+            let s = shifted.payload.start + i * sps;
+            let e = (s + sps).min(n);
+            if e <= s + guard {
+                break;
+            }
+            let bad = flagged[s + guard..e].iter().filter(|&&f| f).count();
+            if bad * 4 >= e - (s + guard) {
+                symbols.push(SymbolEstimate::erasure());
+                continue;
+            }
+            let estimate = if cfg.use_zero_forcing {
+                zf_symbol(&rep.samples[s..e], &reference[s..e], guard).map(|z| SymbolEstimate {
+                    z,
+                    ref_energy: 1.0,
+                    noise_var: noise_power,
+                })
+            } else {
+                mrc_symbol(&rep.samples[s..e], &reference[s..e], guard, noise_power)
+            };
+            match estimate {
+                Some(v) if v.z.is_finite() => symbols.push(v),
+                Some(_) => symbols.push(SymbolEstimate::erasure()),
+                None => break,
+            }
+        }
+        if symbols.len() <= PILOT_SYMBOLS {
+            return None;
+        }
+        let mut branch = Branch {
+            symbols,
+            cancellation_db: rep.cancellation_db,
+            residual_db: rep.residual_db,
+            h_fb: est.h_fb,
+            timing_offset: est.offset,
+            rest: None,
+        };
+        let frame = reader.read_frame(&mut branch, tag_cfg, x, &mut ReaderScratch::default());
+        Some(reader.finish(branch, frame, tag_cfg))
+    }
+
+    /// `decode_with` (through one scratch carried across calls) against
+    /// [`oracle_decode`] on one packet, bit for bit; returns the result.
+    fn assert_matches_oracle(
+        l: &Link,
+        cfg: &TagConfig,
+        scratch: &mut ReaderScratch,
+        label: &str,
+    ) -> TagDecodeResult {
+        let reader = BackscatterReader::default();
+        let got = reader.decode_with(&l.x, &l.y, &l.h_env, &l.timeline, cfg, scratch);
+        let want = oracle_decode(&reader, &l.x, &l.y, &l.h_env, &l.timeline, cfg);
+        let (got, want) = match (got, want) {
+            (Ok(g), Some(w)) => (g, w),
+            (g, w) => panic!(
+                "{label}: decode_with {:?} vs oracle {:?}",
+                g.err(),
+                w.is_some()
+            ),
+        };
+        let bits = |v: f64| v.to_bits();
+        assert_eq!(got.payload, want.payload, "{label}");
+        assert_eq!(got.decoded_bits, want.decoded_bits, "{label}");
+        assert_eq!(
+            (
+                bits(got.metrics.symbol_snr_db),
+                bits(got.metrics.evm_percent),
+                got.metrics.symbols
+            ),
+            (
+                bits(want.metrics.symbol_snr_db),
+                bits(want.metrics.evm_percent),
+                want.metrics.symbols
+            ),
+            "{label}"
+        );
+        assert_eq!(got.symbols.len(), want.symbols.len(), "{label}");
+        for (p, q) in got.symbols.iter().zip(&want.symbols) {
+            assert_eq!(
+                [
+                    bits(p.z.re),
+                    bits(p.z.im),
+                    bits(p.ref_energy),
+                    bits(p.noise_var)
+                ],
+                [
+                    bits(q.z.re),
+                    bits(q.z.im),
+                    bits(q.ref_energy),
+                    bits(q.noise_var)
+                ],
+                "{label}"
+            );
+        }
+        let taps = |h: &[Complex]| -> Vec<(u64, u64)> {
+            h.iter().map(|c| (bits(c.re), bits(c.im))).collect()
+        };
+        assert_eq!(taps(&got.h_fb), taps(&want.h_fb), "{label}");
+        assert_eq!(got.timing_offset, want.timing_offset, "{label}");
+        assert_eq!(bits(got.residual_db), bits(want.residual_db), "{label}");
+        got
+    }
+
+    /// The frame-bounded front half (cancel and combine through the header
+    /// prefix, then through the announced frame or every slot) decodes
+    /// exactly what cancelling and combining the whole excitation does, on
+    /// the frame path and on every fallback.
+    #[test]
+    fn frame_bounded_front_half_matches_full_length_oracle() {
+        let mut scratch = ReaderScratch::default();
+
+        // Every modulation × code rate on the frame path.
+        for m in TagModulation::ALL {
+            for r in backfi_tag::config::TAG_CODE_RATES {
+                let cfg = TagConfig {
+                    modulation: m,
+                    code_rate: r,
+                    symbol_rate_hz: 500e3,
+                    preamble_us: 32.0,
+                };
+                let l = Link::new(0.5, cfg, 21, |_| {});
+                let label = format!("{} {}", m.label(), r.label());
+                let res = assert_matches_oracle(&l, &cfg, &mut scratch, &label);
+                assert_eq!(res.payload.as_ref().expect(&label), &l.data, "{label}");
+            }
+        }
+
+        // A corrupted header: the tag's component over the header symbols
+        // is pushed off its constellation, so the CRC-8 fails and every
+        // slot is decoded.
+        let cfg = TagConfig::default();
+        let clean = Link::new(1.0, cfg, 22, |_| {});
+        let res = BackscatterReader::default()
+            .decode(&clean.x, &clean.y, &clean.h_env, &clean.timeline, &cfg)
+            .expect("clean decode");
+        let tag = backfi_dsp::fir::filter(&res.h_fb, &clean.x);
+        let sps = cfg.samples_per_symbol();
+        let start = (clean.timeline.payload.start as isize + res.timing_offset) as usize;
+        let header = start + 2 * sps..start + 40 * sps;
+        let mut bad = clean;
+        for (v, t) in bad.y[header.clone()].iter_mut().zip(&tag[header]) {
+            *v -= *t * 2.0;
+        }
+        let res = assert_matches_oracle(&bad, &cfg, &mut scratch, "corrupted header");
+        assert!(res.payload.is_err());
+        assert!(res.symbols.len() > TagFrame::symbol_count(bad.data.len(), &cfg));
+
+        // A frame longer than the excitation (the 10 kSPS streaming regime).
+        let slow = TagConfig {
+            symbol_rate_hz: 10e3,
+            ..cfg
+        };
+        let l = Link::new(1.0, slow, 23, |_| {});
+        let res = assert_matches_oracle(&l, &slow, &mut scratch, "streaming");
+        assert!(TagFrame::symbol_count(l.data.len(), &slow) > res.symbols.len());
+
+        // A NaN burst and a railing transient inside the frame: the
+        // sanitizer, the erasure mask and `bad_rx` all run.
+        let l = Link::new(1.0, cfg, 24, |y| {
+            let at = y.len() / 10;
+            y[at..at + 12].fill(Complex::new(f64::NAN, 0.0));
+            y[at + 1000..at + 1040].fill(Complex::new(0.02, -0.02));
+        });
+        let res = assert_matches_oracle(&l, &cfg, &mut scratch, "nan + saturation");
+        assert!(res.symbols.iter().any(|s| s.is_erasure()), "no erasure");
+        assert_eq!(
+            res.symbols.len(),
+            TagFrame::symbol_count(l.data.len(), &cfg)
+        );
+
+        // A forced timing re-acquire: the reference is silent around the
+        // nominal preamble windows, so only the wide search finds one.
+        let mut l = Link::new(1.0, cfg, 25, |_| {});
+        let p = l.timeline.preamble.clone();
+        l.x[p.start - 41..p.end + 41].fill(Complex::ZERO);
+        let res = assert_matches_oracle(&l, &cfg, &mut scratch, "re-acquire");
+        assert!(res.timing_offset.abs() > 40, "offset {}", res.timing_offset);
     }
 
     #[test]

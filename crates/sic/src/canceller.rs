@@ -45,7 +45,10 @@ impl Default for CancellerConfig {
 /// Outcome of one cancellation run.
 #[derive(Clone, Debug)]
 pub struct CancellerReport {
-    /// Cleaned baseband samples (same length as the input).
+    /// Cleaned baseband samples: every input sample from
+    /// [`SelfInterferenceCanceller::process`]; from
+    /// [`SelfInterferenceCanceller::process_with`], the prefix it was asked
+    /// for, grown by [`CancellerReport::extend`].
     pub samples: Vec<Complex>,
     /// Input self-interference power (dB, simulator units) over the silent
     /// window.
@@ -60,6 +63,39 @@ pub struct CancellerReport {
     /// Saturation transients show up here as long runs; the reader marks
     /// heavily clipped symbol windows as erasures.
     pub clip_ranges: Vec<std::ops::Range<usize>>,
+    /// The trained digital stage (`None` when it is disabled), kept so
+    /// [`CancellerReport::extend`] can cancel further samples.
+    digital: Option<DigitalCanceller>,
+}
+
+impl CancellerReport {
+    /// Cancel further samples: grow `samples` to the first `end` samples of
+    /// the packet, digitizing the post-analog signal that `scratch` holds as
+    /// far as they reach. `x_clean` and `scratch` must be the ones
+    /// [`SelfInterferenceCanceller::process_with`] ran on, with no other
+    /// packet processed through `scratch` since. Every sample is
+    /// bit-identical to the same sample of a whole-packet run (see
+    /// `process_with`). A no-op when `end <= samples.len()`.
+    ///
+    /// # Panics
+    /// Panics if `end` exceeds the packet length.
+    pub fn extend(&mut self, x_clean: &[Complex], end: usize, scratch: &mut SicScratch) {
+        let start = self.samples.len();
+        if end <= start {
+            return;
+        }
+        {
+            let _t = backfi_obs::span("sic.adc");
+            scratch.digitize_to(end);
+        }
+        match &self.digital {
+            Some(dig) => {
+                let _t = backfi_obs::span("sic.digital.apply");
+                dig.cancel_extend(x_clean, &scratch.analog, end, &mut self.samples);
+            }
+            None => self.samples.extend_from_slice(&scratch.analog[start..end]),
+        }
+    }
 }
 
 /// The reader's self-interference canceller.
@@ -89,31 +125,51 @@ impl SelfInterferenceCanceller {
     ///   (used to train the digital stage and to report residuals).
     ///
     /// Returns `None` when digital training fails (window too short).
-    /// Allocating wrapper over [`SelfInterferenceCanceller::process_with`].
+    /// Allocating wrapper over [`SelfInterferenceCanceller::process_with`],
+    /// cancelling every sample.
     pub fn process(
         &self,
         x_clean: &[Complex],
         y_rx: &[Complex],
         silent: std::ops::Range<usize>,
     ) -> Option<CancellerReport> {
-        self.process_with(x_clean, y_rx, silent, &mut SicScratch::default())
+        let n = y_rx.len();
+        self.process_with(x_clean, y_rx, silent, n, &mut SicScratch::default())
     }
 
-    /// [`SelfInterferenceCanceller::process`] over reusable buffers: the
-    /// analog stage subtracts its model into `scratch`'s post-analog buffer,
-    /// the ADC quantizes that buffer in place after its clip scan, and the
-    /// digital stage subtracts into the recycled output buffer that the
-    /// report's `samples` then owns. Hand it back with
-    /// [`SicScratch::recycle`] once the report is consumed.
+    /// [`SelfInterferenceCanceller::process`] over reusable buffers, and
+    /// only as far as the caller needs: the report's `samples` cover the
+    /// first `end` samples (at least through the silent window), and
+    /// [`CancellerReport::extend`] cancels more later.
+    ///
+    /// What depends on every sample runs over every sample here: the analog
+    /// stage subtracts its model into `scratch`'s post-analog buffer, the
+    /// AGC sets the ADC's full scale from that buffer's rms, and the ADC's
+    /// clip scan yields `adc_clip_fraction` and `clip_ranges`. What is
+    /// causal or per-sample runs over a prefix: the ADC quantizes the buffer
+    /// in place only as far as it has been asked to, and the digital stage
+    /// (trained on the silent window) subtracts its causal FIR model into
+    /// the recycled output buffer that the report's `samples` then owns. A
+    /// prefix of either is bit-identical to the same samples of the whole,
+    /// so a report extended to the packet length equals the one `process`
+    /// returns. Hand `samples` back with [`SicScratch::recycle`] once the
+    /// report is consumed.
+    ///
+    /// # Panics
+    /// Panics if the lengths differ, or `silent` or `end` run past the
+    /// packet.
     pub fn process_with(
         &self,
         x_clean: &[Complex],
         y_rx: &[Complex],
         silent: std::ops::Range<usize>,
+        end: usize,
         scratch: &mut SicScratch,
     ) -> Option<CancellerReport> {
         assert_eq!(x_clean.len(), y_rx.len(), "length mismatch");
         assert!(silent.end <= y_rx.len(), "silent window out of range");
+        assert!(end <= y_rx.len(), "end out of range");
+        let end = end.max(silent.end);
         let input_si_db = stats::db(stats::mean_power(&y_rx[silent.clone()]));
 
         // Stage 1: analog subtraction.
@@ -134,24 +190,28 @@ impl SelfInterferenceCanceller {
             backfi_obs::probe("sic.input_si_db", input_si_db);
         }
 
-        // AGC + ADC, quantizing the post-analog buffer in place.
+        // AGC + ADC: full scale and clip scan over the whole packet, then
+        // quantize the post-analog buffer in place over the prefix.
         let (adc_clip_fraction, clip_ranges) = {
             let _t = backfi_obs::span("sic.adc");
             let rms = stats::rms(after_analog);
             let full_scale = rms * 10f64.powf(self.cfg.agc_headroom_db / 20.0);
-            let adc = Adc {
+            scratch.adc = Adc {
                 bits: self.cfg.adc_bits,
                 full_scale: full_scale.max(1e-30),
             };
-            let (adc_clip_fraction, clip_ranges) = adc.clip_scan(after_analog);
+            let (adc_clip_fraction, clip_ranges) = scratch.adc.clip_scan(&scratch.analog);
             backfi_obs::probe("sic.adc_clip_fraction", adc_clip_fraction);
-            adc.quantize(after_analog);
+            scratch.digitized = 0;
+            scratch.digitize_to(end);
             (adc_clip_fraction, clip_ranges)
         };
         let digitized = &scratch.analog;
 
         // Stage 2: digital subtraction, trained on the silent window.
-        let samples = if self.cfg.digital_enabled {
+        let mut samples = std::mem::take(&mut scratch.samples);
+        samples.clear();
+        let digital = if self.cfg.digital_enabled {
             let _t = backfi_obs::span("sic.digital");
             let dig = {
                 let _t = backfi_obs::span("sic.digital.train");
@@ -160,14 +220,18 @@ impl SelfInterferenceCanceller {
                     &digitized[silent.clone()],
                     self.cfg.digital_taps,
                     self.cfg.ridge,
-                )?
+                )
+            };
+            let Some(dig) = dig else {
+                scratch.samples = samples;
+                return None;
             };
             let _t = backfi_obs::span("sic.digital.apply");
-            let mut samples = std::mem::take(&mut scratch.samples);
-            dig.cancel_into(x_clean, digitized, &mut samples);
-            samples
+            dig.cancel_extend(x_clean, digitized, end, &mut samples);
+            Some(dig)
         } else {
-            std::mem::take(&mut scratch.analog)
+            samples.extend_from_slice(&digitized[..end]);
+            None
         };
 
         let residual_db = stats::db(stats::mean_power(
@@ -181,16 +245,22 @@ impl SelfInterferenceCanceller {
             adc_clip_fraction,
             clip_ranges,
             samples,
+            digital,
         })
     }
 }
 
 /// The canceller's excitation-length buffers, kept by a caller that
 /// cancels many packets so each run reuses their capacity: the post-analog
-/// signal (digitized in place) and a recycled output buffer.
+/// signal, digitized in place as far as the packet's reports have been
+/// cancelled (with the ADC the AGC set for it), and a recycled output
+/// buffer.
 #[derive(Debug, Default)]
 pub struct SicScratch {
     analog: Vec<Complex>,
+    adc: Adc,
+    /// `analog[..digitized]` is quantized, the rest still analog.
+    digitized: usize,
     samples: Vec<Complex>,
 }
 
@@ -201,6 +271,14 @@ impl SicScratch {
     pub fn recycle(&mut self, samples: Vec<Complex>) {
         if samples.capacity() > self.samples.capacity() {
             self.samples = samples;
+        }
+    }
+
+    /// Quantize the post-analog buffer through sample `end`.
+    fn digitize_to(&mut self, end: usize) {
+        if end > self.digitized {
+            self.adc.quantize(&mut self.analog[self.digitized..end]);
+            self.digitized = end;
         }
     }
 }
@@ -370,11 +448,61 @@ mod tests {
             };
             let c = SelfInterferenceCanceller::new(cfg, &h_env);
             let want = c.process(&x, &y, 0..320).unwrap();
-            let got = c.process_with(&x, &y, 0..320, &mut scratch).unwrap();
+            let got = c.process_with(&x, &y, 0..320, n, &mut scratch).unwrap();
             assert_eq!(bits(&got.samples), bits(&want.samples));
             assert_eq!(got.residual_db.to_bits(), want.residual_db.to_bits());
             assert_eq!(got.clip_ranges, want.clip_ranges);
             scratch.recycle(got.samples);
+        }
+    }
+
+    /// A report cancelled over a prefix and extended in steps equals the
+    /// whole-packet report bit for bit, with either stage bypassed, with a
+    /// late clipping burst that only the whole-packet AGC and clip scan see,
+    /// and with a second training (the reader's retrain) run through the
+    /// same scratch between the steps.
+    #[test]
+    fn extended_prefix_matches_process_bitwise() {
+        let bits = |v: &[Complex]| -> Vec<(u64, u64)> {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        let mut scratch = SicScratch::default();
+        for (seed, analog, digital) in [(11u64, true, true), (12, false, true), (13, true, false)] {
+            let n = 4000;
+            let (x, mut y, h_env) = scene(seed, n, 1e-9);
+            let amp = 1e3 * stats::rms(&y);
+            y[3500..3540].fill(Complex::new(amp, -amp));
+            let cfg = CancellerConfig {
+                analog_enabled: analog,
+                digital_enabled: digital,
+                ..Default::default()
+            };
+            let c = SelfInterferenceCanceller::new(cfg, &h_env);
+            let want = c.process(&x, &y, 0..320).unwrap();
+            let mut got = c.process_with(&x, &y, 0..320, 100, &mut scratch).unwrap();
+            assert_eq!(
+                got.samples.len(),
+                320,
+                "the silent window is always cancelled"
+            );
+            got.extend(&x, 1001, &mut scratch);
+            got.extend(&x, 999, &mut scratch);
+            assert_eq!(got.samples.len(), 1001);
+            let mut retrained = c.process_with(&x, &y, 160..320, 500, &mut scratch).unwrap();
+            got.extend(&x, n, &mut scratch);
+            assert_eq!(bits(&got.samples), bits(&want.samples));
+            assert_eq!(got.residual_db.to_bits(), want.residual_db.to_bits());
+            assert_eq!(
+                got.adc_clip_fraction.to_bits(),
+                want.adc_clip_fraction.to_bits()
+            );
+            assert_eq!(got.clip_ranges, want.clip_ranges);
+            assert!(!got.clip_ranges.is_empty());
+            let want2 = c.process(&x, &y, 160..320).unwrap();
+            retrained.extend(&x, n, &mut scratch);
+            assert_eq!(bits(&retrained.samples), bits(&want2.samples));
+            scratch.recycle(got.samples);
+            scratch.recycle(retrained.samples);
         }
     }
 

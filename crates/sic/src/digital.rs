@@ -38,20 +38,31 @@ impl DigitalCanceller {
     }
 
     /// Subtract the reconstructed interference from `y` over the whole
-    /// packet. Allocating wrapper over `cancel_into`.
+    /// packet. Allocating wrapper over `cancel_extend`.
     pub fn cancel(&self, x_clean: &[Complex], y: &[Complex]) -> Vec<Complex> {
         let mut out = Vec::new();
-        self.cancel_into(x_clean, y, &mut out);
+        self.cancel_extend(x_clean, y, x_clean.len(), &mut out);
         out
     }
 
-    /// [`DigitalCanceller::cancel`] into a caller-owned buffer: the model is
-    /// filtered into `out`, then subtracted from `y` in place.
-    pub(crate) fn cancel_into(&self, x_clean: &[Complex], y: &[Complex], out: &mut Vec<Complex>) {
+    /// [`DigitalCanceller::cancel`] in extending prefixes: appends the
+    /// cancelled samples `out.len()..end` to `out`, leaving the ones it
+    /// already holds untouched. The model is a causal filter of `x_clean`
+    /// ([`backfi_dsp::fir::filter_extend`]), so each appended sample is
+    /// bit-identical to the same sample of the whole-packet `cancel`; only
+    /// `y[out.len()..end]` is read.
+    pub(crate) fn cancel_extend(
+        &self,
+        x_clean: &[Complex],
+        y: &[Complex],
+        end: usize,
+        out: &mut Vec<Complex>,
+    ) {
         assert_eq!(x_clean.len(), y.len(), "length mismatch");
         let _t = backfi_obs::span("sic.digital.cancel");
-        backfi_dsp::fir::filter_into(&self.taps, x_clean, out);
-        for (m, a) in out.iter_mut().zip(y) {
+        let start = out.len();
+        backfi_dsp::fir::filter_extend(&self.taps, x_clean, end, out);
+        for (m, a) in out[start..].iter_mut().zip(&y[start..]) {
             *m = *a - *m;
         }
     }
