@@ -286,9 +286,12 @@ impl ViterbiDecoder {
     /// For the K=7 code that shrinks survivor memory 32× (one u64 per step),
     /// keeping the whole store L1-resident for full-packet decodes.
     ///
-    /// Each step runs the AVX2 [`acs_step_avx2`] on the AVX2 backend for
-    /// codes of at most 64 states, else the portable [`acs_step`]
-    /// (`BACKFI_SIMD=off` and non-x86 hosts included).
+    /// A step runs the AVX2 [`acs_step_avx2`] on the AVX2 backend for codes
+    /// of at most 64 states when both of its metrics are finite, else the
+    /// portable [`acs_step`] (hostile ±∞/NaN LLRs, `BACKFI_SIMD=off` and
+    /// non-x86 hosts included). The figures, examples and benchmark
+    /// workloads feed only finite LLRs (depuncturing erasures are exact
+    /// zeros), so on AVX2 hosts the portable step serves hostile inputs.
     ///
     /// Produces bit-identical decisions to [`Self::run_direct`]:
     /// * `s·m` with `s = ±1.0` equals `±m` bitwise, so `v_j` equals the
@@ -330,9 +333,10 @@ impl ViterbiDecoder {
             let m0 = soft[2 * t];
             let m1 = soft[2 * t + 1];
             #[cfg(target_arch = "x86_64")]
-            if avx2 {
+            if avx2 && m0.is_finite() && m1.is_finite() {
                 // SAFETY: the AVX2 backend is only reported after runtime
-                // detection.
+                // detection. With `ns <= 64` one word holds a step's bits
+                // (`wps == 1`), the same layout `acs_step` writes.
                 words[t] = unsafe { acs_step_avx2(b, m0, m1, &metric, &mut metric_next) };
                 std::mem::swap(&mut metric, &mut metric_next);
                 continue;
@@ -401,14 +405,20 @@ fn acs_step(
 /// packed decision word for this step; the caller guarantees `ns ≤ 64` so
 /// one u64 holds every state's bit.
 ///
-/// Bit-identical to the portable body — every lane performs the same IEEE
-/// add/sub/mul and the same compare/select sequence (no FMA contraction).
-/// When both step metrics are finite, no candidate can be NaN (path metrics
-/// are finite or −∞, and finite ± finite / −∞ ± finite never produce NaN),
-/// so the NaN-sanitizing compare+blend pair is skipped on that fast path:
-/// the sanitize is the identity there, so results are unchanged bitwise.
-/// The compare masks themselves already encode the "−∞ winner stores
-/// decision 0" convention (`−∞ > −∞` and `NaN > x` are both false).
+/// The caller guarantees both step metrics are finite. Then no candidate can
+/// be NaN (path metrics are finite or −∞, and finite ± finite / −∞ ± finite
+/// never produce NaN), so the portable body's NaN sanitize is the identity
+/// and is left out, and the ±1 signs apply as sign-bit XORs (bit-identical
+/// to the multiply for finite metrics; see `BatchedTrellis::sm0`). Every
+/// lane otherwise performs the same IEEE add/sub and the same
+/// compare/select sequence as [`acs_step`] (no FMA contraction), so the
+/// result is bit-identical. The compare masks encode the "−∞ winner stores
+/// decision 0" convention (`−∞ > −∞` is false).
+///
+/// # Safety
+/// The CPU must support AVX2, and `metric` must hold at least
+/// `2 · b.s0.len()` entries: the vector loads read `metric[2j..2j + 8]`
+/// without bounds checks.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn acs_step_avx2(
@@ -419,98 +429,57 @@ unsafe fn acs_step_avx2(
     metric_next: &mut [f64],
 ) -> u64 {
     use std::arch::x86_64::*;
-    const NEG: f64 = f64::NEG_INFINITY;
     let (s0, s1) = (&b.s0[..], &b.s1[..]);
     let half = s0.len();
     let (lo, hi) = metric_next.split_at_mut(half);
     let m0v = _mm256_set1_pd(m0);
     let m1v = _mm256_set1_pd(m1);
-    let negv = _mm256_set1_pd(NEG);
     let mut lo_acc: u64 = 0;
     let mut hi_acc: u64 = 0;
     let mut j = 0usize;
-    if m0.is_finite() && m1.is_finite() {
-        // Fast path: no NaN candidates possible — skip the sanitize ops,
-        // and apply the ±1 signs as sign-bit XORs (bit-identical to the
-        // multiply for finite metrics; see `BatchedTrellis::sm0`).
-        while j + 4 <= half {
-            let sm0v = _mm256_loadu_pd(b.sm0.as_ptr().add(j));
-            let sm1v = _mm256_loadu_pd(b.sm1.as_ptr().add(j));
-            let vv = _mm256_add_pd(_mm256_xor_pd(m0v, sm0v), _mm256_xor_pd(m1v, sm1v));
-            // Deinterleave metric[2j..2j+8] into pm0 (even) / pm1 (odd) lanes.
-            let a = _mm256_loadu_pd(metric.as_ptr().add(2 * j));
-            let b = _mm256_loadu_pd(metric.as_ptr().add(2 * j + 4));
-            let t0 = _mm256_permute2f128_pd(a, b, 0x20);
-            let t1 = _mm256_permute2f128_pd(a, b, 0x31);
-            let pm0 = _mm256_unpacklo_pd(t0, t1);
-            let pm1 = _mm256_unpackhi_pd(t0, t1);
-            // input 0 → states j..j+4: candidates pm0 + v, pm1 − v.
-            let c0 = _mm256_add_pd(pm0, vv);
-            let c1 = _mm256_sub_pd(pm1, vv);
-            let gt = _mm256_cmp_pd(c1, c0, _CMP_GT_OQ);
-            let m = _mm256_blendv_pd(c0, c1, gt);
-            _mm256_storeu_pd(lo.as_mut_ptr().add(j), m);
-            lo_acc |= (_mm256_movemask_pd(gt) as u64) << j;
-            // input 1 → states j+half..j+half+4: candidates pm0 − v, pm1 + v.
-            let d0 = _mm256_sub_pd(pm0, vv);
-            let d1 = _mm256_add_pd(pm1, vv);
-            let gt2 = _mm256_cmp_pd(d1, d0, _CMP_GT_OQ);
-            let q = _mm256_blendv_pd(d0, d1, gt2);
-            _mm256_storeu_pd(hi.as_mut_ptr().add(j), q);
-            hi_acc |= (_mm256_movemask_pd(gt2) as u64) << j;
-            j += 4;
-        }
-    } else {
-        // Hostile metrics (±∞ / NaN LLRs): sanitize NaN candidates to −∞
-        // exactly like the scalar `is_nan` select.
-        while j + 4 <= half {
-            let s0v = _mm256_loadu_pd(s0.as_ptr().add(j));
-            let s1v = _mm256_loadu_pd(s1.as_ptr().add(j));
-            let vv = _mm256_add_pd(_mm256_mul_pd(s0v, m0v), _mm256_mul_pd(s1v, m1v));
-            let a = _mm256_loadu_pd(metric.as_ptr().add(2 * j));
-            let b = _mm256_loadu_pd(metric.as_ptr().add(2 * j + 4));
-            let t0 = _mm256_permute2f128_pd(a, b, 0x20);
-            let t1 = _mm256_permute2f128_pd(a, b, 0x31);
-            let pm0 = _mm256_unpacklo_pd(t0, t1);
-            let pm1 = _mm256_unpackhi_pd(t0, t1);
-            let c0 = _mm256_add_pd(pm0, vv);
-            let c1 = _mm256_sub_pd(pm1, vv);
-            let k0 = _mm256_blendv_pd(c0, negv, _mm256_cmp_pd(c0, c0, _CMP_UNORD_Q));
-            let k1 = _mm256_blendv_pd(c1, negv, _mm256_cmp_pd(c1, c1, _CMP_UNORD_Q));
-            let gt = _mm256_cmp_pd(k1, k0, _CMP_GT_OQ);
-            let m = _mm256_blendv_pd(k0, k1, gt);
-            _mm256_storeu_pd(lo.as_mut_ptr().add(j), m);
-            lo_acc |= (_mm256_movemask_pd(gt) as u64) << j;
-            let d0 = _mm256_sub_pd(pm0, vv);
-            let d1 = _mm256_add_pd(pm1, vv);
-            let q0 = _mm256_blendv_pd(d0, negv, _mm256_cmp_pd(d0, d0, _CMP_UNORD_Q));
-            let q1 = _mm256_blendv_pd(d1, negv, _mm256_cmp_pd(d1, d1, _CMP_UNORD_Q));
-            let gt2 = _mm256_cmp_pd(q1, q0, _CMP_GT_OQ);
-            let q = _mm256_blendv_pd(q0, q1, gt2);
-            _mm256_storeu_pd(hi.as_mut_ptr().add(j), q);
-            hi_acc |= (_mm256_movemask_pd(gt2) as u64) << j;
-            j += 4;
-        }
+    while j + 4 <= half {
+        let sm0v = _mm256_loadu_pd(b.sm0.as_ptr().add(j));
+        let sm1v = _mm256_loadu_pd(b.sm1.as_ptr().add(j));
+        let vv = _mm256_add_pd(_mm256_xor_pd(m0v, sm0v), _mm256_xor_pd(m1v, sm1v));
+        // Deinterleave metric[2j..2j+8] into pm0 (even) / pm1 (odd) lanes.
+        let a = _mm256_loadu_pd(metric.as_ptr().add(2 * j));
+        let b = _mm256_loadu_pd(metric.as_ptr().add(2 * j + 4));
+        let t0 = _mm256_permute2f128_pd(a, b, 0x20);
+        let t1 = _mm256_permute2f128_pd(a, b, 0x31);
+        let pm0 = _mm256_unpacklo_pd(t0, t1);
+        let pm1 = _mm256_unpackhi_pd(t0, t1);
+        // input 0 → states j..j+4: candidates pm0 + v, pm1 − v.
+        let c0 = _mm256_add_pd(pm0, vv);
+        let c1 = _mm256_sub_pd(pm1, vv);
+        let gt = _mm256_cmp_pd(c1, c0, _CMP_GT_OQ);
+        let m = _mm256_blendv_pd(c0, c1, gt);
+        _mm256_storeu_pd(lo.as_mut_ptr().add(j), m);
+        lo_acc |= (_mm256_movemask_pd(gt) as u64) << j;
+        // input 1 → states j+half..j+half+4: candidates pm0 − v, pm1 + v.
+        let d0 = _mm256_sub_pd(pm0, vv);
+        let d1 = _mm256_add_pd(pm1, vv);
+        let gt2 = _mm256_cmp_pd(d1, d0, _CMP_GT_OQ);
+        let q = _mm256_blendv_pd(d0, d1, gt2);
+        _mm256_storeu_pd(hi.as_mut_ptr().add(j), q);
+        hi_acc |= (_mm256_movemask_pd(gt2) as u64) << j;
+        j += 4;
     }
     // Scalar tail for trellises whose half-size is not a multiple of 4
-    // (e.g. the K=3 test code, half = 2) — same body as `acs_step`.
+    // (e.g. the K=3 test code, half = 2) — `acs_step`'s body without the
+    // sanitize.
     while j < half {
         let vj = s0[j] * m0 + s1[j] * m1;
         let pm0 = metric[2 * j];
         let pm1 = metric[2 * j + 1];
         let c0 = pm0 + vj;
         let c1 = pm1 - vj;
-        let k0 = if c0.is_nan() { NEG } else { c0 };
-        let k1 = if c1.is_nan() { NEG } else { c1 };
-        let take1 = k1 > k0;
-        lo[j] = if take1 { k1 } else { k0 };
+        let take1 = c1 > c0;
+        lo[j] = if take1 { c1 } else { c0 };
         lo_acc |= (take1 as u64) << j;
         let d0 = pm0 - vj;
         let d1 = pm1 + vj;
-        let q0 = if d0.is_nan() { NEG } else { d0 };
-        let q1 = if d1.is_nan() { NEG } else { d1 };
-        let t1 = q1 > q0;
-        hi[j] = if t1 { q1 } else { q0 };
+        let t1 = d1 > d0;
+        hi[j] = if t1 { d1 } else { d0 };
         hi_acc |= (t1 as u64) << j;
         j += 1;
     }

@@ -284,104 +284,6 @@ fn scatter(h: &[Complex], x: &[Complex], first: usize, y: &mut [Complex]) {
     }
 }
 
-/// A stateful streaming FIR filter.
-///
-/// Keeps a delay line between calls so a long signal can be filtered in
-/// chunks — used by the receiver front end and the digital canceller, which
-/// process the packet as it "arrives".
-#[derive(Clone, Debug)]
-pub struct FirFilter {
-    taps: Vec<Complex>,
-    /// Circular delay line holding the most recent `taps.len()−1` inputs.
-    state: Vec<Complex>,
-    pos: usize,
-}
-
-impl FirFilter {
-    /// Create a streaming filter with the given taps (`taps[0]` is the
-    /// zero-delay tap).
-    ///
-    /// # Panics
-    /// Panics if `taps` is empty.
-    pub fn new(taps: Vec<Complex>) -> Self {
-        assert!(!taps.is_empty(), "FirFilter: empty taps");
-        let len = taps.len();
-        FirFilter {
-            taps,
-            state: vec![Complex::ZERO; len],
-            pos: 0,
-        }
-    }
-
-    /// Number of taps.
-    pub fn order(&self) -> usize {
-        self.taps.len()
-    }
-
-    /// Borrow the taps.
-    pub fn taps(&self) -> &[Complex] {
-        &self.taps
-    }
-
-    /// Reset the delay line to zeros.
-    pub fn reset(&mut self) {
-        self.state.iter_mut().for_each(|v| *v = Complex::ZERO);
-        self.pos = 0;
-    }
-
-    /// Push one sample, get one output sample.
-    #[inline]
-    pub fn push(&mut self, x: Complex) -> Complex {
-        let n = self.state.len();
-        self.state[self.pos] = x;
-        let mut acc = Complex::ZERO;
-        let mut idx = self.pos;
-        for &t in &self.taps {
-            acc += t * self.state[idx];
-            idx = if idx == 0 { n - 1 } else { idx - 1 };
-        }
-        self.pos = (self.pos + 1) % n;
-        acc
-    }
-
-    /// Filter a whole block, preserving state across calls.
-    pub fn process(&mut self, x: &[Complex]) -> Vec<Complex> {
-        x.iter().map(|&v| self.push(v)).collect()
-    }
-}
-
-/// Design a real lowpass FIR by the windowed-sinc method.
-///
-/// `cutoff` is the normalized cutoff in cycles/sample (0 < cutoff < 0.5);
-/// `ntaps` should be odd for a symmetric (linear-phase) filter. Returns real
-/// taps as `Complex` with zero imaginary parts, normalized to unit DC gain.
-///
-/// # Panics
-/// Panics if `cutoff` is outside (0, 0.5) or `ntaps == 0`.
-pub fn lowpass_taps(ntaps: usize, cutoff: f64) -> Vec<Complex> {
-    assert!(ntaps > 0, "lowpass_taps: ntaps must be positive");
-    assert!(cutoff > 0.0 && cutoff < 0.5, "cutoff must lie in (0, 0.5)");
-    let mid = (ntaps as f64 - 1.0) / 2.0;
-    let mut taps: Vec<f64> = (0..ntaps)
-        .map(|i| {
-            let t = i as f64 - mid;
-            let sinc = if t.abs() < 1e-12 {
-                2.0 * cutoff
-            } else {
-                (2.0 * std::f64::consts::PI * cutoff * t).sin() / (std::f64::consts::PI * t)
-            };
-            // Hamming window
-            let w = 0.54
-                - 0.46
-                    * (2.0 * std::f64::consts::PI * i as f64 / (ntaps as f64 - 1.0).max(1.0)).cos();
-            sinc * w
-        })
-        .collect();
-    let sum: f64 = taps.iter().sum();
-    taps.iter_mut().for_each(|t| *t /= sum);
-    taps.into_iter().map(Complex::real).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,54 +387,5 @@ mod tests {
         for i in 0..x.len() {
             assert!((y[i] - full[i]).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn streaming_matches_block() {
-        let x: Vec<Complex> = (0..50)
-            .map(|i| Complex::new((i as f64 * 0.3).sin(), 0.2))
-            .collect();
-        let h: Vec<Complex> = vec![c(0.5), c(-0.25), Complex::new(0.0, 0.125)];
-        let block = filter(&h, &x);
-        let mut f = FirFilter::new(h);
-        // process in uneven chunks
-        let mut out = Vec::new();
-        out.extend(f.process(&x[..7]));
-        out.extend(f.process(&x[7..23]));
-        out.extend(f.process(&x[23..]));
-        for (a, b) in out.iter().zip(&block) {
-            assert!((*a - *b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn fir_reset_clears_state() {
-        let h: Vec<Complex> = vec![c(1.0), c(1.0)];
-        let mut f = FirFilter::new(h);
-        f.push(c(5.0));
-        f.reset();
-        assert!((f.push(c(1.0)) - c(1.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lowpass_dc_gain_is_one() {
-        let taps = lowpass_taps(31, 0.2);
-        let dc: Complex = taps.iter().sum();
-        assert!((dc.re - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lowpass_attenuates_high_frequency() {
-        let taps = lowpass_taps(63, 0.1);
-        // Evaluate frequency response at f = 0.05 (passband) and f = 0.35 (stopband)
-        let resp = |f: f64| -> f64 {
-            taps.iter()
-                .enumerate()
-                .map(|(i, t)| *t * Complex::exp_j(-2.0 * std::f64::consts::PI * f * i as f64))
-                .sum::<Complex>()
-                .abs()
-        };
-        assert!(resp(0.05) > 0.9);
-        assert!(resp(0.35) < 0.01);
     }
 }

@@ -18,7 +18,8 @@
 //! * [`rng`] — the seedable SplitMix64 generator behind all randomness,
 //! * [`spectrum`] — Welch PSD estimation (waveform sanity checks),
 //! * [`simd`] — runtime backend detection for the dispatched kernels,
-//! * [`soa`] — structure-of-arrays planar kernels for the receive hot paths.
+//! * [`soa`] — structure-of-arrays planar kernels for the receive hot paths
+//!   (802.11 equalization, cross-correlation).
 //!
 //! Everything is `f64`: the simulation favours numerical fidelity over
 //! throughput, and the wall-clock benches show the pipelines are still fast

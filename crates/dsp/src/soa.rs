@@ -1,10 +1,14 @@
-//! Structure-of-arrays (planar) complex kernels for the receive hot paths.
+//! Structure-of-arrays (planar) complex kernels for the receive hot paths:
+//! the 802.11 receiver's per-subcarrier equalizer ([`equalize_planar`]) and
+//! the sliding cross-correlation body ([`xcorr_planar`]).
 //!
 //! The AoS `[Complex]` layout interleaves re/im in memory, which blocks the
-//! autovectorizer on the inner loops of correlation and demapping. This
+//! autovectorizer on the inner loops of correlation and equalization. This
 //! module holds the same arithmetic over *planar* `&[f64]` re/im slices,
 //! where each output element is an independent elementwise expression the
-//! compiler can vectorize freely.
+//! compiler can vectorize freely. (Soft demapping needs no planar kernel:
+//! every 802.11 constellation is separable, so `backfi-wifi` demaps with a
+//! per-axis scan.)
 //!
 //! ## Bit-exactness contract
 //!
@@ -61,9 +65,9 @@ pub fn merge(re: &[f64], im: &[f64]) -> Vec<Complex> {
 // ------------------------------------------------------ elementwise bodies --
 //
 // Each `*_impl` is the single portable body; the `#[target_feature]`
-// wrappers below re-instantiate the dispatched ones with AVX2 codegen. `#[inline(always)]` makes the
-// body inline into each instantiation so the feature attribute actually
-// reaches the loops.
+// wrappers below re-instantiate the dispatched ones with AVX2 codegen.
+// `#[inline(always)]` makes the body inline into each instantiation so the
+// feature attribute actually reaches the loops.
 
 #[inline(always)]
 fn axpy_impl(cre: f64, cim: f64, xr: &[f64], xi: &[f64], yr: &mut [f64], yi: &mut [f64]) {
@@ -72,69 +76,6 @@ fn axpy_impl(cre: f64, cim: f64, xr: &[f64], xi: &[f64], yr: &mut [f64], yi: &mu
         yr[k] += cre * xr[k] - cim * xi[k];
         yi[k] += cre * xi[k] + cim * xr[k];
     }
-}
-
-// `dist_sqr_impl` and `masked_min2_impl` are the unfused demapper: the
-// reference the fused `demap_mins` paths are checked against.
-
-#[cfg(test)]
-fn dist_sqr_impl(pre: f64, pim: f64, cre: &[f64], cim: &[f64], out: &mut [f64]) {
-    for i in 0..out.len() {
-        // Mirrors `(point - c[i]).norm_sqr()`.
-        let dr = pre - cre[i];
-        let di = pim - cim[i];
-        out[i] = dr * dr + di * di;
-    }
-}
-
-#[cfg(test)]
-fn masked_min2_impl(dist: &[f64], labels: &[u8], bit: u32) -> (f64, f64) {
-    let mut d0 = f64::INFINITY;
-    let mut d1 = f64::INFINITY;
-    for (d, &l) in dist.iter().zip(labels) {
-        // Branchless form of "min into the side this label selects": the
-        // non-selected side gets +∞, and `min(acc, +∞) == acc` because the
-        // accumulators start at +∞ and `f64::min` never returns NaN from a
-        // non-NaN operand. NaN distances lose the min on either side —
-        // exactly like the branchy reference (`f64::min` ignores NaN).
-        let is1 = (l >> bit) & 1 == 1;
-        let m0 = if is1 { f64::INFINITY } else { *d };
-        let m1 = if is1 { *d } else { f64::INFINITY };
-        d0 = d0.min(m0);
-        d1 = d1.min(m1);
-    }
-    (d0, d1)
-}
-
-/// Fused max-log demapper core: one pass over the constellation computing,
-/// for every label bit `b < nbits`, the min squared distance over points with
-/// bit `b` clear (`d0[b]`) and set (`d1[b]`). Same per-accumulator candidate
-/// sequence as `dist_sqr_impl` followed by per-bit `masked_min2_impl`.
-#[inline(always)]
-fn demap_mins_impl(
-    pre: f64,
-    pim: f64,
-    cre: &[f64],
-    cim: &[f64],
-    labels: &[u8],
-    nbits: usize,
-) -> ([f64; 6], [f64; 6]) {
-    let mut d0 = [f64::INFINITY; 6];
-    let mut d1 = [f64::INFINITY; 6];
-    for i in 0..cre.len() {
-        let dr = pre - cre[i];
-        let di = pim - cim[i];
-        let d = dr * dr + di * di;
-        let l = labels[i];
-        for (b, (a0, a1)) in d0.iter_mut().zip(d1.iter_mut()).enumerate().take(nbits) {
-            let is1 = (l >> b) & 1 == 1;
-            let m0 = if is1 { f64::INFINITY } else { d };
-            let m1 = if is1 { d } else { f64::INFINITY };
-            *a0 = a0.min(m0);
-            *a1 = a1.min(m1);
-        }
-    }
-    (d0, d1)
 }
 
 #[inline(always)]
@@ -188,67 +129,6 @@ fn xcorr_body_impl(xr: &[f64], xi: &[f64], tr: &[f64], ti: &[f64], yr: &mut [f64
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    /// Hand-vectorized fused demapper: four constellation points per
-    /// iteration with lane-split min accumulators. Value-identical to
-    /// [`super::demap_mins_impl`] because squared distances are never `-0.0`
-    /// (each is a sum of self-products), so the min reduction is
-    /// reassociation-safe: NaN distances lose on every path, ties are between
-    /// bit-identical values, and `vminpd(m, acc)` returns `acc` when `m` is
-    /// NaN — exactly `f64::min(acc, m)` for never-NaN `acc`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn demap_mins(
-        pre: f64,
-        pim: f64,
-        cre: &[f64],
-        cim: &[f64],
-        labels: &[u8],
-        nbits: usize,
-    ) -> ([f64; 6], [f64; 6]) {
-        use std::arch::x86_64::*;
-        debug_assert!(cre.len().is_multiple_of(4));
-        let n = cre.len();
-        let prev = _mm256_set1_pd(pre);
-        let pimv = _mm256_set1_pd(pim);
-        let infv = _mm256_set1_pd(f64::INFINITY);
-        let mut acc0 = [infv; 6];
-        let mut acc1 = [infv; 6];
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let cr = _mm256_loadu_pd(cre.as_ptr().add(i));
-            let ci = _mm256_loadu_pd(cim.as_ptr().add(i));
-            let dr = _mm256_sub_pd(prev, cr);
-            let di = _mm256_sub_pd(pimv, ci);
-            let d = _mm256_add_pd(_mm256_mul_pd(dr, dr), _mm256_mul_pd(di, di));
-            let lv = _mm256_setr_epi64x(
-                labels[i] as i64,
-                labels[i + 1] as i64,
-                labels[i + 2] as i64,
-                labels[i + 3] as i64,
-            );
-            for b in 0..nbits {
-                // All-ones where label bit `b` is CLEAR.
-                let clear = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
-                    _mm256_and_si256(lv, _mm256_set1_epi64x(1i64 << b)),
-                    _mm256_setzero_si256(),
-                ));
-                let m0 = _mm256_blendv_pd(infv, d, clear);
-                let m1 = _mm256_blendv_pd(d, infv, clear);
-                acc0[b] = _mm256_min_pd(m0, acc0[b]);
-                acc1[b] = _mm256_min_pd(m1, acc1[b]);
-            }
-            i += 4;
-        }
-        let mut d0 = [f64::INFINITY; 6];
-        let mut d1 = [f64::INFINITY; 6];
-        let mut lanes = [0.0f64; 4];
-        for b in 0..nbits {
-            _mm256_storeu_pd(lanes.as_mut_ptr(), acc0[b]);
-            d0[b] = lanes[0].min(lanes[1]).min(lanes[2]).min(lanes[3]);
-            _mm256_storeu_pd(lanes.as_mut_ptr(), acc1[b]);
-            d1[b] = lanes[0].min(lanes[1]).min(lanes[2]).min(lanes[3]);
-        }
-        (d0, d1)
-    }
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn equalize(
@@ -275,77 +155,6 @@ mod avx2 {
     ) {
         super::xcorr_body_impl(xr, xi, tr, ti, yr, yi)
     }
-    /// Fused batch demapper over an identity-labeled constellation
-    /// (`labels[v] = v`): per equalized point, min squared distance per label
-    /// bit and side, then the scaled LLR `(d0 − d1) · csi/nv` written straight
-    /// to `out`. Identity labels inside an aligned block of four consecutive
-    /// points mean bit 0 follows the fixed lane pattern (0,1,0,1) and bit 1
-    /// follows (0,0,1,1) — immediate blends, no label loads — while bits ≥ 2
-    /// are constant across the block, so the block's distances feed exactly
-    /// one accumulator chosen by a scalar bit test (the other side's
-    /// candidates would all be `+inf`, the min identity). Value-identical to
-    /// per-point [`demap_mins`] by the same argument documented there: each
-    /// `(bit, side)` accumulator mins the same multiset of distances (never
-    /// `-0.0`, NaN loses on every path), and min over such a multiset is
-    /// order-independent.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn demap_llrs_batch(
-        eq_re: &[f64],
-        eq_im: &[f64],
-        csi: &[f64],
-        nv: f64,
-        cre: &[f64],
-        cim: &[f64],
-        nbits: usize,
-        out: &mut [f64],
-    ) {
-        use std::arch::x86_64::*;
-        let n = cre.len();
-        debug_assert!(n.is_multiple_of(4) && n >= 8);
-        let infv = _mm256_set1_pd(f64::INFINITY);
-        for p in 0..eq_re.len() {
-            let prev = _mm256_set1_pd(eq_re[p]);
-            let pimv = _mm256_set1_pd(eq_im[p]);
-            let mut acc0 = [infv; 6];
-            let mut acc1 = [infv; 6];
-            let mut i = 0usize;
-            while i + 4 <= n {
-                let cr = _mm256_loadu_pd(cre.as_ptr().add(i));
-                let ci = _mm256_loadu_pd(cim.as_ptr().add(i));
-                let dr = _mm256_sub_pd(prev, cr);
-                let di = _mm256_sub_pd(pimv, ci);
-                let d = _mm256_add_pd(_mm256_mul_pd(dr, dr), _mm256_mul_pd(di, di));
-                // Labels i..i+3 with i % 4 == 0: bit 0 is set on lanes 1,3
-                // and bit 1 on lanes 2,3.
-                acc0[0] = _mm256_min_pd(_mm256_blend_pd(d, infv, 0b1010), acc0[0]);
-                acc1[0] = _mm256_min_pd(_mm256_blend_pd(infv, d, 0b1010), acc1[0]);
-                if nbits >= 2 {
-                    acc0[1] = _mm256_min_pd(_mm256_blend_pd(d, infv, 0b1100), acc0[1]);
-                    acc1[1] = _mm256_min_pd(_mm256_blend_pd(infv, d, 0b1100), acc1[1]);
-                }
-                for b in 2..nbits {
-                    // Bit `b` of labels i..i+3 equals bit `b` of `i` for the
-                    // whole block (i % 4 == 0, lane offset < 4).
-                    if (i >> b) & 1 == 0 {
-                        acc0[b] = _mm256_min_pd(d, acc0[b]);
-                    } else {
-                        acc1[b] = _mm256_min_pd(d, acc1[b]);
-                    }
-                }
-                i += 4;
-            }
-            let scale = csi[p] / nv;
-            let mut lanes = [0.0f64; 4];
-            for b in 0..nbits {
-                _mm256_storeu_pd(lanes.as_mut_ptr(), acc0[b]);
-                let d0 = lanes[0].min(lanes[1]).min(lanes[2]).min(lanes[3]);
-                _mm256_storeu_pd(lanes.as_mut_ptr(), acc1[b]);
-                let d1 = lanes[0].min(lanes[1]).min(lanes[2]).min(lanes[3]);
-                out[p * nbits + b] = (d0 - d1) * scale;
-            }
-        }
-    }
 }
 
 #[inline]
@@ -362,99 +171,6 @@ fn use_avx2() -> bool {
 }
 
 // ------------------------------------------------------- public dispatch ---
-
-/// Fused max-log demapper: per label bit `b < nbits`, the minimum squared
-/// distance from `point` to the constellation points with bit `b` clear
-/// (`.0[b]`) and set (`.1[b]`). One pass over the constellation — equivalent
-/// to a squared-distance scan followed by a per-bit masked min, and
-/// bit-identical to it: squared distances are non-negative, `+inf`, or NaN
-/// (never `-0.0`), so the min reduction order cannot change the result and
-/// the lane-split AVX2 path (taken for lane-multiple constellations of ≥ 8
-/// points) matches the scalar sequence bitwise.
-///
-/// # Panics
-/// Panics if slice lengths differ or `nbits > 6`.
-pub fn demap_mins(
-    point: Complex,
-    cre: &[f64],
-    cim: &[f64],
-    labels: &[u8],
-    nbits: usize,
-) -> ([f64; 6], [f64; 6]) {
-    assert!(
-        cre.len() == cim.len() && cre.len() == labels.len(),
-        "demap_mins: length mismatch"
-    );
-    assert!(nbits <= 6, "demap_mins: at most 6 bits per symbol");
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() && cre.len().is_multiple_of(4) && cre.len() >= 8 {
-        // SAFETY: AVX2 presence established by runtime detection.
-        return unsafe { avx2::demap_mins(point.re, point.im, cre, cim, labels, nbits) };
-    }
-    demap_mins_impl(point.re, point.im, cre, cim, labels, nbits)
-}
-
-/// Fused batch demapper: max-log LLRs for a whole planar batch of equalized
-/// points against one constellation, `out[p·nbits + b] = (d0 − d1) · scale`
-/// with `scale = csi[p] / nv`. Labels must be the identity (`labels[v] = v`,
-/// true for the cached constellation tables by construction) — that is what
-/// lets the AVX2 path replace per-lane label mask arithmetic with immediate
-/// blends (bits 0–1 have a fixed lane pattern inside every aligned block of
-/// 4 consecutive labels) and whole-block accumulator selects (bits ≥ 2 are
-/// constant across such a block). Non-identity labels, short
-/// constellations, or `BACKFI_SIMD=off` fall back to the per-point
-/// [`demap_mins`] scalar sequence.
-///
-/// Value-identical to per-point [`demap_mins`] + scale: each `(bit, side)`
-/// min reduces the same multiset of squared distances, which are never
-/// `-0.0` (sums of self-products), so the reduction order cannot change the
-/// result; NaN distances lose on every path (`vminpd(d, acc)` returns `acc`
-/// when `d` is NaN — exactly `f64::min(acc, d)` for never-NaN `acc`).
-///
-/// # Panics
-/// Panics if planar slice lengths differ or `nbits > 6`.
-#[allow(clippy::too_many_arguments)]
-pub fn demap_llrs_batch(
-    eq_re: &[f64],
-    eq_im: &[f64],
-    csi: &[f64],
-    nv: f64,
-    cre: &[f64],
-    cim: &[f64],
-    labels: &[u8],
-    nbits: usize,
-    out: &mut Vec<f64>,
-) {
-    assert!(
-        eq_re.len() == eq_im.len() && eq_re.len() == csi.len(),
-        "demap_llrs_batch: point length mismatch"
-    );
-    assert!(
-        cre.len() == cim.len() && cre.len() == labels.len(),
-        "demap_llrs_batch: table length mismatch"
-    );
-    assert!(nbits <= 6, "demap_llrs_batch: at most 6 bits per symbol");
-    let start = out.len();
-    out.resize(start + eq_re.len() * nbits, 0.0);
-    let dst = &mut out[start..];
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2()
-        && cre.len().is_multiple_of(4)
-        && cre.len() >= 8
-        && labels.iter().enumerate().all(|(v, &l)| l as usize == v)
-    {
-        // SAFETY: AVX2 presence established by runtime detection.
-        unsafe { avx2::demap_llrs_batch(eq_re, eq_im, csi, nv, cre, cim, nbits, dst) };
-        return;
-    }
-    for p in 0..eq_re.len() {
-        let (d0, d1) = demap_mins_impl(eq_re[p], eq_im[p], cre, cim, labels, nbits);
-        let scale = csi[p] / nv;
-        for b in 0..nbits {
-            dst[p * nbits + b] = (d0[b] - d1[b]) * scale;
-        }
-    }
-}
 
 /// Planar per-subcarrier equalization: for each `i`,
 /// `csi[i] = |h[i]|²` and `out[i] = (sym[i] · derot) / h[i]` when
@@ -590,67 +306,6 @@ mod tests {
             axpy_impl(c.re, c.im, &ar, &ai, &mut yr, &mut yi);
             let want: Vec<Complex> = acc0.iter().zip(&a).map(|(y, x)| *y + c * *x).collect();
             assert_bits_eq(&merge(&yr, &yi), &want, "axpy");
-        }
-    }
-
-    #[test]
-    fn dist_and_min2_equiv() {
-        let pts = hostile(60, 9);
-        let (cre, cim) = split(&pts);
-        let labels: Vec<u8> = (0..9u8).collect();
-        let point = Complex::new(0.4, -1.2);
-        let mut dist = vec![0.0; 9];
-        dist_sqr_impl(point.re, point.im, &cre, &cim, &mut dist);
-        for (i, d) in dist.iter().enumerate() {
-            assert_f64_eq(*d, (point - pts[i]).norm_sqr(), &format!("dist[{i}]"));
-        }
-        for bit in 0..4u32 {
-            let (d0, d1) = masked_min2_impl(&dist, &labels, bit);
-            // branchy reference
-            let mut r0 = f64::INFINITY;
-            let mut r1 = f64::INFINITY;
-            for (i, d) in dist.iter().enumerate() {
-                if (labels[i] >> bit) & 1 == 1 {
-                    r1 = r1.min(*d);
-                } else {
-                    r0 = r0.min(*d);
-                }
-            }
-            assert_f64_eq(d0, r0, &format!("bit {bit} d0"));
-            assert_f64_eq(d1, r1, &format!("bit {bit} d1"));
-        }
-    }
-
-    #[test]
-    fn demap_mins_equiv() {
-        // Constellation sizes exercising both the lane-multiple AVX2 path
-        // (16, 64) and the scalar path (2, 4, 9); hostile constellation
-        // entries and points so distances include NaN/+inf lanes.
-        for (n, nbits) in [(2usize, 1usize), (4, 2), (9, 4), (16, 4), (64, 6)] {
-            let pts = hostile(61 + n as u64, n);
-            let (cre, cim) = split(&pts);
-            let labels: Vec<u8> = (0..n as u8).collect();
-            for point in [
-                Complex::new(0.4, -1.2),
-                Complex::new(f64::NAN, 0.0),
-                Complex::new(f64::INFINITY, -2.0),
-            ] {
-                let (d0, d1) = demap_mins(point, &cre, &cim, &labels, nbits);
-                // Reference: unfused dist scan then per-bit masked min.
-                let mut dist = vec![0.0; n];
-                dist_sqr_impl(point.re, point.im, &cre, &cim, &mut dist);
-                for bit in 0..nbits {
-                    let (r0, r1) = masked_min2_impl(&dist, &labels, bit as u32);
-                    assert_f64_eq(d0[bit], r0, &format!("n {n} bit {bit} d0"));
-                    assert_f64_eq(d1[bit], r1, &format!("n {n} bit {bit} d1"));
-                }
-                // Fused scalar body matches the dispatcher output bitwise.
-                let (s0, s1) = demap_mins_impl(point.re, point.im, &cre, &cim, &labels, nbits);
-                for bit in 0..nbits {
-                    assert_f64_eq(d0[bit], s0[bit], &format!("n {n} bit {bit} scalar d0"));
-                    assert_f64_eq(d1[bit], s1[bit], &format!("n {n} bit {bit} scalar d1"));
-                }
-            }
         }
     }
 

@@ -1,7 +1,6 @@
 //! Window functions.
 //!
-//! Used for spectral estimates in the tests/benches and for the windowed-sinc
-//! filter design in [`crate::fir::lowpass_taps`].
+//! Used for spectral estimates in the tests and benches.
 
 use std::f64::consts::PI;
 

@@ -213,15 +213,13 @@ impl SelfInterferenceCanceller {
         samples.clear();
         let digital = if self.cfg.digital_enabled {
             let _t = backfi_obs::span("sic.digital");
-            let dig = {
-                let _t = backfi_obs::span("sic.digital.train");
-                DigitalCanceller::train(
-                    &x_clean[silent.clone()],
-                    &digitized[silent.clone()],
-                    self.cfg.digital_taps,
-                    self.cfg.ridge,
-                )
-            };
+            // `train` records its own `sic.digital.train` span.
+            let dig = DigitalCanceller::train(
+                &x_clean[silent.clone()],
+                &digitized[silent.clone()],
+                self.cfg.digital_taps,
+                self.cfg.ridge,
+            );
             let Some(dig) = dig else {
                 scratch.samples = samples;
                 return None;

@@ -81,23 +81,13 @@ pub fn constellation(modulation: Modulation) -> Vec<(Complex, Vec<bool>)> {
         .collect()
 }
 
-/// Planar constellation table for the hot demapper: points in the same
-/// `v = 0..2^n` order as [`constellation`], split into re/im slices, with
-/// `labels[v] = v` (bit `i` of the label is the point's `i`-th mapped bit).
+/// Axis tables for the demapper. Every 802.11 constellation is square Gray
+/// (BPSK the degenerate one-axis case) and factors into independent I/Q PAM
+/// axes: with the labels `v = 0..2^n` of [`constellation`], the low `RB`
+/// label bits select the I level `rax[v & (2^RB−1)]` and the high `IB` bits
+/// the Q level `iax[v >> RB]`, bitwise (pinned by the
+/// `constellations_factor_through_axis_tables` test).
 struct ConstTable {
-    n: usize,
-    nbits: usize,
-    re: [f64; 64],
-    im: [f64; 64],
-    labels: [u8; 64],
-    /// Axis-separable form: square Gray constellations factor into
-    /// independent I/Q PAM axes — the low `rb` label bits select the I
-    /// level `rax[v & (2^rb−1)]`, the high `ib` bits the Q level
-    /// `iax[v >> rb]`. Verified bitwise at build time (`sep`); the batch
-    /// demapper falls back to the full 2-D scan if it ever fails.
-    sep: bool,
-    rb: usize,
-    ib: usize,
     rax: [f64; 8],
     iax: [f64; 8],
 }
@@ -116,38 +106,21 @@ fn table(modulation: Modulation) -> &'static ConstTable {
             Modulation::Qam64,
         ]
         .map(|m| {
+            // I levels from the points with all Q bits zero, Q levels from
+            // the points with all I bits zero.
             let nbits = m.bits_per_subcarrier();
+            let rb = nbits - nbits / 2;
+            let pts = constellation(m);
             let mut t = ConstTable {
-                n: 1 << nbits,
-                nbits,
-                re: [0.0; 64],
-                im: [0.0; 64],
-                labels: [0; 64],
-                sep: false,
-                rb: nbits - nbits / 2,
-                ib: nbits / 2,
                 rax: [0.0; 8],
                 iax: [0.0; 8],
             };
-            for (v, (p, _)) in constellation(m).into_iter().enumerate() {
-                t.re[v] = p.re;
-                t.im[v] = p.im;
-                t.labels[v] = v as u8;
+            for (r, (p, _)) in t.rax.iter_mut().zip(&pts).take(1 << rb) {
+                *r = p.re;
             }
-            // Axis tables: I levels from the points with all Q bits zero, Q
-            // levels from the points with all I bits zero; then prove every
-            // point factors through them bitwise.
-            let rmask = (1usize << t.rb) - 1;
-            for j in 0..1usize << t.rb {
-                t.rax[j] = t.re[j];
+            for (j, q) in t.iax.iter_mut().enumerate().take(1 << (nbits / 2)) {
+                *q = pts[j << rb].0.im;
             }
-            for j in 0..1usize << t.ib {
-                t.iax[j] = t.im[j << t.rb];
-            }
-            t.sep = (0..t.n).all(|v| {
-                t.re[v].to_bits() == t.rax[v & rmask].to_bits()
-                    && t.im[v].to_bits() == t.iax[v >> t.rb].to_bits()
-            });
             t
         })
     });
@@ -160,41 +133,19 @@ fn table(modulation: Modulation) -> &'static ConstTable {
     &all[idx]
 }
 
-/// Max-log LLR soft demapping of one received point.
+/// Max-log LLR soft demapping of a planar batch of equalized points (the
+/// receive chain passes every symbol of a batch in one call), appending
+/// `bits_per_subcarrier` LLRs per point to `out`.
 ///
-/// `noise_var` scales the confidence; `csi` (channel gain magnitude squared)
-/// further weights the result, so faded subcarriers contribute weak metrics —
-/// this is what makes soft-decision Viterbi shine on frequency-selective
-/// channels. Output convention matches `backfi-coding`: positive ⇒ bit 1.
+/// `noise_var` scales the confidence; `csi[p]` (channel gain magnitude
+/// squared) further weights point `p`, so faded subcarriers contribute weak
+/// metrics — this is what makes soft-decision Viterbi shine on
+/// frequency-selective channels. Output convention matches `backfi-coding`:
+/// positive ⇒ bit 1.
 ///
-/// Runs on cached planar constellation tables through the
-/// [`backfi_dsp::soa`] kernels; bit-identical to [`demap_soft_direct`]
-/// (pinned by the `_equiv` tests — same distances in the same order, and
-/// `f64::min` against the mask's +∞ filler is the identity).
-pub fn demap_soft(
-    modulation: Modulation,
-    point: Complex,
-    csi: f64,
-    noise_var: f64,
-    out: &mut Vec<f64>,
-) {
-    let t = table(modulation);
-    let scale = csi / noise_var.max(1e-12);
-    let (d0, d1) =
-        backfi_dsp::soa::demap_mins(point, &t.re[..t.n], &t.im[..t.n], &t.labels[..t.n], t.nbits);
-    for bit in 0..t.nbits {
-        out.push((d0[bit] - d1[bit]) * scale);
-    }
-}
-
-/// Fused soft demap of a whole planar batch of equalized points (the
-/// receive chain passes every symbol of a batch in one call). Routes the
-/// batch to [`backfi_dsp::soa::demap_llrs_batch`], which exploits the cached
-/// tables' identity labeling (`labels[v] = v`) to hoist the table fetch,
-/// modulation dispatch, and label mask arithmetic out of the per-subcarrier
-/// loop. Value-identical to per-point [`demap_soft`] calls at every batch
-/// size (see the kernel's reassociation argument), and pinned against
-/// [`demap_soft_direct`] by the `_equiv` tests.
+/// Runs the separable axis scan over the cached [`ConstTable`]s;
+/// bit-identical to per-point [`demap_soft_direct`] calls at every batch
+/// size (pinned by the `_equiv` test; NaN sign and payload excepted).
 ///
 /// # Panics
 /// Panics if the planar slices differ in length.
@@ -208,41 +159,26 @@ pub fn demap_soft_batch(
 ) {
     let t = table(modulation);
     let nv = noise_var.max(1e-12);
-    if t.sep {
-        // O(2·√M) separable axis scan instead of the O(M) 2-D scan.
-        match (t.rb, t.ib) {
-            (1, 0) => demap_sep_batch::<1, 0>(t, eq_re, eq_im, csi, nv, out),
-            (1, 1) => demap_sep_batch::<1, 1>(t, eq_re, eq_im, csi, nv, out),
-            (2, 2) => demap_sep_batch::<2, 2>(t, eq_re, eq_im, csi, nv, out),
-            (3, 3) => demap_sep_batch::<3, 3>(t, eq_re, eq_im, csi, nv, out),
-            _ => unreachable!("no constellation maps to ({}, {})", t.rb, t.ib),
-        }
-        return;
+    match modulation {
+        Modulation::Bpsk => demap_sep_batch::<1, 0>(t, eq_re, eq_im, csi, nv, out),
+        Modulation::Qpsk => demap_sep_batch::<1, 1>(t, eq_re, eq_im, csi, nv, out),
+        Modulation::Qam16 => demap_sep_batch::<2, 2>(t, eq_re, eq_im, csi, nv, out),
+        Modulation::Qam64 => demap_sep_batch::<3, 3>(t, eq_re, eq_im, csi, nv, out),
     }
-    backfi_dsp::soa::demap_llrs_batch(
-        eq_re,
-        eq_im,
-        csi,
-        nv,
-        &t.re[..t.n],
-        &t.im[..t.n],
-        &t.labels[..t.n],
-        t.nbits,
-        out,
-    );
 }
 
 /// Separable max-log demap of a planar batch: per point, `2^RB + 2^IB`
 /// axis distances instead of `2^(RB+IB)` point distances.
 ///
-/// **Value-identical to the 2-D scan.** Every point distance is
-/// `fl(dre[j] + dim[j2])` over the product set of axis distances, and
-/// float addition is monotone in both operands, so the minimum over any
-/// subset `{bit fixed} × {all}` equals `fl(min dre + min dim)` bitwise —
-/// the candidate built from the two axis minima is a member of the subset
-/// and no member can round below it. Axis minima use the same
-/// `f64::min`-chain semantics as the reference (a NaN input point NaNs
-/// *every* distance on both paths, leaving the same +∞ minima).
+/// **Value-identical to the 2-D scan of [`demap_soft_direct`].** Every
+/// point distance is `fl(dre[j] + dim[j2])` over the product set of axis
+/// distances, and float addition is monotone in both operands, so the
+/// minimum over any subset `{bit fixed} × {all}` equals
+/// `fl(min dre + min dim)` bitwise — the candidate built from the two axis
+/// minima is a member of the subset and no member can round below it. Axis
+/// minima use the same `f64::min`-chain semantics as the reference (a NaN
+/// input point NaNs *every* distance on both paths, leaving the same +∞
+/// minima).
 fn demap_sep_batch<const RB: usize, const IB: usize>(
     t: &ConstTable,
     eq_re: &[f64],
@@ -254,7 +190,6 @@ fn demap_sep_batch<const RB: usize, const IB: usize>(
     assert_eq!(eq_re.len(), eq_im.len(), "planar batch length mismatch");
     assert_eq!(eq_re.len(), csi.len(), "planar batch length mismatch");
     let nbits = RB + IB;
-    debug_assert_eq!(nbits, t.nbits);
     let start = out.len();
     out.resize(start + eq_re.len() * nbits, 0.0);
     let dst = &mut out[start..];
@@ -308,9 +243,9 @@ fn demap_sep_batch<const RB: usize, const IB: usize>(
     }
 }
 
-/// Reference form of [`demap_soft`]: rebuilds the constellation and scans it
-/// with the original branchy min loop. Pinned against the fast path by the
-/// `_equiv` tests.
+/// Reference form of [`demap_soft_batch`] for one point: rebuilds the
+/// constellation and scans it with the original branchy min loop. Pinned
+/// against the batch demapper by the `_equiv` test.
 pub fn demap_soft_direct(
     modulation: Modulation,
     point: Complex,
@@ -407,11 +342,33 @@ mod tests {
     }
 
     #[test]
+    fn constellations_factor_through_axis_tables() {
+        // The separable demapper is exact only if every point is the pair
+        // of its I and Q axis levels, bit for bit.
+        for m in [Bpsk, Qpsk, Qam16, Qam64] {
+            let nbits = m.bits_per_subcarrier();
+            let rb = nbits - nbits / 2;
+            let rmask = (1 << rb) - 1;
+            let t = table(m);
+            for (v, (p, _)) in constellation(m).into_iter().enumerate() {
+                assert_eq!(p.re.to_bits(), t.rax[v & rmask].to_bits(), "{m:?} {v}");
+                assert_eq!(p.im.to_bits(), t.iax[v >> rb].to_bits(), "{m:?} {v}");
+            }
+        }
+    }
+
+    /// Soft-demap one point through the batch demapper.
+    fn demap_one(m: Modulation, p: Complex, csi: f64, nv: f64) -> Vec<f64> {
+        let mut llr = Vec::new();
+        demap_soft_batch(m, &[p.re], &[p.im], &[csi], nv, &mut llr);
+        llr
+    }
+
+    #[test]
     fn soft_demap_sign_matches_bits_at_high_snr() {
         for m in [Bpsk, Qpsk, Qam16, Qam64] {
             for (p, bits) in constellation(m) {
-                let mut llr = Vec::new();
-                demap_soft(m, p, 1.0, 0.01, &mut llr);
+                let llr = demap_one(m, p, 1.0, 0.01);
                 for (i, &b) in bits.iter().enumerate() {
                     assert_eq!(llr[i] > 0.0, b, "{m:?} bit {i}");
                 }
@@ -421,87 +378,80 @@ mod tests {
 
     #[test]
     fn soft_demap_scales_with_csi() {
-        let mut strong = Vec::new();
-        let mut weak = Vec::new();
         let pt = map_bits(Qpsk, &[true, false]);
-        demap_soft(Qpsk, pt, 1.0, 0.1, &mut strong);
-        demap_soft(Qpsk, pt, 0.01, 0.1, &mut weak);
+        let strong = demap_one(Qpsk, pt, 1.0, 0.1);
+        let weak = demap_one(Qpsk, pt, 0.01, 0.1);
         assert!(strong[0].abs() > weak[0].abs() * 50.0);
     }
 
-    #[test]
-    fn demap_soft_equiv_direct() {
-        // Fast cached-table demapper vs the rebuild-every-call reference:
-        // bit-identical LLRs over a grid of points, all modulations, all
-        // csi/noise combinations — including NaN/Inf points (both paths
-        // yield NaN LLRs there; NaN bit patterns are unspecified).
-        let mut points: Vec<Complex> = Vec::new();
-        for i in -4i32..=4 {
-            for q in -4i32..=4 {
-                points.push(Complex::new(i as f64 * 0.37, q as f64 * 0.29));
-            }
-        }
-        points.push(Complex::new(f64::NAN, 0.1));
-        points.push(Complex::new(f64::INFINITY, -1.0));
-        points.push(Complex::new(1e-300, -5e-324));
+    /// Batch-demap the planar points with every modulation and compare with
+    /// per-point [`demap_soft_direct`] calls bit for bit (both paths yield
+    /// NaN LLRs on NaN/∞ points; NaN bit patterns are unspecified).
+    fn assert_batch_matches_direct(re: &[f64], im: &[f64], csi: &[f64], nv: f64) {
         for m in [Bpsk, Qpsk, Qam16, Qam64] {
-            for &p in &points {
-                for (csi, nv) in [(1.0, 0.1), (0.3, 1e-14), (0.0, 0.5)] {
-                    let mut fast = Vec::new();
-                    let mut slow = Vec::new();
-                    demap_soft(m, p, csi, nv, &mut fast);
-                    demap_soft_direct(m, p, csi, nv, &mut slow);
-                    assert_eq!(fast.len(), slow.len());
-                    for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
-                        assert!(
-                            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
-                            "{m:?} point {p:?} bit {i}: {a} vs {b}"
-                        );
-                    }
-                }
+            let mut fast = Vec::new();
+            demap_soft_batch(m, re, im, csi, nv, &mut fast);
+            let mut slow = Vec::new();
+            for i in 0..re.len() {
+                demap_soft_direct(m, Complex::new(re[i], im[i]), csi[i], nv, &mut slow);
+            }
+            let len = re.len();
+            assert_eq!(fast.len(), slow.len(), "{m:?} len {len}");
+            for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
+                assert!(
+                    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                    "{m:?} len {len} nv {nv} llr {i}: {a} vs {b}"
+                );
             }
         }
     }
 
     #[test]
     fn demap_soft_batch_equiv_direct() {
-        // The fused batch demapper (separable axis scan for the square
-        // constellations, SoA fallback otherwise) against the
-        // rebuild-every-call per-point reference: bit-identical LLR rows at
-        // every batch length — including lengths that are not a multiple of
-        // any SIMD lane width — with NaN/∞ lanes and per-point csi.
-        for m in [Bpsk, Qpsk, Qam16, Qam64] {
-            for len in [1usize, 5, 17, 48, 53] {
-                let mut re = Vec::with_capacity(len);
-                let mut im = Vec::with_capacity(len);
-                let mut csi = Vec::with_capacity(len);
-                for i in 0..len {
-                    re.push(((i * 7 + 3) % 13) as f64 * 0.21 - 1.2);
-                    im.push(((i * 5 + 1) % 11) as f64 * 0.27 - 1.3);
-                    csi.push(0.2 + (i % 4) as f64 * 0.45);
-                }
-                if len >= 5 {
-                    re[1] = f64::NAN;
-                    im[2] = f64::INFINITY;
-                    re[3] = f64::NEG_INFINITY;
-                    csi[4] = 0.0;
-                }
-                for nv in [0.15, 1e-14] {
-                    let mut fast = Vec::new();
-                    demap_soft_batch(m, &re, &im, &csi, nv, &mut fast);
-                    let mut slow = Vec::new();
-                    for i in 0..len {
-                        demap_soft_direct(m, Complex::new(re[i], im[i]), csi[i], nv, &mut slow);
-                    }
-                    assert_eq!(fast.len(), slow.len(), "{m:?} len {len}");
-                    for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
-                        assert!(
-                            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
-                            "{m:?} len {len} nv {nv} llr {i}: {a} vs {b}"
-                        );
-                    }
-                }
+        // Ragged batch lengths — not a multiple of any SIMD lane width —
+        // with NaN/∞ lanes and per-point csi.
+        for len in [1usize, 5, 17, 48, 53] {
+            let mut re = Vec::with_capacity(len);
+            let mut im = Vec::with_capacity(len);
+            let mut csi = Vec::with_capacity(len);
+            for i in 0..len {
+                re.push(((i * 7 + 3) % 13) as f64 * 0.21 - 1.2);
+                im.push(((i * 5 + 1) % 11) as f64 * 0.27 - 1.3);
+                csi.push(0.2 + (i % 4) as f64 * 0.45);
             }
+            if len >= 5 {
+                re[1] = f64::NAN;
+                im[2] = f64::INFINITY;
+                re[3] = f64::NEG_INFINITY;
+                csi[4] = 0.0;
+            }
+            for nv in [0.15, 1e-14] {
+                assert_batch_matches_direct(&re, &im, &csi, nv);
+            }
+        }
+    }
+
+    #[test]
+    fn demap_soft_equiv_direct() {
+        // A 9×9 point grid plus NaN, ∞ and denormal points, at three
+        // uniform (csi, noise) pairs: each point alone as a one-point
+        // batch, then the whole grid as one batch.
+        let mut grid: Vec<Complex> = Vec::new();
+        for i in -4i32..=4 {
+            for q in -4i32..=4 {
+                grid.push(Complex::new(i as f64 * 0.37, q as f64 * 0.29));
+            }
+        }
+        grid.push(Complex::new(f64::NAN, 0.1));
+        grid.push(Complex::new(f64::INFINITY, -1.0));
+        grid.push(Complex::new(1e-300, -5e-324));
+        let re: Vec<f64> = grid.iter().map(|p| p.re).collect();
+        let im: Vec<f64> = grid.iter().map(|p| p.im).collect();
+        for (csi, nv) in [(1.0, 0.1), (0.3, 1e-14), (0.0, 0.5)] {
+            for i in 0..grid.len() {
+                assert_batch_matches_direct(&re[i..=i], &im[i..=i], &[csi], nv);
+            }
+            assert_batch_matches_direct(&re, &im, &vec![csi; grid.len()], nv);
         }
     }
 

@@ -10,7 +10,7 @@
 //! and the question is how much that costs in post-equalization SNR and
 //! packet success.
 
-use crate::modmap::{demap_soft, demap_soft_batch, demap_soft_direct};
+use crate::modmap::{demap_soft_batch, demap_soft_direct};
 use crate::params::{Mcs, Modulation, OFDM};
 use crate::preamble::{ltf_frequency_domain, ltf_symbol};
 use crate::signal_field::Signal;
@@ -82,11 +82,12 @@ pub struct ProbeReport {
     pub channel: Vec<Complex>,
 }
 
-/// Number of OFDM symbols processed per planar batch by the payload demod
-/// loop. One batch shares one strided FFT invocation, one demapper table
-/// fetch and one set of planar scratch buffers; symbols are independent, so
-/// the cut is purely a locality/amortization knob — output is bit-identical
-/// at every batch size (pinned by the `_equiv` suite). 16 symbols keep the
+/// Number of OFDM symbols processed per planar batch by the demod loop
+/// ([`WifiReceiver::receive`] runs SIGNAL as a one-symbol batch). One batch
+/// shares one strided FFT invocation, one demapper table fetch and one set
+/// of planar scratch buffers; symbols are independent, so the cut is purely
+/// a locality/amortization knob — output is bit-identical at every batch
+/// size (pinned by the `_equiv` suite). 16 symbols keep the
 /// whole working set (16 KiB of FFT lanes + ~45 KiB of planar f64 scratch)
 /// L1/L2-resident while amortizing per-call overhead ~16×.
 pub const RX_SYMBOL_BATCH: usize = 16;
@@ -171,10 +172,16 @@ impl WifiReceiver {
         if sig_start + OFDM::SYMBOL > x.len() {
             return Err(RxError::Truncated);
         }
-        let sig_llr =
-            self.demap_symbol(x, sig_start, 0, &sync.channel, noise_var, Modulation::Bpsk);
-        let sig_deil = Interleaver::new(48, 1).deinterleave(&sig_llr);
-        let signal = Signal::decode_soft(&sig_deil).ok_or(RxError::BadSignalField)?;
+        let sig_llr = self.demap_batched(
+            x,
+            sig_start,
+            1,
+            0,
+            &sync.channel,
+            noise_var,
+            Modulation::Bpsk,
+        );
+        let signal = Signal::decode_soft(&sig_llr).ok_or(RxError::BadSignalField)?;
         let mcs = signal.mcs;
         let nsym = mcs.data_symbols(signal.length);
 
@@ -184,8 +191,18 @@ impl WifiReceiver {
         }
 
         // ---- DATA symbols ---------------------------------------------------
-        let llrs =
-            self.demap_payload_batched(x, payload_start, nsym, &sync.channel, noise_var, mcs);
+        let llrs = {
+            let _span = backfi_obs::span("wifi.rx.batch");
+            self.demap_batched(
+                x,
+                payload_start,
+                nsym,
+                1,
+                &sync.channel,
+                noise_var,
+                mcs.modulation(),
+            )
+        };
 
         // ---- decode ---------------------------------------------------------
         let _decode_span = backfi_obs::span("wifi.rx.decode");
@@ -325,72 +342,10 @@ impl WifiReceiver {
         })
     }
 
-    /// FFT one symbol, equalize, track pilot phase, demap soft bits.
-    ///
-    /// Hot path: stack scratch, a precomputed data-bin gather, planar
-    /// equalization ([`backfi_dsp::soa::equalize_planar`]) and the cached
-    /// table demapper. Bit-identical to [`Self::demap_symbol_direct`]
-    /// (pinned by the `_equiv` test).
-    fn demap_symbol(
-        &self,
-        x: &[Complex],
-        at: usize,
-        n: usize,
-        channel: &[Complex],
-        noise_var: f64,
-        modulation: Modulation,
-    ) -> Vec<f64> {
-        let mut bins = [Complex::ZERO; OFDM::FFT];
-        bins.copy_from_slice(&x[at + OFDM::CP..at + OFDM::SYMBOL]);
-        self.plan.forward(&mut bins);
-
-        // Pilot-based common phase error estimate.
-        let pol = self.polarity[n % self.polarity.len()];
-        let mut acc = Complex::ZERO;
-        for (i, &k) in PILOT_SUBCARRIERS.iter().enumerate() {
-            let b = bin(k);
-            let expected = channel[b] * (PILOT_BASE[i] * pol);
-            acc += bins[b] * expected.conj();
-        }
-        let phase = if acc.abs() > 0.0 { acc.arg() } else { 0.0 };
-        let derot = Complex::exp_j(-phase);
-
-        // Gather the data subcarriers and their channel estimates into
-        // planar scratch, equalize all 48 at once, then demap.
-        const ND: usize = 48;
-        debug_assert_eq!(self.data_bins.len(), ND);
-        let mut sr = [0.0f64; ND];
-        let mut si = [0.0f64; ND];
-        let mut hr = [0.0f64; ND];
-        let mut hi = [0.0f64; ND];
-        for (i, &b) in self.data_bins.iter().enumerate() {
-            sr[i] = bins[b].re;
-            si[i] = bins[b].im;
-            hr[i] = channel[b].re;
-            hi[i] = channel[b].im;
-        }
-        let mut eq_re = [0.0f64; ND];
-        let mut eq_im = [0.0f64; ND];
-        let mut csi = [0.0f64; ND];
-        backfi_dsp::soa::equalize_planar(
-            &sr, &si, &hr, &hi, derot, &mut eq_re, &mut eq_im, &mut csi,
-        );
-        let mut llr = Vec::with_capacity(ND * modulation.bits_per_subcarrier());
-        for i in 0..ND {
-            demap_soft(
-                modulation,
-                Complex::new(eq_re[i], eq_im[i]),
-                csi[i],
-                noise_var,
-                &mut llr,
-            );
-        }
-        llr
-    }
-
-    /// Reference form of [`Self::demap_symbol`]: heap scratch, per-subcarrier
-    /// AoS equalization, and the rebuild-every-call demapper — the original
-    /// receive path, kept for the `_equiv` suite.
+    /// Reference form of one symbol of [`Self::demap_batched`] (before
+    /// deinterleaving): FFT one symbol, track pilot phase, then heap
+    /// scratch, per-subcarrier AoS equalization and the rebuild-every-call
+    /// demapper — the original receive path, kept for the `_equiv` suite.
     #[cfg_attr(not(test), allow(dead_code))]
     fn demap_symbol_direct(
         &self,
@@ -430,30 +385,31 @@ impl WifiReceiver {
         llr
     }
 
-    /// Demodulate the whole payload in [`RX_SYMBOL_BATCH`]-symbol planar
-    /// batches: one strided FFT call per batch, per-symbol pilot phase
-    /// tracking and planar equalization into shared scratch, one fused demap
-    /// pass over the batch, and per-symbol deinterleaving straight into the
-    /// packet-wide LLR buffer. Per symbol the arithmetic is exactly
-    /// [`Self::demap_symbol`]'s (which in turn is pinned bitwise against
-    /// [`Self::demap_symbol_direct`]), so output is bit-identical to the
-    /// per-symbol loop at every symbol count — including counts that are not
-    /// a multiple of the batch size.
-    fn demap_payload_batched(
+    /// Demodulate `nsym` consecutive OFDM symbols of one modulation starting
+    /// at sample `start` — the SIGNAL symbol (`nsym = 1`, BPSK, pilot
+    /// polarity index `first = 0`) and the payload (`first = 1`) alike — in
+    /// [`RX_SYMBOL_BATCH`]-symbol planar batches: one strided FFT call per
+    /// batch, per-symbol pilot phase tracking and planar equalization into
+    /// shared scratch, one fused demap pass over the batch, and per-symbol
+    /// deinterleaving straight into the returned LLR buffer. Symbols are
+    /// independent, so output is bit-identical to the symbol-at-a-time
+    /// [`Self::demap_symbol_direct`] loop plus deinterleave at every symbol
+    /// count — including counts that are not a multiple of the batch size
+    /// (pinned by the `_equiv` tests).
+    #[allow(clippy::too_many_arguments)]
+    fn demap_batched(
         &self,
         x: &[Complex],
-        payload_start: usize,
+        start: usize,
         nsym: usize,
+        first: usize,
         channel: &[Complex],
         noise_var: f64,
-        mcs: Mcs,
+        modulation: Modulation,
     ) -> Vec<f64> {
-        let _batch_span = backfi_obs::span("wifi.rx.batch");
         const ND: usize = 48;
-        let modulation = mcs.modulation();
         let nbpsc = modulation.bits_per_subcarrier();
-        let cbps = mcs.cbps();
-        debug_assert_eq!(cbps, ND * nbpsc);
+        let cbps = ND * nbpsc;
         let il = Interleaver::new(cbps, nbpsc);
         // deinterleave_into writes every slot of each symbol's range.
         let mut llrs = vec![0.0f64; nsym * cbps];
@@ -466,30 +422,30 @@ impl WifiReceiver {
             hi[i] = channel[b].im;
         }
 
-        let mut fftbuf = vec![Complex::ZERO; RX_SYMBOL_BATCH * OFDM::FFT];
-        let mut sr = vec![0.0f64; RX_SYMBOL_BATCH * ND];
-        let mut si = vec![0.0f64; RX_SYMBOL_BATCH * ND];
-        let mut eq_re = vec![0.0f64; RX_SYMBOL_BATCH * ND];
-        let mut eq_im = vec![0.0f64; RX_SYMBOL_BATCH * ND];
-        let mut csi = vec![0.0f64; RX_SYMBOL_BATCH * ND];
-        let mut batch_llr: Vec<f64> = Vec::with_capacity(RX_SYMBOL_BATCH * cbps);
+        let batch = nsym.min(RX_SYMBOL_BATCH);
+        let mut fftbuf = vec![Complex::ZERO; batch * OFDM::FFT];
+        let mut sr = vec![0.0f64; batch * ND];
+        let mut si = vec![0.0f64; batch * ND];
+        let mut eq_re = vec![0.0f64; batch * ND];
+        let mut eq_im = vec![0.0f64; batch * ND];
+        let mut csi = vec![0.0f64; batch * ND];
+        let mut batch_llr: Vec<f64> = Vec::with_capacity(batch * cbps);
 
         let mut n0 = 0usize;
         while n0 < nsym {
-            let b = RX_SYMBOL_BATCH.min(nsym - n0);
+            let b = batch.min(nsym - n0);
             // 1. Strip CPs and transform the whole batch with one plan call.
             for s in 0..b {
-                let at = payload_start + (n0 + s) * OFDM::SYMBOL;
+                let at = start + (n0 + s) * OFDM::SYMBOL;
                 fftbuf[s * OFDM::FFT..(s + 1) * OFDM::FFT]
                     .copy_from_slice(&x[at + OFDM::CP..at + OFDM::SYMBOL]);
             }
             self.plan.forward_many(&mut fftbuf[..b * OFDM::FFT]);
             // 2. Pilot CPE + planar equalization, symbol by symbol (the
-            // derotator differs per symbol; the 48-wide kernel calls are the
-            // same as the unbatched path's).
+            // derotator differs per symbol).
             for s in 0..b {
                 let bins_s = &fftbuf[s * OFDM::FFT..(s + 1) * OFDM::FFT];
-                let pol = self.polarity[(n0 + s + 1) % self.polarity.len()];
+                let pol = self.polarity[(first + n0 + s) % self.polarity.len()];
                 let mut acc = Complex::ZERO;
                 for (i, &k) in PILOT_SUBCARRIERS.iter().enumerate() {
                     let pb = bin(k);
@@ -536,9 +492,9 @@ impl WifiReceiver {
         llrs
     }
 
-    /// Reference form of [`Self::demap_payload_batched`]: the original
-    /// symbol-at-a-time loop over [`Self::demap_symbol_direct`] with
-    /// allocating deinterleaves. Kept for the batched `_equiv` suite.
+    /// Reference form of [`Self::demap_batched`] over the payload: the
+    /// original symbol-at-a-time loop over [`Self::demap_symbol_direct`]
+    /// with allocating deinterleaves. Kept for the batched `_equiv` suite.
     #[cfg_attr(not(test), allow(dead_code))]
     fn demap_payload_direct(
         &self,
@@ -701,8 +657,10 @@ mod tests {
 
     #[test]
     fn demap_symbol_equiv_direct() {
-        // The planar gather + equalize + cached-table demap must reproduce
-        // the original AoS symbol pipeline bit-for-bit, for every modulation.
+        // One symbol at pilot polarity index 0 — the SIGNAL call — through
+        // the batched planar gather + equalize + demap + deinterleave must
+        // reproduce the original AoS symbol pipeline bit-for-bit, for every
+        // modulation.
         let tx = WifiTransmitter::new();
         let psdu: Vec<u8> = (0..300).map(|i| (i * 31 + 7) as u8).collect();
         let pkt = tx.transmit(&psdu, Mcs::Mbps54, 0x5D);
@@ -720,8 +678,11 @@ mod tests {
         ] {
             let at = sync.data_start + n * OFDM::SYMBOL;
             assert!(at + OFDM::SYMBOL <= x.len());
-            let fast = rx.demap_symbol(x, at, n, &sync.channel, sync.noise_var, modu);
-            let slow = rx.demap_symbol_direct(x, at, n, &sync.channel, sync.noise_var, modu);
+            let (ch, nv) = (&sync.channel, sync.noise_var);
+            let fast = rx.demap_batched(x, at, 1, 0, ch, nv, modu);
+            let nbpsc = modu.bits_per_subcarrier();
+            let slow = Interleaver::new(48 * nbpsc, nbpsc)
+                .deinterleave(&rx.demap_symbol_direct(x, at, 0, ch, nv, modu));
             assert_eq!(fast.len(), slow.len(), "{modu:?}");
             for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
                 assert!(
@@ -757,13 +718,14 @@ mod tests {
             let nsym = mcs.data_symbols(bytes);
             let payload_start = sync.data_start + OFDM::SYMBOL;
             assert!(payload_start + nsym * OFDM::SYMBOL <= x.len());
-            let fast = rx.demap_payload_batched(
+            let fast = rx.demap_batched(
                 x,
                 payload_start,
                 nsym,
+                1,
                 &sync.channel,
                 sync.noise_var,
-                mcs,
+                mcs.modulation(),
             );
             let slow =
                 rx.demap_payload_direct(x, payload_start, nsym, &sync.channel, sync.noise_var, mcs);
