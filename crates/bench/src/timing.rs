@@ -4,6 +4,7 @@
 //! stay byte-identical across runs and thread counts (they are diffed by the
 //! reproduction harness); only the timing lines vary run to run.
 
+use backfi_obs::json::escape;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -125,21 +126,6 @@ pub struct BenchReport {
     bench: String,
     mode: String,
     records: Vec<BenchRecord>,
-}
-
-/// Escape a string for embedding in a JSON string literal (the hand-rolled
-/// writer keeps the offline build free of serde).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Format an `f64` as a JSON number (JSON has no NaN/∞; clamp those to 0).
@@ -312,19 +298,19 @@ impl BenchReport {
         );
         let mut s = String::new();
         s.push_str("{\n");
-        s.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(&self.bench)));
-        s.push_str(&format!("  \"mode\": \"{}\",\n", json_escape(&self.mode)));
+        s.push_str(&format!("  \"bench\": \"{}\",\n", escape(&self.bench)));
+        s.push_str(&format!("  \"mode\": \"{}\",\n", escape(&self.mode)));
         s.push_str("  \"records\": [\n");
         for (i, r) in self.records.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"name\": \"{}\", \"kernel\": \"{}\", \"n\": {}, \"l\": {}, \
                  \"path\": \"{}\", \"ns_per_iter\": {}, \"samples_per_sec\": {}, \
                  \"iters\": {}}}{}\n",
-                json_escape(&r.name),
-                json_escape(&r.kernel),
+                escape(&r.name),
+                escape(&r.kernel),
                 r.n,
                 r.l,
-                json_escape(&r.path),
+                escape(&r.path),
                 json_num(r.ns_per_iter),
                 json_num(r.samples_per_sec),
                 r.iters,
@@ -335,86 +321,6 @@ impl BenchReport {
         let path = Self::repo_root().join(format!("BENCH_{}.json", self.bench));
         std::fs::write(&path, s).expect("write BENCH json");
         path
-    }
-}
-
-/// Per-phase wall-clock accounting for the figure binaries.
-///
-/// Call [`PhaseTimer::mark`] at the end of each phase; [`PhaseTimer::report`]
-/// prints one stderr line per phase plus a total, with trials/sec for phases
-/// that counted trials via [`PhaseTimer::mark_with_trials`].
-pub struct PhaseTimer {
-    start: Instant,
-    last: Instant,
-    phases: Vec<(String, Duration, Option<usize>)>,
-}
-
-impl Default for PhaseTimer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PhaseTimer {
-    /// Start timing; the first phase begins now.
-    pub fn new() -> Self {
-        let now = Instant::now();
-        PhaseTimer {
-            start: now,
-            last: now,
-            phases: Vec::new(),
-        }
-    }
-
-    /// End the current phase and label it `name`.
-    pub fn mark(&mut self, name: &str) {
-        self.mark_inner(name, None);
-    }
-
-    /// End the current phase, labelling it `name` and recording that it ran
-    /// `trials` link trials (enables the trials/sec column).
-    pub fn mark_with_trials(&mut self, name: &str, trials: usize) {
-        self.mark_inner(name, Some(trials));
-    }
-
-    fn mark_inner(&mut self, name: &str, trials: Option<usize>) {
-        let now = Instant::now();
-        self.phases
-            .push((name.to_string(), now - self.last, trials));
-        self.last = now;
-    }
-
-    /// Total elapsed time since construction.
-    pub fn total(&self) -> Duration {
-        self.last - self.start
-    }
-
-    /// Print the per-phase breakdown to stderr.
-    pub fn report(&self, label: &str) {
-        for (name, dt, trials) in &self.phases {
-            match trials {
-                Some(n) => {
-                    let rate = *n as f64 / dt.as_secs_f64().max(1e-9);
-                    eprintln!(
-                        "# {label} phase={name} wall={:.3}s trials={n} rate={rate:.1} trials/s",
-                        dt.as_secs_f64()
-                    );
-                }
-                None => {
-                    eprintln!("# {label} phase={name} wall={:.3}s", dt.as_secs_f64());
-                }
-            }
-        }
-        let trials: usize = self.phases.iter().filter_map(|(_, _, t)| *t).sum();
-        let total = self.total().as_secs_f64();
-        if trials > 0 {
-            eprintln!(
-                "# {label} total wall={total:.3}s trials={trials} rate={:.1} trials/s",
-                trials as f64 / total.max(1e-9)
-            );
-        } else {
-            eprintln!("# {label} total wall={total:.3}s");
-        }
     }
 }
 
@@ -465,16 +371,5 @@ mod tests {
             std::hint::black_box((0..100).sum::<u64>());
         });
         assert!(ns > 0.0);
-    }
-
-    #[test]
-    fn phases_accumulate() {
-        let mut t = PhaseTimer::new();
-        std::thread::sleep(Duration::from_millis(2));
-        t.mark("a");
-        t.mark_with_trials("b", 10);
-        assert_eq!(t.phases.len(), 2);
-        assert!(t.total() >= Duration::from_millis(2));
-        t.report("test"); // just exercise the printer
     }
 }

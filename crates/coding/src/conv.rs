@@ -12,48 +12,19 @@ pub const G0: u32 = 0o133;
 /// Generator polynomial g1 = 171 octal (0b1111001).
 pub const G1: u32 = 0o171;
 
-/// A rate-1/2 convolutional encoder with configurable constraint length and
-/// two generator polynomials. State is kept across calls so a frame can be
-/// encoded in pieces; call [`ConvEncoder::reset`] between frames.
-#[derive(Clone, Debug)]
+/// The rate-1/2 K=7 (133, 171) convolutional encoder. State is kept across
+/// calls so a frame can be encoded in pieces; call [`ConvEncoder::reset`]
+/// between frames.
+#[derive(Clone, Debug, Default)]
 pub struct ConvEncoder {
-    k: usize,
-    g0: u32,
-    g1: u32,
+    /// The 7-bit shift register, newest input in the MSB (bit 6).
     state: u32,
-}
-
-impl Default for ConvEncoder {
-    fn default() -> Self {
-        Self::ieee80211()
-    }
 }
 
 impl ConvEncoder {
     /// The standard K=7, (133, 171) encoder.
     pub fn ieee80211() -> Self {
-        Self::new(CONSTRAINT_LENGTH, G0, G1)
-    }
-
-    /// Custom code. `k` is the constraint length (number of taps including the
-    /// current input); polynomials are given with the conventional bit order
-    /// where the MSB (bit `k−1`) multiplies the newest input bit.
-    ///
-    /// # Panics
-    /// Panics if `k` is 0 or greater than 16.
-    pub fn new(k: usize, g0: u32, g1: u32) -> Self {
-        assert!(k > 0 && k <= 16, "constraint length must be in 1..=16");
-        ConvEncoder {
-            k,
-            g0,
-            g1,
-            state: 0,
-        }
-    }
-
-    /// Number of memory bits (`k − 1`).
-    pub fn memory(&self) -> usize {
-        self.k - 1
+        ConvEncoder { state: 0 }
     }
 
     /// Zero the shift register.
@@ -65,10 +36,10 @@ impl ConvEncoder {
     /// the g0 and g1 XOR trees.
     #[inline]
     pub fn push(&mut self, bit: bool) -> (bool, bool) {
-        // Shift register: newest bit in the MSB position (bit k-1).
-        self.state = ((self.state >> 1) | ((bit as u32) << (self.k - 1))) & ((1 << self.k) - 1);
-        let b0 = (self.state & self.g0).count_ones() & 1 == 1;
-        let b1 = (self.state & self.g1).count_ones() & 1 == 1;
+        // Shift register: newest bit in the MSB position (bit 6).
+        self.state = (self.state >> 1) | ((bit as u32) << (CONSTRAINT_LENGTH - 1));
+        let b0 = (self.state & G0).count_ones() & 1 == 1;
+        let b1 = (self.state & G1).count_ones() & 1 == 1;
         (b0, b1)
     }
 
@@ -85,13 +56,14 @@ impl ConvEncoder {
         out
     }
 
-    /// Encode a whole frame from the zero state and append `k − 1` zero tail
-    /// bits so the trellis terminates at state 0 (this is what both 802.11 and
-    /// the tag do; it lets the Viterbi decoder anchor the traceback).
+    /// Encode a whole frame from the zero state and append `K − 1 = 6` zero
+    /// tail bits so the trellis terminates at state 0 (this is what both
+    /// 802.11 and the tag do; it lets the Viterbi decoder anchor the
+    /// traceback).
     pub fn encode_terminated(&mut self, bits: &[bool]) -> Vec<bool> {
         self.reset();
         let mut out = self.encode(bits);
-        for _ in 0..self.memory() {
+        for _ in 1..CONSTRAINT_LENGTH {
             let (b0, b1) = self.push(false);
             out.push(b0);
             out.push(b1);

@@ -10,10 +10,10 @@
 //! The global recorder is **off** unless `BACKFI_OBS=1` is set in the
 //! environment (or a harness calls [`enable`], e.g. for a `--obs` flag).
 //! While disabled, every instrumentation call — [`span`], [`counter_add`],
-//! [`probe()`], [`gauge_set`] and the `obs_*!` macros — compiles down to a
-//! single relaxed atomic load plus a branch: no clock reads, no locks, no
-//! allocation. Figure stdout is never touched in either mode; all obs output
-//! goes to stderr and to the JSON manifest.
+//! [`probe()`] and [`gauge_set`] — compiles down to a single relaxed atomic
+//! load plus a branch: no clock reads, no locks, no allocation. Figure
+//! stdout is never touched in either mode; all obs output goes to stderr and
+//! to the JSON manifest.
 //!
 //! ## Usage
 //!
@@ -246,38 +246,6 @@ pub fn reset() {
     r.gauges.write().expect("obs registry poisoned").clear();
     r.probes.write().expect("obs registry poisoned").clear();
     r.meta.lock().expect("obs meta poisoned").clear();
-}
-
-// ----------------------------------------------------------------- macros ---
-
-/// Time the rest of the enclosing scope as stage `$name`.
-///
-/// Expands to a `let` binding of a [`Span`] guard; while the recorder is
-/// disabled this is one relaxed atomic load and a branch.
-#[macro_export]
-macro_rules! obs_span {
-    ($name:expr) => {
-        let _obs_span_guard = $crate::span($name);
-    };
-}
-
-/// Increment a named counter (by 1, or by an explicit delta).
-#[macro_export]
-macro_rules! obs_count {
-    ($name:expr) => {
-        $crate::counter_add($name, 1)
-    };
-    ($name:expr, $delta:expr) => {
-        $crate::counter_add($name, $delta)
-    };
-}
-
-/// Record one sample at a named probe point.
-#[macro_export]
-macro_rules! obs_probe {
-    ($name:expr, $value:expr) => {
-        $crate::probe($name, $value)
-    };
 }
 
 // --------------------------------------------------------------- snapshot ---

@@ -172,22 +172,3 @@ fn run_scope_emits_manifest_on_drop() {
     obs::disable();
     obs::reset();
 }
-
-#[test]
-fn macros_compile_and_record() {
-    let _g = lock();
-    obs::enable();
-    obs::reset();
-    {
-        backfi_obs::obs_span!("t.macro_span");
-        backfi_obs::obs_count!("t.macro_counter");
-        backfi_obs::obs_count!("t.macro_counter", 2);
-        backfi_obs::obs_probe!("t.macro_probe", 1.5);
-    }
-    let snap = obs::snapshot();
-    assert_eq!(snap.span("t.macro_span").map(|s| s.count), Some(1));
-    assert_eq!(snap.counter("t.macro_counter"), 3);
-    assert_eq!(snap.probe("t.macro_probe").map(|p| p.count), Some(1));
-    obs::disable();
-    obs::reset();
-}

@@ -68,8 +68,8 @@ pub fn mrc_symbol(
     if guard >= y.len() {
         return None;
     }
-    // The in-order fold is bit-exact with [`mrc_symbol_direct`]'s
-    // accumulation loop.
+    // The in-order fold is bit-exact with the accumulation loop of the
+    // reference `mrc_symbol_direct` in the tests.
     let (num, den) = stats::dot_conj_energy(&y[guard..], &reference[guard..]);
     if den <= 0.0 {
         return None;
@@ -83,7 +83,8 @@ pub fn mrc_symbol(
 
 /// Reference form of [`mrc_symbol`]: the original explicit accumulation
 /// loop. Pinned against the dispatched path by the `_equiv` test.
-pub fn mrc_symbol_direct(
+#[cfg(test)]
+fn mrc_symbol_direct(
     y: &[Complex],
     reference: &[Complex],
     guard: usize,

@@ -72,8 +72,9 @@ pub fn index_phase(m: TagModulation, idx: usize) -> f64 {
 /// Reference per-bit soft demapper: recomputes every constellation point
 /// (`from_polar` per point per bit) on each call. Kept as the bit-exact
 /// oracle the cached [`SoftDemapper`] is pinned against in the `_equiv`
-/// tests; use [`SoftDemapper`] in hot paths.
-pub fn soft_bits_direct(
+/// tests.
+#[cfg(test)]
+fn soft_bits_direct(
     m: TagModulation,
     z: backfi_dsp::Complex,
     amp: f64,
@@ -105,8 +106,8 @@ pub fn soft_bits_direct(
 /// bit-value order.
 ///
 /// Construction computes each point with exactly the
-/// `Complex::from_polar(amp, 2π·gray(v)/order)` expression the
-/// [`soft_bits_direct`] reference uses, so the cached distances — and
+/// `Complex::from_polar(amp, 2π·gray(v)/order)` expression the reference
+/// `soft_bits_direct` in the tests uses, so the cached distances — and
 /// therefore the emitted LLRs — are bit-identical to the reference:
 /// per bit, the reference takes `min` over the same distance multiset in the
 /// same `v` order, and hoisting the (identical) distance computation out of
@@ -141,8 +142,8 @@ impl SoftDemapper {
     }
 
     /// Append the per-bit max-log LLRs (positive ⇒ bit 1) for phasor `z`
-    /// with noise variance `noise_var` to `out`; bit-identical to
-    /// [`soft_bits_direct`] with the same `(m, amp)`.
+    /// with noise variance `noise_var` to `out`; bit-identical to the
+    /// reference `soft_bits_direct` in the tests with the same `(m, amp)`.
     pub fn soft_bits(&self, z: backfi_dsp::Complex, noise_var: f64, out: &mut Vec<f64>) {
         let scale = 1.0 / noise_var.max(1e-18);
         let mut dist = [0.0f64; 16];

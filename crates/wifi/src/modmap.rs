@@ -143,9 +143,10 @@ fn table(modulation: Modulation) -> &'static ConstTable {
 /// frequency-selective channels. Output convention matches `backfi-coding`:
 /// positive ⇒ bit 1.
 ///
-/// Runs the separable axis scan over the cached [`ConstTable`]s;
-/// bit-identical to per-point [`demap_soft_direct`] calls at every batch
-/// size (pinned by the `_equiv` test; NaN sign and payload excepted).
+/// Runs the separable axis scan over the cached `ConstTable`s;
+/// bit-identical to the per-point reference `demap_soft_direct` the tests
+/// keep, at every batch size (pinned by the `_equiv` tests; NaN sign and
+/// payload excepted).
 ///
 /// # Panics
 /// Panics if the planar slices differ in length.
@@ -170,9 +171,9 @@ pub fn demap_soft_batch(
 /// Separable max-log demap of a planar batch: per point, `2^RB + 2^IB`
 /// axis distances instead of `2^(RB+IB)` point distances.
 ///
-/// **Value-identical to the 2-D scan of [`demap_soft_direct`].** Every
-/// point distance is `fl(dre[j] + dim[j2])` over the product set of axis
-/// distances, and float addition is monotone in both operands, so the
+/// **Value-identical to the 2-D scan of the reference `demap_soft_direct`.**
+/// Every point distance is `fl(dre[j] + dim[j2])` over the product set of
+/// axis distances, and float addition is monotone in both operands, so the
 /// minimum over any subset `{bit fixed} × {all}` equals
 /// `fl(min dre + min dim)` bitwise — the candidate built from the two axis
 /// minima is a member of the subset and no member can round below it. Axis
@@ -245,8 +246,9 @@ fn demap_sep_batch<const RB: usize, const IB: usize>(
 
 /// Reference form of [`demap_soft_batch`] for one point: rebuilds the
 /// constellation and scans it with the original branchy min loop. Pinned
-/// against the batch demapper by the `_equiv` test.
-pub fn demap_soft_direct(
+/// against the batch demapper by the `_equiv` tests here and in `rx`.
+#[cfg(test)]
+pub(crate) fn demap_soft_direct(
     modulation: Modulation,
     point: Complex,
     csi: f64,

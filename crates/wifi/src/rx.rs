@@ -10,13 +10,12 @@
 //! and the question is how much that costs in post-equalization SNR and
 //! packet success.
 
-use crate::modmap::{demap_soft_batch, demap_soft_direct};
+use crate::modmap::demap_soft_batch;
 use crate::params::{Mcs, Modulation, OFDM};
 use crate::preamble::{ltf_frequency_domain, ltf_symbol};
 use crate::signal_field::Signal;
 use crate::subcarrier::{
-    bin, data_subcarriers, disassemble_symbol, pilot_polarity_sequence, PILOT_BASE,
-    PILOT_SUBCARRIERS,
+    bin, data_subcarriers, pilot_polarity_sequence, PILOT_BASE, PILOT_SUBCARRIERS,
 };
 use backfi_coding::bits::bits_to_bytes_lsb;
 use backfi_coding::interleaver::Interleaver;
@@ -342,49 +341,6 @@ impl WifiReceiver {
         })
     }
 
-    /// Reference form of one symbol of [`Self::demap_batched`] (before
-    /// deinterleaving): FFT one symbol, track pilot phase, then heap
-    /// scratch, per-subcarrier AoS equalization and the rebuild-every-call
-    /// demapper — the original receive path, kept for the `_equiv` suite.
-    #[cfg_attr(not(test), allow(dead_code))]
-    fn demap_symbol_direct(
-        &self,
-        x: &[Complex],
-        at: usize,
-        n: usize,
-        channel: &[Complex],
-        noise_var: f64,
-        modulation: Modulation,
-    ) -> Vec<f64> {
-        let mut bins = x[at + OFDM::CP..at + OFDM::SYMBOL].to_vec();
-        self.plan.forward(&mut bins);
-
-        // Pilot-based common phase error estimate.
-        let pol = self.polarity[n % self.polarity.len()];
-        let mut acc = Complex::ZERO;
-        for (i, &k) in PILOT_SUBCARRIERS.iter().enumerate() {
-            let b = bin(k);
-            let expected = channel[b] * (PILOT_BASE[i] * pol);
-            acc += bins[b] * expected.conj();
-        }
-        let phase = if acc.abs() > 0.0 { acc.arg() } else { 0.0 };
-        let derot = Complex::exp_j(-phase);
-
-        let (data, _pilots) = disassemble_symbol(&bins);
-        let mut llr = Vec::with_capacity(data.len() * modulation.bits_per_subcarrier());
-        for (pt, k) in data.iter().zip(data_subcarriers()) {
-            let h = channel[bin(k)];
-            let csi = h.norm_sqr();
-            let eq = if csi > 1e-15 {
-                (*pt * derot) / h
-            } else {
-                Complex::ZERO
-            };
-            demap_soft_direct(modulation, eq, csi, noise_var, &mut llr);
-        }
-        llr
-    }
-
     /// Demodulate `nsym` consecutive OFDM symbols of one modulation starting
     /// at sample `start` — the SIGNAL symbol (`nsym = 1`, BPSK, pilot
     /// polarity index `first = 0`) and the payload (`first = 1`) alike — in
@@ -393,9 +349,9 @@ impl WifiReceiver {
     /// shared scratch, one fused demap pass over the batch, and per-symbol
     /// deinterleaving straight into the returned LLR buffer. Symbols are
     /// independent, so output is bit-identical to the symbol-at-a-time
-    /// [`Self::demap_symbol_direct`] loop plus deinterleave at every symbol
-    /// count — including counts that are not a multiple of the batch size
-    /// (pinned by the `_equiv` tests).
+    /// reference loop the tests keep (`demap_symbol_direct` plus
+    /// deinterleave) at every symbol count — including counts that are not
+    /// a multiple of the batch size (pinned by the `_equiv` tests).
     #[allow(clippy::too_many_arguments)]
     fn demap_batched(
         &self,
@@ -491,35 +447,6 @@ impl WifiReceiver {
         }
         llrs
     }
-
-    /// Reference form of [`Self::demap_batched`] over the payload: the
-    /// original symbol-at-a-time loop over [`Self::demap_symbol_direct`]
-    /// with allocating deinterleaves. Kept for the batched `_equiv` suite.
-    #[cfg_attr(not(test), allow(dead_code))]
-    fn demap_payload_direct(
-        &self,
-        x: &[Complex],
-        payload_start: usize,
-        nsym: usize,
-        channel: &[Complex],
-        noise_var: f64,
-        mcs: Mcs,
-    ) -> Vec<f64> {
-        let il = Interleaver::new(mcs.cbps(), mcs.modulation().bits_per_subcarrier());
-        let mut llrs = Vec::with_capacity(nsym * mcs.cbps());
-        for n in 0..nsym {
-            let sym_llr = self.demap_symbol_direct(
-                x,
-                payload_start + n * OFDM::SYMBOL,
-                n + 1,
-                channel,
-                noise_var,
-                mcs.modulation(),
-            );
-            llrs.extend(il.deinterleave(&sym_llr));
-        }
-        llrs
-    }
 }
 
 struct SyncState {
@@ -546,9 +473,82 @@ pub fn apply_cfo(x: &mut [Complex], hz: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modmap::demap_soft_direct;
+    use crate::subcarrier::disassemble_symbol;
     use crate::tx::WifiTransmitter;
     use backfi_dsp::noise::add_noise;
     use backfi_dsp::rng::SplitMix64;
+
+    /// Reference form of one symbol of [`WifiReceiver::demap_batched`]
+    /// (before deinterleaving): FFT one symbol, track pilot phase, then heap
+    /// scratch, per-subcarrier AoS equalization and the rebuild-every-call
+    /// demapper — the original receive path, kept for the `_equiv` suite.
+    fn demap_symbol_direct(
+        rx: &WifiReceiver,
+        x: &[Complex],
+        at: usize,
+        n: usize,
+        channel: &[Complex],
+        noise_var: f64,
+        modulation: Modulation,
+    ) -> Vec<f64> {
+        let mut bins = x[at + OFDM::CP..at + OFDM::SYMBOL].to_vec();
+        rx.plan.forward(&mut bins);
+
+        // Pilot-based common phase error estimate.
+        let pol = rx.polarity[n % rx.polarity.len()];
+        let mut acc = Complex::ZERO;
+        for (i, &k) in PILOT_SUBCARRIERS.iter().enumerate() {
+            let b = bin(k);
+            let expected = channel[b] * (PILOT_BASE[i] * pol);
+            acc += bins[b] * expected.conj();
+        }
+        let phase = if acc.abs() > 0.0 { acc.arg() } else { 0.0 };
+        let derot = Complex::exp_j(-phase);
+
+        let (data, _pilots) = disassemble_symbol(&bins);
+        let mut llr = Vec::with_capacity(data.len() * modulation.bits_per_subcarrier());
+        for (pt, k) in data.iter().zip(data_subcarriers()) {
+            let h = channel[bin(k)];
+            let csi = h.norm_sqr();
+            let eq = if csi > 1e-15 {
+                (*pt * derot) / h
+            } else {
+                Complex::ZERO
+            };
+            demap_soft_direct(modulation, eq, csi, noise_var, &mut llr);
+        }
+        llr
+    }
+
+    /// Reference form of [`WifiReceiver::demap_batched`] over the payload: the
+    /// original symbol-at-a-time loop over [`demap_symbol_direct`]
+    /// with allocating deinterleaves. Kept for the batched `_equiv` suite.
+    fn demap_payload_direct(
+        rx: &WifiReceiver,
+        x: &[Complex],
+        payload_start: usize,
+        nsym: usize,
+        channel: &[Complex],
+        noise_var: f64,
+        mcs: Mcs,
+    ) -> Vec<f64> {
+        let il = Interleaver::new(mcs.cbps(), mcs.modulation().bits_per_subcarrier());
+        let mut llrs = Vec::with_capacity(nsym * mcs.cbps());
+        for n in 0..nsym {
+            let sym_llr = demap_symbol_direct(
+                rx,
+                x,
+                payload_start + n * OFDM::SYMBOL,
+                n + 1,
+                channel,
+                noise_var,
+                mcs.modulation(),
+            );
+            llrs.extend(il.deinterleave(&sym_llr));
+        }
+        llrs
+    }
 
     fn loopback(
         mcs: Mcs,
@@ -682,7 +682,7 @@ mod tests {
             let fast = rx.demap_batched(x, at, 1, 0, ch, nv, modu);
             let nbpsc = modu.bits_per_subcarrier();
             let slow = Interleaver::new(48 * nbpsc, nbpsc)
-                .deinterleave(&rx.demap_symbol_direct(x, at, 0, ch, nv, modu));
+                .deinterleave(&demap_symbol_direct(&rx, x, at, 0, ch, nv, modu));
             assert_eq!(fast.len(), slow.len(), "{modu:?}");
             for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
                 assert!(
@@ -727,8 +727,15 @@ mod tests {
                 sync.noise_var,
                 mcs.modulation(),
             );
-            let slow =
-                rx.demap_payload_direct(x, payload_start, nsym, &sync.channel, sync.noise_var, mcs);
+            let slow = demap_payload_direct(
+                &rx,
+                x,
+                payload_start,
+                nsym,
+                &sync.channel,
+                sync.noise_var,
+                mcs,
+            );
             assert_eq!(fast.len(), slow.len(), "{mcs:?}");
             for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
                 assert!(
