@@ -13,11 +13,12 @@
 //!
 //! Pass `--short` for the CI smoke run (fewer iterations, same size grid).
 
-use backfi_bench::timing::{bench, BenchReport};
+use backfi_bench::timing::BenchReport;
 use backfi_chan::frontend::Adc;
 use backfi_dsp::fir::{self, filter};
 use backfi_dsp::noise::{cgauss_vec, NoiseStream};
 use backfi_dsp::rng::SplitMix64;
+use backfi_dsp::simd::{backend, force_scalar, Backend};
 use backfi_dsp::Complex;
 use backfi_sic::estimator::{estimate_fir, estimate_fir_direct};
 use std::hint::black_box;
@@ -54,22 +55,28 @@ fn bench_estimator_grid(rep: &mut BenchReport, short: bool) {
 /// The headline trial's six link FIRs at their real shape: n = 82,900
 /// samples against the 2, 3, 16, 24 and 28 tap counts. `auto` is the
 /// production `filter_into` on a reused buffer (the AVX2 gather kernel where
-/// available), `direct` the scalar scatter oracle `filter_direct`. Timed
-/// with min-wall calibration, so the gated ratio sees the fastest batches.
+/// available), `direct` is `filter` on a fresh buffer under
+/// `force_scalar(true)`: the scalar scatter loop the tests' oracle runs.
+/// Timed with min-wall calibration, so the gated ratio sees the fastest
+/// batches.
 fn bench_fir_link_shapes(rep: &mut BenchReport) {
     const N: usize = 82_900;
     let mut rng = SplitMix64::new(7);
     let x = cgauss_vec(&mut rng, N, 1.0);
     let mut y = Vec::new();
+    let scalar = backend() == Backend::Scalar;
     for taps in [2usize, 3, 16, 24, 28] {
         let h = cgauss_vec(&mut rng, taps, 0.1);
         rep.measure_calibrated("fir_filter", "auto", N, taps, N, || {
             fir::filter_into(black_box(&h), black_box(&x), &mut y);
             black_box(y[0]);
         });
+        force_scalar(true);
         rep.measure_calibrated("fir_filter", "direct", N, taps, N, || {
-            black_box(fir::filter_direct(black_box(&h), black_box(&x))[0]);
+            black_box(filter(black_box(&h), black_box(&x))[0]);
         });
+        // Back to the backend the `auto` points run on.
+        force_scalar(scalar);
     }
 }
 
@@ -253,15 +260,6 @@ fn main() {
     bench_adc(&mut rep);
     bench_pipeline_kernels(&mut rep, short);
     bench_obs_overhead(&mut rep, short);
-
-    // Legacy single-line smoke point kept for continuity with older logs.
-    let mut rng = SplitMix64::new(4);
-    let x = cgauss_vec(&mut rng, 640, 1.0);
-    let h: Vec<Complex> = cgauss_vec(&mut rng, 6, 0.01);
-    let y = filter(&h, &x);
-    bench("ls_estimate_640samples_6taps", iters(200, short), || {
-        black_box(estimate_fir(&x, &y, 6, 1e-9).map(|v| v.len()));
-    });
 
     check_speedups(&rep, short);
     let path = rep.write();

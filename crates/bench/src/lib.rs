@@ -25,8 +25,8 @@ pub mod timing;
 const USAGE: &str = "usage: [--quick|--short] [--obs] [--trace] [--impair SPEC] [--cache DIR]";
 
 /// Every run parameter of a figure binary, parsed once from the command
-/// line: `--quick`/`--short` (smoke budget), `--obs`/`--trace` (as
-/// `BACKFI_OBS=1` / `BACKFI_TRACE=1`), `--impair SPEC` (an impairment set
+/// line: `--quick`/`--short` (smoke budget), `--obs`/`--trace` (the only
+/// switches of the obs recorder and the tracer), `--impair SPEC` (an impairment set
 /// stamped on every link the figure builds, e.g. `cfo:0.5,interference:1`)
 /// and `--cache DIR` (a persistent result cache).
 ///

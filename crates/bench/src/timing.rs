@@ -10,8 +10,7 @@ use std::time::{Duration, Instant};
 
 /// Time `iters` calls of `f` after one warm-up call; returns ns/iter.
 ///
-/// The measurement core behind [`bench()`] and the JSON-emitting
-/// [`BenchReport::measure`].
+/// The measurement core behind [`BenchReport::measure`].
 ///
 /// # Panics
 /// Panics when `iters == 0`: a zero-iteration call would time nothing and
@@ -25,15 +24,6 @@ pub fn time_ns<F: FnMut()>(iters: u32, mut f: F) -> f64 {
         f();
     }
     t0.elapsed().as_nanos() as f64 / f64::from(iters)
-}
-
-/// Time `iters` calls of `f` after one warm-up call and print ns/iter.
-///
-/// Used by the `benches/` targets; prints a single
-/// `name ... <ns>/iter (<iters> iters)` line on stdout.
-pub fn bench<F: FnMut()>(name: &str, iters: u32, f: F) {
-    let per = time_ns(iters, f) as u128;
-    println!("{name:<36} {per:>12} ns/iter ({iters} iters)");
 }
 
 /// Wall time one calibrated timing batch must span (default 20 ms, override
@@ -100,7 +90,7 @@ pub fn time_ns_min_wall<F: FnMut()>(mut f: F) -> (f64, u32) {
 /// One measured kernel point for the machine-readable perf trajectory.
 #[derive(Clone, Debug)]
 pub struct BenchRecord {
-    /// Unique point name, e.g. `convolve_direct_n8192_l256`.
+    /// Unique point name, e.g. `fir_filter_direct_n82900_l2`.
     pub name: String,
     /// Kernel family, e.g. `convolve`, `xcorr`, `estimate_fir`.
     pub kernel: String,
@@ -168,23 +158,7 @@ impl BenchReport {
         f: F,
     ) -> f64 {
         let ns = time_ns(iters, f);
-        let name = if l > 0 {
-            format!("{kernel}_{path}_n{n}_l{l}")
-        } else {
-            format!("{kernel}_{path}_n{n}")
-        };
-        println!("{name:<36} {:>12} ns/iter ({iters} iters)", ns as u128);
-        self.records.push(BenchRecord {
-            name,
-            kernel: kernel.to_string(),
-            n,
-            l,
-            path: path.to_string(),
-            ns_per_iter: ns,
-            samples_per_sec: samples as f64 / (ns * 1e-9).max(1e-12),
-            iters,
-        });
-        ns
+        self.record(kernel, path, n, l, samples, ns, iters)
     }
 
     /// Like [`BenchReport::measure`], but with min-wall-time iteration
@@ -203,23 +177,7 @@ impl BenchReport {
         f: F,
     ) -> f64 {
         let (ns, iters) = time_ns_min_wall(f);
-        let name = if l > 0 {
-            format!("{kernel}_{path}_n{n}_l{l}")
-        } else {
-            format!("{kernel}_{path}_n{n}")
-        };
-        println!("{name:<36} {:>12} ns/iter ({iters} iters)", ns as u128);
-        self.records.push(BenchRecord {
-            name,
-            kernel: kernel.to_string(),
-            n,
-            l,
-            path: path.to_string(),
-            ns_per_iter: ns,
-            samples_per_sec: samples as f64 / (ns * 1e-9).max(1e-12),
-            iters,
-        });
-        ns
+        self.record(kernel, path, n, l, samples, ns, iters)
     }
 
     /// Like [`BenchReport::measure_calibrated`], but for points with an
@@ -258,23 +216,39 @@ impl BenchReport {
             }
             attempt += 1;
         }
+        self.record(kernel, path, n, l, samples, best, iters)
+    }
+
+    /// Name the point `<kernel>_<path>_n<n>[_l<l>]`, print its stdout line
+    /// and record it; returns `ns`.
+    #[allow(clippy::too_many_arguments)]
+    fn record(
+        &mut self,
+        kernel: &str,
+        path: &str,
+        n: usize,
+        l: usize,
+        samples: usize,
+        ns: f64,
+        iters: u32,
+    ) -> f64 {
         let name = if l > 0 {
             format!("{kernel}_{path}_n{n}_l{l}")
         } else {
             format!("{kernel}_{path}_n{n}")
         };
-        println!("{name:<36} {:>12} ns/iter ({iters} iters)", best as u128);
+        println!("{name:<36} {:>12} ns/iter ({iters} iters)", ns as u128);
         self.records.push(BenchRecord {
             name,
             kernel: kernel.to_string(),
             n,
             l,
             path: path.to_string(),
-            ns_per_iter: best,
-            samples_per_sec: samples as f64 / (best * 1e-9).max(1e-12),
+            ns_per_iter: ns,
+            samples_per_sec: samples as f64 / (ns * 1e-9).max(1e-12),
             iters,
         });
-        best
+        ns
     }
 
     /// The points measured so far (for speedup assertions in the benches).

@@ -85,7 +85,7 @@ pub fn scaled(h: &[Complex], amplitude: f64) -> Vec<Complex> {
 /// Convolve two impulse responses (e.g. `h_f ∗ h_b`, the combined channel the
 /// reader estimates in §4.3.1).
 pub fn cascade(a: &[Complex], b: &[Complex]) -> Vec<Complex> {
-    backfi_dsp::fir::convolve(a, b, backfi_dsp::fir::ConvMode::Full)
+    backfi_dsp::fir::convolve(a, b)
 }
 
 #[cfg(test)]

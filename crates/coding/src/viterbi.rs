@@ -135,10 +135,14 @@ impl ViterbiDecoder {
     /// emitted bit is `s ≥ 32`. That keeps the whole store L1-resident for
     /// full-packet decodes.
     ///
+    /// A NaN metric carries no information about its bit, so it is decoded
+    /// as an erasure (`0.0`): one corrupted LLR costs at most its own bit
+    /// instead of sending every path metric to −∞ for the rest of the frame.
+    ///
     /// A step runs the AVX2 [`acs_step_avx2`](Self::acs_step_avx2) on the
     /// AVX2 backend when both of its metrics are finite, else the portable
-    /// [`acs_step`](Self::acs_step) (hostile ±∞/NaN LLRs, `BACKFI_SIMD=off`
-    /// and non-x86 hosts included). The figures, examples and benchmark
+    /// [`acs_step`](Self::acs_step) (±∞ LLRs, `BACKFI_SIMD=off` and non-x86
+    /// hosts included). The figures, examples and benchmark
     /// workloads feed only finite LLRs (depuncturing erasures are exact
     /// zeros), so on AVX2 hosts the portable step serves hostile inputs.
     ///
@@ -148,8 +152,8 @@ impl ViterbiDecoder {
     /// * `s·m` with `s = ±1.0` equals `±m` bitwise, so `v_j` equals the
     ///   reference's branch metric, and `pm − v` ≡ `pm + (−v)` in IEEE;
     /// * a predecessor at `−∞` (unreachable) yields a candidate of `−∞` (or
-    ///   NaN when `v = ±∞`, sanitized to `−∞`), which loses every strict
-    ///   comparison — exactly like the reference's skip;
+    ///   NaN when `v = ±∞`, since `−∞ + ∞` is NaN, sanitized to `−∞`), which
+    ///   loses every strict comparison — exactly like the reference's skip;
     /// * NaN candidates are sanitized to `−∞`, matching `NaN > x == false`;
     /// * ties keep the even predecessor, matching the reference's strict
     ///   `>` update with ascending state order;
@@ -169,7 +173,7 @@ impl ViterbiDecoder {
         let avx2 = backend() == Backend::Avx2;
 
         for (word, m) in words.iter_mut().zip(soft.chunks_exact(2)) {
-            let (m0, m1) = (m[0], m[1]);
+            let (m0, m1) = (erase_nan(m[0]), erase_nan(m[1]));
             #[cfg(target_arch = "x86_64")]
             if avx2 && m0.is_finite() && m1.is_finite() {
                 // SAFETY: the AVX2 backend is only reported after runtime
@@ -288,6 +292,16 @@ impl ViterbiDecoder {
     }
 }
 
+/// A NaN soft metric as an erasure (`0.0`); every other value unchanged.
+#[inline(always)]
+fn erase_nan(m: f64) -> f64 {
+    if m.is_nan() {
+        0.0
+    } else {
+        m
+    }
+}
+
 /// Traceback start: state 0 for a terminated frame, else the best end
 /// state. NaN-poisoned path metrics (corrupted LLR inputs) must lose the
 /// comparison, not panic it: NaN maps below −∞, then total order.
@@ -393,8 +407,8 @@ mod tests {
         let mut survivor = vec![0u32; steps * STATES];
 
         for t in 0..steps {
-            let m0 = soft[2 * t];
-            let m1 = soft[2 * t + 1];
+            let m0 = erase_nan(soft[2 * t]);
+            let m1 = erase_nan(soft[2 * t + 1]);
             metric_next.iter_mut().for_each(|m| *m = NEG);
             let surv = &mut survivor[t * STATES..(t + 1) * STATES];
             #[allow(clippy::needless_range_loop)] // s is the state label, not just an index
@@ -598,10 +612,10 @@ mod tests {
     }
 
     /// NaN, ±∞, erasures and denormals sprinkled into real LLRs; the last
-    /// four sets carry ±∞ but no NaN. A NaN LLR drives every path metric to
-    /// −∞ for the rest of the stream, so only without one do ±∞ metrics
-    /// meet live paths and unreachable (−∞) predecessors in the same step —
-    /// the NaN candidates the sanitize in `acs_step` exists for.
+    /// four sets carry ±∞ but no NaN. Both decoders read a NaN LLR as an
+    /// erasure, so the trellis stays alive past it, and ±∞ metrics meet live
+    /// paths and unreachable (−∞) predecessors in the same step: the `∞ − ∞`
+    /// NaN candidates the sanitize in `acs_step` exists for.
     fn hostile_sets() -> Vec<Vec<f64>> {
         let mut sets: Vec<Vec<f64>> = (0..4u64)
             .map(|seed| {
@@ -665,6 +679,27 @@ mod tests {
                 decode_soft_terminated_direct(soft),
                 "{what} {i} terminated"
             );
+        }
+    }
+
+    #[test]
+    fn nan_llr_is_an_erasure() {
+        // One NaN LLR in a terminated random frame costs no bit: the code
+        // corrects one erased metric, and every other metric is clean.
+        let mut rng = SplitMix64::new(0x4E);
+        let bits: Vec<bool> = (0..200).map(|_| rng.next_u64() & 1 == 1).collect();
+        let coded = ConvEncoder::ieee80211().encode_terminated(&bits);
+        let mut soft: Vec<f64> = coded.iter().map(|&b| if b { 1.0 } else { -1.0 }).collect();
+        for at in [0, 1, 57, 200, soft.len() - 1] {
+            let was = std::mem::replace(&mut soft[at], f64::NAN);
+            let dec = ViterbiDecoder::ieee80211();
+            assert_eq!(dec.decode_soft_terminated(&soft), bits, "NaN at {at}");
+            assert_eq!(
+                decode_soft_terminated_direct(&soft),
+                bits,
+                "oracle, NaN at {at}"
+            );
+            soft[at] = was;
         }
     }
 

@@ -12,8 +12,8 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// A complex number `re + j·im` with `f64` components.
 ///
 /// `repr(C)` pins the `[re, im]` field order so slices of `Complex` can be
-/// reinterpreted as interleaved `f64` lanes by the vectorized kernels in
-/// [`crate::fir`] and [`crate::soa`].
+/// reinterpreted as interleaved `f64` lanes by vectorized kernels such as
+/// the [`crate::fir`] gather kernel.
 #[derive(Clone, Copy, PartialEq, Default)]
 #[repr(C)]
 pub struct Complex {

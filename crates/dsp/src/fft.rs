@@ -73,7 +73,7 @@ impl FftPlan {
     /// [`Self::forward`] — bit-identical per transform at every batch size.
     /// One plan invocation amortizes the dispatch and keeps the twiddle and
     /// bit-reversal tables hot across the whole batch (the receive chain
-    /// uses this to transform [`crate::soa`]-batched OFDM symbols).
+    /// uses this to transform batches of OFDM symbols).
     ///
     /// # Panics
     /// Panics if `buf.len()` is not a multiple of the plan size.
@@ -171,16 +171,6 @@ pub fn fftshift<T: Copy>(x: &[T]) -> Vec<T> {
     out
 }
 
-/// Inverse of [`fftshift`].
-pub fn ifftshift<T: Copy>(x: &[T]) -> Vec<T> {
-    let n = x.len();
-    let half = n / 2;
-    let mut out = Vec::with_capacity(n);
-    out.extend_from_slice(&x[half..]);
-    out.extend_from_slice(&x[..half]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,11 +252,25 @@ mod tests {
         assert!((ex - ey).abs() / ex < 1e-12);
     }
 
+    /// Inverse of [`fftshift`]: for odd lengths the first half is the short
+    /// one, matching NumPy.
+    fn ifftshift<T: Copy>(x: &[T]) -> Vec<T> {
+        let half = x.len() / 2;
+        [&x[half..], &x[..half]].concat()
+    }
+
     #[test]
     fn fftshift_even_odd() {
         assert_eq!(fftshift(&[0, 1, 2, 3]), vec![2, 3, 0, 1]);
         assert_eq!(fftshift(&[0, 1, 2, 3, 4]), vec![3, 4, 0, 1, 2]);
         assert_eq!(ifftshift(&fftshift(&[0, 1, 2, 3, 4])), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn fftshift_centres_spectrum() {
+        let psd = vec![1.0, 0.0, 0.0, 9.0];
+        let centred = fftshift(&psd);
+        assert_eq!(centred, vec![0.0, 9.0, 1.0, 0.0]);
     }
 
     #[test]

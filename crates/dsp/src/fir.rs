@@ -8,25 +8,13 @@
 //! Every impulse response the link runs is short (≤ 32 taps: the channels'
 //! delay spread is a few samples at 20 MS/s), so [`filter`] and [`convolve`]
 //! have one direct O(n·m) form with two bodies (DESIGN.md §8): the AVX2
-//! gather kernel, and the scalar scatter loop of [`filter_direct`] and
-//! [`convolve_direct`]. The gather kernel keeps eight outputs in registers
-//! across the taps and is bit-identical to the scatter loop (see the proof
-//! on `gather`); the scatter loop is both the reference oracle and the
-//! portable fallback.
+//! gather kernel, and the scalar scatter loop. The gather kernel keeps eight
+//! outputs in registers across the taps and is bit-identical to the scatter
+//! loop (see the proof on `gather`); the scatter loop is the portable
+//! fallback, and the tests' reference oracle wraps it.
 
 use crate::Complex;
 use core::mem::MaybeUninit;
-
-/// Convolution output-length mode, mirroring NumPy's `mode` argument.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ConvMode {
-    /// Full convolution, output length `n + m − 1`.
-    Full,
-    /// Central part, output length `max(n, m)`.
-    Same,
-    /// Only samples where the signals fully overlap, length `max(n,m) − min(n,m) + 1`.
-    Valid,
-}
 
 #[cfg(target_arch = "x86_64")]
 mod gather {
@@ -48,8 +36,8 @@ mod gather {
     //! operands are), so adding the term changes no bit, NaN and ∞
     //! accumulators included. A non-finite tap would turn a zero input into
     //! `0·∞ = NaN`, so such calls stay on the scalar loop. As everywhere in
-    //! this crate (see `soa`'s module docs), the sign and payload of a NaN
-    //! output are unspecified: when two NaNs meet in one add, which one
+    //! this crate (DESIGN.md §11), the sign and payload of a NaN output are
+    //! unspecified: when two NaNs meet in one add, which one
     //! propagates depends on how LLVM orders the operands, in the scalar
     //! loop too. A NaN output of one form is a NaN output of the other.
     use super::Complex;
@@ -165,50 +153,18 @@ fn direct_append(h: &[Complex], x: &[Complex], len: usize, y: &mut Vec<Complex>)
     }
 }
 
-/// Slice a full convolution down to the requested [`ConvMode`].
-fn apply_mode(full: Vec<Complex>, n: usize, m: usize, mode: ConvMode) -> Vec<Complex> {
-    let full_len = n + m - 1;
-    debug_assert_eq!(full.len(), full_len);
-    match mode {
-        ConvMode::Full => full,
-        ConvMode::Same => {
-            let out_len = n.max(m);
-            let start = (full_len - out_len) / 2;
-            full[start..start + out_len].to_vec()
-        }
-        ConvMode::Valid => {
-            let out_len = n.max(m) - n.min(m) + 1;
-            let start = n.min(m) - 1;
-            full[start..start + out_len].to_vec()
-        }
-    }
-}
-
-/// Linear convolution of `x` with `h`: the direct O(n·m) form, bit-identical
-/// to [`convolve_direct`] (the AVX2 gather kernel on the AVX2 backend with
-/// finite taps, the scalar scatter loop otherwise).
+/// Full linear convolution of `x` with `h` (`x.len() + h.len() − 1`
+/// outputs): the direct O(n·m) form, the AVX2 gather kernel on the AVX2
+/// backend with finite taps and the scalar scatter loop otherwise, both
+/// bit-identical.
 ///
 /// # Panics
 /// Panics if either input is empty.
-pub fn convolve(x: &[Complex], h: &[Complex], mode: ConvMode) -> Vec<Complex> {
+pub fn convolve(x: &[Complex], h: &[Complex]) -> Vec<Complex> {
     assert!(!x.is_empty() && !h.is_empty(), "convolve: empty input");
-    let (n, m) = (x.len(), h.len());
     let mut full = Vec::new();
-    direct_into(h, x, n + m - 1, &mut full);
-    apply_mode(full, n, m, mode)
-}
-
-/// The scalar scatter loop of [`convolve`]: the reference implementation for
-/// the equivalence tests and the kernel benches.
-///
-/// # Panics
-/// Panics if either input is empty.
-pub fn convolve_direct(x: &[Complex], h: &[Complex], mode: ConvMode) -> Vec<Complex> {
-    assert!(!x.is_empty() && !h.is_empty(), "convolve: empty input");
-    let (n, m) = (x.len(), h.len());
-    let mut full = vec![Complex::ZERO; n + m - 1];
-    scatter(h, x, 0, &mut full);
-    apply_mode(full, n, m, mode)
+    direct_into(h, x, x.len() + h.len() - 1, &mut full);
+    full
 }
 
 /// Causal FIR application: `y[i] = Σ_k h[k] x[i−k]`, with `x[j]=0` for `j<0`,
@@ -226,10 +182,9 @@ pub fn filter(h: &[Complex], x: &[Complex]) -> Vec<Complex> {
 /// `x.len()` outputs, reusing its capacity, so a caller that keeps `y`
 /// across calls allocates nothing.
 ///
-/// The output comes from one of two bodies, both bit-identical to
-/// [`filter_direct`]: the AVX2 gather kernel, or the scalar scatter loop
-/// itself on the `Scalar` backend (`BACKFI_SIMD=off`), off x86-64, and
-/// whenever a tap is NaN or ∞.
+/// The output comes from one of two bodies, bit-identical to each other:
+/// the AVX2 gather kernel, or the scalar scatter loop on the `Scalar`
+/// backend (`BACKFI_SIMD=off`), off x86-64, and whenever a tap is NaN or ∞.
 pub fn filter_into(h: &[Complex], x: &[Complex], y: &mut Vec<Complex>) {
     assert!(!h.is_empty(), "filter: empty impulse response");
     direct_into(h, x, x.len(), y);
@@ -251,23 +206,10 @@ pub fn filter_extend(h: &[Complex], x: &[Complex], end: usize, y: &mut Vec<Compl
     }
 }
 
-/// The scalar scatter loop of [`filter`]: the reference implementation for
-/// the equivalence tests and benches.
-///
-/// # Panics
-/// Panics if `h` is empty.
-pub fn filter_direct(h: &[Complex], x: &[Complex]) -> Vec<Complex> {
-    assert!(!h.is_empty(), "filter: empty impulse response");
-    let mut y = vec![Complex::ZERO; x.len()];
-    scatter(h, x, 0, &mut y);
-    y
-}
-
-/// The scalar scatter loop behind [`filter_direct`] and [`convolve_direct`]:
-/// `y[i + k − first] += x[i]·h[k]` for every nonzero input and every output
-/// index `i + k` in `first..first + y.len()`. `y` must be zeros; its end is
-/// `x.len()` for the causal filter or `x.len() + h.len() − 1` for the full
-/// convolution. Each output receives its terms in ascending `i` whatever
+/// The scalar scatter loop: `y[i + k − first] += x[i]·h[k]` for every
+/// nonzero input and every output index `i + k` in `first..first + y.len()`.
+/// `y` must be zeros; its end is `x.len()` for the causal filter or
+/// `x.len() + h.len() − 1` for the full convolution. Each output receives its terms in ascending `i` whatever
 /// `first` is, so a window of outputs is bit-identical to the same outputs
 /// of the whole.
 fn scatter(h: &[Complex], x: &[Complex], first: usize, y: &mut [Complex]) {
@@ -284,9 +226,40 @@ fn scatter(h: &[Complex], x: &[Complex], first: usize, y: &mut [Complex]) {
     }
 }
 
+/// The reference oracle of [`filter`]: the scalar scatter loop on a fresh
+/// buffer, whatever the backend.
+#[cfg(test)]
+pub(crate) fn filter_direct(h: &[Complex], x: &[Complex]) -> Vec<Complex> {
+    assert!(!h.is_empty(), "filter: empty impulse response");
+    let mut y = vec![Complex::ZERO; x.len()];
+    scatter(h, x, 0, &mut y);
+    y
+}
+
+/// The reference oracle of [`convolve`]: the scalar scatter loop on a fresh
+/// buffer, whatever the backend.
+#[cfg(test)]
+pub(crate) fn convolve_direct(x: &[Complex], h: &[Complex]) -> Vec<Complex> {
+    assert!(!x.is_empty() && !h.is_empty(), "convolve: empty input");
+    let mut full = vec![Complex::ZERO; x.len() + h.len() - 1];
+    scatter(h, x, 0, &mut full);
+    full
+}
+
 #[cfg(test)]
 mod tests {
+    //! Besides the known answers, the bitwise equivalence suite of the
+    //! direct form: over a grid of signal and kernel lengths, and over every
+    //! kernel length with hostile inputs, [`convolve`], [`filter`],
+    //! [`filter_into`] and [`filter_extend`] must equal the scalar oracles
+    //! ([`convolve_direct`], [`filter_direct`]) bit for bit, NaN sign and
+    //! payload excepted, on the detected backend and under `force_scalar`.
+    //! Equality with a deterministic oracle also pins the kernel's
+    //! determinism.
     use super::*;
+    use crate::noise::cgauss_vec;
+    use crate::rng::SplitMix64;
+    use crate::simd::testing::{assert_bits, on_detected_backend, on_forced_scalar, SIZES};
 
     fn c(re: f64) -> Complex {
         Complex::real(re)
@@ -328,29 +301,11 @@ mod tests {
     fn full_convolution_known_answer() {
         let x = [c(1.0), c(2.0), c(3.0)];
         let h = [c(1.0), c(1.0)];
-        let y = convolve(&x, &h, ConvMode::Full);
+        let y = convolve(&x, &h);
         let expect = [1.0, 3.0, 5.0, 3.0];
         assert_eq!(y.len(), 4);
         for (a, b) in y.iter().zip(expect) {
             assert!((a.re - b).abs() < 1e-12 && a.im.abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn same_mode_length() {
-        let x = vec![c(1.0); 10];
-        let h = vec![c(1.0); 3];
-        assert_eq!(convolve(&x, &h, ConvMode::Same).len(), 10);
-    }
-
-    #[test]
-    fn valid_mode_length() {
-        let x = vec![c(1.0); 10];
-        let h = vec![c(1.0); 3];
-        let y = convolve(&x, &h, ConvMode::Valid);
-        assert_eq!(y.len(), 8);
-        for v in y {
-            assert!((v.re - 3.0).abs() < 1e-12);
         }
     }
 
@@ -382,10 +337,163 @@ mod tests {
         let h: Vec<Complex> = (0..4)
             .map(|i| Complex::new(0.5f64.powi(i), 0.1 * i as f64))
             .collect();
-        let full = convolve(&x, &h, ConvMode::Full);
+        let full = convolve(&x, &h);
         let y = filter(&h, &x);
         for i in 0..x.len() {
             assert!((y[i] - full[i]).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn convolve_matches_direct() {
+        on_detected_backend(|| {
+            let mut rng = SplitMix64::new(0xC0);
+            for &(n, m) in SIZES {
+                let x = cgauss_vec(&mut rng, n, 1.0);
+                let h = cgauss_vec(&mut rng, m, 1.0);
+                assert_bits(&convolve(&x, &h), &convolve_direct(&x, &h), &|| {
+                    format!("convolve {n}x{m}")
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn filter_matches_direct() {
+        on_detected_backend(|| {
+            let mut rng = SplitMix64::new(0xF1);
+            for &(n, m) in SIZES {
+                let x = cgauss_vec(&mut rng, n, 1.0);
+                let h = cgauss_vec(&mut rng, m, 1.0);
+                assert_bits(&filter(&h, &x), &filter_direct(&h, &x), &|| {
+                    format!("filter {n}x{m}")
+                });
+            }
+        });
+    }
+
+    /// `x` of length `n` with every input the zero-skip argument cares
+    /// about: leading silence (with `-0.0` components), an interior zero
+    /// run, signed zeros inside nonzero samples, subnormals, and NaN and ±∞
+    /// samples late enough that most outputs stay finite.
+    fn hostile_signal(rng: &mut SplitMix64, n: usize, m: usize) -> Vec<Complex> {
+        let mut x = cgauss_vec(rng, n, 1.0);
+        let zeros = [
+            Complex::ZERO,
+            Complex::new(-0.0, 0.0),
+            Complex::new(0.0, -0.0),
+            Complex::new(-0.0, -0.0),
+        ];
+        for (i, v) in x.iter_mut().take(n / 4 + 1).enumerate() {
+            *v = zeros[i % 4];
+        }
+        let run = n / 2..(n / 2 + m + 3).min(n);
+        for (i, v) in x[run].iter_mut().enumerate() {
+            *v = zeros[(i + 1) % 4];
+        }
+        let specials = [
+            Complex::new(-0.0, 0.75),
+            Complex::new(1.25, -0.0),
+            Complex::new(5e-324, -1e-310),
+            Complex::new(f64::NAN, 0.5),
+            Complex::new(f64::INFINITY, -1.0),
+            Complex::new(0.25, f64::NEG_INFINITY),
+        ];
+        let at = [
+            n / 3,
+            n / 3 + 1,
+            2 * n / 3,
+            n.saturating_sub(4),
+            n.saturating_sub(3),
+            n.saturating_sub(2),
+        ];
+        for (&i, &v) in at.iter().zip(&specials) {
+            if i < n {
+                x[i] = v;
+            }
+        }
+        x
+    }
+
+    /// Tap counts of the six link FIRs of a headline trial (2, 24, 2, 16,
+    /// 28 and 3 taps).
+    const LINK_TAPS: [usize; 5] = [2, 3, 16, 24, 28];
+
+    /// The headline trial's sample count.
+    const LONG: usize = 82_900;
+
+    /// Every kernel length up to 47 taps against the signal lengths around
+    /// the gather kernel's head, body and tail boundaries, with taps that
+    /// take the gather kernel (finite, with exact `0` and `-0.0` taps) and
+    /// taps that must fall back to the scalar loop (one NaN tap, one ∞ tap).
+    /// `filter`, `filter_into` on a dirty reused buffer, `filter_extend`
+    /// over extending prefixes, and `convolve` must equal the scalar oracles
+    /// bit for bit. At the headline length, where the debug-build gather
+    /// kernel is slow, kernel lengths outside [`LINK_TAPS`] check
+    /// `filter_into` with finite taps only; the kernel is shift-invariant,
+    /// so the shorter shapes cover the rest.
+    fn direct_forms_match_oracles_bitwise() {
+        let mut rng = SplitMix64::new(0xAE);
+        let mut reused = vec![Complex::new(f64::NAN, 7.0); 100];
+        for m in 1..=47usize {
+            let q = m / 8 + 4;
+            let mut lens = vec![0, 1, 8 * q - 1, 8 * q, 8 * q + 1, LONG];
+            lens.extend(m.saturating_sub(2)..=m + 9);
+            if [8, 9, 16, 24, 32, 47].contains(&m) {
+                lens.push(6000);
+            }
+            let mut h = cgauss_vec(&mut rng, m, 1.0);
+            for (k, t) in h.iter_mut().enumerate() {
+                match k % 5 {
+                    1 => *t = Complex::ZERO,
+                    3 => *t = Complex::new(-0.0, if k % 2 == 0 { -0.0 } else { 0.5 }),
+                    _ => {}
+                }
+            }
+            let mut nan_h = h.clone();
+            nan_h[m / 2] = Complex::new(0.5, f64::NAN);
+            let mut inf_h = h.clone();
+            inf_h[m - 1] = Complex::new(f64::INFINITY, 0.25);
+            for n in lens {
+                let x = hostile_signal(&mut rng, n, m);
+                let what = |op: &str, kind: &str| format!("{op} m {m} n {n} {kind} taps");
+                if n == LONG && !LINK_TAPS.contains(&m) {
+                    filter_into(&h, &x, &mut reused);
+                    assert_bits(&reused, &filter_direct(&h, &x), &|| {
+                        what("filter_into", "finite")
+                    });
+                    continue;
+                }
+                for (kind, h) in [("finite", &h), ("nan", &nan_h), ("inf", &inf_h)] {
+                    let want = filter_direct(h, &x);
+                    assert_bits(&filter(h, &x), &want, &|| what("filter", kind));
+                    filter_into(h, &x, &mut reused);
+                    assert_bits(&reused, &want, &|| what("filter_into", kind));
+                    // Extending prefixes, cut inside the head, at its end, in
+                    // the body and at the end.
+                    let mut grown = Vec::new();
+                    for cut in [m / 2, m - 1, m + 4, n / 2 + 1, n] {
+                        filter_extend(h, &x, cut.min(n), &mut grown);
+                    }
+                    assert_bits(&grown, &want, &|| what("filter_extend", kind));
+                    if n == 0 {
+                        continue;
+                    }
+                    assert_bits(&convolve(&x, h), &convolve_direct(&x, h), &|| {
+                        what("convolve", kind)
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn direct_forms_are_bit_identical_to_oracles_on_detected_backend() {
+        on_detected_backend(direct_forms_match_oracles_bitwise);
+    }
+
+    #[test]
+    fn direct_forms_are_bit_identical_to_oracles_under_forced_scalar() {
+        on_forced_scalar(direct_forms_match_oracles_bitwise);
     }
 }

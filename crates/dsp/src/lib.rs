@@ -12,14 +12,10 @@
 //! * [`fir`] — direct-form FIR filtering and convolution (channels,
 //!   cancellers; every link impulse response is ≤ 32 taps),
 //! * [`correlate`] — cross/auto-correlation and peak search (synchronization),
-//! * [`window`] — window functions,
 //! * [`stats`] — power/SNR/EVM measurement and dB conversions,
 //! * [`noise`] — deterministic complex Gaussian noise generation,
 //! * [`rng`] — the seedable SplitMix64 generator behind all randomness,
-//! * [`spectrum`] — Welch PSD estimation (waveform sanity checks),
-//! * [`simd`] — runtime backend detection for the dispatched kernels,
-//! * [`soa`] — structure-of-arrays planar kernels for the receive hot paths
-//!   (802.11 equalization, cross-correlation).
+//! * [`simd`] — runtime backend detection for the dispatched kernels.
 //!
 //! Everything is `f64`: the simulation favours numerical fidelity over
 //! throughput, and the wall-clock benches show the pipelines are still fast
@@ -35,10 +31,7 @@ pub mod fir;
 pub mod noise;
 pub mod rng;
 pub mod simd;
-pub mod soa;
-pub mod spectrum;
 pub mod stats;
-pub mod window;
 
 pub use complex::Complex;
 

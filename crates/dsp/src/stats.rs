@@ -51,15 +51,6 @@ pub fn peak_power(x: &[Complex]) -> f64 {
     x.iter().map(|v| v.norm_sqr()).fold(0.0, f64::max)
 }
 
-/// Peak-to-average power ratio in dB. Returns 0 for empty/zero input.
-pub fn papr_db(x: &[Complex]) -> f64 {
-    let avg = mean_power(x);
-    if avg == 0.0 {
-        return 0.0;
-    }
-    db(peak_power(x) / avg)
-}
-
 /// Root-mean-square magnitude.
 pub fn rms(x: &[Complex]) -> f64 {
     mean_power(x).sqrt()
@@ -212,7 +203,8 @@ mod tests {
     fn power_of_unit_phasors() {
         let x: Vec<Complex> = (0..100).map(|i| Complex::exp_j(i as f64)).collect();
         assert!((mean_power(&x) - 1.0).abs() < 1e-12);
-        assert!(papr_db(&x).abs() < 1e-9);
+        // Constant envelope: a 0 dB peak-to-average power ratio.
+        assert!(db(peak_power(&x) / mean_power(&x)).abs() < 1e-9);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //!
 //! ## The disabled-by-default contract
 //!
-//! The global recorder is **off** unless `BACKFI_OBS=1` is set in the
-//! environment (or a harness calls [`enable`], e.g. for a `--obs` flag).
-//! While disabled, every instrumentation call — [`span`], [`counter_add`],
+//! The global recorder is **off** until a harness calls [`enable`] (the
+//! figure binaries do for `--obs`). While disabled, every instrumentation call — [`span`], [`counter_add`],
 //! [`probe()`] and [`gauge_set`] — compiles down to a single relaxed atomic
 //! load plus a branch: no clock reads, no locks, no allocation. Figure
 //! stdout is never touched in either mode; all obs output goes to stderr and
@@ -45,52 +44,28 @@ use hist::Histogram;
 use probe::ProbeStats;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 // ------------------------------------------------------------ on/off gate ---
 
-const STATE_UNINIT: u8 = 0;
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
+static ON: AtomicBool = AtomicBool::new(false);
 
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
-
-/// Is the global recorder on? First call resolves `BACKFI_OBS` from the
-/// environment; every later call is one relaxed atomic load and a branch.
+/// Is the global recorder on? One relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => init_from_env(),
-    }
+    ON.load(Ordering::Relaxed)
 }
 
-/// Resolves `BACKFI_OBS` only while the gate is still unset: an
-/// [`enable`]/[`disable`] that lands between the caller's load and here
-/// wins, and the state that won is returned.
-#[cold]
-fn init_from_env() -> bool {
-    let on = std::env::var("BACKFI_OBS")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    let want = if on { STATE_ON } else { STATE_OFF };
-    match STATE.compare_exchange(STATE_UNINIT, want, Ordering::Relaxed, Ordering::Relaxed) {
-        Ok(_) => on,
-        Err(won) => won == STATE_ON,
-    }
-}
-
-/// Turn the recorder on programmatically (e.g. for a `--obs` CLI flag).
+/// Turn the recorder on (the figure binaries' `--obs` flag).
 pub fn enable() {
-    STATE.store(STATE_ON, Ordering::Relaxed);
+    ON.store(true, Ordering::Relaxed);
 }
 
 /// Turn the recorder off. Already-recorded data is kept until [`reset`].
 pub fn disable() {
-    STATE.store(STATE_OFF, Ordering::Relaxed);
+    ON.store(false, Ordering::Relaxed);
 }
 
 // --------------------------------------------------------------- registry ---
@@ -591,22 +566,6 @@ mod tests {
     fn sanitized_run_names_are_path_safe() {
         assert_eq!(sanitize_run_name("fig11a"), "fig11a");
         assert_eq!(sanitize_run_name("a/b c!"), "a_b_c_");
-    }
-
-    #[test]
-    fn env_init_does_not_undo_enable() {
-        // A thread that saw the gate unset, then lost the race to enable():
-        // its env resolution must not overwrite ON with OFF. No other unit
-        // test in this binary reads the gate.
-        STATE.store(STATE_UNINIT, Ordering::Relaxed);
-        enable();
-        let seen = init_from_env();
-        let after = enabled();
-        STATE.store(STATE_UNINIT, Ordering::Relaxed);
-        assert!(
-            seen && after,
-            "init_from_env returned {seen}, gate on: {after}"
-        );
     }
 
     #[test]

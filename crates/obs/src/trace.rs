@@ -10,8 +10,8 @@
 //!
 //! ## The disabled-by-default contract
 //!
-//! Tracing is **off** unless `BACKFI_TRACE=1` is set (or a harness calls
-//! [`enable`], e.g. for a `--trace` flag). While disabled every tracing call
+//! Tracing is **off** until a harness calls [`enable`] (the figure binaries
+//! do for `--trace`). While disabled every tracing call
 //! is one relaxed atomic load plus a branch — no clock reads, no locks, no
 //! allocation — so hot-path instrumentation stays free (the kernels bench
 //! asserts < 5 ns/call). Figure stdout is never touched in either mode.
@@ -26,56 +26,29 @@
 //! deterministic for a fixed event set regardless of drain order.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 // ------------------------------------------------------------ on/off gate ---
 
-const STATE_UNINIT: u8 = 0;
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
+static ON: AtomicBool = AtomicBool::new(false);
 
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
-
-/// Is the tracer on? First call resolves `BACKFI_TRACE` from the
-/// environment; every later call is one relaxed atomic load and a branch.
+/// Is the tracer on? One relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => init_from_env(),
-    }
+    ON.load(Ordering::Relaxed)
 }
 
-/// Resolves `BACKFI_TRACE` only while the gate is still unset: an
-/// [`enable`]/[`disable`] that lands between the caller's load and here
-/// wins, and the state that won is returned.
-#[cold]
-fn init_from_env() -> bool {
-    let on = std::env::var("BACKFI_TRACE")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    if on {
-        epoch(); // pin the timeline origin before the first event
-    }
-    let want = if on { STATE_ON } else { STATE_OFF };
-    match STATE.compare_exchange(STATE_UNINIT, want, Ordering::Relaxed, Ordering::Relaxed) {
-        Ok(_) => on,
-        Err(won) => won == STATE_ON,
-    }
-}
-
-/// Turn the tracer on programmatically (e.g. for a `--trace` CLI flag).
+/// Turn the tracer on (the figure binaries' `--trace` flag).
 pub fn enable() {
-    epoch();
-    STATE.store(STATE_ON, Ordering::Relaxed);
+    epoch(); // pin the timeline origin before the first event
+    ON.store(true, Ordering::Relaxed);
 }
 
 /// Turn the tracer off. Already-buffered events are kept until [`reset`].
 pub fn disable() {
-    STATE.store(STATE_OFF, Ordering::Relaxed);
+    ON.store(false, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------- events ---
@@ -386,25 +359,9 @@ pub fn write_trace(run: &str) -> Option<PathBuf> {
 mod tests {
     use super::*;
 
-    // The enabled gate is process-global; apart from the one gate race
-    // test, these unit tests only exercise gate-independent pieces.
-    // End-to-end enable/record/export sequencing lives in tests/trace.rs
-    // behind a mutex.
-
-    #[test]
-    fn env_init_does_not_undo_enable() {
-        // A thread that saw the gate unset, then lost the race to enable():
-        // its env resolution must not overwrite ON with OFF.
-        STATE.store(STATE_UNINIT, Ordering::Relaxed);
-        enable();
-        let seen = init_from_env();
-        let after = enabled();
-        STATE.store(STATE_UNINIT, Ordering::Relaxed);
-        assert!(
-            seen && after,
-            "init_from_env returned {seen}, gate on: {after}"
-        );
-    }
+    // The enabled gate is process-global; these unit tests only exercise
+    // gate-independent pieces. End-to-end enable/record/export sequencing
+    // lives in tests/trace.rs behind a mutex.
 
     #[test]
     fn microsecond_formatting_is_exact() {

@@ -155,7 +155,7 @@ mod tests {
         let mut y = tag_preamble_signal(&x, start, 32.0, &h_f, &h_b);
         add_noise(&mut rng, &mut y, 1e-14);
         let est = estimate_h_fb(&x, &y, start, 32.0, 4, &[0], 1e-9).unwrap();
-        let truth = backfi_dsp::fir::convolve(&h_f, &h_b, backfi_dsp::fir::ConvMode::Full);
+        let truth = backfi_dsp::fir::convolve(&h_f, &h_b);
         for (g, t) in est.h_fb.iter().zip(&truth) {
             assert!((*g - *t).abs() < 1e-7, "{g:?} vs {t:?}");
         }
@@ -181,7 +181,7 @@ mod tests {
         // lower estimate variance.
         let h_f = vec![Complex::new(1e-4, 5e-5)];
         let h_b = vec![Complex::new(1e-4, -5e-5)];
-        let truth = backfi_dsp::fir::convolve(&h_f, &h_b, backfi_dsp::fir::ConvMode::Full);
+        let truth = backfi_dsp::fir::convolve(&h_f, &h_b);
         let noise = 1e-9;
         let mut errs = Vec::new();
         for &us in &[32.0, 96.0] {

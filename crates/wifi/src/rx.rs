@@ -415,7 +415,7 @@ impl WifiReceiver {
                     sr[o + i] = bins_s[pb].re;
                     si[o + i] = bins_s[pb].im;
                 }
-                backfi_dsp::soa::equalize_planar(
+                equalize_planar(
                     &sr[o..o + ND],
                     &si[o..o + ND],
                     &hr,
@@ -446,6 +446,58 @@ impl WifiReceiver {
             n0 += b;
         }
         llrs
+    }
+}
+
+/// Planar per-subcarrier equalization: for each `i`, `csi[i] = |h[i]|²`
+/// and `out[i] = (sym[i] · derot) / h[i]` when `csi[i] > 1e-15`, else zero.
+/// Each element is the exact expression sequence of the AoS form
+/// (`Complex::mul`, then `Complex::div` through `recip`), so the planar
+/// layout only lets the compiler vectorize across subcarriers.
+///
+/// # Panics
+/// Panics if the slice lengths differ.
+#[allow(clippy::too_many_arguments)]
+fn equalize_planar(
+    sym_re: &[f64],
+    sym_im: &[f64],
+    h_re: &[f64],
+    h_im: &[f64],
+    derot: Complex,
+    out_re: &mut [f64],
+    out_im: &mut [f64],
+    csi: &mut [f64],
+) {
+    let n = out_re.len();
+    assert!(
+        sym_re.len() == n
+            && sym_im.len() == n
+            && h_re.len() == n
+            && h_im.len() == n
+            && out_im.len() == n
+            && csi.len() == n,
+        "equalize_planar: length mismatch"
+    );
+    let (dre, dim) = (derot.re, derot.im);
+    for i in 0..n {
+        let (hre, him) = (h_re[i], h_im[i]);
+        // csi = h.norm_sqr()
+        let d = hre * hre + him * him;
+        csi[i] = d;
+        // t = point * derot  (Complex::mul, self = point)
+        let tre = sym_re[i] * dre - sym_im[i] * dim;
+        let tim = sym_re[i] * dim + sym_im[i] * dre;
+        if d > 1e-15 {
+            // t / h = t * h.recip(), recip = (h.re/d, −h.im/d) with d
+            // recomputed from norm_sqr — the same value as csi above.
+            let rr = hre / d;
+            let ri = (-him) / d;
+            out_re[i] = tre * rr - tim * ri;
+            out_im[i] = tre * ri + tim * rr;
+        } else {
+            out_re[i] = 0.0;
+            out_im[i] = 0.0;
+        }
     }
 }
 
@@ -653,6 +705,49 @@ mod tests {
             .map(|h| h.abs())
             .collect();
         assert_eq!(loaded.len(), 52);
+    }
+
+    #[test]
+    fn equalize_equiv() {
+        // Every element against the AoS expression, on NaN/∞/denormal/zero
+        // lanes, a tiny channel above the csi floor and one below it, at a
+        // length that is not a multiple of any SIMD lane width. Bitwise,
+        // except that two NaNs match whatever their sign and payload.
+        fn hostile(seed: u64, n: usize) -> Vec<Complex> {
+            let mut v = backfi_dsp::noise::cgauss_vec(&mut SplitMix64::new(seed), n, 1.0);
+            v[1] = Complex::new(f64::NAN, 0.3);
+            v[3] = Complex::new(f64::INFINITY, -1.0);
+            v[4] = Complex::new(-2.0, f64::NEG_INFINITY);
+            v[5] = Complex::new(5e-324, -5e-324); // denormal
+            v[6] = Complex::ZERO;
+            v[7] = Complex::new(-0.0, 0.0);
+            v
+        }
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let sym = hostile(70, 11);
+        let mut h = hostile(80, 11);
+        h[2] = Complex::new(1e-9, -1e-9); // tiny but above the floor
+        h[9] = Complex::ZERO; // below the csi floor -> zero output
+        let derot = Complex::exp_j(-0.37);
+        let planar =
+            |v: &[Complex]| -> (Vec<f64>, Vec<f64>) { v.iter().map(|c| (c.re, c.im)).unzip() };
+        let (sr, si) = planar(&sym);
+        let (hr, hi) = planar(&h);
+        let mut or = vec![0.0; 11];
+        let mut oi = vec![0.0; 11];
+        let mut csi = vec![0.0; 11];
+        equalize_planar(&sr, &si, &hr, &hi, derot, &mut or, &mut oi, &mut csi);
+        for i in 0..11 {
+            let want_csi = h[i].norm_sqr();
+            let want = if want_csi > 1e-15 {
+                (sym[i] * derot) / h[i]
+            } else {
+                Complex::ZERO
+            };
+            assert!(same(csi[i], want_csi), "csi[{i}]: {} vs {want_csi}", csi[i]);
+            assert!(same(or[i], want.re), "eq re[{i}]: {} vs {}", or[i], want.re);
+            assert!(same(oi[i], want.im), "eq im[{i}]: {} vs {}", oi[i], want.im);
+        }
     }
 
     #[test]

@@ -185,7 +185,7 @@ mod tests {
         // emitting a constant-envelope signal.
         let tx = WifiTransmitter::new();
         let pkt = tx.transmit(&vec![0x77; 1000], Mcs::Mbps54, 0x2F);
-        let papr = stats::papr_db(&pkt.samples);
+        let papr = stats::db(stats::peak_power(&pkt.samples) / stats::mean_power(&pkt.samples));
         assert!(papr > 5.0 && papr < 15.0, "papr {papr}");
     }
 
