@@ -192,23 +192,19 @@ fn bench_pipeline_kernels(rep: &mut BenchReport, short: bool) {
 /// construction and the same again at drop — the acceptance bound is
 /// < 5 ns per call, i.e. instrumentation points are free to leave in the
 /// per-trial hot path unconditionally.
-fn bench_obs_overhead(rep: &mut BenchReport, short: bool) {
+///
+/// Timed with min-wall calibration (the fastest ≥ 20 ms batch), in both full
+/// and `--short` mode: host load slows only some batches down, while a real
+/// per-call cost slows every batch, the fastest one included.
+fn bench_obs_overhead(rep: &mut BenchReport) {
     backfi_obs::disable();
     backfi_obs::trace::disable();
     const CALLS: usize = 1024;
-    let ns = rep.measure(
-        "obs_span",
-        "disabled",
-        CALLS,
-        0,
-        CALLS,
-        iters(2000, short),
-        || {
-            for _ in 0..CALLS {
-                drop(black_box(backfi_obs::span(black_box("bench.obs_overhead"))));
-            }
-        },
-    );
+    let ns = rep.measure_calibrated("obs_span", "disabled", CALLS, 0, CALLS, || {
+        for _ in 0..CALLS {
+            drop(black_box(backfi_obs::span(black_box("bench.obs_overhead"))));
+        }
+    });
     let per_call = ns / CALLS as f64;
     println!("disabled span path: {per_call:.2} ns/call");
     assert!(
@@ -259,7 +255,7 @@ fn main() {
     bench_fir_link_shapes(&mut rep);
     bench_adc(&mut rep);
     bench_pipeline_kernels(&mut rep, short);
-    bench_obs_overhead(&mut rep, short);
+    bench_obs_overhead(&mut rep);
 
     check_speedups(&rep, short);
     let path = rep.write();

@@ -1,22 +1,19 @@
 //! `obs_report` — the automated perf-regression gate.
 //!
-//! Diffs two telemetry documents of the same kind — either two
-//! `OBS_<run>.json` run manifests or two `BENCH_<name>.json` perf
-//! trajectories (auto-detected from the document shape) — and reports
-//! per-span p50/p99/total deltas, counter deltas and per-record ns/iter
-//! deltas against configurable thresholds. Prints a human table on stdout,
-//! optionally writes a machine-readable verdict (`--json <path>`), and with
-//! `--check` exits nonzero when any regression crosses its threshold — the
-//! CI gate against the committed baseline manifest.
+//! Diffs two `OBS_<run>.json` run manifests and reports per-span p50/p99
+//! deltas and counter deltas against configurable thresholds. Prints a
+//! human table on stdout, optionally writes a machine-readable verdict
+//! (`--json <path>`), and with `--check` exits nonzero when any regression
+//! crosses its threshold — the CI gate against the committed baseline
+//! manifest.
 //!
 //! ```text
 //! obs_report <baseline.json> <current.json> [options]
 //!   --check                  exit 1 if any regression is found
-//!   --span-threshold <f>     span p50/p99/total regression factor (default 0.20)
-//!   --bench-threshold <f>    bench ns/iter regression factor     (default 0.20)
+//!   --span-threshold <f>     span p50/p99 regression factor      (default 0.20)
 //!   --counter-threshold <f>  allowed relative counter drift      (default 0, exact)
 //!   --ignore-spans           compare counters only (machine-speed-independent)
-//!   --ignore <prefix>        skip spans/counters/records with this name prefix
+//!   --ignore <prefix>        skip spans/counters with this name prefix
 //!   --require-span NAME[:F]  NAME must exist in the current manifest (count
 //!                            > 0) even under --ignore-spans; with :F, its
 //!                            p50/p99 are additionally gated at regression
@@ -61,7 +58,6 @@ struct Opts {
     current: String,
     check: bool,
     span_threshold: f64,
-    bench_threshold: f64,
     counter_threshold: f64,
     ignore_spans: bool,
     ignore: Vec<String>,
@@ -75,7 +71,7 @@ struct Opts {
 fn usage() -> ! {
     eprintln!(
         "usage: obs_report <baseline.json> <current.json> [--check] \
-         [--span-threshold F] [--bench-threshold F] [--counter-threshold F] \
+         [--span-threshold F] [--counter-threshold F] \
          [--ignore-spans] [--ignore PREFIX]... [--require-span NAME[:F]]... \
          [--json PATH]\n       obs_report --cells <store_a> <store_b> --trials N \
          [--check] [--json PATH]"
@@ -90,7 +86,6 @@ fn parse_opts() -> Opts {
         current: String::new(),
         check: false,
         span_threshold: 0.20,
-        bench_threshold: 0.20,
         counter_threshold: 0.0,
         ignore_spans: false,
         ignore: Vec::new(),
@@ -112,7 +107,6 @@ fn parse_opts() -> Opts {
             "--check" => opts.check = true,
             "--ignore-spans" => opts.ignore_spans = true,
             "--span-threshold" => opts.span_threshold = next_f(&mut args, "--span-threshold"),
-            "--bench-threshold" => opts.bench_threshold = next_f(&mut args, "--bench-threshold"),
             "--counter-threshold" => {
                 opts.counter_threshold = next_f(&mut args, "--counter-threshold")
             }
@@ -207,7 +201,7 @@ fn by_name<'a>(doc: &'a Json, section: &str) -> BTreeMap<String, &'a Json> {
         .unwrap_or_default()
 }
 
-/// Compare two OBS manifests: span p50/p99/total regressions plus counter
+/// Compare two OBS manifests: span p50/p99 regressions plus counter
 /// drift. Gauges and probes are machine- or wall-clock-shaped; they are not
 /// gated here.
 fn compare_manifests(base: &Json, cur: &Json, opts: &Opts) -> Vec<Finding> {
@@ -332,50 +326,6 @@ fn compare_manifests(base: &Json, cur: &Json, opts: &Opts) -> Vec<Finding> {
             regression,
             note: if regression { "counter drift" } else { "" },
         });
-    }
-    out
-}
-
-/// Compare two BENCH trajectories record-by-record on `ns_per_iter`.
-fn compare_benches(base: &Json, cur: &Json, opts: &Opts) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let b = by_name(base, "records");
-    let c = by_name(cur, "records");
-    for (name, bs) in &b {
-        if ignored(name, opts) {
-            continue;
-        }
-        let Some(cs) = c.get(name) else {
-            out.push(Finding {
-                kind: "bench",
-                name: name.clone(),
-                baseline: f(bs, "ns_per_iter"),
-                current: 0.0,
-                delta: -1.0,
-                regression: true,
-                note: "record missing from current run",
-            });
-            continue;
-        };
-        let bv = f(bs, "ns_per_iter");
-        let cv = f(cs, "ns_per_iter");
-        let delta = rel(bv, cv);
-        let regression = bv > 0.0 && cv > bv * (1.0 + opts.bench_threshold);
-        if regression || delta.abs() > opts.bench_threshold {
-            out.push(Finding {
-                kind: "bench",
-                name: name.clone(),
-                baseline: bv,
-                current: cv,
-                delta,
-                regression,
-                note: if regression {
-                    "slower than threshold"
-                } else {
-                    ""
-                },
-            });
-        }
     }
     out
 }
@@ -749,28 +699,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let base_is_bench = base.get("records").is_some();
-    if base_is_bench != cur.get("records").is_some() {
-        eprintln!("error: cannot compare a BENCH trajectory against an OBS manifest");
-        return ExitCode::from(2);
-    }
-    let findings = if base_is_bench {
-        compare_benches(&base, &cur, &opts)
-    } else {
-        compare_manifests(&base, &cur, &opts)
-    };
+    let findings = compare_manifests(&base, &cur, &opts);
     let regressions = findings.iter().filter(|fd| fd.regression).count();
 
-    println!(
-        "obs_report: {} vs {} ({})",
-        opts.baseline,
-        opts.current,
-        if base_is_bench {
-            "bench trajectory"
-        } else {
-            "obs manifest"
-        }
-    );
+    println!("obs_report: {} vs {}", opts.baseline, opts.current);
     if findings.is_empty() {
         println!("no deltas beyond thresholds; {regressions} regression(s)");
     } else {

@@ -26,32 +26,24 @@ pub fn time_ns<F: FnMut()>(iters: u32, mut f: F) -> f64 {
     t0.elapsed().as_nanos() as f64 / f64::from(iters)
 }
 
-/// Wall time one calibrated timing batch must span (default 20 ms, override
-/// with `BACKFI_BENCH_MIN_WALL_MS`). Short enough that a handful of repeats
-/// per point keeps the bench under a second, long enough that a scheduler
-/// preemption mid-batch is amortized instead of doubling the reading.
-fn min_batch_wall() -> Duration {
-    let ms = std::env::var("BACKFI_BENCH_MIN_WALL_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(20);
-    Duration::from_millis(ms.max(1))
-}
+/// Wall time one calibrated timing batch must span. Short enough that a
+/// handful of repeats per point keeps the bench under a second, long enough
+/// that a scheduler preemption mid-batch is amortized instead of doubling
+/// the reading.
+const MIN_BATCH_WALL: Duration = Duration::from_millis(20);
 
 /// Calibrated batches timed per point; the fastest batch is reported.
 const CALIBRATION_REPEATS: u32 = 5;
 
 /// Robust ns/iter with min-wall-time calibration: grow the iteration count
-/// until one timed batch spans the minimum batch wall time (20 ms unless
-/// `BACKFI_BENCH_MIN_WALL_MS` says otherwise), then time
+/// until one timed batch spans `MIN_BATCH_WALL` (20 ms), then time
 /// `CALIBRATION_REPEATS` (5) such batches and report the **fastest** batch.
 /// On a shared machine, preemption and frequency excursions only ever make a
 /// batch slower, never faster, so the minimum is the noise-rejecting
-/// estimator — a fixed `iters: 10` reading of a multi-millisecond pipeline
-/// point swings ±50% run to run; the calibrated minimum is stable to a few
+/// estimator — a fixed `iters: 10` reading of a multi-millisecond point
+/// swings ±50% run to run; the calibrated minimum is stable to a few
 /// percent. Returns `(ns_per_iter, total_iters_timed)`.
 pub fn time_ns_min_wall<F: FnMut()>(mut f: F) -> (f64, u32) {
-    let target = min_batch_wall();
     f(); // warm-up: touch caches, fault pages, fill planners
          // Calibrate: grow the batch geometrically until it spans the target.
     let mut iters: u32 = 1;
@@ -61,12 +53,12 @@ pub fn time_ns_min_wall<F: FnMut()>(mut f: F) -> (f64, u32) {
             f();
         }
         let dt = t0.elapsed();
-        if dt >= target || iters >= 1 << 26 {
+        if dt >= MIN_BATCH_WALL || iters >= 1 << 26 {
             break dt.as_nanos() as f64 / f64::from(iters);
         }
         // Project the batch size that would span the target (with 20%
         // headroom), growing at least 2x and at most 16x per step.
-        let grow = (target.as_nanos() as f64 / dt.as_nanos().max(1) as f64) * 1.2;
+        let grow = (MIN_BATCH_WALL.as_nanos() as f64 / dt.as_nanos().max(1) as f64) * 1.2;
         iters = (f64::from(iters) * grow.clamp(2.0, 16.0)).ceil() as u32;
     };
     // The calibrated batch above is the first measurement; time the rest.
@@ -92,14 +84,14 @@ pub fn time_ns_min_wall<F: FnMut()>(mut f: F) -> (f64, u32) {
 pub struct BenchRecord {
     /// Unique point name, e.g. `fir_filter_direct_n82900_l2`.
     pub name: String,
-    /// Kernel family, e.g. `convolve`, `xcorr`, `estimate_fir`.
+    /// Kernel family, e.g. `fir_filter`, `xcorr_normalized`, `estimate_fir`.
     pub kernel: String,
     /// Signal length (samples) of the measured problem.
     pub n: usize,
     /// Kernel length (taps / template samples); 0 when not applicable.
     pub l: usize,
-    /// Which implementation ran: `direct`, `fft`, `toeplitz`, or `auto`
-    /// (the public dispatching entry point).
+    /// Which implementation ran, e.g. `direct` (the test oracle), `toeplitz`,
+    /// or `auto` (the production entry point).
     pub path: String,
     /// Measured nanoseconds per iteration.
     pub ns_per_iter: f64,
@@ -128,7 +120,7 @@ fn json_num(v: f64) -> String {
 }
 
 impl BenchReport {
-    /// Start a report for bench target `bench` (`kernels`, `pipeline`, …)
+    /// Start a report for bench target `bench` (e.g. `kernels`)
     /// running in `mode` (`short` for CI smoke runs, `full` otherwise).
     pub fn new(bench: &str, mode: &str) -> Self {
         BenchReport {
@@ -178,45 +170,6 @@ impl BenchReport {
     ) -> f64 {
         let (ns, iters) = time_ns_min_wall(f);
         self.record(kernel, path, n, l, samples, ns, iters)
-    }
-
-    /// Like [`BenchReport::measure_calibrated`], but for points with an
-    /// asserted perf gate: `gate_ns` is the slowest acceptable ns/iter.
-    /// When a reading misses the gate the point is re-measured (up to
-    /// `GATE_ATTEMPTS` (5) times, with a short sleep between attempts) and the
-    /// fastest reading is recorded.
-    ///
-    /// On a shared one-core host the interference is strictly one-sided —
-    /// preemption, frequency excursions and noisy neighbours only ever make
-    /// a batch slower, never faster — so the best reading across temporally
-    /// spread attempts is the same noise-rejecting minimum
-    /// [`time_ns_min_wall`] already takes, extended across a window longer
-    /// than one multi-second scheduler episode. A genuine regression misses
-    /// the gate on every attempt and still fails the bench.
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure_calibrated_gated<F: FnMut()>(
-        &mut self,
-        kernel: &str,
-        path: &str,
-        n: usize,
-        l: usize,
-        samples: usize,
-        gate_ns: f64,
-        mut f: F,
-    ) -> f64 {
-        const GATE_ATTEMPTS: u32 = 5;
-        let (mut best, mut iters) = time_ns_min_wall(&mut f);
-        let mut attempt = 1;
-        while best > gate_ns && attempt < GATE_ATTEMPTS {
-            std::thread::sleep(Duration::from_millis(300));
-            let (ns, it) = time_ns_min_wall(&mut f);
-            iters += it;
-            if ns < best {
-                best = ns;
-            }
-            attempt += 1;
-        }
-        self.record(kernel, path, n, l, samples, best, iters)
     }
 
     /// Name the point `<kernel>_<path>_n<n>[_l<l>]`, print its stdout line

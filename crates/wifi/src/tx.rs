@@ -185,7 +185,8 @@ mod tests {
         // emitting a constant-envelope signal.
         let tx = WifiTransmitter::new();
         let pkt = tx.transmit(&vec![0x77; 1000], Mcs::Mbps54, 0x2F);
-        let papr = stats::db(stats::peak_power(&pkt.samples) / stats::mean_power(&pkt.samples));
+        let peak = pkt.samples.iter().map(|v| v.norm_sqr()).fold(0.0, f64::max);
+        let papr = stats::db(peak / stats::mean_power(&pkt.samples));
         assert!(papr > 5.0 && papr < 15.0, "papr {papr}");
     }
 
