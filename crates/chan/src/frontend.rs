@@ -11,8 +11,31 @@
 use backfi_dsp::Complex;
 use std::ops::Range;
 
+/// The samples at a receiver's input port, as a stream the receiver pulls
+/// in order: a source may simulate its samples only when they are first
+/// asked for, so a receiver that stops reading early never pays for the
+/// rest of the packet. A slice is a source that is already complete.
+pub trait RxSource {
+    /// Length of the whole packet in samples.
+    fn packet_len(&self) -> usize;
+
+    /// A prefix of the packet of at least `end.min(packet_len())` samples.
+    /// A prefix never changes once pulled: a longer one extends it.
+    fn pull(&mut self, end: usize) -> &[Complex];
+}
+
+impl RxSource for &[Complex] {
+    fn packet_len(&self) -> usize {
+        self.len()
+    }
+
+    fn pull(&mut self, _end: usize) -> &[Complex] {
+        self
+    }
+}
+
 /// A complex ADC pair (I and Q converters).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Adc {
     /// Bits of resolution per axis (WARP's AD9963 is 12-bit).
     pub bits: u32,
@@ -82,25 +105,24 @@ impl Adc {
         }
     }
 
-    /// One pass over a block: the fraction of samples that hit the rails
-    /// (the saturation indicator an AGC watches) plus the maximal runs of
-    /// consecutive clipped samples.
-    pub fn clip_scan(&self, x: &[Complex]) -> (f64, Vec<Range<usize>>) {
-        if x.is_empty() {
-            return (0.0, Vec::new());
-        }
-        let mut ranges: Vec<Range<usize>> = Vec::new();
+    /// Scan `x[from..]` for samples that hit the rails (the saturation
+    /// indicator an AGC watches): appends the maximal runs of consecutive
+    /// clipped samples to `runs`, in absolute indices, merging the first
+    /// with a run of `runs` that ends at `from`, and returns how many
+    /// samples clipped. A scan in extending prefixes thus yields the runs
+    /// of one scan over the whole.
+    pub fn clip_scan(&self, x: &[Complex], from: usize, runs: &mut Vec<Range<usize>>) -> usize {
         let mut clipped = 0usize;
-        for (i, v) in x.iter().enumerate() {
+        for (i, v) in x.iter().enumerate().skip(from) {
             if v.re.abs() >= self.full_scale || v.im.abs() >= self.full_scale {
                 clipped += 1;
-                match ranges.last_mut() {
+                match runs.last_mut() {
                     Some(r) if r.end == i => r.end = i + 1,
-                    _ => ranges.push(i..i + 1),
+                    _ => runs.push(i..i + 1),
                 }
             }
         }
-        (clipped as f64 / x.len() as f64, ranges)
+        clipped
     }
 }
 
@@ -231,16 +253,29 @@ mod tests {
             bits: 8,
             full_scale: 0.1,
         };
+        let scan = |x: &[Complex]| {
+            let mut runs = Vec::new();
+            (adc.clip_scan(x, 0, &mut runs), runs)
+        };
         let quiet = vec![Complex::new(0.01, 0.0); 100];
-        assert_eq!(adc.clip_scan(&quiet), (0.0, Vec::new()));
+        assert_eq!(scan(&quiet), (0, Vec::new()));
         let loud = vec![Complex::new(1.0, 0.0); 100];
-        let (fraction, ranges) = adc.clip_scan(&loud);
-        assert!((fraction - 1.0).abs() < 1e-12);
-        assert_eq!(ranges, vec![0..100]);
+        let (clipped, runs) = scan(&loud);
+        assert_eq!(
+            (clipped, runs.len(), runs.first()),
+            (100, 1, Some(&(0..100)))
+        );
         let mut bursts = quiet.clone();
         bursts[3] = Complex::new(0.0, -0.2);
         bursts[10..13].fill(Complex::new(0.5, 0.0));
-        assert_eq!(adc.clip_scan(&bursts), (0.04, vec![3..4, 10..13]));
+        assert_eq!(scan(&bursts), (4, vec![3..4, 10..13]));
+        // In extending prefixes, a run cut at a prefix end is merged.
+        let mut runs = Vec::new();
+        let mut clipped = 0;
+        for (from, to) in [(0, 4), (4, 11), (11, 100)] {
+            clipped += adc.clip_scan(&bursts[..to], from, &mut runs);
+        }
+        assert_eq!((clipped, runs), scan(&bursts));
     }
 
     #[test]
@@ -249,6 +284,6 @@ mod tests {
         // saturates a converter scaled for microwatt residues.
         let adc = Adc::default();
         let si = vec![Complex::new(0.7, 0.7); 64]; // ~0 dBm leakage
-        assert!(adc.clip_scan(&si).0 > 0.99);
+        assert_eq!(adc.clip_scan(&si, 0, &mut Vec::new()), si.len());
     }
 }

@@ -21,8 +21,8 @@
 use crate::budget::LinkBudget;
 use crate::environment::EnvironmentProfile;
 use crate::multipath::{cascade, scaled, MultipathProfile};
-use backfi_dsp::fir::{filter, filter_into};
-use backfi_dsp::noise::NoiseStream;
+use backfi_dsp::fir::{filter, filter_extend};
+use backfi_dsp::noise::{NoiseStream, NOISE_LANES};
 use backfi_dsp::rng::SplitMix64;
 use backfi_dsp::{stats, Complex};
 
@@ -51,13 +51,16 @@ impl MediumConfig {
     }
 }
 
-/// Reusable buffers for [`BackscatterMedium::propagate_into`]: `signal`
-/// holds the TX-plus-noise wave and then the tag-modulated wave, `back` the
-/// backward leg's output. A caller that propagates many times keeps one so
-/// each propagation reuses their capacity instead of allocating.
+/// Reusable buffers for [`BackscatterMedium::propagate_into`] and
+/// [`BackscatterMedium::propagate_extend`]: the TX-plus-noise wave, the
+/// tag-modulated wave and the backward leg's output, each as far as the
+/// received signal has been propagated. A caller that propagates many times
+/// keeps one so each propagation reuses their capacity instead of
+/// allocating.
 #[derive(Debug, Default)]
 pub struct PropagateScratch {
-    signal: Vec<Complex>,
+    tx: Vec<Complex>,
+    modulated: Vec<Complex>,
     back: Vec<Complex>,
 }
 
@@ -172,8 +175,9 @@ impl BackscatterMedium {
     /// The backscatter path modulates `incident[i]·gamma[i]` wherever both
     /// exist, so `h_f` is convolved once per trial (by the caller, for the
     /// tag) and the scaled excitation is never rebuilt. `y` is cleared and
-    /// refilled with `x_scaled.len()` plus the longest channel tail samples;
-    /// `scratch` holds the intermediate signals. Every buffer is overwritten before it is read,
+    /// refilled with `x_scaled.len()` plus the longest channel tail samples
+    /// by one [`Self::propagate_extend`] from the start; `scratch` holds the
+    /// intermediate signals. Every buffer is overwritten before it is read,
     /// so reusing them across trials changes no output bit.
     ///
     /// # Panics
@@ -192,37 +196,81 @@ impl BackscatterMedium {
             incident.len() >= n,
             "incident must cover the whole excitation"
         );
-        let out_len = self.out_len(n);
-        let PropagateScratch { signal, back } = scratch;
+        y.clear();
+        self.propagate_extend(x_scaled, incident, gamma, self.out_len(n), scratch, y);
+    }
+
+    /// [`Self::propagate_into`] in extending prefixes: appends the received
+    /// samples `y.len()..end` to `y`. An empty `y` starts a propagation;
+    /// otherwise `y` and `scratch` must hold what earlier extensions of
+    /// this propagation left. Every path is causal (the three FIRs extend
+    /// through [`backfi_dsp::fir::filter_extend`]) and each noise source
+    /// draws sample `i` of a call from lane `i mod 4`, so an extension that
+    /// starts on a multiple of [`NOISE_LANES`] appends exactly the samples
+    /// one whole call gives. Sample `i` of the modulated wave is
+    /// `incident[i]·gamma[i]` while both exist and zero after, so a caller
+    /// that computes the tag's wave lazily extends both through `end`
+    /// first. A no-op when `end <= y.len()`.
+    ///
+    /// # Panics
+    /// Panics if `y.len()` is not a multiple of [`NOISE_LANES`], or `end`
+    /// runs past `x_scaled.len()` plus the longest channel tail.
+    pub fn propagate_extend(
+        &mut self,
+        x_scaled: &[Complex],
+        incident: &[Complex],
+        gamma: &[Complex],
+        end: usize,
+        scratch: &mut PropagateScratch,
+        y: &mut Vec<Complex>,
+    ) {
+        let start = y.len();
+        if end <= start {
+            return;
+        }
+        let n = x_scaled.len();
+        assert!(end <= self.out_len(n), "end out of range");
+        assert!(
+            start.is_multiple_of(NOISE_LANES),
+            "a propagation extends from a noise-lane boundary"
+        );
+        let PropagateScratch {
+            tx,
+            modulated,
+            back,
+        } = scratch;
+        if start == 0 {
+            tx.clear();
+            modulated.clear();
+            back.clear();
+        }
 
         // Self-interference path: (a·x + n_tx) ∗ h_env.
         let tx_noise_power =
             self.budget.tx_power() * crate::budget::dbm_to_lin(self.budget.tx_noise_dbc);
-        signal.clear();
-        signal.reserve(out_len);
-        signal.extend_from_slice(x_scaled);
-        self.tx_noise.add_noise(signal, tx_noise_power);
-        signal.resize(out_len, Complex::ZERO);
-        filter_into(&self.h_env, signal, y);
+        let sent = start.min(n)..end.min(n);
+        tx.extend_from_slice(&x_scaled[sent.clone()]);
+        self.tx_noise.add_noise(&mut tx[sent], tx_noise_power);
+        tx.resize(end, Complex::ZERO);
+        filter_extend(&self.h_env, tx, end, y);
 
-        // Backscatter path: ((a·x) ∗ h_f) · Γ ∗ h_b, reusing the TX buffer
-        // for the modulated wave.
-        let modulated = incident.len().min(gamma.len()).min(out_len);
-        signal.clear();
-        signal.extend(
-            incident[..modulated]
-                .iter()
-                .zip(&gamma[..modulated])
-                .map(|(&v, &g)| v * g),
-        );
-        signal.resize(out_len, Complex::ZERO);
-        filter_into(&self.h_b, signal, back);
-        for (a, b) in y.iter_mut().zip(back.iter()) {
+        // Backscatter path: ((a·x) ∗ h_f) · Γ ∗ h_b.
+        let reflected = incident.len().min(gamma.len());
+        modulated.extend((start..end).map(|i| {
+            if i < reflected {
+                incident[i] * gamma[i]
+            } else {
+                Complex::ZERO
+            }
+        }));
+        filter_extend(&self.h_b, modulated, end, back);
+        for (a, b) in y[start..].iter_mut().zip(&back[start..]) {
             *a += *b;
         }
 
         // Thermal noise.
-        self.thermal.add_noise(y, self.budget.noise_power());
+        self.thermal
+            .add_noise(&mut y[start..], self.budget.noise_power());
     }
 
     /// The link budget this medium was built with.
@@ -346,6 +394,57 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn extended_propagation_matches_propagate_into() {
+        // The lazy link's form: the tag's wave known only as far as the
+        // received signal is asked for, extensions on noise-lane boundaries,
+        // the last one ragged and through the channel tails.
+        let budget = LinkBudget::default();
+        let a = budget.tx_power().sqrt();
+        let n = 1500;
+        let x_scaled: Vec<Complex> = unit_tone(n).iter().map(|&v| v * a).collect();
+        let gamma: Vec<Complex> = (0..n)
+            .map(|i| Complex::exp_j(i as f64 * 0.37) * ((i / 40) % 2) as f64)
+            .collect();
+        let cfg = MediumConfig::at_distance(1.5);
+        let mut m = BackscatterMedium::new(budget, cfg, 4);
+        let incident = filter(&m.h_f, &x_scaled);
+        let mut want = Vec::new();
+        let mut scratch = PropagateScratch::default();
+        m.propagate_into(&x_scaled, &incident, &gamma, &mut scratch, &mut want);
+
+        let mut m = BackscatterMedium::new(budget, cfg, 4);
+        let (mut y, mut len) = (Vec::new(), 0);
+        for end in [0, 8, 4, 400, 1060, n, want.len()] {
+            let known = end.min(n);
+            m.propagate_extend(
+                &x_scaled,
+                &incident[..known],
+                &gamma[..known],
+                end,
+                &mut scratch,
+                &mut y,
+            );
+            len = len.max(end);
+            assert_eq!(y.len(), len);
+        }
+        let bits = |v: &[Complex]| -> Vec<(u64, u64)> {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        assert_eq!(bits(&y), bits(&want));
+    }
+
+    #[test]
+    #[should_panic(expected = "noise-lane boundary")]
+    fn propagation_extends_only_from_a_lane_boundary() {
+        let budget = LinkBudget::default();
+        let mut m = BackscatterMedium::new(budget, MediumConfig::at_distance(1.0), 1);
+        let x = unit_tone(100);
+        let (mut scratch, mut y) = (PropagateScratch::default(), Vec::new());
+        m.propagate_extend(&x, &x, &x, 10, &mut scratch, &mut y);
+        m.propagate_extend(&x, &x, &x, 20, &mut scratch, &mut y);
     }
 
     #[test]

@@ -7,12 +7,16 @@
 
 use crate::excitation::{Excitation, ExcitationConfig};
 use backfi_chan::budget::LinkBudget;
+use backfi_chan::frontend::RxSource;
 use backfi_chan::impair::Impairments;
 use backfi_chan::medium::{BackscatterMedium, MediumConfig, PropagateScratch};
 use backfi_dsp::Complex;
-use backfi_reader::reader::{BackscatterReader, ReaderConfig, ReaderError, ReaderScratch};
+use backfi_reader::reader::{
+    BackscatterReader, ReaderConfig, ReaderError, ReaderScratch, TagDecodeResult,
+};
 use backfi_reader::Timeline;
 use backfi_tag::config::TagConfig;
+use backfi_tag::detector::SAMPLES_PER_BIT;
 use backfi_tag::energy::epb_pj;
 use backfi_tag::framer::TagFrame;
 use backfi_tag::psk::{gray_decode, hard_index};
@@ -90,38 +94,54 @@ impl LinkReport {
     /// over a grid cell never divides by a missing trial.
     pub fn job_failed() -> LinkReport {
         LinkReport {
+            panicked: true,
+            reader_error: None,
+            ..LinkReport::failed(Vec::new(), f64::NEG_INFINITY, 0.0, ReaderError::NoSymbols)
+        }
+    }
+
+    /// An exchange that delivered nothing: the tag never woke, or the
+    /// reader failed with `error` before producing symbols.
+    fn failed(
+        sent: Vec<u8>,
+        expected_snr_db: f64,
+        tag_energy_pj: f64,
+        error: ReaderError,
+    ) -> LinkReport {
+        LinkReport {
             success: false,
-            sent: Vec::new(),
+            sent,
             ber: 1.0,
             pre_fec_ber: 0.5,
             measured_snr_db: f64::NEG_INFINITY,
-            expected_snr_db: f64::NEG_INFINITY,
+            expected_snr_db,
             cancellation_db: 0.0,
             goodput_bps: 0.0,
-            tag_energy_pj: 0.0,
-            reader_error: None,
-            panicked: true,
+            tag_energy_pj,
+            reader_error: Some(error),
+            panicked: false,
         }
     }
 }
 
 /// The excitation-length buffers of one link trial, owned by a thread and
 /// reused by every [`LinkSimulator::run`] on it, so a warm trial allocates
-/// no per-sample buffer and touches no fresh pages.
+/// no per-sample buffer and touches no fresh pages (a received stream with
+/// non-finite samples gets a fresh sanitized copy).
 ///
 /// * **Buffers.** The wave at the tag (`incident = h_f ∗ x`, convolved once
 ///   and shared by the tag and the medium), the tag's reflection stream
-///   `gamma`, the received signal `rx`, the medium's two intermediate
-///   signals, and the reader's canceller stages, MRC reference and
-///   sanitized-input copy.
+///   `gamma`, the received signal `rx`, the medium's three intermediate
+///   signals, and the reader's canceller stages and MRC reference.
 /// * **Lifetime.** One per thread, built empty on the thread's first trial
 ///   and sized by it (never in [`LinkSimulator::new`]). A sweep executor's
 ///   scoped workers live for one pass, so their scratch does too; a
 ///   long-lived thread keeps its largest trial's buffers until it exits.
-/// * **Reads.** Every buffer is cleared or resized and then fully written
-///   before it is read, so what a previous trial (of any configuration, or
-///   one that panicked half-way) left behind never reaches a result: a run
-///   on a warm scratch is bit-identical to the same seed on a fresh thread.
+/// * **Reads.** Every buffer is cleared or resized and then written (as far
+///   as the trial reads it) before it is read, so what a previous trial (of
+///   any configuration, or one that panicked half-way) left behind never
+///   reaches a result: a run on a warm scratch is bit-identical to the same
+///   seed on a fresh thread.
 /// * **Unwind.** `run` holds the borrow through a `RefCell` guard, which a
 ///   panic releases while unwinding; the next trial on that thread borrows
 ///   the scratch again.
@@ -136,6 +156,89 @@ struct TrialScratch {
 
 thread_local! {
     static TRIAL_SCRATCH: RefCell<TrialScratch> = RefCell::new(TrialScratch::default());
+}
+
+/// One trial's received signal, simulated only as far as the reader pulls
+/// it (DESIGN.md §17.2). The wave at the tag (`h_f ∗ x`), the tag's reaction
+/// and both paths of the medium extend together to each watermark, rounded
+/// up to a tag comparator bit ([`SAMPLES_PER_BIT`] = 20 samples, a multiple
+/// of the noise streams' 4 lanes) or the packet end, so every extension
+/// appends exactly the samples one whole-packet pass gives.
+struct LazyTrial<'a> {
+    x_scaled: &'a [Complex],
+    medium: &'a mut BackscatterMedium,
+    tag: &'a mut Tag,
+    incident: &'a mut Vec<Complex>,
+    gamma: &'a mut Vec<Complex>,
+    scratch: &'a mut PropagateScratch,
+    rx: &'a mut Vec<Complex>,
+}
+
+impl LazyTrial<'_> {
+    /// `end` rounded up to a comparator bit, within the packet.
+    fn watermark(&self, end: usize) -> usize {
+        end.next_multiple_of(SAMPLES_PER_BIT)
+            .min(self.x_scaled.len())
+    }
+
+    /// Extend the wave at the tag and the tag's reaction through `end`.
+    fn react_to(&mut self, end: usize) {
+        let end = self.watermark(end);
+        if end > self.gamma.len() {
+            let _t = backfi_obs::span("link.tag_react");
+            backfi_dsp::fir::filter_extend(&self.medium.h_f, self.x_scaled, end, self.incident);
+            self.tag.react_extend(self.incident, end, self.gamma);
+        }
+    }
+
+    /// The whole received signal with the receiver-side impairments
+    /// applied (the tag's reaction, warped by the tag-timeline ones, is
+    /// already whole).
+    fn impaired(&mut self, impair: &Impairments, noise_power: f64, seed: u64) -> &[Complex] {
+        let n = self.x_scaled.len();
+        self.pull(n);
+        // Receiver-side impairments (CFO, interference bursts, saturation,
+        // impulses, truncation, non-finite corruption).
+        let applied = impair.apply_rx(&mut self.rx[..n], noise_power, seed);
+        if applied.any() {
+            backfi_obs::counter_add("link.impair.rx", 1);
+            backfi_obs::counter_add("link.impair.bursts", applied.bursts as u64);
+            backfi_obs::counter_add("link.impair.impulses", applied.impulses as u64);
+            if applied.saturated {
+                backfi_obs::counter_add("link.impair.saturated", 1);
+            }
+            if applied.truncated_at.is_some() {
+                backfi_obs::counter_add("link.impair.truncated", 1);
+            }
+            if applied.nonfinite > 0 {
+                backfi_obs::counter_add("link.impair.nonfinite", 1);
+            }
+        }
+        &self.rx[..n]
+    }
+}
+
+impl RxSource for LazyTrial<'_> {
+    fn packet_len(&self) -> usize {
+        self.x_scaled.len()
+    }
+
+    fn pull(&mut self, end: usize) -> &[Complex] {
+        let end = self.watermark(end);
+        if end > self.rx.len() {
+            self.react_to(end);
+            let _t = backfi_obs::span("link.propagate");
+            self.medium.propagate_extend(
+                self.x_scaled,
+                self.incident,
+                self.gamma,
+                end,
+                self.scratch,
+                self.rx,
+            );
+        }
+        self.rx
+    }
 }
 
 /// The composed simulator.
@@ -177,10 +280,12 @@ impl LinkSimulator {
     /// Run one exchange with the given channel/noise/payload seed, over this
     /// thread's reusable trial buffers.
     pub fn run(&self, seed: u64) -> LinkReport {
-        TRIAL_SCRATCH.with(|cell| self.run_with(seed, &mut cell.borrow_mut()))
+        TRIAL_SCRATCH.with(|cell| self.run_with(seed, &mut cell.borrow_mut()).0)
     }
 
-    fn run_with(&self, seed: u64, scratch: &mut TrialScratch) -> LinkReport {
+    /// [`LinkSimulator::run`], also returning how many received samples
+    /// the trial simulated.
+    fn run_with(&self, seed: u64, scratch: &mut TrialScratch) -> (LinkReport, usize) {
         let _t_trial = backfi_obs::span("link.trial");
         backfi_obs::counter_add("link.trials", 1);
         let cfg = &self.cfg;
@@ -196,24 +301,7 @@ impl LinkSimulator {
         drop(_t_medium);
         backfi_obs::probe("link.expected_snr_db", expected_snr_db);
 
-        // Size the payload to fill the excitation (§6.1: "The IoT sensor
-        // backscatters for the entire duration of the packet"). At very low
-        // symbol rates a whole CRC-protected frame cannot fit in one packet
-        // (a minimal frame at 10 kSPS spans ~16 ms); the tag then streams the
-        // frame across packets, and a single exchange is judged by its raw
-        // symbol error rate instead of the end-of-frame CRC — exactly how
-        // sub-frame throughput is measured on hardware.
-        let airtime = backfi_dsp::samples_to_us(exc.samples.len() - exc.detect_end);
-        let max_payload = TagFrame::max_payload_bytes(&cfg.tag, airtime);
-        let frame_fits = max_payload >= 1;
-        // "A typical backscatter packet will have 1000 bits of information in
-        // it" (§5.2.1) — cap the frame near that so the frame-error criterion
-        // is comparable across configurations and excitation lengths; fast
-        // configurations simply finish early.
-        let payload_len = max_payload.clamp(1, 128);
-        let sent: Vec<u8> = (0..payload_len)
-            .map(|i| (seed as usize + i * 131 + 7) as u8)
-            .collect();
+        let (sent, frame_fits) = self.payload(seed);
 
         let mut tag = Tag::new(cfg.excitation.tag_id, cfg.tag);
         tag.load_data(&sent);
@@ -224,82 +312,125 @@ impl LinkSimulator {
             medium: medium_scratch,
             reader: reader_scratch,
         } = scratch;
-        let _t_react = backfi_obs::span("link.tag_react");
-        backfi_dsp::fir::filter_into(&medium.h_f, x_scaled, incident);
-        tag.react_into(incident, gamma);
-        drop(_t_react);
-        // Tag-timeline impairments (clock drift / desync): warp the
-        // reflection-coefficient stream. `None` when both knobs are off —
-        // the clean path allocates and draws nothing.
-        let warped = cfg.impair.warp_gamma(gamma, seed);
-        if warped.is_some() {
-            backfi_obs::counter_add("link.impair.timeline", 1);
+        incident.clear();
+        gamma.clear();
+        rx.clear();
+        let n = exc.samples.len();
+        let h_env = medium.h_env.clone();
+        let mut trial = LazyTrial {
+            x_scaled,
+            medium: &mut medium,
+            tag: &mut tag,
+            incident,
+            gamma,
+            scratch: medium_scratch,
+            rx,
+        };
+        if cfg.impair.is_off() {
+            // React through the wake-up preamble; a tag still listening
+            // there reacts to the whole excitation, which decides the
+            // wake-up as one whole-packet reaction would (a tag that has
+            // woken never listens again).
+            trial.react_to(exc.detect_end + SAMPLES_PER_BIT);
+            if matches!(trial.tag.state(), TagState::Listening | TagState::Sleep) {
+                trial.react_to(n);
+            }
+        } else {
+            trial.react_to(n);
+            // Tag-timeline impairments (clock drift / desync): warp the
+            // reflection-coefficient stream. `None` when both knobs are off.
+            if let Some(warped) = cfg.impair.warp_gamma(trial.gamma, seed) {
+                backfi_obs::counter_add("link.impair.timeline", 1);
+                *trial.gamma = warped;
+            }
         }
-        let gamma: &[Complex] = warped.as_deref().unwrap_or(gamma);
 
         let energy_bits = (sent.len() * 8) as f64;
         let tag_energy_pj = epb_pj(&cfg.tag) * energy_bits;
 
         // If the tag never woke up (below sensitivity), the exchange fails.
-        if tag.state() == TagState::Listening || tag.state() == TagState::Sleep {
+        if matches!(trial.tag.state(), TagState::Listening | TagState::Sleep) {
             backfi_obs::counter_add("link.fail.wakeup", 1);
-            return LinkReport {
-                success: false,
-                sent,
-                ber: 1.0,
-                pre_fec_ber: 0.5,
-                measured_snr_db: f64::NEG_INFINITY,
-                expected_snr_db,
-                cancellation_db: 0.0,
-                goodput_bps: 0.0,
-                tag_energy_pj,
-                reader_error: Some(ReaderError::NoSymbols),
-                panicked: false,
-            };
+            let error = ReaderError::NoSymbols;
+            return (
+                LinkReport::failed(sent, expected_snr_db, tag_energy_pj, error),
+                0,
+            );
         }
-
-        let _t_prop = backfi_obs::span("link.propagate");
-        medium.propagate_into(x_scaled, incident, gamma, medium_scratch, rx);
-        let y_full = rx;
-        drop(_t_prop);
-        // Receiver-side impairments (CFO, interference bursts, saturation,
-        // impulses, truncation, non-finite corruption). A no-op returning a
-        // default `Applied` when the set is off.
-        if !cfg.impair.is_off() {
-            let n = exc.samples.len();
-            let applied = cfg
-                .impair
-                .apply_rx(&mut y_full[..n], cfg.budget.noise_power(), seed);
-            if applied.any() {
-                backfi_obs::counter_add("link.impair.rx", 1);
-                backfi_obs::counter_add("link.impair.bursts", applied.bursts as u64);
-                backfi_obs::counter_add("link.impair.impulses", applied.impulses as u64);
-                if applied.saturated {
-                    backfi_obs::counter_add("link.impair.saturated", 1);
-                }
-                if applied.truncated_at.is_some() {
-                    backfi_obs::counter_add("link.impair.truncated", 1);
-                }
-                if applied.nonfinite > 0 {
-                    backfi_obs::counter_add("link.impair.nonfinite", 1);
-                }
-            }
-        }
-        let y = &y_full[..exc.samples.len()];
 
         // --- reader -------------------------------------------------------
-        let timeline = Timeline::nominal(exc.detect_end, exc.samples.len(), &cfg.tag);
+        // With every impairment off the reader pulls the received signal on
+        // demand, so the trial simulates only the samples it reads. The
+        // impairments read the whole packet (the tag-timeline warp, the
+        // saturation blocker's amplitude and the burst positions), so an
+        // impaired trial is simulated full-length first.
+        let timeline = Timeline::nominal(exc.detect_end, n, &cfg.tag);
         let reader = BackscatterReader::new(cfg.reader);
-        let _t_reader = backfi_obs::span("link.reader");
-        let decoded = reader.decode_with(
-            x_scaled,
-            y,
-            &medium.h_env,
-            &timeline,
-            &cfg.tag,
-            reader_scratch,
+        let decoded = if cfg.impair.is_off() {
+            let _t_reader = backfi_obs::span("link.reader");
+            reader.decode_from(
+                x_scaled,
+                &mut trial,
+                &h_env,
+                &timeline,
+                &cfg.tag,
+                reader_scratch,
+            )
+        } else {
+            let y = trial.impaired(&cfg.impair, cfg.budget.noise_power(), seed);
+            let _t_reader = backfi_obs::span("link.reader");
+            reader.decode_with(x_scaled, y, &h_env, &timeline, &cfg.tag, reader_scratch)
+        };
+        let simulated = trial.rx.len();
+        backfi_obs::counter_add("link.samples", simulated as u64);
+        let report = self.report(
+            sent,
+            frame_fits,
+            expected_snr_db,
+            tag_energy_pj,
+            &medium,
+            decoded,
         );
-        drop(_t_reader);
+        (report, simulated)
+    }
+
+    /// The payload the tag sends on trial `seed`, and whether its frame
+    /// fits in one excitation.
+    fn payload(&self, seed: u64) -> (Vec<u8>, bool) {
+        let exc = &*self.exc;
+        // Size the payload to fill the excitation (§6.1: "The IoT sensor
+        // backscatters for the entire duration of the packet"). At very low
+        // symbol rates a whole CRC-protected frame cannot fit in one packet
+        // (a minimal frame at 10 kSPS spans ~16 ms); the tag then streams the
+        // frame across packets, and a single exchange is judged by its raw
+        // symbol error rate instead of the end-of-frame CRC — exactly how
+        // sub-frame throughput is measured on hardware.
+        let airtime = backfi_dsp::samples_to_us(exc.samples.len() - exc.detect_end);
+        let max_payload = TagFrame::max_payload_bytes(&self.cfg.tag, airtime);
+        let frame_fits = max_payload >= 1;
+        // "A typical backscatter packet will have 1000 bits of information in
+        // it" (§5.2.1) — cap the frame near that so the frame-error criterion
+        // is comparable across configurations and excitation lengths; fast
+        // configurations simply finish early.
+        let payload_len = max_payload.clamp(1, 128);
+        let sent: Vec<u8> = (0..payload_len)
+            .map(|i| (seed as usize + i * 131 + 7) as u8)
+            .collect();
+        (sent, frame_fits)
+    }
+
+    /// The trial's report from what the reader decoded.
+    fn report(
+        &self,
+        sent: Vec<u8>,
+        frame_fits: bool,
+        expected_snr_db: f64,
+        tag_energy_pj: f64,
+        medium: &BackscatterMedium,
+        decoded: Result<TagDecodeResult, ReaderError>,
+    ) -> LinkReport {
+        let (cfg, exc) = (&self.cfg, &*self.exc);
+        let energy_bits = (sent.len() * 8) as f64;
         match decoded {
             Ok(res) => {
                 if backfi_obs::enabled() {
@@ -411,19 +542,7 @@ impl LinkSimulator {
                 };
                 backfi_obs::counter_add(stage, 1);
                 backfi_obs::trace::instant(stage);
-                LinkReport {
-                    success: false,
-                    sent,
-                    ber: 1.0,
-                    pre_fec_ber: 0.5,
-                    measured_snr_db: f64::NEG_INFINITY,
-                    expected_snr_db,
-                    cancellation_db: 0.0,
-                    goodput_bps: 0.0,
-                    tag_energy_pj,
-                    reader_error: Some(e),
-                    panicked: false,
-                }
+                LinkReport::failed(sent, expected_snr_db, tag_energy_pj, e)
             }
         }
     }
@@ -522,6 +641,173 @@ mod tests {
         let gf = mean_over_seeds(&sim_f, |r| r.goodput_bps);
         assert!(gs > 0.0, "slow config never decoded");
         assert!(gf > gs * 2.0, "fast {gf} vs slow {gs}");
+    }
+
+    /// Test-only full-length oracle of [`LinkSimulator::run`], built from
+    /// the allocating public items as a caller without the lazy trial
+    /// would: the tag reacts to the whole excitation, the medium propagates
+    /// it whole (channel tails included), the impairments apply, and the
+    /// reader decodes the complete stream. Also returns the decode's timing
+    /// offset, when it produced one.
+    fn full_length_trial(sim: &LinkSimulator, seed: u64) -> (LinkReport, Option<isize>) {
+        let (cfg, exc) = (&sim.cfg, &*sim.exc);
+        let mut medium =
+            BackscatterMedium::new(cfg.budget, MediumConfig::at_distance(cfg.distance_m), seed);
+        let expected_snr_db = medium.expected_backscatter_snr_db();
+        let (sent, frame_fits) = sim.payload(seed);
+        let tag_energy_pj = epb_pj(&cfg.tag) * (sent.len() * 8) as f64;
+        let mut tag = Tag::new(cfg.excitation.tag_id, cfg.tag);
+        tag.load_data(&sent);
+        let gamma = tag.react(&backfi_dsp::fir::filter(&medium.h_f, &sim.x_scaled));
+        let gamma = cfg.impair.warp_gamma(&gamma, seed).unwrap_or(gamma);
+        if matches!(tag.state(), TagState::Listening | TagState::Sleep) {
+            let error = ReaderError::NoSymbols;
+            let report = LinkReport::failed(sent, expected_snr_db, tag_energy_pj, error);
+            return (report, None);
+        }
+        let n = exc.samples.len();
+        let mut y = medium.propagate(&exc.samples, &gamma);
+        cfg.impair
+            .apply_rx(&mut y[..n], cfg.budget.noise_power(), seed);
+        y.truncate(n);
+        let timeline = Timeline::nominal(exc.detect_end, n, &cfg.tag);
+        let decoded = BackscatterReader::new(cfg.reader).decode(
+            &sim.x_scaled,
+            &y,
+            &medium.h_env,
+            &timeline,
+            &cfg.tag,
+        );
+        let timing = decoded.as_ref().ok().map(|r| r.timing_offset);
+        let report = sim.report(
+            sent,
+            frame_fits,
+            expected_snr_db,
+            tag_energy_pj,
+            &medium,
+            decoded,
+        );
+        (report, timing)
+    }
+
+    /// One trial of `sim`, lazy and full-length, compared field by field
+    /// bit for bit; returns how many samples the lazy trial simulated and
+    /// the decode's timing offset.
+    fn assert_lazy_matches(sim: &LinkSimulator, seed: u64, label: &str) -> (usize, Option<isize>) {
+        let (got, simulated) =
+            TRIAL_SCRATCH.with(|cell| sim.run_with(seed, &mut cell.borrow_mut()));
+        let (want, timing) = full_length_trial(sim, seed);
+        let key = |r: &LinkReport| {
+            let f = [
+                r.ber,
+                r.pre_fec_ber,
+                r.measured_snr_db,
+                r.expected_snr_db,
+                r.cancellation_db,
+                r.goodput_bps,
+                r.tag_energy_pj,
+            ];
+            let bits = f.map(f64::to_bits);
+            (r.success, r.sent.clone(), bits, r.reader_error, r.panicked)
+        };
+        assert_eq!(key(&got), key(&want), "{label}, seed {seed}");
+        (simulated, timing)
+    }
+
+    /// Symbol slots of `sim`'s nominal payload window.
+    fn all_slots(sim: &LinkSimulator) -> usize {
+        let exc = sim.excitation();
+        let timeline = Timeline::nominal(exc.detect_end, exc.samples.len(), &sim.cfg.tag);
+        timeline.payload.len() / sim.cfg.tag.samples_per_symbol()
+    }
+
+    /// How far a trial that combines every slot of the nominal payload
+    /// window pulls the received signal: through its last whole slot,
+    /// rounded up to a comparator bit.
+    fn every_slot_end(sim: &LinkSimulator) -> usize {
+        let exc = sim.excitation();
+        let start = exc.detect_end + backfi_dsp::us_to_samples(16.0 + sim.cfg.tag.preamble_us);
+        let end = start + all_slots(sim) * sim.cfg.tag.samples_per_symbol();
+        end.next_multiple_of(SAMPLES_PER_BIT).min(exc.samples.len())
+    }
+
+    /// The lazy trial reports exactly what the full-length oracle does, on
+    /// the detected SIMD backend and on the scalar kernels
+    /// (`BACKFI_SIMD=off`): every modulation × symbol rate, a header that
+    /// fails its CRC, the 10 kSPS streaming regime, and the impaired trials
+    /// (a NaN burst plus saturation, a tag-timeline desync), which are
+    /// simulated whole. A clean trial reads through
+    /// every whole slot when the reader falls back to every slot, and
+    /// otherwise stops near the frame's end. (A clipped run across the
+    /// frame's end, which only a lazily pulled stream can cut, is pinned by
+    /// the reader's `frame_bounded_front_half_matches_full_length_oracle`.)
+    #[test]
+    fn lazy_trial_matches_full_length_oracle() {
+        use backfi_dsp::simd::{backend, force_scalar, Backend};
+        let was_scalar = backend() == Backend::Scalar;
+        for scalar in [false, true] {
+            force_scalar(scalar);
+            for m in TagModulation::ALL {
+                for rate in backfi_tag::config::TAG_SYMBOL_RATES {
+                    let tag = TagConfig {
+                        modulation: m,
+                        code_rate: CodeRate::Half,
+                        symbol_rate_hz: rate,
+                        preamble_us: 32.0,
+                    };
+                    let sim = LinkSimulator::new(quick_cfg(1.0, tag));
+                    let label = format!("{} @ {rate} SPS", m.label());
+                    let (simulated, _) = assert_lazy_matches(&sim, 5, &label);
+                    let (sent, fits) = sim.payload(5);
+                    let (read, all) = (simulated, every_slot_end(&sim));
+                    if !fits {
+                        assert_eq!(read, all, "{label}: streaming reads every slot");
+                    } else if sim.run(5).success {
+                        // Through the frame, give or take the timing offset
+                        // and a comparator bit.
+                        let start = all - all_slots(&sim) * tag.samples_per_symbol();
+                        let frame = TagFrame::symbol_count(sent.len(), &tag);
+                        let end = start + frame * tag.samples_per_symbol();
+                        assert!(read < end + 160, "{label}: {read} vs {end}");
+                    }
+                }
+            }
+
+            // A header whose CRC-8 fails far out: the all-slots fallback.
+            let tag = TagConfig {
+                modulation: TagModulation::Psk16,
+                code_rate: CodeRate::TwoThirds,
+                symbol_rate_hz: 2.5e6,
+                preamble_us: 32.0,
+            };
+            let sim = LinkSimulator::new(quick_cfg(3.0, tag));
+            let all = every_slot_end(&sim);
+            let fallback = (0..40u64)
+                .find(|&seed| assert_lazy_matches(&sim, seed, "bad header").0 >= all)
+                .expect("some trial falls back to every slot");
+            assert!(!sim.run(fallback).success);
+
+            // Impaired trials are simulated whole: a NaN burst plus a
+            // saturation transient, and a tag-timeline desync that moves
+            // the timing estimate. (No link input forces the wide
+            // re-acquire: the nominal search fails only when every window
+            // escapes the packet. The reader's oracle test forces it.)
+            let impaired = |spec: &str| {
+                let mut cfg = quick_cfg(1.0, TagConfig::default());
+                cfg.impair = Impairments::parse(spec).expect("spec");
+                LinkSimulator::new(cfg)
+            };
+            let sim = impaired("nonfinite:1,saturation:1");
+            let n = sim.excitation().samples.len();
+            assert_eq!(assert_lazy_matches(&sim, 7, "nan + saturation").0, n);
+            let sim = impaired("desync:1");
+            let shifted = (0..40u64).find(|&seed| {
+                let (simulated, timing) = assert_lazy_matches(&sim, seed, "desync");
+                timing.is_some_and(|t| t != 0 && simulated == n)
+            });
+            assert!(shifted.is_some(), "no desync moved the timing estimate");
+        }
+        force_scalar(was_scalar);
     }
 
     #[test]

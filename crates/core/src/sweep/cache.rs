@@ -44,7 +44,8 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"BFCACHE1");
 /// Rev 2: the ziggurat normal generator and empty-frame rejection.
 /// Rev 3: per-source 4-lane noise sub-streams and the frame-bounded reader
 /// back half (no pilot derotation).
-pub const SIM_REV: u64 = 3;
+/// Rev 4: the causal AGC (the ADC's full scale set on the silent window).
+pub const SIM_REV: u64 = 4;
 
 /// On-disk record size: magic + salt + key (hi, lo) + stats payload +
 /// checksum.

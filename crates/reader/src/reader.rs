@@ -7,19 +7,23 @@
 //! header prefix decode → soft-decision Viterbi over the announced frame
 //! (every slot when the header fails) → frame parse.
 //!
-//! Both halves are bounded by the frame (DESIGN.md §17). The analog stage,
-//! the AGC and the ADC's clip scan run over every sample; the ADC quantize,
-//! the digital-cancel apply and MRC run first through the header prefix,
-//! then through the announced frame, or through every slot when the header
-//! fails. The results are bit-identical to cancelling and combining the
-//! whole excitation.
+//! Both halves are bounded by the frame (DESIGN.md §17). The received
+//! stream is pulled on demand ([`RxSource`]) and every front-half stage is
+//! causal: the canceller (analog stage, AGC set on the silent window, ADC
+//! clip scan and quantize, digital apply) and MRC run first through the
+//! timing-search window, then through the header prefix, then through the
+//! announced frame, or through every slot when the header fails. The
+//! results are bit-identical to cancelling and combining the whole
+//! excitation.
 
 use crate::chanest::{estimate_h_fb, window_end};
 use crate::decode::{announced_len, decode_frame, decode_symbols, header_symbols, LinkMetrics};
 use crate::mrc::{mrc_symbol, zf_symbol, SymbolEstimate};
 use crate::timeline::Timeline;
 use backfi_dsp::{stats, Complex};
-use backfi_sic::{CancellerConfig, CancellerReport, SelfInterferenceCanceller, SicScratch};
+use backfi_sic::{
+    CancellerConfig, CancellerReport, RxSource, SelfInterferenceCanceller, SicScratch,
+};
 use backfi_tag::config::{TagConfig, TagModulation};
 use backfi_tag::framer::{FrameError, TagFrame, PILOT_SYMBOLS};
 use backfi_tag::psk::{hard_index, index_phase};
@@ -174,17 +178,36 @@ impl BackscatterReader {
     }
 
     /// [`BackscatterReader::decode`] over reusable excitation-length buffers
-    /// (canceller stages, MRC reference, sanitized input): a caller that
-    /// decodes many packets keeps one [`ReaderScratch`] and allocates none
-    /// of them after the first packet. Bit-identical to `decode`.
-    ///
-    /// The front half is frame-bounded (DESIGN.md §17): it cancels and
-    /// combines through the header prefix, reads the header, and extends to
-    /// the announced frame, or to every slot when the header fails.
+    /// (canceller stages, MRC reference): a caller that decodes many packets
+    /// keeps one [`ReaderScratch`] and allocates none of them after the
+    /// first packet. Bit-identical to `decode`. A slice is a received
+    /// stream that is already complete:
+    /// [`BackscatterReader::decode_from`] over it.
     pub fn decode_with(
         &self,
         x_clean: &[Complex],
-        y_rx: &[Complex],
+        mut y_rx: &[Complex],
+        h_env_view: &[Complex],
+        timeline: &Timeline,
+        tag_cfg: &TagConfig,
+        scratch: &mut ReaderScratch,
+    ) -> Result<TagDecodeResult, ReaderError> {
+        self.decode_from(x_clean, &mut y_rx, h_env_view, timeline, tag_cfg, scratch)
+    }
+
+    /// [`BackscatterReader::decode_with`] from a received stream the reader
+    /// pulls on demand (DESIGN.md §17): through the timing-search window,
+    /// then through the header prefix, then through the announced frame, or
+    /// through every slot when the header fails, plus the end of a clipped
+    /// run still open where a pull ends. The result is bit-identical to
+    /// decoding the complete stream. Non-finite samples are zeroed and
+    /// erased wherever a pull finds them, but the front door rejects a
+    /// mostly non-finite stream only on what it has pulled by then (all of
+    /// a complete slice), so a lazy source is exact for finite streams.
+    pub fn decode_from(
+        &self,
+        x_clean: &[Complex],
+        y_rx: &mut dyn RxSource,
         h_env_view: &[Complex],
         timeline: &Timeline,
         tag_cfg: &TagConfig,
@@ -218,7 +241,8 @@ impl BackscatterReader {
         assert!(!antennas.is_empty(), "need at least one antenna");
         let mut branches = Vec::new();
         let mut scratch = ReaderScratch::default();
-        for (y_rx, h_env_view) in antennas {
+        let mut streams: Vec<&[Complex]> = antennas.iter().map(|&(y, _)| y).collect();
+        for (y_rx, &(_, h_env_view)) in streams.iter_mut().zip(antennas) {
             // A branch may individually fail (deep fade); keep the others.
             if let Ok(mut b) =
                 self.demodulate(x_clean, y_rx, h_env_view, timeline, tag_cfg, &mut scratch)
@@ -273,21 +297,20 @@ impl BackscatterReader {
     }
 
     /// Per-antenna front half: cancellation → channel estimation → MRC
-    /// through the header prefix. The canceller runs over every sample
-    /// where its outputs depend on every sample (analog stage, AGC, clip
-    /// scan) and otherwise only as far as channel estimation reads; the
-    /// branch combines further slots with [`BackscatterReader::combine`].
-    fn demodulate(
+    /// through the header prefix. The canceller runs only as far as channel
+    /// estimation reads; the branch combines further slots with
+    /// [`BackscatterReader::combine`], pulling the stream as it goes.
+    fn demodulate<'s>(
         &self,
         x_clean: &[Complex],
-        y_rx: &[Complex],
+        y_rx: &'s mut dyn RxSource,
         h_env_view: &[Complex],
         timeline: &Timeline,
         tag_cfg: &TagConfig,
         scratch: &mut ReaderScratch,
-    ) -> Result<Branch, ReaderError> {
-        assert_eq!(x_clean.len(), y_rx.len(), "length mismatch");
-        let ReaderScratch { sic, sanitized, .. } = scratch;
+    ) -> Result<Branch<'s>, ReaderError> {
+        let len = y_rx.packet_len();
+        assert_eq!(x_clean.len(), len, "length mismatch");
 
         // --- Stage 0: input validation / sanitization -------------------
         // The reader's own reference and the analog canceller's view must be
@@ -295,111 +318,64 @@ impl BackscatterReader {
         if x_clean.iter().any(|v| !v.is_finite()) || h_env_view.iter().any(|v| !v.is_finite()) {
             return Err(count_err(ReaderError::InvalidInput));
         }
-        // Non-finite *received* samples are a front-end fault the pipeline
-        // can ride out: zero them (the AGC/canceller then ignores them) and
-        // remember where they were so the affected symbols become erasures.
-        // A stream that is mostly garbage is rejected outright.
-        let bad_rx: Vec<usize> = y_rx
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_finite())
-            .map(|(i, _)| i)
-            .collect();
-        if bad_rx.len() * 2 > y_rx.len() {
-            return Err(count_err(ReaderError::InvalidInput));
-        }
-        let y_rx: &[Complex] = if bad_rx.is_empty() {
-            y_rx
-        } else {
-            backfi_obs::counter_add("reader.nonfinite_rx", bad_rx.len() as u64);
-            sanitized.clear();
-            sanitized.extend_from_slice(y_rx);
-            for &i in &bad_rx {
-                sanitized[i] = Complex::ZERO;
-            }
-            sanitized
-        };
-
-        // --- Stage 1+2: self-interference cancellation -----------------
         // Cancelled through the last sample the timing search (re-acquire
-        // included) can read. Degradation ladder rung 1: if the residual
-        // diverges towards the end of the silent window (a time-varying
-        // effect like residual CFO that the LTI digital filter cannot track,
-        // or a transient that corrupted the head of the window), retrain on
-        // the trailing half and keep whichever training leaves the cleaner
-        // tail.
+        // included) can read.
         let end = window_end(
             timeline.preamble.start,
             tag_cfg.preamble_us,
             self.reacquire_span(),
         )
-        .min(y_rx.len());
+        .min(len);
+        // Non-finite *received* samples are a front-end fault the pipeline
+        // can ride out: zero them (the AGC/canceller then ignores them) and
+        // remember where they were so the affected symbols become erasures.
+        // A stream that is mostly garbage is rejected outright.
+        let mut rx = Sanitized::new(y_rx);
+        rx.pull(end);
+        if rx.bad.len() * 2 > len {
+            return Err(count_err(ReaderError::InvalidInput));
+        }
+        rx.count_nonfinite();
+
+        // --- Stage 1+2: self-interference cancellation -----------------
+        // Degradation ladder rung 1: if the residual diverges towards the
+        // end of the silent window (a time-varying effect like residual CFO
+        // that the LTI digital filter cannot track, or a transient that
+        // corrupted the head of the window), retrain on the trailing half
+        // and keep whichever training leaves the cleaner tail.
+        let sic = &mut scratch.sic;
         let rep = {
             let _t = backfi_obs::span("reader.sic");
             let canceller = SelfInterferenceCanceller::new(self.cfg.canceller, h_env_view);
-            match canceller.process_with(x_clean, y_rx, timeline.silent.clone(), end, sic) {
-                Some(rep) => self.sic_retrain(&canceller, x_clean, y_rx, timeline, rep, sic),
+            match canceller.process_with(x_clean, &mut rx, timeline.silent.clone(), end, sic) {
+                Some(rep) => self.sic_retrain(&canceller, x_clean, &mut rx, timeline, rep, sic),
                 None => {
                     backfi_obs::counter_add("reader.sic_retrain", 1);
                     let fallback = fallback_window(&timeline.silent);
                     canceller
-                        .process_with(x_clean, y_rx, fallback, end, sic)
+                        .process_with(x_clean, &mut rx, fallback, end, sic)
                         .ok_or_else(|| count_err(ReaderError::CancellationFailed))?
                 }
             }
         };
         backfi_obs::probe("reader.cancellation_db", rep.cancellation_db);
         backfi_obs::probe("reader.residual_db", rep.residual_db);
-        self.estimate_and_combine(x_clean, rep, &bad_rx, timeline, tag_cfg, scratch)
+        self.estimate_and_combine(x_clean, rep, rx, timeline, tag_cfg, scratch)
     }
 
-    /// The front half after cancellation: erasure mask → `h_fb` estimation
-    /// with timing search → per-symbol MRC through the header prefix. On
-    /// failure the report's buffer goes back to the scratch.
-    fn estimate_and_combine(
+    /// The front half after cancellation: `h_fb` estimation with timing
+    /// search → per-symbol MRC through the header prefix. On failure the
+    /// report's buffer goes back to the scratch.
+    fn estimate_and_combine<'s>(
         &self,
         x_clean: &[Complex],
         rep: CancellerReport,
-        bad_rx: &[usize],
+        rx: Sanitized<'s>,
         timeline: &Timeline,
         tag_cfg: &TagConfig,
         scratch: &mut ReaderScratch,
-    ) -> Result<Branch, ReaderError> {
+    ) -> Result<Branch<'s>, ReaderError> {
         let noise_power = stats::undb(rep.residual_db);
-
-        // Erasure mask: non-finite input positions plus the ADC's *long*
-        // clipped runs. Isolated clipped samples (Gaussian tails crossing
-        // full scale) keep the seed behavior — only transient-scale runs,
-        // which ordinary operation essentially never produces, mark spans.
-        const CLIP_RUN_MIN: usize = 16;
-        let flags = {
-            let clip: Vec<&std::ops::Range<usize>> = rep
-                .clip_ranges
-                .iter()
-                .filter(|r| r.len() >= CLIP_RUN_MIN)
-                .collect();
-            if bad_rx.is_empty() && clip.is_empty() {
-                None
-            } else {
-                let mut flags = vec![0u32; x_clean.len() + 1];
-                for &i in bad_rx {
-                    flags[i] = 1;
-                }
-                for r in clip {
-                    for f in &mut flags[r.clone()] {
-                        *f = 1;
-                    }
-                }
-                // In-place prefix sum: flags[i] = flagged samples in [0, i).
-                let mut acc = 0u32;
-                for f in flags.iter_mut() {
-                    let v = *f;
-                    *f = acc;
-                    acc += v;
-                }
-                Some(flags)
-            }
-        };
 
         // --- Stage 3: h_fb estimation with timing search ----------------
         // Degradation ladder rung 2: when no nominal offset yields an
@@ -456,9 +432,10 @@ impl BackscatterReader {
             scratch.sic.recycle(rep.samples);
             return Err(count_err(ReaderError::NoSymbols));
         }
-        let rest = Rest {
+        let mut rest = Rest {
+            rx,
             rep,
-            flags,
+            long: Vec::new(),
             payload_start: timeline.payload.start,
             slots,
             sps,
@@ -466,16 +443,7 @@ impl BackscatterReader {
             guard: self.cfg.fb_taps, // §4.3.2's boundary guard
             noise_power,
         };
-        if backfi_obs::enabled() && rest.flags.is_some() {
-            // The mask's erasures over every slot of the payload window,
-            // combined or not, so the count is the fault's footprint on the
-            // window whatever frame the header announces.
-            let masked = (0..slots)
-                .map_while(|i| rest.window(i))
-                .filter(|&w| rest.masked(w))
-                .count();
-            backfi_obs::counter_add("reader.erasures", masked as u64);
-        }
+        rest.update_long_runs();
         scratch.reference.clear();
         let mut branch = Branch {
             symbols: Vec::new(),
@@ -506,13 +474,12 @@ impl BackscatterReader {
     ///
     /// Degradation ladder rung 3: symbol windows dominated by flagged
     /// (saturated/non-finite) samples become erasures — zero LLRs into the
-    /// soft Viterbi — instead of confident wrong decisions. (The
-    /// `reader.erasures` counter took the mask's erasures over the whole
-    /// window when the branch was set up; here it counts non-finite
-    /// estimates.)
+    /// soft Viterbi — instead of confident wrong decisions. The
+    /// `reader.erasures` counter counts the erasures among the slots
+    /// combined: masked windows and non-finite estimates.
     fn combine(
         &self,
-        branch: &mut Branch,
+        branch: &mut Branch<'_>,
         upto: usize,
         x_clean: &[Complex],
         scratch: &mut ReaderScratch,
@@ -526,7 +493,9 @@ impl BackscatterReader {
             let end = (rest.payload_start + upto * rest.sps).min(rest.len);
             {
                 let _t = backfi_obs::span("reader.sic");
-                rest.rep.extend(x_clean, end, &mut scratch.sic);
+                rest.rep
+                    .extend(x_clean, &mut rest.rx, end, &mut scratch.sic);
+                rest.update_long_runs();
             }
             let _t = backfi_obs::span("reader.mrc");
             let reference = &mut scratch.reference;
@@ -540,6 +509,7 @@ impl BackscatterReader {
                 };
                 if rest.masked((s, e)) {
                     branch.symbols.push(SymbolEstimate::erasure());
+                    erased += 1;
                     continue;
                 }
                 let estimate = if self.cfg.use_zero_forcing {
@@ -587,7 +557,7 @@ impl BackscatterReader {
         &self,
         canceller: &SelfInterferenceCanceller,
         x_clean: &[Complex],
-        y_rx: &[Complex],
+        y_rx: &mut dyn RxSource,
         timeline: &Timeline,
         rep: CancellerReport,
         sic: &mut SicScratch,
@@ -633,7 +603,7 @@ impl BackscatterReader {
     /// gives.
     fn read_frame(
         &self,
-        branch: &mut Branch,
+        branch: &mut Branch<'_>,
         tag_cfg: &TagConfig,
         x_clean: &[Complex],
         scratch: &mut ReaderScratch,
@@ -657,7 +627,12 @@ impl BackscatterReader {
     /// trellis; without one, decode every slot, truncated. Either way the
     /// common phase is first refined decision-directed over the symbols
     /// kept.
-    fn finish(&self, branch: Branch, frame: Option<usize>, tag_cfg: &TagConfig) -> TagDecodeResult {
+    fn finish(
+        &self,
+        branch: Branch<'_>,
+        frame: Option<usize>,
+        tag_cfg: &TagConfig,
+    ) -> TagDecodeResult {
         let _t = backfi_obs::span("reader.decode");
         let Branch {
             mut symbols,
@@ -732,38 +707,109 @@ fn fallback_window(silent: &std::ops::Range<usize>) -> std::ops::Range<usize> {
 }
 
 /// The reader's reusable excitation-length buffers for
-/// [`BackscatterReader::decode_with`]: the canceller's stages, the MRC
-/// reference `h_fb ∗ x`, and the sanitized copy of a received stream with
-/// non-finite samples. Every buffer is cleared or overwritten before it is
+/// [`BackscatterReader::decode_with`]: the canceller's stages and the MRC
+/// reference `h_fb ∗ x`. Every buffer is cleared or overwritten before it is
 /// read, so a scratch carried across packets never changes a result.
 #[derive(Debug, Default)]
 pub struct ReaderScratch {
     sic: SicScratch,
     /// `h_fb ∗ x` through the last slot combined so far.
     reference: Vec<Complex>,
-    sanitized: Vec<Complex>,
+}
+
+/// Samples a run of clipped samples must span to mark the erasure mask.
+/// Isolated clipped samples (Gaussian tails crossing full scale) keep the
+/// seed behavior — only transient-scale runs, which ordinary operation
+/// essentially never produces, mark spans.
+const CLIP_RUN_MIN: usize = 16;
+
+/// The received stream as the front half reads it: pulled from the source
+/// on demand, with the non-finite samples found so far zeroed (in a copy,
+/// made once the first one shows up) and their positions kept for the
+/// erasure mask.
+struct Sanitized<'s> {
+    source: &'s mut dyn RxSource,
+    /// The pulled samples with `bad` zeroed; in use once `bad` is not empty.
+    copy: Vec<Complex>,
+    /// Positions of the non-finite samples found so far, ascending.
+    bad: Vec<usize>,
+    /// Samples checked for non-finite values (all pulled so far).
+    checked: usize,
+    /// How many of `bad` the `reader.nonfinite_rx` counter has taken.
+    counted: usize,
+}
+
+impl<'s> Sanitized<'s> {
+    fn new(source: &'s mut dyn RxSource) -> Self {
+        Sanitized {
+            source,
+            copy: Vec::new(),
+            bad: Vec::new(),
+            checked: 0,
+            counted: 0,
+        }
+    }
+
+    /// Count the non-finite samples found since the last count.
+    fn count_nonfinite(&mut self) {
+        if self.bad.len() > self.counted {
+            let found = (self.bad.len() - self.counted) as u64;
+            backfi_obs::counter_add("reader.nonfinite_rx", found);
+            self.counted = self.bad.len();
+        }
+    }
+}
+
+impl RxSource for Sanitized<'_> {
+    fn packet_len(&self) -> usize {
+        self.source.packet_len()
+    }
+
+    fn pull(&mut self, end: usize) -> &[Complex] {
+        let y = self.source.pull(end);
+        if y.len() > self.checked {
+            let first = self.bad.len();
+            self.bad
+                .extend((self.checked..y.len()).filter(|&i| !y[i].is_finite()));
+            self.checked = y.len();
+            if !self.bad.is_empty() {
+                let from = self.copy.len();
+                self.copy.extend_from_slice(&y[from..]);
+                for &i in &self.bad[first..] {
+                    self.copy[i] = Complex::ZERO;
+                }
+            }
+        }
+        if self.bad.is_empty() {
+            y
+        } else {
+            &self.copy
+        }
+    }
 }
 
 /// One antenna's demodulated view of the packet: the symbols combined so
 /// far and, while slots are left, what combining them needs.
-struct Branch {
+struct Branch<'s> {
     symbols: Vec<SymbolEstimate>,
     cancellation_db: f64,
     residual_db: f64,
     h_fb: Vec<Complex>,
     timing_offset: isize,
     /// `None` once no slot is left to combine.
-    rest: Option<Rest>,
+    rest: Option<Rest<'s>>,
 }
 
 /// What a [`Branch`] needs to combine further slots. The canceller's report
 /// is cancelled as far as the slots combined so far reach, and the MRC
 /// reference grows alongside in [`ReaderScratch`].
-struct Rest {
+struct Rest<'s> {
+    /// The received stream, pulled as far as the report has read.
+    rx: Sanitized<'s>,
     rep: CancellerReport,
-    /// Prefix sums of the erasure mask over the whole packet: `flags[i]` is
-    /// the number of flagged samples in `[0, i)`.
-    flags: Option<Vec<u32>>,
+    /// The report's clipped runs of at least [`CLIP_RUN_MIN`] samples:
+    /// with `rx.bad`, the erasure mask.
+    long: Vec<std::ops::Range<usize>>,
     payload_start: usize,
     /// Symbol slots in the payload window.
     slots: usize,
@@ -775,7 +821,7 @@ struct Rest {
     noise_power: f64,
 }
 
-impl Rest {
+impl Rest<'_> {
     /// Slot `i`'s sample window `(s, e)`, or `None` when it holds no sample
     /// past the guard, which ends the list.
     fn window(&self, i: usize) -> Option<(usize, usize)> {
@@ -784,17 +830,47 @@ impl Rest {
         (e > s + self.guard).then_some((s, e))
     }
 
+    /// Refresh `long` from the report's clip runs, which are complete
+    /// wherever the report has scanned.
+    fn update_long_runs(&mut self) {
+        let from = self.long.last().map_or(0, |r| r.end);
+        let runs = &self.rep.clip_ranges;
+        let first = runs.partition_point(|r| r.end <= from);
+        self.long.extend(
+            runs[first..]
+                .iter()
+                .filter(|r| r.len() >= CLIP_RUN_MIN)
+                .cloned(),
+        );
+    }
+
     /// Whether the erasure mask erases window `(s, e)`: flagged samples
-    /// make up at least a quarter of those past the guard.
+    /// (non-finite inputs, or in a long clipped run) make up at least a
+    /// quarter of those past the guard.
     fn masked(&self, (s, e): (usize, usize)) -> bool {
+        let (long, bad) = (&self.long, &self.rx.bad);
+        if long.is_empty() && bad.is_empty() {
+            return false;
+        }
         let start = s + self.guard;
-        self.flags
-            .as_ref()
-            .is_some_and(|p| (p[e] - p[start]) as usize * 4 >= e - start)
+        let first = long.partition_point(|r| r.end <= start);
+        let mut flagged: usize = long[first..]
+            .iter()
+            .take_while(|r| r.start < e)
+            .map(|r| r.end.min(e) - r.start.max(start))
+            .sum();
+        let lo = bad.partition_point(|&i| i < start);
+        for &i in bad[lo..].iter().take_while(|&&i| i < e) {
+            let k = long.partition_point(|r| r.end <= i);
+            if long.get(k).is_none_or(|r| r.start > i) {
+                flagged += 1;
+            }
+        }
+        flagged * 4 >= e - start
     }
 }
 
-impl Branch {
+impl Branch<'_> {
     /// Rough per-branch quality: total reference energy over the noise floor.
     fn snr_proxy(&self) -> f64 {
         let e: f64 = self.symbols.iter().map(|s| s.ref_energy).sum();
@@ -802,9 +878,12 @@ impl Branch {
     }
 
     /// Stop combining: count the samples the branch's report cancelled
-    /// (`reader.front.samples`) and hand its buffer back.
+    /// (`reader.front.samples`), record the ADC's clip fraction over what
+    /// it scanned, and hand the report's buffer back.
     fn release(&mut self, sic: &mut SicScratch) {
-        if let Some(rest) = self.rest.take() {
+        if let Some(mut rest) = self.rest.take() {
+            rest.rx.count_nonfinite();
+            backfi_obs::probe("sic.adc_clip_fraction", rest.rep.adc_clip_fraction());
             let samples = rest.rep.samples;
             backfi_obs::counter_add("reader.front.samples", samples.len() as u64);
             sic.recycle(samples);
@@ -1054,7 +1133,7 @@ mod tests {
         let rep = match canceller.process(x, &y, timeline.silent.clone()) {
             Some(rep) => {
                 let mut sic = SicScratch::default();
-                reader.sic_retrain(&canceller, x, &y, timeline, rep, &mut sic)
+                reader.sic_retrain(&canceller, x, &mut &y[..], timeline, rep, &mut sic)
             }
             None => canceller.process(x, &y, fallback_window(&timeline.silent))?,
         };
@@ -1133,25 +1212,51 @@ mod tests {
         Some(reader.finish(branch, frame, tag_cfg))
     }
 
-    /// `decode_with` (through one scratch carried across calls) against
-    /// [`oracle_decode`] on one packet, bit for bit; returns the result.
+    /// A received stream that exposes only the prefix pulled so far, as a
+    /// lazily simulated one does.
+    struct Prefix<'a> {
+        y: &'a [Complex],
+        pulled: usize,
+    }
+
+    impl RxSource for Prefix<'_> {
+        fn packet_len(&self) -> usize {
+            self.y.len()
+        }
+
+        fn pull(&mut self, end: usize) -> &[Complex] {
+            self.pulled = self.pulled.max(end.min(self.y.len()));
+            &self.y[..self.pulled]
+        }
+    }
+
+    /// `decode_with` (through one scratch carried across calls) and
+    /// `decode_from` a stream exposed only as far as it is pulled, each
+    /// against [`oracle_decode`] on one packet, bit for bit; returns the
+    /// result and how far the stream was pulled.
     fn assert_matches_oracle(
         l: &Link,
         cfg: &TagConfig,
         scratch: &mut ReaderScratch,
         label: &str,
-    ) -> TagDecodeResult {
+    ) -> (TagDecodeResult, usize) {
         let reader = BackscatterReader::default();
-        let got = reader.decode_with(&l.x, &l.y, &l.h_env, &l.timeline, cfg, scratch);
-        let want = oracle_decode(&reader, &l.x, &l.y, &l.h_env, &l.timeline, cfg);
-        let (got, want) = match (got, want) {
-            (Ok(g), Some(w)) => (g, w),
-            (g, w) => panic!(
-                "{label}: decode_with {:?} vs oracle {:?}",
-                g.err(),
-                w.is_some()
-            ),
-        };
+        let want = oracle_decode(&reader, &l.x, &l.y, &l.h_env, &l.timeline, cfg)
+            .unwrap_or_else(|| panic!("{label}: oracle failed"));
+        let got = reader
+            .decode_with(&l.x, &l.y, &l.h_env, &l.timeline, cfg, scratch)
+            .unwrap_or_else(|e| panic!("{label}: decode_with {e:?}"));
+        assert_same(&got, &want, label);
+        let mut rx = Prefix { y: &l.y, pulled: 0 };
+        let lazy = reader
+            .decode_from(&l.x, &mut rx, &l.h_env, &l.timeline, cfg, scratch)
+            .unwrap_or_else(|e| panic!("{label}: decode_from {e:?}"));
+        assert_same(&lazy, &want, &format!("{label}, pulled"));
+        (got, rx.pulled)
+    }
+
+    /// Two decodes of one packet agree bit for bit.
+    fn assert_same(got: &TagDecodeResult, want: &TagDecodeResult, label: &str) {
         let bits = |v: f64| v.to_bits();
         assert_eq!(got.payload, want.payload, "{label}");
         assert_eq!(got.decoded_bits, want.decoded_bits, "{label}");
@@ -1192,13 +1297,15 @@ mod tests {
         assert_eq!(taps(&got.h_fb), taps(&want.h_fb), "{label}");
         assert_eq!(got.timing_offset, want.timing_offset, "{label}");
         assert_eq!(bits(got.residual_db), bits(want.residual_db), "{label}");
-        got
     }
 
     /// The frame-bounded front half (cancel and combine through the header
     /// prefix, then through the announced frame or every slot) decodes
     /// exactly what cancelling and combining the whole excitation does, on
-    /// the frame path and on every fallback.
+    /// the frame path and on every fallback, from a complete slice and from
+    /// a stream exposed only as far as it is pulled. (The link-level pin,
+    /// `LinkSimulator::run` against a full-length trial, is in
+    /// `backfi-core`.)
     #[test]
     fn frame_bounded_front_half_matches_full_length_oracle() {
         let mut scratch = ReaderScratch::default();
@@ -1214,8 +1321,9 @@ mod tests {
                 };
                 let l = Link::new(0.5, cfg, 21, |_| {});
                 let label = format!("{} {}", m.label(), r.label());
-                let res = assert_matches_oracle(&l, &cfg, &mut scratch, &label);
+                let (res, pulled) = assert_matches_oracle(&l, &cfg, &mut scratch, &label);
                 assert_eq!(res.payload.as_ref().expect(&label), &l.data, "{label}");
+                assert!(pulled < l.y.len(), "{label}: pulled the whole packet");
             }
         }
 
@@ -1235,8 +1343,9 @@ mod tests {
         for (v, t) in bad.y[header.clone()].iter_mut().zip(&tag[header]) {
             *v -= *t * 2.0;
         }
-        let res = assert_matches_oracle(&bad, &cfg, &mut scratch, "corrupted header");
+        let (res, pulled) = assert_matches_oracle(&bad, &cfg, &mut scratch, "corrupted header");
         assert!(res.payload.is_err());
+        assert!(pulled + sps > bad.y.len(), "every slot: {pulled}");
         assert!(res.symbols.len() > TagFrame::symbol_count(bad.data.len(), &cfg));
 
         // A frame longer than the excitation (the 10 kSPS streaming regime).
@@ -1245,7 +1354,7 @@ mod tests {
             ..cfg
         };
         let l = Link::new(1.0, slow, 23, |_| {});
-        let res = assert_matches_oracle(&l, &slow, &mut scratch, "streaming");
+        let (res, _) = assert_matches_oracle(&l, &slow, &mut scratch, "streaming");
         assert!(TagFrame::symbol_count(l.data.len(), &slow) > res.symbols.len());
 
         // A NaN burst and a railing transient inside the frame: the
@@ -1255,7 +1364,7 @@ mod tests {
             y[at..at + 12].fill(Complex::new(f64::NAN, 0.0));
             y[at + 1000..at + 1040].fill(Complex::new(0.02, -0.02));
         });
-        let res = assert_matches_oracle(&l, &cfg, &mut scratch, "nan + saturation");
+        let (res, _) = assert_matches_oracle(&l, &cfg, &mut scratch, "nan + saturation");
         assert!(res.symbols.iter().any(|s| s.is_erasure()), "no erasure");
         assert_eq!(
             res.symbols.len(),
@@ -1267,8 +1376,30 @@ mod tests {
         let mut l = Link::new(1.0, cfg, 25, |_| {});
         let p = l.timeline.preamble.clone();
         l.x[p.start - 41..p.end + 41].fill(Complex::ZERO);
-        let res = assert_matches_oracle(&l, &cfg, &mut scratch, "re-acquire");
+        let (res, _) = assert_matches_oracle(&l, &cfg, &mut scratch, "re-acquire");
         assert!(res.timing_offset.abs() > 40, "offset {}", res.timing_offset);
+
+        // A railing run of at least `CLIP_RUN_MIN` samples that straddles
+        // the frame's end: a pull that stops at the frame sees only its
+        // head, so the clip scan reads on to the run's end, and the last
+        // frame symbol is erased exactly as the whole-packet scan erases it.
+        let mut l = Link::new(1.0, cfg, 26, |_| {});
+        let res = BackscatterReader::default()
+            .decode(&l.x, &l.y, &l.h_env, &l.timeline, &cfg)
+            .expect("clean decode");
+        let start = (l.timeline.payload.start as isize + res.timing_offset) as usize;
+        let end = start + TagFrame::symbol_count(l.data.len(), &cfg) * sps;
+        l.y[end - 8..end + 12].fill(Complex::new(1.0, -1.0));
+        let (res, pulled) = assert_matches_oracle(&l, &cfg, &mut scratch, "run across the end");
+        assert_eq!(
+            res.symbols.len(),
+            TagFrame::symbol_count(l.data.len(), &cfg)
+        );
+        assert!(res.symbols.last().is_some_and(|s| s.is_erasure()));
+        assert!(
+            (end + 12..end + 12 + 64).contains(&pulled),
+            "pulled {pulled}"
+        );
     }
 
     #[test]
@@ -1459,28 +1590,46 @@ mod tests {
         );
     }
 
-    /// A strong blocker railing the ADC mid-payload: the clipped span's
-    /// symbols become erasures and the decode path must not panic. With a
-    /// short transient the FEC usually still recovers the frame.
+    /// A strong blocker railing the ADC (≈60 dB above the SI level) for
+    /// 300 samples. Inside the announced frame, the clipped span's symbols
+    /// become erasures, counted by `reader.erasures`, and the decode path
+    /// yields finite metrics instead of panicking (15 consecutive erased
+    /// symbols are more than the code corrects). Past the frame, nothing the reader computes sees it: the
+    /// AGC set its gain on the silent window and the front half stops at
+    /// the frame's end, so the decode is the clean one bit for bit.
     #[test]
     fn saturation_transient_is_survivable() {
         backfi_obs::enable();
         let cfg = TagConfig::default();
+        let blast =
+            |at: usize| move |y: &mut [Complex]| y[at..at + 300].fill(Complex::new(1.0, -1.0));
+        let clean = Link::new(1.0, cfg, 42, |_| {});
+        let sps = cfg.samples_per_symbol();
+        let start = clean.timeline.payload.start;
+        let frame_end = start + TagFrame::symbol_count(clean.data.len(), &cfg) * sps;
+
         let before = backfi_obs::counter_value("reader.erasures");
-        let (res, _data) = run_link_mut(1.0, cfg, 42, |y| {
-            let mid = y.len() / 2;
-            for v in &mut y[mid..mid + 300] {
-                *v = Complex::new(1.0, -1.0); // ~60 dB above the SI level
-            }
-        });
-        // Graceful: either a decode attempt (CRC pass or fail) or a typed
-        // error — never a panic or a NaN-poisoned result.
-        if let Ok(r) = res {
-            assert!(
-                r.metrics.symbol_snr_db.is_finite() || r.symbols.iter().all(|s| s.is_erasure())
+        let (res, _) = run_link_mut(1.0, cfg, 42, blast(start + 100 * sps));
+        let res = res.expect("a transient inside the frame decodes");
+        assert!(res.metrics.symbol_snr_db.is_finite());
+        let erased = res.symbols.iter().filter(|s| s.is_erasure()).count();
+        assert!(erased >= 300 / sps, "{erased} erasures");
+        let after = backfi_obs::counter_value("reader.erasures");
+        assert!(after >= before + erased as u64, "{before} -> {after}");
+
+        let reader = BackscatterReader::default();
+        let want = reader
+            .decode(&clean.x, &clean.y, &clean.h_env, &clean.timeline, &cfg)
+            .expect("clean decode");
+        let (got, data) = run_link_mut(1.0, cfg, 42, blast(frame_end + 1000));
+        let got = got.expect("a transient past the frame decodes");
+        assert_eq!(got.payload.as_ref().expect("frame"), &data);
+        assert_eq!(got.symbols.len(), want.symbols.len());
+        for (p, q) in got.symbols.iter().zip(&want.symbols) {
+            assert_eq!(
+                (p.z.re.to_bits(), p.z.im.to_bits()),
+                (q.z.re.to_bits(), q.z.im.to_bits())
             );
-            let after = backfi_obs::counter_value("reader.erasures");
-            assert!(after > before, "clipped span should erase symbols");
         }
     }
 

@@ -76,26 +76,35 @@ impl AnalogCanceller {
     /// Subtract the canceller's reconstruction of the self-interference from
     /// the received signal. `x_clean` is the transmitted baseband (the RF
     /// coupler's copy); both slices must be the same length. Allocating
-    /// wrapper over `cancel_into`.
+    /// wrapper over `cancel_extend`.
     pub fn cancel(&self, x_clean: &[Complex], y_rx: &[Complex]) -> Vec<Complex> {
+        assert_eq!(x_clean.len(), y_rx.len(), "length mismatch");
         let mut out = Vec::new();
-        self.cancel_into(x_clean, y_rx, &mut out);
+        self.cancel_extend(x_clean, y_rx, x_clean.len(), &mut out);
         out
     }
 
-    /// [`AnalogCanceller::cancel`] into a caller-owned buffer: the model is
-    /// filtered into `out`, then subtracted from `y_rx` in place, so no
-    /// second excitation-length buffer exists.
-    pub(crate) fn cancel_into(
+    /// [`AnalogCanceller::cancel`] in extending prefixes: appends the
+    /// post-analog samples `out.len()..end` to `out`, filtering the model
+    /// into `out` and then subtracting it from `y_rx` in place. The model is
+    /// a causal filter of `x_clean` ([`backfi_dsp::fir::filter_extend`]), so
+    /// each appended sample is bit-identical to the same sample of the
+    /// whole-packet `cancel`; `y_rx` needs to reach only `end`. A no-op
+    /// when `end <= out.len()`.
+    pub(crate) fn cancel_extend(
         &self,
         x_clean: &[Complex],
         y_rx: &[Complex],
+        end: usize,
         out: &mut Vec<Complex>,
     ) {
-        assert_eq!(x_clean.len(), y_rx.len(), "length mismatch");
+        let start = out.len();
+        if end <= start {
+            return;
+        }
         let _t = backfi_obs::span("sic.analog.fir");
-        backfi_dsp::fir::filter_into(&self.taps, x_clean, out);
-        for (m, y) in out.iter_mut().zip(y_rx) {
+        backfi_dsp::fir::filter_extend(&self.taps, x_clean, end, out);
+        for (m, y) in out[start..].iter_mut().zip(&y_rx[start..end]) {
             *m = *y - *m;
         }
     }

@@ -6,7 +6,7 @@
 
 use crate::analog::{AnalogCanceller, AnalogConfig};
 use crate::digital::DigitalCanceller;
-use backfi_chan::frontend::Adc;
+use backfi_chan::frontend::{Adc, RxSource};
 use backfi_dsp::{stats, Complex};
 
 /// Full canceller configuration.
@@ -20,7 +20,8 @@ pub struct CancellerConfig {
     pub ridge: f64,
     /// ADC resolution in bits.
     pub adc_bits: u32,
-    /// AGC headroom in dB above the RMS of the post-analog signal.
+    /// AGC headroom in dB above the RMS of the post-analog signal over the
+    /// silent window.
     pub agc_headroom_db: f64,
     /// Set `false` to bypass the analog stage (ablation).
     pub analog_enabled: bool,
@@ -57,36 +58,68 @@ pub struct CancellerReport {
     pub residual_db: f64,
     /// Total cancellation achieved (dB).
     pub cancellation_db: f64,
-    /// Fraction of post-analog samples that clipped in the ADC.
-    pub adc_clip_fraction: f64,
-    /// Maximal runs of consecutive clipped samples (sorted, disjoint).
-    /// Saturation transients show up here as long runs; the reader marks
-    /// heavily clipped symbol windows as erasures.
+    /// Maximal runs of consecutive clipped samples (sorted, disjoint) over
+    /// the samples the ADC's clip scan has covered, which reach at least
+    /// through `samples` and never end inside a run: a run still open where
+    /// the cancelled prefix ends is read to its end. Saturation transients
+    /// show up here as long runs; the reader marks heavily clipped symbol
+    /// windows as erasures.
     pub clip_ranges: Vec<std::ops::Range<usize>>,
-    /// The trained digital stage (`None` when it is disabled), kept so
-    /// [`CancellerReport::extend`] can cancel further samples.
+    /// The ADC the AGC set for the packet.
+    adc: Adc,
+    /// The analog stage, kept so [`CancellerReport::extend`] can cancel
+    /// further samples.
+    analog: AnalogCanceller,
+    /// The trained digital stage (`None` when it is disabled).
     digital: Option<DigitalCanceller>,
+    /// Samples the clip scan has covered, and how many of them clipped.
+    scanned: usize,
+    clipped: usize,
 }
 
 impl CancellerReport {
+    /// Fraction of the post-analog samples the clip scan has covered that
+    /// clipped in the ADC (over the whole packet from
+    /// [`SelfInterferenceCanceller::process`]).
+    pub fn adc_clip_fraction(&self) -> f64 {
+        if self.scanned == 0 {
+            0.0
+        } else {
+            self.clipped as f64 / self.scanned as f64
+        }
+    }
+
     /// Cancel further samples: grow `samples` to the first `end` samples of
-    /// the packet, digitizing the post-analog signal that `scratch` holds as
-    /// far as they reach. `x_clean` and `scratch` must be the ones
+    /// the packet, pulling from `y_rx` what the analog stage and the clip
+    /// scan read. `x_clean`, `y_rx` and `scratch` must be the ones
     /// [`SelfInterferenceCanceller::process_with`] ran on, with no other
-    /// packet processed through `scratch` since. Every sample is
+    /// packet processed through `scratch` since (a retrain of this packet
+    /// through the same prefix may be: the samples it digitized with its
+    /// own gain are ones this report has already cancelled). Every sample is
     /// bit-identical to the same sample of a whole-packet run (see
     /// `process_with`). A no-op when `end <= samples.len()`.
     ///
     /// # Panics
     /// Panics if `end` exceeds the packet length.
-    pub fn extend(&mut self, x_clean: &[Complex], end: usize, scratch: &mut SicScratch) {
+    pub fn extend(
+        &mut self,
+        x_clean: &[Complex],
+        y_rx: &mut dyn RxSource,
+        end: usize,
+        scratch: &mut SicScratch,
+    ) {
         let start = self.samples.len();
         if end <= start {
             return;
         }
+        assert!(end <= x_clean.len(), "end out of range");
+        assert!(
+            scratch.digitized <= start || scratch.adc == self.adc,
+            "the scratch holds samples digitized for another gain"
+        );
         {
             let _t = backfi_obs::span("sic.adc");
-            scratch.digitize_to(end);
+            self.digitize_to(x_clean, y_rx, end, scratch);
         }
         match &self.digital {
             Some(dig) => {
@@ -94,6 +127,49 @@ impl CancellerReport {
                 dig.cancel_extend(x_clean, &scratch.analog, end, &mut self.samples);
             }
             None => self.samples.extend_from_slice(&scratch.analog[start..end]),
+        }
+    }
+
+    /// Digitize the post-analog signal through sample `end`: analog-cancel
+    /// as far as the clip scan reads, scan for clipping (on past `end`
+    /// while a run is open, so the scan never ends inside a run), then
+    /// quantize in place. The scan runs before the quantize, which rounds
+    /// near-full-scale samples onto the rails.
+    fn digitize_to(
+        &mut self,
+        x_clean: &[Complex],
+        y_rx: &mut dyn RxSource,
+        end: usize,
+        scratch: &mut SicScratch,
+    ) {
+        /// Samples read past the end per step while a clipped run is open.
+        const READ_PAST: usize = 64;
+        let n = x_clean.len();
+        let mut to = end;
+        loop {
+            let y = y_rx.pull(to);
+            self.analog
+                .cancel_extend(x_clean, y, to, &mut scratch.analog);
+            if self.scanned < to {
+                self.clipped +=
+                    self.adc
+                        .clip_scan(&scratch.analog[..to], self.scanned, &mut self.clip_ranges);
+                self.scanned = to;
+            }
+            let open = self
+                .clip_ranges
+                .last()
+                .is_some_and(|r| r.end == self.scanned);
+            if !open || self.scanned == n {
+                break;
+            }
+            to = (self.scanned + READ_PAST).min(n);
+        }
+        if end > scratch.digitized {
+            self.adc
+                .quantize(&mut scratch.analog[scratch.digitized..end]);
+            scratch.digitized = end;
+            scratch.adc = self.adc;
         }
     }
 }
@@ -122,7 +198,8 @@ impl SelfInterferenceCanceller {
     /// * `x_clean` — transmitted baseband (with TX power applied),
     /// * `y_rx` — received samples (same length),
     /// * `silent` — sample range within which the tag is known silent
-    ///   (used to train the digital stage and to report residuals).
+    ///   (used to set the AGC, to train the digital stage and to report
+    ///   residuals).
     ///
     /// Returns `None` when digital training fails (window too short).
     /// Allocating wrapper over [`SelfInterferenceCanceller::process_with`],
@@ -130,30 +207,37 @@ impl SelfInterferenceCanceller {
     pub fn process(
         &self,
         x_clean: &[Complex],
-        y_rx: &[Complex],
+        mut y_rx: &[Complex],
         silent: std::ops::Range<usize>,
     ) -> Option<CancellerReport> {
         let n = y_rx.len();
-        self.process_with(x_clean, y_rx, silent, n, &mut SicScratch::default())
+        self.process_with(x_clean, &mut y_rx, silent, n, &mut SicScratch::default())
     }
 
     /// [`SelfInterferenceCanceller::process`] over reusable buffers, and
     /// only as far as the caller needs: the report's `samples` cover the
     /// first `end` samples (at least through the silent window), and
-    /// [`CancellerReport::extend`] cancels more later.
+    /// [`CancellerReport::extend`] cancels more later. `y_rx` is pulled
+    /// only as far as that reads.
     ///
-    /// What depends on every sample runs over every sample here: the analog
-    /// stage subtracts its model into `scratch`'s post-analog buffer, the
-    /// AGC sets the ADC's full scale from that buffer's rms, and the ADC's
-    /// clip scan yields `adc_clip_fraction` and `clip_ranges`. What is
-    /// causal or per-sample runs over a prefix: the ADC quantizes the buffer
-    /// in place only as far as it has been asked to, and the digital stage
-    /// (trained on the silent window) subtracts its causal FIR model into
-    /// the recycled output buffer that the report's `samples` then owns. A
-    /// prefix of either is bit-identical to the same samples of the whole,
-    /// so a report extended to the packet length equals the one `process`
-    /// returns. Hand `samples` back with [`SicScratch::recycle`] once the
-    /// report is consumed.
+    /// Every stage is causal, so a prefix of the output is bit-identical to
+    /// the same samples of the whole, and a report extended to the packet
+    /// length equals the one `process` returns:
+    /// * the analog stage subtracts its causal FIR model into `scratch`'s
+    ///   post-analog buffer;
+    /// * the AGC sets the ADC's full scale once, from the rms of the
+    ///   post-analog samples over the silent window (nothing after its
+    ///   end), and holds it for the packet, as a front end settles its gain
+    ///   before the tag speaks;
+    /// * the ADC scans that buffer for clipping and then quantizes it in
+    ///   place (the scan runs on while a clipped run is open, see
+    ///   [`CancellerReport::clip_ranges`]);
+    /// * the digital stage, trained on the silent window, subtracts its
+    ///   causal FIR model into the recycled output buffer that the report's
+    ///   `samples` then owns.
+    ///
+    /// Hand `samples` back with [`SicScratch::recycle`] once the report is
+    /// consumed.
     ///
     /// # Panics
     /// Panics if the lengths differ, or `silent` or `end` run past the
@@ -161,22 +245,26 @@ impl SelfInterferenceCanceller {
     pub fn process_with(
         &self,
         x_clean: &[Complex],
-        y_rx: &[Complex],
+        y_rx: &mut dyn RxSource,
         silent: std::ops::Range<usize>,
         end: usize,
         scratch: &mut SicScratch,
     ) -> Option<CancellerReport> {
-        assert_eq!(x_clean.len(), y_rx.len(), "length mismatch");
-        assert!(silent.end <= y_rx.len(), "silent window out of range");
-        assert!(end <= y_rx.len(), "end out of range");
+        let n = x_clean.len();
+        assert_eq!(n, y_rx.packet_len(), "length mismatch");
+        assert!(silent.end <= n, "silent window out of range");
+        assert!(end <= n, "end out of range");
         let end = end.max(silent.end);
-        let input_si_db = stats::db(stats::mean_power(&y_rx[silent.clone()]));
+        let y = y_rx.pull(end);
+        let input_si_db = stats::db(stats::mean_power(&y[silent.clone()]));
 
-        // Stage 1: analog subtraction.
+        // Stage 1: analog subtraction through the silent window.
         let after_analog = &mut scratch.analog;
+        after_analog.clear();
         {
             let _t = backfi_obs::span("sic.analog");
-            self.analog.cancel_into(x_clean, y_rx, after_analog);
+            self.analog
+                .cancel_extend(x_clean, y, silent.end, after_analog);
         }
         if backfi_obs::enabled() {
             // Residual power after the analog stage alone — the Fig. 11a
@@ -190,28 +278,36 @@ impl SelfInterferenceCanceller {
             backfi_obs::probe("sic.input_si_db", input_si_db);
         }
 
-        // AGC + ADC: full scale and clip scan over the whole packet, then
-        // quantize the post-analog buffer in place over the prefix.
-        let (adc_clip_fraction, clip_ranges) = {
-            let _t = backfi_obs::span("sic.adc");
-            let rms = stats::rms(after_analog);
-            let full_scale = rms * 10f64.powf(self.cfg.agc_headroom_db / 20.0);
-            scratch.adc = Adc {
+        // AGC + ADC: full scale from the silent window's post-analog rms,
+        // then clip scan and quantize over the prefix.
+        let rms = stats::rms(&after_analog[silent.clone()]);
+        let full_scale = rms * 10f64.powf(self.cfg.agc_headroom_db / 20.0);
+        let mut samples = std::mem::take(&mut scratch.samples);
+        samples.clear();
+        let mut rep = CancellerReport {
+            samples,
+            input_si_db,
+            residual_db: 0.0,
+            cancellation_db: 0.0,
+            clip_ranges: Vec::new(),
+            adc: Adc {
                 bits: self.cfg.adc_bits,
                 full_scale: full_scale.max(1e-30),
-            };
-            let (adc_clip_fraction, clip_ranges) = scratch.adc.clip_scan(&scratch.analog);
-            backfi_obs::probe("sic.adc_clip_fraction", adc_clip_fraction);
-            scratch.digitized = 0;
-            scratch.digitize_to(end);
-            (adc_clip_fraction, clip_ranges)
+            },
+            analog: self.analog.clone(),
+            digital: None,
+            scanned: 0,
+            clipped: 0,
         };
+        scratch.digitized = 0;
+        {
+            let _t = backfi_obs::span("sic.adc");
+            rep.digitize_to(x_clean, y_rx, end, scratch);
+        }
         let digitized = &scratch.analog;
 
         // Stage 2: digital subtraction, trained on the silent window.
-        let mut samples = std::mem::take(&mut scratch.samples);
-        samples.clear();
-        let digital = if self.cfg.digital_enabled {
+        if self.cfg.digital_enabled {
             let _t = backfi_obs::span("sic.digital");
             // `train` records its own `sic.digital.train` span.
             let dig = DigitalCanceller::train(
@@ -221,44 +317,36 @@ impl SelfInterferenceCanceller {
                 self.cfg.ridge,
             );
             let Some(dig) = dig else {
-                scratch.samples = samples;
+                scratch.samples = rep.samples;
                 return None;
             };
             let _t = backfi_obs::span("sic.digital.apply");
-            dig.cancel_extend(x_clean, digitized, end, &mut samples);
-            Some(dig)
+            dig.cancel_extend(x_clean, digitized, end, &mut rep.samples);
+            rep.digital = Some(dig);
         } else {
-            samples.extend_from_slice(&digitized[..end]);
-            None
-        };
+            rep.samples.extend_from_slice(&digitized[..end]);
+        }
 
-        let residual_db = stats::db(stats::mean_power(
-            &samples[trim(&silent, self.cfg.digital_taps)],
+        rep.residual_db = stats::db(stats::mean_power(
+            &rep.samples[trim(&silent, self.cfg.digital_taps)],
         ));
-        backfi_obs::probe("sic.residual_db", residual_db);
-        Some(CancellerReport {
-            cancellation_db: input_si_db - residual_db,
-            input_si_db,
-            residual_db,
-            adc_clip_fraction,
-            clip_ranges,
-            samples,
-            digital,
-        })
+        rep.cancellation_db = input_si_db - rep.residual_db;
+        backfi_obs::probe("sic.residual_db", rep.residual_db);
+        Some(rep)
     }
 }
 
 /// The canceller's excitation-length buffers, kept by a caller that
 /// cancels many packets so each run reuses their capacity: the post-analog
-/// signal, digitized in place as far as the packet's reports have been
-/// cancelled (with the ADC the AGC set for it), and a recycled output
-/// buffer.
+/// signal, digitized in place (with the ADC the AGC set for the packet) as
+/// far as the packet's reports have been cancelled and analog beyond, and
+/// a recycled output buffer.
 #[derive(Debug, Default)]
 pub struct SicScratch {
     analog: Vec<Complex>,
-    adc: Adc,
-    /// `analog[..digitized]` is quantized, the rest still analog.
+    /// `analog[..digitized]` is quantized with `adc`, the rest still analog.
     digitized: usize,
+    adc: Adc,
     samples: Vec<Complex>,
 }
 
@@ -269,14 +357,6 @@ impl SicScratch {
     pub fn recycle(&mut self, samples: Vec<Complex>) {
         if samples.capacity() > self.samples.capacity() {
             self.samples = samples;
-        }
-    }
-
-    /// Quantize the post-analog buffer through sample `end`.
-    fn digitize_to(&mut self, end: usize) {
-        if end > self.digitized {
-            self.adc.quantize(&mut self.analog[self.digitized..end]);
-            self.digitized = end;
         }
     }
 }
@@ -318,9 +398,9 @@ mod tests {
         let c = SelfInterferenceCanceller::new(CancellerConfig::default(), &h_env);
         let rep = c.process(&x, &y, 0..320).unwrap();
         assert!(
-            rep.adc_clip_fraction < 0.01,
+            rep.adc_clip_fraction() < 0.01,
             "clip {}",
-            rep.adc_clip_fraction
+            rep.adc_clip_fraction()
         );
         let excess = rep.residual_db - db(noise);
         assert!(
@@ -402,7 +482,7 @@ mod tests {
     #[test]
     fn clip_ranges_account_for_every_clipped_sample() {
         // A blocker transient far above the stream rms rails the ADC (the
-        // AGC tracks the whole-packet rms, not the burst). The reported runs
+        // AGC set its gain on the silent window, before the burst). The reported runs
         // must cover exactly the clipped fraction and be maximal (sorted,
         // with a gap between consecutive runs) and include the burst span.
         let (x, mut y, h_env) = scene(6, 4000, 1e-9);
@@ -419,7 +499,7 @@ mod tests {
         let rep = c.process(&x, &y, 0..320).unwrap();
         let total: usize = rep.clip_ranges.iter().map(|r| r.len()).sum();
         assert!(total >= burst.len(), "burst should saturate: {total}");
-        assert!((total as f64 / rep.samples.len() as f64 - rep.adc_clip_fraction).abs() < 1e-12);
+        assert!((total as f64 / rep.samples.len() as f64 - rep.adc_clip_fraction()).abs() < 1e-12);
         for w in rep.clip_ranges.windows(2) {
             assert!(w[0].end < w[1].start, "runs must be maximal and sorted");
         }
@@ -446,7 +526,9 @@ mod tests {
             };
             let c = SelfInterferenceCanceller::new(cfg, &h_env);
             let want = c.process(&x, &y, 0..320).unwrap();
-            let got = c.process_with(&x, &y, 0..320, n, &mut scratch).unwrap();
+            let got = c
+                .process_with(&x, &mut &y[..], 0..320, n, &mut scratch)
+                .unwrap();
             assert_eq!(bits(&got.samples), bits(&want.samples));
             assert_eq!(got.residual_db.to_bits(), want.residual_db.to_bits());
             assert_eq!(got.clip_ranges, want.clip_ranges);
@@ -454,11 +536,32 @@ mod tests {
         }
     }
 
+    /// A received stream that records how far it was pulled.
+    struct Counted<'a> {
+        y: &'a [Complex],
+        pulled: usize,
+    }
+
+    impl RxSource for Counted<'_> {
+        fn packet_len(&self) -> usize {
+            self.y.len()
+        }
+
+        fn pull(&mut self, end: usize) -> &[Complex] {
+            self.pulled = self.pulled.max(end.min(self.y.len()));
+            &self.y[..self.pulled]
+        }
+    }
+
     /// A report cancelled over a prefix and extended in steps equals the
     /// whole-packet report bit for bit, with either stage bypassed, with a
-    /// late clipping burst that only the whole-packet AGC and clip scan see,
-    /// and with a second training (the reader's retrain) run through the
-    /// same scratch between the steps.
+    /// clipping burst that straddles an extension's end, and with a second
+    /// training (the reader's retrain) run through the same scratch
+    /// between the steps, whichever of the two goes on. The front end is
+    /// causal: the AGC sets its gain on the silent window, so a late
+    /// clipping burst changes no sample before it, and the received stream is pulled only
+    /// as far as the report reads, plus the end of a clipped run that is
+    /// open where an extension ends.
     #[test]
     fn extended_prefix_matches_process_bitwise() {
         let bits = |v: &[Complex]| -> Vec<(u64, u64)> {
@@ -467,8 +570,10 @@ mod tests {
         let mut scratch = SicScratch::default();
         for (seed, analog, digital) in [(11u64, true, true), (12, false, true), (13, true, false)] {
             let n = 4000;
-            let (x, mut y, h_env) = scene(seed, n, 1e-9);
-            let amp = 1e3 * stats::rms(&y);
+            let (x, clean, h_env) = scene(seed, n, 1e-9);
+            let amp = 1e3 * stats::rms(&clean);
+            let mut y = clean.clone();
+            y[990..1030].fill(Complex::new(amp, -amp));
             y[3500..3540].fill(Complex::new(amp, -amp));
             let cfg = CancellerConfig {
                 analog_enabled: analog,
@@ -477,30 +582,60 @@ mod tests {
             };
             let c = SelfInterferenceCanceller::new(cfg, &h_env);
             let want = c.process(&x, &y, 0..320).unwrap();
-            let mut got = c.process_with(&x, &y, 0..320, 100, &mut scratch).unwrap();
-            assert_eq!(
-                got.samples.len(),
-                320,
-                "the silent window is always cancelled"
-            );
-            got.extend(&x, 1001, &mut scratch);
-            got.extend(&x, 999, &mut scratch);
-            assert_eq!(got.samples.len(), 1001);
-            let mut retrained = c.process_with(&x, &y, 160..320, 500, &mut scratch).unwrap();
-            got.extend(&x, n, &mut scratch);
-            assert_eq!(bits(&got.samples), bits(&want.samples));
-            assert_eq!(got.residual_db.to_bits(), want.residual_db.to_bits());
-            assert_eq!(
-                got.adc_clip_fraction.to_bits(),
-                want.adc_clip_fraction.to_bits()
-            );
-            assert_eq!(got.clip_ranges, want.clip_ranges);
-            assert!(!got.clip_ranges.is_empty());
             let want2 = c.process(&x, &y, 160..320).unwrap();
-            retrained.extend(&x, n, &mut scratch);
-            assert_eq!(bits(&retrained.samples), bits(&want2.samples));
-            scratch.recycle(got.samples);
-            scratch.recycle(retrained.samples);
+            // The retrain sets its own gain on its own window; either report
+            // goes on, as the reader keeps one.
+            for keep_first in [true, false] {
+                let mut rx = Counted { y: &y, pulled: 0 };
+                let mut got = c
+                    .process_with(&x, &mut rx, 0..320, 100, &mut scratch)
+                    .unwrap();
+                assert_eq!(
+                    got.samples.len(),
+                    320,
+                    "the silent window is always cancelled"
+                );
+                assert_eq!(rx.pulled, 320, "pulled past the silent window");
+                got.extend(&x, &mut rx, 1001, &mut scratch);
+                got.extend(&x, &mut rx, 999, &mut scratch);
+                assert_eq!(got.samples.len(), 1001);
+                assert!(
+                    (1030..1030 + 64).contains(&rx.pulled),
+                    "the burst open at 1001 is read to its end: {}",
+                    rx.pulled
+                );
+                assert_eq!(got.clip_ranges.last(), Some(&(990..1030)));
+                let retrained = c
+                    .process_with(&x, &mut rx, 160..320, 1001, &mut scratch)
+                    .unwrap();
+                let (mut kept, spare, whole) = if keep_first {
+                    (got, retrained, &want)
+                } else {
+                    (retrained, got, &want2)
+                };
+                scratch.recycle(spare.samples);
+                kept.extend(&x, &mut rx, n, &mut scratch);
+                assert_eq!(bits(&kept.samples), bits(&whole.samples));
+                assert_eq!(kept.residual_db.to_bits(), whole.residual_db.to_bits());
+                assert_eq!(
+                    kept.adc_clip_fraction().to_bits(),
+                    whole.adc_clip_fraction().to_bits()
+                );
+                assert_eq!(kept.clip_ranges, whole.clip_ranges);
+                scratch.recycle(kept.samples);
+            }
+
+            // Causal gain: without the late burst every earlier sample is
+            // the same, and only the burst's run is missing.
+            let mut early = clean;
+            early[990..1030].fill(Complex::new(amp, -amp));
+            let early = c.process(&x, &early, 0..320).unwrap();
+            assert_eq!(bits(&early.samples[..3500]), bits(&want.samples[..3500]));
+            assert_eq!(
+                early.clip_ranges[..],
+                want.clip_ranges[..want.clip_ranges.len() - 1]
+            );
+            assert!(want.clip_ranges.last().unwrap().start >= 3500);
         }
     }
 

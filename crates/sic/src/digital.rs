@@ -40,6 +40,7 @@ impl DigitalCanceller {
     /// Subtract the reconstructed interference from `y` over the whole
     /// packet. Allocating wrapper over `cancel_extend`.
     pub fn cancel(&self, x_clean: &[Complex], y: &[Complex]) -> Vec<Complex> {
+        assert_eq!(x_clean.len(), y.len(), "length mismatch");
         let mut out = Vec::new();
         self.cancel_extend(x_clean, y, x_clean.len(), &mut out);
         out
@@ -50,7 +51,7 @@ impl DigitalCanceller {
     /// already holds untouched. The model is a causal filter of `x_clean`
     /// ([`backfi_dsp::fir::filter_extend`]), so each appended sample is
     /// bit-identical to the same sample of the whole-packet `cancel`; only
-    /// `y[out.len()..end]` is read.
+    /// `y[out.len()..end]` is read, so `y` needs to reach only `end`.
     pub(crate) fn cancel_extend(
         &self,
         x_clean: &[Complex],
@@ -58,7 +59,7 @@ impl DigitalCanceller {
         end: usize,
         out: &mut Vec<Complex>,
     ) {
-        assert_eq!(x_clean.len(), y.len(), "length mismatch");
+        assert!(end <= y.len(), "end out of range");
         let _t = backfi_obs::span("sic.digital.cancel");
         let start = out.len();
         backfi_dsp::fir::filter_extend(&self.taps, x_clean, end, out);

@@ -27,5 +27,6 @@ pub mod digital;
 pub mod estimator;
 pub mod linalg;
 
+pub use backfi_chan::frontend::RxSource;
 pub use canceller::{CancellerConfig, CancellerReport, SelfInterferenceCanceller, SicScratch};
 pub use estimator::{estimate_fir, estimate_fir_masked};

@@ -117,6 +117,30 @@ impl Tag {
         self.react_append(incident, gamma);
     }
 
+    /// [`Tag::react_into`] in extending prefixes: appends the coefficients
+    /// of samples `gamma.len()..end` of `incident` to `gamma`. The state
+    /// machine walks its input in comparator-bit chunks of
+    /// [`SAMPLES_PER_BIT`] samples counted from the call's first sample, so
+    /// a prefix that ends on a bit boundary leaves the tag exactly where one
+    /// whole-packet call would be at that sample, and every appended
+    /// coefficient is the one `react_into` gives. A no-op when
+    /// `end <= gamma.len()`.
+    ///
+    /// # Panics
+    /// Panics if `gamma.len()` is not a multiple of [`SAMPLES_PER_BIT`], or
+    /// `end > incident.len()`.
+    pub fn react_extend(&mut self, incident: &[Complex], end: usize, gamma: &mut Vec<Complex>) {
+        let start = gamma.len();
+        if end <= start {
+            return;
+        }
+        assert!(
+            start.is_multiple_of(SAMPLES_PER_BIT),
+            "a reaction extends from a comparator-bit boundary"
+        );
+        self.react_append(&incident[start..end], gamma);
+    }
+
     /// The state machine behind [`Tag::react_into`]: appends one
     /// coefficient per incident sample to `gamma`.
     fn react_append(&mut self, incident: &[Complex], gamma: &mut Vec<Complex>) {
@@ -341,6 +365,37 @@ mod tests {
             chunked.extend(b.react(c));
         }
         assert_eq!(block, chunked);
+    }
+
+    #[test]
+    fn extended_reaction_matches_block() {
+        // Extensions on comparator-bit boundaries, the last one ragged,
+        // across the wake-up, the silent period, the preamble and payload.
+        let cfg = TagConfig::default();
+        let x = excitation(7, 1e-2, 150.0);
+        let mut a = Tag::new(7, cfg);
+        a.load_data(&[3; 10]);
+        let block = a.react(&x);
+        let mut b = Tag::new(7, cfg);
+        b.load_data(&[3; 10]);
+        let (mut gamma, mut len) = (Vec::new(), 0);
+        for end in [0, 40, 20, 420, 440, 1000, 2000, 2000, x.len()] {
+            b.react_extend(&x, end, &mut gamma);
+            len = len.max(end);
+            assert_eq!(gamma.len(), len);
+        }
+        assert_eq!(block, gamma);
+        assert_eq!(a.state(), b.state());
+    }
+
+    #[test]
+    #[should_panic(expected = "comparator-bit boundary")]
+    fn reaction_extends_only_from_a_bit_boundary() {
+        let x = excitation(7, 1e-2, 10.0);
+        let mut tag = Tag::new(7, TagConfig::default());
+        let mut gamma = Vec::new();
+        tag.react_extend(&x, 30, &mut gamma);
+        tag.react_extend(&x, 60, &mut gamma);
     }
 
     #[test]
