@@ -218,6 +218,8 @@ mod tests {
             ("--impair --quick", "--impair requires a value"),
             ("--impair bogus:xyz", "--impair \"bogus:xyz\""),
             ("--impair bogus:xyz --impair off", "--impair \"bogus:xyz\""),
+            ("--impair cfo:nan", "--impair \"cfo:nan\""),
+            ("--impair drift:-1", "--impair \"drift:-1\""),
             ("--cache", "--cache requires a value"),
             ("--cache --quick", "--cache requires a value"),
             ("--quikc", "unknown argument \"--quikc\""),

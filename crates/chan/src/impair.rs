@@ -223,17 +223,22 @@ impl Impairments {
     /// Parse a spec like `"cfo:0.5,drift:1"`, `"all:0.25"` or `"off"`.
     ///
     /// Tokens are `mode[:intensity]` with intensity defaulting to `0.5`;
-    /// modes merge field-wise. Recognized mode names are the
-    /// [`ImpairmentMode::name`] tokens plus `all` and `off`.
+    /// an intensity that is not a number in `[0, 1]` (NaN, ±∞, negative or
+    /// above one) is an error. Modes merge field-wise. Recognized mode
+    /// names are the [`ImpairmentMode::name`] tokens plus `all` and `off`.
     pub fn parse(spec: &str) -> Result<Impairments, String> {
         let mut imp = Impairments::off();
         for token in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
             let (name, val) = match token.split_once(':') {
                 Some((n, v)) => {
-                    let i: f64 = v
+                    let i = v
                         .trim()
-                        .parse()
-                        .map_err(|_| format!("bad intensity {v:?} in {token:?}"))?;
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|i| (0.0..=1.0).contains(i))
+                        .ok_or_else(|| {
+                            format!("bad intensity {v:?} in {token:?} (want a number in [0, 1])")
+                        })?;
                     (n.trim(), i)
                 }
                 None => (token, 0.5),
@@ -570,6 +575,17 @@ mod tests {
         );
         assert!(Impairments::parse("bogus:1").is_err());
         assert!(Impairments::parse("cfo:wat").is_err());
+        for bad in [
+            "cfo:nan",
+            "drift:-1",
+            "all:inf",
+            "saturation:-inf",
+            "cfo:1.5",
+        ] {
+            let err = Impairments::parse(bad).unwrap_err();
+            assert!(err.contains("bad intensity"), "{bad}: {err}");
+        }
+        assert_eq!(Impairments::parse("cfo:0,drift:1").unwrap().cfo_hz, 0.0);
     }
 
     #[test]

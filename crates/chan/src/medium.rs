@@ -51,12 +51,11 @@ impl MediumConfig {
     }
 }
 
-/// Reusable buffers for [`BackscatterMedium::propagate_into`] and
-/// [`BackscatterMedium::propagate_extend`]: the TX-plus-noise wave, the
-/// tag-modulated wave and the backward leg's output, each as far as the
-/// received signal has been propagated. A caller that propagates many times
-/// keeps one so each propagation reuses their capacity instead of
-/// allocating.
+/// Reusable buffers for [`BackscatterMedium::propagate_extend`]: the
+/// TX-plus-noise wave, the tag-modulated wave and the backward leg's
+/// output, each as far as the received signal has been propagated. A
+/// caller that propagates many times keeps one so each propagation reuses
+/// their capacity instead of allocating.
 #[derive(Debug, Default)]
 pub struct PropagateScratch {
     tx: Vec<Complex>,
@@ -131,9 +130,10 @@ impl BackscatterMedium {
     ///
     /// Returns the signal at the reader's receive port (before analog
     /// cancellation and the ADC). Length equals `x.len()` plus the channel
-    /// tails. Allocating wrapper over [`Self::propagate_into`]: scales `x`
-    /// to the TX amplitude and convolves it with `h_f` over the full output
-    /// length, so a `gamma` longer than `x` also modulates the `h_f` tail.
+    /// tails. Allocating wrapper over one whole [`Self::propagate_extend`]:
+    /// scales `x` to the TX amplitude and convolves it with `h_f` over the
+    /// full output length, so a `gamma` longer than `x` also modulates the
+    /// `h_f` tail.
     ///
     /// # Panics
     /// Panics if `gamma` is shorter than `x`.
@@ -144,14 +144,16 @@ impl BackscatterMedium {
         );
         let a = self.budget.tx_power().sqrt();
         let x_scaled: Vec<Complex> = x.iter().map(|&v| v * a).collect();
+        let end = self.out_len(x.len());
         let mut padded = x_scaled.clone();
-        padded.resize(self.out_len(x.len()), Complex::ZERO);
+        padded.resize(end, Complex::ZERO);
         let incident = filter(&self.h_f, &padded);
         let mut y = Vec::new();
-        self.propagate_into(
+        self.propagate_extend(
             &x_scaled,
             &incident,
             gamma,
+            end,
             &mut PropagateScratch::default(),
             &mut y,
         );
@@ -164,46 +166,20 @@ impl BackscatterMedium {
         n + self.h_env.len().max(self.h_f.len() + self.h_b.len())
     }
 
-    /// [`Self::propagate`] from the wave the tag already saw, into `y`.
+    /// [`Self::propagate`] from the wave the tag already saw, in extending
+    /// prefixes: appends the received samples `y.len()..end` to `y`.
     ///
     /// * `x_scaled` — the excitation at TX amplitude (`√P_tx · x`),
-    /// * `incident` — `h_f ∗ x_scaled`, the wave at the tag's antenna (at
-    ///   least `x_scaled.len()` samples; a longer one carries the `h_f` tail),
-    /// * `gamma` — the tag's reflection coefficient per sample (at least as
-    ///   long as `x_scaled`).
+    /// * `incident` — `h_f ∗ x_scaled`, the wave at the tag's antenna (a
+    ///   longer one carries the `h_f` tail),
+    /// * `gamma` — the tag's reflection coefficient per sample.
     ///
-    /// The backscatter path modulates `incident[i]·gamma[i]` wherever both
-    /// exist, so `h_f` is convolved once per trial (by the caller, for the
-    /// tag) and the scaled excitation is never rebuilt. `y` is cleared and
-    /// refilled with `x_scaled.len()` plus the longest channel tail samples
-    /// by one [`Self::propagate_extend`] from the start; `scratch` holds the
-    /// intermediate signals. Every buffer is overwritten before it is read,
-    /// so reusing them across trials changes no output bit.
-    ///
-    /// # Panics
-    /// Panics if `gamma` or `incident` is shorter than `x_scaled`.
-    pub fn propagate_into(
-        &mut self,
-        x_scaled: &[Complex],
-        incident: &[Complex],
-        gamma: &[Complex],
-        scratch: &mut PropagateScratch,
-        y: &mut Vec<Complex>,
-    ) {
-        let n = x_scaled.len();
-        assert!(gamma.len() >= n, "gamma must cover the whole excitation");
-        assert!(
-            incident.len() >= n,
-            "incident must cover the whole excitation"
-        );
-        y.clear();
-        self.propagate_extend(x_scaled, incident, gamma, self.out_len(n), scratch, y);
-    }
-
-    /// [`Self::propagate_into`] in extending prefixes: appends the received
-    /// samples `y.len()..end` to `y`. An empty `y` starts a propagation;
-    /// otherwise `y` and `scratch` must hold what earlier extensions of
-    /// this propagation left. Every path is causal (the three FIRs extend
+    /// `h_f` is thus convolved once per trial (by the caller, for the tag)
+    /// and the scaled excitation is never rebuilt. An empty `y` starts a
+    /// propagation and overwrites `scratch` before reading it, so buffers
+    /// reused across trials change no output bit; otherwise `y` and
+    /// `scratch` must hold what earlier extensions of this propagation
+    /// left. Every path is causal (the three FIRs extend
     /// through [`backfi_dsp::fir::filter_extend`]) and each noise source
     /// draws sample `i` of a call from lane `i mod 4`, so an extension that
     /// starts on a multiple of [`NOISE_LANES`] appends exactly the samples
@@ -368,9 +344,10 @@ mod tests {
 
     #[test]
     fn propagate_into_matches_propagate_with_reused_buffers() {
-        // The link's form: the tag's incident wave `h_f ∗ (a·x)` over the
-        // excitation only, Γ as long as x. Bit-identical to `propagate`,
-        // also when the scratch and output carry a longer earlier signal.
+        // The link's form: one whole `propagate_extend` from the tag's
+        // incident wave `h_f ∗ (a·x)` over the excitation only, Γ as long as
+        // x. Bit-identical to `propagate`, also when the scratch carries a
+        // longer earlier signal.
         let budget = LinkBudget::default();
         let a = budget.tx_power().sqrt();
         let mut scratch = PropagateScratch::default();
@@ -385,37 +362,54 @@ mod tests {
             let mut m = BackscatterMedium::new(budget, cfg, seed);
             let x_scaled: Vec<Complex> = x.iter().map(|&v| v * a).collect();
             let incident = filter(&m.h_f, &x_scaled);
-            m.propagate_into(&x_scaled, &incident, &gamma, &mut scratch, &mut y);
-            assert_eq!(y.len(), want.len());
-            for (p, q) in y.iter().zip(&want) {
-                assert_eq!(
-                    (p.re.to_bits(), p.im.to_bits()),
-                    (q.re.to_bits(), q.im.to_bits())
-                );
-            }
+            y.clear();
+            m.propagate_extend(
+                &x_scaled,
+                &incident,
+                &gamma,
+                want.len(),
+                &mut scratch,
+                &mut y,
+            );
+            assert_eq!(bits(&y), bits(&want));
         }
+    }
+
+    fn bits(v: &[Complex]) -> Vec<(u64, u64)> {
+        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
     }
 
     #[test]
     fn extended_propagation_matches_propagate_into() {
         // The lazy link's form: the tag's wave known only as far as the
         // received signal is asked for, extensions on noise-lane boundaries,
-        // the last one ragged and through the channel tails.
+        // the last one ragged and through the channel tails, into a scratch
+        // a longer earlier propagation left dirty.
         let budget = LinkBudget::default();
         let a = budget.tx_power().sqrt();
         let n = 1500;
-        let x_scaled: Vec<Complex> = unit_tone(n).iter().map(|&v| v * a).collect();
+        let x = unit_tone(n);
+        let x_scaled: Vec<Complex> = x.iter().map(|&v| v * a).collect();
         let gamma: Vec<Complex> = (0..n)
             .map(|i| Complex::exp_j(i as f64 * 0.37) * ((i / 40) % 2) as f64)
             .collect();
         let cfg = MediumConfig::at_distance(1.5);
-        let mut m = BackscatterMedium::new(budget, cfg, 4);
-        let incident = filter(&m.h_f, &x_scaled);
-        let mut want = Vec::new();
+        let want = BackscatterMedium::new(budget, cfg, 4).propagate(&x, &gamma);
+
         let mut scratch = PropagateScratch::default();
-        m.propagate_into(&x_scaled, &incident, &gamma, &mut scratch, &mut want);
+        let mut dirty = Vec::new();
+        let long = vec![Complex::ONE; 2 * n];
+        BackscatterMedium::new(budget, cfg, 9).propagate_extend(
+            &long,
+            &long,
+            &long,
+            2 * n,
+            &mut scratch,
+            &mut dirty,
+        );
 
         let mut m = BackscatterMedium::new(budget, cfg, 4);
+        let incident = filter(&m.h_f, &x_scaled);
         let (mut y, mut len) = (Vec::new(), 0);
         for end in [0, 8, 4, 400, 1060, n, want.len()] {
             let known = end.min(n);
@@ -430,9 +424,6 @@ mod tests {
             len = len.max(end);
             assert_eq!(y.len(), len);
         }
-        let bits = |v: &[Complex]| -> Vec<(u64, u64)> {
-            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
-        };
         assert_eq!(bits(&y), bits(&want));
     }
 

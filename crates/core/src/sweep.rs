@@ -12,7 +12,6 @@
 //! jobs simply run sequentially).
 
 pub mod cache;
-pub mod codec;
 
 use crate::link::{LinkConfig, LinkReport, LinkSimulator};
 use backfi_chan::impair::Impairments;
@@ -323,27 +322,9 @@ impl RunContext {
     /// stats are identical for any worker count, cached or not. Returns one
     /// [`TrialStats`] per cell, in order.
     pub fn run_grid(&self, cells: &[LinkConfig], trials: usize, seed0: u64) -> Vec<TrialStats> {
-        let bases = dense_bases(cells.len(), trials);
-        self.run_grid_indexed(cells, trials, seed0, &bases)
-    }
-
-    /// [`RunContext::run_grid`] where each cell carries its own job-index
-    /// base: cell `i`, trial `t` runs with seed `SplitMix64::derive(seed0,
-    /// bases[i] + t)`.
-    ///
-    /// Evaluating any *subset* of a full grid's cells with the job-index
-    /// bases those cells had in the full grid gives every evaluated trial
-    /// exactly the seed the full sweep would have given it.
-    pub fn run_grid_indexed(
-        &self,
-        cells: &[LinkConfig],
-        trials: usize,
-        seed0: u64,
-        bases: &[u64],
-    ) -> Vec<TrialStats> {
         match &self.cache {
-            Some(c) => run_cached(&self.exec, c, cells, trials, seed0, bases),
-            None => run_cells(&self.exec, cells, trials, seed0, bases),
+            Some(c) => run_cached(&self.exec, c, cells, trials, seed0),
+            None => run_grid_on(&self.exec, cells, trials, seed0),
         }
     }
 }
@@ -368,9 +349,9 @@ fn dense_bases(cells: usize, trials: usize) -> Vec<u64> {
 }
 
 /// Grid evaluation against a result cache: cells whose key is already
-/// stored are returned from disk (bit-identical by the codec round-trip
-/// guarantee); only the misses are computed — with the exact job-index
-/// bases they had in the full grid, so their seeds are unchanged — and then
+/// stored are returned from disk (bit-identical: records keep every `f64`'s
+/// bits); only the misses are computed — with the exact job-index bases
+/// they had in the full grid, so their seeds are unchanged — and then
 /// stored for the next run. Cells whose stats recorded a caught panic are
 /// *not* stored: a transient failure must not be frozen into the cache.
 fn run_cached(
@@ -379,12 +360,11 @@ fn run_cached(
     cells: &[LinkConfig],
     trials: usize,
     seed0: u64,
-    bases: &[u64],
 ) -> Vec<TrialStats> {
-    assert_eq!(cells.len(), bases.len(), "one job-index base per cell");
+    let bases = dense_bases(cells.len(), trials);
     let keys: Vec<cache::CacheKey> = cells
         .iter()
-        .zip(bases)
+        .zip(&bases)
         .map(|(cfg, &b)| cache::cell_key(cfg, seed0, b, trials.max(1)))
         .collect();
     let mut out: Vec<Option<TrialStats>> = keys.iter().map(|&k| cache.get(k)).collect();

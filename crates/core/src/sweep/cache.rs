@@ -1,16 +1,17 @@
 //! Persistent content-addressed result cache for sweep grids.
 //!
-//! Maps a stable 128-bit hash of *(serialized [`LinkConfig`] cell, sweep
-//! seed, job-index base, trial count)* to the cell's aggregated
-//! [`TrialStats`], stored as fixed-width binary records on disk (DESIGN.md
-//! §12). A warm cache lets every figure binary skip cells it has already
-//! computed — the incremental mode behind `--cache`.
+//! Maps a stable 128-bit hash of *(the cell's [`LinkConfig`], sweep seed,
+//! job-index base, trial count)* to the cell's aggregated [`TrialStats`],
+//! stored as fixed-width binary records on disk (DESIGN.md §12). A warm
+//! cache lets every figure binary skip cells it has already computed — the
+//! incremental mode behind `--cache`. This module is the only owner of the
+//! cell identity and of the on-disk format.
 //!
 //! Guarantees:
 //!
-//! * **Byte-neutral.** Values round-trip as `f64` bit patterns (the codec
-//!   layer), so a cache hit reproduces the cold-run result bit-for-bit and
-//!   figure stdout is identical either way.
+//! * **Byte-neutral.** Every value travels as a little-endian `u64` word
+//!   (`f64`s as their bit patterns), so a cache hit reproduces the cold-run
+//!   result bit-for-bit and figure stdout is identical either way.
 //! * **Concurrent-writer safe.** Records are written to a unique temp file
 //!   and published with `fs::rename`, which is atomic on POSIX: two
 //!   executors racing the same key converge to one valid entry, never a
@@ -19,7 +20,7 @@
 //!   the full record body; a truncated or bit-flipped entry is detected,
 //!   deleted and transparently recomputed.
 //! * **Version-safe.** Records embed a code-version salt
-//!   ([`code_salt`]) derived from the codec format version, the crate
+//!   ([`code_salt`]) derived from the record layout version, the crate
 //!   version and a manually bumped simulation revision; a store written by
 //!   a stale build is wiped wholesale on open.
 //!
@@ -27,8 +28,10 @@
 //! touch the filesystem.
 
 use crate::link::LinkConfig;
-use crate::sweep::codec::{self, fnv1a64, fnv1a64_seeded, Cursor, Writer, TRIAL_STATS_LEN};
 use crate::sweep::TrialStats;
+use backfi_coding::CodeRate;
+use backfi_obs::fnv1a64;
+use backfi_tag::config::{TagConfig, TagModulation};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
@@ -38,8 +41,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Record magic: `b"BFCACHE1"` little-endian.
 pub const MAGIC: u64 = u64::from_le_bytes(*b"BFCACHE1");
 
+/// Version of the record layout and of the key scheme, folded into
+/// [`code_salt`]. Rev 2: cells keyed by `LinkConfig`'s derived `Debug`,
+/// records as 15 little-endian `u64` words.
+const LAYOUT_VERSION: u32 = 2;
+
 /// Manually bumped whenever simulation *semantics* change in a way that
-/// invalidates previously cached results without changing any serialized
+/// invalidates previously cached results without changing any config
 /// struct (e.g. a reordered RNG draw or a retuned pipeline constant).
 /// Rev 2: the ziggurat normal generator and empty-frame rejection.
 /// Rev 3: per-source 4-lane noise sub-streams and the frame-bounded reader
@@ -47,37 +55,38 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"BFCACHE1");
 /// Rev 4: the causal AGC (the ADC's full scale set on the silent window).
 pub const SIM_REV: u64 = 4;
 
-/// On-disk record size: magic + salt + key (hi, lo) + stats payload +
-/// checksum.
-pub const RECORD_LEN: usize = 8 * 4 + TRIAL_STATS_LEN + 8;
+/// Words before the checksum: magic, salt, key (hi, lo), then the ten
+/// [`TrialStats`] words (modulation, code rate, symbol rate, preamble,
+/// the five means, panics).
+const BODY_WORDS: usize = 14;
+
+/// On-disk record size: the body words plus the checksum word.
+pub const RECORD_LEN: usize = 8 * (BODY_WORDS + 1);
+
+/// Every code rate, in the order of the record's code-rate word.
+const CODE_RATES: [CodeRate; 3] = [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters];
 
 /// Name of the per-store version-salt file.
 const VERSION_FILE: &str = "CACHE_VERSION";
 
-/// Independent seeds for the two FNV passes behind the 128-bit key.
-const KEY_SEED_HI: u64 = 0x6261_636b_6669_4869; // "backfiHi"
-const KEY_SEED_LO: u64 = 0x6261_636b_6669_4c6f; // "backfiLo"
-
 /// The code-version salt embedded in every record and in the store's
-/// `CACHE_VERSION` file: hash of codec layout version, crate version and
+/// `CACHE_VERSION` file: hash of the layout version, crate version and
 /// [`SIM_REV`]. Any of the three changing orphans every existing store.
 pub fn code_salt() -> u64 {
     let tag = format!(
-        "fmt{}:pkg{}:rev{}",
-        codec::FORMAT_VERSION,
-        env!("CARGO_PKG_VERSION"),
-        SIM_REV
+        "fmt{LAYOUT_VERSION}:pkg{}:rev{SIM_REV}",
+        env!("CARGO_PKG_VERSION")
     );
     fnv1a64(tag.as_bytes())
 }
 
-/// A 128-bit content address: two independently seeded FNV-1a passes over
-/// the cell's canonical encoding. Also the entry's file name.
+/// A 128-bit content address: two independently prefixed FNV-1a passes
+/// over the cell's identity. Also the entry's file name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CacheKey {
     /// First hash pass (also selects the shard subdirectory).
     pub hi: u64,
-    /// Second, independently seeded pass.
+    /// Second, independently prefixed pass.
     pub lo: u64,
 }
 
@@ -88,33 +97,53 @@ impl std::fmt::Display for CacheKey {
     }
 }
 
-/// Compute the cache key for one grid cell: hashes the canonical codec
-/// bytes of `cfg` plus the sweep seed, the cell's job-index base and the
+/// Compute the cache key for one grid cell: hashes the derived `Debug`
+/// text of `cfg` plus the sweep seed, the cell's job-index base and the
 /// trial count — everything that determines the cell's [`TrialStats`].
+///
+/// Every type inside [`LinkConfig`] derives `Debug`, so every field is in
+/// the text by construction, and `Debug` prints distinct finite `f64`s,
+/// ±0.0 and ±∞ distinctly.
 pub fn cell_key(cfg: &LinkConfig, seed0: u64, base: u64, trials: usize) -> CacheKey {
-    let mut w = Writer::with_capacity(352);
-    codec::encode_link_config(&mut w, cfg);
-    w.u64(seed0);
-    w.u64(base);
-    w.u64(trials as u64);
-    let bytes = w.bytes();
+    let id = format!("{cfg:?} seed0={seed0} base={base} trials={trials}");
+    let pass = |prefix: &str| fnv1a64(format!("{prefix}:{id}").as_bytes());
     CacheKey {
-        hi: fnv1a64_seeded(KEY_SEED_HI, bytes),
-        lo: fnv1a64_seeded(KEY_SEED_LO, bytes),
+        hi: pass("backfiHi"),
+        lo: pass("backfiLo"),
     }
 }
 
-fn encode_record(salt: u64, key: CacheKey, stats: &TrialStats) -> Vec<u8> {
-    let mut w = Writer::with_capacity(RECORD_LEN);
-    w.u64(MAGIC);
-    w.u64(salt);
-    w.u64(key.hi);
-    w.u64(key.lo);
-    codec::encode_trial_stats(&mut w, stats);
-    let sum = fnv1a64(w.bytes());
-    w.u64(sum);
-    debug_assert_eq!(w.bytes().len(), RECORD_LEN);
-    w.into_bytes()
+/// Position of `v` in `all`, as a record word.
+fn index_word<T: PartialEq>(all: &[T], v: T) -> u64 {
+    all.iter()
+        .position(|x| *x == v)
+        .expect("the variant list covers every variant") as u64
+}
+
+/// One record: the body words in little-endian bytes, then the FNV-1a
+/// checksum of those bytes.
+fn encode_record(salt: u64, key: CacheKey, s: &TrialStats) -> Vec<u8> {
+    let c = &s.config;
+    let body: [u64; BODY_WORDS] = [
+        MAGIC,
+        salt,
+        key.hi,
+        key.lo,
+        index_word(&TagModulation::ALL, c.modulation),
+        index_word(&CODE_RATES, c.code_rate),
+        c.symbol_rate_hz.to_bits(),
+        c.preamble_us.to_bits(),
+        s.success_rate.to_bits(),
+        s.mean_snr_db.to_bits(),
+        s.mean_ber.to_bits(),
+        s.mean_pre_fec_ber.to_bits(),
+        s.mean_goodput_bps.to_bits(),
+        s.panics as u64,
+    ];
+    let mut bytes: Vec<u8> = body.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let sum = fnv1a64(&bytes);
+    bytes.extend_from_slice(&sum.to_le_bytes());
+    bytes
 }
 
 /// Why a read produced no value (drives the obs counters).
@@ -127,27 +156,40 @@ enum ReadMiss {
     Io,
 }
 
-/// Length, checksum and magic check; returns the record's salt, key and
-/// payload. `None` for any damaged or foreign record.
+/// Length, checksum, magic and enum-word check; returns the record's
+/// salt, key and payload. `None` for any damaged or foreign record.
 fn parse_record(bytes: &[u8]) -> Option<(u64, CacheKey, TrialStats)> {
     if bytes.len() != RECORD_LEN {
         return None;
     }
-    let sum = u64::from_le_bytes(bytes[RECORD_LEN - 8..].try_into().unwrap());
-    if fnv1a64(&bytes[..RECORD_LEN - 8]) != sum {
+    let (body, sum) = bytes.split_at(RECORD_LEN - 8);
+    if fnv1a64(body).to_le_bytes() != sum {
         return None;
     }
-    let mut c = Cursor::new(&bytes[..RECORD_LEN - 8]);
-    let (magic, salt, hi, lo) = (
-        c.u64().unwrap(),
-        c.u64().unwrap(),
-        c.u64().unwrap(),
-        c.u64().unwrap(),
-    );
+    let words: [u64; BODY_WORDS] = std::array::from_fn(|i| {
+        u64::from_le_bytes(body[8 * i..8 * i + 8].try_into().expect("an 8-byte word"))
+    });
+    let [magic, salt, hi, lo, modulation, code_rate, symbol_rate, preamble, means @ ..] = words;
+    let [success, snr, ber, pre_fec, goodput, panics] = means;
     if magic != MAGIC {
         return None;
     }
-    let stats = codec::decode_trial_stats(&mut c).ok()?;
+    let f = f64::from_bits;
+    let config = TagConfig {
+        modulation: *TagModulation::ALL.get(usize::try_from(modulation).ok()?)?,
+        code_rate: *CODE_RATES.get(usize::try_from(code_rate).ok()?)?,
+        symbol_rate_hz: f(symbol_rate),
+        preamble_us: f(preamble),
+    };
+    let stats = TrialStats {
+        config,
+        success_rate: f(success),
+        mean_snr_db: f(snr),
+        mean_ber: f(ber),
+        mean_pre_fec_ber: f(pre_fec),
+        mean_goodput_bps: f(goodput),
+        panics: usize::try_from(panics).ok()?,
+    };
     Some((salt, CacheKey { hi, lo }, stats))
 }
 
@@ -374,8 +416,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::codec::link_config_bytes;
-    use backfi_tag::config::TagConfig;
+    use backfi_wifi::Mcs;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d =
@@ -424,8 +465,152 @@ mod tests {
         let mut other = cfg.clone();
         other.distance_m += 0.5;
         assert_ne!(k, cell_key(&other, 1000, 0, 5), "config must matter");
-        // Sanity: the key really is content-addressed on the codec bytes.
-        assert_ne!(link_config_bytes(&cfg), link_config_bytes(&other));
+    }
+
+    fn sample_config() -> LinkConfig {
+        let mut cfg = LinkConfig::at_distance(3.25);
+        cfg.tag = TagConfig {
+            modulation: TagModulation::Psk16,
+            code_rate: CodeRate::TwoThirds,
+            symbol_rate_hz: 2.5e6,
+            preamble_us: 96.0,
+        };
+        cfg.excitation.wifi_payload_bytes = 2718;
+        cfg.excitation.mcs = Mcs::Mbps48;
+        cfg.reader.use_zero_forcing = true;
+        cfg.impair.cfo_hz = 123.5;
+        cfg.impair.truncate_prob = 0.125;
+        cfg
+    }
+
+    /// The key covers every field: changing the first or the last field of
+    /// any nested struct of `LinkConfig` (the first scalar one where the
+    /// first field is itself a struct), or the distance by one ulp, changes
+    /// it. A key built from a hand-picked field list fails here.
+    #[test]
+    fn distinct_cells_get_distinct_keys() {
+        type Perturb = fn(&mut LinkConfig);
+        let key = |cfg: &LinkConfig| cell_key(cfg, 1000, 0, 5);
+        let a = key(&sample_config());
+        let perturbations: [(&str, Perturb); 15] = [
+            ("budget first", |c| c.budget.tx_power_dbm += 0.5),
+            ("budget last", |c| c.budget.tx_noise_dbc += 0.5),
+            ("distance", |c| {
+                c.distance_m = f64::from_bits(c.distance_m.to_bits() + 1)
+            }),
+            ("tag first", |c| c.tag.modulation = TagModulation::Bpsk),
+            ("tag last", |c| c.tag.preamble_us += 1.0),
+            ("excitation first", |c| c.excitation.tag_id += 1),
+            ("excitation last", |c| c.excitation.lead_in += 1),
+            ("reader first", |c| c.reader.fb_taps += 1),
+            ("reader last", |c| c.reader.use_zero_forcing ^= true),
+            ("reader.canceller first", |c| {
+                c.reader.canceller.digital_taps += 1
+            }),
+            ("reader.canceller last", |c| {
+                c.reader.canceller.digital_enabled ^= true
+            }),
+            ("reader.canceller.analog first", |c| {
+                c.reader.canceller.analog.taps += 1
+            }),
+            ("reader.canceller.analog last", |c| {
+                c.reader.canceller.analog.control_bits += 1
+            }),
+            ("impair first", |c| c.impair.clock_drift_ppm += 1.0),
+            ("impair last", |c| c.impair.nonfinite_prob += 0.25),
+        ];
+        for (what, perturb) in perturbations {
+            let mut other = sample_config();
+            perturb(&mut other);
+            assert_ne!(a, key(&other), "{what} field not in the key");
+        }
+        let at = |d: f64| key(&LinkConfig::at_distance(d));
+        assert_ne!(at(0.0), at(-0.0), "signed zeros");
+        assert_ne!(at(f64::INFINITY), at(f64::NEG_INFINITY), "infinities");
+    }
+
+    #[test]
+    fn key_halves_are_independent_passes() {
+        let keys: Vec<CacheKey> = (0..64)
+            .map(|i| cell_key(&LinkConfig::at_distance(0.5 + 0.1 * i as f64), 1000, 0, 5))
+            .collect();
+        let distinct = |f: fn(&CacheKey) -> u64| {
+            keys.iter()
+                .map(f)
+                .collect::<std::collections::BTreeSet<_>>()
+                .len()
+        };
+        assert_eq!(distinct(|k| k.hi), keys.len());
+        assert_eq!(distinct(|k| k.lo), keys.len());
+        assert!(keys.iter().all(|k| k.hi != k.lo));
+        assert!(
+            distinct(|k| k.hi ^ k.lo) > 1,
+            "lo must not be hi under a fixed mask"
+        );
+    }
+
+    #[test]
+    fn record_roundtrip_preserves_nonfinite_bits() {
+        let s = TrialStats {
+            config: sample_config().tag,
+            success_rate: 0.35,
+            mean_snr_db: f64::NEG_INFINITY,
+            mean_ber: f64::NAN,
+            mean_pre_fec_ber: -0.0,
+            mean_goodput_bps: 1.25e6,
+            panics: 3,
+        };
+        let key = CacheKey { hi: 1, lo: 2 };
+        let (salt, k, back) = parse_record(&encode_record(7, key, &s)).unwrap();
+        assert_eq!((salt, k), (7, key));
+        assert_eq!(back.config, s.config);
+        let bits = |s: &TrialStats| {
+            [
+                s.success_rate,
+                s.mean_snr_db,
+                s.mean_ber,
+                s.mean_pre_fec_ber,
+                s.mean_goodput_bps,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(bits(&back), bits(&s));
+        assert_eq!(back.panics, s.panics);
+    }
+
+    #[test]
+    fn truncated_record_is_rejected_not_a_panic() {
+        let bytes = encode_record(code_salt(), CacheKey { hi: 1, lo: 2 }, &stats());
+        for cut in [0, 1, 7, RECORD_LEN / 2, RECORD_LEN - 1] {
+            assert!(parse_record(&bytes[..cut]).is_none(), "cut at {cut}");
+        }
+        let mut long = bytes;
+        long.push(0);
+        assert!(parse_record(&long).is_none(), "one byte too many");
+    }
+
+    /// `bytes` with body word `i` replaced by `w` and the checksum redone,
+    /// so only the word's meaning can reject it.
+    fn with_word(bytes: &[u8], i: usize, w: u64) -> Vec<u8> {
+        let mut b = bytes[..RECORD_LEN - 8].to_vec();
+        b[8 * i..8 * i + 8].copy_from_slice(&w.to_le_bytes());
+        let sum = fnv1a64(&b);
+        b.extend_from_slice(&sum.to_le_bytes());
+        b
+    }
+
+    #[test]
+    fn bad_enum_word_is_rejected() {
+        let good = encode_record(code_salt(), CacheKey { hi: 1, lo: 2 }, &stats());
+        assert!(parse_record(&with_word(&good, 4, 2)).is_some(), "16PSK");
+        assert!(parse_record(&with_word(&good, 5, 2)).is_some(), "rate 3/4");
+        // Word 4 is the modulation, word 5 the code rate, word 0 the magic.
+        for (word, value) in [(4, 3), (5, 3), (4, 250), (5, u64::MAX), (0, 0)] {
+            assert!(
+                parse_record(&with_word(&good, word, value)).is_none(),
+                "word {word} = {value}"
+            );
+        }
     }
 
     #[test]
@@ -467,6 +652,56 @@ mod tests {
             io::ErrorKind::InvalidData
         );
         assert!(path.exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A record in the layout of `LAYOUT_VERSION` 1, checksum intact: magic,
+    /// salt, key, one byte each for modulation and code rate, seven `f64`s,
+    /// panics and the checksum — 106 bytes.
+    fn layout_v1_record(salt: u64, key: CacheKey, s: &TrialStats) -> Vec<u8> {
+        let mut b: Vec<u8> = [MAGIC, salt, key.hi, key.lo]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
+        b.extend_from_slice(&[1, 0]);
+        for v in [
+            s.config.symbol_rate_hz,
+            s.config.preamble_us,
+            s.success_rate,
+            s.mean_snr_db,
+            s.mean_ber,
+            s.mean_pre_fec_ber,
+            s.mean_goodput_bps,
+        ] {
+            b.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        b.extend_from_slice(&(s.panics as u64).to_le_bytes());
+        let sum = fnv1a64(&b);
+        b.extend_from_slice(&sum.to_le_bytes());
+        assert_eq!(b.len(), 106);
+        b
+    }
+
+    #[test]
+    fn read_store_rejects_a_layout_v1_record_by_name() {
+        let dir = tmpdir("layout-v1");
+        let cache = ResultCache::open(&dir).unwrap();
+        let key = cell_key(&LinkConfig::at_distance(2.0), 1000, 0, 5);
+        let old = layout_v1_record(code_salt(), key, &stats());
+        assert!(parse_record(&old).is_none(), "never misparsed");
+        let path = cache.entry_path(key);
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(&path, &old).unwrap();
+
+        let err = read_store(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains(&path.display().to_string()),
+            "{err}"
+        );
+        // An open store treats it as a corrupt miss and deletes it.
+        assert!(cache.get(key).is_none());
+        assert!(!path.exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -3,7 +3,7 @@
 //! corruption is detected and healed, and a stale code-version salt wipes
 //! the store.
 
-use backfi_core::sweep::cache::ResultCache;
+use backfi_core::sweep::cache::{cell_key, ResultCache};
 use backfi_core::sweep::{
     grid_cells, metrics_snapshot, run_grid_on, Executor, RunContext, TrialStats,
 };
@@ -35,16 +35,14 @@ fn cached(cache: &Arc<ResultCache>) -> RunContext {
     }
 }
 
-fn small_grid() -> (Vec<LinkConfig>, Vec<u64>, usize, u64) {
+fn small_grid() -> (Vec<LinkConfig>, usize, u64) {
     let mut base = LinkConfig::at_distance(1.0);
     base.excitation.wifi_payload_bytes = 1200;
     let mut cells = grid_cells(&base, &[TagConfig::default()]);
     let mut far = LinkConfig::at_distance(2.5);
     far.excitation.wifi_payload_bytes = 1200;
     cells.extend(grid_cells(&far, &[TagConfig::default()]));
-    let trials = 3usize;
-    let bases: Vec<u64> = (0..cells.len() as u64).map(|c| c * trials as u64).collect();
-    (cells, bases, trials, 4242)
+    (cells, 3, 4242)
 }
 
 fn assert_stats_bits_eq(a: &[TrialStats], b: &[TrialStats], what: &str) {
@@ -99,15 +97,15 @@ fn warm_rerun_is_bit_identical_and_recomputes_nothing() {
     let _m = serialize();
     let dir = tmpdir("warm");
     let cache = Arc::new(ResultCache::open(&dir).unwrap());
-    let (cells, bases, trials, seed0) = small_grid();
+    let (cells, trials, seed0) = small_grid();
     let exec = Executor::new();
 
     let plain = run_grid_on(&exec, &cells, trials, seed0);
-    let cold = cached(&cache).run_grid_indexed(&cells, trials, seed0, &bases);
+    let cold = cached(&cache).run_grid(&cells, trials, seed0);
     assert_stats_bits_eq(&plain, &cold, "cold cached vs plain");
 
     let jobs_before = metrics_snapshot();
-    let warm = cached(&cache).run_grid_indexed(&cells, trials, seed0, &bases);
+    let warm = cached(&cache).run_grid(&cells, trials, seed0);
     let jobs_after = metrics_snapshot();
     assert_eq!(
         jobs_after, jobs_before,
@@ -118,11 +116,37 @@ fn warm_rerun_is_bit_identical_and_recomputes_nothing() {
 }
 
 #[test]
+fn a_partial_hit_computes_the_miss_with_its_full_grid_seeds() {
+    let _m = serialize();
+    let dir = tmpdir("partial");
+    let cache = Arc::new(ResultCache::open(&dir).unwrap());
+    let (cells, trials, seed0) = small_grid();
+    let cold = cached(&cache).run_grid(&cells, trials, seed0);
+
+    // Drop the last cell only: its trials start at job index `trials`, not
+    // 0, so a miss recomputed as a one-cell grid would draw other seeds.
+    let last = cells.len() - 1;
+    let key = cell_key(&cells[last], seed0, (last * trials) as u64, trials);
+    let name = format!("{key}.bfc");
+    let entry = entry_files(&cache)
+        .into_iter()
+        .find(|p| p.file_name().is_some_and(|n| n == name.as_str()))
+        .expect("the last cell's entry");
+    fs::remove_file(entry).unwrap();
+
+    let jobs_before = metrics_snapshot();
+    let partial = cached(&cache).run_grid(&cells, trials, seed0);
+    assert_eq!(metrics_snapshot() - jobs_before, trials as u64);
+    assert_stats_bits_eq(&cold, &partial, "partial hit");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn racing_executors_converge_to_one_valid_entry_per_cell() {
     let _m = serialize();
     let dir = tmpdir("race");
     let cache = Arc::new(ResultCache::open(&dir).unwrap());
-    let (cells, bases, trials, seed0) = small_grid();
+    let (cells, trials, seed0) = small_grid();
     let reference = run_grid_on(&Executor::new(), &cells, trials, seed0);
 
     // Two executors race cold on the same store: both compute every cell and
@@ -130,8 +154,8 @@ fn racing_executors_converge_to_one_valid_entry_per_cell() {
     let results: Vec<Vec<TrialStats>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..2)
             .map(|_| {
-                let (cache, cells, bases) = (&cache, &cells, &bases);
-                s.spawn(move || cached(cache).run_grid_indexed(cells, trials, seed0, bases))
+                let (cache, cells) = (&cache, &cells);
+                s.spawn(move || cached(cache).run_grid(cells, trials, seed0))
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -146,7 +170,7 @@ fn racing_executors_converge_to_one_valid_entry_per_cell() {
     );
     // And each surviving entry is valid: a warm read returns the reference
     // bits without recomputation.
-    let warm = cached(&cache).run_grid_indexed(&cells, trials, seed0, &bases);
+    let warm = cached(&cache).run_grid(&cells, trials, seed0);
     assert_stats_bits_eq(&reference, &warm, "post-race warm read");
     let _ = fs::remove_dir_all(&dir);
 }
@@ -157,8 +181,8 @@ fn corrupt_entries_are_rejected_and_recomputed() {
     backfi_obs::enable();
     let dir = tmpdir("corrupt");
     let cache = Arc::new(ResultCache::open(&dir).unwrap());
-    let (cells, bases, trials, seed0) = small_grid();
-    let cold = cached(&cache).run_grid_indexed(&cells, trials, seed0, &bases);
+    let (cells, trials, seed0) = small_grid();
+    let cold = cached(&cache).run_grid(&cells, trials, seed0);
 
     let files = entry_files(&cache);
     assert_eq!(files.len(), cells.len());
@@ -171,7 +195,7 @@ fn corrupt_entries_are_rejected_and_recomputed() {
     fs::write(&files[1], &bytes).unwrap();
 
     let corrupt_before = backfi_obs::counter_value("sweep.cache.corrupt");
-    let healed = cached(&cache).run_grid_indexed(&cells, trials, seed0, &bases);
+    let healed = cached(&cache).run_grid(&cells, trials, seed0);
     let corrupt_after = backfi_obs::counter_value("sweep.cache.corrupt");
     assert_stats_bits_eq(&cold, &healed, "healed rerun");
     assert_eq!(
@@ -182,7 +206,7 @@ fn corrupt_entries_are_rejected_and_recomputed() {
     // The store healed itself: both entries rewritten, next run is all hits.
     assert_eq!(cache.entry_count().unwrap(), cells.len());
     let jobs_before = metrics_snapshot();
-    let warm = cached(&cache).run_grid_indexed(&cells, trials, seed0, &bases);
+    let warm = cached(&cache).run_grid(&cells, trials, seed0);
     let jobs_after = metrics_snapshot();
     assert_eq!(jobs_after, jobs_before, "healed store must serve from disk");
     assert_stats_bits_eq(&cold, &warm, "post-heal warm read");
@@ -194,12 +218,12 @@ fn stale_code_salt_invalidates_the_whole_store() {
     let _m = serialize();
     let dir = tmpdir("salt");
     let cache = Arc::new(ResultCache::open(&dir).unwrap());
-    let (cells, bases, trials, seed0) = small_grid();
-    cached(&cache).run_grid_indexed(&cells, trials, seed0, &bases);
+    let (cells, trials, seed0) = small_grid();
+    cached(&cache).run_grid(&cells, trials, seed0);
     assert_eq!(cache.entry_count().unwrap(), cells.len());
     drop(cache);
 
-    // A build with a different codec/crate/sim revision stamped this store.
+    // A build with a different layout/crate/sim revision stamped this store.
     fs::write(dir.join("CACHE_VERSION"), "00000000deadbeef\n").unwrap();
     let reopened = Arc::new(ResultCache::open(&dir).unwrap());
     assert_eq!(
@@ -208,7 +232,7 @@ fn stale_code_salt_invalidates_the_whole_store() {
         "every entry from a stale salt must be evicted on open"
     );
     // The store is usable again afterwards with the current salt.
-    let again = cached(&reopened).run_grid_indexed(&cells, trials, seed0, &bases);
+    let again = cached(&reopened).run_grid(&cells, trials, seed0);
     assert_eq!(again.len(), cells.len());
     assert_eq!(reopened.entry_count().unwrap(), cells.len());
     let _ = fs::remove_dir_all(&dir);
@@ -229,11 +253,10 @@ fn panicked_cells_are_never_frozen_into_the_cache() {
     base.excitation.wifi_payload_bytes = 1200;
     let cells = grid_cells(&base, &[TagConfig::default(), poison]);
     let trials = 2usize;
-    let bases: Vec<u64> = (0..cells.len() as u64).map(|c| c * trials as u64).collect();
 
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let cold = cached(&cache).run_grid_indexed(&cells, trials, 77, &bases);
+    let cold = cached(&cache).run_grid(&cells, trials, 77);
     assert_eq!(cold[1].panics, trials, "poisoned cell attributed");
     assert_eq!(
         cache.entry_count().unwrap(),
@@ -242,7 +265,7 @@ fn panicked_cells_are_never_frozen_into_the_cache() {
     );
     // A rerun recomputes exactly the poisoned cell's trials.
     let jobs_before = metrics_snapshot();
-    let warm = cached(&cache).run_grid_indexed(&cells, trials, 77, &bases);
+    let warm = cached(&cache).run_grid(&cells, trials, 77);
     let jobs_after = metrics_snapshot();
     std::panic::set_hook(hook);
     assert_eq!(

@@ -101,29 +101,19 @@ impl Tag {
 
     /// Feed the incident baseband samples the tag's antenna sees; returns the
     /// reflection coefficient Γ the tag applies to each of those samples.
-    /// Allocating wrapper over [`Tag::react_into`].
     pub fn react(&mut self, incident: &[Complex]) -> Vec<Complex> {
-        let mut gamma = Vec::new();
-        self.react_into(incident, &mut gamma);
+        let mut gamma = Vec::with_capacity(incident.len());
+        self.react_append(incident, &mut gamma);
         gamma
     }
 
-    /// [`Tag::react`] into a caller-owned buffer: `gamma` is cleared and
-    /// refilled with one coefficient per incident sample, reusing its
-    /// capacity.
-    pub fn react_into(&mut self, incident: &[Complex], gamma: &mut Vec<Complex>) {
-        gamma.clear();
-        gamma.reserve(incident.len());
-        self.react_append(incident, gamma);
-    }
-
-    /// [`Tag::react_into`] in extending prefixes: appends the coefficients
+    /// [`Tag::react`] in extending prefixes: appends the coefficients
     /// of samples `gamma.len()..end` of `incident` to `gamma`. The state
     /// machine walks its input in comparator-bit chunks of
     /// [`SAMPLES_PER_BIT`] samples counted from the call's first sample, so
     /// a prefix that ends on a bit boundary leaves the tag exactly where one
     /// whole-packet call would be at that sample, and every appended
-    /// coefficient is the one `react_into` gives. A no-op when
+    /// coefficient is the one `react` gives. A no-op when
     /// `end <= gamma.len()`.
     ///
     /// # Panics
@@ -141,7 +131,7 @@ impl Tag {
         self.react_append(&incident[start..end], gamma);
     }
 
-    /// The state machine behind [`Tag::react_into`]: appends one
+    /// The state machine behind [`Tag::react`]: appends one
     /// coefficient per incident sample to `gamma`.
     fn react_append(&mut self, incident: &[Complex], gamma: &mut Vec<Complex>) {
         for chunk in ChunkIter::new(incident) {
