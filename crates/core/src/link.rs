@@ -789,9 +789,7 @@ mod tests {
 
             // Impaired trials are simulated whole: a NaN burst plus a
             // saturation transient, and a tag-timeline desync that moves
-            // the timing estimate. (No link input forces the wide
-            // re-acquire: the nominal search fails only when every window
-            // escapes the packet. The reader's oracle test forces it.)
+            // the timing estimate.
             let impaired = |spec: &str| {
                 let mut cfg = quick_cfg(1.0, TagConfig::default());
                 cfg.impair = Impairments::parse(spec).expect("spec");

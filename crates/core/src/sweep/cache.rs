@@ -53,7 +53,9 @@ const LAYOUT_VERSION: u32 = 2;
 /// Rev 3: per-source 4-lane noise sub-streams and the frame-bounded reader
 /// back half (no pilot derotation).
 /// Rev 4: the causal AGC (the ADC's full scale set on the silent window).
-pub const SIM_REV: u64 = 4;
+/// Rev 5: a two-rung degradation ladder in the reader (no SIC divergence
+/// retrain, no wide timing re-acquire); impaired cells change.
+pub const SIM_REV: u64 = 5;
 
 /// Words before the checksum: magic, salt, key (hi, lo), then the ten
 /// [`TrialStats`] words (modulation, code rate, symbol rate, preamble,

@@ -265,13 +265,11 @@ impl BackscatterReader {
         for i in 0..nsym {
             let mut num = Complex::ZERO;
             let mut den = 0.0;
-            let mut inv_noise_den = 0.0;
             for b in &branches {
                 let s = &b.symbols[i];
                 let n0 = stats::undb(b.residual_db);
                 num += s.z * (s.ref_energy / n0);
                 den += s.ref_energy / n0;
-                inv_noise_den += s.ref_energy / n0;
             }
             // Every branch erased this symbol ⇒ the combination stays an
             // erasure (0/0 here would send NaN into the soft decoder).
@@ -279,7 +277,7 @@ impl BackscatterReader {
                 SymbolEstimate {
                     z: num / den,
                     ref_energy: den,
-                    noise_var: 1.0 / inv_noise_den.max(1e-300),
+                    noise_var: 1.0 / den.max(1e-300),
                 }
             } else {
                 SymbolEstimate::erasure()
@@ -313,17 +311,17 @@ impl BackscatterReader {
         assert_eq!(x_clean.len(), len, "length mismatch");
 
         // --- Stage 0: input validation / sanitization -------------------
-        // The reader's own reference and the analog canceller's view must be
-        // finite — a NaN there poisons every downstream filter silently.
+        // Degradation ladder rung 1 (DESIGN.md §10). The reader's own
+        // reference and the analog canceller's view must be finite — a NaN
+        // there poisons every downstream filter silently.
         if x_clean.iter().any(|v| !v.is_finite()) || h_env_view.iter().any(|v| !v.is_finite()) {
             return Err(count_err(ReaderError::InvalidInput));
         }
-        // Cancelled through the last sample the timing search (re-acquire
-        // included) can read.
+        // Cancelled through the last sample the timing search can read.
         let end = window_end(
             timeline.preamble.start,
             tag_cfg.preamble_us,
-            self.reacquire_span(),
+            self.cfg.timing_span,
         )
         .min(len);
         // Non-finite *received* samples are a front-end fault the pipeline
@@ -338,25 +336,14 @@ impl BackscatterReader {
         rx.count_nonfinite();
 
         // --- Stage 1+2: self-interference cancellation -----------------
-        // Degradation ladder rung 1: if the residual diverges towards the
-        // end of the silent window (a time-varying effect like residual CFO
-        // that the LTI digital filter cannot track, or a transient that
-        // corrupted the head of the window), retrain on the trailing half
-        // and keep whichever training leaves the cleaner tail.
-        let sic = &mut scratch.sic;
+        // One training per packet, on the silent window.
         let rep = {
             let _t = backfi_obs::span("reader.sic");
             let canceller = SelfInterferenceCanceller::new(self.cfg.canceller, h_env_view);
-            match canceller.process_with(x_clean, &mut rx, timeline.silent.clone(), end, sic) {
-                Some(rep) => self.sic_retrain(&canceller, x_clean, &mut rx, timeline, rep, sic),
-                None => {
-                    backfi_obs::counter_add("reader.sic_retrain", 1);
-                    let fallback = fallback_window(&timeline.silent);
-                    canceller
-                        .process_with(x_clean, &mut rx, fallback, end, sic)
-                        .ok_or_else(|| count_err(ReaderError::CancellationFailed))?
-                }
-            }
+            let silent = timeline.silent.clone();
+            canceller
+                .process_with(x_clean, &mut rx, silent, end, &mut scratch.sic)
+                .ok_or_else(|| count_err(ReaderError::CancellationFailed))?
         };
         backfi_obs::probe("reader.cancellation_db", rep.cancellation_db);
         backfi_obs::probe("reader.residual_db", rep.residual_db);
@@ -378,25 +365,12 @@ impl BackscatterReader {
         let noise_power = stats::undb(rep.residual_db);
 
         // --- Stage 3: h_fb estimation with timing search ----------------
-        // Degradation ladder rung 2: when no nominal offset yields an
-        // estimate, re-acquire with a 3× wider, finer search before giving
-        // up. The clean path never gets here (the nominal search only fails
-        // when every candidate window escapes the buffer). `rep.samples`
-        // ends at the packet end or past every window either search reads,
-        // so a window escapes it exactly when it escapes the packet.
+        // The search fails only when every candidate window escapes the
+        // packet. `rep.samples` ends at the packet end or past every window
+        // the search reads, so a window escapes it exactly when it escapes
+        // the packet.
         let est = {
             let _t = backfi_obs::span("reader.chanest");
-            let estimate = |search: &[isize]| {
-                estimate_h_fb(
-                    x_clean,
-                    &rep.samples,
-                    timeline.preamble.start,
-                    tag_cfg.preamble_us,
-                    self.cfg.fb_taps,
-                    search,
-                    self.cfg.ridge,
-                )
-            };
             let mut search: Vec<isize> = vec![0];
             let mut off = 20isize;
             while off <= self.cfg.timing_span as isize {
@@ -404,19 +378,15 @@ impl BackscatterReader {
                 search.push(-off);
                 off += 20;
             }
-            estimate(&search).or_else(|| {
-                backfi_obs::counter_add("reader.timing_reacquire", 1);
-                let _t = backfi_obs::span("reader.acquire");
-                let span = self.reacquire_span() as isize;
-                let mut wide: Vec<isize> = vec![0];
-                let mut off = 10isize;
-                while off <= span {
-                    wide.push(off);
-                    wide.push(-off);
-                    off += 10;
-                }
-                estimate(&wide)
-            })
+            estimate_h_fb(
+                x_clean,
+                &rep.samples,
+                timeline.preamble.start,
+                tag_cfg.preamble_us,
+                self.cfg.fb_taps,
+                &search,
+                self.cfg.ridge,
+            )
         };
         let Some(est) = est else {
             scratch.sic.recycle(rep.samples);
@@ -472,9 +442,9 @@ impl BackscatterReader {
     /// all-slots list. Once no slot is left the branch releases its
     /// canceller report.
     ///
-    /// Degradation ladder rung 3: symbol windows dominated by flagged
-    /// (saturated/non-finite) samples become erasures — zero LLRs into the
-    /// soft Viterbi — instead of confident wrong decisions. The
+    /// Degradation ladder rung 2 (DESIGN.md §10): symbol windows dominated
+    /// by flagged (saturated/non-finite) samples become erasures — zero LLRs
+    /// into the soft Viterbi — instead of confident wrong decisions. The
     /// `reader.erasures` counter counts the erasures among the slots
     /// combined: masked windows and non-finite estimates.
     fn combine(
@@ -540,57 +510,6 @@ impl BackscatterReader {
         if ended || branch.symbols.len() == rest.slots {
             branch.release(&mut scratch.sic);
         }
-    }
-
-    /// SIC divergence check + retrain (degradation ladder rung 1).
-    ///
-    /// Compares the residual over the *trailing* quarter of the silent
-    /// window against the *leading* quarter (after the filter-settling
-    /// trim). A hot tail means the whole-window fit is diverging in time —
-    /// a transient corrupted part of the window, the stream truncated, or a
-    /// time-varying effect is outrunning the LTI filter. Retrain on the
-    /// trailing half (closest to the payload) and keep whichever training
-    /// leaves the cleaner tail. Returns `None` to keep the original report;
-    /// the 6 dB margin is far beyond clean-run fluctuation (≲ 1 dB between
-    /// two 80-sample quarters), so the clean path never retrains.
-    fn sic_retrain(
-        &self,
-        canceller: &SelfInterferenceCanceller,
-        x_clean: &[Complex],
-        y_rx: &mut dyn RxSource,
-        timeline: &Timeline,
-        rep: CancellerReport,
-        sic: &mut SicScratch,
-    ) -> CancellerReport {
-        const DIVERGENCE_DB: f64 = 6.0;
-        let silent = &timeline.silent;
-        let q = silent.len() / 4;
-        let head_start = silent.start + self.cfg.canceller.digital_taps;
-        if q == 0 || head_start + q > silent.end - q {
-            return rep;
-        }
-        let tail = (silent.end - q)..silent.end;
-        let head_db = stats::db(stats::mean_power(&rep.samples[head_start..head_start + q]));
-        let tail_db = stats::db(stats::mean_power(&rep.samples[tail.clone()]));
-        if !tail_db.is_finite() || !head_db.is_finite() || tail_db <= head_db + DIVERGENCE_DB {
-            return rep;
-        }
-        backfi_obs::counter_add("reader.sic_retrain", 1);
-        let _t = backfi_obs::span("reader.retrain");
-        backfi_obs::trace::instant_arg("reader.retrain", "tail_minus_head_db", tail_db - head_db);
-        let end = rep.samples.len();
-        let Some(rep2) = canceller.process_with(x_clean, y_rx, fallback_window(silent), end, sic)
-        else {
-            return rep;
-        };
-        let tail2_db = stats::db(stats::mean_power(&rep2.samples[tail]));
-        let (keep, spare) = if tail2_db < tail_db {
-            (rep2, rep)
-        } else {
-            (rep, rep2)
-        };
-        sic.recycle(spare.samples);
-        keep
     }
 
     /// Read the frame header from the branch's data symbols and combine
@@ -665,12 +584,6 @@ impl BackscatterReader {
             timing_offset,
         }
     }
-
-    /// Span of the wide timing re-acquisition: 3× the nominal span, at
-    /// least ±60 samples.
-    fn reacquire_span(&self) -> usize {
-        self.cfg.timing_span.max(20) * 3
-    }
 }
 
 /// Decision-directed common-phase refinement: slice each symbol, accumulate
@@ -698,12 +611,6 @@ fn refine_phase(symbols: &mut [SymbolEstimate], modulation: TagModulation) {
 fn nan_loses_max(a: f64, b: f64) -> std::cmp::Ordering {
     let key = |v: f64| if v.is_nan() { f64::NEG_INFINITY } else { v };
     key(a).total_cmp(&key(b))
-}
-
-/// The trailing half of the silent window — the SIC retrain fallback
-/// (closest to the payload, and past any transient that corrupted the head).
-fn fallback_window(silent: &std::ops::Range<usize>) -> std::ops::Range<usize> {
-    (silent.start + silent.len() / 2)..silent.end
 }
 
 /// The reader's reusable excitation-length buffers for
@@ -1111,9 +1018,9 @@ mod tests {
     }
 
     /// Test-only full-length oracle for [`BackscatterReader::decode_with`]:
-    /// [`SelfInterferenceCanceller::process`] over every sample (with the
-    /// same retrain ladder), the channel estimate and the MRC reference over
-    /// the whole packet, MRC over every slot, then the back half.
+    /// [`SelfInterferenceCanceller::process`] over every sample, the channel
+    /// estimate and the MRC reference over the whole packet, MRC over every
+    /// slot, then the back half.
     fn oracle_decode(
         reader: &BackscatterReader,
         x: &[Complex],
@@ -1130,13 +1037,7 @@ mod tests {
             y[i] = Complex::ZERO;
         }
         let canceller = SelfInterferenceCanceller::new(cfg.canceller, h_env);
-        let rep = match canceller.process(x, &y, timeline.silent.clone()) {
-            Some(rep) => {
-                let mut sic = SicScratch::default();
-                reader.sic_retrain(&canceller, x, &mut &y[..], timeline, rep, &mut sic)
-            }
-            None => canceller.process(x, &y, fallback_window(&timeline.silent))?,
-        };
+        let rep = canceller.process(x, &y, timeline.silent.clone())?;
         assert_eq!(rep.samples.len(), n);
         let mut flagged = vec![false; n];
         for &i in &bad {
@@ -1145,26 +1046,19 @@ mod tests {
         for r in rep.clip_ranges.iter().filter(|r| r.len() >= 16) {
             flagged[r.clone()].fill(true);
         }
-        let offsets = |step: isize, span: isize| {
-            let mut v = vec![0];
-            for off in (step..=span).step_by(step as usize) {
-                v.extend([off, -off]);
-            }
-            v
-        };
-        let est = |search: &[isize]| {
-            estimate_h_fb(
-                x,
-                &rep.samples,
-                timeline.preamble.start,
-                tag_cfg.preamble_us,
-                cfg.fb_taps,
-                search,
-                cfg.ridge,
-            )
-        };
-        let span = cfg.timing_span as isize;
-        let est = est(&offsets(20, span)).or_else(|| est(&offsets(10, span.max(20) * 3)))?;
+        let mut search = vec![0];
+        for off in (20..=cfg.timing_span as isize).step_by(20) {
+            search.extend([off, -off]);
+        }
+        let est = estimate_h_fb(
+            x,
+            &rep.samples,
+            timeline.preamble.start,
+            tag_cfg.preamble_us,
+            cfg.fb_taps,
+            &search,
+            cfg.ridge,
+        )?;
         let reference = backfi_dsp::fir::filter(&est.h_fb, x);
         let shifted = timeline.shifted(est.offset);
         let sps = tag_cfg.samples_per_symbol();
@@ -1370,14 +1264,6 @@ mod tests {
             res.symbols.len(),
             TagFrame::symbol_count(l.data.len(), &cfg)
         );
-
-        // A forced timing re-acquire: the reference is silent around the
-        // nominal preamble windows, so only the wide search finds one.
-        let mut l = Link::new(1.0, cfg, 25, |_| {});
-        let p = l.timeline.preamble.clone();
-        l.x[p.start - 41..p.end + 41].fill(Complex::ZERO);
-        let (res, _) = assert_matches_oracle(&l, &cfg, &mut scratch, "re-acquire");
-        assert!(res.timing_offset.abs() > 40, "offset {}", res.timing_offset);
 
         // A railing run of at least `CLIP_RUN_MIN` samples that straddles
         // the frame's end: a pull that stops at the frame sees only its
@@ -1631,33 +1517,5 @@ mod tests {
                 (q.z.re.to_bits(), q.z.im.to_bits())
             );
         }
-    }
-
-    /// Corrupting the tail of the silent window forces the SIC divergence
-    /// detector to fire and attempt a fallback-window retrain.
-    #[test]
-    fn sic_divergence_triggers_retrain() {
-        use backfi_tag::detector::SAMPLES_PER_BIT;
-        backfi_obs::enable();
-        let cfg = TagConfig::default();
-        // Reconstruct the timeline run_link_mut builds internally.
-        let detect_end = 200 + backfi_coding::prbs::tag_preamble(1).len() * SAMPLES_PER_BIT;
-        let silent = Timeline::nominal(
-            detect_end,
-            detect_end + backfi_dsp::us_to_samples(1500.0),
-            &cfg,
-        )
-        .silent;
-        let before = backfi_obs::counter_value("reader.sic_retrain");
-        let (res, _data) = run_link_mut(1.0, cfg, 42, |y| {
-            let q = silent.len() / 4;
-            for v in &mut y[silent.end - q..silent.end] {
-                *v += Complex::new(0.5, 0.5); // blocker burst in the tail
-            }
-        });
-        let after = backfi_obs::counter_value("reader.sic_retrain");
-        assert!(after > before, "divergence detector should have fired");
-        // Graceful ladder: a typed result either way, no panic.
-        let _ = res;
     }
 }

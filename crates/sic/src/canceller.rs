@@ -92,15 +92,14 @@ impl CancellerReport {
     /// Cancel further samples: grow `samples` to the first `end` samples of
     /// the packet, pulling from `y_rx` what the analog stage and the clip
     /// scan read. `x_clean`, `y_rx` and `scratch` must be the ones
-    /// [`SelfInterferenceCanceller::process_with`] ran on, with no other
-    /// packet processed through `scratch` since (a retrain of this packet
-    /// through the same prefix may be: the samples it digitized with its
-    /// own gain are ones this report has already cancelled). Every sample is
-    /// bit-identical to the same sample of a whole-packet run (see
-    /// `process_with`). A no-op when `end <= samples.len()`.
+    /// [`SelfInterferenceCanceller::process_with`] ran on, with nothing else
+    /// run through `scratch` since. Every sample is bit-identical to the
+    /// same sample of a whole-packet run (see `process_with`). A no-op when
+    /// `end <= samples.len()`.
     ///
     /// # Panics
-    /// Panics if `end` exceeds the packet length.
+    /// Panics if `end` exceeds the packet length, or if `scratch` was
+    /// digitized to another point than this report's `samples`.
     pub fn extend(
         &mut self,
         x_clean: &[Complex],
@@ -113,9 +112,9 @@ impl CancellerReport {
             return;
         }
         assert!(end <= x_clean.len(), "end out of range");
-        assert!(
-            scratch.digitized <= start || scratch.adc == self.adc,
-            "the scratch holds samples digitized for another gain"
+        assert_eq!(
+            scratch.digitized, start,
+            "the scratch was digitized for another report"
         );
         {
             let _t = backfi_obs::span("sic.adc");
@@ -169,7 +168,6 @@ impl CancellerReport {
             self.adc
                 .quantize(&mut scratch.analog[scratch.digitized..end]);
             scratch.digitized = end;
-            scratch.adc = self.adc;
         }
     }
 }
@@ -339,14 +337,13 @@ impl SelfInterferenceCanceller {
 /// The canceller's excitation-length buffers, kept by a caller that
 /// cancels many packets so each run reuses their capacity: the post-analog
 /// signal, digitized in place (with the ADC the AGC set for the packet) as
-/// far as the packet's reports have been cancelled and analog beyond, and
-/// a recycled output buffer.
+/// far as the packet's report has been cancelled and analog beyond, and a
+/// recycled output buffer.
 #[derive(Debug, Default)]
 pub struct SicScratch {
     analog: Vec<Complex>,
-    /// `analog[..digitized]` is quantized with `adc`, the rest still analog.
+    /// `analog[..digitized]` is quantized, the rest still analog.
     digitized: usize,
-    adc: Adc,
     samples: Vec<Complex>,
 }
 
@@ -554,14 +551,12 @@ mod tests {
     }
 
     /// A report cancelled over a prefix and extended in steps equals the
-    /// whole-packet report bit for bit, with either stage bypassed, with a
-    /// clipping burst that straddles an extension's end, and with a second
-    /// training (the reader's retrain) run through the same scratch
-    /// between the steps, whichever of the two goes on. The front end is
+    /// whole-packet report bit for bit, with either stage bypassed and with
+    /// a clipping burst that straddles an extension's end. The front end is
     /// causal: the AGC sets its gain on the silent window, so a late
-    /// clipping burst changes no sample before it, and the received stream is pulled only
-    /// as far as the report reads, plus the end of a clipped run that is
-    /// open where an extension ends.
+    /// clipping burst changes no sample before it, and the received stream
+    /// is pulled only as far as the report reads, plus the end of a clipped
+    /// run that is open where an extension ends.
     #[test]
     fn extended_prefix_matches_process_bitwise() {
         let bits = |v: &[Complex]| -> Vec<(u64, u64)> {
@@ -582,48 +577,35 @@ mod tests {
             };
             let c = SelfInterferenceCanceller::new(cfg, &h_env);
             let want = c.process(&x, &y, 0..320).unwrap();
-            let want2 = c.process(&x, &y, 160..320).unwrap();
-            // The retrain sets its own gain on its own window; either report
-            // goes on, as the reader keeps one.
-            for keep_first in [true, false] {
-                let mut rx = Counted { y: &y, pulled: 0 };
-                let mut got = c
-                    .process_with(&x, &mut rx, 0..320, 100, &mut scratch)
-                    .unwrap();
-                assert_eq!(
-                    got.samples.len(),
-                    320,
-                    "the silent window is always cancelled"
-                );
-                assert_eq!(rx.pulled, 320, "pulled past the silent window");
-                got.extend(&x, &mut rx, 1001, &mut scratch);
-                got.extend(&x, &mut rx, 999, &mut scratch);
-                assert_eq!(got.samples.len(), 1001);
-                assert!(
-                    (1030..1030 + 64).contains(&rx.pulled),
-                    "the burst open at 1001 is read to its end: {}",
-                    rx.pulled
-                );
-                assert_eq!(got.clip_ranges.last(), Some(&(990..1030)));
-                let retrained = c
-                    .process_with(&x, &mut rx, 160..320, 1001, &mut scratch)
-                    .unwrap();
-                let (mut kept, spare, whole) = if keep_first {
-                    (got, retrained, &want)
-                } else {
-                    (retrained, got, &want2)
-                };
-                scratch.recycle(spare.samples);
-                kept.extend(&x, &mut rx, n, &mut scratch);
-                assert_eq!(bits(&kept.samples), bits(&whole.samples));
-                assert_eq!(kept.residual_db.to_bits(), whole.residual_db.to_bits());
-                assert_eq!(
-                    kept.adc_clip_fraction().to_bits(),
-                    whole.adc_clip_fraction().to_bits()
-                );
-                assert_eq!(kept.clip_ranges, whole.clip_ranges);
-                scratch.recycle(kept.samples);
-            }
+            let mut rx = Counted { y: &y, pulled: 0 };
+            let mut got = c
+                .process_with(&x, &mut rx, 0..320, 100, &mut scratch)
+                .unwrap();
+            assert_eq!(
+                got.samples.len(),
+                320,
+                "the silent window is always cancelled"
+            );
+            assert_eq!(rx.pulled, 320, "pulled past the silent window");
+            got.extend(&x, &mut rx, 1001, &mut scratch);
+            got.extend(&x, &mut rx, 999, &mut scratch);
+            assert_eq!(got.samples.len(), 1001);
+            assert!(
+                (1030..1030 + 64).contains(&rx.pulled),
+                "the burst open at 1001 is read to its end: {}",
+                rx.pulled
+            );
+            assert_eq!(got.clip_ranges.last(), Some(&(990..1030)));
+            assert_eq!(bits(&got.samples), bits(&want.samples[..1001]));
+            got.extend(&x, &mut rx, n, &mut scratch);
+            assert_eq!(bits(&got.samples), bits(&want.samples));
+            assert_eq!(got.residual_db.to_bits(), want.residual_db.to_bits());
+            assert_eq!(
+                got.adc_clip_fraction().to_bits(),
+                want.adc_clip_fraction().to_bits()
+            );
+            assert_eq!(got.clip_ranges, want.clip_ranges);
+            scratch.recycle(got.samples);
 
             // Causal gain: without the late burst every earlier sample is
             // the same, and only the burst's run is missing.
