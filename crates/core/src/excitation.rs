@@ -58,6 +58,9 @@ pub struct Excitation {
     pub wifi_psdu: Vec<u8>,
     /// The configuration used.
     pub config: ExcitationConfig,
+    /// The samples scaled to the first TX amplitude asked of
+    /// [`Excitation::scaled`], keyed by the amplitude's exact bits.
+    scaled: OnceLock<(u64, Arc<[Complex]>)>,
 }
 
 /// The excitation is a pure function of its config (no per-trial randomness:
@@ -170,6 +173,23 @@ impl Excitation {
             data_span,
             wifi_psdu,
             config: cfg,
+            scaled: OnceLock::new(),
+        }
+    }
+
+    /// The samples scaled to TX amplitude `a` (`samples[i] * a`, the
+    /// canceller's clean reference). The first amplitude asked is kept and
+    /// shared by every caller asking for it bit for bit: one scaled copy per
+    /// excitation, not one per simulator. Any other amplitude is scaled
+    /// afresh on each call. The samples must not change after the first
+    /// call (a clone carries the kept copy).
+    pub fn scaled(&self, a: f64) -> Arc<[Complex]> {
+        let scale = || -> Arc<[Complex]> { self.samples.iter().map(|&v| v * a).collect() };
+        let (key, x) = self.scaled.get_or_init(|| (a.to_bits(), scale()));
+        if *key == a.to_bits() {
+            x.clone()
+        } else {
+            scale()
         }
     }
 
@@ -282,6 +302,25 @@ mod tests {
         };
         let c = Excitation::cached(&other);
         assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    #[test]
+    fn scaled_memo_keys_by_amplitude_bits() {
+        let e = Excitation::build(ExcitationConfig {
+            wifi_payload_bytes: 200,
+            ..Default::default()
+        });
+        let bits = |v: &[Complex]| -> Vec<(u64, u64)> {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        // The first amplitude is kept; the others are scaled afresh, still
+        // exactly.
+        let amps = [10.0, 10.0f64.next_up(), 3.0];
+        for &a in &amps {
+            let want: Vec<Complex> = e.samples.iter().map(|&v| v * a).collect();
+            assert_eq!(bits(&e.scaled(a)), bits(&want), "amplitude {a}");
+        }
+        assert!(Arc::ptr_eq(&e.scaled(10.0), &e.scaled(10.0)));
     }
 
     #[test]

@@ -23,6 +23,7 @@ use backfi_tag::psk::{gray_decode, hard_index};
 use backfi_tag::state::TagState;
 use backfi_tag::Tag;
 use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Configuration of one link experiment.
 #[derive(Clone, Debug)]
@@ -133,13 +134,19 @@ impl LinkReport {
 ///   and shared by the tag and the medium), the tag's reflection stream
 ///   `gamma`, the received signal `rx`, the medium's three intermediate
 ///   signals, and the reader's canceller stages and MRC reference.
+/// * **Plans.** The reader's scratch also keeps the least-squares plans
+///   that depend only on the excitation (the digital canceller's
+///   silent-window Gram factorization and the timing search's
+///   per-candidate ones), reused by the thread's next trial while its
+///   reference windows are the same bit for bit and rebuilt otherwise.
 /// * **Lifetime.** One per thread, built empty on the thread's first trial
 ///   and sized by it (never in [`LinkSimulator::new`]). A sweep executor's
 ///   scoped workers live for one pass, so their scratch does too; a
 ///   long-lived thread keeps its largest trial's buffers until it exits.
 /// * **Reads.** Every buffer is cleared or resized and then written (as far
-///   as the trial reads it) before it is read, so what a previous trial (of
-///   any configuration, or one that panicked half-way) left behind never
+///   as the trial reads it) before it is read, and a plan is reused only
+///   for its own reference window, so what a previous trial (of any
+///   configuration, or one that panicked half-way) left behind never
 ///   reaches a result: a run on a warm scratch is bit-identical to the same
 ///   seed on a fresh thread.
 /// * **Unwind.** `run` holds the borrow through a `RefCell` guard, which a
@@ -243,27 +250,30 @@ impl RxSource for LazyTrial<'_> {
 
 /// The composed simulator.
 ///
-/// Construction is the expensive part: the WiFi excitation (scrambler →
-/// conv-code → interleave → IFFT) is synthesized once here — via the
-/// process-wide [`Excitation::cached`] store — and shared immutably by every
-/// [`LinkSimulator::run`] call. `run(seed)` itself is pure per-trial work
-/// (`&self`, seed-derived state only), so one simulator can serve many sweep
-/// worker threads concurrently.
+/// Construction shares what depends only on the configuration's excitation:
+/// the WiFi excitation (scrambler → conv-code → interleave → IFFT) comes
+/// from the process-wide [`Excitation::cached`] store, and its TX-scaled
+/// copy from that excitation's [`Excitation::scaled`] memo, so every
+/// simulator with the same excitation and TX amplitude holds the same two
+/// allocations and a sweep builds its simulators in pointer copies.
+/// `run(seed)` itself is pure per-trial work (`&self`, seed-derived state
+/// only), so one simulator can serve many sweep worker threads
+/// concurrently.
 #[derive(Clone)]
 pub struct LinkSimulator {
     cfg: LinkConfig,
-    exc: std::sync::Arc<Excitation>,
-    /// Excitation pre-scaled to the budget's TX amplitude (the canceller's
-    /// clean reference), computed once per simulator instead of per trial.
-    x_scaled: std::sync::Arc<Vec<Complex>>,
+    exc: Arc<Excitation>,
+    /// The excitation at the budget's TX amplitude (the canceller's clean
+    /// reference), shared with every simulator of the same excitation and
+    /// amplitude.
+    x_scaled: Arc<[Complex]>,
 }
 
 impl LinkSimulator {
     /// Create a simulator for the given configuration.
     pub fn new(cfg: LinkConfig) -> Self {
         let exc = Excitation::cached(&cfg.excitation);
-        let a = cfg.budget.tx_power().sqrt();
-        let x_scaled = std::sync::Arc::new(exc.samples.iter().map(|&v| v * a).collect());
+        let x_scaled = exc.scaled(cfg.budget.tx_power().sqrt());
         LinkSimulator { cfg, exc, x_scaled }
     }
 
@@ -385,6 +395,7 @@ impl LinkSimulator {
         backfi_obs::counter_add("link.samples", simulated as u64);
         let report = self.report(
             sent,
+            tag.symbols(),
             frame_fits,
             expected_snr_db,
             tag_energy_pj,
@@ -419,10 +430,13 @@ impl LinkSimulator {
         (sent, frame_fits)
     }
 
-    /// The trial's report from what the reader decoded.
+    /// The trial's report from what the reader decoded; `sent_symbols` are
+    /// the constellation indices the tag modulated for `sent`.
+    #[allow(clippy::too_many_arguments)]
     fn report(
         &self,
         sent: Vec<u8>,
+        sent_symbols: &[usize],
         frame_fits: bool,
         expected_snr_db: f64,
         tag_energy_pj: f64,
@@ -453,12 +467,11 @@ impl LinkSimulator {
                 let ber = backfi_reader::decode::frame_ber(&res.decoded_bits, &sent);
                 // Pre-FEC BER: hard-decide each received phasor and compare
                 // against the symbols the tag actually modulated.
-                let expect_syms = TagFrame::encode(&sent, &cfg.tag);
                 let m = cfg.tag.modulation;
                 let bps = m.bits_per_symbol();
                 let mut raw_errs = 0usize;
                 let mut raw_bits = 0usize;
-                for (i, &idx) in expect_syms.iter().enumerate() {
+                for (i, &idx) in sent_symbols.iter().enumerate() {
                     let Some(est) = res.symbols.get(i) else { break };
                     let got = gray_decode(hard_index(m, est.z.arg()));
                     let phase = std::f64::consts::TAU * idx as f64 / m.order() as f64;
@@ -681,6 +694,7 @@ mod tests {
         let timing = decoded.as_ref().ok().map(|r| r.timing_offset);
         let report = sim.report(
             sent,
+            tag.symbols(),
             frame_fits,
             expected_snr_db,
             tag_energy_pj,
@@ -806,6 +820,32 @@ mod tests {
             assert!(shifted.is_some(), "no desync moved the timing estimate");
         }
         force_scalar(was_scalar);
+    }
+
+    /// Simulators of one excitation and TX power share one scaled
+    /// reference; another TX power gets its own, equal bit for bit to the
+    /// samples times its amplitude.
+    #[test]
+    fn scaled_reference_is_shared_per_excitation_and_amplitude() {
+        let mut cfg = quick_cfg(1.0, TagConfig::default());
+        cfg.excitation.tag_id = 11; // an excitation no other test scales
+        let a = LinkSimulator::new(cfg.clone());
+        cfg.distance_m = 3.0;
+        cfg.tag.preamble_us = 96.0;
+        let b = LinkSimulator::new(cfg.clone());
+        assert!(Arc::ptr_eq(&a.x_scaled, &b.x_scaled));
+        assert!(Arc::ptr_eq(&a.exc, &b.exc));
+        let bits = |v: &[Complex]| -> Vec<(u64, u64)> {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        for dbm in [17.0, 23.0] {
+            cfg.budget.tx_power_dbm = dbm;
+            let c = LinkSimulator::new(cfg.clone());
+            assert!(!Arc::ptr_eq(&a.x_scaled, &c.x_scaled), "{dbm} dBm");
+            let amp = cfg.budget.tx_power().sqrt();
+            let want: Vec<Complex> = c.exc.samples.iter().map(|&v| v * amp).collect();
+            assert_eq!(bits(&c.x_scaled), bits(&want), "{dbm} dBm");
+        }
     }
 
     #[test]

@@ -51,9 +51,8 @@ impl MimoLinkSimulator {
     /// Run one exchange.
     pub fn run(&self, seed: u64) -> MimoReport {
         let cfg = &self.cfg;
-        let exc = Excitation::build(cfg.excitation.clone());
-        let a = cfg.budget.tx_power().sqrt();
-        let xs: Vec<Complex> = exc.samples.iter().map(|&v| v * a).collect();
+        let exc = Excitation::cached(&cfg.excitation);
+        let xs = exc.scaled(cfg.budget.tx_power().sqrt());
 
         let mut rng = SplitMix64::new(seed);
 
@@ -92,7 +91,7 @@ impl MimoLinkSimulator {
                 leg_amp,
             );
             // SI path with uncancellable transmitter noise.
-            let mut tx_sig: Vec<Complex> = xs.clone();
+            let mut tx_sig: Vec<Complex> = xs.to_vec();
             add_noise(&mut rng, &mut tx_sig, tx_noise_power);
             let mut y = filter(&h_env, &tx_sig);
             let back = filter(&h_b, &modded);

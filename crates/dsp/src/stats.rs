@@ -65,12 +65,7 @@ pub fn snr_db(signal: &[Complex], error: &[Complex]) -> f64 {
 pub fn evm_percent(rx: &[Complex], ideal: &[Complex]) -> f64 {
     assert_eq!(rx.len(), ideal.len(), "evm: length mismatch");
     assert!(!rx.is_empty(), "evm: empty input");
-    let perr: f64 = rx
-        .iter()
-        .zip(ideal)
-        .map(|(a, b)| (*a - *b).norm_sqr())
-        .sum();
-    let pref: f64 = ideal.iter().map(|v| v.norm_sqr()).sum();
+    let (perr, pref) = decision_powers(rx.iter().copied().zip(ideal.iter().copied()));
     100.0 * (perr / pref).sqrt()
 }
 
@@ -78,13 +73,19 @@ pub fn evm_percent(rx: &[Complex], ideal: &[Complex]) -> f64 {
 /// received PSK symbols and their sliced ideal values, SNR ≈ P_ref / P_err.
 pub fn snr_from_decisions_db(rx: &[Complex], ideal: &[Complex]) -> f64 {
     assert_eq!(rx.len(), ideal.len());
-    let perr: f64 = rx
-        .iter()
-        .zip(ideal)
-        .map(|(a, b)| (*a - *b).norm_sqr())
-        .sum();
-    let pref: f64 = ideal.iter().map(|v| v.norm_sqr()).sum();
+    let (perr, pref) = decision_powers(rx.iter().copied().zip(ideal.iter().copied()));
     db(pref / perr)
+}
+
+/// The error and reference powers behind [`evm_percent`] and
+/// [`snr_from_decisions_db`]: `(Σ|rx − ideal|², Σ|ideal|²)` over
+/// `(rx, ideal)` pairs, each summed in order.
+pub fn decision_powers(pairs: impl IntoIterator<Item = (Complex, Complex)>) -> (f64, f64) {
+    pairs
+        .into_iter()
+        .fold((0.0, 0.0), |(perr, pref), (rx, ideal)| {
+            (perr + (rx - ideal).norm_sqr(), pref + ideal.norm_sqr())
+        })
 }
 
 /// Arithmetic mean of a real slice (0 for empty).

@@ -7,10 +7,14 @@
 //! regularized least squares for `h_fb` — trying a handful of timing offsets
 //! (the tag's comparator quantizes its timeline to 1 µs) and keeping the one
 //! with the smallest residual.
+//!
+//! Every candidate's reference `u` depends only on the excitation, so a
+//! [`TimingSearch`] carried across packets keeps one LS plan per candidate
+//! ([`FirPlan`]) and refits it against each packet's received samples.
 
 use backfi_dsp::us_to_samples;
 use backfi_dsp::Complex;
-use backfi_sic::estimator::{estimate_fir_masked, residual_power_with};
+use backfi_sic::estimator::{residual_power_with, FirPlan};
 use backfi_tag::framer::{TagFrame, PREAMBLE_CHIP_US};
 
 /// Result of channel estimation.
@@ -56,7 +60,8 @@ pub(crate) fn window_end(nominal_start: usize, preamble_us: f64, span: usize) ->
 /// * `search` — timing offsets (samples) to try, e.g. `[-20, 0, 20, 40]`,
 /// * `ridge` — LS regularization.
 ///
-/// Returns `None` when no offset yields a solvable system.
+/// Returns `None` when no offset yields a solvable system. A fresh
+/// [`TimingSearch`]; a caller estimating many packets keeps one instead.
 #[allow(clippy::too_many_arguments)]
 pub fn estimate_h_fb(
     x: &[Complex],
@@ -67,51 +72,83 @@ pub fn estimate_h_fb(
     search: &[isize],
     ridge: f64,
 ) -> Option<ChannelEstimate> {
-    let _t = backfi_obs::span("chanest.estimate_h_fb");
-    let chips = chips_per_sample(preamble_us);
-    let per_chip = us_to_samples(PREAMBLE_CHIP_US);
-    let n = chips.len();
+    TimingSearch::default().estimate(x, y, nominal_start, preamble_us, taps, search, ridge)
+}
 
-    // Mask: a sample is valid when its whole taps-history sits in one chip.
-    let mask: Vec<bool> = (0..n).map(|i| i % per_chip >= taps - 1).collect();
-    // Per-offset buffers, refilled for every candidate window.
-    let mut u: Vec<Complex> = Vec::new();
-    let mut model = Vec::new();
-    let mut best: Option<ChannelEstimate> = None;
-    for &off in search {
-        let start = nominal_start as isize + off;
-        if start < 0 {
-            continue;
+/// The timing search of [`estimate_h_fb`] with what depends only on the
+/// excitation kept across packets: one [`FirPlan`] per candidate offset (in
+/// `search` order), holding the candidate's reference `u = x·c` and its
+/// factored Gram matrix, plus the buffers the search refills. A plan is
+/// reused only while its candidate's `u` is the same bit for bit, so a
+/// search carried across packets of any excitation or configuration
+/// returns exactly what a fresh one does.
+#[derive(Debug, Default)]
+pub struct TimingSearch {
+    plans: Vec<Option<FirPlan>>,
+    u: Vec<Complex>,
+    model: Vec<Complex>,
+}
+
+impl TimingSearch {
+    /// [`estimate_h_fb`] over this search's plans and buffers.
+    #[allow(clippy::too_many_arguments)]
+    pub fn estimate(
+        &mut self,
+        x: &[Complex],
+        y: &[Complex],
+        nominal_start: usize,
+        preamble_us: f64,
+        taps: usize,
+        search: &[isize],
+        ridge: f64,
+    ) -> Option<ChannelEstimate> {
+        let _t = backfi_obs::span("chanest.estimate_h_fb");
+        let chips = chips_per_sample(preamble_us);
+        let per_chip = us_to_samples(PREAMBLE_CHIP_US);
+        let n = chips.len();
+
+        // Mask: a sample is valid when its whole taps-history sits in one chip.
+        let mask: Vec<bool> = (0..n).map(|i| i % per_chip >= taps - 1).collect();
+        if self.plans.len() < search.len() {
+            self.plans.resize_with(search.len(), || None);
         }
-        let start = start as usize;
-        if start + n > x.len().min(y.len()) {
-            continue;
+        let mut best: Option<ChannelEstimate> = None;
+        for (&off, slot) in search.iter().zip(&mut self.plans) {
+            let start = nominal_start as isize + off;
+            if start < 0 {
+                continue;
+            }
+            let start = start as usize;
+            if start + n > x.len().min(y.len()) {
+                continue;
+            }
+            // Reference u = x·c over the candidate window.
+            self.u.clear();
+            self.u.extend((0..n).map(|i| x[start + i].scale(chips[i])));
+            let plan = FirPlan::reuse(slot, &self.u, taps, ridge, Some(&mask));
+            let yw = &y[start..start + n];
+            let Some(h) = plan.fit(yw) else {
+                continue;
+            };
+            let res = residual_power_with(plan.input(), yw, &h, &mut self.model);
+            let energy: f64 = h.iter().map(|t| t.norm_sqr()).sum();
+            let cand = ChannelEstimate {
+                h_fb: h,
+                offset: off,
+                residual: res,
+                energy,
+            };
+            match &best {
+                Some(b) if b.residual <= cand.residual => {}
+                _ => best = Some(cand),
+            }
         }
-        // Reference u = x·c over the candidate window.
-        u.clear();
-        u.extend((0..n).map(|i| x[start + i].scale(chips[i])));
-        let yw = &y[start..start + n];
-        let Some(h) = estimate_fir_masked(&u, yw, taps, ridge, &mask) else {
-            continue;
-        };
-        let res = residual_power_with(&u, yw, &h, &mut model);
-        let energy: f64 = h.iter().map(|t| t.norm_sqr()).sum();
-        let cand = ChannelEstimate {
-            h_fb: h,
-            offset: off,
-            residual: res,
-            energy,
-        };
-        match &best {
-            Some(b) if b.residual <= cand.residual => {}
-            _ => best = Some(cand),
+        if let Some(b) = &best {
+            backfi_obs::probe("chanest.energy", b.energy);
+            backfi_obs::probe("chanest.residual", b.residual);
         }
+        best
     }
-    if let Some(b) = &best {
-        backfi_obs::probe("chanest.energy", b.energy);
-        backfi_obs::probe("chanest.residual", b.residual);
-    }
-    best
 }
 
 #[cfg(test)]

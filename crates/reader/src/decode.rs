@@ -16,10 +16,10 @@
 use crate::mrc::SymbolEstimate;
 use backfi_coding::puncture::{depuncture_soft, puncture, punctured_len};
 use backfi_coding::{CodeRate, ConvEncoder, ViterbiDecoder};
-use backfi_dsp::{stats, Complex};
+use backfi_dsp::stats;
 use backfi_tag::config::TagModulation;
 use backfi_tag::framer::{FrameError, TagFrame, HEADER_BITS};
-use backfi_tag::psk::{hard_index, index_phase, SoftDemapper};
+use backfi_tag::psk::{hard_index, ideal_points, SoftDemapper};
 
 /// Information bits [`announced_len`] decodes: the header plus a traceback
 /// margin of 48 bits (about seven constraint lengths), so the truncated
@@ -201,14 +201,15 @@ pub fn link_metrics(estimates: &[SymbolEstimate], modulation: TagModulation) -> 
             symbols: 0,
         };
     }
-    let rx: Vec<Complex> = estimates.iter().map(|e| e.z).collect();
-    let ideal: Vec<Complex> = rx
-        .iter()
-        .map(|z| Complex::exp_j(index_phase(modulation, hard_index(modulation, z.arg()))))
-        .collect();
+    let points = ideal_points(modulation);
+    let (perr, pref) = stats::decision_powers(
+        estimates
+            .iter()
+            .map(|e| (e.z, points[hard_index(modulation, e.z.arg())])),
+    );
     LinkMetrics {
-        symbol_snr_db: stats::snr_from_decisions_db(&rx, &ideal),
-        evm_percent: stats::evm_percent(&rx, &ideal),
+        symbol_snr_db: stats::db(pref / perr),
+        evm_percent: 100.0 * (perr / pref).sqrt(),
         symbols: estimates.len(),
     }
 }
@@ -225,6 +226,7 @@ mod tests {
     use super::*;
     use backfi_dsp::noise::cgauss;
     use backfi_dsp::rng::SplitMix64;
+    use backfi_dsp::Complex;
 
     /// Build symbol estimates straight from an encoded frame, with optional
     /// phase noise.
@@ -256,6 +258,42 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// [`link_metrics`] from the constellation table in one pass equals
+    /// the per-symbol `exp_j(index_phase(…))` slicing through
+    /// `stats::snr_from_decisions_db` and `stats::evm_percent`, bit for bit,
+    /// erasures included.
+    #[test]
+    fn link_metrics_match_the_per_symbol_slicing() {
+        use backfi_tag::psk::index_phase;
+        let mut rng = SplitMix64::new(17);
+        for m in TagModulation::ALL {
+            let mut estimates: Vec<SymbolEstimate> = (0..300)
+                .map(|_| SymbolEstimate {
+                    z: cgauss(&mut rng, 1.0),
+                    ref_energy: 1.0,
+                    noise_var: 0.1,
+                })
+                .collect();
+            estimates[7] = SymbolEstimate::erasure();
+            let rx: Vec<Complex> = estimates.iter().map(|e| e.z).collect();
+            let ideal: Vec<Complex> = rx
+                .iter()
+                .map(|z| Complex::exp_j(index_phase(m, hard_index(m, z.arg()))))
+                .collect();
+            let got = link_metrics(&estimates, m);
+            assert_eq!(
+                got.symbol_snr_db.to_bits(),
+                stats::snr_from_decisions_db(&rx, &ideal).to_bits(),
+                "{m:?}"
+            );
+            assert_eq!(
+                got.evm_percent.to_bits(),
+                stats::evm_percent(&rx, &ideal).to_bits(),
+                "{m:?}"
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! results are bit-identical to cancelling and combining the whole
 //! excitation.
 
-use crate::chanest::{estimate_h_fb, window_end};
+use crate::chanest::{window_end, TimingSearch};
 use crate::decode::{announced_len, decode_frame, decode_symbols, header_symbols, LinkMetrics};
 use crate::mrc::{mrc_symbol, zf_symbol, SymbolEstimate};
 use crate::timeline::Timeline;
@@ -26,7 +26,7 @@ use backfi_sic::{
 };
 use backfi_tag::config::{TagConfig, TagModulation};
 use backfi_tag::framer::{FrameError, TagFrame, PILOT_SYMBOLS};
-use backfi_tag::psk::{hard_index, index_phase};
+use backfi_tag::psk::{hard_index, ideal_points};
 
 /// Reader-side settings.
 #[derive(Clone, Copy, Debug)]
@@ -378,7 +378,7 @@ impl BackscatterReader {
                 search.push(-off);
                 off += 20;
             }
-            estimate_h_fb(
+            scratch.chanest.estimate(
                 x_clean,
                 &rep.samples,
                 timeline.preamble.start,
@@ -592,10 +592,10 @@ impl BackscatterReader {
 /// already carries the absolute phase from the PN preamble's known chips;
 /// this averages out what common error it has over the whole frame.
 fn refine_phase(symbols: &mut [SymbolEstimate], modulation: TagModulation) {
+    let points = ideal_points(modulation);
     let mut acc = Complex::ZERO;
     for s in symbols.iter() {
-        let idx = hard_index(modulation, s.z.arg());
-        let ideal = Complex::exp_j(index_phase(modulation, idx));
+        let ideal = points[hard_index(modulation, s.z.arg())];
         acc += s.z * ideal.conj() * s.ref_energy;
     }
     if acc.abs() > 0.0 {
@@ -613,13 +613,18 @@ fn nan_loses_max(a: f64, b: f64) -> std::cmp::Ordering {
     key(a).total_cmp(&key(b))
 }
 
-/// The reader's reusable excitation-length buffers for
-/// [`BackscatterReader::decode_with`]: the canceller's stages and the MRC
-/// reference `h_fb ∗ x`. Every buffer is cleared or overwritten before it is
-/// read, so a scratch carried across packets never changes a result.
+/// What the reader keeps across the packets of
+/// [`BackscatterReader::decode_with`]: the excitation-length buffers (the
+/// canceller's stages and the MRC reference `h_fb ∗ x`) and the two
+/// least-squares plans that depend only on the excitation (the digital
+/// canceller's silent-window plan and the timing search's per-candidate
+/// plans). Every buffer is cleared or overwritten before it is read, and a
+/// plan is reused only for the same reference window bit for bit, so a
+/// scratch carried across packets never changes a result.
 #[derive(Debug, Default)]
 pub struct ReaderScratch {
     sic: SicScratch,
+    chanest: TimingSearch,
     /// `h_fb ∗ x` through the last slot combined so far.
     reference: Vec<Complex>,
 }
@@ -801,6 +806,7 @@ impl Branch<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chanest::estimate_h_fb;
     use backfi_chan::budget::LinkBudget;
     use backfi_chan::medium::{BackscatterMedium, MediumConfig};
     use backfi_dsp::noise::cgauss_vec;
@@ -850,10 +856,22 @@ mod tests {
             seed: u64,
             corrupt: impl Fn(&mut [Complex]),
         ) -> Self {
+            Link::build(distance, tag_cfg, seed, seed, corrupt)
+        }
+
+        /// [`Link::new`] with the excitation drawn from `exc_seed` and the
+        /// channel and noise from `seed`.
+        fn build(
+            distance: f64,
+            tag_cfg: TagConfig,
+            exc_seed: u64,
+            seed: u64,
+            corrupt: impl Fn(&mut [Complex]),
+        ) -> Self {
             use backfi_tag::detector::SAMPLES_PER_BIT;
 
             // Excitation: idle, wake-up pulses for tag 1, then wideband "data".
-            let mut rng = SplitMix64::new(seed);
+            let mut rng = SplitMix64::new(exc_seed);
             let mut x = vec![Complex::ZERO; 200];
             for &b in &backfi_coding::prbs::tag_preamble(1) {
                 if b {
@@ -929,6 +947,42 @@ mod tests {
         let reader = BackscatterReader::default();
         let frame = reader.read_frame(&mut branch, tag_cfg, &[], &mut ReaderScratch::default());
         reader.finish(branch, frame, tag_cfg)
+    }
+
+    /// [`refine_phase`] with the constellation table derotates every symbol
+    /// exactly as slicing each one through `exp_j(index_phase(…))` does.
+    #[test]
+    fn refine_phase_matches_the_per_symbol_slicing() {
+        use backfi_tag::psk::index_phase;
+        let mut rng = SplitMix64::new(9);
+        for m in TagModulation::ALL {
+            let symbols: Vec<SymbolEstimate> = (0..544)
+                .map(|_| SymbolEstimate {
+                    z: backfi_dsp::noise::cgauss(&mut rng, 1.0),
+                    ref_energy: 0.5 + rng.next_f64(),
+                    noise_var: 0.1,
+                })
+                .collect();
+            let mut want = symbols.clone();
+            let mut acc = Complex::ZERO;
+            for s in &want {
+                let ideal = Complex::exp_j(index_phase(m, hard_index(m, s.z.arg())));
+                acc += s.z * ideal.conj() * s.ref_energy;
+            }
+            let refine = Complex::exp_j(-acc.arg());
+            for s in &mut want {
+                s.z *= refine;
+            }
+            let mut got = symbols;
+            refine_phase(&mut got, m);
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(
+                    (g.z.re.to_bits(), g.z.im.to_bits()),
+                    (w.z.re.to_bits(), w.z.im.to_bits()),
+                    "{m:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1014,6 +1068,32 @@ mod tests {
                 a.metrics.symbol_snr_db.to_bits(),
                 b.metrics.symbol_snr_db.to_bits()
             );
+        }
+    }
+
+    /// One scratch carried across interleaved packets — two excitations,
+    /// each under several channel draws, at both preamble lengths, so its
+    /// least-squares plans are reused, missed and rebuilt — decodes every
+    /// packet bit for bit as a fresh scratch does.
+    #[test]
+    fn scratch_carried_across_interleaved_packets_matches_fresh_decodes() {
+        let reader = BackscatterReader::default();
+        let mut scratch = ReaderScratch::default();
+        for preamble_us in [32.0, 96.0] {
+            let cfg = TagConfig {
+                preamble_us,
+                ..TagConfig::default()
+            };
+            for (exc, seed) in [(1, 50), (2, 51), (1, 52), (1, 53), (2, 54), (2, 55)] {
+                let l = Link::build(1.0, cfg, exc, seed, |_| {});
+                let label = format!("{preamble_us} µs, excitation {exc}, seed {seed}");
+                let fresh = reader.decode(&l.x, &l.y, &l.h_env, &l.timeline, &cfg);
+                let carried =
+                    reader.decode_with(&l.x, &l.y, &l.h_env, &l.timeline, &cfg, &mut scratch);
+                let want = fresh.unwrap_or_else(|e| panic!("{label}: {e:?}"));
+                let got = carried.unwrap_or_else(|e| panic!("{label}: {e:?}"));
+                assert_same(&got, &want, &label);
+            }
         }
     }
 

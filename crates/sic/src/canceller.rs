@@ -6,6 +6,7 @@
 
 use crate::analog::{AnalogCanceller, AnalogConfig};
 use crate::digital::DigitalCanceller;
+use crate::estimator::FirPlan;
 use backfi_chan::frontend::{Adc, RxSource};
 use backfi_dsp::{stats, Complex};
 
@@ -308,11 +309,12 @@ impl SelfInterferenceCanceller {
         if self.cfg.digital_enabled {
             let _t = backfi_obs::span("sic.digital");
             // `train` records its own `sic.digital.train` span.
-            let dig = DigitalCanceller::train(
+            let dig = DigitalCanceller::train_with(
                 &x_clean[silent.clone()],
                 &digitized[silent.clone()],
                 self.cfg.digital_taps,
                 self.cfg.ridge,
+                &mut scratch.plan,
             );
             let Some(dig) = dig else {
                 scratch.samples = rep.samples;
@@ -334,17 +336,20 @@ impl SelfInterferenceCanceller {
     }
 }
 
-/// The canceller's excitation-length buffers, kept by a caller that
-/// cancels many packets so each run reuses their capacity: the post-analog
-/// signal, digitized in place (with the ADC the AGC set for the packet) as
-/// far as the packet's report has been cancelled and analog beyond, and a
-/// recycled output buffer.
+/// What the canceller keeps across the packets of a caller that cancels
+/// many: the excitation-length buffers, so each run reuses their capacity
+/// (the post-analog signal, digitized in place with the ADC the AGC set for
+/// the packet as far as the packet's report has been cancelled and analog
+/// beyond, and a recycled output buffer), and the digital stage's
+/// silent-window [`FirPlan`], reused while the silent window's `x_clean`
+/// is the same bit for bit.
 #[derive(Debug, Default)]
 pub struct SicScratch {
     analog: Vec<Complex>,
     /// `analog[..digitized]` is quantized, the rest still analog.
     digitized: usize,
     samples: Vec<Complex>,
+    plan: Option<FirPlan>,
 }
 
 impl SicScratch {
@@ -515,8 +520,18 @@ mod tests {
             v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
         };
         let mut scratch = SicScratch::default();
-        for (seed, n, analog) in [(7u64, 5000usize, true), (8, 2000, true), (9, 3000, false)] {
-            let (x, y, h_env) = scene(seed, n, 1e-9);
+        // (transmission seed, reception seed, …): the last case keeps the
+        // transmission of the case before it, and so the digital stage's
+        // plan, with another received signal.
+        let cases = [
+            (7u64, 7u64, 5000usize, true),
+            (8, 8, 2000, true),
+            (9, 9, 3000, false),
+            (9, 10, 3000, false),
+        ];
+        for (tx_seed, rx_seed, n, analog) in cases {
+            let (x, _, h_env) = scene(tx_seed, n, 1e-9);
+            let (_, y, _) = scene(rx_seed, n, 1e-9);
             let cfg = CancellerConfig {
                 analog_enabled: analog,
                 ..Default::default()

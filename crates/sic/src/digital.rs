@@ -7,7 +7,7 @@
 //! transmitted signal — can never leak into the estimate and get cancelled
 //! along with the interference.
 
-use crate::estimator::estimate_fir;
+use crate::estimator::FirPlan;
 use backfi_dsp::Complex;
 
 /// A trained digital canceller.
@@ -27,8 +27,22 @@ impl DigitalCanceller {
     ///
     /// Returns `None` if the window is too short for the requested length.
     pub fn train(x_clean: &[Complex], y: &[Complex], taps: usize, ridge: f64) -> Option<Self> {
+        Self::train_with(x_clean, y, taps, ridge, &mut None)
+    }
+
+    /// [`DigitalCanceller::train`] with the input-only half of the fit kept
+    /// in `plan` ([`FirPlan::reuse`]): packets that share the silent
+    /// window's `x_clean` factor its Gram matrix once. Bit-identical to
+    /// `train`.
+    pub fn train_with(
+        x_clean: &[Complex],
+        y: &[Complex],
+        taps: usize,
+        ridge: f64,
+        plan: &mut Option<FirPlan>,
+    ) -> Option<Self> {
         let _t = backfi_obs::span("sic.digital.train");
-        let h = estimate_fir(x_clean, y, taps, ridge)?;
+        let h = FirPlan::reuse(plan, x_clean, taps, ridge, None).fit(y)?;
         Some(DigitalCanceller { taps: h })
     }
 

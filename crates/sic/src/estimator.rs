@@ -12,22 +12,70 @@
 //! Solved via the ridge-regularized normal equations
 //! `(XᴴX + λI) h = Xᴴ y`, built directly from correlations so no large
 //! convolution matrix is materialized.
+//!
+//! Both uses fit against the AP's own known signal, so the input-only half
+//! of the problem — the Gram matrix `XᴴX + λI` and its LU factorization —
+//! is fixed by the excitation while `Xᴴy` changes with every packet. A
+//! [`FirPlan`] holds that half for one input window and [`FirPlan::fit`]
+//! finishes each packet's fit; [`FirPlan::reuse`] keeps a plan in a
+//! caller's slot and rebuilds it only when the input window differs from
+//! the one it was built for, bit for bit. [`estimate_fir`] and
+//! [`estimate_fir_masked`] are a fresh plan and one fit.
 
-use crate::linalg::{solve, CMat};
+use crate::linalg::{solve, CMat, Lu};
 use backfi_dsp::Complex;
 
-/// Build the ridge-free normal equations `A`, `b` over the observation-index
-/// `runs` (half-open, every index `i` satisfying `i ≥ taps−1`), plus the
-/// total input power and observation count over those runs.
+/// The ridge-free Gram matrix `A[j][k] = Σ_i conj(x[i−j])·x[i−k]` over the
+/// observation-index `runs` (half-open, every index `i` satisfying
+/// `i ≥ taps−1`).
 ///
-/// The Gram matrix is near-Toeplitz: `A[j][k] = Σ_i conj(x[i−j])·x[i−k]`
-/// depends on the lag `ℓ = k−j` except for which window of the lag product
+/// The Gram matrix is near-Toeplitz: `A[j][k]` depends on the lag
+/// `ℓ = k−j` except for which window of the lag product
 /// `g_ℓ[m] = conj(x[m])·x[m−ℓ]` is summed. So instead of the direct
 /// O(N·taps²) triple loop, we compute one prefix-sum sequence of `g_ℓ` per
 /// lag — O(N·taps) total — and read every `A[j][j+ℓ]` off it as an exact
 /// windowed difference (the "edge corrections" per entry are the two prefix
-/// lookups per run). The input-power sum falls out of the lag-0 diagonal for
-/// free, so no separate mean-power pass is needed.
+/// lookups per run). `conj(x)·x` has exactly zero imaginary part, so the
+/// lag-0 diagonal entry `A[0][0]` is the input-power sum over the
+/// observations, and the ridge needs no separate mean-power pass.
+fn gram(x: &[Complex], taps: usize, runs: &[(usize, usize)]) -> CMat {
+    let n = x.len();
+    let mut a = CMat::zeros(taps, taps);
+    // Four lag chains per pass.
+    let mut prefix: Vec<Vec<Complex>> = (0..4.min(taps))
+        .map(|_| vec![Complex::ZERO; n + 1])
+        .collect();
+    let mut lag0 = 0usize;
+    while lag0 < taps {
+        let group = (taps - lag0).min(4);
+        match group {
+            4 => lag_prefix_group::<4>(x, lag0, &mut prefix),
+            3 => lag_prefix_group::<3>(x, lag0, &mut prefix),
+            2 => lag_prefix_group::<2>(x, lag0, &mut prefix),
+            _ => lag_prefix_group::<1>(x, lag0, &mut prefix),
+        }
+        for (lane, pref) in prefix.iter().enumerate().take(group) {
+            let lag = lag0 + lane;
+            for j in 0..taps - lag {
+                let k = j + lag;
+                // Observation i sums g_lag[i−j]; run [lo, hi) maps to the
+                // prefix window [lo−j, hi−j) (lo ≥ taps−1 ≥ j keeps it
+                // valid).
+                let mut acc = Complex::ZERO;
+                for &(lo, hi) in runs {
+                    acc += pref[hi - j] - pref[lo - j];
+                }
+                a[(j, k)] = acc;
+                if lag != 0 {
+                    a[(k, j)] = acc.conj();
+                }
+            }
+        }
+        lag0 += group;
+    }
+    a
+}
+
 /// Fill `prefix[k][m+1]` for `m ∈ [lag0+k, n)` with the sequential lag-product
 /// prefix sums `Σ conj(x[m])·x[m−(lag0+k)]` for `G` consecutive lags, plus
 /// zeros below each lag's start. One fused pass runs the `G` chains
@@ -62,80 +110,178 @@ fn lag_prefix_group<const G: usize>(x: &[Complex], lag0: usize, prefix: &mut [Ve
     }
 }
 
-fn normal_equations(
-    x: &[Complex],
-    y: &[Complex],
-    taps: usize,
-    runs: &[(usize, usize)],
-) -> (CMat, Vec<Complex>, f64, usize) {
-    let n = x.len();
-    let mut a = CMat::zeros(taps, taps);
+/// The cross-correlation vector `b[j] = Σ_i conj(x[i−j])·y[i]` over the
+/// observation `runs`, O(obs·taps) — already the lower bound.
+///
+/// Single-run case (unmasked estimation, e.g. the canceller's silent
+/// window): each b[j] is one contiguous conjugate dot product,
+/// `stats::dot_conj_energy`. Bitwise identity with the nested loop holds
+/// because complex multiplication commutes bitwise
+/// (`y·conj(x) == conj(x)·y`) and the kernel folds in observation order
+/// (pinned by the `_equiv` tests). Multi-run masked estimation keeps the
+/// per-run nested fold: splitting each b[j] into per-run kernel calls would
+/// regroup the FP additions across runs. Its `taps` accumulator chains
+/// advance together, one observation at a time, so each b[j] still folds
+/// its products in observation order.
+fn cross(x: &[Complex], y: &[Complex], taps: usize, runs: &[(usize, usize)]) -> Vec<Complex> {
     let mut b = vec![Complex::ZERO; taps];
-
-    // Gram matrix from per-lag prefix sums, four lag chains per pass.
-    let mut prefix: Vec<Vec<Complex>> = (0..4.min(taps))
-        .map(|_| vec![Complex::ZERO; n + 1])
-        .collect();
-    let mut lag0 = 0usize;
-    while lag0 < taps {
-        let group = (taps - lag0).min(4);
-        match group {
-            4 => lag_prefix_group::<4>(x, lag0, &mut prefix),
-            3 => lag_prefix_group::<3>(x, lag0, &mut prefix),
-            2 => lag_prefix_group::<2>(x, lag0, &mut prefix),
-            _ => lag_prefix_group::<1>(x, lag0, &mut prefix),
-        }
-        for (lane, pref) in prefix.iter().enumerate().take(group) {
-            let lag = lag0 + lane;
-            for j in 0..taps - lag {
-                let k = j + lag;
-                // Observation i sums g_lag[i−j]; run [lo, hi) maps to the
-                // prefix window [lo−j, hi−j) (lo ≥ taps−1 ≥ j keeps it
-                // valid).
-                let mut acc = Complex::ZERO;
-                for &(lo, hi) in runs {
-                    acc += pref[hi - j] - pref[lo - j];
-                }
-                a[(j, k)] = acc;
-                if lag != 0 {
-                    a[(k, j)] = acc.conj();
-                }
-            }
-        }
-        lag0 += group;
-    }
-
-    // Cross-correlation vector, O(obs·taps) — already the lower bound.
-    //
-    // Single-run case (unmasked estimation, e.g. the canceller's silent
-    // window): each b[j] is one contiguous conjugate dot product,
-    // `stats::dot_conj_energy`. Bitwise identity with the nested loop holds
-    // because complex multiplication commutes bitwise
-    // (`y·conj(x) == conj(x)·y`) and the kernel folds in observation order
-    // (pinned by the `_equiv` tests). Multi-run masked
-    // estimation keeps the per-run nested fold: splitting each b[j] into
-    // per-run kernel calls would regroup the FP additions across runs.
     if let [(lo, hi)] = *runs {
         for (j, bj) in b.iter_mut().enumerate() {
             *bj = backfi_dsp::stats::dot_conj_energy(&y[lo..hi], &x[lo - j..hi - j]).0;
         }
     } else {
-        for (j, bj) in b.iter_mut().enumerate() {
-            let mut acc = Complex::ZERO;
-            for &(lo, hi) in runs {
-                for i in lo..hi {
-                    acc += x[i - j].conj() * y[i];
+        for &(lo, hi) in runs {
+            for (i, &yi) in (lo..hi).zip(&y[lo..hi]) {
+                // x[i−j] for j = 0, 1, …: the history window, newest first.
+                let history = x[i + 1 - taps..=i].iter().rev();
+                for (bj, xv) in b.iter_mut().zip(history) {
+                    *bj += xv.conj() * yi;
                 }
             }
-            *bj = acc;
+        }
+    }
+    b
+}
+
+/// The observation runs of a `taps`-long fit over `n` samples: every output
+/// index `i ≥ taps−1`, or with a mask the maximal runs of such indices whose
+/// mask is `true`. `None` when there are too few observations: fewer than
+/// `2·taps` samples unmasked, fewer than `2·taps` observations masked.
+fn observations(n: usize, taps: usize, mask: Option<&[bool]>) -> Option<Vec<(usize, usize)>> {
+    let Some(mask) = mask else {
+        return (n >= taps * 2).then(|| vec![(taps - 1, n)]);
+    };
+    // Collapse the mask into contiguous observation runs: chip-transition
+    // masks keep long true stretches, so the per-(j,k) cost of the
+    // prefix-sum Gram build is two lookups per run instead of one
+    // multiply-accumulate per observation.
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    let mut count = 0usize;
+    let mut i = taps - 1;
+    while i < n {
+        if mask[i] {
+            let lo = i;
+            while i < n && mask[i] {
+                i += 1;
+            }
+            runs.push((lo, i));
+            count += i - lo;
+        } else {
+            i += 1;
+        }
+    }
+    (count >= taps * 2).then_some(runs)
+}
+
+/// Whether two sample slices are the same bit for bit (`-0.0` differs from
+/// `0.0`, and a NaN equals the same NaN).
+fn same_bits(a: &[Complex], b: &[Complex]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(p, q)| p.re.to_bits() == q.re.to_bits() && p.im.to_bits() == q.im.to_bits())
+}
+
+/// The input-only half of a least-squares FIR fit: the input window, the
+/// observations, and the LU factorization of the ridge-regularized Gram
+/// matrix. [`FirPlan::fit`] adds the output's cross-correlation and solves,
+/// bit-identical to building and eliminating the whole system for that
+/// output.
+#[derive(Clone, Debug)]
+pub struct FirPlan {
+    x: Vec<Complex>,
+    taps: usize,
+    ridge: f64,
+    /// `None` when there are too few observations.
+    runs: Option<Vec<(usize, usize)>>,
+    /// `None` when there are too few observations, or the regularized Gram
+    /// matrix is singular or non-finite.
+    lu: Option<Lu>,
+}
+
+impl FirPlan {
+    /// A fresh plan (see [`FirPlan::reuse`] for the arguments).
+    fn new(x: &[Complex], taps: usize, ridge: f64, mask: Option<&[bool]>) -> FirPlan {
+        Self::check(x, taps, mask);
+        Self::build(x, taps, ridge, observations(x.len(), taps, mask))
+    }
+
+    /// The plan for a `taps`-long fit on input `x` with ridge λ `ridge`
+    /// (relative to the input power): every output sample `n ≥ taps−1`
+    /// observed, or with a `mask` (one entry per sample) only those with
+    /// `mask[n] == true`. It is the plan in `slot` when that was built for
+    /// this very fit — the same input samples bit for bit, taps, ridge and
+    /// observations — else a new one, built into `slot`.
+    ///
+    /// # Panics
+    /// Panics if `taps == 0` or the mask length differs from `x`'s.
+    pub fn reuse<'a>(
+        slot: &'a mut Option<FirPlan>,
+        x: &[Complex],
+        taps: usize,
+        ridge: f64,
+        mask: Option<&[bool]>,
+    ) -> &'a FirPlan {
+        Self::check(x, taps, mask);
+        let runs = observations(x.len(), taps, mask);
+        let hit = slot.as_ref().is_some_and(|p| {
+            p.taps == taps
+                && p.ridge.to_bits() == ridge.to_bits()
+                && p.runs == runs
+                && same_bits(&p.x, x)
+        });
+        if !hit {
+            *slot = Some(Self::build(x, taps, ridge, runs));
+        }
+        slot.as_ref().expect("the slot holds a plan")
+    }
+
+    fn check(x: &[Complex], taps: usize, mask: Option<&[bool]>) {
+        assert!(taps >= 1, "estimate_fir: need at least one tap");
+        if let Some(mask) = mask {
+            assert_eq!(
+                mask.len(),
+                x.len(),
+                "estimate_fir_masked: mask length mismatch"
+            );
         }
     }
 
-    // conj(x)·x has exactly zero imaginary part, so the lag-0 diagonal
-    // entry IS the input-power sum over the observation window.
-    let power_sum = a[(0, 0)].re;
-    let count = runs.iter().map(|&(lo, hi)| hi - lo).sum();
-    (a, b, power_sum, count)
+    fn build(x: &[Complex], taps: usize, ridge: f64, runs: Option<Vec<(usize, usize)>>) -> FirPlan {
+        let _t = backfi_obs::span("sic.ls.plan");
+        let lu = runs.as_deref().and_then(|runs| {
+            let mut a = gram(x, taps, runs);
+            let power_sum = a[(0, 0)].re;
+            a.add_diag(ridge * power_sum);
+            Lu::factor(&a)
+        });
+        FirPlan {
+            x: x.to_vec(),
+            taps,
+            ridge,
+            runs,
+            lu,
+        }
+    }
+
+    /// The input window the plan was built for.
+    pub fn input(&self) -> &[Complex] {
+        &self.x
+    }
+
+    /// Estimate the FIR `h` with `y[n] ≈ Σ_k h[k]·x[n−k]` over the plan's
+    /// observations. Returns `None` when there are too few observations,
+    /// the regularized system is singular, or an input or observed sample
+    /// is non-finite.
+    ///
+    /// # Panics
+    /// Panics if `y` is not as long as the input window.
+    pub fn fit(&self, y: &[Complex]) -> Option<Vec<Complex>> {
+        assert_eq!(self.x.len(), y.len(), "estimate_fir: length mismatch");
+        let _t = backfi_obs::span("sic.ls.fit");
+        let (runs, lu) = (self.runs.as_deref()?, self.lu.as_ref()?);
+        lu.solve(&cross(&self.x, y, self.taps, runs))
+    }
 }
 
 /// Estimate a `taps`-long FIR `h` from input `x` and output `y` (same
@@ -148,21 +294,15 @@ fn normal_equations(
 ///
 /// The normal equations are built in O(N·taps) by exploiting their
 /// near-Toeplitz structure (see [`estimate_fir_direct`] for the reference
-/// O(N·taps²) form, equivalent within float rounding).
+/// O(N·taps²) form, equivalent within float rounding). A fresh
+/// [`FirPlan`] and one fit; a caller fitting many outputs against the same
+/// input keeps the plan instead.
 ///
 /// Returns `None` when the system is singular even after regularization or
 /// there are fewer observations than taps.
 pub fn estimate_fir(x: &[Complex], y: &[Complex], taps: usize, ridge: f64) -> Option<Vec<Complex>> {
     assert_eq!(x.len(), y.len(), "estimate_fir: length mismatch");
-    assert!(taps >= 1, "estimate_fir: need at least one tap");
-    let _t = backfi_obs::span("sic.ls.estimate_fir");
-    let n = x.len();
-    if n < taps * 2 {
-        return None;
-    }
-    let (mut a, b, power_sum, _) = normal_equations(x, y, taps, &[(taps - 1, n)]);
-    a.add_diag(ridge * power_sum);
-    solve(&a, &b)
+    FirPlan::new(x, taps, ridge, None).fit(y)
 }
 
 /// The direct O(N·taps²) normal-equation build behind [`estimate_fir`],
@@ -232,40 +372,7 @@ pub fn estimate_fir_masked(
     mask: &[bool],
 ) -> Option<Vec<Complex>> {
     assert_eq!(x.len(), y.len(), "estimate_fir_masked: length mismatch");
-    assert_eq!(
-        mask.len(),
-        y.len(),
-        "estimate_fir_masked: mask length mismatch"
-    );
-    assert!(taps >= 1, "estimate_fir_masked: need at least one tap");
-    let _t = backfi_obs::span("sic.ls.estimate_fir_masked");
-    let n = x.len();
-    // Collapse the mask into contiguous observation runs: chip-transition
-    // masks keep long true stretches, so the per-(j,k) cost of the
-    // prefix-sum Gram build is two lookups per run instead of one
-    // multiply-accumulate per observation.
-    let mut runs: Vec<(usize, usize)> = Vec::new();
-    let mut count = 0usize;
-    let mut i = taps - 1;
-    while i < n {
-        if mask[i] {
-            let lo = i;
-            while i < n && mask[i] {
-                i += 1;
-            }
-            runs.push((lo, i));
-            count += i - lo;
-        } else {
-            i += 1;
-        }
-    }
-    if count < taps * 2 {
-        return None;
-    }
-    let (mut a, b, power_sum, obs) = normal_equations(x, y, taps, &runs);
-    debug_assert_eq!(obs, count);
-    a.add_diag(ridge * power_sum);
-    solve(&a, &b)
+    FirPlan::new(x, taps, ridge, Some(mask)).fit(y)
 }
 
 /// Residual power after subtracting `x ∗ h` from `y` over the region where
@@ -554,6 +661,95 @@ mod tests {
         assert_taps_equiv(&new, &old, "irregular mask");
     }
 
+    fn tap_bits(h: &Option<Vec<Complex>>) -> Option<Vec<(u64, u64)>> {
+        h.as_ref()
+            .map(|h| h.iter().map(|t| (t.re.to_bits(), t.im.to_bits())).collect())
+    }
+
+    /// One plan slot carried across fits — the same input with new outputs,
+    /// then inputs that differ only in one sample's bits, in the sign of a
+    /// zero, in the mask or in the ridge — fits every output bit for bit as
+    /// a fresh [`estimate_fir`] / [`estimate_fir_masked`] does.
+    #[test]
+    fn reused_plan_fits_bitwise_as_a_fresh_estimate() {
+        let mut slot = None;
+        for seed in 1..=20u64 {
+            let n = 320 + (seed as usize % 3) * 200;
+            let taps = [2, 8, 28][seed as usize % 3];
+            let masked = seed % 2 == 0;
+            let mask: Vec<bool> = (0..n).map(|i| i % 20 >= taps.min(19) - 1).collect();
+            let mask = masked.then_some(&mask[..]);
+            let (mut x, _) = scenario(seed, n, 3);
+            if seed % 5 == 0 {
+                x[n / 2] = Complex::new(-0.0, 0.0); // bitwise, not numerically, new
+            }
+            let ridge = if seed % 7 == 0 { 1e-6 } else { 1e-8 };
+            for k in 0..3u64 {
+                let (_, y) = scenario(seed * 100 + k, n, 3);
+                let fresh = match mask {
+                    Some(m) => estimate_fir_masked(&x, &y, taps, ridge, m),
+                    None => estimate_fir(&x, &y, taps, ridge),
+                };
+                assert!(fresh.is_some(), "seed {seed}: fresh fit failed");
+                let plan = FirPlan::reuse(&mut slot, &x, taps, ridge, mask);
+                assert_eq!(
+                    tap_bits(&plan.fit(&y)),
+                    tap_bits(&fresh),
+                    "seed {seed} y {k}"
+                );
+                assert!(same_bits(plan.input(), &x));
+            }
+            // The same length with one sample changed is another input.
+            x[taps] = x[taps].scale(1.0 + f64::EPSILON);
+            let (_, y) = scenario(seed * 100 + 9, n, 3);
+            let fresh = match mask {
+                Some(m) => estimate_fir_masked(&x, &y, taps, ridge, m),
+                None => estimate_fir(&x, &y, taps, ridge),
+            };
+            let plan = FirPlan::reuse(&mut slot, &x, taps, ridge, mask);
+            assert_eq!(
+                tap_bits(&plan.fit(&y)),
+                tap_bits(&fresh),
+                "seed {seed} new x"
+            );
+        }
+    }
+
+    /// A plan whose observations are too few, or whose input is
+    /// non-finite, fits `None` exactly where a fresh estimate does, and a
+    /// slot holding one of them is rebuilt for a usable input.
+    #[test]
+    fn reused_plan_fails_where_a_fresh_estimate_fails() {
+        let mut slot = None;
+        let (x, y) = scenario(3, 400, 3);
+        // 2·taps ≤ n < 3·taps−1: enough samples unmasked, too few
+        // observations masked with an all-true mask.
+        let short = &x[..12];
+        let all = vec![true; 12];
+        assert!(estimate_fir(short, &y[..12], 5, 1e-8).is_some());
+        assert!(estimate_fir_masked(short, &y[..12], 5, 1e-8, &all).is_none());
+        let unmasked = FirPlan::reuse(&mut slot, short, 5, 1e-8, None).fit(&y[..12]);
+        assert_eq!(
+            tap_bits(&unmasked),
+            tap_bits(&estimate_fir(short, &y[..12], 5, 1e-8))
+        );
+        let plan = FirPlan::reuse(&mut slot, short, 5, 1e-8, Some(&all));
+        assert!(plan.fit(&y[..12]).is_none());
+        let mut bad = x.clone();
+        bad[100] = Complex::new(f64::NAN, 0.0);
+        assert!(FirPlan::reuse(&mut slot, &bad, 4, 1e-8, None)
+            .fit(&y)
+            .is_none());
+        let mut bad_y = y.clone();
+        bad_y[200] = Complex::new(0.0, f64::INFINITY);
+        let plan = FirPlan::reuse(&mut slot, &x, 4, 1e-8, None);
+        assert!(plan.fit(&bad_y).is_none());
+        assert_eq!(
+            tap_bits(&plan.fit(&y)),
+            tap_bits(&estimate_fir(&x, &y, 4, 1e-8))
+        );
+    }
+
     #[test]
     fn fast_and_direct_agree_on_none_cases() {
         let x = vec![Complex::ONE; 10];
@@ -592,6 +788,34 @@ mod tests {
                     kernel.im.to_bits(),
                     scalar.im.to_bits(),
                     "seed {seed} lag {j}: im differs"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn multi_run_b_vector_is_bitwise_the_per_tap_loop() {
+        // The masked cross-correlation advances every tap's chain per
+        // observation; each b[j] must still be the per-tap fold over the
+        // runs in observation order, bit for bit.
+        for seed in 1..=20u64 {
+            let (x, y) = scenario(seed, 700, 3);
+            let taps = 1 + seed as usize % 8;
+            let mask: Vec<bool> = (0..700).map(|i| i % 20 >= taps).collect();
+            let runs = observations(700, taps, Some(&mask)).expect("enough observations");
+            assert!(runs.len() > 1);
+            let got = cross(&x, &y, taps, &runs);
+            for (j, g) in got.iter().enumerate() {
+                let mut acc = Complex::ZERO;
+                for &(lo, hi) in &runs {
+                    for i in lo..hi {
+                        acc += x[i - j].conj() * y[i];
+                    }
+                }
+                assert_eq!(
+                    (g.re.to_bits(), g.im.to_bits()),
+                    (acc.re.to_bits(), acc.im.to_bits()),
+                    "seed {seed} tap {j}"
                 );
             }
         }

@@ -69,6 +69,18 @@ pub fn index_phase(m: TagModulation, idx: usize) -> f64 {
     2.0 * std::f64::consts::PI * idx as f64 / m.order() as f64
 }
 
+/// The unit phasors `exp(j·index_phase(m, idx))` of every constellation
+/// index `idx < m.order()`, in index order (the entries past the order are
+/// zero): the ideal point of a [`hard_index`] decision, computed once per
+/// call site instead of once per symbol.
+pub fn ideal_points(m: TagModulation) -> [backfi_dsp::Complex; 16] {
+    let mut points = [backfi_dsp::Complex::ZERO; 16];
+    for (idx, p) in points.iter_mut().enumerate().take(m.order()) {
+        *p = backfi_dsp::Complex::exp_j(index_phase(m, idx));
+    }
+    points
+}
+
 /// Reference per-bit soft demapper: recomputes every constellation point
 /// (`from_polar` per point per bit) on each call. Kept as the bit-exact
 /// oracle the cached [`SoftDemapper`] is pinned against in the `_equiv`

@@ -88,6 +88,12 @@ impl Tag {
         self.correlator.reset();
     }
 
+    /// The constellation indices of the frame [`Tag::load_data`] encoded
+    /// (`TagFrame::encode` of the payload), in transmit order.
+    pub fn symbols(&self) -> &[usize] {
+        &self.symbols
+    }
+
     /// Re-arm after `Done` without changing the loaded data (for repeated
     /// transmissions of the same frame in experiments).
     pub fn rearm(&mut self) {
