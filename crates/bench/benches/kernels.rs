@@ -187,6 +187,39 @@ fn bench_pipeline_kernels(rep: &mut BenchReport, short: bool) {
     );
 }
 
+/// The reader's Gray-PSK soft demapper over a burst of noisy symbols, at
+/// the headline 16PSK point and at QPSK (the per-symbol cost of
+/// `decode.soft_bits`).
+fn bench_soft_demap(rep: &mut BenchReport, short: bool) {
+    use backfi_tag::config::TagModulation;
+    use backfi_tag::psk::SoftDemapper;
+    const SYMBOLS: usize = 1000;
+    let mut rng = SplitMix64::new(7);
+    let zs = cgauss_vec(&mut rng, SYMBOLS, 1.0);
+    let mut llrs = Vec::with_capacity(4 * SYMBOLS);
+    for (m, path) in [
+        (TagModulation::Psk16, "psk16"),
+        (TagModulation::Qpsk, "qpsk"),
+    ] {
+        let demap = SoftDemapper::new(m, 1.0);
+        rep.measure(
+            "soft_demap",
+            path,
+            SYMBOLS,
+            0,
+            SYMBOLS,
+            iters(2000, short),
+            || {
+                llrs.clear();
+                for &z in black_box(&zs) {
+                    demap.soft_bits(z, 0.05, &mut llrs);
+                }
+                black_box(llrs[0]);
+            },
+        );
+    }
+}
+
 /// The disabled observability fast path. With the recorder and the tracer
 /// both off, a span guard is one relaxed atomic load and a branch at
 /// construction and the same again at drop — the acceptance bound is
@@ -255,6 +288,7 @@ fn main() {
     bench_fir_link_shapes(&mut rep);
     bench_adc(&mut rep);
     bench_pipeline_kernels(&mut rep, short);
+    bench_soft_demap(&mut rep, short);
     bench_obs_overhead(&mut rep);
 
     check_speedups(&rep, short);

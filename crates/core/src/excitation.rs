@@ -10,6 +10,7 @@
 
 use backfi_coding::prbs::tag_preamble;
 use backfi_dsp::{us_to_samples, Complex};
+use backfi_reader::TxReference;
 use backfi_tag::detector::SAMPLES_PER_BIT;
 use backfi_wifi::mac::{Frame, MacAddr};
 use backfi_wifi::{Mcs, WifiTransmitter};
@@ -59,8 +60,9 @@ pub struct Excitation {
     /// The configuration used.
     pub config: ExcitationConfig,
     /// The samples scaled to the first TX amplitude asked of
-    /// [`Excitation::scaled`], keyed by the amplitude's exact bits.
-    scaled: OnceLock<(u64, Arc<[Complex]>)>,
+    /// [`Excitation::scaled`], keyed by the amplitude's exact bits, with
+    /// their finiteness checked.
+    scaled: OnceLock<(u64, TxReference)>,
 }
 
 /// The excitation is a pure function of its config (no per-trial randomness:
@@ -178,13 +180,14 @@ impl Excitation {
     }
 
     /// The samples scaled to TX amplitude `a` (`samples[i] * a`, the
-    /// canceller's clean reference). The first amplitude asked is kept and
-    /// shared by every caller asking for it bit for bit: one scaled copy per
-    /// excitation, not one per simulator. Any other amplitude is scaled
-    /// afresh on each call. The samples must not change after the first
-    /// call (a clone carries the kept copy).
-    pub fn scaled(&self, a: f64) -> Arc<[Complex]> {
-        let scale = || -> Arc<[Complex]> { self.samples.iter().map(|&v| v * a).collect() };
+    /// canceller's clean reference), checked for non-finite samples. The
+    /// first amplitude asked is kept and shared by every caller asking for
+    /// it bit for bit: one scaled copy and one check per excitation, not
+    /// one per simulator or per trial. Any other amplitude is scaled and
+    /// checked afresh on each call. The samples must not change after the
+    /// first call (a clone carries the kept copy).
+    pub fn scaled(&self, a: f64) -> TxReference {
+        let scale = || TxReference::new(self.samples.iter().map(|&v| v * a).collect());
         let (key, x) = self.scaled.get_or_init(|| (a.to_bits(), scale()));
         if *key == a.to_bits() {
             x.clone()
@@ -318,9 +321,15 @@ mod tests {
         let amps = [10.0, 10.0f64.next_up(), 3.0];
         for &a in &amps {
             let want: Vec<Complex> = e.samples.iter().map(|&v| v * a).collect();
-            assert_eq!(bits(&e.scaled(a)), bits(&want), "amplitude {a}");
+            let got = e.scaled(a);
+            assert_eq!(bits(got.samples()), bits(&want), "amplitude {a}");
+            assert!(got.is_finite(), "amplitude {a}");
         }
-        assert!(Arc::ptr_eq(&e.scaled(10.0), &e.scaled(10.0)));
+        let ptr = |a: f64| e.scaled(a).samples().as_ptr();
+        assert_eq!(ptr(10.0), ptr(10.0));
+        // A non-finite amplitude is scaled and checked afresh, too.
+        assert!(!e.scaled(f64::INFINITY).is_finite());
+        assert!(e.scaled(10.0).is_finite());
     }
 
     #[test]

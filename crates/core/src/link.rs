@@ -12,7 +12,7 @@ use backfi_chan::impair::Impairments;
 use backfi_chan::medium::{BackscatterMedium, MediumConfig, PropagateScratch};
 use backfi_dsp::Complex;
 use backfi_reader::reader::{
-    BackscatterReader, ReaderConfig, ReaderError, ReaderScratch, TagDecodeResult,
+    BackscatterReader, ReaderConfig, ReaderError, ReaderScratch, TagDecodeResult, TxReference,
 };
 use backfi_reader::Timeline;
 use backfi_tag::config::TagConfig;
@@ -265,8 +265,8 @@ pub struct LinkSimulator {
     exc: Arc<Excitation>,
     /// The excitation at the budget's TX amplitude (the canceller's clean
     /// reference), shared with every simulator of the same excitation and
-    /// amplitude.
-    x_scaled: Arc<[Complex]>,
+    /// amplitude, and checked for non-finite samples once with it.
+    x_scaled: TxReference,
 }
 
 impl LinkSimulator {
@@ -301,7 +301,7 @@ impl LinkSimulator {
         let cfg = &self.cfg;
         // --- AP transmission -------------------------------------------
         let exc = &*self.exc;
-        let x_scaled: &[Complex] = &self.x_scaled;
+        let x_scaled = self.x_scaled.samples();
 
         // --- medium and tag ----------------------------------------------
         let _t_medium = backfi_obs::span("link.medium");
@@ -379,7 +379,7 @@ impl LinkSimulator {
         let decoded = if cfg.impair.is_off() {
             let _t_reader = backfi_obs::span("link.reader");
             reader.decode_from(
-                x_scaled,
+                &self.x_scaled,
                 &mut trial,
                 &h_env,
                 &timeline,
@@ -387,9 +387,16 @@ impl LinkSimulator {
                 reader_scratch,
             )
         } else {
-            let y = trial.impaired(&cfg.impair, cfg.budget.noise_power(), seed);
+            let mut y = trial.impaired(&cfg.impair, cfg.budget.noise_power(), seed);
             let _t_reader = backfi_obs::span("link.reader");
-            reader.decode_with(x_scaled, y, &h_env, &timeline, &cfg.tag, reader_scratch)
+            reader.decode_from(
+                &self.x_scaled,
+                &mut y,
+                &h_env,
+                &timeline,
+                &cfg.tag,
+                reader_scratch,
+            )
         };
         let simulated = trial.rx.len();
         backfi_obs::counter_add("link.samples", simulated as u64);
@@ -671,7 +678,10 @@ mod tests {
         let tag_energy_pj = epb_pj(&cfg.tag) * (sent.len() * 8) as f64;
         let mut tag = Tag::new(cfg.excitation.tag_id, cfg.tag);
         tag.load_data(&sent);
-        let gamma = tag.react(&backfi_dsp::fir::filter(&medium.h_f, &sim.x_scaled));
+        let gamma = tag.react(&backfi_dsp::fir::filter(
+            &medium.h_f,
+            sim.x_scaled.samples(),
+        ));
         let gamma = cfg.impair.warp_gamma(&gamma, seed).unwrap_or(gamma);
         if matches!(tag.state(), TagState::Listening | TagState::Sleep) {
             let error = ReaderError::NoSymbols;
@@ -685,7 +695,7 @@ mod tests {
         y.truncate(n);
         let timeline = Timeline::nominal(exc.detect_end, n, &cfg.tag);
         let decoded = BackscatterReader::new(cfg.reader).decode(
-            &sim.x_scaled,
+            sim.x_scaled.samples(),
             &y,
             &medium.h_env,
             &timeline,
@@ -833,7 +843,8 @@ mod tests {
         cfg.distance_m = 3.0;
         cfg.tag.preamble_us = 96.0;
         let b = LinkSimulator::new(cfg.clone());
-        assert!(Arc::ptr_eq(&a.x_scaled, &b.x_scaled));
+        let ptr = |s: &LinkSimulator| s.x_scaled.samples().as_ptr();
+        assert_eq!(ptr(&a), ptr(&b));
         assert!(Arc::ptr_eq(&a.exc, &b.exc));
         let bits = |v: &[Complex]| -> Vec<(u64, u64)> {
             v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
@@ -841,10 +852,41 @@ mod tests {
         for dbm in [17.0, 23.0] {
             cfg.budget.tx_power_dbm = dbm;
             let c = LinkSimulator::new(cfg.clone());
-            assert!(!Arc::ptr_eq(&a.x_scaled, &c.x_scaled), "{dbm} dBm");
+            assert_ne!(ptr(&a), ptr(&c), "{dbm} dBm");
             let amp = cfg.budget.tx_power().sqrt();
             let want: Vec<Complex> = c.exc.samples.iter().map(|&v| v * amp).collect();
-            assert_eq!(bits(&c.x_scaled), bits(&want), "{dbm} dBm");
+            assert_eq!(bits(c.x_scaled.samples()), bits(&want), "{dbm} dBm");
+        }
+    }
+
+    /// A reference with a non-finite sample past the wake-up (so the tag
+    /// wakes and reflects) is rejected by the reader as an invalid input,
+    /// on the lazy path and on the impaired one, and counted as such.
+    #[test]
+    fn non_finite_reference_is_invalid_input() {
+        backfi_obs::enable();
+        for impair in [
+            Impairments::off(),
+            Impairments::parse("saturation:1").expect("spec"),
+        ] {
+            let mut cfg = quick_cfg(1.0, TagConfig::default());
+            cfg.impair = impair;
+            let mut exc = Excitation::build(cfg.excitation.clone());
+            let at = exc.detect_end + 2000;
+            exc.samples[at] = Complex::new(f64::NAN, 0.0);
+            let x_scaled = exc.scaled(cfg.budget.tx_power().sqrt());
+            assert!(!x_scaled.is_finite());
+            let exc = Arc::new(exc);
+            let sim = LinkSimulator { cfg, exc, x_scaled };
+            let counters = ["reader.err.invalid_input", "link.fail.invalid_input"];
+            let before = counters.map(backfi_obs::counter_value);
+            let rep = sim.run(3);
+            assert_eq!(rep.reader_error, Some(ReaderError::InvalidInput));
+            assert!(!rep.success);
+            assert_eq!(
+                counters.map(backfi_obs::counter_value),
+                before.map(|c| c + 1)
+            );
         }
     }
 

@@ -52,7 +52,8 @@ impl MimoLinkSimulator {
     pub fn run(&self, seed: u64) -> MimoReport {
         let cfg = &self.cfg;
         let exc = Excitation::cached(&cfg.excitation);
-        let xs = exc.scaled(cfg.budget.tx_power().sqrt());
+        let reference = exc.scaled(cfg.budget.tx_power().sqrt());
+        let xs = reference.samples();
 
         let mut rng = SplitMix64::new(seed);
 
@@ -69,14 +70,14 @@ impl MimoLinkSimulator {
         let sent: Vec<u8> = (0..len).map(|i| (seed as usize + i * 7) as u8).collect();
         let mut tag = Tag::new(cfg.excitation.tag_id, cfg.tag);
         tag.load_data(&sent);
-        let incident = filter(&h_f, &xs);
+        let incident = filter(&h_f, xs);
         let gamma = tag.react(&incident);
 
         // Per-antenna: independent backward channel + environment + noise.
         let env_profile = EnvironmentProfile::default();
         let tx_noise_power =
             cfg.budget.tx_power() * backfi_chan::budget::dbm_to_lin(cfg.budget.tx_noise_dbc);
-        let modded: Vec<Complex> = filter(&h_f, &xs)
+        let modded: Vec<Complex> = filter(&h_f, xs)
             .iter()
             .zip(&gamma)
             .map(|(v, g)| *v * *g)
@@ -110,7 +111,7 @@ impl MimoLinkSimulator {
             .zip(&h_envs)
             .map(|(y, h)| (&y[..], &h[..]))
             .collect();
-        match reader.decode_mimo(&xs, &pairs, &timeline, &cfg.tag) {
+        match reader.decode_mimo(xs, &pairs, &timeline, &cfg.tag) {
             Ok(res) => MimoReport {
                 success: res.payload.map(|p| p == sent).unwrap_or(false),
                 snr_db: res.metrics.symbol_snr_db,

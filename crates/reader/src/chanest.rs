@@ -14,7 +14,7 @@
 
 use backfi_dsp::us_to_samples;
 use backfi_dsp::Complex;
-use backfi_sic::estimator::{residual_power_with, FirPlan};
+use backfi_sic::estimator::{residual_power_with, FirPlan, Observations};
 use backfi_tag::framer::{TagFrame, PREAMBLE_CHIP_US};
 
 /// Result of channel estimation.
@@ -61,7 +61,8 @@ pub(crate) fn window_end(nominal_start: usize, preamble_us: f64, span: usize) ->
 /// * `ridge` — LS regularization.
 ///
 /// Returns `None` when no offset yields a solvable system. A fresh
-/// [`TimingSearch`]; a caller estimating many packets keeps one instead.
+/// [`TimingSearch`] over `search`; a caller estimating many packets keeps
+/// one and calls [`TimingSearch::estimate`] instead.
 #[allow(clippy::too_many_arguments)]
 pub fn estimate_h_fb(
     x: &[Complex],
@@ -72,25 +73,76 @@ pub fn estimate_h_fb(
     search: &[isize],
     ridge: f64,
 ) -> Option<ChannelEstimate> {
-    TimingSearch::default().estimate(x, y, nominal_start, preamble_us, taps, search, ridge)
+    let mut s = TimingSearch::default();
+    s.shape(preamble_us, taps);
+    s.best(x, y, nominal_start, search, ridge)
+}
+
+/// The timing offsets a search within `±span` samples tries, in order:
+/// zero, then each whole microsecond (20 samples) outward, later before
+/// earlier.
+fn offsets_within(span: usize) -> Vec<isize> {
+    let mut search = vec![0];
+    let mut off = 20isize;
+    while off <= span as isize {
+        search.push(off);
+        search.push(-off);
+        off += 20;
+    }
+    search
 }
 
 /// The timing search of [`estimate_h_fb`] with what depends only on the
-/// excitation kept across packets: one [`FirPlan`] per candidate offset (in
-/// `search` order), holding the candidate's reference `u = x·c` and its
-/// factored Gram matrix, plus the buffers the search refills. A plan is
-/// reused only while its candidate's `u` is the same bit for bit, so a
-/// search carried across packets of any excitation or configuration
-/// returns exactly what a fresh one does.
+/// excitation and the configuration kept across packets: the chip
+/// expansion and the observations of the preamble window (fixed by the
+/// preamble length and the tap count), the offsets searched (fixed by the
+/// span), and one [`FirPlan`] per candidate offset, holding the
+/// candidate's reference `u = x·c` and its factored Gram matrix, plus the
+/// buffers the search refills. A plan is reused only while its candidate's
+/// `u` is the same bit for bit, so a search carried across packets of any
+/// excitation or configuration returns exactly what a fresh one does.
 #[derive(Debug, Default)]
 pub struct TimingSearch {
+    shape: Option<Shape>,
+    /// The span `offsets` are for.
+    span: Option<usize>,
+    offsets: Vec<isize>,
     plans: Vec<Option<FirPlan>>,
     u: Vec<Complex>,
     model: Vec<Complex>,
 }
 
+/// What every candidate window of a search shares, fixed by the preamble
+/// length and the tap count.
+#[derive(Debug)]
+struct Shape {
+    preamble_us: f64,
+    taps: usize,
+    /// The ±1 chips, one per preamble sample.
+    chips: Vec<f64>,
+    /// The preamble samples whose whole `taps`-history sits in one chip.
+    obs: Observations,
+}
+
+impl Shape {
+    fn new(preamble_us: f64, taps: usize) -> Self {
+        let chips = chips_per_sample(preamble_us);
+        let per_chip = us_to_samples(PREAMBLE_CHIP_US);
+        let mask: Vec<bool> = (0..chips.len()).map(|i| i % per_chip >= taps - 1).collect();
+        let obs = Observations::new(chips.len(), taps, Some(&mask));
+        Shape {
+            preamble_us,
+            taps,
+            chips,
+            obs,
+        }
+    }
+}
+
 impl TimingSearch {
-    /// [`estimate_h_fb`] over this search's plans and buffers.
+    /// [`estimate_h_fb`] over the offsets within `±span` samples of
+    /// `nominal_start` (zero, then each microsecond outward, later first),
+    /// with this search's plans and buffers.
     #[allow(clippy::too_many_arguments)]
     pub fn estimate(
         &mut self,
@@ -99,16 +151,45 @@ impl TimingSearch {
         nominal_start: usize,
         preamble_us: f64,
         taps: usize,
+        span: usize,
+        ridge: f64,
+    ) -> Option<ChannelEstimate> {
+        self.shape(preamble_us, taps);
+        if self.span != Some(span) {
+            self.offsets = offsets_within(span);
+            self.span = Some(span);
+        }
+        let search = std::mem::take(&mut self.offsets);
+        let best = self.best(x, y, nominal_start, &search, ridge);
+        self.offsets = search;
+        best
+    }
+
+    /// Keep the [`Shape`] of `(preamble_us, taps)`, building it unless it
+    /// is the one kept.
+    fn shape(&mut self, preamble_us: f64, taps: usize) {
+        let kept = self
+            .shape
+            .as_ref()
+            .is_some_and(|s| s.preamble_us.to_bits() == preamble_us.to_bits() && s.taps == taps);
+        if !kept {
+            self.shape = Some(Shape::new(preamble_us, taps));
+        }
+    }
+
+    /// The candidate of `search` with the smallest LS residual, on the
+    /// shape kept.
+    fn best(
+        &mut self,
+        x: &[Complex],
+        y: &[Complex],
+        nominal_start: usize,
         search: &[isize],
         ridge: f64,
     ) -> Option<ChannelEstimate> {
         let _t = backfi_obs::span("chanest.estimate_h_fb");
-        let chips = chips_per_sample(preamble_us);
-        let per_chip = us_to_samples(PREAMBLE_CHIP_US);
+        let Shape { chips, obs, .. } = self.shape.as_ref().expect("a shape is kept");
         let n = chips.len();
-
-        // Mask: a sample is valid when its whole taps-history sits in one chip.
-        let mask: Vec<bool> = (0..n).map(|i| i % per_chip >= taps - 1).collect();
         if self.plans.len() < search.len() {
             self.plans.resize_with(search.len(), || None);
         }
@@ -125,7 +206,7 @@ impl TimingSearch {
             // Reference u = x·c over the candidate window.
             self.u.clear();
             self.u.extend((0..n).map(|i| x[start + i].scale(chips[i])));
-            let plan = FirPlan::reuse(slot, &self.u, taps, ridge, Some(&mask));
+            let plan = FirPlan::reuse(slot, &self.u, obs, ridge);
             let yw = &y[start..start + n];
             let Some(h) = plan.fit(yw) else {
                 continue;

@@ -114,6 +114,7 @@ pub fn decode_frame(
         ViterbiDecoder::ieee80211().decode_soft_terminated(&soft)
     };
     if backfi_obs::enabled() {
+        let _t = backfi_obs::span("decode.reencode");
         let reenc = ConvEncoder::ieee80211().encode_terminated(&decoded);
         probe_corrections(&llrs[..coded], &reenc, code_rate);
     }
@@ -134,6 +135,7 @@ pub fn decode_symbols(
     let llrs = soft_bits(estimates, modulation);
     let (usable, decoded) = decode_truncated(&llrs, code_rate);
     if backfi_obs::enabled() && !decoded.is_empty() {
+        let _t = backfi_obs::span("decode.reencode");
         let reenc = ConvEncoder::ieee80211().encode(&decoded);
         probe_corrections(&llrs[..usable], &reenc, code_rate);
     }
@@ -187,7 +189,10 @@ fn conclude(
         }
         Err(_) => estimates.len(),
     };
-    let metrics = link_metrics(&estimates[..span], modulation);
+    let metrics = {
+        let _t = backfi_obs::span("decode.metrics");
+        link_metrics(&estimates[..span], modulation)
+    };
 
     (frame, decoded, metrics)
 }

@@ -25,5 +25,7 @@ pub mod rate_adapt;
 pub mod reader;
 pub mod timeline;
 
-pub use reader::{BackscatterReader, ReaderConfig, ReaderError, ReaderScratch, TagDecodeResult};
+pub use reader::{
+    BackscatterReader, ReaderConfig, ReaderError, ReaderScratch, TagDecodeResult, TxReference,
+};
 pub use timeline::Timeline;

@@ -27,6 +27,7 @@ use backfi_sic::{
 use backfi_tag::config::{TagConfig, TagModulation};
 use backfi_tag::framer::{FrameError, TagFrame, PILOT_SYMBOLS};
 use backfi_tag::psk::{hard_index, ideal_points};
+use std::sync::Arc;
 
 /// Reader-side settings.
 #[derive(Clone, Copy, Debug)]
@@ -108,6 +109,41 @@ fn count_err(e: ReaderError) -> ReaderError {
     e
 }
 
+/// Whether every sample is finite.
+fn all_finite(x: &[Complex]) -> bool {
+    x.iter().all(|v| v.is_finite())
+}
+
+/// The reader's clean TX reference (the canceller's reference tap, with TX
+/// power applied) together with whether every sample of it is finite.
+/// [`TxReference::new`] is the only way to build one and always makes that
+/// check, so a caller decoding many packets against one excitation checks
+/// its reference once, not once per packet
+/// ([`BackscatterReader::decode_from`]).
+#[derive(Clone, Debug)]
+pub struct TxReference {
+    samples: Arc<[Complex]>,
+    finite: bool,
+}
+
+impl TxReference {
+    /// Check `samples` for non-finite values and keep the verdict.
+    pub fn new(samples: Arc<[Complex]>) -> Self {
+        let finite = all_finite(&samples);
+        TxReference { samples, finite }
+    }
+
+    /// The reference samples.
+    pub fn samples(&self) -> &[Complex] {
+        &self.samples
+    }
+
+    /// Whether every sample is finite.
+    pub fn is_finite(&self) -> bool {
+        self.finite
+    }
+}
+
 /// Everything the reader learned from one packet.
 #[derive(Clone, Debug)]
 pub struct TagDecodeResult {
@@ -182,7 +218,10 @@ impl BackscatterReader {
     /// keeps one [`ReaderScratch`] and allocates none of them after the
     /// first packet. Bit-identical to `decode`. A slice is a received
     /// stream that is already complete:
-    /// [`BackscatterReader::decode_from`] over it.
+    /// [`BackscatterReader::decode_from`] over it. The reference is checked
+    /// for non-finite samples on every call; a caller that decodes many
+    /// packets against one excitation checks it once, as a
+    /// [`TxReference`], and calls `decode_from`.
     pub fn decode_with(
         &self,
         x_clean: &[Complex],
@@ -192,7 +231,10 @@ impl BackscatterReader {
         tag_cfg: &TagConfig,
         scratch: &mut ReaderScratch,
     ) -> Result<TagDecodeResult, ReaderError> {
-        self.decode_from(x_clean, &mut y_rx, h_env_view, timeline, tag_cfg, scratch)
+        if !all_finite(x_clean) {
+            return Err(count_err(ReaderError::InvalidInput));
+        }
+        self.decode_checked(x_clean, &mut y_rx, h_env_view, timeline, tag_cfg, scratch)
     }
 
     /// [`BackscatterReader::decode_with`] from a received stream the reader
@@ -204,7 +246,30 @@ impl BackscatterReader {
     /// erased wherever a pull finds them, but the front door rejects a
     /// mostly non-finite stream only on what it has pulled by then (all of
     /// a complete slice), so a lazy source is exact for finite streams.
+    ///
+    /// The reference's finiteness was checked when `x_clean` was built, so
+    /// a packet costs no pass over the whole excitation here; a non-finite
+    /// reference fails with [`ReaderError::InvalidInput`] as it does in
+    /// `decode_with`.
     pub fn decode_from(
+        &self,
+        x_clean: &TxReference,
+        y_rx: &mut dyn RxSource,
+        h_env_view: &[Complex],
+        timeline: &Timeline,
+        tag_cfg: &TagConfig,
+        scratch: &mut ReaderScratch,
+    ) -> Result<TagDecodeResult, ReaderError> {
+        if !x_clean.is_finite() {
+            return Err(count_err(ReaderError::InvalidInput));
+        }
+        let x_clean = x_clean.samples();
+        self.decode_checked(x_clean, y_rx, h_env_view, timeline, tag_cfg, scratch)
+    }
+
+    /// The decode behind both entry points, on a reference known to be
+    /// finite.
+    fn decode_checked(
         &self,
         x_clean: &[Complex],
         y_rx: &mut dyn RxSource,
@@ -239,6 +304,9 @@ impl BackscatterReader {
         tag_cfg: &TagConfig,
     ) -> Result<TagDecodeResult, ReaderError> {
         assert!(!antennas.is_empty(), "need at least one antenna");
+        if !all_finite(x_clean) {
+            return Err(count_err(ReaderError::InvalidInput));
+        }
         let mut branches = Vec::new();
         let mut scratch = ReaderScratch::default();
         let mut streams: Vec<&[Complex]> = antennas.iter().map(|&(y, _)| y).collect();
@@ -295,8 +363,9 @@ impl BackscatterReader {
     }
 
     /// Per-antenna front half: cancellation → channel estimation → MRC
-    /// through the header prefix. The canceller runs only as far as channel
-    /// estimation reads; the branch combines further slots with
+    /// through the header prefix, on a reference the caller has checked is
+    /// finite. The canceller runs only as far as channel estimation reads;
+    /// the branch combines further slots with
     /// [`BackscatterReader::combine`], pulling the stream as it goes.
     fn demodulate<'s>(
         &self,
@@ -312,9 +381,10 @@ impl BackscatterReader {
 
         // --- Stage 0: input validation / sanitization -------------------
         // Degradation ladder rung 1 (DESIGN.md §10). The reader's own
-        // reference and the analog canceller's view must be finite — a NaN
-        // there poisons every downstream filter silently.
-        if x_clean.iter().any(|v| !v.is_finite()) || h_env_view.iter().any(|v| !v.is_finite()) {
+        // reference (checked by the entry points) and the analog
+        // canceller's view must be finite — a NaN there poisons every
+        // downstream filter silently.
+        if !all_finite(h_env_view) {
             return Err(count_err(ReaderError::InvalidInput));
         }
         // Cancelled through the last sample the timing search can read.
@@ -324,21 +394,23 @@ impl BackscatterReader {
             self.cfg.timing_span,
         )
         .min(len);
-        // Non-finite *received* samples are a front-end fault the pipeline
-        // can ride out: zero them (the AGC/canceller then ignores them) and
-        // remember where they were so the affected symbols become erasures.
-        // A stream that is mostly garbage is rejected outright.
-        let mut rx = Sanitized::new(y_rx);
-        rx.pull(end);
-        if rx.bad.len() * 2 > len {
-            return Err(count_err(ReaderError::InvalidInput));
-        }
-        rx.count_nonfinite();
 
         // --- Stage 1+2: self-interference cancellation -----------------
-        // One training per packet, on the silent window.
+        // One training per packet, on the silent window. The span also
+        // times the first pull, which produces the samples cancelled here.
+        let mut rx = Sanitized::new(y_rx);
         let rep = {
             let _t = backfi_obs::span("reader.sic");
+            // Non-finite *received* samples are a front-end fault the
+            // pipeline can ride out: zero them (the AGC/canceller then
+            // ignores them) and remember where they were so the affected
+            // symbols become erasures. A stream that is mostly garbage is
+            // rejected outright.
+            rx.pull(end);
+            if rx.bad.len() * 2 > len {
+                return Err(count_err(ReaderError::InvalidInput));
+            }
+            rx.count_nonfinite();
             let canceller = SelfInterferenceCanceller::new(self.cfg.canceller, h_env_view);
             let silent = timeline.silent.clone();
             canceller
@@ -371,20 +443,13 @@ impl BackscatterReader {
         // the packet.
         let est = {
             let _t = backfi_obs::span("reader.chanest");
-            let mut search: Vec<isize> = vec![0];
-            let mut off = 20isize;
-            while off <= self.cfg.timing_span as isize {
-                search.push(off);
-                search.push(-off);
-                off += 20;
-            }
             scratch.chanest.estimate(
                 x_clean,
                 &rep.samples,
                 timeline.preamble.start,
                 tag_cfg.preamble_us,
                 self.cfg.fb_taps,
-                &search,
+                self.cfg.timing_span,
                 self.cfg.ridge,
             )
         };
@@ -566,7 +631,10 @@ impl BackscatterReader {
             Some(len) => symbols.truncate(TagFrame::symbol_count(len, tag_cfg)),
             None => backfi_obs::counter_add("reader.all_slots", 1),
         }
-        refine_phase(&mut symbols, m);
+        {
+            let _t = backfi_obs::span("decode.refine_phase");
+            refine_phase(&mut symbols, m);
+        }
         let data = &symbols[PILOT_SYMBOLS..];
         let (payload, decoded_bits, metrics) = match frame {
             Some(len) => decode_frame(data, m, r, len),
@@ -1222,8 +1290,9 @@ mod tests {
             .unwrap_or_else(|e| panic!("{label}: decode_with {e:?}"));
         assert_same(&got, &want, label);
         let mut rx = Prefix { y: &l.y, pulled: 0 };
+        let x = TxReference::new(l.x.as_slice().into());
         let lazy = reader
-            .decode_from(&l.x, &mut rx, &l.h_env, &l.timeline, cfg, scratch)
+            .decode_from(&x, &mut rx, &l.h_env, &l.timeline, cfg, scratch)
             .unwrap_or_else(|e| panic!("{label}: decode_from {e:?}"));
         assert_same(&lazy, &want, &format!("{label}, pulled"));
         (got, rx.pulled)
@@ -1512,8 +1581,33 @@ mod tests {
         let mut x_bad = x.clone();
         x_bad[17] = Complex::new(f64::NAN, 0.0);
         let before = backfi_obs::counter_value(ReaderError::InvalidInput.obs_counter());
+        // Every entry point rejects it: the slice ones check it per call,
+        // `decode_from` reads the verdict its `TxReference` was built with.
         let got = reader
             .decode(&x_bad, &y, &h_env, &timeline, &tag_cfg)
+            .expect_err("NaN reference must fail");
+        assert_eq!(got, ReaderError::InvalidInput);
+        let mut scratch = ReaderScratch::default();
+        let got = reader
+            .decode_with(&x_bad, &y, &h_env, &timeline, &tag_cfg, &mut scratch)
+            .expect_err("NaN reference must fail");
+        assert_eq!(got, ReaderError::InvalidInput);
+        let x_ref = TxReference::new(x_bad.as_slice().into());
+        assert!(!x_ref.is_finite());
+        let got = reader
+            .decode_from(
+                &x_ref,
+                &mut &y[..],
+                &h_env,
+                &timeline,
+                &tag_cfg,
+                &mut scratch,
+            )
+            .expect_err("NaN reference must fail");
+        assert_eq!(got, ReaderError::InvalidInput);
+        let antennas = [(&y[..], &h_env[..]), (&y[..], &h_env[..])];
+        let got = reader
+            .decode_mimo(&x_bad, &antennas, &timeline, &tag_cfg)
             .expect_err("NaN reference must fail");
         assert_eq!(got, ReaderError::InvalidInput);
         // Non-finite analog-canceller view: same guard.
@@ -1533,7 +1627,7 @@ mod tests {
             .expect_err("mostly-NaN stream must fail");
         assert_eq!(got, ReaderError::InvalidInput);
         let after = backfi_obs::counter_value(ReaderError::InvalidInput.obs_counter());
-        assert_eq!(after, before + 3, "each InvalidInput must be counted");
+        assert_eq!(after, before + 6, "each InvalidInput must be counted");
     }
 
     /// A handful of NaN samples in the received stream must be survivable:

@@ -7,7 +7,7 @@
 //! transmitted signal — can never leak into the estimate and get cancelled
 //! along with the interference.
 
-use crate::estimator::FirPlan;
+use crate::estimator::{FirPlan, Observations};
 use backfi_dsp::Complex;
 
 /// A trained digital canceller.
@@ -42,7 +42,8 @@ impl DigitalCanceller {
         plan: &mut Option<FirPlan>,
     ) -> Option<Self> {
         let _t = backfi_obs::span("sic.digital.train");
-        let h = FirPlan::reuse(plan, x_clean, taps, ridge, None).fit(y)?;
+        let obs = Observations::new(x_clean.len(), taps, None);
+        let h = FirPlan::reuse(plan, x_clean, &obs, ridge).fit(y)?;
         Some(DigitalCanceller { taps: h })
     }
 

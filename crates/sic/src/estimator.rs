@@ -143,18 +143,45 @@ fn cross(x: &[Complex], y: &[Complex], taps: usize, runs: &[(usize, usize)]) -> 
     b
 }
 
-/// The observation runs of a `taps`-long fit over `n` samples: every output
-/// index `i ≥ taps−1`, or with a mask the maximal runs of such indices whose
-/// mask is `true`. `None` when there are too few observations: fewer than
-/// `2·taps` samples unmasked, fewer than `2·taps` observations masked.
-fn observations(n: usize, taps: usize, mask: Option<&[bool]>) -> Option<Vec<(usize, usize)>> {
-    let Some(mask) = mask else {
-        return (n >= taps * 2).then(|| vec![(taps - 1, n)]);
-    };
-    // Collapse the mask into contiguous observation runs: chip-transition
-    // masks keep long true stretches, so the per-(j,k) cost of the
-    // prefix-sum Gram build is two lookups per run instead of one
-    // multiply-accumulate per observation.
+/// The observations of a `taps`-long fit over an `n`-sample window: every
+/// output index `i ≥ taps−1`, or with a mask (one entry per sample) the
+/// maximal runs of such indices whose mask is `true`. They depend only on
+/// `(n, taps, mask)`, so a caller fitting many windows of one shape builds
+/// them once and hands them to every [`FirPlan::reuse`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Observations {
+    n: usize,
+    taps: usize,
+    /// `None` when there are too few observations: fewer than `2·taps`
+    /// samples unmasked, fewer than `2·taps` observations masked.
+    runs: Option<Vec<(usize, usize)>>,
+}
+
+impl Observations {
+    /// The observations of a `taps`-long fit over `n` samples, all of them
+    /// or those a `mask` keeps.
+    ///
+    /// # Panics
+    /// Panics if `taps == 0` or the mask length differs from `n`.
+    pub fn new(n: usize, taps: usize, mask: Option<&[bool]>) -> Self {
+        assert!(taps >= 1, "estimate_fir: need at least one tap");
+        let runs = match mask {
+            None => (n >= taps * 2).then(|| vec![(taps - 1, n)]),
+            Some(mask) => {
+                assert_eq!(mask.len(), n, "estimate_fir_masked: mask length mismatch");
+                masked_runs(taps, mask)
+            }
+        };
+        Observations { n, taps, runs }
+    }
+}
+
+/// Collapse the mask into contiguous observation runs: chip-transition
+/// masks keep long true stretches, so the per-(j,k) cost of the prefix-sum
+/// Gram build is two lookups per run instead of one multiply-accumulate per
+/// observation. `None` when fewer than `2·taps` indices are observed.
+fn masked_runs(taps: usize, mask: &[bool]) -> Option<Vec<(usize, usize)>> {
+    let n = mask.len();
     let mut runs: Vec<(usize, usize)> = Vec::new();
     let mut count = 0usize;
     let mut i = taps - 1;
@@ -190,76 +217,55 @@ fn same_bits(a: &[Complex], b: &[Complex]) -> bool {
 #[derive(Clone, Debug)]
 pub struct FirPlan {
     x: Vec<Complex>,
-    taps: usize,
+    obs: Observations,
     ridge: f64,
-    /// `None` when there are too few observations.
-    runs: Option<Vec<(usize, usize)>>,
     /// `None` when there are too few observations, or the regularized Gram
     /// matrix is singular or non-finite.
     lu: Option<Lu>,
 }
 
 impl FirPlan {
-    /// A fresh plan (see [`FirPlan::reuse`] for the arguments).
-    fn new(x: &[Complex], taps: usize, ridge: f64, mask: Option<&[bool]>) -> FirPlan {
-        Self::check(x, taps, mask);
-        Self::build(x, taps, ridge, observations(x.len(), taps, mask))
-    }
-
-    /// The plan for a `taps`-long fit on input `x` with ridge λ `ridge`
-    /// (relative to the input power): every output sample `n ≥ taps−1`
-    /// observed, or with a `mask` (one entry per sample) only those with
-    /// `mask[n] == true`. It is the plan in `slot` when that was built for
-    /// this very fit — the same input samples bit for bit, taps, ridge and
-    /// observations — else a new one, built into `slot`.
+    /// The plan for a fit on input `x` over the observations `obs` (built
+    /// for `x.len()` samples) with ridge λ `ridge` (relative to the input
+    /// power). It is the plan in `slot` when that was built for this very
+    /// fit — the same input samples bit for bit, observations and ridge —
+    /// else a new one, built into `slot`.
     ///
     /// # Panics
-    /// Panics if `taps == 0` or the mask length differs from `x`'s.
+    /// Panics if `obs` was built for another window length than `x.len()`.
     pub fn reuse<'a>(
         slot: &'a mut Option<FirPlan>,
         x: &[Complex],
-        taps: usize,
+        obs: &Observations,
         ridge: f64,
-        mask: Option<&[bool]>,
     ) -> &'a FirPlan {
-        Self::check(x, taps, mask);
-        let runs = observations(x.len(), taps, mask);
         let hit = slot.as_ref().is_some_and(|p| {
-            p.taps == taps
-                && p.ridge.to_bits() == ridge.to_bits()
-                && p.runs == runs
-                && same_bits(&p.x, x)
+            p.obs == *obs && p.ridge.to_bits() == ridge.to_bits() && same_bits(&p.x, x)
         });
         if !hit {
-            *slot = Some(Self::build(x, taps, ridge, runs));
+            *slot = Some(Self::new(x, obs.clone(), ridge));
         }
         slot.as_ref().expect("the slot holds a plan")
     }
 
-    fn check(x: &[Complex], taps: usize, mask: Option<&[bool]>) {
-        assert!(taps >= 1, "estimate_fir: need at least one tap");
-        if let Some(mask) = mask {
-            assert_eq!(
-                mask.len(),
-                x.len(),
-                "estimate_fir_masked: mask length mismatch"
-            );
-        }
-    }
-
-    fn build(x: &[Complex], taps: usize, ridge: f64, runs: Option<Vec<(usize, usize)>>) -> FirPlan {
+    /// A fresh plan (see [`FirPlan::reuse`] for the arguments).
+    fn new(x: &[Complex], obs: Observations, ridge: f64) -> FirPlan {
+        assert_eq!(
+            obs.n,
+            x.len(),
+            "estimate_fir: observations for another window"
+        );
         let _t = backfi_obs::span("sic.ls.plan");
-        let lu = runs.as_deref().and_then(|runs| {
-            let mut a = gram(x, taps, runs);
+        let lu = obs.runs.as_deref().and_then(|runs| {
+            let mut a = gram(x, obs.taps, runs);
             let power_sum = a[(0, 0)].re;
             a.add_diag(ridge * power_sum);
             Lu::factor(&a)
         });
         FirPlan {
             x: x.to_vec(),
-            taps,
+            obs,
             ridge,
-            runs,
             lu,
         }
     }
@@ -279,8 +285,8 @@ impl FirPlan {
     pub fn fit(&self, y: &[Complex]) -> Option<Vec<Complex>> {
         assert_eq!(self.x.len(), y.len(), "estimate_fir: length mismatch");
         let _t = backfi_obs::span("sic.ls.fit");
-        let (runs, lu) = (self.runs.as_deref()?, self.lu.as_ref()?);
-        lu.solve(&cross(&self.x, y, self.taps, runs))
+        let (runs, lu) = (self.obs.runs.as_deref()?, self.lu.as_ref()?);
+        lu.solve(&cross(&self.x, y, self.obs.taps, runs))
     }
 }
 
@@ -302,7 +308,7 @@ impl FirPlan {
 /// there are fewer observations than taps.
 pub fn estimate_fir(x: &[Complex], y: &[Complex], taps: usize, ridge: f64) -> Option<Vec<Complex>> {
     assert_eq!(x.len(), y.len(), "estimate_fir: length mismatch");
-    FirPlan::new(x, taps, ridge, None).fit(y)
+    FirPlan::new(x, Observations::new(x.len(), taps, None), ridge).fit(y)
 }
 
 /// The direct O(N·taps²) normal-equation build behind [`estimate_fir`],
@@ -372,7 +378,7 @@ pub fn estimate_fir_masked(
     mask: &[bool],
 ) -> Option<Vec<Complex>> {
     assert_eq!(x.len(), y.len(), "estimate_fir_masked: length mismatch");
-    FirPlan::new(x, taps, ridge, Some(mask)).fit(y)
+    FirPlan::new(x, Observations::new(x.len(), taps, Some(mask)), ridge).fit(y)
 }
 
 /// Residual power after subtracting `x ∗ h` from `y` over the region where
@@ -679,6 +685,7 @@ mod tests {
             let masked = seed % 2 == 0;
             let mask: Vec<bool> = (0..n).map(|i| i % 20 >= taps.min(19) - 1).collect();
             let mask = masked.then_some(&mask[..]);
+            let obs = Observations::new(n, taps, mask);
             let (mut x, _) = scenario(seed, n, 3);
             if seed % 5 == 0 {
                 x[n / 2] = Complex::new(-0.0, 0.0); // bitwise, not numerically, new
@@ -691,7 +698,7 @@ mod tests {
                     None => estimate_fir(&x, &y, taps, ridge),
                 };
                 assert!(fresh.is_some(), "seed {seed}: fresh fit failed");
-                let plan = FirPlan::reuse(&mut slot, &x, taps, ridge, mask);
+                let plan = FirPlan::reuse(&mut slot, &x, &obs, ridge);
                 assert_eq!(
                     tap_bits(&plan.fit(&y)),
                     tap_bits(&fresh),
@@ -706,7 +713,7 @@ mod tests {
                 Some(m) => estimate_fir_masked(&x, &y, taps, ridge, m),
                 None => estimate_fir(&x, &y, taps, ridge),
             };
-            let plan = FirPlan::reuse(&mut slot, &x, taps, ridge, mask);
+            let plan = FirPlan::reuse(&mut slot, &x, &obs, ridge);
             assert_eq!(
                 tap_bits(&plan.fit(&y)),
                 tap_bits(&fresh),
@@ -728,21 +735,28 @@ mod tests {
         let all = vec![true; 12];
         assert!(estimate_fir(short, &y[..12], 5, 1e-8).is_some());
         assert!(estimate_fir_masked(short, &y[..12], 5, 1e-8, &all).is_none());
-        let unmasked = FirPlan::reuse(&mut slot, short, 5, 1e-8, None).fit(&y[..12]);
+        let unmasked =
+            FirPlan::reuse(&mut slot, short, &Observations::new(12, 5, None), 1e-8).fit(&y[..12]);
         assert_eq!(
             tap_bits(&unmasked),
             tap_bits(&estimate_fir(short, &y[..12], 5, 1e-8))
         );
-        let plan = FirPlan::reuse(&mut slot, short, 5, 1e-8, Some(&all));
+        let plan = FirPlan::reuse(
+            &mut slot,
+            short,
+            &Observations::new(12, 5, Some(&all)),
+            1e-8,
+        );
         assert!(plan.fit(&y[..12]).is_none());
         let mut bad = x.clone();
         bad[100] = Complex::new(f64::NAN, 0.0);
-        assert!(FirPlan::reuse(&mut slot, &bad, 4, 1e-8, None)
+        let obs = Observations::new(400, 4, None);
+        assert!(FirPlan::reuse(&mut slot, &bad, &obs, 1e-8)
             .fit(&y)
             .is_none());
         let mut bad_y = y.clone();
         bad_y[200] = Complex::new(0.0, f64::INFINITY);
-        let plan = FirPlan::reuse(&mut slot, &x, 4, 1e-8, None);
+        let plan = FirPlan::reuse(&mut slot, &x, &obs, 1e-8);
         assert!(plan.fit(&bad_y).is_none());
         assert_eq!(
             tap_bits(&plan.fit(&y)),
@@ -802,7 +816,7 @@ mod tests {
             let (x, y) = scenario(seed, 700, 3);
             let taps = 1 + seed as usize % 8;
             let mask: Vec<bool> = (0..700).map(|i| i % 20 >= taps).collect();
-            let runs = observations(700, taps, Some(&mask)).expect("enough observations");
+            let runs = masked_runs(taps, &mask).expect("enough observations");
             assert!(runs.len() > 1);
             let got = cross(&x, &y, taps, &runs);
             for (j, g) in got.iter().enumerate() {

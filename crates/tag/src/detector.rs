@@ -22,7 +22,8 @@ pub struct EnergyDetector {
     sensitivity: f64,
     /// Peak-hold state (decays slowly like a real peak detector).
     peak: f64,
-    /// Leftover samples not yet forming a full 1 µs block.
+    /// Leftover samples of a bit that straddles calls (fewer than
+    /// [`SAMPLES_PER_BIT`]).
     pending: Vec<Complex>,
 }
 
@@ -44,25 +45,36 @@ impl EnergyDetector {
 
     /// Feed incident samples; returns one bit per completed microsecond.
     /// A `true` bit means "energy above half the held peak".
-    pub fn process(&mut self, incident: &[Complex]) -> Vec<bool> {
-        incident.iter().filter_map(|&s| self.push(s)).collect()
+    pub fn process(&mut self, mut incident: &[Complex]) -> Vec<bool> {
+        let mut bits = Vec::with_capacity(incident.len() / SAMPLES_PER_BIT + 1);
+        while !incident.is_empty() {
+            let (taken, bit) = self.next_bit(incident);
+            bits.extend(bit);
+            incident = &incident[taken..];
+        }
+        bits
     }
 
-    /// Feed one incident sample; returns the comparator bit when it
-    /// completes a microsecond. The non-allocating core of
-    /// [`EnergyDetector::process`], for sample-by-sample callers.
-    pub(crate) fn push(&mut self, s: Complex) -> Option<bool> {
-        self.pending.push(s);
-        if self.pending.len() < SAMPLES_PER_BIT {
-            return None;
+    /// Feed samples from the front of `incident` until one comparator bit
+    /// completes or the samples run out: returns how many samples were
+    /// taken and the bit, if one completed. A whole microsecond that starts
+    /// on a bit boundary is decided in place; a bit that straddles calls
+    /// collects its samples first.
+    pub(crate) fn next_bit(&mut self, incident: &[Complex]) -> (usize, Option<bool>) {
+        if self.pending.is_empty() {
+            if let Some(block) = incident.get(..SAMPLES_PER_BIT) {
+                let bit = decide(&mut self.peak, self.sensitivity, block);
+                return (SAMPLES_PER_BIT, Some(bit));
+            }
         }
-        let p: f64 =
-            self.pending.iter().map(|v| v.norm_sqr()).sum::<f64>() / SAMPLES_PER_BIT as f64;
+        let take = (SAMPLES_PER_BIT - self.pending.len()).min(incident.len());
+        self.pending.extend_from_slice(&incident[..take]);
+        if self.pending.len() < SAMPLES_PER_BIT {
+            return (take, None);
+        }
+        let bit = decide(&mut self.peak, self.sensitivity, &self.pending);
         self.pending.clear();
-        // Peak hold with slow decay (~1% per µs).
-        self.peak = (self.peak * 0.99).max(p);
-        let threshold = (self.peak / 2.0).max(self.sensitivity);
-        Some(p >= threshold && p >= self.sensitivity)
+        (take, Some(bit))
     }
 
     /// Reset all state (new listening session).
@@ -70,6 +82,18 @@ impl EnergyDetector {
         self.peak = 0.0;
         self.pending.clear();
     }
+}
+
+/// The comparator decision on one microsecond of samples: the block's mean
+/// power, summed in sample order, against half the decaying held `peak` and
+/// the `sensitivity` floor.
+fn decide(peak: &mut f64, sensitivity: f64, block: &[Complex]) -> bool {
+    debug_assert_eq!(block.len(), SAMPLES_PER_BIT);
+    let p: f64 = block.iter().map(|v| v.norm_sqr()).sum::<f64>() / SAMPLES_PER_BIT as f64;
+    // Peak hold with slow decay (~1% per µs).
+    *peak = (*peak * 0.99).max(p);
+    let threshold = (*peak / 2.0).max(sensitivity);
+    p >= threshold && p >= sensitivity
 }
 
 /// Sliding 16-bit preamble correlator.
@@ -162,6 +186,87 @@ mod tests {
             chunked.extend(b.process(chunk));
         }
         assert_eq!(block, chunked);
+    }
+
+    /// The comparator as it decided sample by sample before whole-bit
+    /// decisions: every sample goes into a pending buffer, and a bit is
+    /// decided, from the buffer's in-order power sum, when it holds a
+    /// microsecond. The oracle [`EnergyDetector::next_bit`] is pinned
+    /// against.
+    struct SampleDetector {
+        sensitivity: f64,
+        peak: f64,
+        pending: Vec<Complex>,
+    }
+
+    impl SampleDetector {
+        fn new(sensitivity_dbm: f64) -> Self {
+            SampleDetector {
+                sensitivity: 10f64.powf(sensitivity_dbm / 10.0),
+                peak: 0.0,
+                pending: Vec::new(),
+            }
+        }
+
+        fn push(&mut self, s: Complex) -> Option<bool> {
+            self.pending.push(s);
+            if self.pending.len() < SAMPLES_PER_BIT {
+                return None;
+            }
+            let p: f64 =
+                self.pending.iter().map(|v| v.norm_sqr()).sum::<f64>() / SAMPLES_PER_BIT as f64;
+            self.pending.clear();
+            self.peak = (self.peak * 0.99).max(p);
+            let threshold = (self.peak / 2.0).max(self.sensitivity);
+            Some(p >= threshold && p >= self.sensitivity)
+        }
+    }
+
+    /// Samples of `bits` microseconds at random energies (log-uniform over
+    /// eight decades around the sensitivity, some bits silent) and phases,
+    /// plus `tail` samples of a last, partial bit.
+    fn random_energies(
+        rng: &mut backfi_dsp::rng::SplitMix64,
+        bits: usize,
+        tail: usize,
+    ) -> Vec<Complex> {
+        let mut v = Vec::new();
+        for i in 0..bits * SAMPLES_PER_BIT + tail {
+            if i % SAMPLES_PER_BIT == 0 && rng.next_f64() < 0.2 {
+                v.extend(std::iter::repeat_n(Complex::ZERO, SAMPLES_PER_BIT));
+            }
+            let amp = 10f64.powf(-1.0 - 4.0 * rng.next_f64());
+            v.push(Complex::from_polar(amp, 6.3 * rng.next_f64()));
+        }
+        v.truncate(bits * SAMPLES_PER_BIT + tail);
+        v
+    }
+
+    #[test]
+    fn block_decisions_match_sample_oracle() {
+        let mut rng = backfi_dsp::rng::SplitMix64::new(0xDE7);
+        for case in 0..40 {
+            let tail = case % SAMPLES_PER_BIT;
+            let rx = random_energies(&mut rng, 30, tail);
+            let mut oracle = SampleDetector::new(-60.0);
+            let want: Vec<bool> = rx.iter().filter_map(|&s| oracle.push(s)).collect();
+            // Whole, and in ragged chunks that split bits across calls.
+            let mut whole = EnergyDetector::new(-60.0);
+            assert_eq!(whole.process(&rx), want, "case {case}");
+            let mut chunked = EnergyDetector::new(-60.0);
+            let mut got = Vec::new();
+            let mut rest = &rx[..];
+            while !rest.is_empty() {
+                let n = (1 + rng.next_u64() as usize % 47).min(rest.len());
+                got.extend(chunked.process(&rest[..n]));
+                rest = &rest[n..];
+            }
+            assert_eq!(got, want, "case {case}, chunked");
+            for det in [&whole, &chunked] {
+                assert_eq!(det.peak.to_bits(), oracle.peak.to_bits(), "case {case}");
+                assert_eq!(det.pending, oracle.pending, "case {case}");
+            }
+        }
     }
 
     #[test]

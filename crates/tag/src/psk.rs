@@ -115,19 +115,20 @@ fn soft_bits_direct(
 
 /// Cached Gray-PSK soft demapper: the constellation for one
 /// `(modulation, amp)` pair, stored as planar `re`/`im` tables in natural
-/// bit-value order.
+/// bit-value order, demapped by one body per constellation order.
 ///
 /// Construction computes each point with exactly the
 /// `Complex::from_polar(amp, 2π·gray(v)/order)` expression the reference
 /// `soft_bits_direct` in the tests uses, so the cached distances — and
-/// therefore the emitted LLRs — are bit-identical to the reference:
-/// per bit, the reference takes `min` over the same distance multiset in the
-/// same `v` order, and hoisting the (identical) distance computation out of
-/// the bit loop cannot change any `f64::min` chain.
+/// therefore the emitted LLRs — are bit-identical to the reference: per
+/// bit, both take the minimum over the same distances. Every distance is a
+/// sum of squares, so it is `+0` or more (never `-0`) and the minimum is
+/// one value bit for bit whatever the order it is taken in; a NaN distance
+/// never wins, neither under `f64::min` from `+∞` nor under the
+/// compare-select `if d < m`.
 #[derive(Clone, Debug)]
 pub struct SoftDemapper {
-    order: usize,
-    bits: usize,
+    modulation: TagModulation,
     /// Planar constellation, natural bit-value order: `pre[v] + j·pim[v]`
     /// is the point a symbol with bit value `v` is transmitted as.
     pre: [f64; 16],
@@ -138,12 +139,11 @@ impl SoftDemapper {
     /// Precompute the planar constellation tables for `(m, amp)`.
     pub fn new(m: TagModulation, amp: f64) -> Self {
         let mut d = SoftDemapper {
-            order: m.order(),
-            bits: m.bits_per_symbol(),
+            modulation: m,
             pre: [0.0; 16],
             pim: [0.0; 16],
         };
-        for v in 0..d.order {
+        for v in 0..m.order() {
             let idx = gray_encode(v);
             let phase = 2.0 * std::f64::consts::PI * idx as f64 / m.order() as f64;
             let p = backfi_dsp::Complex::from_polar(amp, phase);
@@ -156,26 +156,46 @@ impl SoftDemapper {
     /// Append the per-bit max-log LLRs (positive ⇒ bit 1) for phasor `z`
     /// with noise variance `noise_var` to `out`; bit-identical to the
     /// reference `soft_bits_direct` in the tests with the same `(m, amp)`.
+    #[inline]
     pub fn soft_bits(&self, z: backfi_dsp::Complex, noise_var: f64, out: &mut Vec<f64>) {
+        match self.modulation {
+            TagModulation::Bpsk => self.soft_bits_of::<2, 1>(z, noise_var, out),
+            TagModulation::Qpsk => self.soft_bits_of::<4, 2>(z, noise_var, out),
+            TagModulation::Psk16 => self.soft_bits_of::<16, 4>(z, noise_var, out),
+        }
+    }
+
+    /// [`SoftDemapper::soft_bits`] for an `ORDER`-point constellation of
+    /// `BITS` bits per symbol, with the loops fixed at compile time.
+    #[inline(always)]
+    fn soft_bits_of<const ORDER: usize, const BITS: usize>(
+        &self,
+        z: backfi_dsp::Complex,
+        noise_var: f64,
+        out: &mut Vec<f64>,
+    ) {
         let scale = 1.0 / noise_var.max(1e-18);
-        let mut dist = [0.0f64; 16];
-        for (v, d) in dist.iter_mut().enumerate().take(self.order) {
+        let mut dist = [0.0f64; ORDER];
+        for (v, d) in dist.iter_mut().enumerate() {
             let dre = z.re - self.pre[v];
             let dim = z.im - self.pim[v];
             *d = dre * dre + dim * dim;
         }
-        for bit in 0..self.bits {
+        let mut llrs = [0.0f64; BITS];
+        for (bit, llr) in llrs.iter_mut().enumerate() {
             let mut d0 = f64::INFINITY;
             let mut d1 = f64::INFINITY;
-            for (v, &d) in dist[..self.order].iter().enumerate() {
-                if (v >> bit) & 1 == 1 {
-                    d1 = d1.min(d);
+            for (v, &d) in dist.iter().enumerate() {
+                let m = if (v >> bit) & 1 == 1 {
+                    &mut d1
                 } else {
-                    d0 = d0.min(d);
-                }
+                    &mut d0
+                };
+                *m = if d < *m { d } else { *m };
             }
-            out.push((d0 - d1) * scale);
+            *llr = (d0 - d1) * scale;
         }
+        out.extend_from_slice(&llrs);
     }
 }
 
@@ -333,13 +353,25 @@ mod tests {
                         Complex::new(4.0 * (rng.next_f64() - 0.5), 4.0 * (rng.next_f64() - 0.5))
                     })
                     .collect();
-                // Hostile lanes: the cached path must reproduce the
-                // reference's NaN/∞ propagation exactly.
-                zs.push(Complex::new(f64::NAN, 0.3));
-                zs.push(Complex::new(f64::INFINITY, -1.0));
-                zs.push(Complex::new(0.0, f64::NEG_INFINITY));
+                // Hostile lanes: the order-specialised bodies must
+                // reproduce the reference's NaN/∞ propagation, signed
+                // zeros, subnormals and overflowing distances exactly.
+                let tiny = f64::MIN_POSITIVE / 8.0; // subnormal
+                zs.extend([
+                    Complex::new(f64::NAN, 0.3),
+                    Complex::new(f64::INFINITY, -1.0),
+                    Complex::new(0.0, f64::NEG_INFINITY),
+                    Complex::new(0.0, 0.0),
+                    Complex::new(-0.0, -0.0),
+                    Complex::new(-0.0, 0.0),
+                    Complex::new(tiny, -tiny),
+                    Complex::new(amp + tiny, 0.0),
+                    Complex::new(1e200, -1e200),
+                    Complex::new(f64::MAX, f64::MAX),
+                    Complex::new(-f64::MAX, 1.0),
+                ]);
                 for z in zs {
-                    for nv in [1e-3, 0.2, 0.0] {
+                    for nv in [1e-3, 0.2, 0.0, -0.0, tiny, f64::NAN] {
                         let mut a = Vec::new();
                         let mut b = Vec::new();
                         demap.soft_bits(z, nv, &mut a);

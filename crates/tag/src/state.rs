@@ -149,19 +149,16 @@ impl Tag {
                     // Sample-exact: a comparator bit completes every 20th
                     // sample; the state transition happens at precisely that
                     // sample so caller chunking cannot shift the timeline.
+                    // The detector takes a bit at a time (a chunk holds one
+                    // whole bit, or the two parts of one that straddles
+                    // calls).
                     let mut taken = 0;
                     let mut matched = false;
-                    for (i, &s) in chunk.iter().enumerate() {
-                        if let Some(b) = self.detector.push(s) {
-                            if self.correlator.push(b) {
-                                matched = true;
-                            }
-                        }
-                        gamma.push(Complex::ZERO);
-                        taken = i + 1;
-                        if matched {
-                            break;
-                        }
+                    while taken < chunk.len() && !matched {
+                        let (took, bit) = self.detector.next_bit(&chunk[taken..]);
+                        gamma.extend(std::iter::repeat_n(Complex::ZERO, took));
+                        taken += took;
+                        matched = bit.is_some_and(|b| self.correlator.push(b));
                     }
                     if matched {
                         self.state = TagState::Silent;
@@ -382,6 +379,51 @@ mod tests {
         }
         assert_eq!(block, gamma);
         assert_eq!(a.state(), b.state());
+    }
+
+    #[test]
+    fn block_reaction_matches_sample_by_sample() {
+        // The listening tag decides a comparator bit per 20-sample block;
+        // fed one sample per call it collects every bit sample by sample.
+        // Both must wake at the same sample and reflect the same Γ: the
+        // wake-up preamble lands at every sample phase of the comparator's
+        // bits, after random-energy lead-ins, with a ragged last bit; and a
+        // tag whose preamble never comes listens to the end.
+        use backfi_dsp::rng::SplitMix64;
+        let cfg = TagConfig::default();
+        let mut rng = SplitMix64::new(0x7A6);
+        let mut wakes = 0;
+        for case in 0..2 * SAMPLES_PER_BIT + 2 {
+            let id = if case < 2 * SAMPLES_PER_BIT { 7 } else { 6 };
+            let lead = case % (2 * SAMPLES_PER_BIT) + if case % 3 == 0 { 0 } else { 100 };
+            let mut x: Vec<Complex> = (0..lead)
+                .map(|_| {
+                    let amp = 10f64.powf(-2.0 - 4.0 * rng.next_f64());
+                    Complex::from_polar(amp, 6.3 * rng.next_f64())
+                })
+                .collect();
+            x.extend(excitation(id, 1e-2, 60.0));
+            x.truncate(x.len() - 7);
+            let mut block = Tag::new(7, cfg);
+            block.load_data(&[5; 4]);
+            let want = block.react(&x);
+            let mut sample = Tag::new(7, cfg);
+            sample.load_data(&[5; 4]);
+            let got: Vec<Complex> = x
+                .iter()
+                .flat_map(|s| sample.react(std::slice::from_ref(s)))
+                .collect();
+            assert_eq!(got, want, "case {case}");
+            assert_eq!(sample.state(), block.state(), "case {case}");
+            // A preamble on the comparator's bit grid always wakes its tag;
+            // straddling the grid may cost the 15-of-16 match.
+            let woke = block.state() != TagState::Listening;
+            if id != 7 || lead.is_multiple_of(SAMPLES_PER_BIT) {
+                assert_eq!(woke, id == 7, "case {case}: state {:?}", block.state());
+            }
+            wakes += woke as usize;
+        }
+        assert!(wakes > SAMPLES_PER_BIT, "only {wakes} tags woke");
     }
 
     #[test]
