@@ -220,6 +220,32 @@ fn bench_soft_demap(rep: &mut BenchReport, short: bool) {
     }
 }
 
+/// The reader's hard PSK decision over a burst of noisy 16PSK symbols: the
+/// per-symbol cost of `decode.refine_phase`, `decode.metrics` and the
+/// link report's pre-FEC BER, each of which decides every symbol once.
+fn bench_psk_slice(rep: &mut BenchReport, short: bool) {
+    use backfi_tag::config::TagModulation;
+    use backfi_tag::psk::hard_index_of;
+    const SYMBOLS: usize = 1000;
+    let mut rng = SplitMix64::new(7);
+    let zs = cgauss_vec(&mut rng, SYMBOLS, 1.0);
+    rep.measure(
+        "psk_slice",
+        "psk16",
+        SYMBOLS,
+        0,
+        SYMBOLS,
+        iters(2000, short),
+        || {
+            let mut acc = 0usize;
+            for &z in black_box(&zs) {
+                acc += hard_index_of(TagModulation::Psk16, z);
+            }
+            black_box(acc);
+        },
+    );
+}
+
 /// The disabled observability fast path. With the recorder and the tracer
 /// both off, a span guard is one relaxed atomic load and a branch at
 /// construction and the same again at drop — the acceptance bound is
@@ -289,6 +315,7 @@ fn main() {
     bench_adc(&mut rep);
     bench_pipeline_kernels(&mut rep, short);
     bench_soft_demap(&mut rep, short);
+    bench_psk_slice(&mut rep, short);
     bench_obs_overhead(&mut rep);
 
     check_speedups(&rep, short);

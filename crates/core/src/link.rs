@@ -19,7 +19,7 @@ use backfi_tag::config::TagConfig;
 use backfi_tag::detector::SAMPLES_PER_BIT;
 use backfi_tag::energy::epb_pj;
 use backfi_tag::framer::TagFrame;
-use backfi_tag::psk::{gray_decode, hard_index};
+use backfi_tag::psk::{gray_decode, hard_index_of};
 use backfi_tag::state::TagState;
 use backfi_tag::Tag;
 use std::cell::RefCell;
@@ -311,10 +311,11 @@ impl LinkSimulator {
         drop(_t_medium);
         backfi_obs::probe("link.expected_snr_db", expected_snr_db);
 
+        let _t_load = backfi_obs::span("link.load_data");
         let (sent, frame_fits) = self.payload(seed);
-
         let mut tag = Tag::new(cfg.excitation.tag_id, cfg.tag);
         tag.load_data(&sent);
+        drop(_t_load);
         let TrialScratch {
             incident,
             gamma,
@@ -400,6 +401,7 @@ impl LinkSimulator {
         };
         let simulated = trial.rx.len();
         backfi_obs::counter_add("link.samples", simulated as u64);
+        let _t_report = backfi_obs::span("link.report");
         let report = self.report(
             sent,
             tag.symbols(),
@@ -480,10 +482,8 @@ impl LinkSimulator {
                 let mut raw_bits = 0usize;
                 for (i, &idx) in sent_symbols.iter().enumerate() {
                     let Some(est) = res.symbols.get(i) else { break };
-                    let got = gray_decode(hard_index(m, est.z.arg()));
-                    let phase = std::f64::consts::TAU * idx as f64 / m.order() as f64;
-                    let want = gray_decode(hard_index(m, phase));
-                    raw_errs += (got ^ want).count_ones() as usize;
+                    let got = gray_decode(hard_index_of(m, est.z));
+                    raw_errs += (got ^ gray_decode(idx)).count_ones() as usize;
                     raw_bits += bps;
                 }
                 let pre_fec_ber = if raw_bits == 0 {

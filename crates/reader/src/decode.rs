@@ -19,7 +19,7 @@ use backfi_coding::{CodeRate, ConvEncoder, ViterbiDecoder};
 use backfi_dsp::stats;
 use backfi_tag::config::TagModulation;
 use backfi_tag::framer::{FrameError, TagFrame, HEADER_BITS};
-use backfi_tag::psk::{hard_index, ideal_points, SoftDemapper};
+use backfi_tag::psk::{hard_index_of, ideal_points, SoftDemapper};
 
 /// Information bits [`announced_len`] decodes: the header plus a traceback
 /// margin of 48 bits (about seven constraint lengths), so the truncated
@@ -210,7 +210,7 @@ pub fn link_metrics(estimates: &[SymbolEstimate], modulation: TagModulation) -> 
     let (perr, pref) = stats::decision_powers(
         estimates
             .iter()
-            .map(|e| (e.z, points[hard_index(modulation, e.z.arg())])),
+            .map(|e| (e.z, points[hard_index_of(modulation, e.z)])),
     );
     LinkMetrics {
         symbol_snr_db: stats::db(pref / perr),
@@ -271,7 +271,7 @@ mod tests {
     /// erasures included.
     #[test]
     fn link_metrics_match_the_per_symbol_slicing() {
-        use backfi_tag::psk::index_phase;
+        use backfi_tag::psk::{hard_index, index_phase};
         let mut rng = SplitMix64::new(17);
         for m in TagModulation::ALL {
             let mut estimates: Vec<SymbolEstimate> = (0..300)

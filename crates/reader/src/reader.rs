@@ -26,7 +26,7 @@ use backfi_sic::{
 };
 use backfi_tag::config::{TagConfig, TagModulation};
 use backfi_tag::framer::{FrameError, TagFrame, PILOT_SYMBOLS};
-use backfi_tag::psk::{hard_index, ideal_points};
+use backfi_tag::psk::{hard_index_of, ideal_points};
 use std::sync::Arc;
 
 /// Reader-side settings.
@@ -663,7 +663,7 @@ fn refine_phase(symbols: &mut [SymbolEstimate], modulation: TagModulation) {
     let points = ideal_points(modulation);
     let mut acc = Complex::ZERO;
     for s in symbols.iter() {
-        let ideal = points[hard_index(modulation, s.z.arg())];
+        let ideal = points[hard_index_of(modulation, s.z)];
         acc += s.z * ideal.conj() * s.ref_energy;
     }
     if acc.abs() > 0.0 {
@@ -1021,7 +1021,7 @@ mod tests {
     /// exactly as slicing each one through `exp_j(index_phase(…))` does.
     #[test]
     fn refine_phase_matches_the_per_symbol_slicing() {
-        use backfi_tag::psk::index_phase;
+        use backfi_tag::psk::{hard_index, index_phase};
         let mut rng = SplitMix64::new(9);
         for m in TagModulation::ALL {
             let symbols: Vec<SymbolEstimate> = (0..544)
@@ -1089,8 +1089,7 @@ mod tests {
         coded.resize(coded.len().next_multiple_of(m.bits_per_symbol()), false);
         let mut indices = vec![0; PILOT_SYMBOLS];
         for c in coded.chunks_exact(m.bits_per_symbol()) {
-            let phase = backfi_tag::psk::bits_to_phase(m, c);
-            indices.push(hard_index(m, phase));
+            indices.push(backfi_tag::psk::bits_to_index(m, c));
         }
         let slots = indices.len() + 300;
         let res = finish(estimates(&indices, m, 300), &cfg);

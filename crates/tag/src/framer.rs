@@ -17,7 +17,7 @@
 //! decode every symbol slot that fits.
 
 use crate::config::TagConfig;
-use crate::psk::bits_to_phase;
+use crate::psk::bits_to_index;
 use backfi_coding::bits::{bits_to_bytes_lsb, bytes_to_bits_lsb};
 use backfi_coding::crc::{crc32_append, crc32_check, crc8, crc8_append};
 use backfi_coding::prbs::Lfsr;
@@ -107,13 +107,11 @@ impl TagFrame {
             coded.push(false);
         }
         let mut out = vec![0usize; PILOT_SYMBOLS];
-        out.extend(coded.chunks_exact(bps).map(|c| {
-            let phase = bits_to_phase(cfg.modulation, c);
-            // store the constellation index rather than the angle
-            let order = cfg.modulation.order() as f64;
-            ((phase / (2.0 * std::f64::consts::PI) * order).round() as usize)
-                % cfg.modulation.order()
-        }));
+        out.extend(
+            coded
+                .chunks_exact(bps)
+                .map(|c| bits_to_index(cfg.modulation, c)),
+        );
         out
     }
 

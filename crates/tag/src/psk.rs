@@ -33,12 +33,21 @@ pub fn gray_decode(mut g: usize) -> usize {
 /// # Panics
 /// Panics if `bits.len()` doesn't match the modulation.
 pub fn bits_to_phase(m: TagModulation, bits: &[bool]) -> f64 {
+    index_phase(m, bits_to_index(m, bits))
+}
+
+/// Map `bits_per_symbol` bits (LSB-first) to their constellation (Gray)
+/// index `gray_encode(v)`: the index whose phase [`bits_to_phase`] returns.
+///
+/// # Panics
+/// Panics if `bits.len()` doesn't match the modulation.
+pub fn bits_to_index(m: TagModulation, bits: &[bool]) -> usize {
     assert_eq!(bits.len(), m.bits_per_symbol(), "wrong bit count for {m:?}");
     let v = bits
         .iter()
         .enumerate()
         .fold(0usize, |acc, (i, &b)| acc | ((b as usize) << i));
-    index_phase(m, gray_encode(v))
+    gray_encode(v)
 }
 
 /// Nearest-phase hard decision: returns the bits (LSB-first).
@@ -61,6 +70,81 @@ pub fn hard_index(m: TagModulation, phase: f64) -> usize {
         idx += m.order() as i64;
     }
     idx as usize
+}
+
+/// Relative width of the band around each decision boundary inside which
+/// [`hard_index_of`] defers to `hard_index(m, z.arg())`. It is far wider
+/// than the few-ulp error of `atan2`, of the division by the step and of
+/// the boundary products, so outside it the geometric decision and the
+/// `atan2` one agree; it is far narrower than the noise on any symbol, so
+/// almost no symbol lands inside it.
+const SLICE_MARGIN: f64 = 1e-9;
+/// tan(π/16) and tan(3π/16): the two 16PSK decision boundaries inside the
+/// first octant, as slopes `v/u`.
+const TAN_PI_16: f64 = 0.198_912_367_379_658;
+const TAN_3PI_16: f64 = 0.668_178_637_919_298_9;
+
+/// Nearest-phase hard decision of the phasor `z` as a constellation (Gray)
+/// index: exactly `hard_index(m, z.arg())` for every `z`, without the
+/// `atan2` for almost all of them.
+///
+/// `z` is folded into the first octant (`u = max(|re|, |im|)`,
+/// `v = min(|re|, |im|)`), `v` is compared with `u·tan` of each decision
+/// boundary inside the octant, and the sector is unfolded by the swap and
+/// the two signs. An input within a relative 1e-9 of a boundary, on an
+/// axis or zero (where `atan2` reads the signs of zeros), with a subnormal
+/// or non-finite component as its larger magnitude, or with a NaN
+/// component takes the `hard_index(m, z.arg())` path itself.
+#[inline]
+pub fn hard_index_of(m: TagModulation, z: backfi_dsp::Complex) -> usize {
+    octant_index(m, z).unwrap_or_else(|| hard_index(m, z.arg()))
+}
+
+/// The geometric decision of [`hard_index_of`], or `None` for an input it
+/// leaves to `hard_index`.
+#[inline(always)]
+fn octant_index(m: TagModulation, z: backfi_dsp::Complex) -> Option<usize> {
+    let (a, b) = (z.re.abs(), z.im.abs());
+    // `swapped`: the imaginary part dominates, so the first-quadrant angle
+    // is π/2 minus the octant's. A NaN leaves `u` or `v` NaN.
+    let swapped = a < b;
+    let (u, v) = if swapped { (b, a) } else { (a, b) };
+    if !(v > 0.0 && (f64::MIN_POSITIVE..f64::INFINITY).contains(&u)) {
+        return None;
+    }
+    let order = m.order();
+    // The index within the first quadrant, in steps of 2π/order.
+    let q = match m {
+        TagModulation::Bpsk => {
+            // The one boundary is the imaginary axis.
+            if swapped && v <= u * SLICE_MARGIN {
+                return None;
+            }
+            return Some((z.re < 0.0) as usize);
+        }
+        TagModulation::Qpsk => {
+            // The boundary is the diagonal `u = v`, the octant's edge.
+            if v >= u * (1.0 - SLICE_MARGIN) {
+                return None;
+            }
+            swapped as usize
+        }
+        TagModulation::Psk16 => {
+            let (t1, t3, band) = (u * TAN_PI_16, u * TAN_3PI_16, u * SLICE_MARGIN);
+            if (v - t1).abs() <= band || (v - t3).abs() <= band {
+                return None;
+            }
+            let s = (v > t1) as usize + (v > t3) as usize;
+            if swapped {
+                4 - s
+            } else {
+                s
+            }
+        }
+    };
+    let q = if z.re < 0.0 { order / 2 - q } else { q };
+    let q = if z.im < 0.0 { order - q } else { q };
+    Some(q & (order - 1))
 }
 
 /// The phase of constellation (Gray) index `idx`, `2π·idx/order`: the
@@ -337,6 +421,151 @@ mod tests {
                     bits_to_phase(m, &want).to_bits(),
                     bits_to_phase_reference(m, &want).to_bits()
                 );
+            }
+        }
+    }
+
+    /// Check [`hard_index_of`] against its oracle on `z`, and return
+    /// whether the input took the `atan2` fallback.
+    fn check_slicer(m: TagModulation, z: Complex) -> bool {
+        let want = hard_index(m, z.arg());
+        assert_eq!(
+            hard_index_of(m, z),
+            want,
+            "{m:?} z ({:e}, {:e})",
+            z.re,
+            z.im
+        );
+        octant_index(m, z).is_none()
+    }
+
+    /// `p` moved by `k` units in the last place (same sign, no zero crossing
+    /// for the finite non-zero `p` and small `k` used here).
+    fn ulps(p: f64, k: i64) -> f64 {
+        f64::from_bits((p.to_bits() as i64 + k) as u64)
+    }
+
+    #[test]
+    fn octant_slicer_matches_atan2_on_random_points() {
+        use backfi_dsp::rng::SplitMix64;
+        let mut rng = SplitMix64::new(0x51CE);
+        for m in TagModulation::ALL {
+            let mut fallbacks = 0usize;
+            const POINTS: usize = 1 << 20;
+            for i in 0..POINTS {
+                // Radii across the whole normal range, and every eighth
+                // point with independent component scales.
+                let e = (rng.next_f64() * 600.0 - 300.0) as i32;
+                let f = if i % 8 == 0 {
+                    (rng.next_f64() * 600.0 - 300.0) as i32
+                } else {
+                    e
+                };
+                let z = Complex::new(
+                    (2.0 * rng.next_f64() - 1.0) * 10f64.powi(e),
+                    (2.0 * rng.next_f64() - 1.0) * 10f64.powi(f),
+                );
+                // Independent scales put a BPSK point near the imaginary
+                // axis, inside its band, half the time.
+                fallbacks += (check_slicer(m, z) && e == f) as usize;
+            }
+            // The band is ~1e-9 wide: random points of one scale almost
+            // never fall back.
+            assert!(fallbacks < POINTS / 10_000, "{m:?}: {fallbacks} fallbacks");
+        }
+    }
+
+    #[test]
+    fn octant_slicer_matches_atan2_at_decision_boundaries() {
+        use std::f64::consts::TAU;
+        for m in TagModulation::ALL {
+            let (mut fast, mut fallbacks) = (0usize, 0usize);
+            let mut count = |fell_back: bool| {
+                if fell_back {
+                    fallbacks += 1;
+                } else {
+                    fast += 1;
+                }
+            };
+            let step = TAU / m.order() as f64;
+            for k in 0..m.order() {
+                let boundary = (k as f64 + 0.5) * step;
+                for r in [1e-300, 1e-10, 1.0, 1e10, 1e300] {
+                    // ±50 ulps of the boundary angle, and of each component
+                    // of the point on it.
+                    let (x, y) = (r * boundary.cos(), r * boundary.sin());
+                    for d in -50..=50 {
+                        let a = ulps(boundary, d);
+                        count(check_slicer(m, Complex::new(r * a.cos(), r * a.sin())));
+                        count(check_slicer(m, Complex::new(ulps(x, d), y)));
+                        count(check_slicer(m, Complex::new(x, ulps(y, d))));
+                    }
+                    // Both sides of the fallback band's edge.
+                    for delta in [1e-11, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 1e-6, 1e-3] {
+                        for a in [boundary - delta, boundary + delta] {
+                            count(check_slicer(m, Complex::new(r * a.cos(), r * a.sin())));
+                        }
+                    }
+                }
+            }
+            assert!(fallbacks > 0, "{m:?}: no boundary input fell back");
+            assert!(fast > 0, "{m:?}: no boundary input was sliced");
+        }
+    }
+
+    #[test]
+    fn octant_slicer_matches_atan2_on_special_values() {
+        let tiny = f64::MIN_POSITIVE / 8.0; // subnormal
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.3,
+            -0.3,
+            tiny,
+            -tiny,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MAX,
+            -f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for m in TagModulation::ALL {
+            let mut fallbacks = 0usize;
+            for &re in &values {
+                for &im in &values {
+                    fallbacks += check_slicer(m, Complex::new(re, im)) as usize;
+                }
+            }
+            // Zero, the axes, subnormal and non-finite inputs all fall back.
+            assert!(fallbacks > values.len(), "{m:?}: {fallbacks} fallbacks");
+            assert!(octant_index(m, Complex::ZERO).is_none());
+        }
+    }
+
+    /// Index → phase → index round trips are identities on every index:
+    /// `round(phase/2π·order) % order` of a bit value's phase is its Gray
+    /// index, and `hard_index` of an index's own phase is that index. So
+    /// the framer and the link's pre-FEC BER take the index directly.
+    #[test]
+    fn index_phase_round_trips_are_identities() {
+        use std::f64::consts::TAU;
+        for m in TagModulation::ALL {
+            let order = m.order();
+            for v in 0..order {
+                let bits: Vec<bool> = (0..m.bits_per_symbol())
+                    .map(|i| (v >> i) & 1 == 1)
+                    .collect();
+                let phase = bits_to_phase(m, &bits);
+                let framer = ((phase / TAU * order as f64).round() as usize) % order;
+                assert_eq!(framer, bits_to_index(m, &bits), "{m:?} v={v}");
+                assert_eq!(framer, gray_encode(v), "{m:?} v={v}");
+                let report = gray_decode(hard_index(m, TAU * v as f64 / order as f64));
+                assert_eq!(report, gray_decode(v), "{m:?} index {v}");
             }
         }
     }
