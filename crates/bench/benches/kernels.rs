@@ -246,6 +246,40 @@ fn bench_psk_slice(rep: &mut BenchReport, short: bool) {
     );
 }
 
+/// The 802.11 receiver on one 1500 B 6 Mbps capture, the heaviest entry of
+/// the repository benchmark's `client_rx` pool, built the same way:
+/// transmit, an indoor line-of-sight multipath draw, and noise at the MCS's
+/// required SNR + 6 dB. One iteration is one whole `WifiReceiver::receive`
+/// (sync, demap, Viterbi, descramble).
+fn bench_wifi_rx(rep: &mut BenchReport, short: bool) {
+    use backfi_chan::multipath::MultipathProfile;
+    use backfi_wifi::{Mcs, WifiReceiver, WifiTransmitter};
+    const BYTES: usize = 1500;
+    let mut rng = SplitMix64::new(11);
+    let psdu: Vec<u8> = (0..BYTES).map(|_| rng.next_u64() as u8).collect();
+    let mcs = Mcs::Mbps6;
+    let pkt = WifiTransmitter::new().transmit(&psdu, mcs, 0x5D);
+    let h = MultipathProfile::indoor_los().realize(&mut rng);
+    let mut y = filter(&h, &pkt.samples);
+    let snr = backfi_dsp::stats::undb(mcs.required_snr_db() + 6.0);
+    let noise_power = backfi_dsp::stats::mean_power(&y) / snr;
+    backfi_dsp::noise::add_noise(&mut rng, &mut y, noise_power);
+    let rx = WifiReceiver::default();
+    let got = rx.receive(&y).expect("bench capture decodes");
+    assert_eq!(got.psdu, psdu, "bench capture must decode to its PSDU");
+    rep.measure(
+        "wifi_rx",
+        "mbps6",
+        BYTES,
+        0,
+        y.len(),
+        iters(100, short),
+        || {
+            black_box(rx.receive(black_box(&y)).map(|p| p.psdu.len()).ok());
+        },
+    );
+}
+
 /// The disabled observability fast path. With the recorder and the tracer
 /// both off, a span guard is one relaxed atomic load and a branch at
 /// construction and the same again at drop — the acceptance bound is
@@ -316,6 +350,7 @@ fn main() {
     bench_pipeline_kernels(&mut rep, short);
     bench_soft_demap(&mut rep, short);
     bench_psk_slice(&mut rep, short);
+    bench_wifi_rx(&mut rep, short);
     bench_obs_overhead(&mut rep);
 
     check_speedups(&rep, short);

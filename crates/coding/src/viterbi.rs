@@ -242,6 +242,13 @@ impl ViterbiDecoder {
     /// encode the "−∞ winner stores decision 0" convention (`−∞ > −∞` is
     /// false).
     ///
+    /// The survivor metric is selected with `vmaxpd` rather than a blend on
+    /// the compare mask: `_mm256_max_pd(a, b)` returns `a > b ? a : b` and
+    /// gives its second operand `b` on ties, on ±0 pairs and when either
+    /// operand is NaN. So `max(c1, c0)` is exactly `c1 > c0 (ordered) ? c1 :
+    /// c0`, the `_CMP_GT_OQ` blend, bit for bit; the compare stays because
+    /// the decision bits come from its mask.
+    ///
     /// # Safety
     /// The CPU must support AVX2.
     #[cfg(target_arch = "x86_64")]
@@ -277,14 +284,14 @@ impl ViterbiDecoder {
             let c0 = _mm256_add_pd(pm0, vv);
             let c1 = _mm256_sub_pd(pm1, vv);
             let gt = _mm256_cmp_pd(c1, c0, _CMP_GT_OQ);
-            let m = _mm256_blendv_pd(c0, c1, gt);
+            let m = _mm256_max_pd(c1, c0);
             _mm256_storeu_pd(lo.as_mut_ptr().add(j), m);
             lo_acc |= (_mm256_movemask_pd(gt) as u64) << j;
             // input 1 → states j+32..j+36: candidates pm0 − v, pm1 + v.
             let d0 = _mm256_sub_pd(pm0, vv);
             let d1 = _mm256_add_pd(pm1, vv);
             let gt2 = _mm256_cmp_pd(d1, d0, _CMP_GT_OQ);
-            let q = _mm256_blendv_pd(d0, d1, gt2);
+            let q = _mm256_max_pd(d1, d0);
             _mm256_storeu_pd(hi.as_mut_ptr().add(j), q);
             hi_acc |= (_mm256_movemask_pd(gt2) as u64) << j;
         }

@@ -3,7 +3,7 @@
 //! Three consumers in the workspace:
 //! * the tag's 16-bit wake-up preamble correlator (§4.1 of the paper),
 //! * the reader's tag-preamble timing search (§4.3.1),
-//! * the WiFi receiver's STF/LTF packet detection and symbol timing.
+//! * the WiFi receiver's LTF symbol timing.
 
 use crate::Complex;
 
@@ -95,39 +95,6 @@ pub fn xcorr_normalized(x: &[Complex], template: &[Complex]) -> Vec<f64> {
         }
     }
     out
-}
-
-/// Lag-`d` autocorrelation metric used for 802.11 packet detection
-/// (Schmidl–Cox style): `p[k] = Σ_{i<w} x[k+i]·conj(x[k+i+d])`, plus the
-/// corresponding window energy `e[k] = Σ_{i<w} |x[k+i+d]|²`.
-///
-/// Returns `(p, e)` with `x.len() − d − w + 1` entries each.
-///
-/// # Panics
-/// Panics if `x.len() < d + w`.
-pub fn autocorr_metric(x: &[Complex], d: usize, w: usize) -> (Vec<Complex>, Vec<f64>) {
-    assert!(x.len() >= d + w, "autocorr_metric: signal too short");
-    let n = x.len() - d - w + 1;
-    let mut p = Vec::with_capacity(n);
-    let mut e = Vec::with_capacity(n);
-    // initial window
-    let mut acc = Complex::ZERO;
-    let mut energy = 0.0;
-    for i in 0..w {
-        acc += x[i] * x[i + d].conj();
-        energy += x[i + d].norm_sqr();
-    }
-    p.push(acc);
-    e.push(energy);
-    for k in 1..n {
-        let out_i = k - 1;
-        let in_i = k + w - 1;
-        acc += x[in_i] * x[in_i + d].conj() - x[out_i] * x[out_i + d].conj();
-        energy += x[in_i + d].norm_sqr() - x[out_i + d].norm_sqr();
-        p.push(acc);
-        e.push(energy.max(0.0));
-    }
-    (p, e)
 }
 
 /// Index and value of the maximum of a real-valued sequence.
@@ -316,21 +283,6 @@ mod tests {
         for v in xcorr_normalized(&x, &t) {
             assert!((0.0..=1.0 + 1e-9).contains(&v));
         }
-    }
-
-    #[test]
-    fn autocorr_detects_repetition() {
-        // Signal with period-16 repetition for 64 samples then noise-free zeros
-        let base: Vec<Complex> = (0..16).map(|i| Complex::exp_j(i as f64)).collect();
-        let mut x = Vec::new();
-        for _ in 0..4 {
-            x.extend_from_slice(&base);
-        }
-        x.extend(std::iter::repeat_n(Complex::ZERO, 32));
-        let (p, e) = autocorr_metric(&x, 16, 16);
-        // at k=0 the window and its d-shift are identical -> |p| == e
-        assert!((p[0].abs() - e[0]).abs() < 1e-9);
-        assert!(e[0] > 1.0);
     }
 
     #[test]
