@@ -376,23 +376,18 @@ impl LinkSimulator {
         // saturation blocker's amplitude and the burst positions), so an
         // impaired trial is simulated full-length first.
         let timeline = Timeline::nominal(exc.detect_end, n, &cfg.tag);
-        let reader = BackscatterReader::new(cfg.reader);
-        let decoded = if cfg.impair.is_off() {
-            let _t_reader = backfi_obs::span("link.reader");
-            reader.decode_from(
-                &self.x_scaled,
-                &mut trial,
-                &h_env,
-                &timeline,
-                &cfg.tag,
-                reader_scratch,
-            )
+        let mut impaired;
+        let rx: &mut dyn RxSource = if cfg.impair.is_off() {
+            &mut trial
         } else {
-            let mut y = trial.impaired(&cfg.impair, cfg.budget.noise_power(), seed);
+            impaired = trial.impaired(&cfg.impair, cfg.budget.noise_power(), seed);
+            &mut impaired
+        };
+        let decoded = {
             let _t_reader = backfi_obs::span("link.reader");
-            reader.decode_from(
+            BackscatterReader::new(cfg.reader).decode_from(
                 &self.x_scaled,
-                &mut y,
+                rx,
                 &h_env,
                 &timeline,
                 &cfg.tag,

@@ -10,6 +10,9 @@
 //! self-interference environment; cancellation and channel estimation run
 //! per branch, and the per-symbol estimates are combined across space in the
 //! reader's [`decode_mimo`](backfi_reader::reader::BackscatterReader::decode_mimo).
+//! Every branch cancels against the excitation's one shared TX-scaled
+//! reference ([`Excitation::scaled`]), as a single-antenna link does, so
+//! the reference is checked for non-finite samples once, when it is built.
 
 use crate::excitation::Excitation;
 use crate::link::LinkConfig;
@@ -31,8 +34,6 @@ pub struct MimoReport {
     pub success: bool,
     /// Combined decision-directed symbol SNR, dB.
     pub snr_db: f64,
-    /// Number of antennas that produced a usable branch.
-    pub antennas: usize,
 }
 
 /// A reader with `n_antennas` receive chains.
@@ -77,11 +78,7 @@ impl MimoLinkSimulator {
         let env_profile = EnvironmentProfile::default();
         let tx_noise_power =
             cfg.budget.tx_power() * backfi_chan::budget::dbm_to_lin(cfg.budget.tx_noise_dbc);
-        let modded: Vec<Complex> = filter(&h_f, xs)
-            .iter()
-            .zip(&gamma)
-            .map(|(v, g)| *v * *g)
-            .collect();
+        let modded: Vec<Complex> = incident.iter().zip(&gamma).map(|(v, g)| *v * *g).collect();
 
         let mut ys: Vec<Vec<Complex>> = Vec::with_capacity(self.n_antennas);
         let mut h_envs: Vec<Vec<Complex>> = Vec::with_capacity(self.n_antennas);
@@ -111,16 +108,14 @@ impl MimoLinkSimulator {
             .zip(&h_envs)
             .map(|(y, h)| (&y[..], &h[..]))
             .collect();
-        match reader.decode_mimo(xs, &pairs, &timeline, &cfg.tag) {
+        match reader.decode_mimo(&reference, &pairs, &timeline, &cfg.tag) {
             Ok(res) => MimoReport {
                 success: res.payload.map(|p| p == sent).unwrap_or(false),
                 snr_db: res.metrics.symbol_snr_db,
-                antennas: self.n_antennas,
             },
             Err(_) => MimoReport {
                 success: false,
                 snr_db: f64::NEG_INFINITY,
-                antennas: 0,
             },
         }
     }
@@ -144,10 +139,11 @@ mod tests {
 
     #[test]
     fn more_antennas_more_snr() {
-        // Average over a few seeds: 4 antennas should clearly beat 1.
+        // Averaged over ≥20 seeds (ROADMAP statistical-test convention):
+        // 4 antennas should clearly beat 1.
         let mut snr1 = 0.0;
         let mut snr4 = 0.0;
-        let n = 3;
+        let n = 20;
         for seed in 0..n {
             snr1 += MimoLinkSimulator::new(cfg(2.0), 1).run(seed).snr_db;
             snr4 += MimoLinkSimulator::new(cfg(2.0), 4).run(seed).snr_db;
@@ -166,9 +162,11 @@ mod tests {
         let mut c = cfg(5.0);
         c.tag.symbol_rate_hz = 2e6;
         c.tag.modulation = backfi_tag::TagModulation::Qpsk;
+        // Counted over ≥20 seeds (ROADMAP statistical-test convention).
+        let n = 20;
         let mut one = 0;
         let mut four = 0;
-        for seed in 0..4 {
+        for seed in 0..n {
             if MimoLinkSimulator::new(c.clone(), 1).run(seed).success {
                 one += 1;
             }
@@ -178,7 +176,7 @@ mod tests {
         }
         assert!(
             four > one,
-            "4-antenna ({four}/4) should beat 1-antenna ({one}/4)"
+            "4-antenna ({four}/{n}) should beat 1-antenna ({one}/{n})"
         );
     }
 }

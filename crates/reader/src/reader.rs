@@ -1,11 +1,13 @@
 //! The composed BackFi reader (Fig. 5).
 //!
-//! `decode()` takes the clean transmitted baseband, the raw received samples
-//! and the protocol timeline, then runs: two-stage self-interference
+//! [`BackscatterReader::decode_from`] is the one single-antenna pipeline. It
+//! takes the clean transmitted baseband (a [`TxReference`]), the received
+//! stream and the protocol timeline, then runs: two-stage self-interference
 //! cancellation (digital stage trained on the silent window) → `h_fb`
 //! estimation from the PN preamble (with timing search) → per-symbol MRC →
 //! header prefix decode → soft-decision Viterbi over the announced frame
-//! (every slot when the header fails) → frame parse.
+//! (every slot when the header fails) → frame parse. `decode` wraps it for
+//! complete slices; `decode_mimo` runs its front half once per antenna (§7).
 //!
 //! Both halves are bounded by the frame (DESIGN.md §17). The received
 //! stream is pulled on demand ([`RxSource`]) and every front-half stage is
@@ -118,8 +120,9 @@ fn all_finite(x: &[Complex]) -> bool {
 /// power applied) together with whether every sample of it is finite.
 /// [`TxReference::new`] is the only way to build one and always makes that
 /// check, so a caller decoding many packets against one excitation checks
-/// its reference once, not once per packet
-/// ([`BackscatterReader::decode_from`]).
+/// its reference once, not once per packet: the decode entry points
+/// ([`BackscatterReader::decode_from`], [`BackscatterReader::decode_mimo`])
+/// read the verdict.
 #[derive(Clone, Debug)]
 pub struct TxReference {
     samples: Arc<[Complex]>,
@@ -141,6 +144,13 @@ impl TxReference {
     /// Whether every sample is finite.
     pub fn is_finite(&self) -> bool {
         self.finite
+    }
+
+    /// The samples, or a counted [`ReaderError::InvalidInput`] when one is
+    /// not finite: how every decode entry point reads the reference.
+    fn checked(&self) -> Result<&[Complex], ReaderError> {
+        let x = self.finite.then_some(&self.samples[..]);
+        x.ok_or_else(|| count_err(ReaderError::InvalidInput))
     }
 }
 
@@ -190,67 +200,43 @@ impl BackscatterReader {
         &self.cfg
     }
 
-    /// Decode one tag transmission.
-    ///
-    /// * `x_clean` — transmitted baseband with TX power applied (the
-    ///   canceller's reference tap),
-    /// * `y_rx` — received samples (same length; truncate the medium's tail),
-    /// * `h_env_view` — the analog canceller's converged view of the
-    ///   environment response,
-    /// * `timeline` — nominal protocol timeline,
-    /// * `tag_cfg` — the tag's modulation/coding/symbol-rate settings.
-    ///
-    /// Allocating wrapper over [`BackscatterReader::decode_with`].
+    /// [`BackscatterReader::decode_from`] over complete slices, with the
+    /// reference copied into a fresh [`TxReference`] and a fresh scratch.
     pub fn decode(
-        &self,
-        x_clean: &[Complex],
-        y_rx: &[Complex],
-        h_env_view: &[Complex],
-        timeline: &Timeline,
-        tag_cfg: &TagConfig,
-    ) -> Result<TagDecodeResult, ReaderError> {
-        let mut scratch = ReaderScratch::default();
-        self.decode_with(x_clean, y_rx, h_env_view, timeline, tag_cfg, &mut scratch)
-    }
-
-    /// [`BackscatterReader::decode`] over reusable excitation-length buffers
-    /// (canceller stages, MRC reference): a caller that decodes many packets
-    /// keeps one [`ReaderScratch`] and allocates none of them after the
-    /// first packet. Bit-identical to `decode`. A slice is a received
-    /// stream that is already complete:
-    /// [`BackscatterReader::decode_from`] over it. The reference is checked
-    /// for non-finite samples on every call; a caller that decodes many
-    /// packets against one excitation checks it once, as a
-    /// [`TxReference`], and calls `decode_from`.
-    pub fn decode_with(
         &self,
         x_clean: &[Complex],
         mut y_rx: &[Complex],
         h_env_view: &[Complex],
         timeline: &Timeline,
         tag_cfg: &TagConfig,
-        scratch: &mut ReaderScratch,
     ) -> Result<TagDecodeResult, ReaderError> {
-        if !all_finite(x_clean) {
-            return Err(count_err(ReaderError::InvalidInput));
-        }
-        self.decode_checked(x_clean, &mut y_rx, h_env_view, timeline, tag_cfg, scratch)
+        let x = TxReference::new(x_clean.into());
+        let scratch = &mut ReaderScratch::default();
+        self.decode_from(&x, &mut y_rx, h_env_view, timeline, tag_cfg, scratch)
     }
 
-    /// [`BackscatterReader::decode_with`] from a received stream the reader
-    /// pulls on demand (DESIGN.md §17): through the timing-search window,
-    /// then through the header prefix, then through the announced frame, or
-    /// through every slot when the header fails, plus the end of a clipped
-    /// run still open where a pull ends. The result is bit-identical to
-    /// decoding the complete stream. Non-finite samples are zeroed and
-    /// erased wherever a pull finds them, but the front door rejects a
-    /// mostly non-finite stream only on what it has pulled by then (all of
-    /// a complete slice), so a lazy source is exact for finite streams.
+    /// Decode one tag transmission.
     ///
-    /// The reference's finiteness was checked when `x_clean` was built, so
-    /// a packet costs no pass over the whole excitation here; a non-finite
-    /// reference fails with [`ReaderError::InvalidInput`] as it does in
-    /// `decode_with`.
+    /// * `x_clean` — transmitted baseband with TX power applied (the
+    ///   canceller's reference tap), checked for non-finite samples when it
+    ///   was built, so a packet costs no pass over the whole excitation (a
+    ///   non-finite one fails with [`ReaderError::InvalidInput`]),
+    /// * `y_rx` — the received stream (same length), a slice or one the
+    ///   reader pulls on demand (DESIGN.md §17): through the timing-search
+    ///   window, the header prefix, then the announced frame or every slot
+    ///   when the header fails, plus the end of a clipped run still open
+    ///   where a pull ends; bit-identical to decoding the complete stream,
+    /// * `h_env_view` — the analog canceller's converged view of the
+    ///   environment response,
+    /// * `timeline` — nominal protocol timeline,
+    /// * `tag_cfg` — the tag's modulation/coding/symbol-rate settings,
+    /// * `scratch` — excitation-length buffers a caller keeps across
+    ///   packets, so none is allocated after the first.
+    ///
+    /// Non-finite received samples are zeroed and erased wherever a pull
+    /// finds them, but the front door rejects a mostly non-finite stream
+    /// only on what it has pulled by then (all of a slice), so a lazy
+    /// source is exact for finite streams.
     pub fn decode_from(
         &self,
         x_clean: &TxReference,
@@ -260,24 +246,7 @@ impl BackscatterReader {
         tag_cfg: &TagConfig,
         scratch: &mut ReaderScratch,
     ) -> Result<TagDecodeResult, ReaderError> {
-        if !x_clean.is_finite() {
-            return Err(count_err(ReaderError::InvalidInput));
-        }
-        let x_clean = x_clean.samples();
-        self.decode_checked(x_clean, y_rx, h_env_view, timeline, tag_cfg, scratch)
-    }
-
-    /// The decode behind both entry points, on a reference known to be
-    /// finite.
-    fn decode_checked(
-        &self,
-        x_clean: &[Complex],
-        y_rx: &mut dyn RxSource,
-        h_env_view: &[Complex],
-        timeline: &Timeline,
-        tag_cfg: &TagConfig,
-        scratch: &mut ReaderScratch,
-    ) -> Result<TagDecodeResult, ReaderError> {
+        let x_clean = x_clean.checked()?;
         let mut branch = self.demodulate(x_clean, y_rx, h_env_view, timeline, tag_cfg, scratch)?;
         let frame = self.read_frame(&mut branch, tag_cfg, x_clean, scratch);
         Ok(self.finish(branch, frame, tag_cfg))
@@ -298,15 +267,13 @@ impl BackscatterReader {
     /// Panics if `antennas` is empty.
     pub fn decode_mimo(
         &self,
-        x_clean: &[Complex],
+        x_clean: &TxReference,
         antennas: &[(&[Complex], &[Complex])],
         timeline: &Timeline,
         tag_cfg: &TagConfig,
     ) -> Result<TagDecodeResult, ReaderError> {
         assert!(!antennas.is_empty(), "need at least one antenna");
-        if !all_finite(x_clean) {
-            return Err(count_err(ReaderError::InvalidInput));
-        }
+        let x_clean = x_clean.checked()?;
         let mut branches = Vec::new();
         let mut scratch = ReaderScratch::default();
         let mut streams: Vec<&[Complex]> = antennas.iter().map(|&(y, _)| y).collect();
@@ -381,7 +348,7 @@ impl BackscatterReader {
 
         // --- Stage 0: input validation / sanitization -------------------
         // Degradation ladder rung 1 (DESIGN.md §10). The reader's own
-        // reference (checked by the entry points) and the analog
+        // reference (checked when its `TxReference` was built) and the analog
         // canceller's view must be finite — a NaN there poisons every
         // downstream filter silently.
         if !all_finite(h_env_view) {
@@ -682,7 +649,7 @@ fn nan_loses_max(a: f64, b: f64) -> std::cmp::Ordering {
 }
 
 /// What the reader keeps across the packets of
-/// [`BackscatterReader::decode_with`]: the excitation-length buffers (the
+/// [`BackscatterReader::decode_from`]: the excitation-length buffers (the
 /// canceller's stages and the MRC reference `h_fb ∗ x`) and the two
 /// least-squares plans that depend only on the excitation (the digital
 /// canceller's silent-window plan and the timing search's per-candidate
@@ -981,6 +948,19 @@ mod tests {
                 data,
             }
         }
+
+        /// [`BackscatterReader::decode_from`] over the complete packet,
+        /// through `scratch`.
+        fn decode_from(
+            &self,
+            reader: &BackscatterReader,
+            tag_cfg: &TagConfig,
+            scratch: &mut ReaderScratch,
+        ) -> Result<TagDecodeResult, ReaderError> {
+            let x = TxReference::new(self.x.as_slice().into());
+            let (h_env, timeline) = (&self.h_env, &self.timeline);
+            reader.decode_from(&x, &mut &self.y[..], h_env, timeline, tag_cfg, scratch)
+        }
     }
 
     /// Noise-free estimates of constellation indices, then `noise_slots`
@@ -1115,26 +1095,16 @@ mod tests {
         let mut scratch = ReaderScratch::default();
         for (distance, seed) in [(1.0, 42), (0.5, 43)] {
             let l = Link::new(distance, cfg, seed, |_| {});
+            let label = format!("{distance} m, seed {seed}");
             let a = reader
                 .decode(&l.x, &l.y, &l.h_env, &l.timeline, &cfg)
                 .expect("decode");
-            let b = reader
-                .decode_with(&l.x, &l.y, &l.h_env, &l.timeline, &cfg, &mut scratch)
-                .expect("decode_with");
+            let b = l
+                .decode_from(&reader, &cfg, &mut scratch)
+                .expect("decode_from");
             assert_eq!(a.payload.as_ref().expect("frame"), &l.data);
             assert_eq!(a.symbols.len(), TagFrame::symbol_count(l.data.len(), &cfg));
-            assert_eq!(a.payload, b.payload);
-            assert_eq!(a.decoded_bits, b.decoded_bits);
-            assert_eq!(a.symbols.len(), b.symbols.len());
-            for (p, q) in a.symbols.iter().zip(&b.symbols) {
-                assert_eq!(p.z.re.to_bits(), q.z.re.to_bits());
-                assert_eq!(p.z.im.to_bits(), q.z.im.to_bits());
-                assert_eq!(p.noise_var.to_bits(), q.noise_var.to_bits());
-            }
-            assert_eq!(
-                a.metrics.symbol_snr_db.to_bits(),
-                b.metrics.symbol_snr_db.to_bits()
-            );
+            assert_same(&b, &a, &label);
         }
     }
 
@@ -1155,8 +1125,7 @@ mod tests {
                 let l = Link::build(1.0, cfg, exc, seed, |_| {});
                 let label = format!("{preamble_us} µs, excitation {exc}, seed {seed}");
                 let fresh = reader.decode(&l.x, &l.y, &l.h_env, &l.timeline, &cfg);
-                let carried =
-                    reader.decode_with(&l.x, &l.y, &l.h_env, &l.timeline, &cfg, &mut scratch);
+                let carried = l.decode_from(&reader, &cfg, &mut scratch);
                 let want = fresh.unwrap_or_else(|e| panic!("{label}: {e:?}"));
                 let got = carried.unwrap_or_else(|e| panic!("{label}: {e:?}"));
                 assert_same(&got, &want, &label);
@@ -1164,7 +1133,7 @@ mod tests {
         }
     }
 
-    /// Test-only full-length oracle for [`BackscatterReader::decode_with`]:
+    /// Test-only full-length oracle for [`BackscatterReader::decode_from`]:
     /// [`SelfInterferenceCanceller::process`] over every sample, the channel
     /// estimate and the MRC reference over the whole packet, MRC over every
     /// slot, then the back half.
@@ -1271,10 +1240,10 @@ mod tests {
         }
     }
 
-    /// `decode_with` (through one scratch carried across calls) and
-    /// `decode_from` a stream exposed only as far as it is pulled, each
-    /// against [`oracle_decode`] on one packet, bit for bit; returns the
-    /// result and how far the stream was pulled.
+    /// `decode_from` over the complete slice (through one scratch carried
+    /// across calls) and over a stream exposed only as far as it is
+    /// pulled, each against [`oracle_decode`] on one packet, bit for bit;
+    /// returns the result and how far the stream was pulled.
     fn assert_matches_oracle(
         l: &Link,
         cfg: &TagConfig,
@@ -1284,9 +1253,9 @@ mod tests {
         let reader = BackscatterReader::default();
         let want = oracle_decode(&reader, &l.x, &l.y, &l.h_env, &l.timeline, cfg)
             .unwrap_or_else(|| panic!("{label}: oracle failed"));
-        let got = reader
-            .decode_with(&l.x, &l.y, &l.h_env, &l.timeline, cfg, scratch)
-            .unwrap_or_else(|e| panic!("{label}: decode_with {e:?}"));
+        let got = l
+            .decode_from(&reader, cfg, scratch)
+            .unwrap_or_else(|e| panic!("{label}: slice {e:?}"));
         assert_same(&got, &want, label);
         let mut rx = Prefix { y: &l.y, pulled: 0 };
         let x = TxReference::new(l.x.as_slice().into());
@@ -1580,17 +1549,14 @@ mod tests {
         let mut x_bad = x.clone();
         x_bad[17] = Complex::new(f64::NAN, 0.0);
         let before = backfi_obs::counter_value(ReaderError::InvalidInput.obs_counter());
-        // Every entry point rejects it: the slice ones check it per call,
-        // `decode_from` reads the verdict its `TxReference` was built with.
+        // Every entry point rejects it: `decode` builds its `TxReference`
+        // per call, `decode_from` and `decode_mimo` read the verdict theirs
+        // was built with.
         let got = reader
             .decode(&x_bad, &y, &h_env, &timeline, &tag_cfg)
             .expect_err("NaN reference must fail");
         assert_eq!(got, ReaderError::InvalidInput);
         let mut scratch = ReaderScratch::default();
-        let got = reader
-            .decode_with(&x_bad, &y, &h_env, &timeline, &tag_cfg, &mut scratch)
-            .expect_err("NaN reference must fail");
-        assert_eq!(got, ReaderError::InvalidInput);
         let x_ref = TxReference::new(x_bad.as_slice().into());
         assert!(!x_ref.is_finite());
         let got = reader
@@ -1606,7 +1572,7 @@ mod tests {
         assert_eq!(got, ReaderError::InvalidInput);
         let antennas = [(&y[..], &h_env[..]), (&y[..], &h_env[..])];
         let got = reader
-            .decode_mimo(&x_bad, &antennas, &timeline, &tag_cfg)
+            .decode_mimo(&x_ref, &antennas, &timeline, &tag_cfg)
             .expect_err("NaN reference must fail");
         assert_eq!(got, ReaderError::InvalidInput);
         // Non-finite analog-canceller view: same guard.
@@ -1626,7 +1592,7 @@ mod tests {
             .expect_err("mostly-NaN stream must fail");
         assert_eq!(got, ReaderError::InvalidInput);
         let after = backfi_obs::counter_value(ReaderError::InvalidInput.obs_counter());
-        assert_eq!(after, before + 6, "each InvalidInput must be counted");
+        assert_eq!(after, before + 5, "each InvalidInput must be counted");
     }
 
     /// A handful of NaN samples in the received stream must be survivable:
