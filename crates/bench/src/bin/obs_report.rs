@@ -1,17 +1,16 @@
 //! `obs_report` — the automated perf-regression gate.
 //!
 //! Diffs two `OBS_<run>.json` run manifests and reports per-span p50/p99
-//! deltas and counter deltas against configurable thresholds. Prints a
-//! human table on stdout, optionally writes a machine-readable verdict
-//! (`--json <path>`), and with `--check` exits nonzero when any regression
-//! crosses its threshold — the CI gate against the committed baseline
+//! deltas and counter deltas. A span regresses when its p50 or p99 is more
+//! than 20 % slower than the baseline's; a counter regresses on any change.
+//! Prints a human table on stdout, optionally writes a machine-readable
+//! verdict (`--json <path>`), and with `--check` exits nonzero when any
+//! regression is found — the CI gate against the committed baseline
 //! manifest.
 //!
 //! ```text
 //! obs_report <baseline.json> <current.json> [options]
 //!   --check                  exit 1 if any regression is found
-//!   --span-threshold <f>     span p50/p99 regression factor      (default 0.20)
-//!   --counter-threshold <f>  allowed relative counter drift      (default 0, exact)
 //!   --ignore-spans           compare counters only (machine-speed-independent)
 //!   --ignore <prefix>        skip spans/counters with this name prefix
 //!   --require-span NAME[:F]  NAME must exist in the current manifest (count
@@ -47,7 +46,7 @@
 
 use backfi_core::sweep::cache::{read_store, CacheKey};
 use backfi_core::sweep::TrialStats;
-use backfi_obs::json::{self, Json};
+use backfi_obs::json::{self, obj, Json};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
@@ -57,8 +56,6 @@ struct Opts {
     baseline: String,
     current: String,
     check: bool,
-    span_threshold: f64,
-    counter_threshold: f64,
     ignore_spans: bool,
     ignore: Vec<String>,
     /// Spans that must be present in the current manifest; the factor, when
@@ -71,7 +68,6 @@ struct Opts {
 fn usage() -> ! {
     eprintln!(
         "usage: obs_report <baseline.json> <current.json> [--check] \
-         [--span-threshold F] [--counter-threshold F] \
          [--ignore-spans] [--ignore PREFIX]... [--require-span NAME[:F]]... \
          [--json PATH]\n       obs_report --cells <store_a> <store_b> --trials N \
          [--check] [--json PATH]"
@@ -85,31 +81,16 @@ fn parse_opts() -> Opts {
         baseline: String::new(),
         current: String::new(),
         check: false,
-        span_threshold: 0.20,
-        counter_threshold: 0.0,
         ignore_spans: false,
         ignore: Vec::new(),
         require_spans: Vec::new(),
         json_out: None,
     };
     let mut args = std::env::args().skip(1);
-    let next_f = |args: &mut dyn Iterator<Item = String>, flag: &str| -> f64 {
-        match args.next().and_then(|v| v.parse::<f64>().ok()) {
-            Some(v) if v >= 0.0 => v,
-            _ => {
-                eprintln!("error: {flag} requires a non-negative number");
-                usage();
-            }
-        }
-    };
     while let Some(a) = args.next() {
         match a.as_str() {
             "--check" => opts.check = true,
             "--ignore-spans" => opts.ignore_spans = true,
-            "--span-threshold" => opts.span_threshold = next_f(&mut args, "--span-threshold"),
-            "--counter-threshold" => {
-                opts.counter_threshold = next_f(&mut args, "--counter-threshold")
-            }
             "--ignore" => match args.next() {
                 Some(p) if !p.is_empty() => opts.ignore.push(p),
                 _ => usage(),
@@ -148,6 +129,10 @@ fn parse_opts() -> Opts {
     opts.current = positional.remove(0);
     opts
 }
+
+/// A span's p50 or p99 regresses when it is slower than the baseline's by
+/// more than this fraction; a faster one beyond it is reported, not gated.
+const SPAN_THRESHOLD: f64 = 0.20;
 
 /// One comparison outcome row.
 struct Finding {
@@ -206,14 +191,13 @@ fn by_name<'a>(doc: &'a Json, section: &str) -> BTreeMap<String, &'a Json> {
 /// gated here.
 fn compare_manifests(base: &Json, cur: &Json, opts: &Opts) -> Vec<Finding> {
     let mut out = Vec::new();
+    let (bspans, cspans) = (by_name(base, "spans"), by_name(cur, "spans"));
     if !opts.ignore_spans {
-        let b = by_name(base, "spans");
-        let c = by_name(cur, "spans");
-        for (name, bs) in &b {
+        for (name, bs) in &bspans {
             if ignored(name, opts) {
                 continue;
             }
-            let Some(cs) = c.get(name) else {
+            let Some(cs) = cspans.get(name) else {
                 if f(bs, "count") > 0.0 {
                     out.push(Finding {
                         kind: "span",
@@ -227,15 +211,15 @@ fn compare_manifests(base: &Json, cur: &Json, opts: &Opts) -> Vec<Finding> {
                 }
                 continue;
             };
-            for (metric, key) in [("p50_ns", "p50_ns"), ("p99_ns", "p99_ns")] {
+            for key in ["p50_ns", "p99_ns"] {
                 let bv = f(bs, key);
                 let cv = f(cs, key);
                 let delta = rel(bv, cv);
-                let regression = bv > 0.0 && cv > bv * (1.0 + opts.span_threshold);
-                if regression || delta.abs() > opts.span_threshold {
+                let regression = bv > 0.0 && cv > bv * (1.0 + SPAN_THRESHOLD);
+                if regression || delta.abs() > SPAN_THRESHOLD {
                     out.push(Finding {
                         kind: "span",
-                        name: format!("{name}.{metric}"),
+                        name: format!("{name}.{key}"),
                         baseline: bv,
                         current: cv,
                         delta,
@@ -249,13 +233,13 @@ fn compare_manifests(base: &Json, cur: &Json, opts: &Opts) -> Vec<Finding> {
                 }
             }
         }
-        for name in c.keys() {
-            if !b.contains_key(name) && !ignored(name, opts) {
+        for (name, cs) in &cspans {
+            if !bspans.contains_key(name) && !ignored(name, opts) {
                 out.push(Finding {
                     kind: "span",
                     name: name.clone(),
                     baseline: 0.0,
-                    current: f(c[name], "count"),
+                    current: f(cs, "count"),
                     delta: f64::INFINITY,
                     regression: false,
                     note: "new span (not in baseline)",
@@ -267,8 +251,6 @@ fn compare_manifests(base: &Json, cur: &Json, opts: &Opts) -> Vec<Finding> {
     // is enforced even under --ignore-spans; the optional factor bounds
     // p50/p99 against the baseline loosely enough to survive machine skew
     // while still catching an order-of-magnitude kernel blow-up.
-    let bspans = by_name(base, "spans");
-    let cspans = by_name(cur, "spans");
     for (name, factor) in &opts.require_spans {
         let Some(cs) = cspans.get(name).filter(|s| f(s, "count") > 0.0) else {
             out.push(Finding {
@@ -315,44 +297,37 @@ fn compare_manifests(base: &Json, cur: &Json, opts: &Opts) -> Vec<Finding> {
         if bv == cv {
             continue;
         }
-        let delta = rel(bv, cv);
-        let regression = delta.abs() > opts.counter_threshold;
+        // Counters gate exactly: any drift is a regression.
         out.push(Finding {
             kind: "counter",
             name: name.clone(),
             baseline: bv,
             current: cv,
-            delta,
-            regression,
-            note: if regression { "counter drift" } else { "" },
+            delta: rel(bv, cv),
+            regression: true,
+            note: "counter drift",
         });
     }
     out
 }
 
 fn verdict_json(findings: &[Finding], regressions: usize) -> String {
-    let mut s = String::from("{\n  \"findings\": [");
-    for (i, fd) in findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"kind\": \"{}\", \"name\": \"{}\", \"baseline\": {}, \
-             \"current\": {}, \"delta\": {}, \"regression\": {}, \"note\": \"{}\"}}",
-            json::escape(fd.kind),
-            json::escape(&fd.name),
-            json::num(fd.baseline),
-            json::num(fd.current),
-            json::num(fd.delta),
-            fd.regression,
-            json::escape(fd.note),
-        ));
-    }
-    if !findings.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str(&format!("],\n  \"regressions\": {regressions}\n}}\n"));
-    s
+    let rows = findings.iter().map(|fd| {
+        obj([
+            ("kind", fd.kind.into()),
+            ("name", fd.name.as_str().into()),
+            ("baseline", fd.baseline.into()),
+            ("current", fd.current.into()),
+            ("delta", fd.delta.into()),
+            ("regression", Json::Bool(fd.regression)),
+            ("note", fd.note.into()),
+        ])
+    });
+    let doc = obj([
+        ("findings", rows.collect()),
+        ("regressions", regressions.into()),
+    ]);
+    doc.render() + "\n"
 }
 
 // ------------------------------------------------------------ cell diff ---
@@ -527,44 +502,37 @@ fn cells_json(
     moved: usize,
 ) -> String {
     let [flips, out_band] = lists.map(|hits| {
-        hits.iter()
-            .map(|c| {
-                format!(
-                    "\n    {{\"key\": \"{}\", \"config\": \"{}\", \"success_a\": {}, \
-                     \"success_b\": {}}}",
-                    c.key,
-                    json::escape(&c.a.config.label()),
-                    json::num(c.a.success_rate),
-                    json::num(c.b.success_rate)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",")
+        let rows = hits.iter().map(|c| {
+            obj([
+                ("key", Json::Str(c.key.to_string())),
+                ("config", Json::Str(c.a.config.label())),
+                ("success_a", c.a.success_rate.into()),
+                ("success_b", c.b.success_rate.into()),
+            ])
+        });
+        rows.collect::<Json>()
     });
-    let pooled_rows = pooled
-        .iter()
-        .map(|p| {
-            format!(
-                "\n    {{\"name\": \"{}\", \"a\": {}, \"b\": {}, \"delta\": {}, \
-                 \"band\": {}, \"pass\": {}}}",
-                p.name,
-                json::num(p.a),
-                json::num(p.b),
-                json::num(p.b - p.a),
-                json::num(p.band),
-                p.pass()
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\n  \"store_a\": \"{}\",\n  \"store_b\": \"{}\",\n  \"trials\": {},\n  \
-         \"cells\": {n_cells},\n  \"moved\": {moved},\n  \"flipped\": [{flips}],\n  \
-         \"outside_band\": [{out_band}],\n  \"pooled\": [{pooled_rows}]\n}}\n",
-        json::escape(&opts.a),
-        json::escape(&opts.b),
-        opts.trials,
-    )
+    let pooled_rows = pooled.iter().map(|p| {
+        obj([
+            ("name", p.name.into()),
+            ("a", p.a.into()),
+            ("b", p.b.into()),
+            ("delta", (p.b - p.a).into()),
+            ("band", p.band.into()),
+            ("pass", Json::Bool(p.pass())),
+        ])
+    });
+    let doc = obj([
+        ("store_a", opts.a.as_str().into()),
+        ("store_b", opts.b.as_str().into()),
+        ("trials", opts.trials.into()),
+        ("cells", n_cells.into()),
+        ("moved", moved.into()),
+        ("flipped", flips),
+        ("outside_band", out_band),
+        ("pooled", pooled_rows.collect()),
+    ]);
+    doc.render() + "\n"
 }
 
 /// `obs_report --cells`: see the module docs.

@@ -4,7 +4,7 @@
 //! stay byte-identical across runs and thread counts (they are diffed by the
 //! reproduction harness); only the timing lines vary run to run.
 
-use backfi_obs::json::escape;
+use backfi_obs::json::obj;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -108,15 +108,6 @@ pub struct BenchReport {
     bench: String,
     mode: String,
     records: Vec<BenchRecord>,
-}
-
-/// Format an `f64` as a JSON number (JSON has no NaN/∞; clamp those to 0).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0".to_string()
-    }
 }
 
 impl BenchReport {
@@ -223,30 +214,25 @@ impl BenchReport {
             !self.records.is_empty(),
             "BenchReport::write: no records measured"
         );
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"bench\": \"{}\",\n", escape(&self.bench)));
-        s.push_str(&format!("  \"mode\": \"{}\",\n", escape(&self.mode)));
-        s.push_str("  \"records\": [\n");
-        for (i, r) in self.records.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"kernel\": \"{}\", \"n\": {}, \"l\": {}, \
-                 \"path\": \"{}\", \"ns_per_iter\": {}, \"samples_per_sec\": {}, \
-                 \"iters\": {}}}{}\n",
-                escape(&r.name),
-                escape(&r.kernel),
-                r.n,
-                r.l,
-                escape(&r.path),
-                json_num(r.ns_per_iter),
-                json_num(r.samples_per_sec),
-                r.iters,
-                if i + 1 < self.records.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
+        let records = self.records.iter().map(|r| {
+            obj([
+                ("name", r.name.as_str().into()),
+                ("kernel", r.kernel.as_str().into()),
+                ("n", r.n.into()),
+                ("l", r.l.into()),
+                ("path", r.path.as_str().into()),
+                ("ns_per_iter", r.ns_per_iter.into()),
+                ("samples_per_sec", r.samples_per_sec.into()),
+                ("iters", r.iters.into()),
+            ])
+        });
+        let doc = obj([
+            ("bench", self.bench.as_str().into()),
+            ("mode", self.mode.as_str().into()),
+            ("records", records.collect()),
+        ]);
         let path = Self::repo_root().join(format!("BENCH_{}.json", self.bench));
-        std::fs::write(&path, s).expect("write BENCH json");
+        std::fs::write(&path, doc.render() + "\n").expect("write BENCH json");
         path
     }
 }

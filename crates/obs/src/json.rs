@@ -1,11 +1,16 @@
-//! Minimal JSON emit/parse support for the run manifests.
-//!
-//! The offline build has no serde; the manifest writer hand-rolls its JSON
-//! (like `backfi-bench`'s `BENCH_*.json`), and this module provides the
-//! escaping helpers plus a small recursive-descent parser so tests and CI
-//! can round-trip `OBS_*.json` without external tooling.
+//! The workspace's one JSON writer and reader. Run manifests, trace
+//! timelines, `BENCH_kernels.json` and `obs_report`'s verdicts are built as
+//! a [`Json`] value and [`Json::render`]ed; tests, CI and `obs_report` read
+//! them back with [`parse`]. The layout is fixed: numbers in Rust's shortest
+//! round-trip `Display` form (so `parse(render(v)) == v`, and 1e-9 is not
+//! printed as 0), `null` for NaN and ±∞ (JSON has neither), strings through
+//! [`escape`], object keys sorted ([`Json::Obj`] is a `BTreeMap`), and each
+//! member of a container at depth 0 or 1 on its own line while deeper ones
+//! stay inline — one span, record or event per line, so re-recorded
+//! baselines diff line by line.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// Escape a string for embedding in a JSON string literal.
 pub fn escape(s: &str) -> String {
@@ -24,20 +29,7 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Format an `f64` as a JSON number (JSON has no NaN/∞; clamp those to 0).
-pub fn num(v: f64) -> String {
-    if v.is_finite() {
-        if v == v.trunc() && v.abs() < 1e15 {
-            format!("{v:.1}")
-        } else {
-            format!("{v:.6}")
-        }
-    } else {
-        "0".to_string()
-    }
-}
-
-/// A parsed JSON value.
+/// A JSON value: what [`parse`] returns and what [`Json::render`] writes.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`
@@ -86,12 +78,90 @@ impl Json {
             _ => None,
         }
     }
+
+    /// Render as a JSON document in the module's fixed layout (no trailing
+    /// newline).
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out
+    }
+
+    /// Append this value to `out` laid out as if it sat `depth` containers
+    /// deep (0 for a whole document), for a writer that streams the members
+    /// of an outer container instead of holding it as one value.
+    pub fn write(&self, out: &mut String, depth: usize) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => write!(out, "{b}").expect("write to String"),
+            Json::Num(v) if v.is_finite() => write!(out, "{v}").expect("write to String"),
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => write!(out, "\"{}\"", escape(s)).expect("write to String"),
+            Json::Arr(items) => write_members(out, depth, "[]", items.iter().map(|v| (None, v))),
+            Json::Obj(m) => write_members(out, depth, "{}", m.iter().map(|(k, v)| (Some(k), v))),
+        }
+    }
 }
 
-/// Check that `s` is one complete, well-formed JSON document. A thin veneer
-/// over [`parse`] for callers (tests, CI) that only care about validity.
-pub fn validate(s: &str) -> Result<(), String> {
-    parse(s).map(|_| ())
+/// The members of an array (no keys) or an object between the two
+/// `brackets`: one per line at depth ≤ 1, inline below that.
+fn write_members<'a>(
+    out: &mut String,
+    depth: usize,
+    brackets: &str,
+    members: impl ExactSizeIterator<Item = (Option<&'a String>, &'a Json)>,
+) {
+    let indent = |depth: usize| format!("\n{:1$}", "", 2 * depth);
+    let (first, sep, last) = if depth <= 1 && members.len() > 0 {
+        (
+            indent(depth + 1),
+            format!(",{}", indent(depth + 1)),
+            indent(depth),
+        )
+    } else {
+        (String::new(), ", ".to_string(), String::new())
+    };
+    out.push_str(&brackets[..1]);
+    for (i, (key, v)) in members.enumerate() {
+        out.push_str(if i == 0 { &first } else { &sep });
+        if let Some(k) = key {
+            write!(out, "\"{}\": ", escape(k)).expect("write to String");
+        }
+        v.write(out, depth + 1);
+    }
+    out.push_str(&last);
+    out.push_str(&brackets[1..]);
+}
+
+/// An object from `(key, value)` members; a repeated key keeps its last
+/// value.
+pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+    Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+/// Collects values into an array.
+impl FromIterator<Json> for Json {
+    fn from_iter<I: IntoIterator<Item = Json>>(items: I) -> Self {
+        Json::Arr(items.into_iter().collect())
+    }
+}
+
+/// Numbers; counts and sizes convert exactly below 2^53.
+macro_rules! from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Self {
+                Json::Num(v as f64)
+            }
+        }
+    )*};
+}
+from_number!(f64, u64, u32, usize);
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Self {
+        Json::Str(v.to_string())
+    }
 }
 
 /// Parse a JSON document. Errors carry a byte offset and a short reason.
@@ -309,8 +379,95 @@ mod tests {
 
     #[test]
     fn num_formatting() {
-        assert_eq!(num(1.0), "1.0");
-        assert_eq!(num(f64::NAN), "0");
-        assert_eq!(num(0.5), "0.500000");
+        assert_eq!(Json::Num(1.0).render(), "1");
+        assert_eq!(Json::Num(0.5).render(), "0.5");
+        assert_eq!(Json::Num(1e-9).render(), "0.000000001");
+        assert_eq!(Json::Num(-2.5e-7).render(), "-0.00000025");
+        // JSON has no NaN or ∞.
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::Num(v).render(), "null");
+        }
+    }
+
+    #[test]
+    fn layout_breaks_lines_only_at_depth_0_and_1() {
+        let v = obj([
+            (
+                "b",
+                Json::Arr(vec![obj([("y", Json::Null), ("x", 1.0.into())])]),
+            ),
+            (
+                "a",
+                obj([("k", Json::Arr(vec![Json::Bool(true), "s".into()]))]),
+            ),
+            ("c", Json::Arr(vec![])),
+        ]);
+        assert_eq!(
+            v.render(),
+            "{\n  \"a\": {\n    \"k\": [true, \"s\"]\n  },\n  \"b\": [\n    \
+             {\"x\": 1, \"y\": null}\n  ],\n  \"c\": []\n}"
+        );
+    }
+
+    /// SplitMix64: the crate has no dependencies, so the round-trip test
+    /// draws from its own generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A finite number with magnitude from 1e-300 to 1e300, or 0.
+        fn number(&mut self) -> f64 {
+            let mantissa = 1.0 + 9.0 * (self.next() >> 11) as f64 / (1u64 << 53) as f64;
+            let exp = self.below(600) as i32 - 300;
+            let sign = if self.below(2) == 0 { 1.0 } else { -1.0 };
+            match self.below(8) {
+                0 => 0.0,
+                1 => (self.next() % 1_000_000) as f64,
+                _ => sign * mantissa * 10f64.powi(exp),
+            }
+        }
+
+        fn string(&mut self) -> String {
+            const CHARS: [char; 12] = [
+                'a', 'Z', '"', '\\', '/', '\n', '\t', '\u{1}', '\u{1f}', 'é', 'µ', '😀',
+            ];
+            (0..self.below(8))
+                .map(|_| CHARS[self.below(CHARS.len() as u64) as usize])
+                .collect()
+        }
+
+        fn value(&mut self, depth: usize) -> Json {
+            match self.below(if depth < 4 { 7 } else { 5 }) {
+                0 => Json::Null,
+                1 => Json::Bool(self.below(2) == 0),
+                2 | 3 => Json::Num(self.number()),
+                4 => Json::Str(self.string()),
+                5 => Json::Arr((0..self.below(5)).map(|_| self.value(depth + 1)).collect()),
+                _ => obj((0..self.below(5))
+                    .map(|_| (self.string(), self.value(depth + 1)))
+                    .collect::<Vec<_>>()),
+            }
+        }
+    }
+
+    #[test]
+    fn parse_inverts_render_over_random_documents() {
+        for seed in 0..32 {
+            let mut rng = Rng(seed);
+            let v = rng.value(0);
+            let text = v.render();
+            assert_eq!(parse(&text), Ok(v), "seed {seed}: {text}");
+        }
     }
 }

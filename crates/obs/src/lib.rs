@@ -43,6 +43,7 @@ pub mod trace;
 use hist::Histogram;
 use probe::ProbeStats;
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -393,89 +394,57 @@ pub fn git_describe() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Serialize a snapshot as the manifest JSON document.
+/// Serialize a snapshot as the manifest JSON document. A probe with no
+/// samples has no min or max; those print as `null`.
 pub fn manifest_json(run: &str, snap: &Snapshot) -> String {
-    use json::{escape, num};
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"run\": \"{}\",\n", escape(run)));
-    s.push_str(&format!("  \"git\": \"{}\",\n", escape(&git_describe())));
-    s.push_str("  \"meta\": {");
-    for (i, (k, v)) in snap.meta.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("\n    \"{}\": \"{}\"", escape(k), escape(v)));
-    }
-    if !snap.meta.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("},\n  \"spans\": [");
-    for (i, sp) in snap.spans.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"count\": {}, \"total_ms\": {}, \
-             \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
-            escape(&sp.name),
-            sp.count,
-            num(sp.total_ns as f64 * 1e-6),
-            sp.p50_ns,
-            sp.p90_ns,
-            sp.p99_ns,
-            sp.max_ns,
-        ));
-    }
-    if !snap.spans.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("],\n  \"counters\": [");
-    for (i, (n, v)) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"value\": {v}}}",
-            escape(n)
-        ));
-    }
-    if !snap.counters.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("],\n  \"gauges\": [");
-    for (i, (n, v)) in snap.gauges.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"value\": {}}}",
-            escape(n),
-            num(*v)
-        ));
-    }
-    if !snap.gauges.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("],\n  \"probes\": [");
-    for (i, p) in snap.probes.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"count\": {}, \"mean\": {}, \"min\": {}, \"max\": {}}}",
-            escape(&p.name),
-            p.count,
-            num(p.mean),
-            num(if p.count == 0 { 0.0 } else { p.min }),
-            num(if p.count == 0 { 0.0 } else { p.max }),
-        ));
-    }
-    if !snap.probes.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("]\n}\n");
-    s
+    use json::{obj, Json};
+    let named = |name: &str, value: Json| obj([("name", name.into()), ("value", value)]);
+    let spans = snap.spans.iter().map(|sp| {
+        obj([
+            ("name", sp.name.as_str().into()),
+            ("count", sp.count.into()),
+            ("total_ms", (sp.total_ns as f64 * 1e-6).into()),
+            ("p50_ns", sp.p50_ns.into()),
+            ("p90_ns", sp.p90_ns.into()),
+            ("p99_ns", sp.p99_ns.into()),
+            ("max_ns", sp.max_ns.into()),
+        ])
+    });
+    let probes = snap.probes.iter().map(|p| {
+        obj([
+            ("name", p.name.as_str().into()),
+            ("count", p.count.into()),
+            ("mean", p.mean.into()),
+            ("min", p.min.into()),
+            ("max", p.max.into()),
+        ])
+    });
+    let meta = snap
+        .meta
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str().into()));
+    let doc = obj([
+        ("run", run.into()),
+        ("git", Json::Str(git_describe())),
+        ("meta", obj(meta)),
+        ("spans", spans.collect()),
+        (
+            "counters",
+            snap.counters
+                .iter()
+                .map(|(n, v)| named(n, (*v).into()))
+                .collect(),
+        ),
+        (
+            "gauges",
+            snap.gauges
+                .iter()
+                .map(|(n, v)| named(n, (*v).into()))
+                .collect(),
+        ),
+        ("probes", probes.collect()),
+    ]);
+    doc.render() + "\n"
 }
 
 pub(crate) fn sanitize_run_name(run: &str) -> String {
@@ -498,19 +467,27 @@ pub fn write_manifest_to(dir: &std::path::Path, run: &str) -> Option<PathBuf> {
         return None;
     }
     let path = dir.join(format!("OBS_{}.json", sanitize_run_name(run)));
-    let doc = manifest_json(run, &snapshot());
-    match std::fs::write(&path, doc) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("# obs: failed to write {}: {e}", path.display());
-            None
-        }
-    }
+    write_or_warn(path, |out| {
+        out.write_all(manifest_json(run, &snapshot()).as_bytes())
+    })
 }
 
-/// Write `OBS_<run>.json` into [`manifest_dir`]. See [`write_manifest_to`].
-pub fn write_manifest(run: &str) -> Option<PathBuf> {
-    write_manifest_to(&manifest_dir(), run)
+/// Create `path` and fill it through `fill`. Returns the path, or `None`
+/// after reporting the failure on stderr.
+pub(crate) fn write_or_warn(
+    path: PathBuf,
+    fill: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
+) -> Option<PathBuf> {
+    let written = std::fs::File::create(&path).and_then(|file| {
+        let mut out = std::io::BufWriter::new(file);
+        fill(&mut out)?;
+        out.flush()
+    });
+    if let Err(e) = written {
+        eprintln!("# obs: failed to write {}: {e}", path.display());
+        return None;
+    }
+    Some(path)
 }
 
 /// Guard tying a run to its output files: emits `OBS_<run>.json` (recorder
@@ -537,10 +514,11 @@ impl Drop for RunScope {
         if trace::dropped() > 0 {
             counter_add("trace.dropped_events", trace::dropped());
         }
-        if let Some(path) = write_manifest(&self.run) {
+        let dir = manifest_dir();
+        if let Some(path) = write_manifest_to(&dir, &self.run) {
             eprintln!("# obs manifest: {}", path.display());
         }
-        if let Some(path) = trace::write_trace(&self.run) {
+        if let Some(path) = trace::write_trace_to(&dir, &self.run) {
             eprintln!("# trace timeline: {}", path.display());
         }
     }

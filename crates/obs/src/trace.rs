@@ -25,6 +25,8 @@
 //! ("coordinator"), sorted by `(tid, ts, dur, name)` so the output is
 //! deterministic for a fixed event set regardless of drain order.
 
+use crate::json::{obj, Json};
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -274,62 +276,61 @@ pub fn reset() {
 
 // ---------------------------------------------------------------- export ---
 
-/// Format nanoseconds as the microsecond `ts`/`dur` field Chrome expects,
-/// with exact 3-decimal precision (`1234567 ns` → `"1234.567"`).
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
+/// Nanoseconds as the microsecond `ts`/`dur` number Chrome expects. The
+/// division is correctly rounded, so the shortest round-trip form prints
+/// the exact 3-decimal value (`1234567 ns` → `1234.567`).
+fn us(ns: u64) -> Json {
+    (ns as f64 / 1e3).into()
 }
 
-fn event_json(out: &mut String, ev: &Event) {
-    use crate::json::{escape, num};
-    out.push_str(&format!(
-        "{{\"name\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":0,\"tid\":{}",
-        escape(ev.name),
-        ev.phase.as_str(),
-        us(ev.ts_ns),
-        ev.tid,
-    ));
+fn event_json(ev: &Event) -> Json {
+    let mut members = vec![
+        ("name", ev.name.into()),
+        ("ph", ev.phase.as_str().into()),
+        ("ts", us(ev.ts_ns)),
+        ("pid", 0u32.into()),
+        ("tid", ev.tid.into()),
+    ];
     if ev.phase == Phase::Complete {
-        out.push_str(&format!(",\"dur\":{}", us(ev.dur_ns)));
+        members.push(("dur", us(ev.dur_ns)));
     }
     if ev.phase == Phase::Instant {
-        out.push_str(",\"s\":\"t\"");
+        members.push(("s", "t".into()));
     }
-    if let Some((k, v)) = &ev.arg {
-        out.push_str(&format!(",\"args\":{{\"{}\":{}}}", escape(k), num(*v)));
+    if let Some((k, v)) = ev.arg {
+        members.push(("args", obj([(k, v.into())])));
     }
-    out.push('}');
+    obj(members)
 }
 
-/// Serialize the timeline as a Chrome `trace_event` JSON document.
-/// Deterministic for a fixed event set: events are emitted in sorted
-/// `(tid, ts, dur, name, phase)` order, so reruns that buffer the same
-/// events produce identical bytes.
-pub fn trace_json(run: &str) -> String {
-    use crate::json::escape;
+/// Write the timeline as a Chrome `trace_event` JSON document into `out`,
+/// one event at a time: the timeline can hold 2 × [`RING_CAP`] events, so
+/// it is never held as one [`Json`] value. Deterministic for a fixed event
+/// set: events are emitted in sorted `(tid, ts, dur, name, phase)` order,
+/// so reruns that buffer the same events produce identical bytes.
+pub fn write_timeline(out: &mut dyn Write, run: &str) -> std::io::Result<()> {
     let mut all = local_events();
     all.sort_by(|a, b| {
         (a.tid, a.ts_ns, a.dur_ns, a.name, a.phase)
             .cmp(&(b.tid, b.ts_ns, b.dur_ns, b.name, b.phase))
     });
-    let mut s = String::new();
-    s.push_str("{\"traceEvents\":[\n");
-    if !all.is_empty() {
-        s.push_str(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-             \"args\":{\"name\":\"coordinator\"}}",
-        );
-    }
+    // The fixed outer wrapper, with the lane's constant `process_name`
+    // record first: the bytes `Json::render` would write for the whole
+    // document, whose last key is `traceEvents`.
+    let mut line = String::from("{\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": ");
+    obj([("dropped_events", dropped().into()), ("run", run.into())]).write(&mut line, 1);
+    line.push_str(
+        ",\n  \"traceEvents\": [\n    {\"args\": {\"name\": \"coordinator\"}, \
+         \"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": 0}",
+    );
+    out.write_all(line.as_bytes())?;
     for ev in &all {
-        s.push_str(",\n");
-        event_json(&mut s, ev);
+        line.clear();
+        line.push_str(",\n    ");
+        event_json(ev).write(&mut line, 2);
+        out.write_all(line.as_bytes())?;
     }
-    s.push_str(&format!(
-        "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"run\":\"{}\",\"dropped_events\":{}}}}}\n",
-        escape(run),
-        dropped()
-    ));
-    s
+    out.write_all(b"\n  ]\n}\n")
 }
 
 /// Write `TRACE_<run>.json` into `dir`. Returns the path written, or `None`
@@ -340,19 +341,7 @@ pub fn write_trace_to(dir: &std::path::Path, run: &str) -> Option<PathBuf> {
         return None;
     }
     let path = dir.join(format!("TRACE_{}.json", crate::sanitize_run_name(run)));
-    let doc = trace_json(run);
-    match std::fs::write(&path, doc) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("# trace: failed to write {}: {e}", path.display());
-            None
-        }
-    }
-}
-
-/// Write `TRACE_<run>.json` into [`crate::manifest_dir`].
-pub fn write_trace(run: &str) -> Option<PathBuf> {
-    write_trace_to(&crate::manifest_dir(), run)
+    crate::write_or_warn(path, |out| write_timeline(out, run))
 }
 
 #[cfg(test)]
@@ -365,9 +354,10 @@ mod tests {
 
     #[test]
     fn microsecond_formatting_is_exact() {
-        assert_eq!(us(0), "0.000");
-        assert_eq!(us(999), "0.999");
-        assert_eq!(us(1_000), "1.000");
-        assert_eq!(us(1_234_567), "1234.567");
+        assert_eq!(us(0).render(), "0");
+        assert_eq!(us(999).render(), "0.999");
+        assert_eq!(us(1_000).render(), "1");
+        assert_eq!(us(1_234_567).render(), "1234.567");
+        assert_eq!(us(86_400_000_000_001).render(), "86400000000.001");
     }
 }

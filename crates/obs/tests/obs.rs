@@ -34,7 +34,7 @@ fn disabled_fast_path_records_nothing() {
     assert!(snap.gauges.is_empty());
     assert!(snap.meta.is_empty());
     assert!(obs::run_scope("t_disabled").is_none());
-    assert!(obs::write_manifest("t_disabled").is_none());
+    assert!(obs::write_manifest_to(&obs::manifest_dir(), "t_disabled").is_none());
 }
 
 #[test]
@@ -88,6 +88,8 @@ fn manifest_schema_round_trips() {
     obs::gauge_set("t.rt_gauge", 2.5);
     obs::probe("t.rt_probe", -92.0);
     obs::probe("t.rt_probe", -88.0);
+    obs::probe("t.rt_tiny", 1e-9);
+    obs::gauge_set("t.rt_nan", f64::NAN);
 
     let dir = std::env::temp_dir().join(format!("backfi_obs_rt_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -130,6 +132,12 @@ fn manifest_schema_round_trips() {
         .find(|g| g.get("name").unwrap().as_str() == Some("t.rt_gauge"))
         .expect("gauge in manifest");
     assert_eq!(g.get("value").unwrap().as_f64(), Some(2.5));
+    // JSON has no NaN: a non-finite gauge reads back as null.
+    let g = gauges
+        .iter()
+        .find(|g| g.get("name").unwrap().as_str() == Some("t.rt_nan"))
+        .expect("NaN gauge in manifest");
+    assert_eq!(g.get("value"), Some(&obs::json::Json::Null));
 
     let probes = v.get("probes").unwrap().as_arr().unwrap();
     let p = probes
@@ -140,6 +148,14 @@ fn manifest_schema_round_trips() {
     assert_eq!(p.get("mean").unwrap().as_f64(), Some(-90.0));
     assert_eq!(p.get("min").unwrap().as_f64(), Some(-92.0));
     assert_eq!(p.get("max").unwrap().as_f64(), Some(-88.0));
+    // Full precision: a probe far below 1e-6 is not printed as 0.
+    let p = probes
+        .iter()
+        .find(|p| p.get("name").unwrap().as_str() == Some("t.rt_tiny"))
+        .expect("tiny probe in manifest");
+    for key in ["mean", "min", "max"] {
+        assert_eq!(p.get(key).unwrap().as_f64(), Some(1e-9), "probe {key}");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
     obs::disable();

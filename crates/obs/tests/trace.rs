@@ -110,9 +110,11 @@ fn concurrent_workers_lose_and_duplicate_nothing() {
             assert_eq!(block, [Phase::Begin, Phase::Instant, Phase::End]);
         }
     }
-    // The exported document is valid JSON under the hand-rolled parser.
-    let doc = trace::trace_json("tr_stress");
-    obs::json::validate(&doc).expect("stress timeline is valid JSON");
+    // The exported document is valid JSON under the workspace parser.
+    let mut doc = Vec::new();
+    trace::write_timeline(&mut doc, "tr_stress").expect("write to a Vec");
+    let doc = String::from_utf8(doc).expect("UTF-8 timeline");
+    obs::json::parse(&doc).expect("stress timeline is valid JSON");
     trace::reset();
     trace::disable();
 }
@@ -138,6 +140,9 @@ fn trace_file_round_trips_through_the_parser() {
     );
     let text = std::fs::read_to_string(&path).unwrap();
     let doc = obs::json::parse(&text).expect("valid JSON on disk");
+    // Streamed one event at a time, yet laid out as the renderer lays out
+    // the whole document.
+    assert_eq!(text, doc.render() + "\n");
     let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
     assert!(
         events.iter().any(|e| {

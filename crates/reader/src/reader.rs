@@ -276,18 +276,21 @@ impl BackscatterReader {
         let x_clean = x_clean.checked()?;
         let mut branches = Vec::new();
         let mut scratch = ReaderScratch::default();
+        let mut failure = None;
         let mut streams: Vec<&[Complex]> = antennas.iter().map(|&(y, _)| y).collect();
         for (y_rx, &(_, h_env_view)) in streams.iter_mut().zip(antennas) {
             // A branch may individually fail (deep fade); keep the others.
-            if let Ok(mut b) =
-                self.demodulate(x_clean, y_rx, h_env_view, timeline, tag_cfg, &mut scratch)
-            {
-                self.combine(&mut b, usize::MAX, x_clean, &mut scratch);
-                branches.push(b);
+            match self.demodulate(x_clean, y_rx, h_env_view, timeline, tag_cfg, &mut scratch) {
+                Ok(mut b) => {
+                    self.combine(&mut b, usize::MAX, x_clean, &mut scratch);
+                    branches.push(b);
+                }
+                Err(e) => failure = Some(e),
             }
         }
-        if branches.is_empty() {
-            return Err(ReaderError::ChannelEstimationFailed);
+        // Every branch failed: report the last branch's own (counted) error.
+        if let (true, Some(e)) = (branches.is_empty(), failure) {
+            return Err(e);
         }
 
         // Spatial MRC: combine per-symbol numerators/denominators. Each
@@ -1593,6 +1596,20 @@ mod tests {
         assert_eq!(got, ReaderError::InvalidInput);
         let after = backfi_obs::counter_value(ReaderError::InvalidInput.obs_counter());
         assert_eq!(after, before + 5, "each InvalidInput must be counted");
+    }
+
+    /// When every antenna's branch fails, `decode_mimo` returns a branch's
+    /// own error, the one its counter recorded.
+    #[test]
+    fn mimo_with_every_branch_failing_returns_the_branch_error() {
+        let link = Link::new(1.0, TagConfig::default(), 42, |_| {});
+        let x_ref = TxReference::new(link.x.as_slice().into());
+        let h_bad = vec![Complex::new(f64::NAN, 0.0); link.h_env.len()];
+        let antennas = [(&link.y[..], &h_bad[..]), (&link.y[..], &h_bad[..])];
+        let got = BackscatterReader::default()
+            .decode_mimo(&x_ref, &antennas, &link.timeline, &TagConfig::default())
+            .expect_err("non-finite h_env on every antenna must fail");
+        assert_eq!(got, ReaderError::InvalidInput);
     }
 
     /// A handful of NaN samples in the received stream must be survivable:
